@@ -1,9 +1,10 @@
 """Command-line front end: deterministic orchestration and CSV/JSON reports.
 
 Exit codes: 0 success, 1 inequality violation or counterexample candidate,
-2 usage/config error, 3 numerical failure.  Every command writes a run
-manifest next to its outputs; data files themselves carry no timestamps, so
-reruns with the same config and seed are byte-identical.
+2 usage/config error or a model above its enumeration cap, 3 numerical
+failure.  Every command writes a run manifest next to its outputs; data files
+themselves carry no timestamps, so reruns with the same config and seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .coupling import (
 )
 from .dobrushin import (
     DiscreteModel,
+    EnumerationCapError,
     b_matrix,
     b_power_column,
     dobrushin_matrix,
@@ -93,7 +95,7 @@ def _parse_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _write_manifest(out_path: str, command: str, config: dict, seed, threads):
+def _write_manifest(out_path: str, command: str, config: dict, seed):
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
@@ -101,7 +103,6 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, threads):
         "command": command,
         "config_digest": digest,
         "seed": seed,
-        "threads": threads,
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -157,7 +158,7 @@ def cmd_verify_traces(args, config) -> int:
     _write_manifest(os.path.join(out_dir, "run"), "verify-traces",
                     {"trials": trials, "dims": dims, "kinds": kinds,
                      "inequalities": ineqs, "tol": tol, "scale": scale},
-                    args.seed, args.threads)
+                    args.seed)
     return EXIT_VIOLATION if total_violations else EXIT_OK
 
 
@@ -193,7 +194,7 @@ def cmd_bound(args, config) -> int:
     _write_manifest(out, "bound",
                     {"d": d, "sigma_sq": sigma_sq, "c": c, "t_grid": list(t_grid),
                      "clamp": bool(args.clamp)},
-                    args.seed, args.threads)
+                    args.seed)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -266,7 +267,7 @@ def cmd_mc_tail(args, config) -> int:
     out = args.out or "mc-tail.csv"
     _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp",
                      "empirical_tail", "ci_low", "ci_high"], rows)
-    _write_manifest(out, "mc-tail", config, seed, args.threads)
+    _write_manifest(out, "mc-tail", config, seed)
     print(f"wrote {out} ({len(rows)} rows, mean source: {est.mean_source})")
     return EXIT_OK
 
@@ -308,7 +309,7 @@ def cmd_dobrushin(args, config) -> int:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _write_manifest(out, "dobrushin", {"model": str(model_spec), "kmax": args.kmax},
-                    args.seed, args.threads)
+                    args.seed)
     print(f"wrote {out} (norm1={n1:.6f}, norm_inf={ninf:.6f}, c={report['c']})")
     return EXIT_OK
 
@@ -332,7 +333,7 @@ def cmd_conjecture(args, config) -> int:
     _write_manifest(out, "conjecture",
                     {"ineq": ineq, "entry": getattr(entry, "name", None),
                      "dims": dims, "budget": budget},
-                    args.seed, args.threads)
+                    args.seed)
     print(f"{result.inequality_id}: verdict={result.verdict} "
           f"best_gap={result.best_gap:.6e} certified_error={result.certified_error:.3e}")
     return EXIT_VIOLATION if result.verdict == "counterexample-candidate" else EXIT_OK
@@ -381,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--config", type=str, default=None)
-    shared.add_argument("--threads", type=int,
-                        default=int(os.environ.get("MATCONC_THREADS", "0")))
     shared.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
 
     parser = argparse.ArgumentParser(prog="matconc", description=__doc__)
@@ -441,7 +440,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

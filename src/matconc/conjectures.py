@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import MatrixObservable
-from .dobrushin import DiscreteModel, EnumerationCapError
+from .coupling import MatrixObservable, _hermitian_part, _observable_values
+from .dobrushin import DiscreteModel, EnumerationCapError, site_neighbours
 from .hermitian import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -176,40 +176,27 @@ def check_self_bounding(H: MatrixObservable, model: DiscreteModel, a: float, b: 
     if S * S > model.enum_cap:
         raise EnumerationCapError("too many configuration pairs for exhaustive check")
     d = H.dim
-    eye = np.eye(d)
-    H_all = np.empty((S, d, d), dtype=np.complex128)
-    for s in range(S):
-        H_all[s] = np.asarray(H(model.values(model.config_from_flat(s))))
+    H_all = _observable_values(model, H)
 
-    # positive parts of all single-coordinate decrements, indexed [z][i][v]
+    # positive parts of all single-coordinate decrements, indexed [z, i, v]
     parts = np.empty((S, n, max(model.sizes), d, d), dtype=np.complex128)
     inc_slack = math.inf
-    for s in range(S):
-        cfg = list(model.config_from_flat(s))
-        for i in range(n):
-            keep = cfg[i]
-            for v in range(model.sizes[i]):
-                cfg[i] = v
-                diff = H_all[s] - H_all[model.flat_from_config(cfg)]
-                diff = (diff + diff.conj().T) / 2.0
-                evals, vecs = np.linalg.eigh(diff)
-                inc_slack = min(inc_slack, 1.0 - float(evals[-1]))
-                pos = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
-                parts[s, i, v] = pos @ pos if mode == "weak" else pos
-            cfg[i] = keep
+    for i in range(n):
+        _, variants = site_neighbours(model, i)
+        evals, vecs = np.linalg.eigh(_hermitian_part(H_all[:, None] - H_all[variants]))
+        inc_slack = min(inc_slack, 1.0 - float(evals[..., -1].max()))
+        pos = (vecs * np.clip(evals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        parts[:, i, : model.sizes[i]] = pos @ pos if mode == "weak" else pos
     if mode == "strong" and inc_slack < -tol:
         return SelfBoundingReport(mode, a, b, False, inc_slack, math.inf, S)
 
+    # every replacement vector z' (all S of them) against every z
+    digits = np.unravel_index(np.arange(S), model.sizes)
     sum_slack = math.inf
     for s in range(S):
-        target = a * H_all[s] + b * eye
-        for s2 in range(S):
-            alt = model.config_from_flat(s2)
-            total = np.zeros((d, d), dtype=np.complex128)
-            for i in range(n):
-                total += parts[s, i, alt[i]]
-            lam = float(np.linalg.eigvalsh((target - total + (target - total).conj().T) / 2.0)[0])
-            sum_slack = min(sum_slack, lam)
+        total = sum(parts[s, i, digits[i]] for i in range(n))
+        slack = _hermitian_part(a * H_all[s] + b * np.eye(d) - total)
+        sum_slack = min(sum_slack, float(np.linalg.eigvalsh(slack)[..., 0].min()))
     certified = sum_slack >= -tol and (mode == "weak" or inc_slack >= -tol)
     return SelfBoundingReport(mode, a, b, certified,
                               inc_slack if mode == "strong" else None, sum_slack, S)

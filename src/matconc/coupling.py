@@ -14,6 +14,7 @@ in parallel and aggregate order independently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +27,9 @@ from .dobrushin import (
     EnumerationCapError,
     conditional_table,
     other_axes_strides,
+    site_neighbours,
 )
-from .hermitian import HermitianMatrix, _coerce, psd_order_leq
+from .hermitian import HermitianMatrix, _coerce
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for exhaustive pair-space loops
@@ -141,18 +143,10 @@ def derive_hamming_bounds(observable: MatrixObservable,
     Valid (diff^2 <= |diff|^2 I <= c_k^2 I) though generally looser than
     structure-aware bounds; useful for table observables.
     """
-    d = observable.dim
-    worst = np.zeros(model.n)
-    for s in range(model.size):
-        cfg = model.config_from_flat(s)
-        H_here = np.asarray(observable(model.values(cfg)))
-        for i in range(model.n):
-            alt = list(cfg)
-            for v in range(model.sizes[i]):
-                alt[i] = v
-                diff = H_here - np.asarray(observable(model.values(alt)))
-                worst[i] = max(worst[i], _spectral_norm_raw(diff))
-    return DifferenceBoundSet([HermitianMatrix(c * np.eye(d)) for c in worst])
+    H = _observable_values(model, observable)
+    worst = [_spectral_norm_raw(H[:, None] - H[site_neighbours(model, i)[1]])
+             for i in range(model.n)]
+    return DifferenceBoundSet([HermitianMatrix(c * np.eye(observable.dim)) for c in worst])
 
 
 def check_hamming(observable: MatrixObservable, model: DiscreteModel,
@@ -163,19 +157,16 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
     """
     if len(bound_set.matrices) != model.n:
         raise ValueError("need one difference bound per site")
+    H = _observable_values(model, observable)
+    for h in H:  # the observable's values are outside input: certify them once
+        HermitianMatrix(h)
     worst = math.inf
-    for s in range(model.size):
-        cfg = model.config_from_flat(s)
-        H_here = np.asarray(observable(model.values(cfg)))
-        for i in range(model.n):
-            Ai = bound_set.matrices[i].mat
-            Ai2 = HermitianMatrix(Ai @ Ai)
-            for v in range(model.sizes[i]):
-                alt = list(cfg)
-                alt[i] = v
-                diff = H_here - np.asarray(observable(model.values(alt)))
-                check = psd_order_leq(HermitianMatrix(diff @ diff), Ai2, tol)
-                worst = min(worst, check.min_eigenvalue)
+    for i in range(model.n):
+        Ai = bound_set.matrices[i].mat
+        _, variants = site_neighbours(model, i)
+        diff = H[:, None] - H[variants]
+        slack = _hermitian_part(HermitianMatrix(Ai @ Ai).mat - diff @ diff)
+        worst = min(worst, float(np.linalg.eigvalsh(slack)[..., 0].min()))
     return worst >= -tol, worst
 
 
@@ -209,19 +200,21 @@ def _sample_pmf(pmf: np.ndarray, u: float) -> int:
 
 
 def maximal_coupling_joint(p, q) -> np.ndarray:
-    """Exact joint law of the maximal coupling: diag overlap + residual product."""
+    """Exact joint law of the maximal coupling: diag overlap + residual product.
+
+    Broadcasts over leading axes: pmfs of shape (..., m) give joints of shape
+    (..., m, m).
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.shape[-1:] != q.shape[-1:]:
         raise ValueError("support mismatch")
     mins = np.minimum(p, q)
-    omega = float(mins.sum())
-    m = len(p)
-    J = np.zeros((m, m))
-    J[np.arange(m), np.arange(m)] = mins
-    z = 1.0 - omega
-    if z > 1e-15:
-        J += np.outer(p - mins, q - mins) / z
+    z = 1.0 - mins.sum(axis=-1)
+    zsafe = np.where(z > 1e-15, z, np.inf)[..., None, None]  # no residual mass left
+    J = (p - mins)[..., :, None] * (q - mins)[..., None, :] / zsafe
+    m = mins.shape[-1]
+    J[..., np.arange(m), np.arange(m)] += mins
     return J
 
 
@@ -242,17 +235,11 @@ def make_exchangeable_pair(model: DiscreteModel, rng) -> tuple[tuple, tuple]:
 def gibbs_kernel(model: DiscreteModel) -> np.ndarray:
     """Dense single-site Gibbs transition matrix on flat configuration indices."""
     _require_pairable(model)
-    S, n = model.size, model.n
-    G = np.zeros((S, S))
-    for s in range(S):
-        cfg = list(model.config_from_flat(s))
-        for i in range(n):
-            vec = model.conditional(i, cfg)
-            keep = cfg[i]
-            for v in range(model.sizes[i]):
-                cfg[i] = v
-                G[s, model.flat_from_config(cfg)] += vec[v] / n
-            cfg[i] = keep
+    G = np.zeros((model.size, model.size))
+    states = np.arange(model.size)[:, None]
+    for i in range(model.n):
+        cond, variants = site_neighbours(model, i)
+        G[states, variants] += cond / model.n
     return G
 
 
@@ -341,22 +328,11 @@ class PairEvolver:
         self._joints = []
         for i in range(model.n):
             rows = conditional_table(model, i)  # (K, m)
-            if coupling == "independent":
-                m = model.sizes[i]
-                J1 = np.zeros((m, m))
-                J1[np.arange(m), np.arange(m)] = rows[0]
-                K = model.size // m
-                self._joints.append(np.broadcast_to(J1, (K, K, m, m)))
-                continue
-            mins = np.minimum(rows[:, None, :], rows[None, :, :])       # (K,K,m)
-            omega = mins.sum(-1)
-            resid_p = rows[:, None, :] - mins
-            resid_q = rows[None, :, :] - mins
-            zsafe = np.where(1.0 - omega > 1e-15, 1.0 - omega, 1.0)
-            J = resid_p[..., :, None] * resid_q[..., None, :] / zsafe[..., None, None]
-            J[1.0 - omega <= 1e-15] = 0.0
-            m = rows.shape[1]
-            J[..., np.arange(m), np.arange(m)] += mins
+            if coupling == "independent":  # one shared value: the pmf coupled with itself
+                K, m = rows.shape
+                J = np.broadcast_to(maximal_coupling_joint(rows[0], rows[0]), (K, K, m, m))
+            else:
+                J = maximal_coupling_joint(rows[:, None, :], rows[None, :, :])
             self._joints.append(J)
 
     def step(self, nu: np.ndarray) -> np.ndarray:
@@ -420,14 +396,13 @@ def verify_property_P(model: DiscreteModel, steps: int,
 
 
 def _observable_values(model: DiscreteModel, f) -> np.ndarray:
-    """Evaluate an observable on every configuration, shape (S, d, d)."""
-    first = np.asarray(f(model.values(model.config_from_flat(0))), dtype=np.complex128)
-    d = first.shape[0]
-    out = np.empty((model.size, d, d), dtype=np.complex128)
-    out[0] = first
-    for s in range(1, model.size):
-        out[s] = np.asarray(f(model.values(model.config_from_flat(s))), dtype=np.complex128)
-    return out
+    """Evaluate an observable on every configuration, shape (S, d, d).
+
+    ``itertools.product`` over the alphabets runs through the value tuples in
+    flat (C) order.
+    """
+    return np.stack([np.asarray(f(vals), dtype=np.complex128)
+                     for vals in itertools.product(*model.alphabets)])
 
 
 def _centered_values(model: DiscreteModel, f) -> np.ndarray:
@@ -436,9 +411,13 @@ def _centered_values(model: DiscreteModel, f) -> np.ndarray:
     return vals - mean
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+
+
 def _spectral_norm_raw(M: np.ndarray) -> float:
-    H = (M + M.conj().T) / 2.0
-    return float(np.abs(np.linalg.eigvalsh(H)).max())
+    """Largest spectral norm of the Hermitian part over a stack of matrices."""
+    return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
 
 
 def _antisym_sum(evolver: PairEvolver, fc: np.ndarray, x_flat: int, y_flat: int,

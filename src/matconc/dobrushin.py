@@ -193,6 +193,24 @@ def conditional_table(model: DiscreteModel, i: int) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def site_neighbours(model: DiscreteModel, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Site-i conditionals and single-site variants of every flat state.
+
+    Returns ``(cond, variants)``, both of shape (S, m_i): ``cond[s]`` is the
+    :func:`conditional_table` row of state s, and ``variants[s, v]`` is the
+    flat index of s with site i set to v.  Memory is O(S m_i).
+    """
+    m = model.sizes[i]
+    high = prod(model.sizes[:i])
+    low = model.size // (high * m)  # C-order stride of site i
+    # flat state s = (h, x_i, l): its conditional row is h * low + l, whatever x_i is
+    shape = (high, m, low, m)
+    cond = np.broadcast_to(conditional_table(model, i).reshape(high, 1, low, m), shape)
+    base = np.arange(0, model.size, m * low)[:, None] + np.arange(low)  # x_i = 0
+    variants = np.broadcast_to(base[:, None, :, None] + low * np.arange(m), shape)
+    return cond.reshape(model.size, m), variants.reshape(model.size, m)
+
+
 # ---------------------------------------------------------------------------
 # Total variation and the interdependence matrix
 
@@ -228,52 +246,25 @@ class InterdependenceMatrix:
         return self.entries.shape[0]
 
 
-def _tv_pair_matrix(rows: np.ndarray) -> np.ndarray:
-    # rows: (K, m) conditionals; output (K, K) of pairwise TV distances
-    return 0.5 * np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=-1)
-
-
-def dobrushin_matrix(model: DiscreteModel, tol: float = 1e-12) -> InterdependenceMatrix:
-    """Entrywise-tight interdependence matrix from single-site variations.
+def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
+    """Entrywise-tight interdependence matrix from single-swap sensitivities.
 
     d_ij is the max total-variation change of the conditional at site i over
-    configuration pairs differing only at site j.  Before returning, the
-    defining multi-site inequality is re-verified exhaustively over all
-    configuration pairs; a failure would indicate a numerical bug, so it
-    raises ArithmeticError.
+    configuration pairs differing only at site j, read off the site-i
+    conditionals of every state and of its site-j variants.  The defining
+    multi-site inequality follows from these entries by the triangle
+    inequality along a path of single-site changes, so it is not re-checked
+    at run time; the tests keep an all-pairs oracle for it.
     """
     n = model.n
     D = np.zeros((n, n))
     for i in range(n):
-        m = model.sizes[i]
-        K = model.size // m
-        if K * K > model.enum_cap:
-            raise EnumerationCapError(
-                f"pairwise check needs {K * K} pairs for site {i}, above cap"
-            )
-        rows = conditional_table(model, i)
-        tv = _tv_pair_matrix(rows)
-        other_sites = [j for j in range(n) if j != i]
-        other_sizes = [model.sizes[j] for j in other_sites]
-        digits = np.stack(np.unravel_index(np.arange(K), tuple(other_sizes)), axis=1)
-        disagree = {}
-        for pos, j in enumerate(other_sites):
-            disagree[j] = digits[:, pos][:, None] != digits[:, pos][None, :]
-        hamming = np.zeros((K, K), dtype=int)
-        for j in other_sites:
-            hamming += disagree[j]
-        for j in other_sites:
-            only_j = disagree[j] & (hamming == 1)
-            D[i, j] = float(tv[only_j].max()) if only_j.any() else 0.0
-        # exhaustive certification of the summed bound
-        bound = np.zeros((K, K))
-        for j in other_sites:
-            bound += D[i, j] * disagree[j]
-        worst = float((tv - bound).max())
-        if worst > tol:
-            raise ArithmeticError(
-                f"defining inequality violated at site {i} by {worst:.3e}"
-            )
+        cond, _ = site_neighbours(model, i)
+        for j in range(n):
+            if j != i:
+                _, variants = site_neighbours(model, j)
+                tv = 0.5 * np.abs(cond[:, None, :] - cond[variants]).sum(axis=-1)
+                D[i, j] = float(tv.max())
     return InterdependenceMatrix(np.clip(D, 0.0, 1.0))
 
 

@@ -87,6 +87,7 @@ class TestBoundCommand:
         manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert manifest["command"] == "bound"
         assert "config_digest" in manifest
+        assert "threads" not in manifest
 
 
 class TestVerifyTraces:
@@ -138,6 +139,19 @@ class TestDobrushinCommand:
         assert rep["c"] == pytest.approx(1.324361, abs=1e-6)
         assert rep["b_matrix"][0][1] == pytest.approx(tanh / 2, abs=1e-12)
         assert rep["b_power_columns"]["k"] == 10
+
+    def test_eleven_site_chain(self, tmp_path):
+        # 2048 states: exact D without an all-pairs enumeration
+        J = np.zeros((11, 11))
+        for i in range(10):
+            J[i, i + 1] = J[i + 1, i] = 0.2
+        model = tmp_path / "chain11.json"
+        save_model(model, DiscreteModel.from_ising(J))
+        out = tmp_path / "rep.json"
+        assert run(["dobrushin", "--model", model, "--out", out]) == 0
+        D = np.asarray(json.loads(out.read_text())["entries"])
+        assert D[0, 1] == pytest.approx(math.tanh(0.2), abs=1e-12)
+        assert D[5, 4] == pytest.approx(math.tanh(0.4) / 2, abs=1e-12)
 
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["dobrushin", "--out", tmp_path / "rep.json"]) == 2
@@ -195,6 +209,16 @@ class TestMcTailCommand:
         rows = read_csv(out)
         for row in rows[1:]:
             assert row[5] == row[6] == row[7]  # exact: interval collapses
+
+    def test_model_above_enum_cap_exits_2(self, tmp_path, capsys):
+        cfg = {"model": {"rademacher_sites": 3}, "enum_cap": 4,
+               "observable": {"kind": "rademacher-sum",
+                              "generate": {"count": 3, "dim": 2, "seed": 1}},
+               "samples": 100}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_table_observable(self, tmp_path):
         entries = []

@@ -92,9 +92,41 @@ class TestMaximalCoupling:
         assert np.allclose(J.sum(axis=0), q)
         assert np.trace(J) == pytest.approx(0.7)
 
+    def test_joint_broadcasts_over_rows(self):
+        rng = np.random.default_rng(8)
+        P = rng.dirichlet(np.ones(3), size=(4, 1))
+        Q = rng.dirichlet(np.ones(3), size=(1, 5))
+        Q[0, 0] = P[0, 0]  # an identical pair: no residual mass
+        J = maximal_coupling_joint(P, Q)
+        assert J.shape == (4, 5, 3, 3)
+        for a in range(4):
+            for b in range(5):
+                assert np.array_equal(J[a, b], maximal_coupling_joint(P[a, 0], Q[0, b]))
+        assert np.array_equal(J[0, 0], np.diag(P[0, 0]))
+
     def test_support_mismatch(self):
         with pytest.raises(ValueError):
             maximal_coupling([1.0], [0.5, 0.5], np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            maximal_coupling_joint([1.0], [0.5, 0.5])
+
+
+class TestGibbsKernel:
+    def test_mixed_alphabets_match_per_state_loop(self):
+        rng = np.random.default_rng(11)
+        m = DiscreteModel.from_table([(0, 1, 2), (0, 1), (0, 1, 2, 3)],
+                                     rng.uniform(0.1, 2.0, (3, 2, 4)))
+        brute = np.zeros((m.size, m.size))
+        for s in range(m.size):
+            cfg = list(m.config_from_flat(s))
+            for i in range(m.n):
+                vec = m.conditional(i, cfg)
+                keep = cfg[i]
+                for v in range(m.sizes[i]):
+                    cfg[i] = v
+                    brute[s, m.flat_from_config(cfg)] += vec[v] / m.n
+                cfg[i] = keep
+        assert np.array_equal(gibbs_kernel(m), brute)
 
 
 class TestExchangeablePair:

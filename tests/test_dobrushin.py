@@ -18,6 +18,7 @@ from matconc.dobrushin import (
     model_to_obj,
     norm_recursion_check,
     save_model,
+    site_neighbours,
     tv_distance,
 )
 
@@ -26,6 +27,20 @@ TANH_QUARTER = math.tanh(0.25)
 
 def ising2(beta=0.25):
     return DiscreteModel.from_ising([[0.0, beta], [beta, 0.0]])
+
+
+def mixed_table(seed=11):
+    # mixed alphabets (3, 2, 4) with random positive weights: no symmetry to lean on
+    rng = np.random.default_rng(seed)
+    return DiscreteModel.from_table([(0, 1, 2), (0, 1), (0, 1, 2, 3)],
+                                    rng.uniform(0.1, 2.0, (3, 2, 4)))
+
+
+def ising_chain(n, J):
+    M = np.zeros((n, n))
+    for i in range(n - 1):
+        M[i, i + 1] = M[i + 1, i] = J
+    return DiscreteModel.from_ising(M)
 
 
 def ising3(beta=0.25):
@@ -112,6 +127,19 @@ class TestModel:
         freq = np.bincount(flat, minlength=4) / 40000
         assert np.abs(freq - m.flat_pmf()).max() < 0.01
 
+    def test_site_neighbours(self):
+        m = mixed_table()
+        for i in range(m.n):
+            cond, variants = site_neighbours(m, i)
+            assert cond.shape == variants.shape == (m.size, m.sizes[i])
+            for s in range(m.size):
+                cfg = m.config_from_flat(s)
+                assert np.array_equal(cond[s], m.conditional(i, cfg))
+                for v in range(m.sizes[i]):
+                    alt = list(cfg)
+                    alt[i] = v
+                    assert variants[s, v] == m.flat_from_config(alt)
+
     def test_conditional_table_matches_brute(self):
         m = ising3(0.3)
         for i in range(3):
@@ -156,23 +184,36 @@ class TestDobrushinMatrix:
         assert D.entries[0, 0] == 0.0
 
     @pytest.mark.parametrize("maker,beta", [(ising2, 0.25), (ising2, 0.6),
-                                            (ising3, 0.25), (ising3, 0.4)])
+                                            (ising3, 0.25), (ising3, 0.4),
+                                            (mixed_table, 11), (mixed_table, 12)])
     def test_matches_brute_force(self, maker, beta):
         m = maker(beta)
         D = dobrushin_matrix(m)
         assert np.abs(D.entries - brute_dobrushin(m)).max() <= 1e-12
 
     def test_defining_inequality_exhaustive(self):
-        # re-verify the multi-site bound independently of the constructor
-        m = ising3(0.3)
-        D = dobrushin_matrix(m).entries
-        configs = list(itertools.product(*[range(s) for s in m.sizes]))
-        for i in range(3):
-            for x in configs:
-                for y in configs:
-                    tv = tv_distance(brute_conditional(m, i, x), brute_conditional(m, i, y))
-                    bound = sum(D[i, j] for j in range(3) if x[j] != y[j] and j != i)
-                    assert tv <= bound + 1e-12
+        # all-pairs oracle for the multi-site bound: dobrushin_matrix only
+        # looks at single-site swaps, so this checks the triangle-inequality step
+        for m in (ising3(0.3), mixed_table()):
+            D = dobrushin_matrix(m).entries
+            configs = list(itertools.product(*[range(s) for s in m.sizes]))
+            for i in range(m.n):
+                for x in configs:
+                    for y in configs:
+                        tv = tv_distance(brute_conditional(m, i, x),
+                                         brute_conditional(m, i, y))
+                        bound = sum(D[i, j] for j in range(m.n) if x[j] != y[j] and j != i)
+                        assert tv <= bound + 1e-12
+
+    def test_ising_chain_beyond_pairwise_limit(self):
+        # 11 sites (2048 states): exact chain sensitivities, nothing beyond neighbours
+        J = -0.3
+        D = dobrushin_matrix(ising_chain(11, J)).entries
+        expect = np.zeros((11, 11))
+        for i in range(10):
+            expect[i, i + 1] = expect[i + 1, i] = math.tanh(2 * abs(J)) / 2
+        expect[0, 1] = expect[10, 9] = math.tanh(abs(J))
+        assert np.abs(D - expect).max() <= 1e-12  # non-neighbours: rounding only
 
     def test_entrywise_minimality(self):
         # decreasing any positive entry by 1e-6 breaks a single-site pair
