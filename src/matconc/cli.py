@@ -1,16 +1,18 @@
 """Command-line front end: deterministic orchestration and CSV/JSON reports.
 
 Exit codes: 0 success, 1 inequality violation or counterexample candidate,
-2 usage/config error or a model above its enumeration cap, 3 numerical
-failure.  Every command writes a run manifest next to its outputs; data files
-themselves carry no timestamps, so reruns with the same config and seed are
-byte-identical.
+2 usage/config error (including a non-Hermitian input matrix) or a model
+above its enumeration cap, 3 numerical failure (an eigensolver failure, or a
+spectral function undefined or overflowing at an eigenvalue).  Every command
+writes a run manifest next to its outputs; data files themselves carry no
+timestamps, so reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob
 import hashlib
 import json
@@ -49,7 +51,13 @@ from .dobrushin import (
     model_from_obj,
     norm_recursion_check,
 )
-from .hermitian import ENSEMBLE_KINDS, EnsembleSpec, matrix_from_obj, sample_ensemble
+from .hermitian import (
+    ENSEMBLE_KINDS,
+    EnsembleSpec,
+    SpectralDomainError,
+    matrix_from_obj,
+    sample_ensemble,
+)
 from .traceineq import INEQUALITY_IDS, fuzz_grid, save_fuzz_summary
 
 TOL_PROFILES = {"default": 1e-8, "strict": 1e-10, "loose": 1e-6}
@@ -377,7 +385,9 @@ def cmd_report(args, config) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", type=str, default=None)
@@ -440,12 +450,12 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
+    except (ArithmeticError, np.linalg.LinAlgError, SpectralDomainError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError, KeyError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -21,25 +21,29 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import MatrixObservable, _hermitian_part, _observable_values
+from .coupling import MatrixObservable, _observable_values
 from .dobrushin import DiscreteModel, EnumerationCapError, site_neighbours
 from .hermitian import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     HermitianMatrix,
     SpectralDomainError,
+    _apply_scalar,
     _coerce,
+    _decompose,
+    _exp,
+    _hermitian_part,
+    _positive_part,
+    _spectral,
+    _trace,
     hermitian_from_params,
     hermitian_to_params,
     inputs_digest,
-    matrix_exp,
-    matrix_function,
     matrix_to_obj,
-    pos_neg_parts,
     positive_part,
     sample_ensemble,
 )
-from .traceineq import TraceGapReport, _anchor, _real_trace
+from .traceineq import TraceGapReport, _anchor
 
 
 @dataclass(frozen=True)
@@ -67,55 +71,61 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
         raise ValueError(f"unknown catalog entry {name!r}") from None
 
 
-def _check_domain(M: HermitianMatrix, entry: ConvexCatalogEntry, label: str):
-    evals = np.linalg.eigvalsh(M.mat)
-    tol = 1e-12 * max(1.0, float(np.abs(evals).max()))
-    lo, hi = entry.domain
-    if evals[0] < lo - tol or evals[-1] > hi + tol:
-        bad = evals[0] if evals[0] < lo - tol else evals[-1]
-        raise SpectralDomainError(bad, f"eigenvalue of {label} outside domain of {entry.name}")
+def _certified_triple(A, B, C) -> np.ndarray:
+    """Certified A, B, C and D = A - B as one (4, d, d) stack.
+
+    The difference of two certified matrices is its own Hermitian part, bit
+    for bit, so D needs no certification of its own.
+    """
+    A, B, C = _coerce(A), _coerce(B), _coerce(C)
+    if not A.dim == B.dim == C.dim:
+        raise ValueError("dimension mismatch")
+    return np.stack([A.mat, B.mat, C.mat, A.mat - B.mat])
 
 
-def _split_weights(C: HermitianMatrix, D: np.ndarray):
-    """((C+^2 + D+^2)/2, (C-^2 + D-^2)/2) from single decompositions."""
-    Cp, Cm = pos_neg_parts(C)
-    Dp, Dm = pos_neg_parts(HermitianMatrix(D))
-    w_pos = (Cp.mat @ Cp.mat + Dp.mat @ Dp.mat) / 2.0
-    w_neg = (Cm.mat @ Cm.mat + Dm.mat @ Dm.mat) / 2.0
-    return w_pos, w_neg
+def _split_gap(M: np.ndarray, w: np.ndarray, U: np.ndarray, fAB: np.ndarray,
+               fpAB: np.ndarray) -> tuple[float, float]:
+    """(lhs, rhs) of a split-part bound from the decomposed stack (A, B, C, D).
+
+    The weights are (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B),
+    with the parts of C and D taken from their single decompositions.
+    """
+    Cp, Dp = _positive_part(w[2:], U[2:])
+    Cm, Dm = _positive_part(-w[2:], U[2:])
+    w_pos = (Cp @ Cp + Dp @ Dp) / 2.0
+    w_neg = (Cm @ Cm + Dm @ Dm) / 2.0
+    lhs = float(_trace(M[2] @ (fAB[0] - fAB[1])))
+    rhs = float(_trace(w_pos @ fpAB[0]) + _trace(w_neg @ fpAB[1]))
+    return lhs, rhs
 
 
 def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
     """Split-part exponential trace bound; gap >= 0 means the instance holds."""
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    if not A.dim == B.dim == C.dim:
-        raise ValueError("dimension mismatch")
-    eA, eB = matrix_exp(A).mat, matrix_exp(B).mat
-    w_pos, w_neg = _split_weights(C, A.mat - B.mat)
-    lhs = _real_trace(C.mat @ (eA - eB))
-    rhs = _real_trace(w_pos @ eA) + _real_trace(w_neg @ eB)
+    M = _certified_triple(A, B, C)
+    w, U = _decompose(M)
+    eAB = _exp(w[:2], U[:2])
+    lhs, rhs = _split_gap(M, w, U, eAB, eAB)
     params = {"anchor": _anchor(lhs, rhs)}
-    digest = inputs_digest((A, B, C))
-    return TraceGapReport("expconj", float(lhs), float(rhs), float(rhs - lhs),
-                          digest, seed, params)
+    digest = inputs_digest(M[:3])
+    return TraceGapReport("expconj", lhs, rhs, rhs - lhs, digest, seed, params)
 
 
 def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapReport:
     """Split-part bound for a monotone convex f with spectra inside its domain."""
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    if not A.dim == B.dim == C.dim:
-        raise ValueError("dimension mismatch")
-    _check_domain(A, entry, "A")
-    _check_domain(B, entry, "B")
-    fA, fB = matrix_function(A, entry.f).mat, matrix_function(B, entry.f).mat
-    fpA, fpB = matrix_function(A, entry.f_prime).mat, matrix_function(B, entry.f_prime).mat
-    w_pos, w_neg = _split_weights(C, A.mat - B.mat)
-    lhs = _real_trace(C.mat @ (fA - fB))
-    rhs = _real_trace(w_pos @ fpA) + _real_trace(w_neg @ fpB)
+    M = _certified_triple(A, B, C)
+    w, U = _decompose(M)
+    lo, hi = entry.domain
+    for label, evals in zip("AB", w[:2]):
+        tol = 1e-12 * max(1.0, float(np.abs(evals).max()))
+        if evals[0] < lo - tol or evals[-1] > hi + tol:
+            bad = evals[0] if evals[0] < lo - tol else evals[-1]
+            raise SpectralDomainError(bad, f"eigenvalue of {label} outside domain of {entry.name}")
+    fAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f, w[:2])))
+    fpAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f_prime, w[:2])))
+    lhs, rhs = _split_gap(M, w, U, fAB, fpAB)
     params = {"anchor": _anchor(lhs, rhs), "entry": entry.name}
-    digest = inputs_digest((A, B, C), {"entry": entry.name})
-    return TraceGapReport(f"fconj:{entry.name}", float(lhs), float(rhs),
-                          float(rhs - lhs), digest, seed, params)
+    digest = inputs_digest(M[:3], {"entry": entry.name})
+    return TraceGapReport(f"fconj:{entry.name}", lhs, rhs, rhs - lhs, digest, seed, params)
 
 
 def scalar_gap_exp(a, b, c) -> float:
@@ -185,7 +195,7 @@ def check_self_bounding(H: MatrixObservable, model: DiscreteModel, a: float, b: 
         _, variants = site_neighbours(model, i)
         evals, vecs = np.linalg.eigh(_hermitian_part(H_all[:, None] - H_all[variants]))
         inc_slack = min(inc_slack, 1.0 - float(evals[..., -1].max()))
-        pos = (vecs * np.clip(evals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        pos = _spectral(vecs, np.clip(evals, 0.0, None))
         parts[:, i, : model.sizes[i]] = pos @ pos if mode == "weak" else pos
     if mode == "strong" and inc_slack < -tol:
         return SelfBoundingReport(mode, a, b, False, inc_slack, math.inf, S)

@@ -29,7 +29,7 @@ from .dobrushin import (
     other_axes_strides,
     site_neighbours,
 )
-from .hermitian import HermitianMatrix, _coerce
+from .hermitian import HermitianMatrix, _coerce, _hermitian_part
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for exhaustive pair-space loops
@@ -411,10 +411,6 @@ def _centered_values(model: DiscreteModel, f) -> np.ndarray:
     return vals - mean
 
 
-def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
-
-
 def _spectral_norm_raw(M: np.ndarray) -> float:
     """Largest spectral norm of the Hermitian part over a stack of matrices."""
     return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
@@ -675,8 +671,7 @@ def exhaustive_tail(model: DiscreteModel, observable: MatrixObservable,
     """
     vals = _observable_values(model, observable)
     mean = np.einsum("s,sij->ij", model.flat_pmf(), vals)
-    lam = np.linalg.eigvalsh(np.stack([(v - mean + (v - mean).conj().T) / 2.0
-                                       for v in vals]))[..., -1]
+    lam = np.linalg.eigvalsh(_hermitian_part(vals - mean))[..., -1]
     mu = model.flat_pmf()
     t_arr = np.asarray(t_grid, dtype=float)
     probs = [float(mu[lam >= t].sum()) for t in t_arr]

@@ -258,11 +258,10 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     """
     n = model.n
     D = np.zeros((n, n))
-    for i in range(n):
-        cond, _ = site_neighbours(model, i)
-        for j in range(n):
+    tables = [site_neighbours(model, i) for i in range(n)]
+    for i, (cond, _) in enumerate(tables):
+        for j, (_, variants) in enumerate(tables):
             if j != i:
-                _, variants = site_neighbours(model, j)
                 tv = 0.5 * np.abs(cond[:, None, :] - cond[variants]).sum(axis=-1)
                 D[i, j] = float(tv.max())
     return InterdependenceMatrix(np.clip(D, 0.0, 1.0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -75,12 +76,7 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
-        scale = float(np.abs(arr).max()) if arr.size else 0.0
-        asym = float(np.abs(arr - arr.conj().T).max())
-        tol = HERMITICITY_RTOL * scale
-        if asym > tol:
-            raise HermiticityError(asym, tol)
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _certify(arr)
         sym.setflags(write=False)
         self.mat = sym
 
@@ -120,6 +116,92 @@ def _coerce(A) -> HermitianMatrix:
     return A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
 
 
+# ---------------------------------------------------------------------------
+# Spectral core on raw (..., d, d) stacks.  Inputs are certified once where
+# they enter the library; these kernels trust them and re-check nothing but
+# the eigensolver, so one decomposition serves every function of a matrix.
+
+# Below this, e^w stays below max/4: U diag(e^w) U* (entries bounded by the
+# largest e^w, as U is unitary) and its symmetrization then stay finite.
+_EXP_MAX = math.log(np.finfo(float).max / 4.0)
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+
+
+def _certify(arr: np.ndarray) -> np.ndarray:
+    """Hermitian part of a stack whose asymmetry is within HERMITICITY_RTOL.
+
+    Raises :class:`HermiticityError` for the first matrix of the stack whose
+    max |A - A*| exceeds ``HERMITICITY_RTOL * max|entry|``.
+    """
+    scale = np.abs(arr).max(axis=(-2, -1))
+    asym = np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(axis=(-2, -1))
+    tol = HERMITICITY_RTOL * scale
+    bad = asym > tol
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise HermiticityError(np.ravel(asym)[i], np.ravel(tol)[i])
+    return _hermitian_part(arr)
+
+
+def _spectral(U: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """U diag(f) U* over a stack; f holds real values per eigenvalue."""
+    return (U * f[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
+
+
+def _decompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a Hermitian stack.
+
+    Raises ``ArithmeticError`` if a matrix fails the reconstruction bound
+    ``|U diag(w) U* - A| <= RECONSTRUCTION_RTOL * d * max|w|``.
+    """
+    w, U = np.linalg.eigh(M)
+    err = np.abs(_spectral(U, w) - M).max(axis=(-2, -1))
+    bound = RECONSTRUCTION_RTOL * (M.shape[-1] * np.maximum(1e-300, np.abs(w).max(axis=-1)))
+    bad = err > bound
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ArithmeticError(f"spectral reconstruction error {np.ravel(err)[i]:.3e} "
+                              f"exceeds {np.ravel(bound)[i]:.3e}")
+    return w, U
+
+
+def _exp(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """exp of a decomposed stack; an eigenvalue whose exp would overflow is an error."""
+    over = ~(w <= _EXP_MAX)  # also catches NaN
+    if over.any():
+        raise SpectralDomainError(w[over][0], "matrix exponential overflows")
+    return _hermitian_part(_spectral(U, np.exp(w)))
+
+
+def _positive_part(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Positive part of a decomposed stack; ``(-w, U)`` gives the negative part."""
+    return _hermitian_part(_spectral(U, np.clip(w, 0.0, None)))
+
+
+def _psd_powers(w: np.ndarray, U: np.ndarray, ps) -> np.ndarray:
+    """M_i^{p_i} over a decomposed PSD stack, eigenvalues clipped at the PSD boundary.
+
+    Each row is raised to its Python float exponent on its own: numpy gives
+    some scalar exponents a fast path (0.5 is a square root) whose last bits
+    differ from a broadcast exponent array.  A negative eigenvalue beyond
+    rounding is an error.
+    """
+    tol = 1e-10 * np.maximum(1.0, np.abs(w).max(axis=-1))
+    bad = w[:, 0] < -tol
+    if bad.any():
+        raise ValueError(f"negative eigenvalue {w[bad][0, 0]:.6e} in fractional power base")
+    base = np.clip(w, 0.0, None)
+    return _spectral(U, np.stack([row ** float(p) for row, p in zip(base, ps)]))
+
+
+def _trace(M: np.ndarray) -> np.ndarray:
+    """Real parts of the traces of a stack (traces of Hermitian products are real)."""
+    return np.trace(M, axis1=-2, axis2=-1).real
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigen-decomposition A = U diag(eigenvalues) U*, eigenvalues ascending."""
@@ -128,7 +210,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return _spectral(self.eigenvectors, self.eigenvalues)
 
 
 def spectral_decompose(A) -> SpectralDecomposition:
@@ -142,16 +224,7 @@ def spectral_decompose(A) -> SpectralDecomposition:
         If the eigensolver output fails the reconstruction bound
         ``|U diag(w) U* - A| <= RECONSTRUCTION_RTOL * d * max|w|``.
     """
-    A = _coerce(A)
-    evals, evecs = np.linalg.eigh(A.mat)
-    dec = SpectralDecomposition(evals, evecs)
-    anchor = A.dim * max(1e-300, float(np.abs(evals).max()) if evals.size else 0.0)
-    err = float(np.abs(dec.reconstruct() - A.mat).max())
-    if err > RECONSTRUCTION_RTOL * anchor:
-        raise ArithmeticError(
-            f"spectral reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL * anchor:.3e}"
-        )
-    return dec
+    return SpectralDecomposition(*_decompose(_coerce(A).mat))
 
 
 def _apply_scalar(f: Callable, evals: np.ndarray) -> np.ndarray:
@@ -166,21 +239,21 @@ def _apply_scalar(f: Callable, evals: np.ndarray) -> np.ndarray:
             vals = None
         if vals is None:
             out = []
-            for lam in evals:
+            for lam in evals.ravel():
                 try:
                     out.append(complex(f(float(lam))))
                 except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                     raise SpectralDomainError(lam, str(exc)) from exc
-            vals = np.asarray(out, dtype=np.complex128)
+            vals = np.asarray(out, dtype=np.complex128).reshape(evals.shape)
     finite = np.isfinite(vals)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise SpectralDomainError(evals[bad], "non-finite value")
+        raise SpectralDomainError(np.ravel(evals)[bad], "non-finite value")
     imag_tol = 1e-12 * np.maximum(1.0, np.abs(vals))
     complex_out = np.abs(vals.imag) > imag_tol
     if complex_out.any():
         bad = int(np.argmax(complex_out))
-        raise SpectralDomainError(evals[bad], "complex value")
+        raise SpectralDomainError(np.ravel(evals)[bad], "complex value")
     return vals.real
 
 
@@ -190,38 +263,30 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
     ``f`` must be defined (real and finite) on every eigenvalue of A;
     a violation raises :class:`SpectralDomainError` naming the eigenvalue.
     """
-    dec = spectral_decompose(A)
-    fvals = _apply_scalar(f, dec.eigenvalues)
-    out = (dec.eigenvectors * fvals) @ dec.eigenvectors.conj().T
-    return HermitianMatrix(out)
+    w, U = _decompose(_coerce(A).mat)
+    return HermitianMatrix(_spectral(U, _apply_scalar(f, w)))
 
 
 def matrix_exp(A) -> HermitianMatrix:
     """Matrix exponential of a Hermitian matrix via spectral calculus."""
-    return matrix_function(A, np.exp)
-
-
-def _parts(A) -> tuple[HermitianMatrix, HermitianMatrix]:
-    dec = spectral_decompose(A)
-    U = dec.eigenvectors
-    pos = (U * np.clip(dec.eigenvalues, 0.0, None)) @ U.conj().T
-    neg = (U * np.clip(-dec.eigenvalues, 0.0, None)) @ U.conj().T
-    return HermitianMatrix(pos), HermitianMatrix(neg)
+    return HermitianMatrix(_exp(*_decompose(_coerce(A).mat)))
 
 
 def positive_part(A) -> HermitianMatrix:
     """Spectral truncation to nonnegative eigenvalues (PSD)."""
-    return _parts(A)[0]
+    return HermitianMatrix(_positive_part(*_decompose(_coerce(A).mat)))
 
 
 def negative_part(A) -> HermitianMatrix:
     """PSD matrix N with A = positive_part(A) - N; N = U diag(max(-w,0)) U*."""
-    return _parts(A)[1]
+    w, U = _decompose(_coerce(A).mat)
+    return HermitianMatrix(_positive_part(-w, U))
 
 
 def pos_neg_parts(A) -> tuple[HermitianMatrix, HermitianMatrix]:
     """Both spectral parts from a single decomposition (so they commute exactly)."""
-    return _parts(A)
+    w, U = _decompose(_coerce(A).mat)
+    return HermitianMatrix(_positive_part(w, U)), HermitianMatrix(_positive_part(-w, U))
 
 
 def psd_order_leq(A, B, tol: float = 1e-10) -> LoewnerCheck:
@@ -281,40 +346,44 @@ def _gaussian_hermitian(rng, d: int, scale: float) -> np.ndarray:
     return scale * (M + M.conj().T) / 2.0
 
 
-def sample_ensemble(spec: EnsembleSpec):
-    """Draw from the ensemble; ``commuting-pair`` returns a pair sharing a basis."""
-    rng = np.random.default_rng(int(spec.seed))
-    d, scale = spec.dim, spec.scale
-    if spec.kind == "gaussian-hermitian":
-        return HermitianMatrix(_gaussian_hermitian(rng, d, scale))
-    if spec.kind == "diagonal":
-        return HermitianMatrix(np.diag(scale * rng.normal(size=d)))
-    if spec.kind == "psd":
+def _draw(kind: str, d: int, scale: float, rng: np.random.Generator):
+    """One uncertified draw: an array, or a pair of arrays for ``commuting-pair``."""
+    if kind == "gaussian-hermitian":
+        return _gaussian_hermitian(rng, d, scale)
+    if kind == "diagonal":
+        return np.diag(scale * rng.normal(size=d))
+    if kind == "psd":
         X = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0)
-        return HermitianMatrix(scale * (X @ X.conj().T) / d)
-    if spec.kind == "low-rank":
+        return scale * (X @ X.conj().T) / d
+    if kind == "low-rank":
         r = max(1, d // 2)
         H = np.zeros((d, d), dtype=np.complex128)
         for _ in range(r):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             v /= np.linalg.norm(v)
             H += (scale * rng.normal()) * np.outer(v, v.conj())
-        return HermitianMatrix((H + H.conj().T) / 2.0)
-    if spec.kind == "commuting-pair":
+        return (H + H.conj().T) / 2.0
+    if kind == "commuting-pair":
         basis = np.linalg.eigh(_gaussian_hermitian(rng, d, 1.0))[1]
         w1 = scale * rng.normal(size=d)
         w2 = scale * rng.normal(size=d)
-        A = (basis * w1) @ basis.conj().T
-        B = (basis * w2) @ basis.conj().T
-        return HermitianMatrix(A), HermitianMatrix(B)
-    if spec.kind == "integer-entry":
+        return (basis * w1) @ basis.conj().T, (basis * w2) @ basis.conj().T
+    if kind == "integer-entry":
         m = max(1, int(round(scale)))
         S = rng.integers(-m, m + 1, size=(d, d))
         K = rng.integers(-m, m + 1, size=(d, d))
         real = np.triu(S) + np.triu(S, 1).T
         imag = np.triu(K, 1) - np.triu(K, 1).T
-        return HermitianMatrix(real.astype(float) + 1j * imag.astype(float))
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+        return real.astype(float) + 1j * imag.astype(float)
+    raise ValueError(f"unknown ensemble kind {kind!r}")
+
+
+def sample_ensemble(spec: EnsembleSpec):
+    """Draw from the ensemble; ``commuting-pair`` returns a pair sharing a basis."""
+    out = _draw(spec.kind, spec.dim, spec.scale, np.random.default_rng(int(spec.seed)))
+    if spec.kind == "commuting-pair":
+        return HermitianMatrix(out[0]), HermitianMatrix(out[1])
+    return HermitianMatrix(out)
 
 
 def hermitian_to_params(A) -> np.ndarray:
@@ -341,8 +410,14 @@ def hermitian_from_params(dim: int, params) -> HermitianMatrix:
 
 
 def matrix_to_obj(A) -> dict:
-    """Structured-text form: {"dim": d, "entries": [[[re, im], ...], ...]}."""
-    mat = _coerce(A).mat
+    """Structured-text form: {"dim": d, "entries": [[[re, im], ...], ...]}.
+
+    Serializes any square complex array (the cross-square inputs are not
+    Hermitian); :func:`matrix_from_obj` certifies what it reads back.
+    """
+    mat = np.asarray(A, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     entries = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
     return {"dim": int(mat.shape[0]), "entries": entries}
 

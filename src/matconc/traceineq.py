@@ -10,20 +10,24 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .hermitian import (
     EnsembleSpec,
-    HermitianMatrix,
     LoewnerCheck,
+    _certify,
     _coerce,
+    _decompose,
+    _draw,
+    _exp,
+    _hermitian_part,
+    _positive_part,
+    _psd_powers,
+    _trace,
     inputs_digest,
-    matrix_exp,
-    positive_part,
-    sample_ensemble,
-    spectral_decompose,
+    matrix_to_obj,
 )
 
 INEQUALITY_IDS = (
@@ -36,6 +40,8 @@ INEQUALITY_IDS = (
     "psd_cross",            # PQ + Q*P* <= PP* + Q*Q
     "trace_quad",           # Re Tr(PQRS) <= Tr((P^2+R^2)(Q^2+S^2))/4
 )
+
+FUZZ_CHUNK = 256  # consecutive fuzz trials drawn, then evaluated as one stack per dim
 
 
 @dataclass(frozen=True)
@@ -65,58 +71,173 @@ class FuzzSummary:
     ensemble: dict = field(default_factory=dict)
 
 
-def _real_trace(M: np.ndarray) -> float:
-    # traces of Hermitian products are real analytically; fp residue discarded
-    return float(np.trace(M).real)
-
-
-def _check_dims(*mats: HermitianMatrix):
-    d = mats[0].dim
+def _certified(*mats) -> list[np.ndarray]:
+    """Public inputs certified Hermitian, of one dimension, as stacks of one."""
+    mats = [_coerce(M) for M in mats]
     for M in mats[1:]:
-        if M.dim != d:
-            raise ValueError(f"dimension mismatch: {d} vs {M.dim}")
-    return d
+        if M.dim != mats[0].dim:
+            raise ValueError(f"dimension mismatch: {mats[0].dim} vs {M.dim}")
+    return [M.mat[None] for M in mats]
 
 
 def _anchor(lhs: float, rhs: float) -> float:
     return max(1.0, abs(lhs), abs(rhs))
 
 
-def _report(inequality_id, lhs, rhs, gap, mats, params, seed=None) -> TraceGapReport:
-    params = dict(params)
-    params["anchor"] = _anchor(lhs, rhs)
-    digest = inputs_digest(mats, {k: v for k, v in params.items() if k != "anchor"})
-    return TraceGapReport(inequality_id, float(lhs), float(rhs), float(gap),
-                          digest, seed, params)
+class _Gaps:
+    """Evaluated instances of one inequality over a stack of inputs.
+
+    ``inputs`` maps each input name to its (n, d, d) stack, in the order the
+    digest hashes them; ``params[i]`` are the scalars digested with instance
+    i.  ``anchors`` defaults to max(1, |lhs|, |rhs|) per instance.
+    """
+
+    def __init__(self, inequality_id, lhs, rhs, gap, inputs, params, anchors=None):
+        self.inequality_id = inequality_id
+        self.lhs, self.rhs, self.gap = (np.asarray(v, dtype=float).tolist()
+                                        for v in (lhs, rhs, gap))
+        self.inputs = inputs
+        self.params = params
+        self.anchors = anchors if anchors is not None else \
+            [_anchor(lo, hi) for lo, hi in zip(self.lhs, self.rhs)]
+
+    def report(self, i: int, seed=None) -> TraceGapReport:
+        params = dict(self.params[i])
+        digest = inputs_digest([M[i] for M in self.inputs.values()], params)
+        params["anchor"] = self.anchors[i]
+        return TraceGapReport(self.inequality_id, self.lhs[i], self.rhs[i], self.gap[i],
+                              digest, seed, params)
+
+
+def _exp_scaled(theta: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """(e^{theta A}, e^{theta B}) over a stack, from one decomposition of each.
+
+    The scaled matrices are symmetrized as their certified form was, which
+    may flip the sign of a zero imaginary part.
+    """
+    t = theta[:, None, None]
+    E = _exp(*_decompose(_hermitian_part(np.concatenate([t * A, t * B]))))
+    return E[:len(A)], E[len(A):]
+
+
+def _matrix_powers(M: np.ndarray, exps) -> np.ndarray:
+    """M[i] ** exps[i] over a stack, with the products of np.linalg.matrix_power."""
+    exps = np.asarray(exps)
+    out = np.empty_like(M)
+    for e in np.unique(exps):
+        sel = exps == e
+        out[sel] = np.linalg.matrix_power(M[sel], int(e))
+    return out
+
+
+def _exchangeable(A, B, C) -> _Gaps:
+    n = len(A)
+    E = _exp(*_decompose(np.concatenate([A, B])))
+    eA, eB = E[:n], E[n:]
+    D = A - B
+    lhs = _trace(C @ (eA - eB))
+    rhs = _trace(((C @ C + D @ D) / 2.0) @ ((eA + eB) / 2.0))
+    return _Gaps("exchangeable", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C}, [{}] * n)
+
+
+def _exchangeable_scaled(A, B, C, theta: np.ndarray) -> _Gaps:
+    eA, eB = _exp_scaled(theta, A, B)
+    D = A - B
+    lhs = _trace(C @ (eA - eB))
+    rhs = theta * _trace(((C @ C + D @ D) / 2.0) @ ((eA + eB) / 2.0))
+    gap = np.where(theta > 0, rhs - lhs, lhs - rhs)
+    params = [{"theta": th, "orientation": "leq" if th > 0 else "geq"}
+              for th in theta.tolist()]
+    return _Gaps("exchangeable_scaled", lhs, rhs, gap, {"A": A, "B": B, "C": C}, params)
+
+
+def _pair_exp(X, Xp, theta: np.ndarray) -> _Gaps:
+    eX, eXp = _exp_scaled(theta, X, Xp)
+    D = X - Xp
+    DD = D @ D
+    lhs = _trace(D @ (eX - eXp))
+    rhs = (theta / 2.0) * _trace(DD @ (eX + eXp))
+    # the scaled triple form with C = X - X'; recorded (and digested) with each report
+    cross_rhs = theta * _trace(((DD + DD) / 2.0) @ ((eX + eXp) / 2.0))
+    params = [{"theta": th, "crosscheck_gap": c}
+              for th, c in zip(theta.tolist(), (cross_rhs - lhs).tolist())]
+    return _Gaps("pair_exp", lhs, rhs, rhs - lhs, {"X": X, "Xp": Xp}, params)
+
+
+def _power(A, B, C, k: np.ndarray) -> _Gaps:
+    n = len(A)
+    AB, kk = np.concatenate([A, B]), np.concatenate([k, k])
+    P, Pm1 = _matrix_powers(AB, kk), _matrix_powers(AB, kk - 1)
+    D = A - B
+    lhs = _trace(C @ (P[:n] - P[n:]))
+    rhs = k * _trace(((C @ C + D @ D) / 4.0) @ (Pm1[:n] + Pm1[n:]))
+    return _Gaps("power", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C},
+                 [{"k": e} for e in k.tolist()])
+
+
+def _symmetric_term(A, B, C, k: np.ndarray, n_pow: np.ndarray) -> _Gaps:
+    n = len(A)
+    AB = np.concatenate([A, B])
+    Pk = _matrix_powers(AB, np.concatenate([k, k]))
+    Pnk = _matrix_powers(AB, np.concatenate([n_pow - k, n_pow - k]))
+    Pn = _matrix_powers(AB, np.concatenate([n_pow, n_pow]))
+    D = A - B
+    lhs = _trace(C @ (Pk[:n] @ D @ Pnk[n:] + Pnk[:n] @ D @ Pk[n:]))
+    rhs = _trace(((C @ C + D @ D) / 2.0) @ (Pn[:n] + Pn[n:]))
+    params = [{"k": a, "n": b} for a, b in zip(k.tolist(), n_pow.tolist())]
+    return _Gaps("symmetric_term", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C}, params)
+
+
+def _holder(A, B, C, D, p: list) -> _Gaps:
+    n = len(A)
+    w, U = _decompose(np.concatenate([A, B]))
+    Pp = _psd_powers(w, U, p + p)
+    P1p = _psd_powers(w, U, [1.0 - x for x in p + p])
+    lhs = _trace(C @ Pp[:n] @ D @ P1p[n:] + C @ P1p[:n] @ D @ Pp[n:])
+    rhs = _trace(((C @ C + D @ D) / 2.0) @ (A + B))
+    return _Gaps("holder", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C, "D": D},
+                 [{"p": x} for x in p])
+
+
+def _cross_square(P, Q) -> np.ndarray:
+    Ph, Qh = (np.swapaxes(M.conj(), -1, -2) for M in (P, Q))
+    return _hermitian_part(P @ Ph + Qh @ Q - P @ Q - Qh @ Ph)
+
+
+def _psd_cross(P, Q) -> _Gaps:
+    lam_min = np.linalg.eigvalsh(_cross_square(P, Q))[..., 0]
+    norms = zip(np.linalg.norm(P, 2, axis=(-2, -1)).tolist(),
+                np.linalg.norm(Q, 2, axis=(-2, -1)).tolist())
+    anchors = [max(1.0, float(max(a, b)) ** 2) for a, b in norms]
+    return _Gaps("psd_cross", np.zeros(len(P)), lam_min, lam_min, {"P": P, "Q": Q},
+                 [{}] * len(P), anchors)
+
+
+def _trace_quad(P, Q, R, S) -> _Gaps:
+    lhs = _trace(P @ Q @ R @ S)
+    rhs = _trace((P @ P + R @ R) @ (Q @ Q + S @ S)) / 4.0
+    return _Gaps("trace_quad", lhs, rhs, rhs - lhs, {"P": P, "Q": Q, "R": R, "S": S},
+                 [{}] * len(P))
+
+
+def _check_psd(AB: np.ndarray, kind: str) -> None:
+    """Public inputs A, B (a stack of two) must be PSD within rounding."""
+    evals = np.linalg.eigvalsh(AB)
+    for name, w in zip("AB", evals):
+        if w[0] < -1e-10 * max(1.0, float(np.abs(w).max())):
+            raise ValueError(f"{name} is not {kind}: min eigenvalue {w[0]:.6e}")
 
 
 def gap_exchangeable(A, B, C, seed=None) -> TraceGapReport:
     """Exponential-difference trace bound for a Hermitian triple (gap = rhs - lhs)."""
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    _check_dims(A, B, C)
-    eA, eB = matrix_exp(A).mat, matrix_exp(B).mat
-    D = A.mat - B.mat
-    lhs = _real_trace(C.mat @ (eA - eB))
-    rhs = _real_trace(((C.mat @ C.mat + D @ D) / 2.0) @ ((eA + eB) / 2.0))
-    return _report("exchangeable", lhs, rhs, rhs - lhs, (A, B, C), {}, seed)
+    return _exchangeable(*_certified(A, B, C)).report(0, seed)
 
 
 def gap_exchangeable_scaled(A, B, C, theta: float, seed=None) -> TraceGapReport:
     """Scaled variant; the inequality reverses for theta < 0, gap stays oriented >= 0."""
     if theta == 0:
         raise ValueError("theta must be nonzero")
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    _check_dims(A, B, C)
-    eA = matrix_exp(HermitianMatrix(theta * A.mat)).mat
-    eB = matrix_exp(HermitianMatrix(theta * B.mat)).mat
-    D = A.mat - B.mat
-    lhs = _real_trace(C.mat @ (eA - eB))
-    rhs_core = _real_trace(((C.mat @ C.mat + D @ D) / 2.0) @ ((eA + eB) / 2.0))
-    rhs = theta * rhs_core
-    gap = rhs - lhs if theta > 0 else lhs - rhs
-    orientation = "leq" if theta > 0 else "geq"
-    return _report("exchangeable_scaled", lhs, rhs, gap, (A, B, C),
-                   {"theta": float(theta), "orientation": orientation}, seed)
+    return _exchangeable_scaled(*_certified(A, B, C), np.array([float(theta)])).report(0, seed)
 
 
 def gap_pair_exp(X, Xp, theta: float, seed=None) -> TraceGapReport:
@@ -127,126 +248,57 @@ def gap_pair_exp(X, Xp, theta: float, seed=None) -> TraceGapReport:
     """
     if not theta > 0:
         raise ValueError("theta must be > 0")
-    X, Xp = _coerce(X), _coerce(Xp)
-    _check_dims(X, Xp)
-    eX = matrix_exp(HermitianMatrix(theta * X.mat)).mat
-    eXp = matrix_exp(HermitianMatrix(theta * Xp.mat)).mat
-    D = X.mat - Xp.mat
-    lhs = _real_trace(D @ (eX - eXp))
-    rhs = (theta / 2.0) * _real_trace((D @ D) @ (eX + eXp))
-    cross_rhs = theta * _real_trace(((D @ D + D @ D) / 2.0) @ ((eX + eXp) / 2.0))
-    return _report("pair_exp", lhs, rhs, rhs - lhs, (X, Xp),
-                   {"theta": float(theta), "crosscheck_gap": float(cross_rhs - lhs)}, seed)
-
-
-def _require_psd(M: HermitianMatrix, name: str, definite: bool = False) -> np.ndarray:
-    evals = np.linalg.eigvalsh(M.mat)
-    tol = 1e-10 * max(1.0, float(np.abs(evals).max()))
-    if evals[0] < -tol:
-        kind = "positive definite" if definite else "positive semidefinite"
-        raise ValueError(f"{name} is not {kind}: min eigenvalue {evals[0]:.6e}")
-    return evals
+    return _pair_exp(*_certified(X, Xp), np.array([float(theta)])).report(0, seed)
 
 
 def gap_power(A, B, C, k: int, seed=None) -> TraceGapReport:
     """Power-difference trace bound for PSD A, B and integer k >= 1."""
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")
-    k = int(k)
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    _check_dims(A, B, C)
-    _require_psd(A, "A")
-    _require_psd(B, "B")
-    Ak = np.linalg.matrix_power(A.mat, k)
-    Bk = np.linalg.matrix_power(B.mat, k)
-    Akm1 = np.linalg.matrix_power(A.mat, k - 1)
-    Bkm1 = np.linalg.matrix_power(B.mat, k - 1)
-    D = A.mat - B.mat
-    lhs = _real_trace(C.mat @ (Ak - Bk))
-    rhs = k * _real_trace(((C.mat @ C.mat + D @ D) / 4.0) @ (Akm1 + Bkm1))
-    return _report("power", lhs, rhs, rhs - lhs, (A, B, C), {"k": k}, seed)
+    A, B, C = _certified(A, B, C)
+    _check_psd(np.concatenate([A, B]), "positive semidefinite")
+    return _power(A, B, C, np.array([int(k)])).report(0, seed)
 
 
 def gap_symmetric_term(A, B, C, k: int, n: int, seed=None) -> TraceGapReport:
     """Symmetric pair of power terms, positive definite A, B, 0 <= k <= n."""
     if int(n) != n or int(k) != k or not 0 <= k <= n:
         raise ValueError("need integers 0 <= k <= n")
-    k, n = int(k), int(n)
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    _check_dims(A, B, C)
-    _require_psd(A, "A", definite=True)
-    _require_psd(B, "B", definite=True)
-    D = A.mat - B.mat
-    Ak = np.linalg.matrix_power(A.mat, k)
-    Ank = np.linalg.matrix_power(A.mat, n - k)
-    Bk = np.linalg.matrix_power(B.mat, k)
-    Bnk = np.linalg.matrix_power(B.mat, n - k)
-    An = np.linalg.matrix_power(A.mat, n)
-    Bn = np.linalg.matrix_power(B.mat, n)
-    lhs = _real_trace(C.mat @ (Ak @ D @ Bnk + Ank @ D @ Bk))
-    rhs = _real_trace(((C.mat @ C.mat + D @ D) / 2.0) @ (An + Bn))
-    return _report("symmetric_term", lhs, rhs, rhs - lhs, (A, B, C),
-                   {"k": k, "n": n}, seed)
-
-
-def _psd_power(M: HermitianMatrix, p: float) -> np.ndarray:
-    """Fractional power of a PSD matrix; eigenvalues clipped at the PSD boundary."""
-    dec = spectral_decompose(M)
-    evals = dec.eigenvalues
-    tol = 1e-10 * max(1.0, float(np.abs(evals).max()))
-    if evals[0] < -tol:
-        raise ValueError(f"negative eigenvalue {evals[0]:.6e} in fractional power base")
-    w = np.clip(evals, 0.0, None) ** p
-    return (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
+    A, B, C = _certified(A, B, C)
+    _check_psd(np.concatenate([A, B]), "positive definite")
+    return _symmetric_term(A, B, C, np.array([int(k)]), np.array([int(n)])).report(0, seed)
 
 
 def gap_holder(A, B, C, D, p: float, seed=None) -> TraceGapReport:
     """Hoelder-type interpolation bound, PSD A, B and exponent p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    A, B, C, D = _coerce(A), _coerce(B), _coerce(C), _coerce(D)
-    _check_dims(A, B, C, D)
-    Ap, A1p = _psd_power(A, p), _psd_power(A, 1.0 - p)
-    Bp, B1p = _psd_power(B, p), _psd_power(B, 1.0 - p)
-    lhs = float(np.trace(C.mat @ Ap @ D.mat @ B1p + C.mat @ A1p @ D.mat @ Bp).real)
-    rhs = _real_trace(((C.mat @ C.mat + D.mat @ D.mat) / 2.0) @ (A.mat + B.mat))
-    return _report("holder", lhs, rhs, rhs - lhs, (A, B, C, D), {"p": float(p)}, seed)
+    return _holder(*_certified(A, B, C, D), [float(p)]).report(0, seed)
 
 
-def _cross_square_matrix(P, Q) -> np.ndarray:
+def _square_pair(P, Q) -> tuple[np.ndarray, np.ndarray]:
     P = np.asarray(P, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     if P.shape != Q.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"dimension mismatch: {P.shape} vs {Q.shape}")
-    M = P @ P.conj().T + Q.conj().T @ Q - P @ Q - Q.conj().T @ P.conj().T
-    return (M + M.conj().T) / 2.0
+    return P, Q
 
 
 def check_psd_cross(P, Q, tol: float = 1e-10) -> LoewnerCheck:
     """Decide PQ + Q*P* <= PP* + Q*Q for arbitrary complex P, Q of equal size."""
-    lam_min = float(np.linalg.eigvalsh(_cross_square_matrix(P, Q))[0])
+    lam_min = float(np.linalg.eigvalsh(_cross_square(*_square_pair(P, Q)))[0])
     return LoewnerCheck(lam_min >= -tol, lam_min)
 
 
 def gap_psd_cross(P, Q, seed=None) -> TraceGapReport:
     """Report form of the cross-square order test: gap = lambda_min of the slack."""
-    lam_min = float(np.linalg.eigvalsh(_cross_square_matrix(P, Q))[0])
-    P = np.asarray(P, dtype=np.complex128)
-    Q = np.asarray(Q, dtype=np.complex128)
-    scale = max(np.linalg.norm(P, 2), np.linalg.norm(Q, 2))
-    params = {"anchor": max(1.0, float(scale) ** 2)}
-    digest = inputs_digest((P, Q))
-    return TraceGapReport("psd_cross", 0.0, lam_min, lam_min, digest, seed, params)
+    P, Q = _square_pair(P, Q)
+    return _psd_cross(P[None], Q[None]).report(0, seed)
 
 
 def gap_trace_quad(P, Q, R, S, seed=None) -> TraceGapReport:
     """Re Tr(PQRS) <= Tr((P^2+R^2)(Q^2+S^2))/4 for a Hermitian quadruple."""
-    P, Q, R, S = _coerce(P), _coerce(Q), _coerce(R), _coerce(S)
-    _check_dims(P, Q, R, S)
-    lhs = float(np.trace(P.mat @ Q.mat @ R.mat @ S.mat).real)
-    rhs = _real_trace((P.mat @ P.mat + R.mat @ R.mat)
-                      @ (Q.mat @ Q.mat + S.mat @ S.mat)) / 4.0
-    return _report("trace_quad", lhs, rhs, rhs - lhs, (P, Q, R, S), {}, seed)
+    return _trace_quad(*_certified(P, Q, R, S)).report(0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,85 +312,80 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _evaluate_trial(inequality_id: str, kind: str, dim: int, scale: float,
-                    rng: np.random.Generator, trial: int):
-    """Deterministic input synthesis + evaluation for one fuzz trial.
+def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
+                rng: np.random.Generator):
+    """Uncertified input draws and scalar parameters of one fuzz trial.
 
-    Returns the report together with the named input matrices so violating
-    trials can be persisted verbatim for replay.
+    The trial generator is consumed in a fixed order (matrix sub-seeds and
+    scalars interleaved per inequality), so a trial's inputs depend only on
+    the master seed and the trial index.
     """
 
-    def subseed() -> int:
-        return int(rng.integers(0, 2**63, dtype=np.int64))
+    def generator():
+        return np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.int64)))
 
-    def draw() -> HermitianMatrix:
-        out = sample_ensemble(EnsembleSpec(kind, dim, scale, subseed()))
-        return out[0] if isinstance(out, tuple) else out
+    def draw():
+        out = _draw(kind, dim, scale, generator())
+        return out[0] if kind == "commuting-pair" else out
 
     def draw_pair():
         if kind == "commuting-pair":
-            return sample_ensemble(EnsembleSpec(kind, dim, scale, subseed()))
+            return _draw(kind, dim, scale, generator())
         return draw(), draw()
 
-    def as_psd(M):
-        return positive_part(M)
-
-    def as_pd(M):
-        return HermitianMatrix(positive_part(M).mat + 0.1 * scale * np.eye(dim))
-
-    base = {"kind": kind, "dim": dim}
+    if inequality_id in ("psd_cross", "trace_quad"):
+        return (draw(), draw(), draw(), draw()), ()
+    A, B = draw_pair()
     if inequality_id == "exchangeable":
-        A, B = draw_pair()
-        inputs = {"A": A, "B": B, "C": draw()}
-        rep = gap_exchangeable(inputs["A"], inputs["B"], inputs["C"], seed=trial)
-    elif inequality_id == "exchangeable_scaled":
-        A, B = draw_pair()
+        return (A, B, draw()), ()
+    if inequality_id == "exchangeable_scaled":
         theta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
-        inputs = {"A": A, "B": B, "C": draw()}
-        rep = gap_exchangeable_scaled(inputs["A"], inputs["B"], inputs["C"], theta, seed=trial)
-    elif inequality_id == "pair_exp":
-        X, Xp = draw_pair()
-        inputs = {"X": X, "Xp": Xp}
-        rep = gap_pair_exp(X, Xp, float(rng.uniform(0.05, 3.0)), seed=trial)
-    elif inequality_id == "power":
-        A, B = draw_pair()
-        inputs = {"A": as_psd(A), "B": as_psd(B), "C": draw()}
-        rep = gap_power(inputs["A"], inputs["B"], inputs["C"], int(rng.integers(1, 7)),
-                        seed=trial)
-    elif inequality_id == "symmetric_term":
-        A, B = draw_pair()
+        return (A, B, draw()), (theta,)
+    if inequality_id == "pair_exp":
+        return (A, B), (float(rng.uniform(0.05, 3.0)),)
+    if inequality_id == "power":
+        C = draw()
+        return (A, B, C), (int(rng.integers(1, 7)),)
+    if inequality_id == "symmetric_term":
         n = int(rng.integers(0, 7))
         k = int(rng.integers(0, n + 1))
-        inputs = {"A": as_pd(A), "B": as_pd(B), "C": draw()}
-        rep = gap_symmetric_term(inputs["A"], inputs["B"], inputs["C"], k, n, seed=trial)
-    elif inequality_id == "holder":
-        A, B = draw_pair()
+        return (A, B, draw()), (k, n)
+    if inequality_id == "holder":
         if rng.random() < 0.5:
             p = float(rng.choice(_HOLDER_P_POOL))
         else:
             p = float(rng.uniform(0.0, 1.0))
-        inputs = {"A": as_psd(A), "B": as_psd(B), "C": draw(), "D": draw()}
-        rep = gap_holder(inputs["A"], inputs["B"], inputs["C"], inputs["D"], p, seed=trial)
-    elif inequality_id == "psd_cross":
-        P = draw().mat + 1j * draw().mat
-        Q = draw().mat + 1j * draw().mat
-        inputs = {"P": P, "Q": Q}
-        rep = gap_psd_cross(P, Q, seed=trial)
-    elif inequality_id == "trace_quad":
-        inputs = {"P": draw(), "Q": draw(), "R": draw(), "S": draw()}
-        rep = gap_trace_quad(inputs["P"], inputs["Q"], inputs["R"], inputs["S"], seed=trial)
-    else:
-        raise ValueError(f"unknown inequality id {inequality_id!r}")
-    rep.params.update(base)
-    return rep, inputs
+        return (A, B, draw(), draw()), (p,)
+    raise ValueError(f"unknown inequality id {inequality_id!r}")
 
 
-def _complex_to_obj(arr) -> dict:
-    # same layout as the Hermitian matrix format; also used for the general
-    # complex inputs of the cross-square check
-    arr = np.asarray(arr, dtype=np.complex128)
-    entries = [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-    return {"dim": int(arr.shape[0]), "entries": entries}
+def _evaluate_trials(inequality_id: str, mats: list, scalars: list, scale: float) -> _Gaps:
+    """Gaps of stacked fuzz trials from their certified draws and scalars.
+
+    ``power`` and ``holder`` take the positive parts of the drawn A, B;
+    ``symmetric_term`` shifts those by 0.1 * scale * I; ``psd_cross`` forms
+    P = H1 + i H2 and Q = H3 + i H4.
+    """
+    if inequality_id == "exchangeable":
+        return _exchangeable(*mats)
+    if inequality_id == "exchangeable_scaled":
+        return _exchangeable_scaled(*mats, np.array(scalars[0]))
+    if inequality_id == "pair_exp":
+        return _pair_exp(*mats, np.array(scalars[0]))
+    if inequality_id == "psd_cross":
+        H1, H2, H3, H4 = mats
+        return _psd_cross(H1 + 1j * H2, H3 + 1j * H4)
+    if inequality_id == "trace_quad":
+        return _trace_quad(*mats)
+    n = len(mats[0])
+    AB = _positive_part(*_decompose(np.concatenate(mats[:2])))
+    if inequality_id == "power":
+        return _power(AB[:n], AB[n:], mats[2], np.array(scalars[0]))
+    if inequality_id == "symmetric_term":
+        AB = _hermitian_part(AB + 0.1 * scale * np.eye(AB.shape[-1]))
+        return _symmetric_term(AB[:n], AB[n:], mats[2], np.array(scalars[0]),
+                               np.array(scalars[1]))
+    return _holder(AB[:n], AB[n:], mats[2], mats[3], list(scalars[0]))
 
 
 def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int,
@@ -362,62 +409,81 @@ def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int,
     return path
 
 
-def _run_fuzz(inequality_id, trials, tol, pick, witness_dir, ensemble_meta) -> FuzzSummary:
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"unknown inequality id {inequality_id!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    min_norm = np.inf
-    min_raw = np.inf
-    argmin_digest = ""
-    violations = 0
-    for t in range(trials):
-        kind, dim, scale, rng = pick(t)
-        rep, inputs = _evaluate_trial(inequality_id, kind, dim, scale, rng, t)
-        norm_gap = rep.gap / rep.params["anchor"]
-        if norm_gap < min_norm:
-            min_norm = norm_gap
-            min_raw = rep.gap
-            argmin_digest = rep.inputs_digest
-        if norm_gap < -tol:
-            violations += 1
-            if witness_dir is not None:
-                mats = {name: _complex_to_obj(M) for name, M in inputs.items()}
-                _write_witness(witness_dir, rep, t, matrices=mats)
-    return FuzzSummary(inequality_id, trials, float(min_norm), float(min_raw),
-                       argmin_digest, violations, float(tol), ensemble_meta)
-
-
-def fuzz_inequality(inequality_id: str, ensemble: EnsembleSpec, trials: int,
-                    tol: float = 1e-8, witness_dir: str | None = None) -> FuzzSummary:
-    """Fuzz one inequality over a fixed ensemble; deterministic in (seed, trials).
-
-    A trial violates when gap < -tol * anchor, with the anchor recorded per
-    report; violating inputs are persisted to ``witness_dir`` when given.
-    """
-    def pick(t):
-        return ensemble.kind, ensemble.dim, ensemble.scale, _trial_rng(ensemble.seed, t)
-
-    meta = {"kind": ensemble.kind, "dim": ensemble.dim,
-            "scale": ensemble.scale, "seed": int(ensemble.seed)}
-    return _run_fuzz(inequality_id, trials, tol, pick, witness_dir, meta)
+def _fuzz_block(inequality_id, trials, kinds, dims, scale, seed) -> dict:
+    """trial -> (its evaluated stack, index in it, kind, dim) for a block of trials."""
+    cells = {}
+    for t in trials:
+        dim = dims[(t // len(kinds)) % len(dims)]
+        cells.setdefault(dim, []).append(t)
+    out = {}
+    for dim, ts in cells.items():
+        cell_kinds = [kinds[t % len(kinds)] for t in ts]
+        draws = [_draw_trial(inequality_id, kind, dim, scale, _trial_rng(seed, t))
+                 for t, kind in zip(ts, cell_kinds)]
+        mats = [_certify(np.array(slot, dtype=np.complex128))
+                for slot in zip(*(m for m, _ in draws))]
+        scalars = list(zip(*(s for _, s in draws)))
+        gaps = _evaluate_trials(inequality_id, mats, scalars, scale)
+        for i, (t, kind) in enumerate(zip(ts, cell_kinds)):
+            out[t] = (gaps, i, kind, dim)
+    return out
 
 
 def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
               seed: int, tol: float = 1e-8, witness_dir: str | None = None) -> FuzzSummary:
-    """Fuzz with trials spread round-robin over a (kind, dim) grid."""
+    """Fuzz with trials spread round-robin over a (kind, dim) grid.
+
+    Trial t draws its inputs from its own generator (the master seed spawned
+    at key t), so results do not depend on how trials are grouped: each
+    block of FUZZ_CHUNK consecutive trials is evaluated as one stack per
+    dim and folded in trial order.  A trial violates when
+    gap < -tol * anchor; violating inputs are persisted to ``witness_dir``.
+    """
     kinds = tuple(kinds)
     dims = tuple(int(d) for d in dims)
     if not kinds or not dims:
         raise ValueError("kinds and dims must be nonempty")
-
-    def pick(t):
-        kind = kinds[t % len(kinds)]
-        dim = dims[(t // len(kinds)) % len(dims)]
-        return kind, dim, scale, _trial_rng(seed, t)
-
+    if inequality_id not in INEQUALITY_IDS:
+        raise ValueError(f"unknown inequality id {inequality_id!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for kind in kinds:
+        for dim in dims:
+            EnsembleSpec(kind, dim, scale)
+    min_norm = np.inf
+    min_raw = np.inf
+    argmin_digest = ""
+    violations = 0
+    for start in range(0, trials, FUZZ_CHUNK):
+        block = range(start, min(trials, start + FUZZ_CHUNK))
+        evaluated = _fuzz_block(inequality_id, block, kinds, dims, scale, seed)
+        for t in block:
+            gaps, i, kind, dim = evaluated[t]
+            norm_gap = gaps.gap[i] / gaps.anchors[i]
+            if norm_gap < min_norm:
+                min_norm = norm_gap
+                min_raw = gaps.gap[i]
+                argmin_digest = gaps.report(i).inputs_digest
+            if norm_gap < -tol:
+                violations += 1
+                if witness_dir is not None:
+                    rep = gaps.report(i, seed=t)
+                    rep.params.update({"kind": kind, "dim": dim})
+                    mats = {name: matrix_to_obj(M[i]) for name, M in gaps.inputs.items()}
+                    _write_witness(witness_dir, rep, t, matrices=mats)
     meta = {"kinds": list(kinds), "dims": list(dims), "scale": scale, "seed": int(seed)}
-    return _run_fuzz(inequality_id, trials, tol, pick, witness_dir, meta)
+    return FuzzSummary(inequality_id, trials, float(min_norm), float(min_raw),
+                       argmin_digest, violations, float(tol), meta)
+
+
+def fuzz_inequality(inequality_id: str, ensemble: EnsembleSpec, trials: int,
+                    tol: float = 1e-8, witness_dir: str | None = None) -> FuzzSummary:
+    """Fuzz one inequality over a fixed ensemble: a one-cell :func:`fuzz_grid`."""
+    summary = fuzz_grid(inequality_id, (ensemble.kind,), (ensemble.dim,), trials,
+                        ensemble.scale, ensemble.seed, tol, witness_dir)
+    meta = {"kind": ensemble.kind, "dim": ensemble.dim,
+            "scale": ensemble.scale, "seed": int(ensemble.seed)}
+    return replace(summary, ensemble=meta)
 
 
 def fuzz_summary_to_obj(summary: FuzzSummary) -> dict:

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +113,30 @@ class TestVerifyTraces:
                         "--seed", 7, "--out", o]) == 0
         assert data_files(o1) == data_files(o2)
 
+    def test_overflow_mid_computation_exits_3(self, tmp_path, capsys):
+        # exp of an eigenvalue near 3000 overflows: a numerical failure, not a usage error
+        assert run(["verify-traces", "--ineqs", "exchangeable", "--scale", 1000,
+                    "--trials", 3, "--dims", 4, "--out", tmp_path / "vt"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "eigenvalue" in err
+
+    def test_separate_processes_write_identical_data(self, tmp_path):
+        # every inequality at dims 1..8 plus a conjecture search, each run in
+        # two fresh interpreters with different hash seeds
+        commands = [["verify-traces", "--trials", "48", "--dims", "1..8", "--seed", "2"],
+                    ["conjecture", "--ineq", "fconj", "--entry", "cube", "--dims", "2..4",
+                     "--budget", "12", "--seed", "4"]]
+        roots = [tmp_path / "a", tmp_path / "b"]
+        for hash_seed, root in enumerate(roots):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+            for k, argv in enumerate(commands):
+                out = root / f"run{k}" / ("out.json" if argv[0] == "conjecture" else "out")
+                out.parent.mkdir(parents=True)
+                subprocess.run([sys.executable, "-m", "matconc.cli", *argv, "--out", str(out)],
+                               env=env, check=True, capture_output=True, timeout=300)
+        assert data_files(roots[0]) == data_files(roots[1])
+        assert len(data_files(roots[0])) == 9
+
     def test_subset_of_inequalities(self, tmp_path):
         out = tmp_path / "vt"
         assert run(["verify-traces", "--trials", 10, "--dims", "2..2",
@@ -219,6 +245,15 @@ class TestMcTailCommand:
         path.write_text(json.dumps(cfg))
         assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_hermitian_input_matrix_exits_2(self, tmp_path, capsys):
+        bad = {"dim": 2, "entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        cfg = {"model": {"rademacher_sites": 1},
+               "observable": {"kind": "rademacher-sum", "matrices": [bad]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert "not Hermitian" in capsys.readouterr().err
 
     def test_table_observable(self, tmp_path):
         entries = []

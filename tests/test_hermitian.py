@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ class TestMatrixExp:
         expect = [[math.cosh(1), math.sinh(1)], [math.sinh(1), math.cosh(1)]]
         assert np.allclose(out.mat, expect)
 
+    def test_overflow_is_a_domain_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(matrix_exp(HermitianMatrix.diagonal([708.0, 0.0])).mat).all()
+            with pytest.raises(SpectralDomainError) as exc:
+                matrix_exp(HermitianMatrix.diagonal([0.0, 709.5]))
+        assert exc.value.eigenvalue == 709.5
+
 
 class TestParts:
     def test_diagonal_split(self):
@@ -268,6 +277,15 @@ class TestSerialization:
         obj = matrix_to_obj(HermitianMatrix.identity(2))
         assert obj["dim"] == 2
         assert obj["entries"][0][0] == [1.0, 0.0]
+
+    def test_obj_of_any_square_array(self):
+        P = np.array([[1.0, 2.0 + 1.0j], [0.0, -3.0j]])
+        obj = matrix_to_obj(P)
+        assert obj["entries"][0][1] == [2.0, 1.0] and obj["entries"][1][1] == [0.0, -3.0]
+        with pytest.raises(HermiticityError):
+            matrix_from_obj(obj)
+        with pytest.raises(ValueError):
+            matrix_to_obj(np.zeros((2, 3)))
 
     def test_reader_validates(self):
         obj = {"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}

@@ -1,12 +1,24 @@
+import hashlib
 import json
 import math
+import platform
+import warnings
 
 import numpy as np
 import pytest
 
-from matconc.hermitian import EnsembleSpec, HermitianMatrix, sample_ensemble, positive_part
+from matconc.hermitian import (
+    ENSEMBLE_KINDS,
+    EnsembleSpec,
+    HermitianMatrix,
+    SpectralDomainError,
+    positive_part,
+    sample_ensemble,
+)
 from matconc.traceineq import (
+    FUZZ_CHUNK,
     INEQUALITY_IDS,
+    _fuzz_block,
     check_psd_cross,
     fuzz_grid,
     fuzz_inequality,
@@ -18,6 +30,7 @@ from matconc.traceineq import (
     gap_psd_cross,
     gap_symmetric_term,
     gap_trace_quad,
+    save_fuzz_summary,
     _write_witness,
 )
 
@@ -445,3 +458,70 @@ class TestFuzzer:
 
     def test_all_ids_registered(self):
         assert len(INEQUALITY_IDS) == 8
+
+
+# sha256 of save_fuzz_summary's bytes for fuzz_grid(id, ENSEMBLE_KINDS, 1..8,
+# 300 trials, scale 1, seed 4242), recorded with the per-trial evaluator that
+# preceded stacked evaluation (numpy 2.4.6 with its bundled OpenBLAS, x86-64)
+PINNED_SUMMARIES = {
+    "exchangeable": "a3d102a69c8ad0c7a2fad62b1b1972aa6e7de1c9a48dd2d55fcd3a343755b540",
+    "exchangeable_scaled": "0ffd29f7b4298bfbaa28c7ed1c1f8fbb3a7cfe1d487d8b6b9f6ef754c247a89f",
+    "pair_exp": "6b00c2761df14af10fb3ee351c5dead87534f9d9da12704d16897e50669c91c8",
+    "power": "48228e4de30ca528bdf9229e3cb53f52e6fff2ea144f53768df3bb74f288f7ae",
+    "symmetric_term": "c82ca02942c1295c1db342b2ce1bff959082d463d679d3453012481ac037781c",
+    "holder": "60318f73397c9bc4624b7fdde44af072f0c245e99c79c955d08074b119b75102",
+    "psd_cross": "03956184e3f3328c947685a0c22425db38a8885889697a380eec056ce7e80158",
+    "trace_quad": "23775c6170d6f183718ff7fff9269410778485081f78632f0fefc8a2ca011d0e",
+}
+
+# the public evaluator of each inequality, called with one trial's inputs and scalars
+PUBLIC_GAPS = {
+    "exchangeable": lambda m, p: gap_exchangeable(*m),
+    "exchangeable_scaled": lambda m, p: gap_exchangeable_scaled(*m, p["theta"]),
+    "pair_exp": lambda m, p: gap_pair_exp(*m, p["theta"]),
+    "power": lambda m, p: gap_power(*m, p["k"]),
+    "symmetric_term": lambda m, p: gap_symmetric_term(*m, p["k"], p["n"]),
+    "holder": lambda m, p: gap_holder(*m, p["p"]),
+    "psd_cross": lambda m, p: gap_psd_cross(*m),
+    "trace_quad": lambda m, p: gap_trace_quad(*m),
+}
+
+
+class TestStackedFuzz:
+    @pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                        reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_summary_bytes_pinned(self, ineq, tmp_path):
+        assert 300 > FUZZ_CHUNK  # the run spans two stacked blocks
+        summary = fuzz_grid(ineq, ENSEMBLE_KINDS, range(1, 9), 300, 1.0, 4242)
+        path = tmp_path / "summary.json"
+        save_fuzz_summary(path, summary)
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_SUMMARIES[ineq], data.decode()
+
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_stacked_trials_match_public_gaps(self, ineq):
+        # every kind at every dim 1..8, three trials per cell in one stack
+        for dim in range(1, 9):
+            for kind in ENSEMBLE_KINDS:
+                for gaps, i, _, _ in _fuzz_block(ineq, range(3), (kind,), (dim,), 1.0,
+                                                 31).values():
+                    stacked = gaps.report(i)
+                    inputs = [M[i] for M in gaps.inputs.values()]
+                    public = PUBLIC_GAPS[ineq](inputs, gaps.params[i])
+                    assert (public.lhs, public.rhs, public.gap) == \
+                        (stacked.lhs, stacked.rhs, stacked.gap), (kind, dim, i)
+                    assert public.inputs_digest == stacked.inputs_digest
+                    assert public.params == stacked.params
+
+    def test_exp_overflow_is_a_domain_error_without_warnings(self):
+        big = HermitianMatrix.diagonal([1.0, 800.0])
+        one = HermitianMatrix.identity(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralDomainError):
+                gap_exchangeable(big, one, one)
+            with pytest.raises(SpectralDomainError):
+                gap_pair_exp(one, big, 1.0)
+            with pytest.raises(SpectralDomainError):
+                fuzz_grid("exchangeable", ENSEMBLE_KINDS, [4], 3, 1000.0, 0)
