@@ -214,7 +214,7 @@ def trace_mgf_estimate(samples: Sequence, theta_grid) -> TrMgfEstimate:
     d = mats[0].dim
     if any(M.dim != d for M in mats):
         raise ValueError("all samples must share one dimension")
-    evals = np.stack([np.linalg.eigvalsh(M.mat) for M in mats])  # (N, d)
+    evals = np.linalg.eigvalsh(np.stack([M.mat for M in mats]))  # (N, d)
     N = evals.shape[0]
     values, errs, flags = [], [], []
     for th in np.asarray(theta_grid, dtype=float):

@@ -29,19 +29,19 @@ from .hermitian import (
     HermitianMatrix,
     SpectralDomainError,
     _apply_scalar,
+    _certify,
     _coerce,
+    _commuting,
     _decompose,
-    _exp,
+    _draw,
+    _from_params,
     _hermitian_part,
     _positive_part,
     _spectral,
+    _to_params,
     _trace,
-    hermitian_from_params,
-    hermitian_to_params,
     inputs_digest,
     matrix_to_obj,
-    positive_part,
-    sample_ensemble,
 )
 from .traceineq import TraceGapReport, _anchor
 
@@ -72,47 +72,24 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
 
 
 def _certified_triple(A, B, C) -> np.ndarray:
-    """Certified A, B, C and D = A - B as one (4, d, d) stack.
-
-    The difference of two certified matrices is its own Hermitian part, bit
-    for bit, so D needs no certification of its own.
-    """
+    """Certified A, B, C as one (3, d, d) stack."""
     A, B, C = _coerce(A), _coerce(B), _coerce(C)
     if not A.dim == B.dim == C.dim:
         raise ValueError("dimension mismatch")
-    return np.stack([A.mat, B.mat, C.mat, A.mat - B.mat])
+    return np.stack([A.mat, B.mat, C.mat])
 
 
-def _split_gap(M: np.ndarray, w: np.ndarray, U: np.ndarray, fAB: np.ndarray,
-               fpAB: np.ndarray) -> tuple[float, float]:
-    """(lhs, rhs) of a split-part bound from the decomposed stack (A, B, C, D).
+def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[float, float]:
+    """(lhs, rhs) of the split-part bound for ``entry`` on the certified stack (A, B, C).
 
-    The weights are (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B),
-    with the parts of C and D taken from their single decompositions.
+    One decomposition of (A, B, C, D = A - B) gives f(A), f(B), f'(A), f'(B)
+    and the spectral parts of C and D; the weights are (C+^2 + D+^2)/2 on
+    f'(A) and (C-^2 + D-^2)/2 on f'(B).  The difference of two certified
+    matrices is its own Hermitian part, bit for bit, so D needs no
+    certification.  Spectra of A, B outside the entry's domain, and f or f'
+    values that could overflow, raise :class:`SpectralDomainError`.
     """
-    Cp, Dp = _positive_part(w[2:], U[2:])
-    Cm, Dm = _positive_part(-w[2:], U[2:])
-    w_pos = (Cp @ Cp + Dp @ Dp) / 2.0
-    w_neg = (Cm @ Cm + Dm @ Dm) / 2.0
-    lhs = float(_trace(M[2] @ (fAB[0] - fAB[1])))
-    rhs = float(_trace(w_pos @ fpAB[0]) + _trace(w_neg @ fpAB[1]))
-    return lhs, rhs
-
-
-def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
-    """Split-part exponential trace bound; gap >= 0 means the instance holds."""
-    M = _certified_triple(A, B, C)
-    w, U = _decompose(M)
-    eAB = _exp(w[:2], U[:2])
-    lhs, rhs = _split_gap(M, w, U, eAB, eAB)
-    params = {"anchor": _anchor(lhs, rhs)}
-    digest = inputs_digest(M[:3])
-    return TraceGapReport("expconj", lhs, rhs, rhs - lhs, digest, seed, params)
-
-
-def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapReport:
-    """Split-part bound for a monotone convex f with spectra inside its domain."""
-    M = _certified_triple(A, B, C)
+    M = np.concatenate([X, X[:1] - X[1:2]])
     w, U = _decompose(M)
     lo, hi = entry.domain
     for label, evals in zip("AB", w[:2]):
@@ -122,26 +99,37 @@ def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapR
             raise SpectralDomainError(bad, f"eigenvalue of {label} outside domain of {entry.name}")
     fAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f, w[:2])))
     fpAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f_prime, w[:2])))
-    lhs, rhs = _split_gap(M, w, U, fAB, fpAB)
-    params = {"anchor": _anchor(lhs, rhs), "entry": entry.name}
-    digest = inputs_digest(M[:3], {"entry": entry.name})
-    return TraceGapReport(f"fconj:{entry.name}", lhs, rhs, rhs - lhs, digest, seed, params)
+    Cp, Dp = _positive_part(w[2:], U[2:])
+    Cm, Dm = _positive_part(-w[2:], U[2:])
+    w_pos = (Cp @ Cp + Dp @ Dp) / 2.0
+    w_neg = (Cm @ Cm + Dm @ Dm) / 2.0
+    lhs = float(_trace(M[2] @ (fAB[0] - fAB[1])))
+    rhs = float(_trace(w_pos @ fpAB[0]) + _trace(w_neg @ fpAB[1]))
+    return lhs, rhs
 
 
-def scalar_gap_exp(a, b, c) -> float:
-    """Scalar reduction of the exponential conjecture, summed over tuples.
+def _report(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray, lhs: float,
+            rhs: float, seed=None) -> TraceGapReport:
+    """Label an evaluated stack: ``expconj`` digests A, B, C alone, ``fconj`` adds the entry."""
+    extra = {} if inequality_id == "expconj" else {"entry": entry.name}
+    label = inequality_id if inequality_id == "expconj" else f"fconj:{entry.name}"
+    return TraceGapReport(label, lhs, rhs, rhs - lhs, inputs_digest(X, extra), seed,
+                          {"anchor": _anchor(lhs, rhs), **extra})
 
-    For commuting inputs the matrix gap equals this sum over joint eigenvalue
-    triples in the shared basis.
+
+def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
+    """Split-part exponential trace bound; gap >= 0 means the instance holds.
+
+    The ``CATALOG["exp"]`` case of :func:`gap_conjecture_f`, labelled ``expconj``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    lhs = c * (np.exp(a) - np.exp(b))
-    d = a - b
-    rhs = ((np.clip(c, 0, None) ** 2 + np.clip(d, 0, None) ** 2) / 2.0) * np.exp(a) \
-        + ((np.clip(-c, 0, None) ** 2 + np.clip(-d, 0, None) ** 2) / 2.0) * np.exp(b)
-    return float(np.sum(rhs - lhs))
+    X = _certified_triple(A, B, C)
+    return _report("expconj", CATALOG["exp"], X, *_split_gap(X, CATALOG["exp"]), seed)
+
+
+def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapReport:
+    """Split-part bound for a monotone convex f with spectra inside its domain."""
+    X = _certified_triple(A, B, C)
+    return _report("fconj", entry, X, *_split_gap(X, entry), seed)
 
 
 def scalar_gap_f(a, b, c, entry: ConvexCatalogEntry) -> float:
@@ -154,6 +142,15 @@ def scalar_gap_f(a, b, c, entry: ConvexCatalogEntry) -> float:
     rhs = ((np.clip(c, 0, None) ** 2 + np.clip(d, 0, None) ** 2) / 2.0) * entry.f_prime(a) \
         + ((np.clip(-c, 0, None) ** 2 + np.clip(-d, 0, None) ** 2) / 2.0) * entry.f_prime(b)
     return float(np.sum(rhs - lhs))
+
+
+def scalar_gap_exp(a, b, c) -> float:
+    """Scalar reduction of the exponential conjecture: the ``CATALOG["exp"]`` case.
+
+    For commuting inputs the matrix gap equals this sum over joint eigenvalue
+    triples in the shared basis.
+    """
+    return scalar_gap_f(a, b, c, CATALOG["exp"])
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +190,9 @@ def check_self_bounding(H: MatrixObservable, model: DiscreteModel, a: float, b: 
     inc_slack = math.inf
     for i in range(n):
         _, variants = site_neighbours(model, i)
-        evals, vecs = np.linalg.eigh(_hermitian_part(H_all[:, None] - H_all[variants]))
+        evals, vecs = _decompose(_hermitian_part(H_all[:, None] - H_all[variants]))
         inc_slack = min(inc_slack, 1.0 - float(evals[..., -1].max()))
-        pos = _spectral(vecs, np.clip(evals, 0.0, None))
+        pos = _positive_part(evals, vecs)
         parts[:, i, : model.sizes[i]] = pos @ pos if mode == "weak" else pos
     if mode == "strong" and inc_slack < -tol:
         return SelfBoundingReport(mode, a, b, False, inc_slack, math.inf, S)
@@ -231,45 +228,22 @@ class SearchResult:
     seed: int
 
 
-def _certified_error(dim: int, anchor: float) -> float:
-    # conservative double-precision evaluation error for spectral trace gaps
-    return 1e-10 * dim * anchor
-
-
 def _commuting_triple(dim: int, scale: float, seed: int):
-    rng = np.random.default_rng(int(seed))
-    M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    basis = np.linalg.eigh((M + M.conj().T) / 2.0)[1]
-    mats = []
-    for _ in range(3):
-        w = scale * rng.normal(size=dim)
-        mats.append(HermitianMatrix((basis * w) @ basis.conj().T))
-    return tuple(mats)
+    """Three certified matrices sharing one eigenbasis (the ``commuting-pair`` draw)."""
+    return tuple(HermitianMatrix(M) for M in
+                 _commuting(np.random.default_rng(int(seed)), dim, scale, 3))
 
 
-def _search_eval(inequality_id: str, entry, A, B, C, seed=None) -> TraceGapReport:
-    if inequality_id == "expconj":
-        return gap_conjecture_exp(A, B, C, seed=seed)
-    if inequality_id == "fconj":
-        return gap_conjecture_f(A, B, C, entry, seed=seed)
-    raise ValueError(f"unknown conjecture id {inequality_id!r}")
-
-
-def _random_instance(inequality_id, entry, kind, dim, scale, rng):
-    def subseed():
-        return int(rng.integers(0, 2**63, dtype=np.int64))
+def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
+    """Certified (3, d, d) stack (A, B, C) of one random search instance."""
+    def generator():
+        return np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.int64)))
 
     if kind == "commuting-pair":
-        A, B, C = _commuting_triple(dim, scale, subseed())
+        X = _commuting(generator(), dim, scale, 3)
     else:
-        draws = []
-        for _ in range(3):
-            out = sample_ensemble(EnsembleSpec(kind, dim, scale, subseed()))
-            draws.append(out[0] if isinstance(out, tuple) else out)
-        A, B, C = draws
-    if inequality_id == "fconj" and entry.domain[0] > -math.inf:
-        A, B = positive_part(A), positive_part(B)
-    return A, B, C
+        X = np.stack([_draw(kind, dim, scale, generator()) for _ in range(3)])
+    return _certify(X.astype(np.complex128))
 
 
 def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
@@ -280,9 +254,12 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     Phase one spends ``budget`` evaluations cycling over all ensemble kinds and
     requested dimensions.  Phase two perturbs the Hermitian degrees of freedom
     of the worst instance coordinate by coordinate with halving step sizes,
-    re-certifying hermiticity at every candidate, until stationarity or the
-    descent budget runs out.  Fully reproducible from the seed.
+    until stationarity or the descent budget runs out.  Drawn inputs are
+    certified once; descent candidates are assembled exactly Hermitian from
+    their parameters.  Fully reproducible from the seed.
     """
+    if inequality_id not in ("expconj", "fconj"):
+        raise ValueError(f"unknown conjecture id {inequality_id!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if inequality_id == "fconj" and entry is None:
@@ -290,45 +267,46 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
+    for kind in ENSEMBLE_KINDS:
+        for dim in dims:
+            EnsembleSpec(kind, dim, scale)
     descent_budget = budget if descent_budget is None else int(descent_budget)
+    if inequality_id == "expconj":
+        entry = CATALOG["exp"]
+    positive = entry.domain[0] > -math.inf  # A and B enter as their positive parts
 
-    best = None  # (norm_gap, report, (A, B, C))
+    def evaluate(X):
+        if positive:
+            X = np.concatenate([_positive_part(*_decompose(X[:2])), X[2:]])
+        lhs, rhs = _split_gap(X, entry)
+        return (rhs - lhs) / _anchor(lhs, rhs), lhs, rhs, X
+
+    best = None  # (norm_gap, lhs, rhs, (A, B, C))
     for t in range(budget):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(t,)))
         kind = ENSEMBLE_KINDS[t % len(ENSEMBLE_KINDS)]
         dim = dims[(t // len(ENSEMBLE_KINDS)) % len(dims)]
-        A, B, C = _random_instance(inequality_id, entry, kind, dim, scale, rng)
-        rep = _search_eval(inequality_id, entry, A, B, C, seed=t)
-        norm_gap = rep.gap / rep.params["anchor"]
-        if best is None or norm_gap < best[0]:
-            best = (norm_gap, rep, (A, B, C))
+        cand = evaluate(_random_instance(kind, dim, scale, rng))
+        if best is None or cand[0] < best[0]:
+            best = cand
     best_random = best[0]
 
     # coordinate-wise perturbation descent from the worst random instance
-    A, B, C = best[2]
-    dim = A.dim
-    current = np.concatenate([hermitian_to_params(M) for M in (A, B, C)])
-    block = current.size // 3
+    dim = best[3].shape[-1]
+    current = _to_params(best[3]).ravel()
 
     def rebuild(vec):
-        mats = [hermitian_from_params(dim, vec[k * block:(k + 1) * block]) for k in range(3)]
-        if inequality_id == "fconj" and entry.domain[0] > -math.inf:
-            mats[0], mats[1] = positive_part(mats[0]), positive_part(mats[1])
-        return mats
-
-    def evaluate(vec):
-        A2, B2, C2 = rebuild(vec)
-        rep = _search_eval(inequality_id, entry, A2, B2, C2)
-        return rep.gap / rep.params["anchor"], rep, (A2, B2, C2)
+        # the symmetrization that certification applies, without its check
+        return _hermitian_part(_from_params(dim, vec.reshape(3, -1)))
 
     evals_used = 0
     sweeps = 0
     step = 0.25 * scale
     if descent_budget > 0:
-        base_norm, base_rep, base_mats = evaluate(current)
+        base = evaluate(rebuild(current))
         evals_used += 1
-        if base_norm < best[0]:
-            best = (base_norm, base_rep, base_mats)
+        if base[0] < best[0]:
+            best = base
         while step >= 1e-6 * scale and evals_used < descent_budget:
             improved = False
             for idx in range(current.size):
@@ -337,26 +315,27 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
                 for sign in (1.0, -1.0):
                     if evals_used >= descent_budget:
                         break
-                    cand = current.copy()
-                    cand[idx] += sign * step
-                    norm_gap, rep, mats = evaluate(cand)
+                    vec = current.copy()
+                    vec[idx] += sign * step
+                    cand = evaluate(rebuild(vec))
                     evals_used += 1
-                    if norm_gap < best[0]:
-                        best = (norm_gap, rep, mats)
-                        current = cand
+                    if cand[0] < best[0]:
+                        best = cand
+                        current = vec
                         improved = True
                         break
             sweeps += 1
             if not improved:
                 step /= 2.0
 
-    norm_gap, rep, mats = best
-    err = _certified_error(mats[0].dim, rep.params["anchor"])
+    norm_gap, lhs, rhs, X = best
+    rep = _report(inequality_id, entry, X, lhs, rhs)
+    err = 1e-10 * dim * rep.params["anchor"]  # conservative evaluation-error bound
     verdict = "counterexample-candidate" if rep.gap < -err else "supported"
     witness = {
-        "A": matrix_to_obj(mats[0]),
-        "B": matrix_to_obj(mats[1]),
-        "C": matrix_to_obj(mats[2]),
+        "A": matrix_to_obj(X[0]),
+        "B": matrix_to_obj(X[1]),
+        "C": matrix_to_obj(X[2]),
         "gap": rep.gap,
         "lhs": rep.lhs,
         "rhs": rep.rhs,
@@ -371,8 +350,7 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
         "sweeps": sweeps,
         "final_step": step,
     }
-    ineq_label = rep.inequality_id
-    return SearchResult(ineq_label, verdict, float(rep.gap), float(norm_gap),
+    return SearchResult(rep.inequality_id, verdict, float(rep.gap), float(norm_gap),
                         float(err), witness, trajectory, dims, budget, int(seed))
 
 

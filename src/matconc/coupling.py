@@ -29,7 +29,7 @@ from .dobrushin import (
     other_axes_strides,
     site_neighbours,
 )
-from .hermitian import HermitianMatrix, _coerce, _hermitian_part
+from .hermitian import HermitianMatrix, _certify, _coerce, _hermitian_part
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for exhaustive pair-space loops
@@ -158,8 +158,7 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
     if len(bound_set.matrices) != model.n:
         raise ValueError("need one difference bound per site")
     H = _observable_values(model, observable)
-    for h in H:  # the observable's values are outside input: certify them once
-        HermitianMatrix(h)
+    _certify(H)  # the observable's values are outside input: certify them once
     worst = math.inf
     for i in range(model.n):
         Ai = bound_set.matrices[i].mat
@@ -173,30 +172,42 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
 # ---------------------------------------------------------------------------
 # Maximal coupling
 
+def _sample_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One index per row of P (unnormalized pmfs): the first whose cdf reaches u * total."""
+    cdf = np.cumsum(P, axis=1)
+    idx = (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(idx, P.shape[1] - 1)
+
+
+def _maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
+    """Maximal coupling of each row pair of P, Q from four uniforms per row (law:
+    :func:`maximal_coupling_joint`)."""
+    mins = np.minimum(P, Q)
+    omega = mins.sum(axis=1)
+    same = u_same < omega
+    idx_same = _sample_rows(mins, u_min)
+    z = 1.0 - omega
+    zsafe = np.where(z > 1e-15, z, 1.0)
+    a_diff = _sample_rows((P - mins) / zsafe[:, None], u_p)
+    b_diff = _sample_rows((Q - mins) / zsafe[:, None], u_q)
+    a = np.where(same, idx_same, a_diff)
+    b = np.where(same, idx_same, b_diff)
+    return a, b
+
+
 def maximal_coupling(p, q, rng) -> tuple[int, int]:
     """Sample (a, b) with marginals p, q and P(a = b) = 1 - TV(p, q).
 
     Draws from the overlap min(p, q) with probability 1 - TV, otherwise
-    independently from the normalized residuals.
+    independently from the normalized residuals; a one-row
+    :func:`_maximal_coupling_rows` call on four uniforms.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("support mismatch")
-    mins = np.minimum(p, q)
-    omega = float(mins.sum())
-    if rng.random() < omega:
-        idx = _sample_pmf(mins / omega, rng.random())
-        return idx, idx
-    resid_p = (p - mins) / (1.0 - omega)
-    resid_q = (q - mins) / (1.0 - omega)
-    return _sample_pmf(resid_p, rng.random()), _sample_pmf(resid_q, rng.random())
-
-
-def _sample_pmf(pmf: np.ndarray, u: float) -> int:
-    cdf = np.cumsum(pmf)
-    idx = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    return min(idx, len(pmf) - 1)
+    a, b = _maximal_coupling_rows(p[None], q[None], *rng.random((4, 1)))
+    return int(a[0]), int(b[0])
 
 
 def maximal_coupling_joint(p, q) -> np.ndarray:
@@ -228,7 +239,7 @@ def make_exchangeable_pair(model: DiscreteModel, rng) -> tuple[tuple, tuple]:
     i = int(rng.integers(model.n))
     vec = model.conditional(i, x)
     y = list(x)
-    y[i] = _sample_pmf(vec, rng.random())
+    y[i] = int(_sample_rows(vec[None], rng.random(1))[0])
     return x, tuple(y)
 
 
@@ -276,7 +287,7 @@ def step_independent(state: CouplingState, model: DiscreteModel, rng) -> Couplin
     if not model.is_product():
         raise ValueError("synchronized refresh requires independent components")
     i = int(rng.integers(model.n))
-    v = _sample_pmf(model.conditional(i, state.x), rng.random())
+    v = int(_sample_rows(model.conditional(i, state.x)[None], rng.random(1))[0])
     x = list(state.x)
     y = list(state.y)
     x[i] = v
@@ -572,8 +583,8 @@ def verify_stein_pair(spec: SteinPairSpec, tol: float = 1e-8) -> SteinPairReport
         return SteinPairReport(None, 0.0, True, spec.alpha, False)
     num = float(np.einsum("s,sij,sij->", mu, T.conj(), psi).real)
     alpha_hat = num / denom
-    residual = max(_spectral_norm_raw(T[s] - alpha_hat * psi[s]) for s in range(model.size))
-    anchor = max(1.0, max(_spectral_norm_raw(psi[s]) for s in range(model.size)))
+    residual = _spectral_norm_raw(T - alpha_hat * psi)
+    anchor = max(1.0, _spectral_norm_raw(psi))
     return SteinPairReport(alpha_hat, residual, False, spec.alpha,
                            residual <= tol * anchor)
 
@@ -691,26 +702,6 @@ class DisagreementMC:
     runs: int
     means: np.ndarray       # (kmax + 1, n)
     std_errors: np.ndarray  # (kmax + 1, n)
-
-
-def _sample_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(P, axis=1)
-    idx = (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(idx, P.shape[1] - 1)
-
-
-def _maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
-    mins = np.minimum(P, Q)
-    omega = mins.sum(axis=1)
-    same = u_same < omega
-    idx_same = _sample_rows(mins, u_min)
-    z = 1.0 - omega
-    zsafe = np.where(z > 1e-15, z, 1.0)
-    a_diff = _sample_rows((P - mins) / zsafe[:, None], u_p)
-    b_diff = _sample_rows((Q - mins) / zsafe[:, None], u_q)
-    a = np.where(same, idx_same, a_diff)
-    b = np.where(same, idx_same, b_diff)
-    return a, b
 
 
 def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,

@@ -121,9 +121,11 @@ def _coerce(A) -> HermitianMatrix:
 # they enter the library; these kernels trust them and re-check nothing but
 # the eigensolver, so one decomposition serves every function of a matrix.
 
-# Below this, e^w stays below max/4: U diag(e^w) U* (entries bounded by the
-# largest e^w, as U is unitary) and its symmetrization then stay finite.
-_EXP_MAX = math.log(np.finfo(float).max / 4.0)
+# Spectral values up to max/4 keep U diag(f) U* (entries bounded by the
+# largest |f|, as U is unitary) and its symmetrization finite; e^w stays below
+# that bound for w up to _EXP_MAX.
+_SPECTRAL_MAX = np.finfo(float).max / 4.0
+_EXP_MAX = math.log(_SPECTRAL_MAX)
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -134,12 +136,14 @@ def _certify(arr: np.ndarray) -> np.ndarray:
     """Hermitian part of a stack whose asymmetry is within HERMITICITY_RTOL.
 
     Raises :class:`HermiticityError` for the first matrix of the stack whose
-    max |A - A*| exceeds ``HERMITICITY_RTOL * max|entry|``.
+    max |A - A*| exceeds ``HERMITICITY_RTOL * max|entry|`` or has a
+    non-finite entry.
     """
     scale = np.abs(arr).max(axis=(-2, -1))
-    asym = np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf: rejected below as NaN
+        asym = np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(axis=(-2, -1))
     tol = HERMITICITY_RTOL * scale
-    bad = asym > tol
+    bad = ~(asym <= tol)  # also catches NaN, so non-finite entries are rejected
     if bad.any():
         i = int(np.argmax(bad))
         raise HermiticityError(np.ravel(asym)[i], np.ravel(tol)[i])
@@ -228,7 +232,11 @@ def spectral_decompose(A) -> SpectralDecomposition:
 
 
 def _apply_scalar(f: Callable, evals: np.ndarray) -> np.ndarray:
-    """Apply a real scalar function to eigenvalues, policing its domain."""
+    """Apply a real scalar function to eigenvalues, policing its domain.
+
+    A value that is not finite, or above max/4 (where U diag(f) U* could
+    overflow), is a :class:`SpectralDomainError`.
+    """
     vals = None
     with np.errstate(all="ignore"):
         try:
@@ -245,10 +253,10 @@ def _apply_scalar(f: Callable, evals: np.ndarray) -> np.ndarray:
                 except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                     raise SpectralDomainError(lam, str(exc)) from exc
             vals = np.asarray(out, dtype=np.complex128).reshape(evals.shape)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise SpectralDomainError(np.ravel(evals)[bad], "non-finite value")
+    bounded = (np.abs(vals.real) <= _SPECTRAL_MAX) & (np.abs(vals.imag) <= _SPECTRAL_MAX)
+    if not bounded.all():  # also catches inf and NaN
+        bad = int(np.argmin(bounded))
+        raise SpectralDomainError(np.ravel(evals)[bad], "value not finite or above max/4")
     imag_tol = 1e-12 * np.maximum(1.0, np.abs(vals))
     complex_out = np.abs(vals.imag) > imag_tol
     if complex_out.any():
@@ -346,8 +354,15 @@ def _gaussian_hermitian(rng, d: int, scale: float) -> np.ndarray:
     return scale * (M + M.conj().T) / 2.0
 
 
+def _commuting(rng, d: int, scale: float, k: int) -> np.ndarray:
+    """k uncertified matrices sharing one random eigenbasis, as a (k, d, d) stack."""
+    basis = np.linalg.eigh(_gaussian_hermitian(rng, d, 1.0))[1]
+    spectra = [scale * rng.normal(size=d) for _ in range(k)]
+    return np.stack([(basis * w) @ basis.conj().T for w in spectra])
+
+
 def _draw(kind: str, d: int, scale: float, rng: np.random.Generator):
-    """One uncertified draw: an array, or a pair of arrays for ``commuting-pair``."""
+    """One uncertified draw: an array, or a (2, d, d) stack for ``commuting-pair``."""
     if kind == "gaussian-hermitian":
         return _gaussian_hermitian(rng, d, scale)
     if kind == "diagonal":
@@ -364,16 +379,14 @@ def _draw(kind: str, d: int, scale: float, rng: np.random.Generator):
             H += (scale * rng.normal()) * np.outer(v, v.conj())
         return (H + H.conj().T) / 2.0
     if kind == "commuting-pair":
-        basis = np.linalg.eigh(_gaussian_hermitian(rng, d, 1.0))[1]
-        w1 = scale * rng.normal(size=d)
-        w2 = scale * rng.normal(size=d)
-        return (basis * w1) @ basis.conj().T, (basis * w2) @ basis.conj().T
+        return _commuting(rng, d, scale, 2)
     if kind == "integer-entry":
         m = max(1, int(round(scale)))
         S = rng.integers(-m, m + 1, size=(d, d))
         K = rng.integers(-m, m + 1, size=(d, d))
-        real = np.triu(S) + np.triu(S, 1).T
-        imag = np.triu(K, 1) - np.triu(K, 1).T
+        lower = np.tri(d, k=-1, dtype=bool)  # strictly below the diagonal
+        real = np.where(lower, S.T, S)
+        imag = np.where(lower, -K.T, np.where(lower.T, K, 0))
         return real.astype(float) + 1j * imag.astype(float)
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
@@ -386,27 +399,39 @@ def sample_ensemble(spec: EnsembleSpec):
     return HermitianMatrix(out)
 
 
+def _to_params(M: np.ndarray) -> np.ndarray:
+    """Real degrees of freedom of a (..., d, d) stack: diagonal, Re(upper), Im(upper)."""
+    iu = np.triu_indices(M.shape[-1], 1)
+    upper = M[..., iu[0], iu[1]]
+    return np.concatenate([M.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag],
+                          axis=-1)
+
+
+def _from_params(dim: int, params) -> np.ndarray:
+    """Inverse of :func:`_to_params` over leading axes; exactly Hermitian, but only
+    :func:`_hermitian_part` of it has the signed zeros that certification gives."""
+    params = np.asarray(params, dtype=float)
+    n_off = dim * (dim - 1) // 2
+    if params.shape[-1:] != (dim + 2 * n_off,):
+        raise ValueError("parameter vector has wrong length")
+    mat = np.zeros(params.shape[:-1] + (dim, dim), dtype=np.complex128)
+    diag = np.arange(dim)
+    mat[..., diag, diag] = params[..., :dim]
+    iu = np.triu_indices(dim, 1)
+    upper = params[..., dim:dim + n_off] + 1j * params[..., dim + n_off:]
+    mat[..., iu[0], iu[1]] = upper
+    mat[..., iu[1], iu[0]] = upper.conj()
+    return mat
+
+
 def hermitian_to_params(A) -> np.ndarray:
     """Flatten the real degrees of freedom: diagonal, Re(upper), Im(upper)."""
-    mat = _coerce(A).mat
-    d = mat.shape[0]
-    iu = np.triu_indices(d, 1)
-    return np.concatenate([mat.diagonal().real, mat[iu].real, mat[iu].imag])
+    return _to_params(_coerce(A).mat)
 
 
 def hermitian_from_params(dim: int, params) -> HermitianMatrix:
     """Inverse of :func:`hermitian_to_params`; re-certifies hermiticity."""
-    params = np.asarray(params, dtype=float)
-    n_off = dim * (dim - 1) // 2
-    if params.size != dim + 2 * n_off:
-        raise ValueError("parameter vector has wrong length")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[np.diag_indices(dim)] = params[:dim]
-    iu = np.triu_indices(dim, 1)
-    upper = params[dim:dim + n_off] + 1j * params[dim + n_off:]
-    mat[iu] = upper
-    mat[(iu[1], iu[0])] = upper.conj()
-    return HermitianMatrix(mat)
+    return HermitianMatrix(_from_params(dim, params))
 
 
 def matrix_to_obj(A) -> dict:

@@ -255,6 +255,18 @@ class TestMcTailCommand:
         assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
         assert "not Hermitian" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys):
+        nan = {"dim": 2, "entries": [[[1.0, 0.0], [float("nan"), 0.0]],
+                                     [[float("nan"), 0.0], [0.0, 0.0]]]}
+        cfg = {"model": {"rademacher_sites": 1},
+               "observable": {"kind": "rademacher-sum", "matrices": [nan]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # writes the NaN token json.loads reads back
+        assert "NaN" in path.read_text()
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_table_observable(self, tmp_path):
         entries = []
         rng = np.random.default_rng(44)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from matconc.conjectures import (
 )
 from matconc.coupling import TableObservable, RademacherSumObservable
 from matconc.dobrushin import DiscreteModel
+from matconc import conjectures, hermitian
 from matconc.hermitian import (
     EnsembleSpec,
     HermitianMatrix,
@@ -88,10 +91,23 @@ class TestConjectureExp:
         assert rep.gap == pytest.approx(1.0, rel=1e-12)
 
     def test_catalog_exp_consistency(self):
-        A, B, C = draw(4, 3), draw(4, 4), draw(4, 5)
-        r1 = gap_conjecture_exp(A, B, C)
-        r2 = gap_conjecture_f(A, B, C, CATALOG["exp"])
-        assert abs(r1.gap - r2.gap) <= 1e-12 * r1.params["anchor"]
+        # expconj is the exp entry of the shared kernel, labelled and digested apart
+        for s in range(20):
+            A, B, C = draw(1 + s % 6, 3 * s), draw(1 + s % 6, 3 * s + 1), draw(1 + s % 6, 3 * s + 2)
+            r1 = gap_conjecture_exp(A, B, C)
+            r2 = gap_conjecture_f(A, B, C, CATALOG["exp"])
+            assert (r1.lhs, r1.rhs, r1.gap) == (r2.lhs, r2.rhs, r2.gap)
+            assert r1.inequality_id == "expconj" and r2.inequality_id == "fconj:exp"
+            assert r1.params == {"anchor": r2.params["anchor"]}
+            assert r1.inputs_digest != r2.inputs_digest  # expconj digests no params
+
+    def test_overflowing_exponential_is_a_domain_error(self):
+        # e^709 is finite but above max/4, where U diag(e^w) U* could overflow
+        big = HermitianMatrix.diagonal([709.0, 0.0])
+        one = HermitianMatrix.identity(2)
+        for gap in (gap_conjecture_exp, lambda A, B, C: gap_conjecture_f(A, B, C, CATALOG["exp"])):
+            with pytest.raises(SpectralDomainError):
+                gap(big, one, one)
 
     def test_orientation(self):
         # gap >= 0 means the conjecture holds on the instance
@@ -119,6 +135,16 @@ class TestConjectureF:
             gap_conjecture_f(A, positive_part(draw(2, 9)), draw(2, 10), CATALOG["square"])
         assert exc.value.eigenvalue == pytest.approx(-2.0)
 
+    def test_overflowing_f_is_a_domain_error(self):
+        B = HermitianMatrix.diagonal([0.0, 1.0])
+        one = HermitianMatrix.identity(2)
+        quartic = HermitianMatrix([[1e77, 1e76], [1e76, 9e76]])  # x^4 near 1e308
+        with pytest.raises(SpectralDomainError):
+            gap_conjecture_f(quartic, B, one, CATALOG["quartic"])
+        cube = HermitianMatrix.diagonal([5e102, 1.0])  # x^3 near 1.25e308
+        with pytest.raises(SpectralDomainError):
+            gap_conjecture_f(cube, B, one, CATALOG["cube"])
+
     @pytest.mark.parametrize("name", ["square", "cube", "quartic"])
     def test_psd_inputs_supported(self, name):
         for s in range(30):
@@ -130,6 +156,14 @@ class TestConjectureF:
 
 
 class TestScalarOracle:
+    def test_commuting_triple_extends_the_commuting_pair_draw(self):
+        for s in range(20):
+            dim = 1 + s % 8
+            triple = _commuting_triple(dim, 1.5, s)
+            pair = sample_ensemble(EnsembleSpec("commuting-pair", dim, 1.5, s))
+            for M, N in zip(triple, pair):
+                assert M.mat.tobytes() == N.mat.tobytes()
+
     def test_matches_matrix_on_commuting_triples(self):
         for s in range(200):
             A, B, C = _commuting_triple(4, 1.0, s)
@@ -248,3 +282,53 @@ class TestSearch:
         r = counterexample_search("expconj", [2], 5, seed=23, descent_budget=0)
         assert r.certified_error > 0
         assert r.best_gap >= -r.certified_error
+
+    def test_unknown_id_and_bad_grid_rejected_up_front(self):
+        with pytest.raises(ValueError):
+            counterexample_search("holder", [2], 5, seed=1)
+        with pytest.raises(ValueError):
+            counterexample_search("expconj", [2, 0], 5, seed=1)
+        with pytest.raises(ValueError):
+            counterexample_search("expconj", [2], 5, seed=1, scale=0.0)
+
+    def test_certifies_each_draw_once_and_builds_no_matrix_objects(self, monkeypatch):
+        certified = []
+        real_certify = conjectures._certify
+
+        def counting_certify(arr):
+            certified.append(arr.shape)
+            return real_certify(arr)
+
+        def no_construction(*args, **kwargs):
+            raise AssertionError("HermitianMatrix built during the search")
+
+        monkeypatch.setattr(conjectures, "_certify", counting_certify)
+        monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", no_construction)
+        counterexample_search("fconj", [2, 3], 24, seed=3, entry=CATALOG["square"],
+                              descent_budget=30)
+        assert len(certified) == 24
+        assert all(shape[0] == 3 for shape in certified)
+
+
+# sha256 of the saved search results, recorded with the per-matrix search
+# (HermitianMatrix certification of every input and descent candidate)
+PINNED_SEARCHES = {
+    "expconj": "d439a439a6d05f37a2a5dfe0521e1b24fd3d5264fab708720ec894bdccb2e7e2",
+    "cube": "945085b8ea2e4d8c4531dc7a8057b5ecba503309c0adac4ab3f79385bfe56445",
+    "exp": "0e71568662e3803c7987ca6d70b1d62bd1a5ad4b8bfe732653f9f88f8570fb73",
+    "quartic": "c3e8e8c907ade5324b99cb16a405b65a9b49bc9edd496b6144778440b1b6985e",
+    "square": "7813add072dca88ee9335d25e1ec79d3e2d3402a6f53f89774a7d720a5d62b69",
+}
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_search_bytes_pinned(name, tmp_path):
+    ineq, entry = ("expconj", None) if name == "expconj" else ("fconj", CATALOG[name])
+    r = counterexample_search(ineq, range(2, 7), 60, seed=2024, entry=entry, descent_budget=120)
+    assert r.trajectory["descent_evals"] == 120
+    path = tmp_path / "result.json"
+    save_search_result(path, r)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_SEARCHES[name], data.decode()

@@ -29,6 +29,7 @@ from matconc.coupling import (
     verify_property_P,
     verify_stein_pair,
     wilson_interval,
+    _maximal_coupling_rows,
 )
 from matconc.dobrushin import DiscreteModel, b_matrix, b_power_column, dobrushin_matrix
 from matconc.hermitian import EnsembleSpec, HermitianMatrix, sample_ensemble
@@ -103,6 +104,28 @@ class TestMaximalCoupling:
             for b in range(5):
                 assert np.array_equal(J[a, b], maximal_coupling_joint(P[a, 0], Q[0, b]))
         assert np.array_equal(J[0, 0], np.diag(P[0, 0]))
+
+    def test_sampled_rows_match_joint(self):
+        # three row pairs (one identical, one with disjoint support) sampled at once
+        P = np.array([[0.1, 0.5, 0.4], [0.3, 0.3, 0.4], [1.0, 0.0, 0.0]])
+        Q = np.array([[0.6, 0.2, 0.2], [0.3, 0.3, 0.4], [0.0, 0.5, 0.5]])
+        n = 60000
+        rows = np.repeat(np.arange(3), n)
+        u = np.random.default_rng(12).random((4, rows.size))
+        a, b = _maximal_coupling_rows(P[rows], Q[rows], *u)
+        for r in range(3):
+            J = maximal_coupling_joint(P[r], Q[r])
+            counts = np.zeros((3, 3))
+            np.add.at(counts, (a[rows == r], b[rows == r]), 1.0)
+            se = np.sqrt(J * (1.0 - J) / n)
+            assert np.all(np.abs(counts / n - J) <= 5.0 * se + 1e-12), (r, counts / n, J)
+
+    def test_one_row_call_draws_four_uniforms(self):
+        p, q = [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]
+        rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(50):
+            a, b = _maximal_coupling_rows(np.array([p]), np.array([q]), *ref.random((4, 1)))
+            assert maximal_coupling(p, q, rng) == (int(a[0]), int(b[0]))
 
     def test_support_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -10,6 +11,10 @@ from matconc.hermitian import (
     HermiticityError,
     HermitianMatrix,
     SpectralDomainError,
+    _draw,
+    _from_params,
+    _hermitian_part,
+    _to_params,
     hermitian_from_params,
     hermitian_to_params,
     inputs_digest,
@@ -49,6 +54,14 @@ class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("entries", [[[math.nan]], [[math.inf]], [[1.0, math.nan], [math.nan, 1.0]],
+                                         [[1.0, -math.inf], [-math.inf, 2.0]]])
+    def test_rejects_non_finite_entries(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HermiticityError):
+                HermitianMatrix(entries)
 
     def test_immutable(self):
         H = HermitianMatrix.identity(2)
@@ -109,6 +122,15 @@ class TestMatrixFunction:
         with pytest.raises(SpectralDomainError) as exc:
             matrix_function(HermitianMatrix.diagonal([-1.0, 4.0]), np.sqrt)
         assert exc.value.eigenvalue == pytest.approx(-1.0)
+
+    def test_values_above_quarter_max_are_domain_errors(self):
+        # U diag(w^4) U* would overflow; values above max/4 are refused outright
+        A = HermitianMatrix([[1e77, 1e76], [1e76, 9e76]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralDomainError):
+                matrix_function(A, lambda x: x ** 4)
+            assert np.isfinite(matrix_function(A, lambda x: x ** 2).mat).all()
 
     def test_composition_homomorphism(self):
         funcs = {"exp": np.exp, "square": lambda x: x * x, "shift": lambda x: x + 1.0}
@@ -238,6 +260,19 @@ class TestEnsembles:
         assert np.allclose(A.mat.real, np.round(A.mat.real))
         assert np.allclose(A.mat.imag, np.round(A.mat.imag))
 
+    def test_integer_entry_assembly(self):
+        # the masked assembly gives the bytes of the triangular-part assembly
+        for d in range(1, 9):
+            for s in range(10):
+                rng = np.random.default_rng(s)
+                S = rng.integers(-2, 3, size=(d, d))
+                K = rng.integers(-2, 3, size=(d, d))
+                real = np.triu(S) + np.triu(S, 1).T
+                imag = np.triu(K, 1) - np.triu(K, 1).T
+                expect = real.astype(float) + 1j * imag.astype(float)
+                got = _draw("integer-entry", d, 2.0, np.random.default_rng(s))
+                assert got.tobytes() == expect.tobytes()
+
     def test_low_rank(self):
         A = sample_ensemble(EnsembleSpec("low-rank", 6, 1.0, 23))
         rank = int(np.sum(np.abs(np.linalg.eigvalsh(A.mat)) > 1e-9))
@@ -287,6 +322,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_to_obj(np.zeros((2, 3)))
 
+    def test_reader_rejects_non_finite_tokens(self):
+        obj = json.loads('{"dim": 1, "entries": [[[NaN, 0.0]]]}')
+        with pytest.raises(HermiticityError):
+            matrix_from_obj(obj)
+
     def test_reader_validates(self):
         obj = {"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
         with pytest.raises(HermiticityError):
@@ -297,6 +337,19 @@ class TestSerialization:
         A = random_hermitian(4, rng)
         B = hermitian_from_params(4, hermitian_to_params(A))
         assert np.abs(A.mat - B.mat).max() <= 1e-15
+
+    def test_stacked_params_match_certified_assembly(self):
+        # symmetrizing the assembly reproduces certification bit for bit
+        for kind in ENSEMBLE_KINDS:
+            for d in range(1, 7):
+                X = np.stack([sample_ensemble(EnsembleSpec(kind, d, 1.5, 10 * d + k))
+                              for k in range(3)] if kind != "commuting-pair" else
+                             sample_ensemble(EnsembleSpec(kind, d, 1.5, d)))
+                params = _to_params(X)
+                assert params.tobytes() == np.stack([hermitian_to_params(M) for M in X]).tobytes()
+                built = _hermitian_part(_from_params(d, params))
+                for M, p in zip(built, params):
+                    assert M.tobytes() == hermitian_from_params(d, p).mat.tobytes()
 
     def test_digest_stable(self):
         A = HermitianMatrix.identity(2)
