@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _coerce, spectral_norm
+from .hermitian import HermitianMatrix, _coerce_all, spectral_norm
 
 
 class DifferenceBoundSet:
@@ -25,17 +25,12 @@ class DifferenceBoundSet:
     """
 
     def __init__(self, matrices: Sequence):
-        mats = [_coerce(M) for M in matrices]
-        if not mats:
-            raise ValueError("need at least one matrix")
-        d = mats[0].dim
-        if any(M.dim != d for M in mats):
-            raise ValueError("all matrices must share one dimension")
-        self.matrices = tuple(mats)
+        self.matrices = _coerce_all(matrices)
+        d = self.dim
         total = np.zeros((d, d), dtype=np.complex128)
-        for M in mats:
+        for M in self.matrices:
             total += M.mat @ M.mat
-        self.sum_of_squares = HermitianMatrix((total + total.conj().T) / 2.0)
+        self.sum_of_squares = HermitianMatrix(total)
         self.sigma_sq = spectral_norm(self.sum_of_squares)
 
     @property
@@ -208,13 +203,7 @@ def trace_mgf_estimate(samples: Sequence, theta_grid) -> TrMgfEstimate:
     exactly.  Overflow at extreme theta * |X| flags the grid point instead of
     failing the whole estimate.
     """
-    mats = [_coerce(M) for M in samples]
-    if not mats:
-        raise ValueError("need at least one sample")
-    d = mats[0].dim
-    if any(M.dim != d for M in mats):
-        raise ValueError("all samples must share one dimension")
-    evals = np.linalg.eigvalsh(np.stack([M.mat for M in mats]))  # (N, d)
+    evals = np.linalg.eigvalsh(np.stack([M.mat for M in _coerce_all(samples)]))  # (N, d)
     N = evals.shape[0]
     values, errs, flags = [], [], []
     for th in np.asarray(theta_grid, dtype=float):

@@ -16,6 +16,7 @@ import functools
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -55,6 +56,7 @@ from .hermitian import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     SpectralDomainError,
+    _write_json,
     matrix_from_obj,
     sample_ensemble,
 )
@@ -95,9 +97,12 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse "start:stop:step" or a comma list into a float grid."""
+    """Parse "start:stop:step" (finite, start <= stop, step > 0) or a comma list
+    into a float grid."""
     if ":" in text:
         start, stop, step = (float(tok) for tok in text.split(":"))
+        if not (all(map(math.isfinite, (start, stop, step))) and start <= stop and step > 0):
+            raise ConfigError(f"grid {text!r} needs finite start <= stop and step > 0")
         n = int(round((stop - start) / step))
         return [start + k * step for k in range(n + 1)]
     return [float(tok) for tok in text.split(",") if tok]
@@ -114,9 +119,7 @@ def _write_manifest(out_path: str, command: str, config: dict, seed):
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_path + ".manifest.json", manifest, indent=2)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
@@ -285,6 +288,7 @@ def cmd_dobrushin(args, config) -> int:
     if model_spec is None:
         raise ConfigError("dobrushin requires --model or a config with one")
     model = _model_from_spec(model_spec)
+    kmax = int(config.get("kmax", args.kmax))
     D = dobrushin_matrix(model)
     n1, ninf = matrix_norms(D)
     report = {
@@ -297,7 +301,6 @@ def cmd_dobrushin(args, config) -> int:
         report["c"] = dobrushin_constant(n1, ninf)
         B = b_matrix(D, model.n)
         report["b_matrix"] = [[float(x) for x in row] for row in B.entries]
-        kmax = int(config.get("kmax", args.kmax))
         cols = {}
         for j in range(model.n):
             col = b_power_column(B, kmax, j)
@@ -313,11 +316,8 @@ def cmd_dobrushin(args, config) -> int:
         report["c"] = None
         report["note"] = "interdependence norms >= 1; weak-dependence bound inapplicable"
     out = args.out or "dobrushin.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out, "dobrushin", {"model": str(model_spec), "kmax": args.kmax},
-                    args.seed)
+    _write_json(out, report, indent=2)
+    _write_manifest(out, "dobrushin", {"model": str(model_spec), "kmax": kmax}, args.seed)
     print(f"wrote {out} (norm1={n1:.6f}, norm_inf={ninf:.6f}, c={report['c']})")
     return EXIT_OK
 
@@ -334,13 +334,13 @@ def cmd_conjecture(args, config) -> int:
         entry = catalog_entry(entry_name)
     dims = _parse_range(config.get("dims", args.dims))
     budget = int(config.get("budget", args.budget))
-    result = counterexample_search(ineq, dims, budget, args.seed,
-                                   scale=float(config.get("scale", 1.0)), entry=entry)
+    scale = float(config.get("scale", 1.0))
+    result = counterexample_search(ineq, dims, budget, args.seed, scale=scale, entry=entry)
     out = args.out or "conjecture-result.json"
     save_search_result(out, result)
     _write_manifest(out, "conjecture",
                     {"ineq": ineq, "entry": getattr(entry, "name", None),
-                     "dims": dims, "budget": budget},
+                     "dims": dims, "budget": budget, "scale": scale},
                     args.seed)
     print(f"{result.inequality_id}: verdict={result.verdict} "
           f"best_gap={result.best_gap:.6e} certified_error={result.certified_error:.3e}")
@@ -377,9 +377,7 @@ def cmd_report(args, config) -> int:
     if not findings:
         print("no recognized artifacts found")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"findings": findings, "flagged": bad}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out, {"findings": findings, "flagged": bad}, indent=2)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 

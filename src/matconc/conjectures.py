@@ -14,7 +14,6 @@ refutation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,12 +24,11 @@ from .coupling import MatrixObservable, _observable_values
 from .dobrushin import DiscreteModel, EnumerationCapError, site_neighbours
 from .hermitian import (
     ENSEMBLE_KINDS,
-    EnsembleSpec,
     HermitianMatrix,
     SpectralDomainError,
     _apply_scalar,
     _certify,
-    _coerce,
+    _coerce_all,
     _commuting,
     _decompose,
     _draw,
@@ -38,8 +36,12 @@ from .hermitian import (
     _hermitian_part,
     _positive_part,
     _spectral,
+    _sub_rng,
     _to_params,
     _trace,
+    _trial,
+    _trial_grid,
+    _write_json,
     inputs_digest,
     matrix_to_obj,
 )
@@ -69,14 +71,6 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
         return CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown catalog entry {name!r}") from None
-
-
-def _certified_triple(A, B, C) -> np.ndarray:
-    """Certified A, B, C as one (3, d, d) stack."""
-    A, B, C = _coerce(A), _coerce(B), _coerce(C)
-    if not A.dim == B.dim == C.dim:
-        raise ValueError("dimension mismatch")
-    return np.stack([A.mat, B.mat, C.mat])
 
 
 def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[float, float]:
@@ -122,13 +116,13 @@ def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
 
     The ``CATALOG["exp"]`` case of :func:`gap_conjecture_f`, labelled ``expconj``.
     """
-    X = _certified_triple(A, B, C)
+    X = np.stack([M.mat for M in _coerce_all((A, B, C))])
     return _report("expconj", CATALOG["exp"], X, *_split_gap(X, CATALOG["exp"]), seed)
 
 
 def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapReport:
     """Split-part bound for a monotone convex f with spectra inside its domain."""
-    X = _certified_triple(A, B, C)
+    X = np.stack([M.mat for M in _coerce_all((A, B, C))])
     return _report("fconj", entry, X, *_split_gap(X, entry), seed)
 
 
@@ -236,13 +230,10 @@ def _commuting_triple(dim: int, scale: float, seed: int):
 
 def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
     """Certified (3, d, d) stack (A, B, C) of one random search instance."""
-    def generator():
-        return np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.int64)))
-
     if kind == "commuting-pair":
-        X = _commuting(generator(), dim, scale, 3)
+        X = _commuting(_sub_rng(rng), dim, scale, 3)
     else:
-        X = np.stack([_draw(kind, dim, scale, generator()) for _ in range(3)])
+        X = np.stack([_draw(kind, dim, scale, _sub_rng(rng)) for _ in range(3)])
     return _certify(X.astype(np.complex128))
 
 
@@ -264,12 +255,7 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
         raise ValueError("budget must be >= 1")
     if inequality_id == "fconj" and entry is None:
         raise ValueError("fconj search needs a catalog entry")
-    dims = tuple(int(d) for d in dims)
-    if not dims:
-        raise ValueError("dims must be nonempty")
-    for kind in ENSEMBLE_KINDS:
-        for dim in dims:
-            EnsembleSpec(kind, dim, scale)
+    kinds, dims = _trial_grid(ENSEMBLE_KINDS, dims, scale)
     descent_budget = budget if descent_budget is None else int(descent_budget)
     if inequality_id == "expconj":
         entry = CATALOG["exp"]
@@ -283,9 +269,7 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
 
     best = None  # (norm_gap, lhs, rhs, (A, B, C))
     for t in range(budget):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(t,)))
-        kind = ENSEMBLE_KINDS[t % len(ENSEMBLE_KINDS)]
-        dim = dims[(t // len(ENSEMBLE_KINDS)) % len(dims)]
+        rng, kind, dim = _trial(seed, t, kinds, dims)
         cand = evaluate(_random_instance(kind, dim, scale, rng))
         if best is None or cand[0] < best[0]:
             best = cand
@@ -370,6 +354,4 @@ def search_result_to_obj(result: SearchResult) -> dict:
 
 
 def save_search_result(path, result: SearchResult) -> None:
-    with open(path, "w") as fh:
-        json.dump(search_result_to_obj(result), fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+    _write_json(path, search_result_to_obj(result), indent=2)

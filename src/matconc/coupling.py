@@ -29,7 +29,7 @@ from .dobrushin import (
     other_axes_strides,
     site_neighbours,
 )
-from .hermitian import HermitianMatrix, _certify, _coerce, _hermitian_part
+from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for exhaustive pair-space loops
@@ -92,14 +92,9 @@ class RademacherSumObservable(MatrixObservable):
     """H(z) = sum_k z_k A_k for a fixed list of Hermitian coefficients."""
 
     def __init__(self, matrices: Sequence, bound_set: DifferenceBoundSet | None = None):
-        mats = [_coerce(M) for M in matrices]
-        if not mats:
-            raise ValueError("need at least one coefficient matrix")
-        self.dim = mats[0].dim
-        if any(M.dim != self.dim for M in mats):
-            raise ValueError("coefficient matrices must share one dimension")
-        self.matrices = tuple(mats)
-        self._stack = np.stack([M.mat for M in mats])
+        self.matrices = _coerce_all(matrices)
+        self.dim = self.matrices[0].dim
+        self._stack = np.stack([M.mat for M in self.matrices])
         self.bound_set = bound_set
 
     def __call__(self, values) -> np.ndarray:
@@ -164,7 +159,7 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
         Ai = bound_set.matrices[i].mat
         _, variants = site_neighbours(model, i)
         diff = H[:, None] - H[variants]
-        slack = _hermitian_part(HermitianMatrix(Ai @ Ai).mat - diff @ diff)
+        slack = _hermitian_part(_hermitian_part(Ai @ Ai) - diff @ diff)
         worst = min(worst, float(np.linalg.eigvalsh(slack)[..., 0].min()))
     return worst >= -tol, worst
 
@@ -406,20 +401,24 @@ def verify_property_P(model: DiscreteModel, steps: int,
     return PropertyPReport(max_dev <= tol, max_dev, steps, coupling)
 
 
-def _observable_values(model: DiscreteModel, f) -> np.ndarray:
-    """Evaluate an observable on every configuration, shape (S, d, d).
+def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
+    """One ``f.batch`` call on the value rows of every configuration, shape (S, d, d).
 
     ``itertools.product`` over the alphabets runs through the value tuples in
     flat (C) order.
     """
-    return np.stack([np.asarray(f(vals), dtype=np.complex128)
-                     for vals in itertools.product(*model.alphabets)])
+    rows = list(itertools.product(*model.alphabets))
+    return np.asarray(f.batch(rows), dtype=np.complex128)
 
 
-def _centered_values(model: DiscreteModel, f) -> np.ndarray:
+def _enumerated_mean(model: DiscreteModel, vals: np.ndarray) -> np.ndarray:
+    """Exact mean of the values of every configuration under the model."""
+    return np.einsum("s,sij->ij", model.flat_pmf(), vals)
+
+
+def _centered_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
     vals = _observable_values(model, f)
-    mean = np.einsum("s,sij->ij", model.flat_pmf(), vals)
-    return vals - mean
+    return vals - _enumerated_mean(model, vals)
 
 
 def _spectral_norm_raw(M: np.ndarray) -> float:
@@ -628,11 +627,6 @@ def _values_matrix(model: DiscreteModel, configs: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _enumerated_mean(model: DiscreteModel, observable: MatrixObservable) -> np.ndarray:
-    vals = _observable_values(model, observable)
-    return np.einsum("s,sij->ij", model.flat_pmf(), vals)
-
-
 def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
                      samples: int, seed: int,
                      mean_enum_cap: int = 65536) -> TailEstimate:
@@ -650,7 +644,7 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     source = "observable-exact"
     if mean is None:
         if model.size <= min(model.enum_cap, mean_enum_cap):
-            mean = _enumerated_mean(model, observable)
+            mean = _enumerated_mean(model, _observable_values(model, observable))
             source = "enumeration"
         else:
             rng_pilot = np.random.default_rng(pilot_ss)
@@ -680,9 +674,7 @@ def exhaustive_tail(model: DiscreteModel, observable: MatrixObservable,
 
     The confidence interval collapses to the exact value at every grid point.
     """
-    vals = _observable_values(model, observable)
-    mean = np.einsum("s,sij->ij", model.flat_pmf(), vals)
-    lam = np.linalg.eigvalsh(_hermitian_part(vals - mean))[..., -1]
+    lam = np.linalg.eigvalsh(_hermitian_part(_centered_values(model, observable)))[..., -1]
     mu = model.flat_pmf()
     t_arr = np.asarray(t_grid, dtype=float)
     probs = [float(mu[lam >= t].sum()) for t in t_arr]

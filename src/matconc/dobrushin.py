@@ -17,6 +17,8 @@ from math import prod
 
 import numpy as np
 
+from .hermitian import _write_json
+
 DEFAULT_ENUM_CAP = 1_000_000
 
 
@@ -389,9 +391,7 @@ def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel
 
 
 def save_model(path, model: DiscreteModel) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_obj(model), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, model_to_obj(model))
 
 
 def load_model(path, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel:

@@ -116,6 +116,17 @@ def _coerce(A) -> HermitianMatrix:
     return A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
 
 
+def _coerce_all(mats) -> tuple[HermitianMatrix, ...]:
+    """Public matrices certified Hermitian: a nonempty list of one dimension."""
+    mats = tuple(_coerce(M) for M in mats)
+    if not mats:
+        raise ValueError("need at least one matrix")
+    for M in mats[1:]:
+        if M.dim != mats[0].dim:
+            raise ValueError(f"dimension mismatch: {mats[0].dim} vs {M.dim}")
+    return mats
+
+
 # ---------------------------------------------------------------------------
 # Spectral core on raw (..., d, d) stacks.  Inputs are certified once where
 # they enter the library; these kernels trust them and re-check nothing but
@@ -299,9 +310,7 @@ def pos_neg_parts(A) -> tuple[HermitianMatrix, HermitianMatrix]:
 
 def psd_order_leq(A, B, tol: float = 1e-10) -> LoewnerCheck:
     """Test A <= B in the Loewner order: holds iff lambda_min(B - A) >= -tol."""
-    A, B = _coerce(A), _coerce(B)
-    if A.dim != B.dim:
-        raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    A, B = _coerce_all((A, B))
     lam_min = float(np.linalg.eigvalsh(B.mat - A.mat)[0])
     return LoewnerCheck(lam_min >= -tol, lam_min)
 
@@ -391,6 +400,29 @@ def _draw(kind: str, d: int, scale: float, rng: np.random.Generator):
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
+def _trial_grid(kinds, dims, scale: float) -> tuple[tuple, tuple]:
+    """The (kind, dim) grid of a seeded trial run; every cell must be a valid ensemble."""
+    kinds, dims = tuple(kinds), tuple(int(d) for d in dims)
+    if not kinds or not dims:
+        raise ValueError("kinds and dims must be nonempty")
+    for kind in kinds:
+        for dim in dims:
+            EnsembleSpec(kind, dim, scale)
+    return kinds, dims
+
+
+def _trial(seed: int, t: int, kinds: tuple, dims: tuple):
+    """(generator, kind, dim) of trial t: the seed spawned at key t, and the
+    grid cell that cycles kinds fastest, then dims."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(t),)))
+    return rng, kinds[t % len(kinds)], dims[(t // len(kinds)) % len(dims)]
+
+
+def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
+    """The generator of one drawn matrix, seeded by a 63-bit draw from the trial's."""
+    return np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.int64)))
+
+
 def sample_ensemble(spec: EnsembleSpec):
     """Draw from the ensemble; ``commuting-pair`` returns a pair sharing a basis."""
     out = _draw(spec.kind, spec.dim, spec.scale, np.random.default_rng(int(spec.seed)))
@@ -460,10 +492,19 @@ def matrix_from_obj(obj: dict) -> HermitianMatrix:
     return HermitianMatrix(arr)
 
 
-def save_matrix(path, A) -> None:
+def _write_json(path, obj, indent: int | None = None) -> None:
+    """Write a data file: sorted keys, floats for numpy scalars, a trailing newline.
+
+    Matrix and model files are compact (``indent=None``); reports, witnesses
+    and manifests use ``indent=2``.
+    """
     with open(path, "w") as fh:
-        json.dump(matrix_to_obj(A), fh, sort_keys=True)
+        json.dump(obj, fh, sort_keys=True, indent=indent, default=float)
         fh.write("\n")
+
+
+def save_matrix(path, A) -> None:
+    _write_json(path, matrix_to_obj(A))
 
 
 def load_matrix(path) -> HermitianMatrix:

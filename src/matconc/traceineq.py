@@ -8,7 +8,6 @@ ensembles and persists any violating input as a replayable witness file.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -18,14 +17,18 @@ from .hermitian import (
     EnsembleSpec,
     LoewnerCheck,
     _certify,
-    _coerce,
+    _coerce_all,
     _decompose,
     _draw,
     _exp,
     _hermitian_part,
     _positive_part,
     _psd_powers,
+    _sub_rng,
     _trace,
+    _trial,
+    _trial_grid,
+    _write_json,
     inputs_digest,
     matrix_to_obj,
 )
@@ -73,11 +76,7 @@ class FuzzSummary:
 
 def _certified(*mats) -> list[np.ndarray]:
     """Public inputs certified Hermitian, of one dimension, as stacks of one."""
-    mats = [_coerce(M) for M in mats]
-    for M in mats[1:]:
-        if M.dim != mats[0].dim:
-            raise ValueError(f"dimension mismatch: {mats[0].dim} vs {M.dim}")
-    return [M.mat[None] for M in mats]
+    return [M.mat[None] for M in _coerce_all(mats)]
 
 
 def _anchor(lhs: float, rhs: float) -> float:
@@ -280,7 +279,7 @@ def _square_pair(P, Q) -> tuple[np.ndarray, np.ndarray]:
     P = np.asarray(P, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     if P.shape != Q.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"dimension mismatch: {P.shape} vs {Q.shape}")
+        raise ValueError(f"expected two square matrices of one shape, got {P.shape}, {Q.shape}")
     return P, Q
 
 
@@ -307,11 +306,6 @@ def gap_trace_quad(P, Q, R, S, seed=None) -> TraceGapReport:
 _HOLDER_P_POOL = (0.0, 0.25, 0.5, 0.75, 1.0, 0.7071067811865476)
 
 
-def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial),))
-    return np.random.default_rng(ss)
-
-
 def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
                 rng: np.random.Generator):
     """Uncertified input draws and scalar parameters of one fuzz trial.
@@ -321,16 +315,13 @@ def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
     the master seed and the trial index.
     """
 
-    def generator():
-        return np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.int64)))
-
     def draw():
-        out = _draw(kind, dim, scale, generator())
+        out = _draw(kind, dim, scale, _sub_rng(rng))
         return out[0] if kind == "commuting-pair" else out
 
     def draw_pair():
         if kind == "commuting-pair":
-            return _draw(kind, dim, scale, generator())
+            return _draw(kind, dim, scale, _sub_rng(rng))
         return draw(), draw()
 
     if inequality_id in ("psd_cross", "trace_quad"):
@@ -403,9 +394,7 @@ def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int,
     }
     if matrices:
         obj["matrices"] = matrices
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+    _write_json(path, obj, indent=2)
     return path
 
 
@@ -413,17 +402,14 @@ def _fuzz_block(inequality_id, trials, kinds, dims, scale, seed) -> dict:
     """trial -> (its evaluated stack, index in it, kind, dim) for a block of trials."""
     cells = {}
     for t in trials:
-        dim = dims[(t // len(kinds)) % len(dims)]
-        cells.setdefault(dim, []).append(t)
+        rng, kind, dim = _trial(seed, t, kinds, dims)
+        mats, scalars = _draw_trial(inequality_id, kind, dim, scale, rng)
+        cells.setdefault(dim, []).append((t, kind, mats, scalars))
     out = {}
-    for dim, ts in cells.items():
-        cell_kinds = [kinds[t % len(kinds)] for t in ts]
-        draws = [_draw_trial(inequality_id, kind, dim, scale, _trial_rng(seed, t))
-                 for t, kind in zip(ts, cell_kinds)]
-        mats = [_certify(np.array(slot, dtype=np.complex128))
-                for slot in zip(*(m for m, _ in draws))]
-        scalars = list(zip(*(s for _, s in draws)))
-        gaps = _evaluate_trials(inequality_id, mats, scalars, scale)
+    for dim, cell in cells.items():
+        ts, cell_kinds, mats, scalars = zip(*cell)
+        stacks = [_certify(np.array(slot, dtype=np.complex128)) for slot in zip(*mats)]
+        gaps = _evaluate_trials(inequality_id, stacks, list(zip(*scalars)), scale)
         for i, (t, kind) in enumerate(zip(ts, cell_kinds)):
             out[t] = (gaps, i, kind, dim)
     return out
@@ -439,17 +425,11 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
     dim and folded in trial order.  A trial violates when
     gap < -tol * anchor; violating inputs are persisted to ``witness_dir``.
     """
-    kinds = tuple(kinds)
-    dims = tuple(int(d) for d in dims)
-    if not kinds or not dims:
-        raise ValueError("kinds and dims must be nonempty")
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality id {inequality_id!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for kind in kinds:
-        for dim in dims:
-            EnsembleSpec(kind, dim, scale)
+    kinds, dims = _trial_grid(kinds, dims, scale)
     min_norm = np.inf
     min_raw = np.inf
     argmin_digest = ""
@@ -500,6 +480,4 @@ def fuzz_summary_to_obj(summary: FuzzSummary) -> dict:
 
 
 def save_fuzz_summary(path, summary: FuzzSummary) -> None:
-    with open(path, "w") as fh:
-        json.dump(fuzz_summary_to_obj(summary), fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+    _write_json(path, fuzz_summary_to_obj(summary), indent=2)

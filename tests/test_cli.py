@@ -22,6 +22,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def config_digest(out):
+    with open(f"{out}.manifest.json") as fh:
+        return json.load(fh)["config_digest"]
+
+
 def data_files(root):
     out = {}
     for dirpath, _, names in os.walk(root):
@@ -82,6 +87,14 @@ class TestBoundCommand:
             assert run(["bound", "--d", 3, "--sigma-sq", 2, "--t", "0:3:0.5",
                         "--out", o]) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
+        # a zero step once divided by zero (exit 3); a negative one wrote an empty table
+        out = tmp_path / "b.csv"
+        assert run(["bound", "--t", grid, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -181,6 +194,20 @@ class TestDobrushinCommand:
 
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["dobrushin", "--out", tmp_path / "rep.json"]) == 2
+
+    def test_manifest_digests_the_kmax_run(self, tmp_path, ising_model_file):
+        digests = {}
+        for label, kmax in (("k3", 3), ("k20", 20), ("default", None)):
+            argv = ["dobrushin", "--model", ising_model_file, "--out", tmp_path / label]
+            if kmax is not None:
+                cfg = tmp_path / f"{label}.cfg.json"
+                cfg.write_text(json.dumps({"kmax": kmax}))
+                argv += ["--config", cfg]
+            assert run(argv) == 0
+            assert json.loads((tmp_path / label).read_text())["b_power_columns"]["k"] == \
+                (20 if kmax is None else kmax)
+            digests[label] = config_digest(tmp_path / label)
+        assert digests["k3"] != digests["k20"] == digests["default"]
 
 
 class TestMcTailCommand:
@@ -313,6 +340,17 @@ class TestConjectureCommand:
 
     def test_unknown_ineq(self, tmp_path):
         assert run(["conjecture", "--ineq", "nope", "--out", tmp_path / "r.json"]) == 2
+
+    def test_manifest_digests_the_scale_run(self, tmp_path):
+        digests = []
+        for scale in (1.0, 2.0):
+            cfg = tmp_path / f"s{scale}.cfg.json"
+            cfg.write_text(json.dumps({"scale": scale}))
+            out = tmp_path / f"r{scale}.json"
+            assert run(["conjecture", "--dims", "2..2", "--budget", 6, "--seed", 3,
+                        "--config", cfg, "--out", out]) == 0
+            digests.append(config_digest(out))
+        assert digests[0] != digests[1]
 
     def test_determinism(self, tmp_path):
         o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"

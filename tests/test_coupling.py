@@ -447,6 +447,16 @@ class TestExhaustiveTail:
             assert p == pytest.approx(expect, abs=1e-12)
         assert est.ci_low == est.empirical == est.ci_high
 
+    def test_batched_values_equal_per_state_calls(self):
+        # one batch call over every state gives the per-state loop's bits
+        from matconc.coupling import _observable_values
+        for n in range(1, 13):
+            for d in (1, 2, 3, 5, 8):
+                model = DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n)
+                obs = RademacherSumObservable([draw(d, 1000 * n + 10 * d + k) for k in range(n)])
+                loop = np.stack([obs(vals) for vals in itertools.product(*model.alphabets)])
+                assert _observable_values(model, obs).tobytes() == loop.tobytes(), (n, d)
+
     def test_mc_converges_to_exhaustive(self):
         from matconc.coupling import exhaustive_tail
         model = ising2(0.3)

@@ -306,6 +306,15 @@ class TestNormRecursion:
 
 
 class TestModelSerialization:
+    def test_save_model_bytes_pinned(self, tmp_path):
+        # compact, sorted keys, one trailing newline
+        path = tmp_path / "model.json"
+        save_model(path, DiscreteModel.from_product([(0, 1), (-1.0, 2.5)],
+                                                    [[0.25, 0.75], [0.5, 0.5]]))
+        assert path.read_bytes() == (
+            b'{"alphabets": [[0, 1], [-1.0, 2.5]], "n": 2, '
+            b'"weight": {"kind": "product", "pmfs": [[0.25, 0.75], [0.5, 0.5]]}}\n')
+
     def test_table_roundtrip(self, tmp_path):
         m = ising2(0.4)
         path = tmp_path / "model.json"

@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from matconc.bounds import DifferenceBoundSet, trace_mgf_estimate
+from matconc.conjectures import gap_conjecture_exp
+from matconc.coupling import RademacherSumObservable
 from matconc.hermitian import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -15,6 +18,7 @@ from matconc.hermitian import (
     _from_params,
     _hermitian_part,
     _to_params,
+    _trial,
     hermitian_from_params,
     hermitian_to_params,
     inputs_digest,
@@ -33,6 +37,7 @@ from matconc.hermitian import (
     spectral_norm,
     trace_real,
 )
+from matconc.traceineq import gap_exchangeable
 
 
 def random_hermitian(d, rng, scale=1.0):
@@ -300,6 +305,13 @@ class TestEnsembles:
 
 
 class TestSerialization:
+    def test_save_matrix_bytes_pinned(self, tmp_path):
+        # compact, sorted keys, one trailing newline
+        path = tmp_path / "m.json"
+        save_matrix(path, HermitianMatrix([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]]))
+        assert path.read_bytes() == (b'{"dim": 2, "entries": [[[1.0, 0.0], [2.0, -1.0]], '
+                                     b'[[2.0, 1.0], [-0.5, 0.0]]]}\n')
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)
         A = random_hermitian(3, rng)
@@ -355,3 +367,59 @@ class TestSerialization:
         A = HermitianMatrix.identity(2)
         assert inputs_digest([A]) == inputs_digest([A])
         assert inputs_digest([A]) != inputs_digest([A], {"k": 2})
+
+
+class TestSharedBoundaryHelpers:
+    """Certified input lists and the seeded trial scheme have one definition each."""
+
+    ENTRY_POINTS = {
+        "traceineq": lambda ms: gap_exchangeable(*ms),
+        "conjectures": lambda ms: gap_conjecture_exp(*ms),
+        "DifferenceBoundSet": lambda ms: DifferenceBoundSet(ms).sum_of_squares.mat.tobytes(),
+        "trace_mgf_estimate": lambda ms: trace_mgf_estimate(ms, [-0.5, 0.0, 1.0]),
+        "RademacherSumObservable":
+            lambda ms: RademacherSumObservable(ms).batch([[1.0, -1.0, 1.0]]).tobytes(),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_points_certify_alike(self, entry):
+        fn = self.ENTRY_POINTS[entry]
+        rng = np.random.default_rng(61)
+        mats = [random_hermitian(3, rng, 0.5) for _ in range(3)]
+        assert fn(mats) == fn([np.array(M.mat) for M in mats])
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            fn(mats[:2] + [random_hermitian(2, rng)])
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            fn([np.array(M.mat) for M in mats[:2]] + [np.eye(2)])
+        with pytest.raises(HermiticityError):
+            fn(mats[:2] + [[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+
+    def test_trial_generator_and_cell(self):
+        kinds, dims = ENSEMBLE_KINDS, (2, 3, 5)
+        for t in range(40):
+            rng, kind, dim = _trial(77, t, kinds, dims)
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(t,)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert (kind, dim) == (kinds[t % 6], dims[(t // 6) % 3])
+
+    def test_fuzzer_and_search_derive_trial_t_alike(self, monkeypatch):
+        import matconc.conjectures as conjectures
+        import matconc.traceineq as traceineq
+
+        for name in ("_trial", "_trial_grid", "_sub_rng"):
+            assert getattr(traceineq, name) is getattr(conjectures, name)
+        seen = {"fuzz": [], "search": []}
+
+        def recording(key):
+            def trial(seed, t, kinds, dims):
+                rng, kind, dim = _trial(seed, t, kinds, dims)
+                seen[key].append((t, kind, dim, str(rng.bit_generator.state)))
+                return rng, kind, dim
+            return trial
+
+        monkeypatch.setattr(traceineq, "_trial", recording("fuzz"))
+        monkeypatch.setattr(conjectures, "_trial", recording("search"))
+        traceineq.fuzz_grid("exchangeable", ENSEMBLE_KINDS, (2, 3), 20, 1.0, 5)
+        conjectures.counterexample_search("expconj", (2, 3), 20, 5, descent_budget=0)
+        assert len(seen["fuzz"]) == 20
+        assert sorted(seen["fuzz"]) == sorted(seen["search"])
