@@ -80,8 +80,10 @@ def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[float, float]:
     and the spectral parts of C and D; the weights are (C+^2 + D+^2)/2 on
     f'(A) and (C-^2 + D-^2)/2 on f'(B).  The difference of two certified
     matrices is its own Hermitian part, bit for bit, so D needs no
-    certification.  Spectra of A, B outside the entry's domain, and f or f'
-    values that could overflow, raise :class:`SpectralDomainError`.
+    certification.  Spectra of A, B outside the entry's domain, f or f'
+    values that could overflow, and a lhs or rhs that is not finite raise
+    :class:`SpectralDomainError`; the eigenvalue it names is the one of
+    largest modulus.
     """
     M = np.concatenate([X, X[:1] - X[1:2]])
     w, U = _decompose(M)
@@ -95,10 +97,14 @@ def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[float, float]:
     fpAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f_prime, w[:2])))
     Cp, Dp = _positive_part(w[2:], U[2:])
     Cm, Dm = _positive_part(-w[2:], U[2:])
-    w_pos = (Cp @ Cp + Dp @ Dp) / 2.0
-    w_neg = (Cm @ Cm + Dm @ Dm) / 2.0
-    lhs = float(_trace(M[2] @ (fAB[0] - fAB[1])))
-    rhs = float(_trace(w_pos @ fpAB[0]) + _trace(w_neg @ fpAB[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        w_pos = (Cp @ Cp + Dp @ Dp) / 2.0
+        w_neg = (Cm @ Cm + Dm @ Dm) / 2.0
+        lhs = float(_trace(M[2] @ (fAB[0] - fAB[1])))
+        rhs = float(_trace(w_pos @ fpAB[0]) + _trace(w_neg @ fpAB[1]))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        big = w.flat[int(np.abs(w).argmax())]
+        raise SpectralDomainError(big, "split-part bound not finite")
     return lhs, rhs
 
 

@@ -25,6 +25,7 @@ from .bounds import DifferenceBoundSet
 from .dobrushin import (
     DiscreteModel,
     EnumerationCapError,
+    _site_split,
     conditional_table,
     other_axes_strides,
     site_neighbours,
@@ -205,18 +206,27 @@ def maximal_coupling(p, q, rng) -> tuple[int, int]:
     return int(a[0]), int(b[0])
 
 
+def _ordered_sum(terms) -> np.ndarray:
+    """Elementwise sum of equally shaped arrays, added one at a time in the given order."""
+    terms = iter(terms)
+    total = np.array(next(terms), dtype=float)
+    for t in terms:
+        total += t
+    return total
+
+
 def maximal_coupling_joint(p, q) -> np.ndarray:
     """Exact joint law of the maximal coupling: diag overlap + residual product.
 
     Broadcasts over leading axes: pmfs of shape (..., m) give joints of shape
-    (..., m, m).
+    (..., m, m).  The overlap mass sums the values in order 0, 1, ..., m - 1.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape[-1:] != q.shape[-1:]:
         raise ValueError("support mismatch")
     mins = np.minimum(p, q)
-    z = 1.0 - mins.sum(axis=-1)
+    z = 1.0 - _ordered_sum(np.moveaxis(mins, -1, 0))
     zsafe = np.where(z > 1e-15, z, np.inf)[..., None, None]  # no residual mass left
     J = (p - mins)[..., :, None] * (q - mins)[..., None, :] / zsafe
     m = mins.shape[-1]
@@ -319,6 +329,14 @@ class PairEvolver:
     For the greedy coupling each site carries the exact maximal-coupling joint
     of the two conditionals; for the synchronized-refresh coupling both chains
     receive one shared fresh value.
+
+    Site i's joint is stored value-major, shape (m, m, K, K) with K = S / m:
+    block ``[a, b]`` holds P(x_i <- a, y_i <- b) for every pair of
+    conditional rows (r_x, r_y) of :func:`conditional_table`, bit for bit the
+    :func:`maximal_coupling_joint` entry.  All sites together hold n S^2
+    floats, hence the cap S <= 512.  ``step`` reads a C-contiguous ``nu``
+    through the strided view (high, m, low, high, m, low) of site i, without
+    a copy.
     """
 
     def __init__(self, model: DiscreteModel, coupling: str = "greedy"):
@@ -333,29 +351,52 @@ class PairEvolver:
         self.coupling = coupling
         self._joints = []
         for i in range(model.n):
-            rows = conditional_table(model, i)  # (K, m)
+            rt = conditional_table(model, i).T  # (m, K): rt[a, r] = P(x_i = a | row r)
+            m, K = rt.shape
             if coupling == "independent":  # one shared value: the pmf coupled with itself
-                K, m = rows.shape
-                J = np.broadcast_to(maximal_coupling_joint(rows[0], rows[0]), (K, K, m, m))
-            else:
-                J = maximal_coupling_joint(rows[:, None, :], rows[None, :, :])
+                J0 = maximal_coupling_joint(rt[:, 0], rt[:, 0])
+                self._joints.append(np.broadcast_to(J0[:, :, None, None], (m, m, K, K)))
+                continue
+            # maximal_coupling_joint's expression per (a, b) block, in its order;
+            # the residual product (p - min)(q - min) is exactly 0 at equal values,
+            # so a diagonal block is the overlap min(p, q) alone
+            p, q = rt[:, :, None], rt[:, None, :]
+            J = np.empty((m, m, K, K))
+            mins = [np.minimum(p[a], q[a], out=J[a, a]) for a in range(m)]
+            z = _ordered_sum(mins)  # the overlap mass, then 1 - overlap in place
+            np.subtract(1.0, z, out=z)
+            z[~(z > 1e-15)] = np.inf  # no residual mass left
+            rq = np.empty((K, K))
+            for b in range(m):
+                np.subtract(q[b], mins[b], out=rq)
+                for a in range(m):
+                    if a != b:
+                        block = np.subtract(p[a], mins[a], out=J[a, b])
+                        block *= rq
+                        block /= z
             self._joints.append(J)
 
     def step(self, nu: np.ndarray) -> np.ndarray:
-        """One coupled Gibbs step, averaged over the uniformly picked site."""
+        """One coupled Gibbs step, averaged over the uniformly picked site.
+
+        At site i the mass of each pair of conditional rows is the sum of the
+        m^2 value slices of ``nu``, added in a-major (a, b) order; sites are
+        accumulated in order and the total is divided by n once.
+        """
         model = self.model
-        n = model.n
-        tensor = nu.reshape(model.sizes + model.sizes)
-        out = np.zeros_like(tensor)
-        for i in range(n):
-            m = model.sizes[i]
-            K = model.size // m
-            T = np.moveaxis(tensor, (i, n + i), (2 * n - 2, 2 * n - 1))
-            lead_shape = T.shape[:-2]
-            mass = T.reshape(K, K, m, m).sum(axis=(2, 3))
-            new = (mass[:, :, None, None] * self._joints[i]).reshape(lead_shape + (m, m))
-            out += np.moveaxis(new, (2 * n - 2, 2 * n - 1), (i, n + i))
-        return (out / n).reshape(model.size, model.size)
+        S = model.size
+        out = np.zeros((S, S))
+        for i, J in enumerate(self._joints):
+            high, m, low = _site_split(model, i)
+            shape = (high, m, low, high, m, low)
+            v, w = nu.reshape(shape), out.reshape(shape)
+            Jv = J.reshape(m, m, high, low, high, low)
+            pairs = [(a, b) for a in range(m) for b in range(m)]
+            mass = _ordered_sum(v[:, a, :, :, b, :] for a, b in pairs)
+            for a, b in pairs:
+                w[:, a, :, :, b, :] += mass * Jv[a, b]
+        out /= model.n
+        return out
 
     def delta(self, x_flat: int, y_flat: int) -> np.ndarray:
         nu = np.zeros((self.model.size, self.model.size))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -195,6 +196,16 @@ def conditional_table(model: DiscreteModel, i: int) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _site_split(model: DiscreteModel, i: int) -> tuple[int, int, int]:
+    """(high, m_i, low): flat state s = (h, x_i, l) in C order, h < high, l < low.
+
+    The site-i conditional row of s is ``h * low + l``, whatever x_i is.
+    """
+    m = model.sizes[i]
+    high = prod(model.sizes[:i])
+    return high, m, model.size // (high * m)
+
+
 def site_neighbours(model: DiscreteModel, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Site-i conditionals and single-site variants of every flat state.
 
@@ -202,10 +213,7 @@ def site_neighbours(model: DiscreteModel, i: int) -> tuple[np.ndarray, np.ndarra
     :func:`conditional_table` row of state s, and ``variants[s, v]`` is the
     flat index of s with site i set to v.  Memory is O(S m_i).
     """
-    m = model.sizes[i]
-    high = prod(model.sizes[:i])
-    low = model.size // (high * m)  # C-order stride of site i
-    # flat state s = (h, x_i, l): its conditional row is h * low + l, whatever x_i is
+    high, m, low = _site_split(model, i)  # low is the C-order stride of site i
     shape = (high, m, low, m)
     cond = np.broadcast_to(conditional_table(model, i).reshape(high, 1, low, m), shape)
     base = np.arange(0, model.size, m * low)[:, None] + np.arange(low)  # x_i = 0
@@ -252,20 +260,25 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     """Entrywise-tight interdependence matrix from single-swap sensitivities.
 
     d_ij is the max total-variation change of the conditional at site i over
-    configuration pairs differing only at site j, read off the site-i
-    conditionals of every state and of its site-j variants.  The defining
-    multi-site inequality follows from these entries by the triangle
-    inequality along a path of single-site changes, so it is not re-checked
-    at run time; the tests keep an all-pairs oracle for it.
+    configuration pairs differing only at site j.  With the site-i
+    conditionals as an array over the other sites' values, those pairs are
+    two slices at values a < b of site j's axis.  The defining multi-site
+    inequality follows from these entries by the triangle inequality along a
+    path of single-site changes, so it is not re-checked at run time; the
+    tests keep an all-pairs oracle for it.
     """
     n = model.n
     D = np.zeros((n, n))
-    tables = [site_neighbours(model, i) for i in range(n)]
-    for i, (cond, _) in enumerate(tables):
-        for j, (_, variants) in enumerate(tables):
-            if j != i:
-                tv = 0.5 * np.abs(cond[:, None, :] - cond[variants]).sum(axis=-1)
-                D[i, j] = float(tv.max())
+    for i in range(n):
+        others = model.sizes[:i] + model.sizes[i + 1:]
+        T = conditional_table(model, i).reshape(others + (model.sizes[i],))
+        for j in range(n):
+            if j == i:
+                continue
+            ax = j if j < i else j - 1
+            tv = (0.5 * np.abs(np.take(T, a, axis=ax) - np.take(T, b, axis=ax)).sum(axis=-1)
+                  for a, b in combinations(range(model.sizes[j]), 2))
+            D[i, j] = max((float(t.max()) for t in tv), default=0.0)
     return InterdependenceMatrix(np.clip(D, 0.0, 1.0))
 
 

@@ -352,6 +352,16 @@ class TestConjectureCommand:
             digests.append(config_digest(out))
         assert digests[0] != digests[1]
 
+    def test_overflowing_gap_exits_numerical(self, tmp_path, capsys):
+        # at scale 1e150 the square entry's f(A) is finite but C f(A) is not
+        cfg = tmp_path / "big.cfg.json"
+        cfg.write_text(json.dumps({"scale": 1e150}))
+        out = tmp_path / "r.json"
+        assert run(["conjecture", "--ineq", "fconj", "--entry", "square", "--dims", "2..2",
+                    "--budget", 5, "--config", cfg, "--out", out]) == 3
+        assert "split-part bound not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for o in (o1, o2):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ class TestConjectureF:
         cube = HermitianMatrix.diagonal([5e102, 1.0])  # x^3 near 1.25e308
         with pytest.raises(SpectralDomainError):
             gap_conjecture_f(cube, B, one, CATALOG["cube"])
+
+    def test_overflowing_products_are_a_domain_error(self):
+        # f and f' are finite, but C f(A) and the weighted f'(A) overflow: lhs and
+        # rhs would be inf and the gap NaN, which never wins a search's comparison
+        A = HermitianMatrix.diagonal([1e153, 0.0])
+        B = HermitianMatrix.diagonal([0.0, 1.0])
+        C = HermitianMatrix(1e3 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralDomainError) as exc:
+                gap_conjecture_f(A, B, C, CATALOG["square"])
+        assert exc.value.eigenvalue == 1e153
 
     @pytest.mark.parametrize("name", ["square", "cube", "quartic"])
     def test_psd_inputs_supported(self, name):

@@ -6,6 +6,7 @@ import pytest
 
 from matconc.bounds import DifferenceBoundSet, hoeffding_bound
 from matconc.coupling import (
+    PairEvolver,
     RademacherSumObservable,
     SteinPairSpec,
     TableObservable,
@@ -31,12 +32,43 @@ from matconc.coupling import (
     wilson_interval,
     _maximal_coupling_rows,
 )
-from matconc.dobrushin import DiscreteModel, b_matrix, b_power_column, dobrushin_matrix
+from matconc.dobrushin import (
+    DiscreteModel,
+    EnumerationCapError,
+    b_matrix,
+    b_power_column,
+    conditional_table,
+    dobrushin_matrix,
+)
 from matconc.hermitian import EnsembleSpec, HermitianMatrix, sample_ensemble
 
 
 def ising2(beta=0.25):
     return DiscreteModel.from_ising([[0.0, beta], [beta, 0.0]])
+
+
+def ising4_field():
+    J = np.zeros((4, 4))
+    for i, j, c in [(0, 1, 0.3), (1, 2, -0.25), (2, 3, 0.2), (0, 3, 0.15), (0, 2, -0.1)]:
+        J[i, j] = J[j, i] = c
+    return DiscreteModel.from_ising(J, [0.2, -0.1, 0.05, -0.3])
+
+
+def mixed_table():
+    rng = np.random.default_rng(11)
+    return DiscreteModel.from_table([(0, 1, 2), (0, 1), (0, 1, 2, 3)],
+                                    rng.uniform(0.1, 2.0, (3, 2, 4)))
+
+
+def alphabet9():
+    # 9 values: past the length where NumPy's own sums stop adding in order
+    rng = np.random.default_rng(4)
+    return DiscreteModel.from_table([tuple(range(9)), (0, 1)], rng.uniform(0.1, 2.0, (9, 2)))
+
+
+def product3():
+    return DiscreteModel.from_product([(0, 1, 2), (0, 1), (0, 1, 2)],
+                                      [[0.2, 0.3, 0.5], [0.6, 0.4], [0.1, 0.6, 0.3]])
 
 
 def product2():
@@ -269,15 +301,95 @@ class TestPropertyP:
 
     def test_greedy_marginal_is_gibbs_kernel(self):
         # one-step marginal of each chain alone equals the exact Gibbs kernel
-        from matconc.coupling import PairEvolver
-        m = ising2(0.4)
-        ev = PairEvolver(m, "greedy")
-        G = gibbs_kernel(m)
-        for x in range(m.size):
-            for y in range(m.size):
-                nu = ev.step(ev.delta(x, y))
-                assert np.abs(nu.sum(axis=1) - G[x]).max() <= 1e-12
-                assert np.abs(nu.sum(axis=0) - G[y]).max() <= 1e-12
+        for m in (ising2(0.4), ising4_field()):
+            ev = PairEvolver(m, "greedy")
+            G = gibbs_kernel(m)
+            for x in range(m.size):
+                for y in range(m.size):
+                    nu = ev.step(ev.delta(x, y))
+                    assert np.abs(nu.sum(axis=1) - G[x]).max() <= 1e-12
+                    assert np.abs(nu.sum(axis=0) - G[y]).max() <= 1e-12
+
+
+def random_pair_pmf(model, seed):
+    nu = np.random.default_rng(seed).random((model.size, model.size))
+    return nu / nu.sum()
+
+
+class TestPairEvolver:
+    CASES = [(mixed_table, "greedy"), (ising4_field, "greedy"), (product3, "independent")]
+
+    @pytest.mark.parametrize("make,coupling", CASES, ids=["mixed", "ising4", "product3"])
+    def test_matches_per_state_loop(self, make, coupling):
+        # nu'[x <- a, y <- b] += nu[x, y] J_i(x, y)[a, b] / n, one state pair at a time
+        model = make()
+        nu = random_pair_pmf(model, 3)
+        expect = np.zeros_like(nu)
+        for x in range(model.size):
+            for y in range(model.size):
+                cx, cy = model.config_from_flat(x), model.config_from_flat(y)
+                for i in range(model.n):
+                    p, q = model.conditional(i, cx), model.conditional(i, cy)
+                    J = maximal_coupling_joint(p, q) if coupling == "greedy" \
+                        else np.diag(p)  # one shared fresh value
+                    for a in range(model.sizes[i]):
+                        for b in range(model.sizes[i]):
+                            xa, yb = list(cx), list(cy)
+                            xa[i], yb[i] = a, b
+                            expect[model.flat_from_config(xa), model.flat_from_config(yb)] += \
+                                nu[x, y] * J[a, b] / model.n
+        got = PairEvolver(model, coupling).step(nu)
+        assert np.abs(got - expect).max() <= 4 * model.n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("make,coupling", CASES + [(alphabet9, "greedy")],
+                             ids=["mixed", "ising4", "product3", "alphabet9"])
+    def test_joint_blocks_are_maximal_coupling_bits(self, make, coupling):
+        model = make()
+        ev = PairEvolver(model, coupling)
+        for i, J in enumerate(ev._joints):
+            rows = conditional_table(model, i)
+            K, m = rows.shape
+            assert J.shape == (m, m, K, K)
+            for rx in range(K):
+                for ry in range(K):
+                    q = rows[ry] if coupling == "greedy" else rows[rx]
+                    assert np.array_equal(J[:, :, rx, ry], maximal_coupling_joint(rows[rx], q))
+
+    @pytest.mark.parametrize("make,coupling", CASES, ids=["mixed", "ising4", "product3"])
+    def test_step_sums_in_documented_order(self, make, coupling):
+        # per site: mass of each row pair added over (a, b) in a-major order,
+        # then mass * J[a, b] added into the pair's slot; sites in order, / n once
+        model = make()
+        ev = PairEvolver(model, coupling)
+        nu = random_pair_pmf(model, 5)
+        out = np.zeros_like(nu)
+        for i in range(model.n):
+            m = model.sizes[i]
+            K = model.size // m
+            low = math.prod(model.sizes[i + 1:])
+            # flat state x = (h, x_i, l) -> (its conditional row h * low + l, x_i)
+            rows = {x: ((x // (m * low)) * low + x % low, (x // low) % m)
+                    for x in range(model.size)}
+            mass = np.zeros((K, K))
+            for a in range(m):
+                for b in range(m):
+                    for x in range(model.size):
+                        for y in range(model.size):
+                            (rx, ax), (ry, by) = rows[x], rows[y]
+                            if (ax, by) == (a, b):
+                                mass[rx, ry] = mass[rx, ry] + nu[x, y]
+            for x in range(model.size):
+                rx, a = rows[x]
+                for y in range(model.size):
+                    ry, b = rows[y]
+                    out[x, y] = out[x, y] + mass[rx, ry] * ev._joints[i][a, b, rx, ry]
+        assert np.array_equal(ev.step(nu), out / model.n)
+
+    def test_state_cap(self):
+        J = np.full((10, 10), 0.05) - 0.05 * np.eye(10)
+        with pytest.raises(EnumerationCapError):
+            PairEvolver(DiscreteModel.from_ising(J))  # 1024 states
+        assert PairEvolver(DiscreteModel.from_ising(J[:9, :9]))._joints[0].shape == (2, 2, 256, 256)
 
 
 class TestAntisymmetricF:

@@ -51,6 +51,26 @@ def ising3(beta=0.25):
     return DiscreteModel.from_ising(J)
 
 
+def random_ising(n, seed):
+    """(J, h) of an n-site Ising model with random couplings and fields."""
+    rng = np.random.default_rng(seed)
+    J = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * (0.9 / max(n - 1, 1)), 1)
+    return J + J.T, rng.uniform(-0.3, 0.3, n)
+
+
+def single_swap_dobrushin(model):
+    """D read off the neighbour table: every state against each of its site-j variants."""
+    n = model.n
+    D = np.zeros((n, n))
+    tables = [site_neighbours(model, i) for i in range(n)]
+    for i, (cond, _) in enumerate(tables):
+        for j, (_, variants) in enumerate(tables):
+            if j != i:
+                tv = 0.5 * np.abs(cond[:, None, :] - cond[variants]).sum(axis=-1)
+                D[i, j] = float(tv.max())
+    return np.clip(D, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracle: conditionals and sensitivities straight from weights
 
@@ -235,6 +255,15 @@ class TestDobrushinMatrix:
                                          brute_conditional(m, i, y))
                         achieved = max(achieved, tv)
                 assert achieved > D[i, j] - 1e-6
+
+    @pytest.mark.parametrize("model", [
+        *(DiscreteModel.from_ising(*random_ising(n, seed=100 + n)) for n in range(2, 13)),
+        mixed_table(),
+        DiscreteModel.from_product([(0, 1, 2), (0, 1), (0, 1, 2, 3)],
+                                   [[0.2, 0.3, 0.5], [0.9, 0.1], [0.1, 0.2, 0.3, 0.4]]),
+    ], ids=lambda m: "x".join(map(str, m.sizes)))
+    def test_axis_slices_equal_single_swap_formula(self, model):
+        assert np.array_equal(dobrushin_matrix(model).entries, single_swap_dobrushin(model))
 
     def test_type_validation(self):
         with pytest.raises(ValueError):
