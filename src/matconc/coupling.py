@@ -8,13 +8,12 @@ residuals), and the empirical-tail estimator compared against the closed-form
 bounds.
 
 Randomness discipline: every Monte Carlo entry point takes a master seed and
-derives per-run streams through SeedSequence spawn keys, so runs can execute
-in parallel and aggregate order independently.
+is deterministic given it; ``mc_tail_estimate`` draws its pilot and main
+samples from two streams spawned from that seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +25,8 @@ from .dobrushin import (
     DiscreteModel,
     EnumerationCapError,
     _site_split,
+    conditional_row_weights,
     conditional_table,
-    other_axes_strides,
     site_neighbours,
 )
 from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
@@ -191,21 +190,6 @@ def _maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
     return a, b
 
 
-def maximal_coupling(p, q, rng) -> tuple[int, int]:
-    """Sample (a, b) with marginals p, q and P(a = b) = 1 - TV(p, q).
-
-    Draws from the overlap min(p, q) with probability 1 - TV, otherwise
-    independently from the normalized residuals; a one-row
-    :func:`_maximal_coupling_rows` call on four uniforms.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("support mismatch")
-    a, b = _maximal_coupling_rows(p[None], q[None], *rng.random((4, 1)))
-    return int(a[0]), int(b[0])
-
-
 def _ordered_sum(terms) -> np.ndarray:
     """Elementwise sum of equally shaped arrays, added one at a time in the given order."""
     terms = iter(terms)
@@ -235,18 +219,7 @@ def maximal_coupling_joint(p, q) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The exchangeable pair and single-chain coupled steps
-
-def make_exchangeable_pair(model: DiscreteModel, rng) -> tuple[tuple, tuple]:
-    """Draw (X, X'): X from the model, X' a uniform-site conditional resample."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    x = tuple(int(v) for v in model.sample(rng, 1)[0])
-    i = int(rng.integers(model.n))
-    vec = model.conditional(i, x)
-    y = list(x)
-    y[i] = int(_sample_rows(vec[None], rng.random(1))[0])
-    return x, tuple(y)
-
+# The exchangeable pair
 
 def gibbs_kernel(model: DiscreteModel) -> np.ndarray:
     """Dense single-site Gibbs transition matrix on flat configuration indices."""
@@ -263,54 +236,6 @@ def exchangeable_pair_joint(model: DiscreteModel) -> np.ndarray:
     """Exact joint law of (X, X'); symmetric because the Gibbs kernel is reversible."""
     G = gibbs_kernel(model)
     return model.flat_pmf()[:, None] * G
-
-
-@dataclass(frozen=True)
-class CouplingState:
-    """Paired chain configurations with the picked-site history."""
-
-    step: int
-    x: tuple
-    y: tuple
-    history: tuple = ()
-
-    @property
-    def disagreement(self) -> tuple:
-        return tuple(int(a != b) for a, b in zip(self.x, self.y))
-
-
-def initial_state(x, y) -> CouplingState:
-    return CouplingState(0, tuple(int(v) for v in x), tuple(int(v) for v in y))
-
-
-def step_independent(state: CouplingState, model: DiscreteModel, rng) -> CouplingState:
-    """Synchronized refresh: both chains receive the same fresh site value.
-
-    Only valid when the model's components are independent; the disagreement
-    set can then never grow.
-    """
-    if not model.is_product():
-        raise ValueError("synchronized refresh requires independent components")
-    i = int(rng.integers(model.n))
-    v = int(_sample_rows(model.conditional(i, state.x)[None], rng.random(1))[0])
-    x = list(state.x)
-    y = list(state.y)
-    x[i] = v
-    y[i] = v
-    return CouplingState(state.step + 1, tuple(x), tuple(y), state.history + (i,))
-
-
-def step_greedy(state: CouplingState, model: DiscreteModel, rng) -> CouplingState:
-    """Greedy coupling: one site, both conditionals, maximally coupled values."""
-    i = int(rng.integers(model.n))
-    p = model.conditional(i, state.x)
-    q = model.conditional(i, state.y)
-    a, b = maximal_coupling(p, q, rng)
-    x = list(state.x)
-    y = list(state.y)
-    x[i] = a
-    y[i] = b
-    return CouplingState(state.step + 1, tuple(x), tuple(y), state.history + (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +370,10 @@ def verify_property_P(model: DiscreteModel, steps: int,
 def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
     """One ``f.batch`` call on the value rows of every configuration, shape (S, d, d).
 
-    ``itertools.product`` over the alphabets runs through the value tuples in
-    flat (C) order.
+    The index configurations come from ``np.indices`` in flat (C) order.
     """
-    rows = list(itertools.product(*model.alphabets))
-    return np.asarray(f.batch(rows), dtype=np.complex128)
+    configs = np.indices(model.sizes).reshape(model.n, -1).T
+    return np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128)
 
 
 def _enumerated_mean(model: DiscreteModel, vals: np.ndarray) -> np.ndarray:
@@ -737,6 +661,24 @@ class DisagreementMC:
     std_errors: np.ndarray  # (kmax + 1, n)
 
 
+def _coupled_step(tables, weights, X, Y, picks, U) -> None:
+    """One greedy-coupled Gibbs step of (runs, n) config stacks X, Y, in place.
+
+    Run r resamples site ``picks[r]`` in both chains from the maximal coupling
+    of the two conditional rows, on the four uniforms ``U[r]``.  ``tables[i]``
+    and ``weights[i]`` are site i's :func:`conditional_table` and
+    :func:`conditional_row_weights`.  Where the two rows are equal (always, on
+    a product model) both chains receive one shared value: the synchronized
+    refresh.
+    """
+    for i, (table, w) in enumerate(zip(tables, weights)):
+        mask = picks == i
+        if not mask.any():
+            continue
+        X[mask, i], Y[mask, i] = _maximal_coupling_rows(
+            table[X[mask] @ w], table[Y[mask] @ w], *U[mask].T)
+
+
 def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
                            runs: int, seed: int) -> DisagreementMC:
     """Monte Carlo of greedy-coupled chains started from a site resample.
@@ -747,16 +689,16 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     """
     if not 0 <= site < model.n:
         raise ValueError("site out of range")
+    if runs < 1 or kmax < 0:
+        raise ValueError("need runs >= 1 and kmax >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     n = model.n
-    cond = [conditional_table(model, i) for i in range(n)]
-    strides = [other_axes_strides(model.sizes, i) for i in range(n)]
-    other_cols = [np.asarray([j for j in range(n) if j != i], dtype=int) for i in range(n)]
+    tables = [conditional_table(model, i) for i in range(n)]
+    weights = [conditional_row_weights(model.sizes, i) for i in range(n)]
 
     X = model.sample(rng, runs)
     Y = X.copy()
-    rows = X[:, other_cols[site]] @ strides[site] if n > 1 else np.zeros(runs, dtype=int)
-    Y[:, site] = _sample_rows(cond[site][rows], rng.random(runs))
+    Y[:, site] = _sample_rows(tables[site][X @ weights[site]], rng.random(runs))
 
     means = np.empty((kmax + 1, n))
     ses = np.empty((kmax + 1, n))
@@ -769,20 +711,7 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
 
     record(0)
     for k in range(1, kmax + 1):
-        picks = rng.integers(0, n, size=runs)
-        U = rng.random((runs, 4))
-        for i in range(n):
-            mask = picks == i
-            if not mask.any():
-                continue
-            if n > 1:
-                rx = X[mask][:, other_cols[i]] @ strides[i]
-                ry = Y[mask][:, other_cols[i]] @ strides[i]
-            else:
-                rx = ry = np.zeros(int(mask.sum()), dtype=int)
-            a, b = _maximal_coupling_rows(cond[i][rx], cond[i][ry],
-                                          U[mask, 0], U[mask, 1], U[mask, 2], U[mask, 3])
-            X[mask, i] = a
-            Y[mask, i] = b
+        _coupled_step(tables, weights, X, Y, rng.integers(0, n, size=runs),
+                      rng.random((runs, 4)))
         record(k)
     return DisagreementMC(site, kmax, runs, means, ses)

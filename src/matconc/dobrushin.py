@@ -173,20 +173,26 @@ class DiscreteModel:
 # ---------------------------------------------------------------------------
 # Conditional tables (shared with the coupling machinery)
 
-def other_axes_strides(sizes, i: int) -> np.ndarray:
-    """Row strides encoding a configuration of all sites except i (C order)."""
-    other = [s for j, s in enumerate(sizes) if j != i]
-    strides = np.ones(len(other), dtype=np.int64)
-    for j in range(len(other) - 2, -1, -1):
-        strides[j] = strides[j + 1] * other[j + 1]
-    return strides
+def conditional_row_weights(sizes, i: int) -> np.ndarray:
+    """Site i's row weights: C-order strides of the other sites, 0 at site i.
+
+    ``config @ w`` is the :func:`conditional_table` row of an index
+    configuration (or of each row of an (R, n) stack of them).
+    """
+    w = np.zeros(len(sizes), dtype=np.int64)
+    stride = 1
+    for j in range(len(sizes) - 1, -1, -1):
+        if j != i:
+            w[j] = stride
+            stride *= sizes[j]
+    return w
 
 
 def conditional_table(model: DiscreteModel, i: int) -> np.ndarray:
     """All conditionals of site i at once, shape (prod(other sizes), m_i).
 
-    Row r corresponds to the C-order flattening of the other coordinates,
-    matching :func:`other_axes_strides`.
+    The row of an index configuration is the C-order flattening of its other
+    coordinates, ``config @ conditional_row_weights(model.sizes, i)``.
     """
     m = model.sizes[i]
     K = model.size // m

@@ -18,18 +18,14 @@ from matconc.coupling import (
     exchangeable_pair_joint,
     gibbs_kernel,
     greedy_disagreement_mc,
-    initial_state,
-    make_exchangeable_pair,
-    maximal_coupling,
     maximal_coupling_joint,
     mc_tail_estimate,
-    step_greedy,
-    step_independent,
     stein_identity_check,
     telescoping_decomposition,
     verify_property_P,
     verify_stein_pair,
     wilson_interval,
+    _coupled_step,
     _maximal_coupling_rows,
 )
 from matconc.dobrushin import (
@@ -37,6 +33,7 @@ from matconc.dobrushin import (
     EnumerationCapError,
     b_matrix,
     b_power_column,
+    conditional_row_weights,
     conditional_table,
     dobrushin_matrix,
 )
@@ -75,46 +72,65 @@ def product2():
     return DiscreteModel.from_product([(-1.0, 1.0)] * 2, [[0.5, 0.5]] * 2)
 
 
+def single_site():
+    return DiscreteModel.from_product([(0, 1, 2)], [[0.2, 0.3, 0.5]])
+
+
 def draw(dim, seed, scale=1.0):
     return sample_ensemble(EnsembleSpec("gaussian-hermitian", dim, scale, seed))
 
 
+def couple_rows(p, q, draws, seed):
+    """``draws`` maximally coupled (a, b) index pairs of the pmfs p, q, one row each."""
+    P, Q = np.tile(p, (draws, 1)), np.tile(q, (draws, 1))
+    return _maximal_coupling_rows(P, Q, *np.random.default_rng(seed).random((4, draws)))
+
+
+def site_rules(model):
+    """Every site's conditional table and row weights, as ``_coupled_step`` takes them."""
+    return ([conditional_table(model, i) for i in range(model.n)],
+            [conditional_row_weights(model.sizes, i) for i in range(model.n)])
+
+
+def coupled_step(model, X, Y, rng):
+    """One ``_coupled_step`` of the (runs, n) stacks X, Y; returns the picked sites.
+
+    Draws the picks and then the (runs, 4) uniforms from ``rng``, in the order
+    ``greedy_disagreement_mc`` uses.
+    """
+    picks = rng.integers(0, model.n, size=len(X))
+    _coupled_step(*site_rules(model), X, Y, picks, rng.random((len(X), 4)))
+    return picks
+
+
+def stacks(x, y, runs):
+    """(runs, n) copies of the index configurations x and y."""
+    return np.tile(np.asarray(x), (runs, 1)), np.tile(np.asarray(y), (runs, 1))
+
+
 class TestMaximalCoupling:
     def test_identical_always_equal(self):
-        rng = np.random.default_rng(1)
-        p = np.array([0.3, 0.7])
-        for _ in range(200):
-            a, b = maximal_coupling(p, p, rng)
-            assert a == b
+        a, b = couple_rows([0.3, 0.7], [0.3, 0.7], 200, seed=1)
+        assert np.array_equal(a, b)
 
     def test_disjoint_never_equal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            a, b = maximal_coupling([1.0, 0.0], [0.0, 1.0], rng)
-            assert (a, b) == (0, 1)
+        a, b = couple_rows([1.0, 0.0], [0.0, 1.0], 200, seed=2)
+        assert (a == 0).all() and (b == 1).all()
 
     def test_bernoulli_meeting_probability(self):
         # TV(Bern(.8), Bern(.5)) = 0.3, so P(a = b) = 0.7
-        rng = np.random.default_rng(3)
         n = 100000
-        hits = sum(a == b for a, b in (maximal_coupling([0.2, 0.8], [0.5, 0.5], rng)
-                                       for _ in range(n)))
+        a, b = couple_rows([0.2, 0.8], [0.5, 0.5], n, seed=3)
         se = math.sqrt(0.7 * 0.3 / n)
-        assert abs(hits / n - 0.7) <= 3 * se
+        assert abs((a == b).mean() - 0.7) <= 3 * se
 
     def test_marginals_preserved(self):
-        rng = np.random.default_rng(4)
         p = np.array([0.1, 0.5, 0.4])
         q = np.array([0.6, 0.2, 0.2])
         n = 100000
-        counts_a = np.zeros(3)
-        counts_b = np.zeros(3)
-        for _ in range(n):
-            a, b = maximal_coupling(p, q, rng)
-            counts_a[a] += 1
-            counts_b[b] += 1
-        assert np.abs(counts_a / n - p).max() <= 0.01
-        assert np.abs(counts_b / n - q).max() <= 0.01
+        a, b = couple_rows(p, q, n, seed=4)
+        assert np.abs(np.bincount(a, minlength=3) / n - p).max() <= 0.01
+        assert np.abs(np.bincount(b, minlength=3) / n - q).max() <= 0.01
 
     def test_joint_law_exact(self):
         p = np.array([0.2, 0.8])
@@ -152,16 +168,7 @@ class TestMaximalCoupling:
             se = np.sqrt(J * (1.0 - J) / n)
             assert np.all(np.abs(counts / n - J) <= 5.0 * se + 1e-12), (r, counts / n, J)
 
-    def test_one_row_call_draws_four_uniforms(self):
-        p, q = [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]
-        rng, ref = np.random.default_rng(21), np.random.default_rng(21)
-        for _ in range(50):
-            a, b = _maximal_coupling_rows(np.array([p]), np.array([q]), *ref.random((4, 1)))
-            assert maximal_coupling(p, q, rng) == (int(a[0]), int(b[0]))
-
     def test_support_mismatch(self):
-        with pytest.raises(ValueError):
-            maximal_coupling([1.0], [0.5, 0.5], np.random.default_rng(0))
         with pytest.raises(ValueError):
             maximal_coupling_joint([1.0], [0.5, 0.5])
 
@@ -196,93 +203,101 @@ class TestExchangeablePair:
         assert np.abs(J - J.T).max() <= 1e-12
 
     def test_single_site_model(self):
-        m = DiscreteModel.from_product([(0, 1, 2)], [[0.2, 0.3, 0.5]])
-        rng = np.random.default_rng(5)
-        x, y = make_exchangeable_pair(m, rng)
-        assert len(x) == len(y) == 1
+        # one site: the resample is a fresh draw, and the first coupled step
+        # (which always picks that site) refreshes both chains with one value
+        mc = greedy_disagreement_mc(single_site(), 0, 3, 2000, seed=5)
+        assert mc.means.shape == (4, 1)
+        assert mc.means[0, 0] > 0.0
+        assert (mc.means[1:] == 0.0).all()
 
     def test_pair_differs_at_most_one_site(self):
-        m = product2()
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            x, y = make_exchangeable_pair(m, rng)
-            assert sum(a != b for a, b in zip(x, y)) <= 1
+        for m in (product2(), mixed_table()):
+            for site in range(m.n):
+                mc = greedy_disagreement_mc(m, site, 0, 2000, seed=6)
+                assert (np.delete(mc.means[0], site) == 0.0).all()
 
     def test_sampled_joint_matches_exact(self):
-        m = ising2(0.4)
-        exact = exchangeable_pair_joint(m)
-        rng = np.random.default_rng(7)
-        counts = np.zeros((4, 4))
-        n = 50000
-        for _ in range(n):
-            x, y = make_exchangeable_pair(m, rng)
-            counts[m.flat_from_config(x), m.flat_from_config(y)] += 1
-        assert np.abs(counts / n - exact).max() <= 0.01
+        # P(X_site != X'_site) of the sampled pair against the exact
+        # sum_x pi(x) (1 - P(x_site | x_rest))
+        runs = 50000
+        for m in (ising4_field(), mixed_table(), single_site()):
+            for site in range(m.n):
+                other = tuple(s for j, s in enumerate(m.sizes) if j != site)
+                stay = np.moveaxis(conditional_table(m, site).reshape(other + (m.sizes[site],)),
+                                   -1, site)
+                exact = float(m.flat_pmf() @ (1.0 - stay.reshape(-1)))
+                got = greedy_disagreement_mc(m, site, 0, runs, seed=7).means[0, site]
+                se = math.sqrt(exact * (1.0 - exact) / runs)
+                assert abs(got - exact) <= 4 * se, (m.sizes, site, got, exact)
 
 
 class TestSteps:
     def test_independent_requires_product(self):
-        state = initial_state((0, 0), (1, 1))
-        with pytest.raises(ValueError):
-            step_independent(state, ising2(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="independent components"):
+            PairEvolver(ising2(), "independent")
 
     def test_independent_refreshed_site_stays_agreed(self):
+        # on a product model both rows of every coupled pair are one pmf
         m = product2()
         rng = np.random.default_rng(8)
-        state = initial_state((0, 0), (1, 1))
+        X, Y = stacks((0, 0), (1, 1), 100)
+        refreshed = np.zeros(X.shape, dtype=bool)
         for _ in range(50):
-            state = step_independent(state, m, rng)
-            for i in state.history:
-                assert state.x[i] == state.y[i]
+            picks = coupled_step(m, X, Y, rng)
+            refreshed[np.arange(len(X)), picks] = True
+            assert np.array_equal(X[refreshed], Y[refreshed])
 
     def test_disagreement_never_grows(self):
         m = product2()
         rng = np.random.default_rng(9)
-        state = initial_state((0, 1), (1, 1))
-        prev = sum(state.disagreement)
+        X, Y = stacks((0, 1), (1, 1), 100)
+        prev = (X != Y).sum(axis=1)
         for _ in range(30):
-            state = step_independent(state, m, rng)
-            cur = sum(state.disagreement)
-            assert cur <= prev
+            coupled_step(m, X, Y, rng)
+            cur = (X != Y).sum(axis=1)
+            assert (cur <= prev).all()
             prev = cur
 
     def test_survival_probability(self):
         # P(site 0 never refreshed in k steps) = (1 - 1/n)^k
         m = product2()
         k, runs = 4, 20000
-        survived = 0
-        for r in range(runs):
-            rng = np.random.default_rng(1000 + r)
-            state = initial_state((0, 0), (1, 0))  # differ at site 0
-            for _ in range(k):
-                state = step_independent(state, m, rng)
-            survived += 0 not in state.history
+        rng = np.random.default_rng(1000)
+        X, Y = stacks((0, 0), (1, 0), runs)  # differ at site 0
+        never = np.ones(runs, dtype=bool)
+        for _ in range(k):
+            never &= coupled_step(m, X, Y, rng) != 0
+        assert np.array_equal(X[:, 0] != Y[:, 0], never)
         expect = coupon_collector_survival(2, k)
         se = math.sqrt(expect * (1 - expect) / runs)
-        assert abs(survived / runs - expect) <= 4 * se
+        assert abs(never.mean() - expect) <= 4 * se
+
+    @pytest.mark.parametrize("make", [mixed_table, ising4_field, single_site])
+    def test_matches_per_run_rows(self, make):
+        # each run: a one-row maximal coupling of its own two conditionals
+        m = make()
+        rng = np.random.default_rng(17)
+        X0, Y0 = m.sample(rng, 300), m.sample(rng, 300)
+        picks, U = rng.integers(0, m.n, size=300), rng.random((300, 4))
+        X, Y = X0.copy(), Y0.copy()
+        _coupled_step(*site_rules(m), X, Y, picks, U)
+        for r, i in enumerate(picks):
+            p, q = m.conditional(i, X0[r]), m.conditional(i, Y0[r])
+            a, b = _maximal_coupling_rows(p[None], q[None], *U[r][:, None])
+            x, y = X0[r].copy(), Y0[r].copy()
+            x[i], y[i] = a[0], b[0]
+            assert np.array_equal(X[r], x) and np.array_equal(Y[r], y), r
 
     def test_greedy_equal_states_stay_equal(self):
         m = ising2(0.5)
         rng = np.random.default_rng(10)
-        state = initial_state((0, 1), (0, 1))
+        X, Y = stacks((0, 1), (0, 1), 100)
         for _ in range(40):
-            state = step_greedy(state, m, rng)
-            assert state.x == state.y
-
-    def test_greedy_step_counts(self):
-        m = ising2()
-        rng = np.random.default_rng(11)
-        state = step_greedy(initial_state((0, 0), (1, 1)), m, rng)
-        assert state.step == 1
-        assert len(state.history) == 1
+            coupled_step(m, X, Y, rng)
+            assert np.array_equal(X, Y)
 
 
 class TestPropertyP:
-    def test_k0_point_masses(self):
-        # trivially: before any step the chains sit at their starts
-        state = initial_state((0, 1), (1, 0))
-        assert state.x == (0, 1) and state.y == (1, 0)
-
     def test_independent_2site_K3(self):
         m = product2()
         rep = verify_property_P(m, 3, "independent")
@@ -384,6 +399,10 @@ class TestPairEvolver:
                     ry, b = rows[y]
                     out[x, y] = out[x, y] + mass[rx, ry] * ev._joints[i][a, b, rx, ry]
         assert np.array_equal(ev.step(nu), out / model.n)
+
+    def test_unknown_coupling_refused(self):
+        with pytest.raises(ValueError, match="unknown coupling"):
+            PairEvolver(product2(), "synchronized")
 
     def test_state_cap(self):
         J = np.full((10, 10), 0.05) - 0.05 * np.eye(10)
@@ -568,6 +587,13 @@ class TestExhaustiveTail:
                 obs = RademacherSumObservable([draw(d, 1000 * n + 10 * d + k) for k in range(n)])
                 loop = np.stack([obs(vals) for vals in itertools.product(*model.alphabets)])
                 assert _observable_values(model, obs).tobytes() == loop.tobytes(), (n, d)
+        # a table observable keyed by the integer values of a mixed-alphabet model
+        model = mixed_table()
+        rng = np.random.default_rng(16)
+        mapping = {vals: rng.normal(size=(2, 2)) for vals in itertools.product(*model.alphabets)}
+        obs = TableObservable({k: v + v.T for k, v in mapping.items()}, 2)
+        loop = np.stack([obs(vals) for vals in itertools.product(*model.alphabets)])
+        assert _observable_values(model, obs).tobytes() == loop.tobytes()
 
     def test_mc_converges_to_exhaustive(self):
         from matconc.coupling import exhaustive_tail
@@ -592,17 +618,15 @@ class TestIndependentKeyInequality:
         site = 1
         A2 = HermitianMatrix(hamming.matrices[site].mat @ hamming.matrices[site].mat)
         rng = np.random.default_rng(33)
-        for run in range(50):
-            x = tuple(int(v) for v in model.sample(rng, 1)[0])
-            y = list(x)
-            y[site] = 1 - y[site]  # force the worst initial swap at `site`
-            state = initial_state(x, tuple(y))
-            for _ in range(6):
-                diff = np.asarray(obs(model.values(state.x))) \
-                    - np.asarray(obs(model.values(state.y)))
+        X = model.sample(rng, 50)
+        Y = X.copy()
+        Y[:, site] = 1 - Y[:, site]  # force the worst initial swap at `site`
+        for _ in range(6):
+            for x, y in zip(X, Y):
+                diff = np.asarray(obs(model.values(x))) - np.asarray(obs(model.values(y)))
                 sq = HermitianMatrix(diff @ diff)
                 assert psd_order_leq(sq, A2, tol=1e-10).holds
-                state = step_independent(state, model, rng)
+            coupled_step(model, X, Y, rng)
 
 
 class TestHamming:
@@ -637,6 +661,16 @@ class TestGreedyDisagreementMC:
         a = greedy_disagreement_mc(m, 0, 5, 2000, seed=9)
         b = greedy_disagreement_mc(m, 0, 5, 2000, seed=9)
         assert np.array_equal(a.means, b.means)
+
+    def test_runs_below_one_refused(self):
+        for runs in (0, -1):
+            with pytest.raises(ValueError, match="runs >= 1"):
+                greedy_disagreement_mc(ising2(), 0, 3, runs, seed=1)
+
+    def test_negative_kmax_refused(self):
+        for kmax in (-1, -2):
+            with pytest.raises(ValueError, match="kmax >= 0"):
+                greedy_disagreement_mc(ising2(), 0, kmax, 10, seed=1)
 
     def test_initial_disagreement_only_at_site(self):
         m = ising2(0.25)

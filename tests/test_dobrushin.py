@@ -10,6 +10,7 @@ from matconc.dobrushin import (
     InterdependenceMatrix,
     b_matrix,
     b_power_column,
+    conditional_row_weights,
     conditional_table,
     dobrushin_matrix,
     load_model,
@@ -171,6 +172,17 @@ class TestModel:
                     cfg[j] = rest[pos]
                 assert np.allclose(rows[r], brute_conditional(m, i, cfg), atol=1e-14)
 
+
+    def test_row_weights_index_the_table(self):
+        # config @ w picks site i's conditional row of every configuration
+        models = [mixed_table(), ising3(0.3), DiscreteModel.from_table([(0, 1, 2)], [1.0, 2.0, 3.0])]
+        for m in models:
+            configs = np.indices(m.sizes).reshape(m.n, -1).T
+            for i in range(m.n):
+                w = conditional_row_weights(m.sizes, i)
+                assert w.shape == (m.n,) and w[i] == 0
+                rows = conditional_table(m, i)[configs @ w]
+                assert np.array_equal(rows, [m.conditional(i, c) for c in configs])
 
 class TestTvDistance:
     def test_equal(self):
