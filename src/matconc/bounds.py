@@ -49,9 +49,9 @@ class BoundParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.sigma_sq < 0:
+        if not self.sigma_sq >= 0:  # NaN fails too
             raise ValueError("sigma_sq must be >= 0")
-        if self.c < 1:
+        if not self.c >= 1:
             raise ValueError("dependence constant c must be >= 1")
 
 
@@ -72,11 +72,11 @@ def dobrushin_constant(norm1: float, norm_inf: float) -> float:
 
 
 def _exp_bound(d: int, denom: float, t: float) -> float:
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError("t must be >= 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if denom < 0:
+    if not denom >= 0:
         raise ValueError("variance must be >= 0")
     if denom == 0.0:
         return 0.0 if t > 0 else float(d)
@@ -91,7 +91,7 @@ def tail_bound_independent(d: int, sigma_sq: float, t: float) -> float:
 
 def tail_bound_dependent(d: int, sigma_sq: float, c: float, t: float) -> float:
     """d * exp(-t^2 / (c sigma^2)) for dependence constant c >= 1."""
-    if c < 1:
+    if not c >= 1:
         raise ValueError("dependence constant c must be >= 1")
     return _exp_bound(d, c * sigma_sq, t)
 
@@ -103,7 +103,7 @@ def hoeffding_bound(d: int, sigma_sq: float, t: float) -> float:
 
 def hoeffding_bound_dependent(d: int, sigma_sq: float, c: float, t: float) -> float:
     """d * exp(-t^2 / (4 c sigma^2))."""
-    if c < 1:
+    if not c >= 1:
         raise ValueError("dependence constant c must be >= 1")
     return _exp_bound(d, 4.0 * c * sigma_sq, t)
 

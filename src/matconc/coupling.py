@@ -1,11 +1,13 @@
 """Coupled Gibbs chains on discrete models and Monte Carlo tail estimation.
 
-Implements the single-site resampling pair construction, the synchronized
-refresh coupling for independent components, the greedy maximal coupling for
-dependent ones, exact pair-distribution evolution for exhaustive identity
-verification (antisymmetric chain sums, the marginal-law property, Stein-pair
-residuals), and the empirical-tail estimator compared against the closed-form
-bounds.
+Implements the single-site resampling pair construction with one coupling law,
+the greedy (maximal) coupling of the two chains' conditionals (the synchronized
+refresh where they are equal, as on a product model), through one sampler
+(``_maximal_coupling_rows``) and one exact joint kernel (``_joint_blocks``);
+Monte Carlo over stacks of coupled runs; exact pair-distribution evolution for
+exhaustive identity verification (antisymmetric chain sums, the marginal-law
+property, Stein-pair residuals); and the empirical-tail estimator compared
+against the closed-form bounds.
 
 Randomness discipline: every Monte Carlo entry point takes a master seed and
 is deterministic given it; ``mc_tail_estimate`` draws its pilot and main
@@ -33,6 +35,8 @@ from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for exhaustive pair-space loops
+CHAIN_SUM_MAX_STEPS = 10_000  # last chain-sum term before the tail must certify
+MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering mean
 
 
 class TruncationError(RuntimeError):
@@ -199,23 +203,45 @@ def _ordered_sum(terms) -> np.ndarray:
     return total
 
 
+def _joint_blocks(p, q) -> np.ndarray:
+    """Maximal-coupling joint of value-first pmfs, value-major: shape (m, m, ...).
+
+    ``p[a]`` and ``q[a]`` broadcast against each other.  Block ``[a, a]`` is
+    the overlap min(p, q)[a], since the residual product (p - min)(q - min) is
+    exactly 0 at equal values; block ``[a, b]`` is (p - min)[a] (q - min)[b] / z
+    with z = 1 - overlap mass, the mass summing the values in order 0, ..., m - 1.
+    """
+    m = p.shape[0]
+    shape = np.broadcast_shapes(p.shape[1:], q.shape[1:])
+    J = np.empty((m, m) + shape)
+    # J[a, b, ...] is a view even when the blocks are 0-d
+    mins = [np.minimum(p[a], q[a], out=J[a, a, ...]) for a in range(m)]
+    z = _ordered_sum(mins)  # the overlap mass, then 1 - overlap in place
+    np.subtract(1.0, z, out=z)
+    z[~(z > 1e-15)] = np.inf  # no residual mass left
+    rq = np.empty(shape)
+    for b in range(m):
+        np.subtract(q[b], mins[b], out=rq)
+        for a in range(m):
+            if a != b:
+                block = np.subtract(p[a], mins[a], out=J[a, b, ...])
+                block *= rq
+                block /= z
+    return J
+
+
 def maximal_coupling_joint(p, q) -> np.ndarray:
     """Exact joint law of the maximal coupling: diag overlap + residual product.
 
     Broadcasts over leading axes: pmfs of shape (..., m) give joints of shape
-    (..., m, m).  The overlap mass sums the values in order 0, 1, ..., m - 1.
+    (..., m, m), a view of one :func:`_joint_blocks` array.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape[-1:] != q.shape[-1:]:
         raise ValueError("support mismatch")
-    mins = np.minimum(p, q)
-    z = 1.0 - _ordered_sum(np.moveaxis(mins, -1, 0))
-    zsafe = np.where(z > 1e-15, z, np.inf)[..., None, None]  # no residual mass left
-    J = (p - mins)[..., :, None] * (q - mins)[..., None, :] / zsafe
-    m = mins.shape[-1]
-    J[..., np.arange(m), np.arange(m)] += mins
-    return J
+    J = _joint_blocks(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0))
+    return np.moveaxis(J, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +249,8 @@ def maximal_coupling_joint(p, q) -> np.ndarray:
 
 def gibbs_kernel(model: DiscreteModel) -> np.ndarray:
     """Dense single-site Gibbs transition matrix on flat configuration indices."""
-    _require_pairable(model)
+    if model.size * model.size > 1_000_000:
+        raise EnumerationCapError(f"{model.size}^2 entries too large for a dense Gibbs kernel")
     G = np.zeros((model.size, model.size))
     states = np.arange(model.size)[:, None]
     for i in range(model.n):
@@ -241,19 +268,11 @@ def exchangeable_pair_joint(model: DiscreteModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact pair-distribution evolution
 
-def _require_pairable(model: DiscreteModel):
-    if model.size * model.size > 1_000_000:
-        raise EnumerationCapError(
-            f"pair space {model.size}^2 too large for exhaustive evolution"
-        )
-
-
 class PairEvolver:
     """Exact one-step operator on pair distributions nu(x, y) as (S, S) arrays.
 
-    For the greedy coupling each site carries the exact maximal-coupling joint
-    of the two conditionals; for the synchronized-refresh coupling both chains
-    receive one shared fresh value.
+    Each site carries the exact maximal-coupling joint of the two chains'
+    conditionals; on a product model it is the synchronized refresh.
 
     Site i's joint is stored value-major, shape (m, m, K, K) with K = S / m:
     block ``[a, b]`` holds P(x_i <- a, y_i <- b) for every pair of
@@ -264,42 +283,13 @@ class PairEvolver:
     a copy.
     """
 
-    def __init__(self, model: DiscreteModel, coupling: str = "greedy"):
-        if coupling not in ("greedy", "independent"):
-            raise ValueError(f"unknown coupling {coupling!r}")
-        if coupling == "independent" and not model.is_product():
-            raise ValueError("synchronized refresh requires independent components")
-        _require_pairable(model)
+    def __init__(self, model: DiscreteModel):
         if model.size > 512:  # per-site joint tensors hold S^2 entries
             raise EnumerationCapError("model too large for exact pair evolution")
         self.model = model
-        self.coupling = coupling
-        self._joints = []
-        for i in range(model.n):
-            rt = conditional_table(model, i).T  # (m, K): rt[a, r] = P(x_i = a | row r)
-            m, K = rt.shape
-            if coupling == "independent":  # one shared value: the pmf coupled with itself
-                J0 = maximal_coupling_joint(rt[:, 0], rt[:, 0])
-                self._joints.append(np.broadcast_to(J0[:, :, None, None], (m, m, K, K)))
-                continue
-            # maximal_coupling_joint's expression per (a, b) block, in its order;
-            # the residual product (p - min)(q - min) is exactly 0 at equal values,
-            # so a diagonal block is the overlap min(p, q) alone
-            p, q = rt[:, :, None], rt[:, None, :]
-            J = np.empty((m, m, K, K))
-            mins = [np.minimum(p[a], q[a], out=J[a, a]) for a in range(m)]
-            z = _ordered_sum(mins)  # the overlap mass, then 1 - overlap in place
-            np.subtract(1.0, z, out=z)
-            z[~(z > 1e-15)] = np.inf  # no residual mass left
-            rq = np.empty((K, K))
-            for b in range(m):
-                np.subtract(q[b], mins[b], out=rq)
-                for a in range(m):
-                    if a != b:
-                        block = np.subtract(p[a], mins[a], out=J[a, b])
-                        block *= rq
-                        block /= z
-            self._joints.append(J)
+        # site i's (m, K) table rt[a, r] = P(x_i = a | row r), coupled over row pairs
+        tables = (conditional_table(model, i).T for i in range(model.n))
+        self._joints = [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in tables]
 
     def step(self, nu: np.ndarray) -> np.ndarray:
         """One coupled Gibbs step, averaged over the uniformly picked site.
@@ -336,11 +326,10 @@ class PropertyPReport:
     holds: bool
     max_deviation: float
     steps: int
-    coupling: str
 
 
 def verify_property_P(model: DiscreteModel, steps: int,
-                      coupling: str = "greedy", tol: float = 1e-12) -> PropertyPReport:
+                      tol: float = 1e-12) -> PropertyPReport:
     """Exhaustively compare coupled marginals with single-chain Gibbs marginals.
 
     For every start pair (x, y) and every k <= steps, the X-marginal of the
@@ -348,9 +337,11 @@ def verify_property_P(model: DiscreteModel, steps: int,
     symmetrically for X'), which certifies that each marginal depends only on
     its own starting point.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     if model.size * model.size > PAIR_STATE_CAP:
         raise EnumerationCapError("pair-state space too large for exhaustive check")
-    evolver = PairEvolver(model, coupling)
+    evolver = PairEvolver(model)
     G = gibbs_kernel(model)
     powers = [np.eye(model.size)]
     for _ in range(steps):
@@ -364,7 +355,7 @@ def verify_property_P(model: DiscreteModel, steps: int,
                 dev_x = float(np.abs(nu.sum(axis=1) - powers[k][x]).max())
                 dev_y = float(np.abs(nu.sum(axis=0) - powers[k][y]).max())
                 max_dev = max(max_dev, dev_x, dev_y)
-    return PropertyPReport(max_dev <= tol, max_dev, steps, coupling)
+    return PropertyPReport(max_dev <= tol, max_dev, steps)
 
 
 def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
@@ -392,7 +383,7 @@ def _spectral_norm_raw(M: np.ndarray) -> float:
 
 
 def _antisym_sum(evolver: PairEvolver, fc: np.ndarray, x_flat: int, y_flat: int,
-                 truncation: int | None, tol: float, max_steps: int) -> np.ndarray:
+                 truncation: int | None, tol: float) -> np.ndarray:
     """sum_k E(f(X(k)) - f(X'(k)) | starts), truncated with a certified tail."""
     nu = evolver.delta(x_flat, y_flat)
     F = np.zeros_like(fc[0])
@@ -415,7 +406,7 @@ def _antisym_sum(evolver: PairEvolver, fc: np.ndarray, x_flat: int, y_flat: int,
                 return F
             except TruncationError:
                 pass
-        if k >= max_steps:
+        if k >= CHAIN_SUM_MAX_STEPS:
             _certify_tail(norms, tol)  # raises with the measured tail
             return F
         nu = evolver.step(nu)
@@ -440,8 +431,7 @@ def _certify_tail(norms: list[float], tol: float, safety: float = 10.0):
 
 
 def antisymmetric_F(model: DiscreteModel, f, x, y, truncation: int | None = None,
-                    tol: float = 1e-8, coupling: str = "greedy",
-                    max_steps: int = 10_000) -> HermitianMatrix:
+                    tol: float = 1e-8) -> HermitianMatrix:
     """Antisymmetric chain sum F(x, y) for a centered matrix observable.
 
     The observable is centered internally.  With ``truncation=None`` the cut
@@ -449,11 +439,11 @@ def antisymmetric_F(model: DiscreteModel, f, x, y, truncation: int | None = None
     a 10x safety factor against ``tol``; an explicit truncation is honored but
     still has its tail certified.
     """
-    evolver = PairEvolver(model, coupling)
+    evolver = PairEvolver(model)
     fc = _centered_values(model, f)
     xf = model.flat_from_config(x)
     yf = model.flat_from_config(y)
-    F = _antisym_sum(evolver, fc, xf, yf, truncation, tol, max_steps)
+    F = _antisym_sum(evolver, fc, xf, yf, truncation, tol)
     return HermitianMatrix((F + F.conj().T) / 2.0)
 
 
@@ -467,8 +457,7 @@ class SteinIdentityReport:
     holds: bool
 
 
-def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8,
-                         coupling: str = "greedy") -> SteinIdentityReport:
+def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8) -> SteinIdentityReport:
     """Verify F(x,y) = -F(y,x) and E(F(X,X')|X) = f(X) - E f(X) exhaustively.
 
     Runs over every pair (x, y) reachable by the single-site resampling pair
@@ -476,7 +465,7 @@ def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8,
     """
     if model.size * model.size > PAIR_STATE_CAP:
         raise EnumerationCapError("model too large for exhaustive identity check")
-    evolver = PairEvolver(model, coupling)
+    evolver = PairEvolver(model)
     fc = _centered_values(model, f)
     G = gibbs_kernel(model)
     term_tol = tol / 10.0
@@ -484,7 +473,7 @@ def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8,
 
     def F_of(a: int, b: int) -> np.ndarray:
         if (a, b) not in cache:
-            cache[(a, b)] = _antisym_sum(evolver, fc, a, b, None, term_tol, 10_000)
+            cache[(a, b)] = _antisym_sum(evolver, fc, a, b, None, term_tol)
         return cache[(a, b)]
 
     max_res = 0.0
@@ -593,8 +582,7 @@ def _values_matrix(model: DiscreteModel, configs: np.ndarray) -> np.ndarray:
 
 
 def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
-                     samples: int, seed: int,
-                     mean_enum_cap: int = 65536) -> TailEstimate:
+                     samples: int, seed: int) -> TailEstimate:
     """Estimate P(lambda_max(H(Z) - E H) >= t) over a t grid.
 
     The centering mean comes from the observable's exact form when available,
@@ -608,7 +596,7 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     mean = observable.exact_mean(model)
     source = "observable-exact"
     if mean is None:
-        if model.size <= min(model.enum_cap, mean_enum_cap):
+        if model.size <= min(model.enum_cap, MEAN_ENUM_CAP):
             mean = _enumerated_mean(model, _observable_values(model, observable))
             source = "enumeration"
         else:

@@ -215,16 +215,16 @@ def _identity_models():
 
     out = []
     prod2 = DiscreteModel.from_product([(-1.0, 1.0)] * 2, [[0.5, 0.5]] * 2)
-    out.append(("independent-2site", prod2, "independent",
+    out.append(("independent-2site", prod2,
                 RademacherSumObservable([[[1.0]], [[1.0]]])))
-    out.append(("independent-2site-d2", prod2, "greedy",
+    out.append(("independent-2site-d2", prod2,
                 RademacherSumObservable([gauss(2, 11), gauss(2, 12)])))
     ising = DiscreteModel.from_ising([[0.0, 0.25], [0.25, 0.0]])
-    out.append(("ising-2site", ising, "greedy",
+    out.append(("ising-2site", ising,
                 RademacherSumObservable([gauss(2, 13), gauss(2, 14)])))
     chain = np.zeros((3, 3))
     chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = 0.25
-    out.append(("ising-3site-chain", DiscreteModel.from_ising(chain), "greedy",
+    out.append(("ising-3site-chain", DiscreteModel.from_ising(chain),
                 RademacherSumObservable([gauss(2, 15), gauss(2, 16), gauss(2, 17)])))
     rng = np.random.default_rng(99)
     table = rng.uniform(0.2, 1.0, size=(2, 3))
@@ -233,20 +233,20 @@ def _identity_models():
     for vals in itertools.product((0.0, 1.0), (-1.0, 0.0, 1.0)):
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         mapping[vals] = (M + M.conj().T) / 2
-    out.append(("mixed-alphabet", mixed, "greedy", TableObservable(mapping, 2)))
+    out.append(("mixed-alphabet", mixed, TableObservable(mapping, 2)))
     return out
 
 
 def test_criterion_6_exact_chain_identities():
     """Chain-sum identities, marginal property, telescoping, Stein scale factor."""
     rng = np.random.default_rng(2718)
-    for name, model, coupling, obs in _identity_models():
+    for name, model, obs in _identity_models():
         assert model.size <= 10_000
-        rep = stein_identity_check(model, obs, tol=1e-8, coupling=coupling)
+        rep = stein_identity_check(model, obs, tol=1e-8)
         assert rep.holds, f"{name}: residual {rep.max_residual:.2e}, " \
                           f"antisymmetry {rep.max_antisymmetry_defect:.2e}"
         assert rep.max_antisymmetry_defect <= 1e-8
-        prop = verify_property_P(model, 3, coupling)
+        prop = verify_property_P(model, 3)
         assert prop.holds and prop.max_deviation <= 1e-12, f"{name}: {prop}"
         for _ in range(25):
             x = tuple(int(v) for v in model.sample(rng, 1)[0])

@@ -146,6 +146,18 @@ class TestTailBounds:
         with pytest.raises(ValueError):
             tail_bound_dependent(2, 1.0, 0.5, 1.0)
 
+    def test_nan_inputs_rejected(self):
+        # NaN once slipped past the "< 0" and "< 1" checks and returned NaN bounds
+        nan = float("nan")
+        for call in (lambda: tail_bound_independent(2, 1.0, nan),
+                     lambda: tail_bound_independent(2, nan, 1.0),
+                     lambda: tail_bound_dependent(2, 1.0, nan, 1.0),
+                     lambda: tail_bound_dependent(2, nan, 1.0, 1.0),
+                     lambda: hoeffding_bound_dependent(2, 1.0, nan, 1.0),
+                     lambda: tropp_bound(2, nan, 1.0)):
+            with pytest.raises(ValueError):
+                call()
+
     def test_display_clamp(self):
         assert display_clamp(2 * math.exp(-0.5)) == 1.0
         assert display_clamp(0.25) == 0.25
@@ -157,6 +169,10 @@ class TestTailBounds:
             BoundParams(2, -1.0)
         with pytest.raises(ValueError):
             BoundParams(2, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            BoundParams(2, float("nan"))
+        with pytest.raises(ValueError):
+            BoundParams(2, 1.0, float("nan"))
 
 
 class TestLaplaceInfimum:

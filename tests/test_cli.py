@@ -96,6 +96,15 @@ class TestBoundCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--t", "0,nan,1"], ["--sigma-sq", "nan"],
+                                      ["--c", "nan"]])
+    def test_nan_input_is_usage_error(self, tmp_path, capsys, args):
+        # each once wrote NaN rows and exited 0
+        out = tmp_path / "b.csv"
+        assert run(["bound", *args, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "b.csv"
         run(["bound", "--t", "1", "--out", out])

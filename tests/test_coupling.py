@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -66,6 +67,13 @@ def alphabet9():
 def product3():
     return DiscreteModel.from_product([(0, 1, 2), (0, 1), (0, 1, 2)],
                                       [[0.2, 0.3, 0.5], [0.6, 0.4], [0.1, 0.6, 0.3]])
+
+
+def product9():
+    # a 9-value alphabet beside a 2-value one
+    rng = np.random.default_rng(6)
+    return DiscreteModel.from_product([tuple(range(9)), (0, 1)],
+                                      [rng.dirichlet(np.ones(9)), [0.3, 0.7]])
 
 
 def product2():
@@ -153,6 +161,31 @@ class TestMaximalCoupling:
                 assert np.array_equal(J[a, b], maximal_coupling_joint(P[a, 0], Q[0, b]))
         assert np.array_equal(J[0, 0], np.diag(P[0, 0]))
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_joint_matches_broadcast_expression_bits(self, m):
+        # the residual product and diag(overlap) as one broadcast expression,
+        # the overlap mass summed over values in order 0, 1, ..., m - 1
+        def vectorized_joint(p, q):
+            mins = np.minimum(p, q)
+            z = 1.0 - functools.reduce(np.add, np.moveaxis(mins, -1, 0))
+            zsafe = np.where(z > 1e-15, z, np.inf)[..., None, None]
+            J = (p - mins)[..., :, None] * (q - mins)[..., None, :] / zsafe
+            J[..., np.arange(m), np.arange(m)] += mins
+            return J
+
+        rng = np.random.default_rng(100 + m)
+        P = rng.dirichlet(np.ones(m), size=(4, 1))
+        Q = rng.dirichlet(np.ones(m), size=(1, 5))
+        Q[0, 0] = P[0, 0]  # an identical pair: no residual mass
+        P[1, 0, 0] = 0.0  # a value outside one support
+        P[1, 0] /= P[1, 0].sum()
+        R = rng.dirichlet(np.ones(m), size=(2, 3))
+        near = P[3, 0].copy()  # one ulp apart in two values: residual mass below 1e-15
+        near[0], near[1] = np.nextafter(near[0], 2.0), np.nextafter(near[1], -1.0)
+        for p, q in [(P, Q), (Q, P), (P[0, 0], Q), (R, R[::-1]), (R, R), (P[2, 0], Q[0, 3]),
+                     (P[3, 0], near)]:
+            assert np.array_equal(maximal_coupling_joint(p, q), vectorized_joint(p, q))
+
     def test_sampled_rows_match_joint(self):
         # three row pairs (one identical, one with disjoint support) sampled at once
         P = np.array([[0.1, 0.5, 0.4], [0.3, 0.3, 0.4], [1.0, 0.0, 0.0]])
@@ -232,10 +265,6 @@ class TestExchangeablePair:
 
 
 class TestSteps:
-    def test_independent_requires_product(self):
-        with pytest.raises(ValueError, match="independent components"):
-            PairEvolver(ising2(), "independent")
-
     def test_independent_refreshed_site_stays_agreed(self):
         # on a product model both rows of every coupled pair are one pmf
         m = product2()
@@ -300,24 +329,30 @@ class TestSteps:
 class TestPropertyP:
     def test_independent_2site_K3(self):
         m = product2()
-        rep = verify_property_P(m, 3, "independent")
+        rep = verify_property_P(m, 3)
         assert rep.holds
         assert rep.max_deviation <= 1e-12
 
     def test_greedy_ising_K2(self):
-        rep = verify_property_P(ising2(0.25), 2, "greedy")
+        rep = verify_property_P(ising2(0.25), 2)
         assert rep.holds
 
     def test_greedy_threesite_K3(self):
         J = np.zeros((3, 3))
         J[0, 1] = J[1, 0] = J[1, 2] = J[2, 1] = 0.25
-        rep = verify_property_P(DiscreteModel.from_ising(J), 3, "greedy")
+        rep = verify_property_P(DiscreteModel.from_ising(J), 3)
         assert rep.holds
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_no_steps_refused(self, steps):
+        # once reported holds=True with max_deviation 0.0 without comparing anything
+        with pytest.raises(ValueError, match="steps"):
+            verify_property_P(product2(), steps)
 
     def test_greedy_marginal_is_gibbs_kernel(self):
         # one-step marginal of each chain alone equals the exact Gibbs kernel
         for m in (ising2(0.4), ising4_field()):
-            ev = PairEvolver(m, "greedy")
+            ev = PairEvolver(m)
             G = gibbs_kernel(m)
             for x in range(m.size):
                 for y in range(m.size):
@@ -332,10 +367,10 @@ def random_pair_pmf(model, seed):
 
 
 class TestPairEvolver:
-    CASES = [(mixed_table, "greedy"), (ising4_field, "greedy"), (product3, "independent")]
+    CASES = [mixed_table, ising4_field, product3]
 
-    @pytest.mark.parametrize("make,coupling", CASES, ids=["mixed", "ising4", "product3"])
-    def test_matches_per_state_loop(self, make, coupling):
+    @pytest.mark.parametrize("make", CASES, ids=["mixed", "ising4", "product3"])
+    def test_matches_per_state_loop(self, make):
         # nu'[x <- a, y <- b] += nu[x, y] J_i(x, y)[a, b] / n, one state pair at a time
         model = make()
         nu = random_pair_pmf(model, 3)
@@ -345,37 +380,49 @@ class TestPairEvolver:
                 cx, cy = model.config_from_flat(x), model.config_from_flat(y)
                 for i in range(model.n):
                     p, q = model.conditional(i, cx), model.conditional(i, cy)
-                    J = maximal_coupling_joint(p, q) if coupling == "greedy" \
-                        else np.diag(p)  # one shared fresh value
+                    J = maximal_coupling_joint(p, q)
                     for a in range(model.sizes[i]):
                         for b in range(model.sizes[i]):
                             xa, yb = list(cx), list(cy)
                             xa[i], yb[i] = a, b
                             expect[model.flat_from_config(xa), model.flat_from_config(yb)] += \
                                 nu[x, y] * J[a, b] / model.n
-        got = PairEvolver(model, coupling).step(nu)
+        got = PairEvolver(model).step(nu)
         assert np.abs(got - expect).max() <= 4 * model.n * np.finfo(float).eps
 
-    @pytest.mark.parametrize("make,coupling", CASES + [(alphabet9, "greedy")],
+    @pytest.mark.parametrize("make", CASES + [alphabet9],
                              ids=["mixed", "ising4", "product3", "alphabet9"])
-    def test_joint_blocks_are_maximal_coupling_bits(self, make, coupling):
+    def test_joint_blocks_are_maximal_coupling_bits(self, make):
         model = make()
-        ev = PairEvolver(model, coupling)
+        ev = PairEvolver(model)
         for i, J in enumerate(ev._joints):
             rows = conditional_table(model, i)
             K, m = rows.shape
             assert J.shape == (m, m, K, K)
             for rx in range(K):
                 for ry in range(K):
-                    q = rows[ry] if coupling == "greedy" else rows[rx]
-                    assert np.array_equal(J[:, :, rx, ry], maximal_coupling_joint(rows[rx], q))
+                    assert np.array_equal(J[:, :, rx, ry],
+                                          maximal_coupling_joint(rows[rx], rows[ry]))
 
-    @pytest.mark.parametrize("make,coupling", CASES, ids=["mixed", "ising4", "product3"])
-    def test_step_sums_in_documented_order(self, make, coupling):
+    @pytest.mark.parametrize("make", [product2, product3, single_site, product9],
+                             ids=["product2", "product3", "single_site", "product9"])
+    def test_product_joint_is_synchronized_refresh(self, make):
+        # equal conditionals: every block is delta_ab p_a, one shared fresh value
+        model = make()
+        ev = PairEvolver(model)
+        for i, J in enumerate(ev._joints):
+            p = model.site_marginals()[i]
+            m, K = len(p), model.size // len(p)
+            for a in range(m):
+                for b in range(m):
+                    assert np.array_equal(J[a, b], np.full((K, K), p[a] if a == b else 0.0))
+
+    @pytest.mark.parametrize("make", CASES, ids=["mixed", "ising4", "product3"])
+    def test_step_sums_in_documented_order(self, make):
         # per site: mass of each row pair added over (a, b) in a-major order,
         # then mass * J[a, b] added into the pair's slot; sites in order, / n once
         model = make()
-        ev = PairEvolver(model, coupling)
+        ev = PairEvolver(model)
         nu = random_pair_pmf(model, 5)
         out = np.zeros_like(nu)
         for i in range(model.n):
@@ -400,10 +447,6 @@ class TestPairEvolver:
                     out[x, y] = out[x, y] + mass[rx, ry] * ev._joints[i][a, b, rx, ry]
         assert np.array_equal(ev.step(nu), out / model.n)
 
-    def test_unknown_coupling_refused(self):
-        with pytest.raises(ValueError, match="unknown coupling"):
-            PairEvolver(product2(), "synchronized")
-
     def test_state_cap(self):
         J = np.full((10, 10), 0.05) - 0.05 * np.eye(10)
         with pytest.raises(EnumerationCapError):
@@ -416,19 +459,19 @@ class TestAntisymmetricF:
         self.f = RademacherSumObservable([[[1.0]], [[1.0]]])  # f(z) = (z1+z2) I_1
 
     def test_equal_starts_zero(self):
-        F = antisymmetric_F(product2(), self.f, (0, 1), (0, 1), coupling="independent")
+        F = antisymmetric_F(product2(), self.f, (0, 1), (0, 1))
         assert np.abs(F.mat).max() == 0.0
 
     def test_antisymmetry_exact(self):
         m = product2()
         for x in itertools.product(range(2), repeat=2):
             for y in itertools.product(range(2), repeat=2):
-                Fxy = antisymmetric_F(m, self.f, x, y, coupling="independent")
-                Fyx = antisymmetric_F(m, self.f, y, x, coupling="independent")
+                Fxy = antisymmetric_F(m, self.f, x, y)
+                Fyx = antisymmetric_F(m, self.f, y, x)
                 assert np.abs(Fxy.mat + Fyx.mat).max() <= 1e-10
 
     def test_conditional_mean_identity_independent(self):
-        rep = stein_identity_check(product2(), self.f, coupling="independent")
+        rep = stein_identity_check(product2(), self.f)
         assert rep.holds
         assert rep.max_residual <= 1e-8
 
@@ -436,7 +479,7 @@ class TestAntisymmetricF:
         rng = np.random.default_rng(13)
         mats = [draw(2, 31), draw(2, 32)]
         f = RademacherSumObservable(mats)
-        rep = stein_identity_check(ising2(0.25), f, coupling="greedy")
+        rep = stein_identity_check(ising2(0.25), f)
         assert rep.holds
 
     def test_explicit_truncation_too_short(self):
