@@ -141,6 +141,8 @@ def laplace_infimum(log_mgf: Callable[[float], float] | float, t: float,
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("theta grid must be nonempty")
+    if not (math.isfinite(t) and np.isfinite(grid).all()):
+        raise ValueError("t and every theta grid point must be finite")
     if not (np.all(grid > 0) or np.all(grid < 0)):
         raise ValueError("theta grid must be strictly one-signed")
     if d < 1:
@@ -203,10 +205,13 @@ def trace_mgf_estimate(samples: Sequence, theta_grid) -> TrMgfEstimate:
     exactly.  Overflow at extreme theta * |X| flags the grid point instead of
     failing the whole estimate.
     """
+    grid = np.asarray(theta_grid, dtype=float)
+    if np.isnan(grid).any():
+        raise ValueError("theta grid must not contain NaN")
     evals = np.linalg.eigvalsh(np.stack([M.mat for M in _coerce_all(samples)]))  # (N, d)
     N = evals.shape[0]
     values, errs, flags = [], [], []
-    for th in np.asarray(theta_grid, dtype=float):
+    for th in grid:
         if th == 0.0:
             values.append(1.0)
             errs.append(0.0)
@@ -222,5 +227,5 @@ def trace_mgf_estimate(samples: Sequence, theta_grid) -> TrMgfEstimate:
             continue
         values.append(float(per_sample.mean()))
         errs.append(0.0 if N == 1 else float(per_sample.std(ddof=1) / math.sqrt(N)))
-    return TrMgfEstimate(tuple(float(t) for t in np.asarray(theta_grid, dtype=float)),
-                         tuple(values), tuple(errs), N, tuple(flags))
+    return TrMgfEstimate(tuple(float(t) for t in grid), tuple(values), tuple(errs), N,
+                         tuple(flags))

@@ -390,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--config", type=str, default=None)
-    shared.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
 
     parser = argparse.ArgumentParser(prog="matconc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,6 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", type=str, default=None)
     p.add_argument("--ineqs", type=str, default=None)
     p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
     p.set_defaults(func=cmd_verify_traces)
 
     p = sub.add_parser("bound", parents=[shared], help="tabulate closed-form tail bounds")

@@ -5,9 +5,9 @@ the greedy (maximal) coupling of the two chains' conditionals (the synchronized
 refresh where they are equal, as on a product model), through one sampler
 (``_maximal_coupling_rows``) and one exact joint kernel (``_joint_blocks``);
 Monte Carlo over stacks of coupled runs; exact pair-distribution evolution for
-exhaustive identity verification (antisymmetric chain sums, the marginal-law
-property, Stein-pair residuals); and the empirical-tail estimator compared
-against the closed-form bounds.
+the exhaustive check of the marginal-law property P; antisymmetric chain sums
+and Stein-pair residuals from one Gibbs-kernel series over all states (exact by
+property P); and the empirical-tail estimator compared against the bounds.
 
 Randomness discipline: every Monte Carlo entry point takes a master seed and
 is deterministic given it; ``mc_tail_estimate`` draws its pilot and main
@@ -34,7 +34,7 @@ from .dobrushin import (
 from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
 
 WILSON_Z95 = 1.959963984540054
-PAIR_STATE_CAP = 4096  # max S^2 for exhaustive pair-space loops
+PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
 CHAIN_SUM_MAX_STEPS = 10_000  # last chain-sum term before the tail must certify
 MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering mean
 
@@ -382,68 +382,44 @@ def _spectral_norm_raw(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
 
 
-def _antisym_sum(evolver: PairEvolver, fc: np.ndarray, x_flat: int, y_flat: int,
-                 truncation: int | None, tol: float) -> np.ndarray:
-    """sum_k E(f(X(k)) - f(X'(k)) | starts), truncated with a certified tail."""
-    nu = evolver.delta(x_flat, y_flat)
-    F = np.zeros_like(fc[0])
-    norms: list[float] = []
-    k = 0
-    while True:
-        term = (np.einsum("s,sij->ij", nu.sum(axis=1), fc)
-                - np.einsum("s,sij->ij", nu.sum(axis=0), fc))
-        F += term
-        norms.append(_spectral_norm_raw(term))
-        coupled = float(np.trace(nu))
-        if 1.0 - coupled <= 1e-300:
-            return F  # chains have met; all later terms vanish exactly
-        if truncation is not None and k >= truncation:
-            _certify_tail(norms, tol)
-            return F
-        if truncation is None and k >= 8:
-            try:
-                _certify_tail(norms, tol)
-                return F
-            except TruncationError:
-                pass
-        if k >= CHAIN_SUM_MAX_STEPS:
-            _certify_tail(norms, tol)  # raises with the measured tail
-            return F
-        nu = evolver.step(nu)
-        k += 1
-
-
-def _certify_tail(norms: list[float], tol: float, safety: float = 10.0):
-    """Geometric tail estimate from the trailing decay; raises if uncertified."""
-    if len(norms) < 4:
-        raise TruncationError("too few terms to estimate the geometric tail")
+def _uncertified_tail(norms: list[float], tol: float, safety: float = 10.0) -> str | None:
+    """Why the geometric tail estimated from the trailing decay is not below tol, or None."""
     last, prev = norms[-1], norms[-4]
     if last == 0.0:
-        return
+        return None
     if prev <= 0.0 or last >= prev:
-        raise TruncationError("chain-sum terms are not decaying geometrically")
+        return "chain-sum terms are not decaying geometrically"
     r = (last / prev) ** (1.0 / 3.0)
     tail = last * r / (1.0 - r)
     if tail * safety >= tol:
-        raise TruncationError(
-            f"geometric tail estimate {tail:.3e} (x{safety:g} safety) exceeds {tol:.3e}"
-        )
+        return f"geometric tail estimate {tail:.3e} (x{safety:g} safety) exceeds {tol:.3e}"
+    return None
 
 
-def antisymmetric_F(model: DiscreteModel, f, x, y, truncation: int | None = None,
-                    tol: float = 1e-8) -> HermitianMatrix:
-    """Antisymmetric chain sum F(x, y) for a centered matrix observable.
+def _chain_sum(G: np.ndarray, fc: np.ndarray, tol: float) -> np.ndarray:
+    """g = sum_k G^k fc over every state, so that F(x, y) = g[x] - g[y] within tol.
 
-    The observable is centered internally.  With ``truncation=None`` the cut
-    is chosen adaptively from the measured geometric decay of the terms with
-    a 10x safety factor against ``tol``; an explicit truncation is honored but
-    still has its tail certified.
+    By property P each chain of the coupled pair keeps its own single-chain
+    law, so the k-th chain-sum term from starts (x, y) is (G^k fc)[x] -
+    (G^k fc)[y].  From k = 8 on, the series is cut once the tail of the
+    largest term norm over states is certified below tol / 2.
     """
-    evolver = PairEvolver(model)
-    fc = _centered_values(model, f)
-    xf = model.flat_from_config(x)
-    yf = model.flat_from_config(y)
-    F = _antisym_sum(evolver, fc, xf, yf, truncation, tol)
+    term, g, norms = fc, fc.copy(), [_spectral_norm_raw(fc)]
+    for k in range(1, CHAIN_SUM_MAX_STEPS + 1):
+        # real and imaginary parts side by side: one real product with G
+        term = (G @ term.reshape(len(G), -1).view(float)).view(complex).reshape(fc.shape)
+        g += term
+        norms.append(_spectral_norm_raw(term))
+        if k >= 8 and (why := _uncertified_tail(norms, tol / 2.0)) is None:
+            return g
+    raise TruncationError(why)
+
+
+def antisymmetric_F(model: DiscreteModel, f, x, y, tol: float = 1e-8) -> HermitianMatrix:
+    """Chain sum F(x, y) = sum_k E(f(X(k)) - f(X'(k)) | starts) of the centered
+    observable, cut where its measured geometric tail (10x safety) is below ``tol``."""
+    g = _chain_sum(gibbs_kernel(model), _centered_values(model, f), tol)
+    F = g[model.flat_from_config(x)] - g[model.flat_from_config(y)]
     return HermitianMatrix((F + F.conj().T) / 2.0)
 
 
@@ -461,36 +437,18 @@ def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8) -> SteinIde
     """Verify F(x,y) = -F(y,x) and E(F(X,X')|X) = f(X) - E f(X) exhaustively.
 
     Runs over every pair (x, y) reachable by the single-site resampling pair
-    construction on an enumerable model.
+    construction on an enumerable model; every F comes from one chain sum.
     """
-    if model.size * model.size > PAIR_STATE_CAP:
-        raise EnumerationCapError("model too large for exhaustive identity check")
-    evolver = PairEvolver(model)
     fc = _centered_values(model, f)
     G = gibbs_kernel(model)
-    term_tol = tol / 10.0
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def F_of(a: int, b: int) -> np.ndarray:
-        if (a, b) not in cache:
-            cache[(a, b)] = _antisym_sum(evolver, fc, a, b, None, term_tol)
-        return cache[(a, b)]
-
-    max_res = 0.0
-    max_anti = 0.0
-    pairs = 0
-    for z in range(model.size):
-        acc = np.zeros_like(fc[0])
-        for z2 in range(model.size):
-            if G[z, z2] <= 0.0:
-                continue
-            Fzz = F_of(z, z2)
-            acc += G[z, z2] * Fzz
-            max_anti = max(max_anti, _spectral_norm_raw(Fzz + F_of(z2, z)))
-            pairs += 1
-        max_res = max(max_res, _spectral_norm_raw(acc - fc[z]))
-    holds = max_res <= tol and max_anti <= tol
-    return SteinIdentityReport(max_res, max_anti, pairs, holds)
+    g = _chain_sum(G, fc, tol / 10.0)
+    z, z2 = np.nonzero(G > 0)
+    F = g[z] - g[z2]
+    max_anti = _spectral_norm_raw(F + (g[z2] - g[z]))
+    acc = np.zeros_like(fc)
+    np.add.at(acc, z, G[z, z2][:, None, None] * F)
+    max_res = _spectral_norm_raw(acc - fc)
+    return SteinIdentityReport(max_res, max_anti, len(z), max_res <= tol and max_anti <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,8 @@ def model_to_obj(model: DiscreteModel) -> dict:
 
 def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel:
     alphabets = [tuple(a) for a in obj["alphabets"]]
+    if obj.get("n", len(alphabets)) != len(alphabets):
+        raise ValueError(f"model has n = {obj['n']} but {len(alphabets)} alphabets")
     weight = obj["weight"]
     kind = weight["kind"]
     if kind == "table":
@@ -403,6 +405,8 @@ def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel
     if kind == "product":
         return DiscreteModel.from_product(alphabets, weight["pmfs"], enum_cap=enum_cap)
     if kind == "ising":
+        if len(alphabets) != len(weight["coupling"]) or len(set(alphabets)) > 1:
+            raise ValueError("an ising model needs one alphabet repeated once per coupling row")
         values = alphabets[0] if alphabets else (-1.0, 1.0)
         return DiscreteModel.from_ising(weight["coupling"], weight.get("field"),
                                         values=values, enum_cap=enum_cap)

@@ -88,10 +88,16 @@ class _Gaps:
 
     ``inputs`` maps each input name to its (n, d, d) stack, in the order the
     digest hashes them; ``params[i]`` are the scalars digested with instance
-    i.  ``anchors`` defaults to max(1, |lhs|, |rhs|) per instance.
+    i.  ``anchors`` defaults to max(1, |lhs|, |rhs|) per instance.  A lhs or
+    rhs that is not finite (the inputs overflowed) raises ``ArithmeticError``.
     """
 
     def __init__(self, inequality_id, lhs, rhs, gap, inputs, params, anchors=None):
+        bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ArithmeticError(f"{inequality_id}: lhs {np.ravel(lhs)[i]:.3e} or rhs "
+                                  f"{np.ravel(rhs)[i]:.3e} is not finite")
         self.inequality_id = inequality_id
         self.lhs, self.rhs, self.gap = (np.asarray(v, dtype=float).tolist()
                                         for v in (lhs, rhs, gap))
@@ -409,7 +415,8 @@ def _fuzz_block(inequality_id, trials, kinds, dims, scale, seed) -> dict:
     for dim, cell in cells.items():
         ts, cell_kinds, mats, scalars = zip(*cell)
         stacks = [_certify(np.array(slot, dtype=np.complex128)) for slot in zip(*mats)]
-        gaps = _evaluate_trials(inequality_id, stacks, list(zip(*scalars)), scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _Gaps instead
+            gaps = _evaluate_trials(inequality_id, stacks, list(zip(*scalars)), scale)
         for i, (t, kind) in enumerate(zip(ts, cell_kinds)):
             out[t] = (gaps, i, kind, dim)
     return out

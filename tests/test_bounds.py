@@ -226,6 +226,13 @@ class TestLaplaceInfimum:
         with pytest.raises(ValueError):
             laplace_infimum(lambda th: float("nan"), 1.0, [1.0, 2.0], d=2)
 
+    @pytest.mark.parametrize("t, grid", [(math.nan, [1.0, 2.0]), (math.inf, [1.0, 2.0]),
+                                         (1.0, [1.0, math.inf]), (1.0, [math.nan, 1.0]),
+                                         (1.0, [-math.inf, -1.0])])
+    def test_non_finite_t_or_grid_refused(self, t, grid):
+        with pytest.raises(ValueError, match="finite"):
+            laplace_infimum(1.0, t, grid, d=2)
+
 
 class TestTraceMgf:
     def test_zero_matrix(self):
@@ -268,3 +275,8 @@ class TestTraceMgf:
     def test_empty_samples(self):
         with pytest.raises(ValueError):
             trace_mgf_estimate([], [1.0])
+
+    def test_nan_theta_refused(self):
+        # a NaN theta is not an overflow
+        with pytest.raises(ValueError, match="NaN"):
+            trace_mgf_estimate([HermitianMatrix.diagonal([1.0, -1.0])], [0.5, math.nan])

@@ -142,6 +142,21 @@ class TestVerifyTraces:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "eigenvalue" in err
 
+    def test_overflowing_traces_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "vt"
+        assert run(["verify-traces", "--ineqs", "trace_quad", "--kinds", "diagonal",
+                    "--scale", 1e80, "--trials", 20, "--dims", 2, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "not finite" in err
+        assert not (out / "fuzz-trace_quad.json").exists()
+
+    def test_tol_profile_read(self, tmp_path):
+        out = tmp_path / "vt"
+        assert run(["verify-traces", "--trials", 5, "--dims", 2, "--ineqs", "holder",
+                    "--tol-profile", "strict", "--out", out]) == 0
+        with open(out / "fuzz-holder.json") as fh:
+            assert json.load(fh)["tolerance"] == 1e-10
+
     def test_separate_processes_write_identical_data(self, tmp_path):
         # every inequality at dims 1..8 plus a conjecture search, each run in
         # two fresh interpreters with different hash seeds
@@ -399,6 +414,15 @@ class TestReportCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["bound", "dobrushin", "conjecture", "report"])
+    def test_tol_profile_only_on_verify_traces(self, command, tmp_path, ising_model_file):
+        argv = {"bound": ["--out", tmp_path / "b.csv"],
+                "dobrushin": ["--model", ising_model_file, "--out", tmp_path / "d.json"],
+                "conjecture": ["--budget", 2, "--dims", 2, "--out", tmp_path / "c.json"],
+                "report": ["--inputs", tmp_path]}[command]
+        assert run([command, *argv, "--tol-profile", "strict"]) == 2
+        assert run([command, *argv]) == 0
+
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 

@@ -26,6 +26,7 @@ from matconc.coupling import (
     verify_property_P,
     verify_stein_pair,
     wilson_interval,
+    _centered_values,
     _coupled_step,
     _maximal_coupling_rows,
 )
@@ -50,6 +51,13 @@ def ising4_field():
     for i, j, c in [(0, 1, 0.3), (1, 2, -0.25), (2, 3, 0.2), (0, 3, 0.15), (0, 2, -0.1)]:
         J[i, j] = J[j, i] = c
     return DiscreteModel.from_ising(J, [0.2, -0.1, 0.05, -0.3])
+
+
+def ising3_field():
+    J = np.zeros((3, 3))
+    J[0, 1] = J[1, 0] = 0.3
+    J[1, 2] = J[2, 1] = -0.2
+    return DiscreteModel.from_ising(J, [0.2, -0.1, 0.15])
 
 
 def mixed_table():
@@ -482,16 +490,42 @@ class TestAntisymmetricF:
         rep = stein_identity_check(ising2(0.25), f)
         assert rep.holds
 
-    def test_explicit_truncation_too_short(self):
-        with pytest.raises(TruncationError):
-            antisymmetric_F(ising2(0.25), self.f, (0, 0), (1, 1),
-                            truncation=2, tol=1e-12)
+    def test_uncertifiable_tail_refused(self):
+        # tol = 0: the terms stall at rounding level and never certify
+        with pytest.raises(TruncationError, match="not decaying geometrically"):
+            antisymmetric_F(ising2(0.25), self.f, (0, 0), (1, 1), tol=0.0)
 
-    def test_explicit_truncation_long_enough(self):
-        F_adaptive = antisymmetric_F(ising2(0.25), self.f, (0, 0), (1, 1), tol=1e-10)
-        F_explicit = antisymmetric_F(ising2(0.25), self.f, (0, 0), (1, 1),
-                                     truncation=120, tol=1e-10)
-        assert np.abs(F_adaptive.mat - F_explicit.mat).max() <= 1e-9
+    @pytest.mark.parametrize("make", [ising2, ising3_field, mixed_table, product3],
+                             ids=["ising2", "ising3_field", "mixed", "product3"])
+    def test_matches_pair_law_chain_sum(self, make):
+        # oracle: evolve the coupled pair law and sum the marginal differences
+        # until the chains have met with all but 1e-13 of the mass
+        model = make()
+        f = RademacherSumObservable([draw(2, 60 + k) for k in range(model.n)])
+        fc = _centered_values(model, f)
+        ev = PairEvolver(model)
+        configs = list(itertools.product(*map(range, model.sizes)))
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            x, y = (configs[i] for i in rng.integers(0, len(configs), 2))
+            nu = ev.delta(model.flat_from_config(x), model.flat_from_config(y))
+            F = np.zeros((2, 2), dtype=complex)
+            for _ in range(1000):
+                if 1.0 - np.trace(nu) <= 1e-13:
+                    break
+                F += np.einsum("s,sij->ij", nu.sum(axis=1) - nu.sum(axis=0), fc)
+                nu = ev.step(nu)
+            else:
+                pytest.fail("the chains did not meet within 1000 steps")
+            assert np.abs(antisymmetric_F(model, f, x, y).mat - F).max() <= 1e-8
+
+    def test_stein_identity_seven_site_ising(self):
+        # S = 128 states, S^2 = 16384 pairs of states
+        J = np.diag(np.full(6, 0.25), 1)
+        model = DiscreteModel.from_ising(J + J.T, np.linspace(-0.2, 0.2, 7))
+        f = RademacherSumObservable([draw(2, 70 + k) for k in range(7)])
+        rep = stein_identity_check(model, f)
+        assert rep.holds and rep.pairs_checked == 128 * 8
 
 
 class TestSteinPair:

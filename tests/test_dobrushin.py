@@ -377,6 +377,29 @@ class TestModelSerialization:
         D = dobrushin_matrix(m)
         assert D.entries[0, 1] == pytest.approx(TANH_QUARTER, abs=1e-12)
 
+    @pytest.mark.parametrize("alphabets", [[[-1, 1], [0, 1, 2]], [[-1, 1]] * 2,
+                                           [[-1, 1]] * 4, [[-1, 1], [-1, 1], [0, 1]]])
+    def test_ising_alphabets_must_repeat_per_row(self, alphabets):
+        J = np.full((3, 3), 0.1) - 0.1 * np.eye(3)
+        obj = {"alphabets": alphabets, "weight": {"kind": "ising", "coupling": J.tolist()}}
+        with pytest.raises(ValueError, match="one alphabet"):
+            model_from_obj(obj)
+
+    def test_ising_repeated_alphabet_accepted(self):
+        obj = {"alphabets": [[0, 1], [0.0, 1.0]],
+               "weight": {"kind": "ising", "coupling": [[0.0, 0.25], [0.25, 0.0]]}}
+        assert model_from_obj(obj).alphabets == ((0, 1), (0, 1))
+
+    @pytest.mark.parametrize("weight", [{"kind": "product", "pmfs": [[0.5, 0.5]] * 2},
+                                        {"kind": "table", "values": [1, 2, 3, 4]},
+                                        {"kind": "ising", "coupling": [[0, 0.2], [0.2, 0]]}])
+    def test_n_must_match_alphabets(self, weight):
+        obj = {"n": 3, "alphabets": [[0, 1], [0, 1]], "weight": weight}
+        with pytest.raises(ValueError, match="n = 3"):
+            model_from_obj(obj)
+        obj["n"] = 2
+        assert model_from_obj(obj).n == 2
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_obj({"n": 1, "alphabets": [[0, 1]], "weight": {"kind": "mystery"}})

@@ -415,6 +415,12 @@ class TestFuzzer:
         with pytest.raises(ValueError):
             fuzz_inequality("nope", EnsembleSpec("psd", 2, 1.0, 5), 10)
 
+    @pytest.mark.parametrize("ineq", ["trace_quad", "power", "symmetric_term"])
+    def test_overflowing_gaps_refused(self, ineq):
+        # every product overflows, so no gap is a number: not a clean pass
+        with pytest.raises(ArithmeticError, match="not finite"):
+            fuzz_grid(ineq, ("diagonal",), (2,), 20, 1e80, 1)
+
     def test_no_violations_on_gaussian(self):
         spec = EnsembleSpec("gaussian-hermitian", 4, 1.0, 314)
         s = fuzz_inequality("exchangeable", spec, 500, tol=1e-8)
