@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .hermitian import (
     inputs_digest,
     matrix_to_obj,
 )
-from .traceineq import TraceGapReport, _anchor
+from .traceineq import FUZZ_CHUNK, TraceGapReport, _anchor
 
 
 @dataclass(frozen=True)
@@ -73,38 +73,47 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
         raise ValueError(f"unknown catalog entry {name!r}") from None
 
 
-def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[float, float]:
-    """(lhs, rhs) of the split-part bound for ``entry`` on the certified stack (A, B, C).
+def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) arrays of the split-part bound for ``entry`` on a certified
+    (N, 3, d, d) stack of (A, B, C) instances.
 
-    One decomposition of (A, B, C, D = A - B) gives f(A), f(B), f'(A), f'(B)
-    and the spectral parts of C and D; the weights are (C+^2 + D+^2)/2 on
-    f'(A) and (C-^2 + D-^2)/2 on f'(B).  The difference of two certified
-    matrices is its own Hermitian part, bit for bit, so D needs no
-    certification.  Spectra of A, B outside the entry's domain, f or f'
+    One stacked decomposition of every (A, B, C, D = A - B) gives f(A), f(B),
+    f'(A), f'(B) and the spectral parts of C and D; the weights are
+    (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).  The difference of
+    two certified matrices is its own Hermitian part, bit for bit, so D needs
+    no certification.  Spectra of A, B outside the entry's domain, f or f'
     values that could overflow, and a lhs or rhs that is not finite raise
-    :class:`SpectralDomainError`; the eigenvalue it names is the one of
-    largest modulus.
+    :class:`SpectralDomainError` for the first such instance; the eigenvalue
+    it names is the one of largest modulus.  Each instance's values are the
+    bits of a stack of one.
     """
-    M = np.concatenate([X, X[:1] - X[1:2]])
+    M = np.concatenate([X, X[:, :1] - X[:, 1:2]], axis=1)
     w, U = _decompose(M)
+    wAB = w[:, :2]
     lo, hi = entry.domain
-    for label, evals in zip("AB", w[:2]):
-        tol = 1e-12 * max(1.0, float(np.abs(evals).max()))
-        if evals[0] < lo - tol or evals[-1] > hi + tol:
-            bad = evals[0] if evals[0] < lo - tol else evals[-1]
-            raise SpectralDomainError(bad, f"eigenvalue of {label} outside domain of {entry.name}")
-    fAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f, w[:2])))
-    fpAB = _hermitian_part(_spectral(U[:2], _apply_scalar(entry.f_prime, w[:2])))
-    Cp, Dp = _positive_part(w[2:], U[2:])
-    Cm, Dm = _positive_part(-w[2:], U[2:])
+    tol = 1e-12 * np.maximum(1.0, np.abs(wAB).max(axis=-1))
+    below = wAB[..., 0] < lo - tol
+    outside = below | (wAB[..., -1] > hi + tol)
+    if outside.any():
+        i, k = np.unravel_index(int(np.argmax(outside)), outside.shape)
+        bad = wAB[i, k, 0] if below[i, k] else wAB[i, k, -1]
+        raise SpectralDomainError(bad, f"eigenvalue of {'AB'[k]} outside domain of {entry.name}")
+    f = _apply_scalar(entry.f, wAB)
+    fp = _apply_scalar(entry.f_prime, wAB)
+    wCD = w[:, 2:]
+    # f(A), f(B), f'(A), f'(B), C+, D+, C-, D- from one stacked product
+    vals = np.concatenate([f, fp, np.clip(wCD, 0.0, None), np.clip(-wCD, 0.0, None)], axis=1)
+    S = _hermitian_part(_spectral(U[:, [0, 1, 0, 1, 2, 3, 2, 3]], vals))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        w_pos = (Cp @ Cp + Dp @ Dp) / 2.0
-        w_neg = (Cm @ Cm + Dm @ Dm) / 2.0
-        lhs = float(_trace(M[2] @ (fAB[0] - fAB[1])))
-        rhs = float(_trace(w_pos @ fpAB[0]) + _trace(w_neg @ fpAB[1]))
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        big = w.flat[int(np.abs(w).argmax())]
-        raise SpectralDomainError(big, "split-part bound not finite")
+        sq = S[:, 4:] @ S[:, 4:]
+        w_pos = (sq[:, 0] + sq[:, 1]) / 2.0
+        w_neg = (sq[:, 2] + sq[:, 3]) / 2.0
+        lhs = _trace(M[:, 2] @ (S[:, 0] - S[:, 1]))
+        rhs = _trace(w_pos @ S[:, 2]) + _trace(w_neg @ S[:, 3])
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    if bad.any():
+        wi = w[int(np.argmax(bad))]
+        raise SpectralDomainError(wi.flat[int(np.abs(wi).argmax())], "split-part bound not finite")
     return lhs, rhs
 
 
@@ -117,19 +126,24 @@ def _report(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray, lhs: f
                           {"anchor": _anchor(lhs, rhs), **extra})
 
 
+def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry, seed) -> TraceGapReport:
+    """Report of the split-part kernel on a stack of one certified (A, B, C)."""
+    X = np.stack([M.mat for M in _coerce_all(mats)])
+    lhs, rhs = _split_gap(X[None], entry)
+    return _report(inequality_id, entry, X, float(lhs[0]), float(rhs[0]), seed)
+
+
 def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
     """Split-part exponential trace bound; gap >= 0 means the instance holds.
 
     The ``CATALOG["exp"]`` case of :func:`gap_conjecture_f`, labelled ``expconj``.
     """
-    X = np.stack([M.mat for M in _coerce_all((A, B, C))])
-    return _report("expconj", CATALOG["exp"], X, *_split_gap(X, CATALOG["exp"]), seed)
+    return _gap_of_one("expconj", (A, B, C), CATALOG["exp"], seed)
 
 
 def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapReport:
     """Split-part bound for a monotone convex f with spectra inside its domain."""
-    X = np.stack([M.mat for M in _coerce_all((A, B, C))])
-    return _report("fconj", entry, X, *_split_gap(X, entry), seed)
+    return _gap_of_one("fconj", (A, B, C), entry, seed)
 
 
 def scalar_gap_f(a, b, c, entry: ConvexCatalogEntry) -> float:
@@ -243,6 +257,70 @@ def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
     return _certify(X.astype(np.complex128))
 
 
+def _search_gaps(X: np.ndarray, entry: ConvexCatalogEntry):
+    """(normalized gap, lhs, rhs, evaluated stack) arrays of certified search instances.
+
+    An entry whose domain has a finite lower end takes A and B as their
+    positive parts, from one stacked decomposition, before the kernel.
+    """
+    if entry.domain[0] > -math.inf:
+        X = np.concatenate([_positive_part(*_decompose(X[:, :2])), X[:, 2:]], axis=1)
+    lhs, rhs = _split_gap(X, entry)
+    with np.errstate(over="ignore"):  # rhs - lhs may round to inf, as a float would
+        norm_gap = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return norm_gap, lhs, rhs, X
+
+
+def _gaps_in_order(X: np.ndarray, entry: ConvexCatalogEntry):
+    """Yield each instance's (normalized gap, lhs, rhs, evaluated (A, B, C)) in stack order.
+
+    The stack is evaluated at once.  If that is refused, its instances are
+    evaluated again one at a time with the same kernel, so the first refused
+    instance raises its own error when it is reached and no later one is
+    evaluated: the caller sees exactly the errors of an instance-by-instance
+    evaluation that stops where it stops.
+    """
+    try:
+        gaps = _search_gaps(X, entry)
+    except (ValueError, ArithmeticError):
+        for i in range(len(X)):
+            norm_gap, lhs, rhs, Xi = _search_gaps(X[i:i + 1], entry)
+            yield norm_gap[0], lhs[0], rhs[0], Xi[0]
+        return
+    yield from zip(*gaps)
+
+
+class _Scan(NamedTuple):
+    """Position of the coordinate-descent scan: the next candidate moves
+    coordinate ``idx`` by ``_SIGNS[sign] * step``."""
+
+    idx: int
+    sign: int
+    step: float
+    improved: bool  # whether the current sweep has accepted a move
+    sweeps: int
+
+
+_SIGNS = (1.0, -1.0)
+_DESCENT_BLOCKS = (8, 64)  # first and largest number of descent candidates per stack
+
+
+def _end_sweep(pos: _Scan) -> _Scan:
+    """Count the sweep; a sweep without an accepted move halves the step."""
+    return _Scan(0, 0, pos.step if pos.improved else pos.step / 2.0, False, pos.sweeps + 1)
+
+
+def _advance(pos: _Scan, n_params: int, moved: bool) -> _Scan:
+    """The scan position after the candidate at ``pos``: an accepted move or
+    a rejected - goes on to the next coordinate, a rejected + to the - of
+    the same coordinate."""
+    if moved or pos.sign == 1:
+        pos = _Scan(pos.idx + 1, 0, pos.step, pos.improved or moved, pos.sweeps)
+    else:
+        pos = pos._replace(sign=1)
+    return _end_sweep(pos) if pos.idx == n_params else pos
+
+
 def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
                           scale: float = 1.0, entry: ConvexCatalogEntry | None = None,
                           descent_budget: int | None = None) -> SearchResult:
@@ -254,6 +332,16 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     until stationarity or the descent budget runs out.  Drawn inputs are
     certified once; descent candidates are assembled exactly Hermitian from
     their parameters.  Fully reproducible from the seed.
+
+    Both phases evaluate stacks and give the bytes of an instance-by-instance
+    search.  Each block of ``FUZZ_CHUNK`` consecutive random trials is one
+    stack per dim, folded in trial order (the earliest minimum wins).  The
+    descent evaluates the scan's next candidates, assuming none improves, as
+    one stack (the first stack also holds the starting point), accepts the
+    first that improves and discards the rest; the block doubles while
+    nothing improves and starts over after a move.  ``descent_evals`` and
+    ``sweeps`` count the sequential scan, not the discarded candidates.  A
+    refused instance raises the error of the first refusal in scan order.
     """
     if inequality_id not in ("expconj", "fconj"):
         raise ValueError(f"unknown conjecture id {inequality_id!r}")
@@ -265,61 +353,68 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     descent_budget = budget if descent_budget is None else int(descent_budget)
     if inequality_id == "expconj":
         entry = CATALOG["exp"]
-    positive = entry.domain[0] > -math.inf  # A and B enter as their positive parts
 
-    def evaluate(X):
-        if positive:
-            X = np.concatenate([_positive_part(*_decompose(X[:2])), X[2:]])
-        lhs, rhs = _split_gap(X, entry)
-        return (rhs - lhs) / _anchor(lhs, rhs), lhs, rhs, X
-
-    best = None  # (norm_gap, lhs, rhs, (A, B, C))
-    for t in range(budget):
-        rng, kind, dim = _trial(seed, t, kinds, dims)
-        cand = evaluate(_random_instance(kind, dim, scale, rng))
-        if best is None or cand[0] < best[0]:
-            best = cand
-    best_random = best[0]
+    best = None  # (norm_gap, lhs, rhs, evaluated (A, B, C))
+    for start in range(0, budget, FUZZ_CHUNK):
+        drawn, refused = [], None  # (dim, instance) in trial order
+        for t in range(start, min(budget, start + FUZZ_CHUNK)):
+            rng, kind, dim = _trial(seed, t, kinds, dims)
+            try:
+                drawn.append((dim, _random_instance(kind, dim, scale, rng)))
+            except (ValueError, ArithmeticError) as exc:  # raised after the trials before it
+                refused = exc
+                break
+        stacks = {}
+        for dim, X in drawn:
+            stacks.setdefault(dim, []).append(X)
+        gaps = {dim: _gaps_in_order(np.stack(Xs), entry) for dim, Xs in stacks.items()}
+        for dim, _ in drawn:
+            cand = next(gaps[dim])
+            if best is None or cand[0] < best[0]:
+                best = cand
+        if refused is not None:
+            raise refused
+    best_random = float(best[0])
 
     # coordinate-wise perturbation descent from the worst random instance
     dim = best[3].shape[-1]
     current = _to_params(best[3]).ravel()
-
-    def rebuild(vec):
+    floor = 1e-6 * scale
+    pos = _Scan(0, 0, 0.25 * scale, False, 0)
+    size = _DESCENT_BLOCKS[0]
+    with_base = descent_budget > 0  # the first stack evaluates the starting point too
+    evals_used = int(with_base)
+    while with_base or (evals_used < descent_budget and pos.step >= floor):
+        ahead = []  # the next scan positions if no candidate improves
+        after = pos
+        while len(ahead) < min(size, descent_budget - evals_used) and after.step >= floor:
+            ahead.append(after)
+            after = _advance(after, current.size, False)
+        V = np.repeat(current[None], with_base + len(ahead), axis=0)
+        for row, p in enumerate(ahead, start=with_base):
+            V[row, p.idx] += _SIGNS[p.sign] * p.step
         # the symmetrization that certification applies, without its check
-        return _hermitian_part(_from_params(dim, vec.reshape(3, -1)))
-
-    evals_used = 0
-    sweeps = 0
-    step = 0.25 * scale
-    if descent_budget > 0:
-        base = evaluate(rebuild(current))
-        evals_used += 1
-        if base[0] < best[0]:
-            best = base
-        while step >= 1e-6 * scale and evals_used < descent_budget:
-            improved = False
-            for idx in range(current.size):
-                if evals_used >= descent_budget:
-                    break
-                for sign in (1.0, -1.0):
-                    if evals_used >= descent_budget:
-                        break
-                    vec = current.copy()
-                    vec[idx] += sign * step
-                    cand = evaluate(rebuild(vec))
-                    evals_used += 1
-                    if cand[0] < best[0]:
-                        best = cand
-                        current = vec
-                        improved = True
-                        break
-            sweeps += 1
-            if not improved:
-                step /= 2.0
+        gaps = _gaps_in_order(_hermitian_part(_from_params(dim, V.reshape(len(V), 3, -1))),
+                              entry)
+        if with_base:
+            cand = next(gaps)
+            if cand[0] < best[0]:
+                best = cand
+        for k, cand in enumerate(gaps):
+            if cand[0] < best[0]:
+                best, current = cand, V[with_base + k]
+                pos, size = _advance(ahead[k], current.size, True), _DESCENT_BLOCKS[0]
+                evals_used += k + 1
+                break
+        else:
+            pos, size = after, min(2 * size, _DESCENT_BLOCKS[1])
+            evals_used += len(ahead)
+        with_base = False
+    if pos.idx or pos.sign:  # the budget ran out mid-sweep
+        pos = _end_sweep(pos)
 
     norm_gap, lhs, rhs, X = best
-    rep = _report(inequality_id, entry, X, lhs, rhs)
+    rep = _report(inequality_id, entry, X, float(lhs), float(rhs))
     err = 1e-10 * dim * rep.params["anchor"]  # conservative evaluation-error bound
     verdict = "counterexample-candidate" if rep.gap < -err else "supported"
     witness = {
@@ -336,9 +431,9 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
         "random_evals": budget,
         "descent_evals": evals_used,
         "best_random_gap_normalized": best_random,
-        "best_final_gap_normalized": norm_gap,
-        "sweeps": sweeps,
-        "final_step": step,
+        "best_final_gap_normalized": float(norm_gap),
+        "sweeps": pos.sweeps,
+        "final_step": pos.step,
     }
     return SearchResult(rep.inequality_id, verdict, float(rep.gap), float(norm_gap),
                         float(err), witness, trajectory, dims, budget, int(seed))

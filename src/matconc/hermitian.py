@@ -8,6 +8,7 @@ share across parallel workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -431,9 +432,18 @@ def sample_ensemble(spec: EnsembleSpec):
     return HermitianMatrix(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(dim, 1)``, built once per dim."""
+    iu = np.triu_indices(dim, 1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def _to_params(M: np.ndarray) -> np.ndarray:
     """Real degrees of freedom of a (..., d, d) stack: diagonal, Re(upper), Im(upper)."""
-    iu = np.triu_indices(M.shape[-1], 1)
+    iu = _upper_indices(M.shape[-1])
     upper = M[..., iu[0], iu[1]]
     return np.concatenate([M.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag],
                           axis=-1)
@@ -449,7 +459,7 @@ def _from_params(dim: int, params) -> np.ndarray:
     mat = np.zeros(params.shape[:-1] + (dim, dim), dtype=np.complex128)
     diag = np.arange(dim)
     mat[..., diag, diag] = params[..., :dim]
-    iu = np.triu_indices(dim, 1)
+    iu = _upper_indices(dim)
     upper = params[..., dim:dim + n_off] + 1j * params[..., dim + n_off:]
     mat[..., iu[0], iu[1]] = upper
     mat[..., iu[1], iu[0]] = upper.conj()

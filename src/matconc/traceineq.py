@@ -44,7 +44,7 @@ INEQUALITY_IDS = (
     "trace_quad",           # Re Tr(PQRS) <= Tr((P^2+R^2)(Q^2+S^2))/4
 )
 
-FUZZ_CHUNK = 256  # consecutive fuzz trials drawn, then evaluated as one stack per dim
+FUZZ_CHUNK = 256  # consecutive random trials drawn, then evaluated as one stack per dim
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,10 @@ class FuzzSummary:
     violations: int
     tolerance: float
     ensemble: dict = field(default_factory=dict)
+
+
+# Overflow inside a gap evaluation is refused by _Gaps (ArithmeticError), not warned about.
+_refusing_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _certified(*mats) -> list[np.ndarray]:
@@ -233,11 +237,13 @@ def _check_psd(AB: np.ndarray, kind: str) -> None:
             raise ValueError(f"{name} is not {kind}: min eigenvalue {w[0]:.6e}")
 
 
+@_refusing_overflow
 def gap_exchangeable(A, B, C, seed=None) -> TraceGapReport:
     """Exponential-difference trace bound for a Hermitian triple (gap = rhs - lhs)."""
     return _exchangeable(*_certified(A, B, C)).report(0, seed)
 
 
+@_refusing_overflow
 def gap_exchangeable_scaled(A, B, C, theta: float, seed=None) -> TraceGapReport:
     """Scaled variant; the inequality reverses for theta < 0, gap stays oriented >= 0."""
     if theta == 0:
@@ -245,6 +251,7 @@ def gap_exchangeable_scaled(A, B, C, theta: float, seed=None) -> TraceGapReport:
     return _exchangeable_scaled(*_certified(A, B, C), np.array([float(theta)])).report(0, seed)
 
 
+@_refusing_overflow
 def gap_pair_exp(X, Xp, theta: float, seed=None) -> TraceGapReport:
     """Exchangeable-pair exponential bound with C = X - X' folded in (theta > 0).
 
@@ -256,6 +263,7 @@ def gap_pair_exp(X, Xp, theta: float, seed=None) -> TraceGapReport:
     return _pair_exp(*_certified(X, Xp), np.array([float(theta)])).report(0, seed)
 
 
+@_refusing_overflow
 def gap_power(A, B, C, k: int, seed=None) -> TraceGapReport:
     """Power-difference trace bound for PSD A, B and integer k >= 1."""
     if int(k) != k or k < 1:
@@ -265,6 +273,7 @@ def gap_power(A, B, C, k: int, seed=None) -> TraceGapReport:
     return _power(A, B, C, np.array([int(k)])).report(0, seed)
 
 
+@_refusing_overflow
 def gap_symmetric_term(A, B, C, k: int, n: int, seed=None) -> TraceGapReport:
     """Symmetric pair of power terms, positive definite A, B, 0 <= k <= n."""
     if int(n) != n or int(k) != k or not 0 <= k <= n:
@@ -274,6 +283,7 @@ def gap_symmetric_term(A, B, C, k: int, n: int, seed=None) -> TraceGapReport:
     return _symmetric_term(A, B, C, np.array([int(k)]), np.array([int(n)])).report(0, seed)
 
 
+@_refusing_overflow
 def gap_holder(A, B, C, D, p: float, seed=None) -> TraceGapReport:
     """Hoelder-type interpolation bound, PSD A, B and exponent p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
@@ -295,12 +305,14 @@ def check_psd_cross(P, Q, tol: float = 1e-10) -> LoewnerCheck:
     return LoewnerCheck(lam_min >= -tol, lam_min)
 
 
+@_refusing_overflow
 def gap_psd_cross(P, Q, seed=None) -> TraceGapReport:
     """Report form of the cross-square order test: gap = lambda_min of the slack."""
     P, Q = _square_pair(P, Q)
     return _psd_cross(P[None], Q[None]).report(0, seed)
 
 
+@_refusing_overflow
 def gap_trace_quad(P, Q, R, S, seed=None) -> TraceGapReport:
     """Re Tr(PQRS) <= Tr((P^2+R^2)(Q^2+S^2))/4 for a Hermitian quadruple."""
     return _trace_quad(*_certified(P, Q, R, S)).report(0, seed)
@@ -356,6 +368,7 @@ def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
     raise ValueError(f"unknown inequality id {inequality_id!r}")
 
 
+@_refusing_overflow
 def _evaluate_trials(inequality_id: str, mats: list, scalars: list, scale: float) -> _Gaps:
     """Gaps of stacked fuzz trials from their certified draws and scalars.
 
@@ -415,8 +428,7 @@ def _fuzz_block(inequality_id, trials, kinds, dims, scale, seed) -> dict:
     for dim, cell in cells.items():
         ts, cell_kinds, mats, scalars = zip(*cell)
         stacks = [_certify(np.array(slot, dtype=np.complex128)) for slot in zip(*mats)]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _Gaps instead
-            gaps = _evaluate_trials(inequality_id, stacks, list(zip(*scalars)), scale)
+        gaps = _evaluate_trials(inequality_id, stacks, list(zip(*scalars)), scale)
         for i, (t, kind) in enumerate(zip(ts, cell_kinds)):
             out[t] = (gaps, i, kind, dim)
     return out

@@ -345,3 +345,102 @@ def test_search_bytes_pinned(name, tmp_path):
     save_search_result(path, r)
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED_SEARCHES[name], data.decode()
+
+
+# sha256 of saved searches whose descent the PINNED_SEARCHES runs do not reach,
+# recorded with the instance-by-instance search: (ineq, entry, dims, budget,
+# seed, descent_budget, scale)
+PINNED_DESCENTS = {
+    # sweeps complete and halve the step; moves land inside a block, on a
+    # sweep's last candidate, and the budget ends the last sweep
+    "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0),
+                     "8c64d55374fd4c052a9261dc93435a87540e83428a913e6ba39aee8ca1d1448d"),
+    # the per-dim random stacks interleave in trial order
+    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0),
+                         "c3dfefb867f0248a9588826c652f1ac79c722e9c7f8c3546dc12a0c6f5e4e0b7"),
+    # the budget runs out inside a descent block
+    "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0),
+                         "6013ea9b774a7f5a20c947709240ad392993659ea83d6e7af9d8bbc4917e2577"),
+    # descent stacks that hold a refused candidate after the accepted one
+    "refused-after-move": (("fconj", "quartic", [2], 5, 21, 60, 1.3e61),
+                           "fe090c967a9a66328c4ff2b5d5c61cec817cfd0e020aa1277c907f271d55577c"),
+}
+
+
+def _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale):
+    return counterexample_search(ineq, dims, budget, seed=seed, scale=scale,
+                                 entry=CATALOG[entry] if entry else None,
+                                 descent_budget=descent_budget)
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.parametrize("name", sorted(PINNED_DESCENTS))
+def test_descent_bytes_pinned(name, tmp_path):
+    args, digest = PINNED_DESCENTS[name]
+    r = _pinned_search(*args)
+    assert r.trajectory["descent_evals"] == args[5]
+    path = tmp_path / "result.json"
+    save_search_result(path, r)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+
+
+# the refusal an instance-by-instance search raises: the first refused random
+# instance is not instance 0, or the refusal comes from the descent or a draw
+PINNED_REFUSALS = {
+    "expconj-trial-6": (("expconj", None, [2, 3], 24, 1, 0, 200.0), SpectralDomainError,
+                        "scalar function undefined at eigenvalue 731.8352757898756 "
+                        "(value not finite or above max/4)"),
+    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 3, 0, 2e61), SpectralDomainError,
+                        "scalar function undefined at eigenvalue 7.448624823788195e+61 "
+                        "(split-part bound not finite)"),
+    "quartic-descent": (("fconj", "quartic", [2], 5, 22, 60, 1.3e61), SpectralDomainError,
+                        "scalar function undefined at eigenvalue 3.863234969854986e+61 "
+                        "(split-part bound not finite)"),
+    "integer-draw-trial-5": (("fconj", "quartic", [2, 3], 24, 0, 0, 1e61), ValueError,
+                             "low is out of bounds for int64"),
+}
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                    reason="the pinned messages carry the last bits of one numpy/LAPACK build")
+@pytest.mark.parametrize("name", sorted(PINNED_REFUSALS))
+def test_refusal_pinned(name):
+    args, cls, message = PINNED_REFUSALS[name]
+    with pytest.raises(Exception) as exc:
+        _pinned_search(*args)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+
+
+def test_random_refusal_is_the_first_in_trial_order():
+    # trial 6 (dim 3) is the first refused; the dim-2 stack holds trials 0-5 and 12-17
+    kinds, dims = hermitian._trial_grid(hermitian.ENSEMBLE_KINDS, [2, 3], 200.0)
+    expected = None
+    for t in range(24):
+        rng, kind, dim = hermitian._trial(1, t, kinds, dims)
+        try:
+            gap_conjecture_exp(*conjectures._random_instance(kind, dim, 200.0, rng))
+        except SpectralDomainError as err:
+            expected = (t, str(err))
+            break
+    assert expected is not None and expected[0] > 0
+    with pytest.raises(SpectralDomainError) as exc:
+        counterexample_search("expconj", [2, 3], 24, seed=1, scale=200.0, descent_budget=0)
+    assert str(exc.value) == expected[1]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_stacked_kernel_matches_stacks_of_one(name):
+    # one kernel: an instance's lhs and rhs in a stack are the bits it gets alone
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 5, 9):
+        G = rng.normal(size=(7, 3, dim, dim)) + 1j * rng.normal(size=(7, 3, dim, dim))
+        X = hermitian._certify(G + np.swapaxes(G.conj(), -1, -2))
+        if CATALOG[name].domain[0] == 0.0:
+            X[:, :2] = hermitian._positive_part(*hermitian._decompose(X[:, :2]))
+        lhs, rhs = conjectures._split_gap(X, CATALOG[name])
+        for i in range(len(X)):
+            one = conjectures._split_gap(X[i:i + 1], CATALOG[name])
+            assert (lhs[i], rhs[i]) == (one[0][0], one[1][0])

@@ -19,6 +19,7 @@ from matconc.hermitian import (
     _hermitian_part,
     _to_params,
     _trial,
+    _upper_indices,
     hermitian_from_params,
     hermitian_to_params,
     inputs_digest,
@@ -362,6 +363,14 @@ class TestSerialization:
                 built = _hermitian_part(_from_params(d, params))
                 for M, p in zip(built, params):
                     assert M.tobytes() == hermitian_from_params(d, p).mat.tobytes()
+
+    def test_upper_indices_cached_read_only(self):
+        for d in range(0, 8):
+            iu = _upper_indices(d)
+            assert iu is _upper_indices(d)
+            for got, want in zip(iu, np.triu_indices(d, 1)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
     def test_digest_stable(self):
         A = HermitianMatrix.identity(2)
