@@ -247,7 +247,10 @@ def cmd_mc_tail(args, config) -> int:
         bound_set = observable.hamming_bounds(model)
     else:
         bound_set = derive_hamming_bounds(observable, model)
-    sigma_sq = bound_set.sigma_sq / 4.0  # centered-summand variance |sum A_k^2|
+    # the theorems behind bound_independent and tropp take the difference-bound
+    # sigma^2 = |sum A_k^2|; hoeffding, bound_dependent and the sigma_multiples
+    # grid take the centered-summand variance, a quarter of it
+    sigma_sq = bound_set.sigma_sq / 4.0
     d = observable.dim
 
     t_cfg = config.get("t_grid", {"sigma_multiples": [0.25 * k for k in range(13)]})
@@ -267,10 +270,10 @@ def cmd_mc_tail(args, config) -> int:
         dep = "" if c is None else _fmt(hoeffding_bound_dependent(d, sigma_sq, float(c), t))
         rows.append([
             _fmt(t),
-            _fmt(tail_bound_independent(d, sigma_sq, t)),
+            _fmt(tail_bound_independent(d, bound_set.sigma_sq, t)),
             dep,
             _fmt(hoeffding_bound(d, sigma_sq, t)),
-            _fmt(tropp_bound(d, sigma_sq, t)),
+            _fmt(tropp_bound(d, bound_set.sigma_sq, t)),
             _fmt(e),
             _fmt(lo),
             _fmt(hi),

@@ -6,8 +6,9 @@ refresh where they are equal, as on a product model), through one sampler
 (``_maximal_coupling_rows``) and one exact joint kernel (``_joint_blocks``);
 Monte Carlo over stacks of coupled runs; exact pair-distribution evolution for
 the exhaustive check of the marginal-law property P; antisymmetric chain sums
-and Stein-pair residuals from one Gibbs-kernel series over all states (exact by
-property P); and the empirical-tail estimator compared against the bounds.
+and Stein-pair residuals from one Poisson solve with the Gibbs kernel over all
+states (exact by property P); and the empirical-tail estimator compared against
+the bounds.
 
 Randomness discipline: every Monte Carlo entry point takes a master seed and
 is deterministic given it; ``mc_tail_estimate`` draws its pilot and main
@@ -35,12 +36,7 @@ from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
-CHAIN_SUM_MAX_STEPS = 10_000  # last chain-sum term before the tail must certify
 MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering mean
-
-
-class TruncationError(RuntimeError):
-    """Chain-sum truncation could not certify the requested tail tolerance."""
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -382,43 +378,26 @@ def _spectral_norm_raw(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
 
 
-def _uncertified_tail(norms: list[float], tol: float, safety: float = 10.0) -> str | None:
-    """Why the geometric tail estimated from the trailing decay is not below tol, or None."""
-    last, prev = norms[-1], norms[-4]
-    if last == 0.0:
-        return None
-    if prev <= 0.0 or last >= prev:
-        return "chain-sum terms are not decaying geometrically"
-    r = (last / prev) ** (1.0 / 3.0)
-    tail = last * r / (1.0 - r)
-    if tail * safety >= tol:
-        return f"geometric tail estimate {tail:.3e} (x{safety:g} safety) exceeds {tol:.3e}"
-    return None
-
-
-def _chain_sum(G: np.ndarray, fc: np.ndarray, tol: float) -> np.ndarray:
-    """g = sum_k G^k fc over every state, so that F(x, y) = g[x] - g[y] within tol.
+def _chain_sum(model: DiscreteModel, G: np.ndarray, fc: np.ndarray) -> np.ndarray:
+    """g = sum_k G^k fc over every state, so that F(x, y) = g[x] - g[y].
 
     By property P each chain of the coupled pair keeps its own single-chain
-    law, so the k-th chain-sum term from starts (x, y) is (G^k fc)[x] -
-    (G^k fc)[y].  From k = 8 on, the series is cut once the tail of the
-    largest term norm over states is certified below tol / 2.
+    law, so the k-th term from starts (x, y) is (G^k fc)[x] - (G^k fc)[y].
+    The series solves the Poisson equation (I - G) g = fc with pi . g = 0,
+    which is one dense solve of (I - G + 1 pi^T) g = fc: positive weights make
+    G irreducible, so that matrix is nonsingular, and pi^T (I - G + 1 pi^T) =
+    pi^T gives pi . g = pi . fc = 0.
     """
-    term, g, norms = fc, fc.copy(), [_spectral_norm_raw(fc)]
-    for k in range(1, CHAIN_SUM_MAX_STEPS + 1):
-        # real and imaginary parts side by side: one real product with G
-        term = (G @ term.reshape(len(G), -1).view(float)).view(complex).reshape(fc.shape)
-        g += term
-        norms.append(_spectral_norm_raw(term))
-        if k >= 8 and (why := _uncertified_tail(norms, tol / 2.0)) is None:
-            return g
-    raise TruncationError(why)
+    A = np.eye(len(G)) - G + model.flat_pmf()  # + pi_j in column j of every row
+    # real and imaginary parts side by side: one real solve for all d^2 entries
+    g = np.linalg.solve(A, fc.reshape(len(G), -1).view(float))
+    return np.ascontiguousarray(g).view(complex).reshape(fc.shape)
 
 
-def antisymmetric_F(model: DiscreteModel, f, x, y, tol: float = 1e-8) -> HermitianMatrix:
+def antisymmetric_F(model: DiscreteModel, f, x, y) -> HermitianMatrix:
     """Chain sum F(x, y) = sum_k E(f(X(k)) - f(X'(k)) | starts) of the centered
-    observable, cut where its measured geometric tail (10x safety) is below ``tol``."""
-    g = _chain_sum(gibbs_kernel(model), _centered_values(model, f), tol)
+    observable, read from one Poisson solve over all states."""
+    g = _chain_sum(model, gibbs_kernel(model), _centered_values(model, f))
     F = g[model.flat_from_config(x)] - g[model.flat_from_config(y)]
     return HermitianMatrix((F + F.conj().T) / 2.0)
 
@@ -437,11 +416,12 @@ def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8) -> SteinIde
     """Verify F(x,y) = -F(y,x) and E(F(X,X')|X) = f(X) - E f(X) exhaustively.
 
     Runs over every pair (x, y) reachable by the single-site resampling pair
-    construction on an enumerable model; every F comes from one chain sum.
+    construction on an enumerable model; every F comes from one chain sum,
+    so ``max_residual`` certifies its Poisson solve.
     """
     fc = _centered_values(model, f)
     G = gibbs_kernel(model)
-    g = _chain_sum(G, fc, tol / 10.0)
+    g = _chain_sum(model, G, fc)
     z, z2 = np.nonzero(G > 0)
     F = g[z] - g[z2]
     max_anti = _spectral_norm_raw(F + (g[z2] - g[z]))

@@ -92,16 +92,17 @@ class _Gaps:
 
     ``inputs`` maps each input name to its (n, d, d) stack, in the order the
     digest hashes them; ``params[i]`` are the scalars digested with instance
-    i.  ``anchors`` defaults to max(1, |lhs|, |rhs|) per instance.  A lhs or
-    rhs that is not finite (the inputs overflowed) raises ``ArithmeticError``.
+    i.  ``anchors`` defaults to max(1, |lhs|, |rhs|) per instance.  A lhs,
+    rhs or given anchor that is not finite (the inputs overflowed) raises
+    ``ArithmeticError``.
     """
 
     def __init__(self, inequality_id, lhs, rhs, gap, inputs, params, anchors=None):
-        bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+        bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(anchors or 0.0))
         if bad.any():
             i = int(np.argmax(bad))
             raise ArithmeticError(f"{inequality_id}: lhs {np.ravel(lhs)[i]:.3e} or rhs "
-                                  f"{np.ravel(rhs)[i]:.3e} is not finite")
+                                  f"{np.ravel(rhs)[i]:.3e} (or its anchor) is not finite")
         self.inequality_id = inequality_id
         self.lhs, self.rhs, self.gap = (np.asarray(v, dtype=float).tolist()
                                         for v in (lhs, rhs, gap))
@@ -215,9 +216,8 @@ def _cross_square(P, Q) -> np.ndarray:
 
 def _psd_cross(P, Q) -> _Gaps:
     lam_min = np.linalg.eigvalsh(_cross_square(P, Q))[..., 0]
-    norms = zip(np.linalg.norm(P, 2, axis=(-2, -1)).tolist(),
-                np.linalg.norm(Q, 2, axis=(-2, -1)).tolist())
-    anchors = [max(1.0, float(max(a, b)) ** 2) for a, b in norms]
+    norm = np.maximum(*(np.linalg.norm(M, 2, axis=(-2, -1)) for M in (P, Q)))
+    anchors = np.maximum(1.0, norm ** 2).tolist()  # an overflow to inf is refused
     return _Gaps("psd_cross", np.zeros(len(P)), lam_min, lam_min, {"P": P, "Q": Q},
                  [{}] * len(P), anchors)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from matconc.cli import main
-from matconc.dobrushin import DiscreteModel, save_model
+from matconc.bounds import dobrushin_constant
+from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, save_model
 from matconc.hermitian import matrix_to_obj
 
 
@@ -286,6 +287,29 @@ class TestMcTailCommand:
         rows = read_csv(out)
         for row in rows[1:]:
             assert row[5] == row[6] == row[7]  # exact: interval collapses
+
+    @pytest.mark.parametrize("beta", [0.0, 0.2], ids=["independent", "ising"])
+    def test_exact_tail_under_every_bound_column(self, tmp_path, beta):
+        # oracle: no exact tail may exceed a column labelled a bound; each
+        # A_k = diag(1, -0.5) puts the whole tail on one eigenvalue
+        n = 12 if beta == 0.0 else 8
+        J = np.diag(np.full(n - 1, beta), 1)
+        model = DiscreteModel.from_ising(J + J.T)
+        save_model(tmp_path / "m.json", model)
+        A = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]}
+        cfg = {"model": {"file": str(tmp_path / "m.json")},
+               "observable": {"kind": "rademacher-sum", "matrices": [A] * n},
+               "t_grid": {"sigma_multiples": [0.25 * k for k in range(25)]},
+               "mode": "exhaustive",
+               "c": dobrushin_constant(*matrix_norms(dobrushin_matrix(model)))}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ex.csv"
+        assert run(["mc-tail", "--config", path, "--out", out]) == 0
+        rows = read_csv(out)
+        for row in rows[1:]:
+            for name, bound in zip(rows[0][1:5], row[1:5]):
+                assert float(row[5]) <= float(bound), f"{name} at t = {row[0]}"
 
     def test_model_above_enum_cap_exits_2(self, tmp_path, capsys):
         cfg = {"model": {"rademacher_sites": 3}, "enum_cap": 4,

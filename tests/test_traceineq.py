@@ -421,18 +421,20 @@ class TestFuzzer:
         with pytest.raises(ArithmeticError, match="not finite"):
             fuzz_grid(ineq, ("diagonal",), (2,), 20, 1e80, 1)
 
-    @pytest.mark.parametrize("ineq", ["trace_quad", "power", "symmetric_term"])
+    @pytest.mark.parametrize("ineq", ["trace_quad", "power", "symmetric_term", "psd_cross"])
     def test_public_overflowing_gaps_refused_without_warnings(self, ineq):
         # the public calls evaluate as the fuzzer does: the refusal, no RuntimeWarning
         P = HermitianMatrix.diagonal([1e80, -1e80])
         A = HermitianMatrix.diagonal([1e80, 1e80])
         B = HermitianMatrix.diagonal([1e80, 2e80])
+        huge = np.diag([1e230, -1e230])  # its squared norm, the anchor, overflows
         call = {"trace_quad": lambda: gap_trace_quad(P, P, P, P),
                 "power": lambda: gap_power(A, B, P, 3),
-                "symmetric_term": lambda: gap_symmetric_term(A, B, P, 1, 3)}[ineq]
+                "symmetric_term": lambda: gap_symmetric_term(A, B, P, 1, 3),
+                "psd_cross": lambda: gap_psd_cross(huge, huge)}[ineq]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match="not finite"):
+            with pytest.raises(ArithmeticError, match=f"{ineq}: .* not finite"):
                 call()
 
     def test_no_violations_on_gaussian(self):
