@@ -28,7 +28,6 @@ from .bounds import (
     display_clamp,
     dobrushin_constant,
     hoeffding_bound,
-    hoeffding_bound_dependent,
     tail_bound_dependent,
     tail_bound_independent,
     tropp_bound,
@@ -129,6 +128,16 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
         writer.writerows(rows)
 
 
+def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> list[str]:
+    """bound_independent, bound_dependent (blank without c), hoeffding and tropp
+    at t for the difference-bound sigma^2 = |sum A_k^2|; hoeffding takes the
+    centered-summand variance, a quarter of it."""
+    dep = "" if c is None else _fmt(clamp(tail_bound_dependent(d, sigma_sq, float(c), t)))
+    return [_fmt(clamp(tail_bound_independent(d, sigma_sq, t))), dep,
+            _fmt(clamp(hoeffding_bound(d, sigma_sq / 4.0, t))),
+            _fmt(clamp(tropp_bound(d, sigma_sq, t)))]
+
+
 def _model_from_spec(spec, enum_cap=None):
     """Model from a file reference, inline object, or shorthand."""
     kwargs = {} if enum_cap is None else {"enum_cap": enum_cap}
@@ -190,16 +199,7 @@ def cmd_bound(args, config) -> int:
         c = dobrushin_constant(args.norm1, args.norm_inf)
     clamp = display_clamp if args.clamp else (lambda x: x)
 
-    rows = []
-    for t in t_grid:
-        dep = "" if c is None else _fmt(clamp(tail_bound_dependent(d, sigma_sq, float(c), t)))
-        rows.append([
-            _fmt(t),
-            _fmt(clamp(tail_bound_independent(d, sigma_sq, t))),
-            dep,
-            _fmt(clamp(hoeffding_bound(d, sigma_sq, t))),
-            _fmt(clamp(tropp_bound(d, sigma_sq, t))),
-        ])
+    rows = [[_fmt(t), *_bound_cells(d, sigma_sq, c, t, clamp)] for t in t_grid]
     out = args.out or "bounds.csv"
     _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp"], rows)
     _write_manifest(out, "bound",
@@ -247,15 +247,11 @@ def cmd_mc_tail(args, config) -> int:
         bound_set = observable.hamming_bounds(model)
     else:
         bound_set = derive_hamming_bounds(observable, model)
-    # the theorems behind bound_independent and tropp take the difference-bound
-    # sigma^2 = |sum A_k^2|; hoeffding, bound_dependent and the sigma_multiples
-    # grid take the centered-summand variance, a quarter of it
-    sigma_sq = bound_set.sigma_sq / 4.0
     d = observable.dim
 
     t_cfg = config.get("t_grid", {"sigma_multiples": [0.25 * k for k in range(13)]})
     if isinstance(t_cfg, dict) and "sigma_multiples" in t_cfg:
-        sigma = sigma_sq ** 0.5
+        sigma = (bound_set.sigma_sq / 4.0) ** 0.5  # of the centered summands
         t_grid = [m * sigma for m in t_cfg["sigma_multiples"]]
     else:
         t_grid = [float(t) for t in t_cfg]
@@ -265,19 +261,8 @@ def cmd_mc_tail(args, config) -> int:
     else:
         est = mc_tail_estimate(model, observable, t_grid, samples, seed)
     c = config.get("c")
-    rows = []
-    for t, e, lo, hi in zip(est.t_grid, est.empirical, est.ci_low, est.ci_high):
-        dep = "" if c is None else _fmt(hoeffding_bound_dependent(d, sigma_sq, float(c), t))
-        rows.append([
-            _fmt(t),
-            _fmt(tail_bound_independent(d, bound_set.sigma_sq, t)),
-            dep,
-            _fmt(hoeffding_bound(d, sigma_sq, t)),
-            _fmt(tropp_bound(d, bound_set.sigma_sq, t)),
-            _fmt(e),
-            _fmt(lo),
-            _fmt(hi),
-        ])
+    rows = [[_fmt(t), *_bound_cells(d, bound_set.sigma_sq, c, t), _fmt(e), _fmt(lo), _fmt(hi)]
+            for t, e, lo, hi in zip(est.t_grid, est.empirical, est.ci_low, est.ci_high)]
     out = args.out or "mc-tail.csv"
     _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp",
                      "empirical_tail", "ci_low", "ci_high"], rows)

@@ -14,6 +14,7 @@ refutation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -39,13 +40,11 @@ from .hermitian import (
     _sub_rng,
     _to_params,
     _trace,
-    _trial,
     _trial_grid,
     _write_json,
-    inputs_digest,
     matrix_to_obj,
 )
-from .traceineq import FUZZ_CHUNK, TraceGapReport, _anchor
+from .traceineq import TraceGapReport, _Gaps, _gaps_in_order, _trials_in_order
 
 
 @dataclass(frozen=True)
@@ -117,20 +116,21 @@ def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[np.ndarray, np
     return lhs, rhs
 
 
-def _report(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray, lhs: float,
-            rhs: float, seed=None) -> TraceGapReport:
-    """Label an evaluated stack: ``expconj`` digests A, B, C alone, ``fconj`` adds the entry."""
-    extra = {} if inequality_id == "expconj" else {"entry": entry.name}
-    label = inequality_id if inequality_id == "expconj" else f"fconj:{entry.name}"
-    return TraceGapReport(label, lhs, rhs, rhs - lhs, inputs_digest(X, extra), seed,
-                          {"anchor": _anchor(lhs, rhs), **extra})
+def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
+    """The split-part kernel on a certified (N, 3, d, d) stack, labelled ``expconj``
+    (digesting A, B, C alone) or ``fconj:<entry>`` (digesting the entry too)."""
+    lhs, rhs = _split_gap(X, entry)
+    with np.errstate(over="ignore"):  # rhs - lhs may round to inf, as a float would
+        gap = rhs - lhs
+    label, params = (("expconj", {}) if inequality_id == "expconj"
+                     else (f"fconj:{entry.name}", {"entry": entry.name}))
+    return _Gaps(label, lhs, rhs, gap, dict(zip("ABC", X.swapaxes(0, 1))), [params] * len(X))
 
 
 def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry, seed) -> TraceGapReport:
     """Report of the split-part kernel on a stack of one certified (A, B, C)."""
     X = np.stack([M.mat for M in _coerce_all(mats)])
-    lhs, rhs = _split_gap(X[None], entry)
-    return _report(inequality_id, entry, X, float(lhs[0]), float(rhs[0]), seed)
+    return _split_gaps(inequality_id, entry, X[None]).report(0, seed)
 
 
 def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
@@ -257,37 +257,16 @@ def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
     return _certify(X.astype(np.complex128))
 
 
-def _search_gaps(X: np.ndarray, entry: ConvexCatalogEntry):
-    """(normalized gap, lhs, rhs, evaluated stack) arrays of certified search instances.
+def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X) -> _Gaps:
+    """Gaps of certified search instances, a list of (3, d, d) draws or a stack of them.
 
     An entry whose domain has a finite lower end takes A and B as their
     positive parts, from one stacked decomposition, before the kernel.
     """
+    X = np.asarray(X)
     if entry.domain[0] > -math.inf:
         X = np.concatenate([_positive_part(*_decompose(X[:, :2])), X[:, 2:]], axis=1)
-    lhs, rhs = _split_gap(X, entry)
-    with np.errstate(over="ignore"):  # rhs - lhs may round to inf, as a float would
-        norm_gap = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return norm_gap, lhs, rhs, X
-
-
-def _gaps_in_order(X: np.ndarray, entry: ConvexCatalogEntry):
-    """Yield each instance's (normalized gap, lhs, rhs, evaluated (A, B, C)) in stack order.
-
-    The stack is evaluated at once.  If that is refused, its instances are
-    evaluated again one at a time with the same kernel, so the first refused
-    instance raises its own error when it is reached and no later one is
-    evaluated: the caller sees exactly the errors of an instance-by-instance
-    evaluation that stops where it stops.
-    """
-    try:
-        gaps = _search_gaps(X, entry)
-    except (ValueError, ArithmeticError):
-        for i in range(len(X)):
-            norm_gap, lhs, rhs, Xi = _search_gaps(X[i:i + 1], entry)
-            yield norm_gap[0], lhs[0], rhs[0], Xi[0]
-        return
-    yield from zip(*gaps)
+    return _split_gaps(inequality_id, entry, X)
 
 
 class _Scan(NamedTuple):
@@ -334,14 +313,14 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     their parameters.  Fully reproducible from the seed.
 
     Both phases evaluate stacks and give the bytes of an instance-by-instance
-    search.  Each block of ``FUZZ_CHUNK`` consecutive random trials is one
-    stack per dim, folded in trial order (the earliest minimum wins).  The
-    descent evaluates the scan's next candidates, assuming none improves, as
-    one stack (the first stack also holds the starting point), accepts the
-    first that improves and discards the rest; the block doubles while
-    nothing improves and starts over after a move.  ``descent_evals`` and
-    ``sweeps`` count the sequential scan, not the discarded candidates.  A
-    refused instance raises the error of the first refusal in scan order.
+    search.  Random trials come from :func:`_trials_in_order` (the earliest
+    minimum wins).  The descent evaluates the scan's next candidates,
+    assuming none improves, as one stack (the first stack also holds the
+    starting point), accepts the first that improves and discards the rest;
+    the block doubles while nothing improves and starts over after a move.
+    ``descent_evals`` and ``sweeps`` count the sequential scan, not the
+    discarded candidates.  A refused instance raises the error of the first
+    refusal in scan order.
     """
     if inequality_id not in ("expconj", "fconj"):
         raise ValueError(f"unknown conjecture id {inequality_id!r}")
@@ -353,32 +332,19 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     descent_budget = budget if descent_budget is None else int(descent_budget)
     if inequality_id == "expconj":
         entry = CATALOG["exp"]
+    evaluate = functools.partial(_search_gaps, inequality_id, entry)
 
-    best = None  # (norm_gap, lhs, rhs, evaluated (A, B, C))
-    for start in range(0, budget, FUZZ_CHUNK):
-        drawn, refused = [], None  # (dim, instance) in trial order
-        for t in range(start, min(budget, start + FUZZ_CHUNK)):
-            rng, kind, dim = _trial(seed, t, kinds, dims)
-            try:
-                drawn.append((dim, _random_instance(kind, dim, scale, rng)))
-            except (ValueError, ArithmeticError) as exc:  # raised after the trials before it
-                refused = exc
-                break
-        stacks = {}
-        for dim, X in drawn:
-            stacks.setdefault(dim, []).append(X)
-        gaps = {dim: _gaps_in_order(np.stack(Xs), entry) for dim, Xs in stacks.items()}
-        for dim, _ in drawn:
-            cand = next(gaps[dim])
-            if best is None or cand[0] < best[0]:
-                best = cand
-        if refused is not None:
-            raise refused
-    best_random = float(best[0])
+    best = None  # (normalized gap, its _Gaps, index in them)
+    for _, _, _, gaps, i in _trials_in_order(
+            seed, budget, kinds, dims,
+            lambda kind, dim, rng: _random_instance(kind, dim, scale, rng), evaluate):
+        if best is None or gaps.normalized(i) < best[0]:
+            best = gaps.normalized(i), gaps, i
+    best_random = best[0]
 
     # coordinate-wise perturbation descent from the worst random instance
-    dim = best[3].shape[-1]
-    current = _to_params(best[3]).ravel()
+    dim = best[1].inputs["A"].shape[-1]
+    current = _to_params(np.stack([M[best[2]] for M in best[1].inputs.values()])).ravel()
     floor = 1e-6 * scale
     pos = _Scan(0, 0, 0.25 * scale, False, 0)
     size = _DESCENT_BLOCKS[0]
@@ -394,15 +360,15 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
         for row, p in enumerate(ahead, start=with_base):
             V[row, p.idx] += _SIGNS[p.sign] * p.step
         # the symmetrization that certification applies, without its check
-        gaps = _gaps_in_order(_hermitian_part(_from_params(dim, V.reshape(len(V), 3, -1))),
-                              entry)
+        X = _hermitian_part(_from_params(dim, V.reshape(len(V), 3, -1)))
+        stack = _gaps_in_order(evaluate, X)
         if with_base:
-            cand = next(gaps)
-            if cand[0] < best[0]:
-                best = cand
-        for k, cand in enumerate(gaps):
-            if cand[0] < best[0]:
-                best, current = cand, V[with_base + k]
+            gaps, i = next(stack)
+            if gaps.normalized(i) < best[0]:
+                best = gaps.normalized(i), gaps, i
+        for k, (gaps, i) in enumerate(stack):
+            if gaps.normalized(i) < best[0]:
+                best, current = (gaps.normalized(i), gaps, i), V[with_base + k]
                 pos, size = _advance(ahead[k], current.size, True), _DESCENT_BLOCKS[0]
                 evals_used += k + 1
                 break
@@ -413,46 +379,24 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     if pos.idx or pos.sign:  # the budget ran out mid-sweep
         pos = _end_sweep(pos)
 
-    norm_gap, lhs, rhs, X = best
-    rep = _report(inequality_id, entry, X, float(lhs), float(rhs))
+    norm_gap, gaps, i = best
+    rep = gaps.report(i)
     err = 1e-10 * dim * rep.params["anchor"]  # conservative evaluation-error bound
     verdict = "counterexample-candidate" if rep.gap < -err else "supported"
-    witness = {
-        "A": matrix_to_obj(X[0]),
-        "B": matrix_to_obj(X[1]),
-        "C": matrix_to_obj(X[2]),
-        "gap": rep.gap,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "params": dict(rep.params),
-        "inputs_digest": rep.inputs_digest,
-    }
+    witness = {name: matrix_to_obj(M[i]) for name, M in gaps.inputs.items()}
+    witness.update(gap=rep.gap, lhs=rep.lhs, rhs=rep.rhs, params=rep.params,
+                   inputs_digest=rep.inputs_digest)
     trajectory = {
         "random_evals": budget,
         "descent_evals": evals_used,
         "best_random_gap_normalized": best_random,
-        "best_final_gap_normalized": float(norm_gap),
+        "best_final_gap_normalized": norm_gap,
         "sweeps": pos.sweeps,
         "final_step": pos.step,
     }
-    return SearchResult(rep.inequality_id, verdict, float(rep.gap), float(norm_gap),
-                        float(err), witness, trajectory, dims, budget, int(seed))
-
-
-def search_result_to_obj(result: SearchResult) -> dict:
-    return {
-        "inequality_id": result.inequality_id,
-        "verdict": result.verdict,
-        "best_gap": result.best_gap,
-        "best_gap_normalized": result.best_gap_normalized,
-        "certified_error": result.certified_error,
-        "witness": result.witness,
-        "trajectory": result.trajectory,
-        "dims": list(result.dims),
-        "budget": result.budget,
-        "seed": result.seed,
-    }
+    return SearchResult(rep.inequality_id, verdict, rep.gap, norm_gap, err, witness,
+                        trajectory, dims, budget, int(seed))
 
 
 def save_search_result(path, result: SearchResult) -> None:
-    _write_json(path, search_result_to_obj(result), indent=2)
+    _write_json(path, vars(result), indent=2)

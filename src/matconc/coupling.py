@@ -68,15 +68,9 @@ def coupon_collector_weighted(n: int, k: int) -> float:
 # Matrix observables
 
 class MatrixObservable:
-    """Maps a site-value configuration to a fixed-dimension Hermitian matrix.
-
-    ``bound_set`` optionally carries per-site difference bounds A_k with
-    (H(..., z_k, ...) - H(..., z_k', ...))^2 <= A_k^2 over all single-site
-    swaps; see :func:`check_hamming` for the exhaustive validation.
-    """
+    """Maps a site-value configuration to a fixed-dimension Hermitian matrix."""
 
     dim: int
-    bound_set: DifferenceBoundSet | None = None
 
     def __call__(self, values) -> np.ndarray:
         raise NotImplementedError
@@ -91,11 +85,10 @@ class MatrixObservable:
 class RademacherSumObservable(MatrixObservable):
     """H(z) = sum_k z_k A_k for a fixed list of Hermitian coefficients."""
 
-    def __init__(self, matrices: Sequence, bound_set: DifferenceBoundSet | None = None):
+    def __init__(self, matrices: Sequence):
         self.matrices = _coerce_all(matrices)
         self.dim = self.matrices[0].dim
         self._stack = np.stack([M.mat for M in self.matrices])
-        self.bound_set = bound_set
 
     def __call__(self, values) -> np.ndarray:
         vals = np.asarray(values, dtype=float)
@@ -119,13 +112,12 @@ class RademacherSumObservable(MatrixObservable):
 class TableObservable(MatrixObservable):
     """Observable given by an explicit value-configuration -> matrix mapping."""
 
-    def __init__(self, mapping: dict, dim: int, bound_set: DifferenceBoundSet | None = None):
+    def __init__(self, mapping: dict, dim: int):
         self.dim = int(dim)
         self._map = {tuple(k): np.asarray(v, dtype=np.complex128) for k, v in mapping.items()}
         for v in self._map.values():
             if v.shape != (self.dim, self.dim):
                 raise ValueError("table entries must be dim x dim")
-        self.bound_set = bound_set
 
     def __call__(self, values) -> np.ndarray:
         return self._map[tuple(values)]

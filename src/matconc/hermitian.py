@@ -19,7 +19,6 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-12     # asymmetry tolerance, relative to max |entry|
 RECONSTRUCTION_RTOL = 1e-10  # U diag(w) U* accuracy, relative to d * max |w|
-TRACE_IMAG_RTOL = 1e-10      # imaginary residue allowed when extracting a real trace
 
 ENSEMBLE_KINDS = (
     "gaussian-hermitian",
@@ -321,16 +320,6 @@ def spectral_norm(A) -> float:
     A = _coerce(A)
     evals = np.linalg.eigvalsh(A.mat)
     return float(np.abs(evals).max())
-
-
-def trace_real(A) -> float:
-    """Real trace; imaginary residue above TRACE_IMAG_RTOL (anchored) is an error."""
-    mat = np.asarray(A, dtype=np.complex128)
-    tr = complex(np.trace(mat))
-    anchor = max(1.0, float(np.abs(np.diagonal(mat)).sum()))
-    if abs(tr.imag) > TRACE_IMAG_RTOL * anchor:
-        raise ValueError(f"trace has imaginary residue {tr.imag:.3e} beyond tolerance")
-    return tr.real
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ ensembles and persists any violating input as a replayable witness file.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -43,9 +44,6 @@ INEQUALITY_IDS = (
     "psd_cross",            # PQ + Q*P* <= PP* + Q*Q
     "trace_quad",           # Re Tr(PQRS) <= Tr((P^2+R^2)(Q^2+S^2))/4
 )
-
-FUZZ_CHUNK = 256  # consecutive random trials drawn, then evaluated as one stack per dim
-
 
 @dataclass(frozen=True)
 class TraceGapReport:
@@ -83,12 +81,8 @@ def _certified(*mats) -> list[np.ndarray]:
     return [M.mat[None] for M in _coerce_all(mats)]
 
 
-def _anchor(lhs: float, rhs: float) -> float:
-    return max(1.0, abs(lhs), abs(rhs))
-
-
 class _Gaps:
-    """Evaluated instances of one inequality over a stack of inputs.
+    """Evaluated instances of one inequality or conjecture over a stack of inputs.
 
     ``inputs`` maps each input name to its (n, d, d) stack, in the order the
     digest hashes them; ``params[i]`` are the scalars digested with instance
@@ -109,7 +103,10 @@ class _Gaps:
         self.inputs = inputs
         self.params = params
         self.anchors = anchors if anchors is not None else \
-            [_anchor(lo, hi) for lo, hi in zip(self.lhs, self.rhs)]
+            [max(1.0, abs(lo), abs(hi)) for lo, hi in zip(self.lhs, self.rhs)]
+
+    def normalized(self, i: int) -> float:
+        return self.gap[i] / self.anchors[i]
 
     def report(self, i: int, seed=None) -> TraceGapReport:
         params = dict(self.params[i])
@@ -319,6 +316,58 @@ def gap_trace_quad(P, Q, R, S, seed=None) -> TraceGapReport:
 
 
 # ---------------------------------------------------------------------------
+# Seeded trials, shared with the counterexample search
+
+FUZZ_CHUNK = 256  # consecutive random trials drawn, then evaluated as one stack per dim
+
+
+def _gaps_in_order(evaluate, stack):
+    """Yield ``(gaps, i)`` for each instance of ``stack`` in order, from ``evaluate(stack)``.
+
+    If the stack is refused, its instances are evaluated again one at a time
+    as they are reached, so the first refused instance raises its own error
+    and no later one is evaluated.
+    """
+    try:
+        gaps = evaluate(stack)
+    except (ValueError, ArithmeticError):
+        for i in range(len(stack)):
+            yield evaluate(stack[i:i + 1]), 0
+        return
+    for i in range(len(stack)):
+        yield gaps, i
+
+
+def _trials_in_order(seed, trials: int, kinds: tuple, dims: tuple, draw, evaluate):
+    """Yield ``(t, kind, dim, gaps, i)`` for trials 0..trials-1 in trial order.
+
+    Trial t takes ``draw(kind, dim, rng)`` with its own generator and grid
+    cell (:func:`_trial`).  Each block of FUZZ_CHUNK consecutive trials is
+    drawn, stacked per dim as a list of draws and consumed lazily through
+    :func:`_gaps_in_order`, so every yielded gap and every error is the one
+    a trial-by-trial run gives; a refused draw raises after every earlier
+    trial has been yielded.
+    """
+    for start in range(0, trials, FUZZ_CHUNK):
+        drawn, refused = [], None
+        for t in range(start, min(trials, start + FUZZ_CHUNK)):
+            rng, kind, dim = _trial(seed, t, kinds, dims)
+            try:
+                drawn.append((t, kind, dim, draw(kind, dim, rng)))
+            except (ValueError, ArithmeticError) as exc:
+                refused = exc
+                break
+        stacks = {}
+        for _, _, dim, x in drawn:
+            stacks.setdefault(dim, []).append(x)
+        gaps = {dim: _gaps_in_order(evaluate, xs) for dim, xs in stacks.items()}
+        for t, kind, dim, _ in drawn:
+            yield (t, kind, dim, *next(gaps[dim]))
+        if refused is not None:
+            raise refused
+
+
+# ---------------------------------------------------------------------------
 # Seeded fuzzing
 
 _HOLDER_P_POOL = (0.0, 0.25, 0.5, 0.75, 1.0, 0.7071067811865476)
@@ -369,13 +418,16 @@ def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
 
 
 @_refusing_overflow
-def _evaluate_trials(inequality_id: str, mats: list, scalars: list, scale: float) -> _Gaps:
-    """Gaps of stacked fuzz trials from their certified draws and scalars.
+def _evaluate_trials(inequality_id: str, scale: float, drawn: list) -> _Gaps:
+    """Gaps of fuzz trials from their ``(matrices, scalars)`` draws, certified as stacks.
 
     ``power`` and ``holder`` take the positive parts of the drawn A, B;
     ``symmetric_term`` shifts those by 0.1 * scale * I; ``psd_cross`` forms
     P = H1 + i H2 and Q = H3 + i H4.
     """
+    mats, scalars = zip(*drawn)
+    mats = [_certify(np.array(slot, dtype=np.complex128)) for slot in zip(*mats)]
+    scalars = list(zip(*scalars))
     if inequality_id == "exchangeable":
         return _exchangeable(*mats)
     if inequality_id == "exchangeable_scaled":
@@ -417,32 +469,13 @@ def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int,
     return path
 
 
-def _fuzz_block(inequality_id, trials, kinds, dims, scale, seed) -> dict:
-    """trial -> (its evaluated stack, index in it, kind, dim) for a block of trials."""
-    cells = {}
-    for t in trials:
-        rng, kind, dim = _trial(seed, t, kinds, dims)
-        mats, scalars = _draw_trial(inequality_id, kind, dim, scale, rng)
-        cells.setdefault(dim, []).append((t, kind, mats, scalars))
-    out = {}
-    for dim, cell in cells.items():
-        ts, cell_kinds, mats, scalars = zip(*cell)
-        stacks = [_certify(np.array(slot, dtype=np.complex128)) for slot in zip(*mats)]
-        gaps = _evaluate_trials(inequality_id, stacks, list(zip(*scalars)), scale)
-        for i, (t, kind) in enumerate(zip(ts, cell_kinds)):
-            out[t] = (gaps, i, kind, dim)
-    return out
-
-
 def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
               seed: int, tol: float = 1e-8, witness_dir: str | None = None) -> FuzzSummary:
     """Fuzz with trials spread round-robin over a (kind, dim) grid.
 
-    Trial t draws its inputs from its own generator (the master seed spawned
-    at key t), so results do not depend on how trials are grouped: each
-    block of FUZZ_CHUNK consecutive trials is evaluated as one stack per
-    dim and folded in trial order.  A trial violates when
-    gap < -tol * anchor; violating inputs are persisted to ``witness_dir``.
+    Trials come from :func:`_trials_in_order`, so results do not depend on
+    how trials are grouped.  A trial violates when gap < -tol * anchor;
+    violating inputs are persisted to ``witness_dir``.
     """
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality id {inequality_id!r}")
@@ -453,23 +486,22 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
     min_raw = np.inf
     argmin_digest = ""
     violations = 0
-    for start in range(0, trials, FUZZ_CHUNK):
-        block = range(start, min(trials, start + FUZZ_CHUNK))
-        evaluated = _fuzz_block(inequality_id, block, kinds, dims, scale, seed)
-        for t in block:
-            gaps, i, kind, dim = evaluated[t]
-            norm_gap = gaps.gap[i] / gaps.anchors[i]
-            if norm_gap < min_norm:
-                min_norm = norm_gap
-                min_raw = gaps.gap[i]
-                argmin_digest = gaps.report(i).inputs_digest
-            if norm_gap < -tol:
-                violations += 1
-                if witness_dir is not None:
-                    rep = gaps.report(i, seed=t)
-                    rep.params.update({"kind": kind, "dim": dim})
-                    mats = {name: matrix_to_obj(M[i]) for name, M in gaps.inputs.items()}
-                    _write_witness(witness_dir, rep, t, matrices=mats)
+    for t, kind, dim, gaps, i in _trials_in_order(
+            seed, trials, kinds, dims,
+            lambda kind, dim, rng: _draw_trial(inequality_id, kind, dim, scale, rng),
+            functools.partial(_evaluate_trials, inequality_id, scale)):
+        norm_gap = gaps.normalized(i)
+        if norm_gap < min_norm:
+            min_norm = norm_gap
+            min_raw = gaps.gap[i]
+            argmin_digest = gaps.report(i).inputs_digest
+        if norm_gap < -tol:
+            violations += 1
+            if witness_dir is not None:
+                rep = gaps.report(i, seed=t)
+                rep.params.update({"kind": kind, "dim": dim})
+                mats = {name: matrix_to_obj(M[i]) for name, M in gaps.inputs.items()}
+                _write_witness(witness_dir, rep, t, matrices=mats)
     meta = {"kinds": list(kinds), "dims": list(dims), "scale": scale, "seed": int(seed)}
     return FuzzSummary(inequality_id, trials, float(min_norm), float(min_raw),
                        argmin_digest, violations, float(tol), meta)
@@ -485,18 +517,5 @@ def fuzz_inequality(inequality_id: str, ensemble: EnsembleSpec, trials: int,
     return replace(summary, ensemble=meta)
 
 
-def fuzz_summary_to_obj(summary: FuzzSummary) -> dict:
-    return {
-        "inequality_id": summary.inequality_id,
-        "trials": summary.trials,
-        "min_gap": summary.min_gap,
-        "min_gap_raw": summary.min_gap_raw,
-        "argmin_digest": summary.argmin_digest,
-        "violations": summary.violations,
-        "tolerance": summary.tolerance,
-        "ensemble": summary.ensemble,
-    }
-
-
 def save_fuzz_summary(path, summary: FuzzSummary) -> None:
-    _write_json(path, fuzz_summary_to_obj(summary), indent=2)
+    _write_json(path, vars(summary), indent=2)

@@ -58,7 +58,7 @@ class TestBoundCommand:
         assert float(t0[1]) == 1.0           # all bounds = d, clamped to 1
         assert float(t2[1]) == pytest.approx(0.0366313, abs=1e-7)
         assert t2[2] == ""                   # no dependence constant supplied
-        assert float(t2[3]) == pytest.approx(0.7357588, abs=1e-7)
+        assert float(t2[3]) == pytest.approx(0.0366313, abs=1e-7)
         assert float(t2[4]) == 1.0           # tropp clamped for display
 
     def test_unclamped_by_default(self, tmp_path):

@@ -17,7 +17,6 @@ from matconc.conjectures import (
     save_search_result,
     scalar_gap_exp,
     scalar_gap_f,
-    search_result_to_obj,
     _commuting_triple,
 )
 from matconc.coupling import TableObservable, RademacherSumObservable
@@ -289,7 +288,7 @@ class TestSearch:
         obj = json.loads(path.read_text())
         assert obj["verdict"] == r.verdict
         assert obj["witness"]["A"]["dim"] == 2
-        assert search_result_to_obj(r)["budget"] == 10
+        assert obj["budget"] == 10
 
     def test_certified_error_scales(self):
         r = counterexample_search("expconj", [2], 5, seed=23, descent_budget=0)

@@ -36,7 +36,6 @@ from matconc.hermitian import (
     save_matrix,
     spectral_decompose,
     spectral_norm,
-    trace_real,
 )
 from matconc.traceineq import gap_exchangeable
 
@@ -232,13 +231,6 @@ class TestNormsAndTrace:
         assert spectral_norm(HermitianMatrix.diagonal([-3.0, 2.0])) == pytest.approx(3.0)
         assert spectral_norm(HermitianMatrix([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0)
 
-    def test_trace_examples(self):
-        assert trace_real(HermitianMatrix.identity(4)) == pytest.approx(4.0)
-
-    def test_trace_imag_residue_error(self):
-        with pytest.raises(ValueError):
-            trace_real(np.array([[1.0 + 1e-3j]]))
-
 
 class TestEnsembles:
     def test_determinism(self):
@@ -415,19 +407,24 @@ class TestSharedBoundaryHelpers:
         import matconc.conjectures as conjectures
         import matconc.traceineq as traceineq
 
-        for name in ("_trial", "_trial_grid", "_sub_rng"):
+        for name in ("_trials_in_order", "_trial_grid", "_sub_rng"):
             assert getattr(traceineq, name) is getattr(conjectures, name)
         seen = {"fuzz": [], "search": []}
+        driver = traceineq._trials_in_order
 
         def recording(key):
-            def trial(seed, t, kinds, dims):
-                rng, kind, dim = _trial(seed, t, kinds, dims)
-                seen[key].append((t, kind, dim, str(rng.bit_generator.state)))
-                return rng, kind, dim
-            return trial
+            def trials_in_order(seed, trials, kinds, dims, draw, evaluate):
+                def recorded_draw(kind, dim, rng):
+                    state = str(rng.bit_generator.state)
+                    seen[key].append((len(seen[key]), kind, dim, state))
+                    return draw(kind, dim, rng)
+                for trial in driver(seed, trials, kinds, dims, recorded_draw, evaluate):
+                    assert trial[:3] == seen[key][trial[0]][:3]
+                    yield trial
+            return trials_in_order
 
-        monkeypatch.setattr(traceineq, "_trial", recording("fuzz"))
-        monkeypatch.setattr(conjectures, "_trial", recording("search"))
+        monkeypatch.setattr(traceineq, "_trials_in_order", recording("fuzz"))
+        monkeypatch.setattr(conjectures, "_trials_in_order", recording("search"))
         traceineq.fuzz_grid("exchangeable", ENSEMBLE_KINDS, (2, 3), 20, 1.0, 5)
         conjectures.counterexample_search("expconj", (2, 3), 20, 5, descent_budget=0)
         assert len(seen["fuzz"]) == 20

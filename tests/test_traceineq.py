@@ -7,18 +7,22 @@ import warnings
 import numpy as np
 import pytest
 
+from matconc import traceineq
 from matconc.hermitian import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     HermitianMatrix,
     SpectralDomainError,
+    _trial,
+    _trial_grid,
     positive_part,
     sample_ensemble,
 )
 from matconc.traceineq import (
     FUZZ_CHUNK,
     INEQUALITY_IDS,
-    _fuzz_block,
+    _draw_trial,
+    _trials_in_order,
     check_psd_cross,
     fuzz_grid,
     fuzz_inequality,
@@ -522,19 +526,47 @@ class TestStackedFuzz:
         assert hashlib.sha256(data).hexdigest() == PINNED_SUMMARIES[ineq], data.decode()
 
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
-    def test_stacked_trials_match_public_gaps(self, ineq):
+    def test_stacked_trials_match_public_gaps(self, ineq, monkeypatch):
         # every kind at every dim 1..8, three trials per cell in one stack
+        trials = []
+
+        def recording(*args):
+            for trial in _trials_in_order(*args):
+                trials.append(trial)
+                yield trial
+
+        monkeypatch.setattr(traceineq, "_trials_in_order", recording)
         for dim in range(1, 9):
             for kind in ENSEMBLE_KINDS:
-                for gaps, i, _, _ in _fuzz_block(ineq, range(3), (kind,), (dim,), 1.0,
-                                                 31).values():
-                    stacked = gaps.report(i)
-                    inputs = [M[i] for M in gaps.inputs.values()]
-                    public = PUBLIC_GAPS[ineq](inputs, gaps.params[i])
-                    assert (public.lhs, public.rhs, public.gap) == \
-                        (stacked.lhs, stacked.rhs, stacked.gap), (kind, dim, i)
-                    assert public.inputs_digest == stacked.inputs_digest
-                    assert public.params == stacked.params
+                fuzz_grid(ineq, (kind,), (dim,), 3, 1.0, 31)
+        assert len(trials) == 3 * 8 * len(ENSEMBLE_KINDS)
+        for _, kind, dim, gaps, i in trials:
+            assert len(gaps.gap) == 3
+            stacked = gaps.report(i)
+            inputs = [M[i] for M in gaps.inputs.values()]
+            public = PUBLIC_GAPS[ineq](inputs, gaps.params[i])
+            assert (public.lhs, public.rhs, public.gap) == \
+                (stacked.lhs, stacked.rhs, stacked.gap), (kind, dim, i)
+            assert public.inputs_digest == stacked.inputs_digest
+            assert public.params == stacked.params
+
+    def test_refusal_is_the_first_in_trial_order(self):
+        # trial 0 (dim 2) is the first refused, but the evaluation of the whole
+        # dim-2 stack raises a different error, for a later trial
+        kinds, dims = _trial_grid(ENSEMBLE_KINDS, [2, 3], 300.0)
+        expected = None
+        for t in range(24):
+            rng, kind, dim = _trial(4, t, kinds, dims)
+            mats, _ = _draw_trial("exchangeable", kind, dim, 300.0, rng)
+            try:
+                gap_exchangeable(*mats)
+            except (ValueError, ArithmeticError) as err:
+                expected = (t, type(err), str(err))
+                break
+        assert expected is not None and expected[0] == 0
+        with pytest.raises((ValueError, ArithmeticError)) as exc:
+            fuzz_grid("exchangeable", ENSEMBLE_KINDS, [2, 3], 24, 300.0, 4)
+        assert (type(exc.value), str(exc.value)) == expected[1:]
 
     def test_exp_overflow_is_a_domain_error_without_warnings(self):
         big = HermitianMatrix.diagonal([1.0, 800.0])
