@@ -495,11 +495,12 @@ def _write_json(path, obj, indent: int | None = None) -> None:
     """Write a data file: sorted keys, floats for numpy scalars, a trailing newline.
 
     Matrix and model files are compact (``indent=None``); reports, witnesses
-    and manifests use ``indent=2``.
+    and manifests use ``indent=2``.  The text is encoded first and written
+    in one call.
     """
+    text = json.dumps(obj, sort_keys=True, indent=indent, default=float)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_matrix(path, A) -> None:
