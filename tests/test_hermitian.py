@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import platform
 import warnings
 
 import numpy as np
@@ -295,6 +297,33 @@ class TestEnsembles:
             EnsembleSpec("psd", 0)
         with pytest.raises(ValueError):
             EnsembleSpec("psd", 2, scale=-1.0)
+
+
+# sha256 of every sample_ensemble draw of a kind at scale 1.5, dims 1..8 and
+# seeds SAMPLE_SEEDS (both matrices of a commuting pair), in that order; mc-tail
+# generates its observables through sample_ensemble
+SAMPLE_SEEDS = (0, 1, 31, 2**63 + 5)
+PINNED_SAMPLES = {
+    "gaussian-hermitian": "ebe05760cfda994006c0528b27752a97a454c3e61c11ac2825f1827f8451a01f",
+    "diagonal": "8bc994b0733c8c4f7febf22d17afb4c9e9ff2c15961867038d64bb507e098bba",
+    "psd": "135b3931f547984bc95dcbda516614b64e7e33cca2b63013c1a7211149728918",
+    "low-rank": "30c63ec1feb6f84985efe6fc6d5608e45f85cbf646716b9026f105c15a1c0a3d",
+    "commuting-pair": "2593ce33f1fd0f8c3015d03afa7fffc45a5b14474af51d63e6bd2f316383979f",
+    "integer-entry": "7ac6d4bbee28187305e551a006e03d8831b26a48a38a28b0f1bae54d74fb4c7a",
+}
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_sample_ensemble_bytes_pinned(kind):
+    h = hashlib.sha256()
+    for d in range(1, 9):
+        for s in SAMPLE_SEEDS:
+            out = sample_ensemble(EnsembleSpec(kind, d, 1.5, s))
+            for M in (out if isinstance(out, tuple) else (out,)):
+                h.update(M.mat.tobytes())
+    assert h.hexdigest() == PINNED_SAMPLES[kind]
 
 
 class TestSerialization:
