@@ -53,6 +53,7 @@ from .dobrushin import (
 )
 from .hermitian import (
     ENSEMBLE_KINDS,
+    STREAM_VERSION,
     EnsembleSpec,
     SpectralDomainError,
     _write_json,
@@ -115,6 +116,7 @@ def _write_manifest(out_path: str, command: str, config: dict, seed):
         "command": command,
         "config_digest": digest,
         "seed": seed,
+        "stream_version": STREAM_VERSION,
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

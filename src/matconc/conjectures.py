@@ -30,14 +30,12 @@ from .hermitian import (
     _apply_scalar,
     _certify,
     _coerce_all,
-    _commuting,
     _decompose,
     _draw,
     _from_params,
     _hermitian_part,
     _positive_part,
     _spectral,
-    _sub_rng,
     _to_params,
     _trace,
     _trial_grid,
@@ -245,16 +243,13 @@ class SearchResult:
 def _commuting_triple(dim: int, scale: float, seed: int):
     """Three certified matrices sharing one eigenbasis (the ``commuting-pair`` draw)."""
     return tuple(HermitianMatrix(M) for M in
-                 _commuting(np.random.default_rng(int(seed)), dim, scale, 3))
+                 _draw("commuting-pair", dim, scale, np.random.default_rng(int(seed)), 3))
 
 
 def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
-    """Certified (3, d, d) stack (A, B, C) of one random search instance."""
-    if kind == "commuting-pair":
-        X = _commuting(_sub_rng(rng), dim, scale, 3)
-    else:
-        X = np.stack([_draw(kind, dim, scale, _sub_rng(rng)) for _ in range(3)])
-    return _certify(X.astype(np.complex128))
+    """Certified (3, d, d) stack (A, B, C) of one random search instance: one
+    batched draw; a ``commuting-pair`` triple shares one basis."""
+    return _certify(_draw(kind, dim, scale, rng, 3))
 
 
 def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X) -> _Gaps:

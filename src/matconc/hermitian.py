@@ -19,6 +19,7 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-12     # asymmetry tolerance, relative to max |entry|
 RECONSTRUCTION_RTOL = 1e-10  # U diag(w) U* accuracy, relative to d * max |w|
+STREAM_VERSION = 2           # the RNG stream of seeded draws, recorded in every manifest
 
 ENSEMBLE_KINDS = (
     "gaussian-hermitian",
@@ -348,44 +349,57 @@ class EnsembleSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _gaussian_hermitian(rng, d: int, scale: float) -> np.ndarray:
-    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (M + M.conj().T) / 2.0
+def _gaussian_hermitian(rng, shape: tuple, scale: float) -> np.ndarray:
+    M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return scale * (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
 
 
-def _commuting(rng, d: int, scale: float, k: int) -> np.ndarray:
-    """k uncertified matrices sharing one random eigenbasis, as a (k, d, d) stack."""
-    basis = np.linalg.eigh(_gaussian_hermitian(rng, d, 1.0))[1]
-    spectra = [scale * rng.normal(size=d) for _ in range(k)]
-    return np.stack([(basis * w) @ basis.conj().T for w in spectra])
-
-
-def _draw(kind: str, d: int, scale: float, rng: np.random.Generator):
-    """One uncertified draw: an array, or a (2, d, d) stack for ``commuting-pair``."""
+def _draw(kind: str, d: int, scale: float, rng: np.random.Generator, count: int,
+          shared: int | None = None) -> np.ndarray:
+    """(count, d, d) complex stack of uncertified draws of one kind, from one
+    set of vectorized calls on ``rng``: all real then all imaginary Gaussian
+    parts, a diagonal per matrix, r = max(1, d//2) rank-one terms per matrix
+    (d real parts, d imaginary parts and a weight each), or all symmetric then
+    all antisymmetric integer parts.  For ``commuting-pair`` the first
+    ``shared`` matrices (default: all) share one random eigenbasis and each
+    further one has its own; the bases are drawn first, then the spectra.
+    """
+    shape = (count, d, d)
     if kind == "gaussian-hermitian":
-        return _gaussian_hermitian(rng, d, scale)
+        return _gaussian_hermitian(rng, shape, scale)
     if kind == "diagonal":
-        return np.diag(scale * rng.normal(size=d))
+        out = np.zeros(shape, dtype=np.complex128)
+        out[:, np.arange(d), np.arange(d)] = scale * rng.normal(size=(count, d))
+        return out
     if kind == "psd":
-        X = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0)
-        return scale * (X @ X.conj().T) / d
+        X = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+        return scale * (X @ np.swapaxes(X.conj(), -1, -2)) / d
     if kind == "low-rank":
         r = max(1, d // 2)
-        H = np.zeros((d, d), dtype=np.complex128)
-        for _ in range(r):
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            v /= np.linalg.norm(v)
-            H += (scale * rng.normal()) * np.outer(v, v.conj())
-        return (H + H.conj().T) / 2.0
+        Z = rng.normal(size=(count, r, 2 * d + 1))
+        v = Z[..., :d] + 1j * Z[..., d:2 * d]
+        # |v|^2 as np.linalg.norm takes it for one vector: the dot of the real
+        # parts plus the dot of the imaginary parts
+        re, im = v.real[..., None, :], v.imag[..., None, :]
+        v /= np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+        w = scale * Z[..., 2 * d]
+        H = np.zeros(shape, dtype=np.complex128)
+        for j in range(r):  # summed term by term, from zero
+            H += w[:, j, None, None] * (v[:, j, :, None] * v[:, j, None, :].conj())
+        return (H + np.swapaxes(H.conj(), -1, -2)) / 2.0
     if kind == "commuting-pair":
-        return _commuting(rng, d, scale, 2)
+        shared = count if shared is None else shared
+        bases = np.linalg.eigh(_gaussian_hermitian(rng, (1 + count - shared, d, d), 1.0))[1]
+        U = bases[np.maximum(np.arange(count) - shared + 1, 0)]
+        w = scale * rng.normal(size=(count, d))
+        return (U * w[:, None, :]) @ np.swapaxes(U.conj(), -1, -2)
     if kind == "integer-entry":
         m = max(1, int(round(scale)))
-        S = rng.integers(-m, m + 1, size=(d, d))
-        K = rng.integers(-m, m + 1, size=(d, d))
+        S = rng.integers(-m, m + 1, size=shape)
+        K = rng.integers(-m, m + 1, size=shape)
         lower = np.tri(d, k=-1, dtype=bool)  # strictly below the diagonal
-        real = np.where(lower, S.T, S)
-        imag = np.where(lower, -K.T, np.where(lower.T, K, 0))
+        real = np.where(lower, np.swapaxes(S, -1, -2), S)
+        imag = np.where(lower, -np.swapaxes(K, -1, -2), np.where(lower.T, K, 0))
         return real.astype(float) + 1j * imag.astype(float)
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
@@ -403,22 +417,18 @@ def _trial_grid(kinds, dims, scale: float) -> tuple[tuple, tuple]:
 
 def _trial(seed: int, t: int, kinds: tuple, dims: tuple):
     """(generator, kind, dim) of trial t: the seed spawned at key t, and the
-    grid cell that cycles kinds fastest, then dims."""
+    grid cell that cycles kinds fastest, then dims.  Every draw of trial t
+    comes straight from this generator."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(t),)))
     return rng, kinds[t % len(kinds)], dims[(t // len(kinds)) % len(dims)]
 
 
-def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
-    """The generator of one drawn matrix, seeded by a 63-bit draw from the trial's."""
-    return np.random.default_rng(int(rng.integers(0, 2**63, dtype=np.int64)))
-
-
 def sample_ensemble(spec: EnsembleSpec):
     """Draw from the ensemble; ``commuting-pair`` returns a pair sharing a basis."""
-    out = _draw(spec.kind, spec.dim, spec.scale, np.random.default_rng(int(spec.seed)))
-    if spec.kind == "commuting-pair":
-        return HermitianMatrix(out[0]), HermitianMatrix(out[1])
-    return HermitianMatrix(out)
+    pair = spec.kind == "commuting-pair"
+    mats = tuple(HermitianMatrix(M) for M in _draw(
+        spec.kind, spec.dim, spec.scale, np.random.default_rng(int(spec.seed)), 2 if pair else 1))
+    return mats if pair else mats[0]
 
 
 @functools.lru_cache(maxsize=64)

@@ -25,7 +25,6 @@ from .hermitian import (
     _hermitian_part,
     _positive_part,
     _psd_powers,
-    _sub_rng,
     _trace,
     _trial,
     _trial_grid,
@@ -371,50 +370,37 @@ def _trials_in_order(seed, trials: int, kinds: tuple, dims: tuple, draw, evaluat
 # Seeded fuzzing
 
 _HOLDER_P_POOL = (0.0, 0.25, 0.5, 0.75, 1.0, 0.7071067811865476)
+# matrices drawn per fuzz trial; A and B come first where the inequality has them
+_TRIAL_MATRICES = {"exchangeable": 3, "exchangeable_scaled": 3, "pair_exp": 2, "power": 3,
+                   "symmetric_term": 3, "holder": 4, "psd_cross": 4, "trace_quad": 4}
 
 
 def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
                 rng: np.random.Generator):
-    """Uncertified input draws and scalar parameters of one fuzz trial.
+    """Uncertified (n, d, d) input stack and scalar parameters of one fuzz trial.
 
-    The trial generator is consumed in a fixed order (matrix sub-seeds and
-    scalars interleaved per inequality), so a trial's inputs depend only on
-    the master seed and the trial index.
+    The trial generator makes one batched draw of the trial's matrices
+    (:func:`_draw`), then draws its scalars, so a trial's inputs depend only
+    on the master seed and the trial index.  For ``commuting-pair`` A and B
+    share one basis and every further matrix has its own; the four matrices
+    of ``psd_cross`` and ``trace_quad`` each have their own.
     """
-
-    def draw():
-        out = _draw(kind, dim, scale, _sub_rng(rng))
-        return out[0] if kind == "commuting-pair" else out
-
-    def draw_pair():
-        if kind == "commuting-pair":
-            return _draw(kind, dim, scale, _sub_rng(rng))
-        return draw(), draw()
-
-    if inequality_id in ("psd_cross", "trace_quad"):
-        return (draw(), draw(), draw(), draw()), ()
-    A, B = draw_pair()
-    if inequality_id == "exchangeable":
-        return (A, B, draw()), ()
+    shared = 1 if inequality_id in ("psd_cross", "trace_quad") else 2
+    mats = _draw(kind, dim, scale, rng, _TRIAL_MATRICES[inequality_id], shared)
     if inequality_id == "exchangeable_scaled":
-        theta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
-        return (A, B, draw()), (theta,)
+        return mats, (float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)),)
     if inequality_id == "pair_exp":
-        return (A, B), (float(rng.uniform(0.05, 3.0)),)
+        return mats, (float(rng.uniform(0.05, 3.0)),)
     if inequality_id == "power":
-        C = draw()
-        return (A, B, C), (int(rng.integers(1, 7)),)
+        return mats, (int(rng.integers(1, 7)),)
     if inequality_id == "symmetric_term":
-        n = int(rng.integers(0, 7))
-        k = int(rng.integers(0, n + 1))
-        return (A, B, draw()), (k, n)
+        n_pow = int(rng.integers(0, 7))
+        return mats, (int(rng.integers(0, n_pow + 1)), n_pow)
     if inequality_id == "holder":
         if rng.random() < 0.5:
-            p = float(rng.choice(_HOLDER_P_POOL))
-        else:
-            p = float(rng.uniform(0.0, 1.0))
-        return (A, B, draw(), draw()), (p,)
-    raise ValueError(f"unknown inequality id {inequality_id!r}")
+            return mats, (float(rng.choice(_HOLDER_P_POOL)),)
+        return mats, (float(rng.uniform(0.0, 1.0)),)
+    return mats, ()
 
 
 @_refusing_overflow
@@ -426,7 +412,7 @@ def _evaluate_trials(inequality_id: str, scale: float, drawn: list) -> _Gaps:
     P = H1 + i H2 and Q = H3 + i H4.
     """
     mats, scalars = zip(*drawn)
-    mats = [_certify(np.array(slot, dtype=np.complex128)) for slot in zip(*mats)]
+    mats = list(np.swapaxes(_certify(np.stack(mats)), 0, 1))
     scalars = list(zip(*scalars))
     if inequality_id == "exchangeable":
         return _exchangeable(*mats)

@@ -112,6 +112,7 @@ class TestBoundCommand:
         manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert manifest["command"] == "bound"
         assert "config_digest" in manifest
+        assert manifest["stream_version"] == 2
         assert "threads" not in manifest
 
 

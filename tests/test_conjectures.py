@@ -322,14 +322,14 @@ class TestSearch:
         assert all(shape[0] == 3 for shape in certified)
 
 
-# sha256 of the saved search results, recorded with the per-matrix search
-# (HermitianMatrix certification of every input and descent candidate)
+# sha256 of the saved search results, recorded from RNG stream 2 (one batched
+# draw per random instance)
 PINNED_SEARCHES = {
-    "expconj": "d439a439a6d05f37a2a5dfe0521e1b24fd3d5264fab708720ec894bdccb2e7e2",
-    "cube": "945085b8ea2e4d8c4531dc7a8057b5ecba503309c0adac4ab3f79385bfe56445",
-    "exp": "0e71568662e3803c7987ca6d70b1d62bd1a5ad4b8bfe732653f9f88f8570fb73",
-    "quartic": "c3e8e8c907ade5324b99cb16a405b65a9b49bc9edd496b6144778440b1b6985e",
-    "square": "7813add072dca88ee9335d25e1ec79d3e2d3402a6f53f89774a7d720a5d62b69",
+    "expconj": "4e1eb0b2d1d05f278538039106718037c9e117f961b14b277d885ddd1b90e2b6",
+    "cube": "32790c56a803fed2edb7e243fefa860f5c650a022b086e105a06bfaeb2f855cb",
+    "exp": "20560cde824ad135ad85b75b4c69d7885b85ad1c21c6c0b16c0c12e26bbfb174",
+    "quartic": "930456f840425af9af3ce743d7800e641499c192f470612c59c71cb7be3e87a9",
+    "square": "50bbffcfebebc7884b0977cbcffc9dac761d12901f6f2684df74ede149b0b480",
 }
 
 
@@ -347,22 +347,22 @@ def test_search_bytes_pinned(name, tmp_path):
 
 
 # sha256 of saved searches whose descent the PINNED_SEARCHES runs do not reach,
-# recorded with the instance-by-instance search: (ineq, entry, dims, budget,
-# seed, descent_budget, scale)
+# recorded from RNG stream 2: (ineq, entry, dims, budget, seed, descent_budget,
+# scale)
 PINNED_DESCENTS = {
     # sweeps complete and halve the step; moves land inside a block, on a
     # sweep's last candidate, and the budget ends the last sweep
     "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0),
-                     "8c64d55374fd4c052a9261dc93435a87540e83428a913e6ba39aee8ca1d1448d"),
+                     "c8922753c9f1ee8ac3f60e1dca7abdb3a80fe1f3685648db42e2efe40e26113b"),
     # the per-dim random stacks interleave in trial order
     "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0),
-                         "c3dfefb867f0248a9588826c652f1ac79c722e9c7f8c3546dc12a0c6f5e4e0b7"),
+                         "ede62ee4be0d981f74d65c76a45b4522efb55a43d165e21fdee4caa1e02859eb"),
     # the budget runs out inside a descent block
     "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0),
-                         "6013ea9b774a7f5a20c947709240ad392993659ea83d6e7af9d8bbc4917e2577"),
+                         "dd83060d13d014d2f946725acc5b71e934e35d18dc3ce2a2db1808faafbed400"),
     # descent stacks that hold a refused candidate after the accepted one
-    "refused-after-move": (("fconj", "quartic", [2], 5, 21, 60, 1.3e61),
-                           "fe090c967a9a66328c4ff2b5d5c61cec817cfd0e020aa1277c907f271d55577c"),
+    "refused-after-move": (("fconj", "quartic", [2], 5, 225, 60, 1.3e61),
+                           "9be61e3f9c1e4e0a7a4961fb8f8def3de4ad53769dabda300c1d63f54334ecd7"),
 }
 
 
@@ -388,14 +388,14 @@ def test_descent_bytes_pinned(name, tmp_path):
 # the refusal an instance-by-instance search raises: the first refused random
 # instance is not instance 0, or the refusal comes from the descent or a draw
 PINNED_REFUSALS = {
-    "expconj-trial-6": (("expconj", None, [2, 3], 24, 1, 0, 200.0), SpectralDomainError,
-                        "scalar function undefined at eigenvalue 731.8352757898756 "
+    "expconj-trial-6": (("expconj", None, [2, 3], 24, 0, 0, 200.0), SpectralDomainError,
+                        "scalar function undefined at eigenvalue 856.9190456741392 "
                         "(value not finite or above max/4)"),
-    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 3, 0, 2e61), SpectralDomainError,
-                        "scalar function undefined at eigenvalue 7.448624823788195e+61 "
+    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 0, 0, 2e61), SpectralDomainError,
+                        "scalar function undefined at eigenvalue 4.433891295572492e+61 "
                         "(split-part bound not finite)"),
-    "quartic-descent": (("fconj", "quartic", [2], 5, 22, 60, 1.3e61), SpectralDomainError,
-                        "scalar function undefined at eigenvalue 3.863234969854986e+61 "
+    "quartic-descent": (("fconj", "quartic", [2], 5, 34, 60, 1.3e61), SpectralDomainError,
+                        "scalar function undefined at eigenvalue 3.913119562308277e+61 "
                         "(split-part bound not finite)"),
     "integer-draw-trial-5": (("fconj", "quartic", [2, 3], 24, 0, 0, 1e61), ValueError,
                              "low is out of bounds for int64"),
@@ -418,7 +418,7 @@ def test_random_refusal_is_the_first_in_trial_order():
     kinds, dims = hermitian._trial_grid(hermitian.ENSEMBLE_KINDS, [2, 3], 200.0)
     expected = None
     for t in range(24):
-        rng, kind, dim = hermitian._trial(1, t, kinds, dims)
+        rng, kind, dim = hermitian._trial(0, t, kinds, dims)
         try:
             gap_conjecture_exp(*conjectures._random_instance(kind, dim, 200.0, rng))
         except SpectralDomainError as err:
@@ -426,7 +426,7 @@ def test_random_refusal_is_the_first_in_trial_order():
             break
     assert expected is not None and expected[0] > 0
     with pytest.raises(SpectralDomainError) as exc:
-        counterexample_search("expconj", [2, 3], 24, seed=1, scale=200.0, descent_budget=0)
+        counterexample_search("expconj", [2, 3], 24, seed=0, scale=200.0, descent_budget=0)
     assert str(exc.value) == expected[1]
 
 

@@ -16,6 +16,7 @@ from matconc.hermitian import (
     HermiticityError,
     HermitianMatrix,
     SpectralDomainError,
+    _certify,
     _draw,
     _from_params,
     _hermitian_part,
@@ -261,17 +262,21 @@ class TestEnsembles:
         assert np.allclose(A.mat.imag, np.round(A.mat.imag))
 
     def test_integer_entry_assembly(self):
-        # the masked assembly gives the bytes of the triangular-part assembly
+        # the masked assembly gives the bytes of the triangular-part assembly,
+        # for every matrix of a batched draw
         for d in range(1, 9):
-            for s in range(10):
-                rng = np.random.default_rng(s)
-                S = rng.integers(-2, 3, size=(d, d))
-                K = rng.integers(-2, 3, size=(d, d))
-                real = np.triu(S) + np.triu(S, 1).T
-                imag = np.triu(K, 1) - np.triu(K, 1).T
-                expect = real.astype(float) + 1j * imag.astype(float)
-                got = _draw("integer-entry", d, 2.0, np.random.default_rng(s))
-                assert got.tobytes() == expect.tobytes()
+            for count in range(1, 5):
+                for s in range(10):
+                    rng = np.random.default_rng(s)
+                    S = rng.integers(-2, 3, size=(count, d, d))
+                    K = rng.integers(-2, 3, size=(count, d, d))
+                    got = _draw("integer-entry", d, 2.0, np.random.default_rng(s), count)
+                    assert got.shape == (count, d, d)
+                    for k in range(count):
+                        real = np.triu(S[k]) + np.triu(S[k], 1).T
+                        imag = np.triu(K[k], 1) - np.triu(K[k], 1).T
+                        expect = real.astype(float) + 1j * imag.astype(float)
+                        assert got[k].tobytes() == expect.tobytes()
 
     def test_low_rank(self):
         A = sample_ensemble(EnsembleSpec("low-rank", 6, 1.0, 23))
@@ -297,6 +302,99 @@ class TestEnsembles:
             EnsembleSpec("psd", 0)
         with pytest.raises(ValueError):
             EnsembleSpec("psd", 2, scale=-1.0)
+
+
+class TestBatchedDraw:
+    """Each kind keeps its law in a batched draw of any count."""
+
+    SEEDS = (0, 7, 2**63 + 5)
+
+    @staticmethod
+    def draws(kind, scale=1.5):
+        for d in range(1, 9):
+            for count in range(1, 5):
+                for s in TestBatchedDraw.SEEDS:
+                    X = _draw(kind, d, scale, np.random.default_rng(s), count)
+                    assert X.shape == (count, d, d) and X.dtype == np.complex128
+                    yield d, count, X
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_hermitian(self, kind):
+        for _, _, X in self.draws(kind):
+            _certify(X)  # raises for a matrix beyond HERMITICITY_RTOL
+
+    def test_diagonal_off_diagonal_zero(self):
+        for d, _, X in self.draws("diagonal"):
+            assert not X[:, ~np.eye(d, dtype=bool)].any()
+
+    def test_psd_spectra(self):
+        for _, _, X in self.draws("psd"):
+            w = np.linalg.eigvalsh(_certify(X))
+            assert (w[:, 0] >= -1e-12 * np.maximum(1.0, np.abs(w).max(axis=-1))).all()
+
+    def test_low_rank_rank(self):
+        for d, _, X in self.draws("low-rank"):
+            w = np.abs(np.linalg.eigvalsh(_certify(X)))
+            rank = (w > 1e-9 * np.maximum(1.0, w.max(axis=-1, keepdims=True))).sum(axis=-1)
+            assert (rank <= max(1, d // 2)).all()
+
+    def test_commuting_pair_shares_a_basis(self):
+        def comm(A, B):
+            return np.abs(A @ B - B @ A).max()
+
+        for d, count, X in self.draws("commuting-pair"):
+            for i in range(count):
+                for j in range(i):
+                    assert comm(X[i], X[j]) <= 1e-10 * 1.5 ** 2
+        # shared=2: A and B commute; every further matrix has its own basis
+        for d in range(2, 9):
+            for s in self.SEEDS:
+                X = _draw("commuting-pair", d, 1.5, np.random.default_rng(s), 4, 2)
+                assert comm(X[0], X[1]) <= 1e-10 * 1.5 ** 2
+                for i, j in ((2, 0), (3, 0), (3, 2)):
+                    assert comm(X[i], X[j]) > 1e-6
+
+    def test_integer_entry_parts(self):
+        for scale in (1.0, 2.0, 3.4):
+            m = max(1, int(round(scale)))
+            for _, _, X in self.draws("integer-entry", scale):
+                for part in (X.real, X.imag):
+                    assert (part == np.round(part)).all() and np.abs(part).max() <= m
+                assert np.array_equal(X, np.swapaxes(X.conj(), -1, -2))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 256])
+    def test_trial_draws_replay_under_any_grouping(self, chunk, monkeypatch):
+        import matconc.conjectures as conjectures
+        import matconc.traceineq as traceineq
+
+        monkeypatch.setattr(traceineq, "FUZZ_CHUNK", chunk)
+        kinds, dims = ENSEMBLE_KINDS, (1, 3, 8)
+        for ineq in traceineq.INEQUALITY_IDS:
+            seen = []
+            draw_trial = traceineq._draw_trial
+
+            def recorded(ineq, kind, dim, scale, rng):
+                seen.append(draw_trial(ineq, kind, dim, scale, rng))
+                return seen[-1]
+
+            monkeypatch.setattr(traceineq, "_draw_trial", recorded)
+            summary = traceineq.fuzz_grid(ineq, kinds, dims, 40, 1.0, 11)
+            monkeypatch.setattr(traceineq, "_draw_trial", draw_trial)
+            assert summary == traceineq.fuzz_grid(ineq, kinds, dims, 40, 1.0, 11)
+            assert len(seen) == 40
+            for t, (mats, scalars) in enumerate(seen):
+                rng, kind, dim = _trial(11, t, kinds, dims)
+                fresh = draw_trial(ineq, kind, dim, 1.0, rng)
+                assert mats.tobytes() == fresh[0].tobytes() and scalars == fresh[1]
+        seen = []
+        instance = conjectures._random_instance
+        monkeypatch.setattr(conjectures, "_random_instance",
+                            lambda *args: seen.append(instance(*args)) or seen[-1])
+        conjectures.counterexample_search("expconj", dims, 40, 11, descent_budget=0)
+        assert len(seen) == 40
+        for t, X in enumerate(seen):
+            rng, kind, dim = _trial(11, t, kinds, dims)
+            assert X.tobytes() == instance(kind, dim, 1.0, rng).tobytes()
 
 
 # sha256 of every sample_ensemble draw of a kind at scale 1.5, dims 1..8 and
@@ -436,7 +534,7 @@ class TestSharedBoundaryHelpers:
         import matconc.conjectures as conjectures
         import matconc.traceineq as traceineq
 
-        for name in ("_trials_in_order", "_trial_grid", "_sub_rng"):
+        for name in ("_trials_in_order", "_trial_grid", "_draw"):
             assert getattr(traceineq, name) is getattr(conjectures, name)
         seen = {"fuzz": [], "search": []}
         driver = traceineq._trials_in_order

@@ -487,17 +487,17 @@ class TestFuzzer:
 
 
 # sha256 of save_fuzz_summary's bytes for fuzz_grid(id, ENSEMBLE_KINDS, 1..8,
-# 300 trials, scale 1, seed 4242), recorded with the per-trial evaluator that
-# preceded stacked evaluation (numpy 2.4.6 with its bundled OpenBLAS, x86-64)
+# 300 trials, scale 1, seed 4242), recorded from RNG stream 2 (one batched draw
+# per trial; numpy 2.4.6 with its bundled OpenBLAS, x86-64)
 PINNED_SUMMARIES = {
-    "exchangeable": "a3d102a69c8ad0c7a2fad62b1b1972aa6e7de1c9a48dd2d55fcd3a343755b540",
-    "exchangeable_scaled": "0ffd29f7b4298bfbaa28c7ed1c1f8fbb3a7cfe1d487d8b6b9f6ef754c247a89f",
-    "pair_exp": "6b00c2761df14af10fb3ee351c5dead87534f9d9da12704d16897e50669c91c8",
-    "power": "48228e4de30ca528bdf9229e3cb53f52e6fff2ea144f53768df3bb74f288f7ae",
-    "symmetric_term": "c82ca02942c1295c1db342b2ce1bff959082d463d679d3453012481ac037781c",
-    "holder": "60318f73397c9bc4624b7fdde44af072f0c245e99c79c955d08074b119b75102",
-    "psd_cross": "03956184e3f3328c947685a0c22425db38a8885889697a380eec056ce7e80158",
-    "trace_quad": "23775c6170d6f183718ff7fff9269410778485081f78632f0fefc8a2ca011d0e",
+    "exchangeable": "951456643f59a44397df5b62fb3d8d7e7580b37bc3988d31d543de6c29df8f13",
+    "exchangeable_scaled": "99a79edd2f5f8d2ddb4e0ae162ef9b23177cfa3ca6fbdee8ec86e7bf74d1e1f7",
+    "pair_exp": "f730664c0a68f7205b845a9cfbd5a438a8e04a2e35ef281d56260faf84469ab7",
+    "power": "1a6cd29a2c97fca89dd0596ae1fa891853f0fd8c21f8f3ee783f239d95733d95",
+    "symmetric_term": "811771d12c9202f69ab3a32386aec531e349eb4a2ed38242a9abddee021640bb",
+    "holder": "87d652c49b1590339599e1036f997cdcf61b71d16b723301e3d52e7e12896716",
+    "psd_cross": "02bdf0f9fddd92a9076d38985974f92568409e24febfba1a6bb5e9a35b5f65c5",
+    "trace_quad": "d50a184eef918b4626a3fa54978ce0162c410527b1a122081cb7efa4ca655940",
 }
 
 # the public evaluator of each inequality, called with one trial's inputs and scalars
@@ -556,7 +556,7 @@ class TestStackedFuzz:
         kinds, dims = _trial_grid(ENSEMBLE_KINDS, [2, 3], 300.0)
         expected = None
         for t in range(24):
-            rng, kind, dim = _trial(4, t, kinds, dims)
+            rng, kind, dim = _trial(5, t, kinds, dims)
             mats, _ = _draw_trial("exchangeable", kind, dim, 300.0, rng)
             try:
                 gap_exchangeable(*mats)
@@ -565,7 +565,7 @@ class TestStackedFuzz:
                 break
         assert expected is not None and expected[0] == 0
         with pytest.raises((ValueError, ArithmeticError)) as exc:
-            fuzz_grid("exchangeable", ENSEMBLE_KINDS, [2, 3], 24, 300.0, 4)
+            fuzz_grid("exchangeable", ENSEMBLE_KINDS, [2, 3], 24, 300.0, 5)
         assert (type(exc.value), str(exc.value)) == expected[1:]
 
     def test_exp_overflow_is_a_domain_error_without_warnings(self):
