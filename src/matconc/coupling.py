@@ -17,6 +17,7 @@ samples from two streams spawned from that seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,6 +38,7 @@ from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
 MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering mean
+LIVE_MIN_STATES = 128  # smaller models always take the dense pair-evolution step
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -262,13 +264,22 @@ class PairEvolver:
     Each site carries the exact maximal-coupling joint of the two chains'
     conditionals; on a product model it is the synchronized refresh.
 
-    Site i's joint is stored value-major, shape (m, m, K, K) with K = S / m:
-    block ``[a, b]`` holds P(x_i <- a, y_i <- b) for every pair of
-    conditional rows (r_x, r_y) of :func:`conditional_table`, bit for bit the
-    :func:`maximal_coupling_joint` entry.  All sites together hold n S^2
-    floats, hence the cap S <= 512.  ``step`` reads a C-contiguous ``nu``
-    through the strided view (high, m, low, high, m, low) of site i, without
-    a copy.
+    The evolver keeps each site's (m, K) conditional table, K = S / m.  Site
+    i's joint is value-major, shape (m, m, K, K): block ``[a, b]`` holds
+    P(x_i <- a, y_i <- b) for every pair of conditional rows (r_x, r_y) of
+    :func:`conditional_table`, bit for bit the :func:`maximal_coupling_joint`
+    entry.  All n joints hold n S^2 floats, hence the cap S <= 512; they are
+    built the first time a dense step needs them.
+
+    ``step`` takes one of two paths with the same bits.  The dense path reads
+    a C-contiguous ``nu`` through the strided view (high, m, low, high, m,
+    low) of site i, without a copy.  The live path is taken when S >=
+    LIVE_MIN_STATES and 4 |live rows| |live columns| < S^2, a live row or
+    column being one with a nonzero entry, as in the first steps from a
+    point mass.  It gathers at each site the fibres of the conditional rows
+    that hold a live state, couples only those row pairs with
+    :func:`_joint_blocks`, which works row pair by row pair, and adds the
+    products into the same entries in the same site order.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -276,21 +287,36 @@ class PairEvolver:
             raise EnumerationCapError("model too large for exact pair evolution")
         self.model = model
         # site i's (m, K) table rt[a, r] = P(x_i = a | row r), coupled over row pairs
-        tables = (conditional_table(model, i).T for i in range(model.n))
-        self._joints = [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in tables]
+        self._tables = [conditional_table(model, i).T for i in range(model.n)]
+
+    @functools.cached_property
+    def _joints(self) -> list[np.ndarray]:
+        return [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in self._tables]
 
     def step(self, nu: np.ndarray) -> np.ndarray:
         """One coupled Gibbs step, averaged over the uniformly picked site.
 
         At site i the mass of each pair of conditional rows is the sum of the
         m^2 value slices of ``nu``, added in a-major (a, b) order; sites are
-        accumulated in order and the total is divided by n once.
+        accumulated in order and the total is divided by n once.  Entries that
+        no live pair reaches stay +0.0 on both paths.
         """
-        model = self.model
-        S = model.size
+        S = self.model.size
+        nu = np.asarray(nu)
+        if nu.shape != (S, S):
+            raise ValueError(f"nu must have shape ({S}, {S}), got {nu.shape}")
         out = np.zeros((S, S))
+        live = (nu.any(axis=1), nu.any(axis=0)) if S >= LIVE_MIN_STATES else None
+        if live and 4 * np.count_nonzero(live[0]) * np.count_nonzero(live[1]) < S * S:
+            self._live_step(nu, *live, out)
+        else:
+            self._dense_step(nu, out)
+        out /= self.model.n
+        return out
+
+    def _dense_step(self, nu, out) -> None:
         for i, J in enumerate(self._joints):
-            high, m, low = _site_split(model, i)
+            high, m, low = _site_split(self.model, i)
             shape = (high, m, low, high, m, low)
             v, w = nu.reshape(shape), out.reshape(shape)
             Jv = J.reshape(m, m, high, low, high, low)
@@ -298,11 +324,34 @@ class PairEvolver:
             mass = _ordered_sum(v[:, a, :, :, b, :] for a, b in pairs)
             for a, b in pairs:
                 w[:, a, :, :, b, :] += mass * Jv[a, b]
-        out /= model.n
-        return out
+
+    def _live_step(self, nu, live_x, live_y, out) -> None:
+        """The dense step's sums and products on the touched row pairs only.
+
+        At site i a conditional row is touched when one of its m states is a
+        live row (column) of ``nu``; all other row pairs carry zero mass.
+        """
+        S = self.model.size
+        flat = out.reshape(-1)
+        for i, rt in enumerate(self._tables):
+            high, m, low = _site_split(self.model, i)
+            # fibre[a, r]: the state of conditional row r = h * low + l with x_i = a
+            fibre = np.arange(S).reshape(high, m, low).swapaxes(0, 1).reshape(m, -1)
+            tx, ty = (live.reshape(high, m, low).any(axis=1).ravel()
+                      for live in (live_x, live_y))
+            fx, fy = fibre[:, tx].ravel(), fibre[:, ty].ravel()
+            v = nu.take(fx, axis=0).take(fy, axis=1).reshape(m, len(fx) // m, m, len(fy) // m)
+            mass = _ordered_sum(v[a, :, b, :] for a in range(m) for b in range(m))
+            J = _joint_blocks(rt[:, tx, None], rt[:, None, ty])
+            J *= mass
+            idx = (fx[:, None] * S + fy).ravel()  # (a, r_x, b, r_y) order, as J below
+            flat[idx] = flat.take(idx) + J.transpose(0, 2, 1, 3).ravel()
 
     def delta(self, x_flat: int, y_flat: int) -> np.ndarray:
-        nu = np.zeros((self.model.size, self.model.size))
+        S = self.model.size
+        if not (0 <= x_flat < S and 0 <= y_flat < S):
+            raise ValueError(f"flat states must lie in [0, {S}), got ({x_flat}, {y_flat})")
+        nu = np.zeros((S, S))
         nu[x_flat, y_flat] = 1.0
         return nu
 

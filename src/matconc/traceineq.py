@@ -469,8 +469,7 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
         raise ValueError("trials must be >= 1")
     kinds, dims = _trial_grid(kinds, dims, scale)
     min_norm = np.inf
-    min_raw = np.inf
-    argmin_digest = ""
+    argmin = None  # (gaps, i) of the running minimum; only the final one is hashed
     violations = 0
     for t, kind, dim, gaps, i in _trials_in_order(
             seed, trials, kinds, dims,
@@ -479,8 +478,7 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
         norm_gap = gaps.normalized(i)
         if norm_gap < min_norm:
             min_norm = norm_gap
-            min_raw = gaps.gap[i]
-            argmin_digest = gaps.report(i).inputs_digest
+            argmin = gaps, i
         if norm_gap < -tol:
             violations += 1
             if witness_dir is not None:
@@ -488,6 +486,10 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
                 rep.params.update({"kind": kind, "dim": dim})
                 mats = {name: matrix_to_obj(M[i]) for name, M in gaps.inputs.items()}
                 _write_witness(witness_dir, rep, t, matrices=mats)
+    min_raw, argmin_digest = np.inf, ""
+    if argmin is not None:
+        gaps, i = argmin
+        min_raw, argmin_digest = gaps.gap[i], gaps.report(i).inputs_digest
     meta = {"kinds": list(kinds), "dims": list(dims), "scale": scale, "seed": int(seed)}
     return FuzzSummary(inequality_id, trials, float(min_norm), float(min_raw),
                        argmin_digest, violations, float(tol), meta)

@@ -28,6 +28,7 @@ from matconc.coupling import (
     _centered_values,
     _coupled_step,
     _maximal_coupling_rows,
+    _ordered_sum,
 )
 from matconc.dobrushin import (
     DiscreteModel,
@@ -37,6 +38,7 @@ from matconc.dobrushin import (
     conditional_row_weights,
     conditional_table,
     dobrushin_matrix,
+    _site_split,
 )
 from matconc.hermitian import EnsembleSpec, HermitianMatrix, sample_ensemble
 
@@ -373,6 +375,35 @@ def random_pair_pmf(model, seed):
     return nu / nu.sum()
 
 
+def ising_chain(n):
+    J = np.diag(np.linspace(0.2, 0.4, n - 1), 1)
+    return DiscreteModel.from_ising(J + J.T, np.linspace(-0.3, 0.3, n))
+
+
+def wide_table():
+    # S = 144 with 3- and 4-value sites
+    rng = np.random.default_rng(12)
+    return DiscreteModel.from_table([(0, 1, 2), (0, 1), (0, 1, 2, 3), (0, 1), (0, 1, 2)],
+                                    rng.uniform(0.1, 2.0, (3, 2, 4, 2, 3)))
+
+
+def dense_step_oracle(ev, nu):
+    # the strided-view step that every nu took before the live path
+    model = ev.model
+    out = np.zeros((model.size, model.size))
+    for i, J in enumerate(ev._joints):
+        high, m, low = _site_split(model, i)
+        shape = (high, m, low, high, m, low)
+        v, w = nu.reshape(shape), out.reshape(shape)
+        Jv = J.reshape(m, m, high, low, high, low)
+        pairs = [(a, b) for a in range(m) for b in range(m)]
+        mass = _ordered_sum(v[:, a, :, :, b, :] for a, b in pairs)
+        for a, b in pairs:
+            w[:, a, :, :, b, :] += mass * Jv[a, b]
+    out /= model.n
+    return out
+
+
 class TestPairEvolver:
     CASES = [mixed_table, ising4_field, product3]
 
@@ -459,6 +490,45 @@ class TestPairEvolver:
         with pytest.raises(EnumerationCapError):
             PairEvolver(DiscreteModel.from_ising(J))  # 1024 states
         assert PairEvolver(DiscreteModel.from_ising(J[:9, :9]))._joints[0].shape == (2, 2, 256, 256)
+
+    def test_bad_state_or_shape_refused(self):
+        # delta(-1, 0) once put the mass on state S - 1; a flat or (S, S, 1)
+        # nu was silently reshaped
+        ev = PairEvolver(ising2())
+        for x, y in [(-1, 0), (0, -1), (4, 0), (0, 4)]:
+            with pytest.raises(ValueError, match="flat states"):
+                ev.delta(x, y)
+        for shape in [(16,), (4, 4, 1), (2, 8), (4, 5)]:
+            with pytest.raises(ValueError, match="shape"):
+                ev.step(np.full(shape, 1.0 / 16))
+
+    @pytest.mark.parametrize("make", [lambda: ising_chain(8), lambda: ising_chain(9), wide_table],
+                             ids=["ising8", "ising9", "wide_table"])
+    def test_live_path_matches_dense_oracle_bytes(self, make, monkeypatch):
+        # point-mass starts and a scattered sparse nu take the live path; a
+        # dense random nu takes the dense one; every output has the oracle's bytes
+        model = make()
+        S = model.size
+        ev = PairEvolver(model)
+        rng = np.random.default_rng(S)
+        live_calls = []
+        live_step = PairEvolver._live_step
+        monkeypatch.setattr(PairEvolver, "_live_step",
+                            lambda self, *args: live_calls.append(1) or live_step(self, *args))
+        sparse = []
+        for x, y in rng.integers(0, S, (2, 2)):
+            nu = ev.delta(int(x), int(y))
+            for _ in range(3):
+                sparse.append(nu)
+                nu = ev.step(nu)
+        nu = np.zeros((S, S))
+        rows, cols = rng.choice(S, S // 16, replace=False), rng.choice(S, S // 8, replace=False)
+        nu[np.ix_(rows, cols)] = rng.random((len(rows), len(cols)))
+        sparse.append(nu / nu.sum())
+        live_calls.clear()
+        for nu in sparse + [random_pair_pmf(model, 9)]:
+            assert ev.step(nu).tobytes() == dense_step_oracle(ev, nu).tobytes()
+        assert len(live_calls) == len(sparse)
 
 
 class TestAntisymmetricF:
