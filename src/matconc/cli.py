@@ -56,6 +56,7 @@ from .hermitian import (
     STREAM_VERSION,
     EnsembleSpec,
     SpectralDomainError,
+    _integer,
     _write_json,
     matrix_from_obj,
     sample_ensemble,
@@ -83,9 +84,26 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _number(name: str, value):
+    """A config number (a JSON int or float, not a bool), unchanged."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(name: str, value) -> list:
+    """A config list of numbers, unchanged."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(name, v) for v in value]
 
 
 def _parse_range(text: str) -> list[int]:
@@ -142,13 +160,15 @@ def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> lis
 
 def _model_from_spec(spec, enum_cap=None):
     """Model from a file reference, inline object, or shorthand."""
-    kwargs = {} if enum_cap is None else {"enum_cap": enum_cap}
+    kwargs = {} if enum_cap is None else {"enum_cap": _integer("enum_cap", enum_cap)}
     if isinstance(spec, str):
         return load_model(spec, **kwargs)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"model must be a file name or an object, got {spec!r}")
     if "file" in spec:
         return load_model(spec["file"], **kwargs)
     if "rademacher_sites" in spec:
-        n = int(spec["rademacher_sites"])
+        n = _integer("rademacher_sites", spec["rademacher_sites"])
         return DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n,
                                           enum_cap=enum_cap or max(2 ** n, 10 ** 6))
     return model_from_obj(spec, **kwargs)
@@ -158,14 +178,14 @@ def _model_from_spec(spec, enum_cap=None):
 # Subcommands
 
 def cmd_verify_traces(args, config) -> int:
-    trials = int(config.get("trials", args.trials))
+    trials = _integer("trials", config.get("trials", args.trials))
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     dims = _parse_range(config.get("dims", args.dims))
     kinds = config.get("kinds", args.kinds.split(",") if args.kinds else list(ENSEMBLE_KINDS))
     ineqs = config.get("inequalities", args.ineqs.split(",") if args.ineqs else list(INEQUALITY_IDS))
     tol = TOL_PROFILES[args.tol_profile]
-    scale = float(config.get("scale", args.scale))
+    scale = float(_number("scale", config.get("scale", args.scale)))
     out_dir = args.out or "verify-traces-out"
     os.makedirs(out_dir, exist_ok=True)
     witness_dir = os.path.join(out_dir, "witnesses")
@@ -185,9 +205,10 @@ def cmd_verify_traces(args, config) -> int:
 
 
 def cmd_bound(args, config) -> int:
-    d = int(config.get("d", args.d))
-    sigma_sq = float(config.get("sigma_sq", args.sigma_sq))
-    t_grid = config.get("t_grid") or _parse_grid(args.t)
+    d = _integer("d", config.get("d", args.d))
+    sigma_sq = float(_number("sigma_sq", config.get("sigma_sq", args.sigma_sq)))
+    t_grid = config.get("t_grid")
+    t_grid = _numbers("t_grid", t_grid) if t_grid else _parse_grid(args.t)
     c = config.get("c", args.c)
 
     if args.model or "model" in config:
@@ -213,11 +234,13 @@ def cmd_bound(args, config) -> int:
 
 
 def _observable_from_config(obs_cfg):
+    if not isinstance(obs_cfg, dict):
+        raise ConfigError(f"observable must be an object, got {obs_cfg!r}")
     kind = obs_cfg.get("kind", "rademacher-sum")
     if kind == "table":
         mapping = {tuple(e["values"]): matrix_from_obj(e["matrix"]).mat
                    for e in obs_cfg["entries"]}
-        return TableObservable(mapping, int(obs_cfg["dim"]))
+        return TableObservable(mapping, _integer("dim", obs_cfg["dim"]))
     if kind != "rademacher-sum":
         raise ConfigError(f"unsupported observable kind {kind!r}")
     if "matrices" in obs_cfg:
@@ -225,9 +248,10 @@ def _observable_from_config(obs_cfg):
     elif "generate" in obs_cfg:
         g = obs_cfg["generate"]
         mats = []
-        for k in range(int(g["count"])):
-            spec = EnsembleSpec(g.get("kind", "gaussian-hermitian"), int(g["dim"]),
-                                float(g.get("scale", 1.0)), int(g["seed"]) + k)
+        for k in range(_integer("count", g["count"])):
+            spec = EnsembleSpec(g.get("kind", "gaussian-hermitian"), _integer("dim", g["dim"]),
+                                float(_number("scale", g.get("scale", 1.0))),
+                                _integer("seed", g["seed"]) + k)
             out = sample_ensemble(spec)
             mats.append(out[0] if isinstance(out, tuple) else out)
     else:
@@ -240,8 +264,8 @@ def cmd_mc_tail(args, config) -> int:
         raise ConfigError("mc-tail requires --config")
     model = _model_from_spec(config["model"], enum_cap=config.get("enum_cap"))
     observable = _observable_from_config(config["observable"])
-    samples = int(config.get("samples", 10000))
-    seed = int(config.get("seed", args.seed))
+    samples = _integer("samples", config.get("samples", 10000))
+    seed = _integer("seed", config.get("seed", args.seed))
     mode = config.get("mode", "mc")
     if mode not in ("mc", "exhaustive"):
         raise ConfigError("mode must be 'mc' or 'exhaustive'")
@@ -254,15 +278,16 @@ def cmd_mc_tail(args, config) -> int:
     t_cfg = config.get("t_grid", {"sigma_multiples": [0.25 * k for k in range(13)]})
     if isinstance(t_cfg, dict) and "sigma_multiples" in t_cfg:
         sigma = (bound_set.sigma_sq / 4.0) ** 0.5  # of the centered summands
-        t_grid = [m * sigma for m in t_cfg["sigma_multiples"]]
+        t_grid = [m * sigma for m in _numbers("sigma_multiples", t_cfg["sigma_multiples"])]
     else:
-        t_grid = [float(t) for t in t_cfg]
+        t_grid = [float(t) for t in _numbers("t_grid", t_cfg)]
 
     if mode == "exhaustive":
         est = exhaustive_tail(model, observable, t_grid)
     else:
         est = mc_tail_estimate(model, observable, t_grid, samples, seed)
     c = config.get("c")
+    c = None if c is None else _number("c", c)
     rows = [[_fmt(t), *_bound_cells(d, bound_set.sigma_sq, c, t), _fmt(e), _fmt(lo), _fmt(hi)]
             for t, e, lo, hi in zip(est.t_grid, est.empirical, est.ci_low, est.ci_high)]
     out = args.out or "mc-tail.csv"
@@ -278,7 +303,7 @@ def cmd_dobrushin(args, config) -> int:
     if model_spec is None:
         raise ConfigError("dobrushin requires --model or a config with one")
     model = _model_from_spec(model_spec)
-    kmax = int(config.get("kmax", args.kmax))
+    kmax = _integer("kmax", config.get("kmax", args.kmax))
     D = dobrushin_matrix(model)
     n1, ninf = matrix_norms(D)
     report = {
@@ -323,8 +348,8 @@ def cmd_conjecture(args, config) -> int:
             raise ConfigError("fconj requires --entry")
         entry = catalog_entry(entry_name)
     dims = _parse_range(config.get("dims", args.dims))
-    budget = int(config.get("budget", args.budget))
-    scale = float(config.get("scale", 1.0))
+    budget = _integer("budget", config.get("budget", args.budget))
+    scale = float(_number("scale", config.get("scale", 1.0)))
     result = counterexample_search(ineq, dims, budget, args.seed, scale=scale, entry=entry)
     out = args.out or "conjecture-result.json"
     save_search_result(out, result)

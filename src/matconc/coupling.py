@@ -18,6 +18,7 @@ samples from two streams spawned from that seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +34,7 @@ from .dobrushin import (
     conditional_table,
     site_neighbours,
 )
-from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part
+from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part, _integer
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
@@ -161,29 +162,6 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
 # ---------------------------------------------------------------------------
 # Maximal coupling
 
-def _sample_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One index per row of P (unnormalized pmfs): the first whose cdf reaches u * total."""
-    cdf = np.cumsum(P, axis=1)
-    idx = (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(idx, P.shape[1] - 1)
-
-
-def _maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
-    """Maximal coupling of each row pair of P, Q from four uniforms per row (law:
-    :func:`maximal_coupling_joint`)."""
-    mins = np.minimum(P, Q)
-    omega = mins.sum(axis=1)
-    same = u_same < omega
-    idx_same = _sample_rows(mins, u_min)
-    z = 1.0 - omega
-    zsafe = np.where(z > 1e-15, z, 1.0)
-    a_diff = _sample_rows((P - mins) / zsafe[:, None], u_p)
-    b_diff = _sample_rows((Q - mins) / zsafe[:, None], u_q)
-    a = np.where(same, idx_same, a_diff)
-    b = np.where(same, idx_same, b_diff)
-    return a, b
-
-
 def _ordered_sum(terms) -> np.ndarray:
     """Elementwise sum of equally shaped arrays, added one at a time in the given order."""
     terms = iter(terms)
@@ -191,6 +169,36 @@ def _ordered_sum(terms) -> np.ndarray:
     for t in terms:
         total += t
     return total
+
+
+def _sample_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One index per column of the value-first (m, R) unnormalized pmfs P: the
+    first value whose cdf reaches u * total.  Trailing zero values, as in a
+    padded alphabet, have cdf = total and are never counted."""
+    cdf = list(itertools.accumulate(P))  # the cumsum over values, one row at a time
+    threshold = u * cdf[-1]
+    idx = np.zeros(threshold.shape, dtype=np.int64)
+    for c in cdf[:-1]:  # cdf[-1] < threshold only if every value counts: skipping it clamps
+        idx += c < threshold
+    return idx
+
+
+def _maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
+    """Maximal coupling of each column pair of the value-first (m, R) pmfs P, Q
+    from four uniforms per column (law: :func:`maximal_coupling_joint`).
+
+    The overlap mass sums the values in order 0, ..., m - 1, as in
+    :func:`_joint_blocks`; trailing zero values add only +0.0.
+    """
+    mins = np.minimum(P, Q)
+    omega = _ordered_sum(mins)
+    same = u_same < omega
+    idx_same = _sample_rows(mins, u_min)
+    z = 1.0 - omega
+    zsafe = np.where(z > 1e-15, z, 1.0)
+    a_diff = _sample_rows((P - mins) / zsafe, u_p)
+    b_diff = _sample_rows((Q - mins) / zsafe, u_q)
+    return np.where(same, idx_same, a_diff), np.where(same, idx_same, b_diff)
 
 
 def _joint_blocks(p, q) -> np.ndarray:
@@ -566,11 +574,13 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
 
     The centering mean comes from the observable's exact form when available,
     exact enumeration on small models, or an independent pilot sample (never
-    the estimation sample itself).  Deterministic given the seed.
+    the estimation sample itself).  Deterministic given the seed; ``samples``
+    and ``seed`` must be integers (not bools).
     """
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ss = np.random.SeedSequence(int(seed))
+    ss = np.random.SeedSequence(seed)
     pilot_ss, main_ss = ss.spawn(2)
     mean = observable.exact_mean(model)
     source = "observable-exact"
@@ -628,22 +638,46 @@ class DisagreementMC:
     std_errors: np.ndarray  # (kmax + 1, n)
 
 
-def _coupled_step(tables, weights, X, Y, picks, U) -> None:
-    """One greedy-coupled Gibbs step of (runs, n) config stacks X, Y, in place.
+def _site_rules(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every site's conditionals in one value-first table, for :func:`_coupled_step`.
+
+    Returns ``(T, offsets, W)``.  Column ``offsets[i] + r`` of T is row r of
+    site i's :func:`conditional_table`, zero-padded to the largest alphabet;
+    the blocks of columns come in site order.  ``W[:, i]`` is site i's
+    :func:`conditional_row_weights`, so an (n, R) configuration stack X has
+    site-i columns ``offsets[i] + W[:, i] @ X``.  A product site keeps its one
+    distinct row, with zero weights.
+    """
+    tables = [conditional_table(model, i) for i in range(model.n)]
+    W = np.stack([conditional_row_weights(model.sizes, i) for i in range(model.n)], axis=1)
+    if model._site_pmfs is not None:  # every row of a site is its one pmf
+        tables = [t[:1] for t in tables]
+        W[:] = 0
+    rows = [len(t) for t in tables]
+    offsets = np.cumsum([0] + rows[:-1])
+    T = np.zeros((max(model.sizes), sum(rows)))
+    for t, o in zip(tables, offsets):
+        T[:t.shape[1], o:o + len(t)] = t.T
+    return T, offsets, W
+
+
+def _coupled_step(rules, X, Y, picks, U) -> None:
+    """One greedy-coupled Gibbs step of (n, runs) config stacks X, Y, in place.
 
     Run r resamples site ``picks[r]`` in both chains from the maximal coupling
-    of the two conditional rows, on the four uniforms ``U[r]``.  ``tables[i]``
-    and ``weights[i]`` are site i's :func:`conditional_table` and
-    :func:`conditional_row_weights`.  Where the two rows are equal (always, on
-    a product model) both chains receive one shared value: the synchronized
-    refresh.
+    of the two conditional rows, on the four uniforms ``U[r]``; ``rules`` is
+    :func:`_site_rules` of the model.  One gather of each chain's rows, one
+    coupling call and one scatter serve every run.  Where the two rows are
+    equal (always, on a product model) both chains receive one shared value:
+    the synchronized refresh.
     """
-    for i, (table, w) in enumerate(zip(tables, weights)):
-        mask = picks == i
-        if not mask.any():
-            continue
-        X[mask, i], Y[mask, i] = _maximal_coupling_rows(
-            table[X[mask] @ w], table[Y[mask] @ w], *U[mask].T)
+    T, offsets, W = rules
+    w, base = W.take(picks, axis=1), offsets.take(picks)
+    a, b = _maximal_coupling_rows(T.take(base + (w * X).sum(axis=0), axis=1),
+                                  T.take(base + (w * Y).sum(axis=0), axis=1), *U.T)
+    r = np.arange(X.shape[1])
+    X[picks, r] = a
+    Y[picks, r] = b
 
 
 def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
@@ -652,33 +686,33 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
 
     Each run draws X from the model, resamples ``site`` conditionally to get
     X', and then runs ``kmax`` greedy-coupled steps, recording the per-site
-    disagreement indicators after every step.
+    disagreement indicators after every step.  ``site``, ``kmax``, ``runs``
+    and ``seed`` must be integers (not bools).
     """
+    site, kmax, runs, seed = (_integer(name, v) for name, v in
+                              (("site", site), ("kmax", kmax), ("runs", runs), ("seed", seed)))
     if not 0 <= site < model.n:
         raise ValueError("site out of range")
     if runs < 1 or kmax < 0:
         raise ValueError("need runs >= 1 and kmax >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = model.n
-    tables = [conditional_table(model, i) for i in range(n)]
-    weights = [conditional_row_weights(model.sizes, i) for i in range(n)]
+    rules = T, offsets, W = _site_rules(model)
 
-    X = model.sample(rng, runs)
+    X = np.ascontiguousarray(model.sample(rng, runs).T)  # (n, runs): one row per site
     Y = X.copy()
-    Y[:, site] = _sample_rows(tables[site][X @ weights[site]], rng.random(runs))
+    Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
 
     means = np.empty((kmax + 1, n))
     ses = np.empty((kmax + 1, n))
 
     def record(k):
-        L = (X != Y).astype(float)
-        p = L.mean(axis=0)
+        p = np.count_nonzero(X != Y, axis=1) / runs
         means[k] = p
         ses[k] = np.sqrt(p * (1.0 - p) / runs)
 
     record(0)
     for k in range(1, kmax + 1):
-        _coupled_step(tables, weights, X, Y, rng.integers(0, n, size=runs),
-                      rng.random((runs, 4)))
+        _coupled_step(rules, X, Y, rng.integers(0, n, size=runs), rng.random((runs, 4)))
         record(k)
     return DisagreementMC(site, kmax, runs, means, ses)

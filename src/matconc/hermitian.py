@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -126,6 +127,16 @@ def _coerce_all(mats) -> tuple[HermitianMatrix, ...]:
         if M.dim != mats[0].dim:
             raise ValueError(f"dimension mismatch: {mats[0].dim} vs {M.dim}")
     return mats
+
+
+def _integer(name: str, value) -> int:
+    """A public integer argument as an int; a bool, a non-number or a
+    non-integral number is refused with ``ValueError``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value))
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,33 @@ class TestMcTailCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("change", [
+        {"samples": None}, {"samples": [5]}, {"samples": 2.5}, {"samples": True},
+        {"seed": 2.5}, {"seed": "3"}, {"t_grid": 5}, {"t_grid": [0.0, None]},
+        {"t_grid": {"sigma_multiples": 5}}, {"model": 5}, {"observable": 5},
+        {"c": [1.0]}, {"enum_cap": 300.5}, "top-level list"],
+        ids=["samples-null", "samples-list", "samples-fraction", "samples-bool",
+             "seed-fraction", "seed-string", "t_grid-number", "t_grid-null-entry",
+             "sigma_multiples-number", "model-number", "observable-number", "c-list",
+             "enum_cap-fraction", "top-level-list"])
+    def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, change):
+        path = self.make_config(tmp_path, samples=200)
+        cfg = json.loads(path.read_text())
+        path.write_text(json.dumps([1, 2] if change == "top-level list" else {**cfg, **change}))
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_integral_float_samples_and_seed_accepted(self, tmp_path):
+        path = self.make_config(tmp_path, samples=200)
+        cfg = json.loads(path.read_text())
+        outs = []
+        for change in ({}, {"samples": 200.0, "seed": 31.0}):
+            path.write_text(json.dumps({**cfg, **change}))
+            outs.append(tmp_path / f"m{len(outs)}.csv")
+            assert run(["mc-tail", "--config", path, "--out", outs[-1]]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_table_observable(self, tmp_path):
         entries = []
         rng = np.random.default_rng(44)
@@ -450,6 +477,19 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command,config", [
+        ("bound", {"t_grid": 5}), ("bound", {"model": 5}), ("bound", {"d": 2.5}),
+        ("bound", {"sigma_sq": None}), ("verify-traces", {"trials": None}),
+        ("verify-traces", {"scale": [1.0]}), ("dobrushin", {"model": 5}),
+        ("dobrushin", {"model": {"rademacher_sites": 2}, "kmax": [3]}),
+        ("conjecture", {"budget": None}), ("conjecture", {"budget": 2, "scale": "1"}),
+        ("report", [1, 2])])
+    def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"

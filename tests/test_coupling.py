@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from matconc.coupling import (
     _coupled_step,
     _maximal_coupling_rows,
     _ordered_sum,
+    _site_rules,
 )
 from matconc.dobrushin import (
     DiscreteModel,
@@ -85,6 +87,12 @@ def product9():
                                       [rng.dirichlet(np.ones(9)), [0.3, 0.7]])
 
 
+def ternary_ising():
+    # three 3-value sites
+    J = np.array([[0.0, 0.3, 0.1], [0.3, 0.0, -0.2], [0.1, -0.2, 0.0]])
+    return DiscreteModel.from_ising(J, [0.1, -0.2, 0.0], values=(-1.0, 0.0, 1.0))
+
+
 def product2():
     return DiscreteModel.from_product([(-1.0, 1.0)] * 2, [[0.5, 0.5]] * 2)
 
@@ -98,31 +106,27 @@ def draw(dim, seed, scale=1.0):
 
 
 def couple_rows(p, q, draws, seed):
-    """``draws`` maximally coupled (a, b) index pairs of the pmfs p, q, one row each."""
-    P, Q = np.tile(p, (draws, 1)), np.tile(q, (draws, 1))
+    """``draws`` maximally coupled (a, b) index pairs of the pmfs p, q, one
+    value-first column each."""
+    P, Q = (np.tile(np.asarray(v, dtype=float)[:, None], (1, draws)) for v in (p, q))
     return _maximal_coupling_rows(P, Q, *np.random.default_rng(seed).random((4, draws)))
 
 
-def site_rules(model):
-    """Every site's conditional table and row weights, as ``_coupled_step`` takes them."""
-    return ([conditional_table(model, i) for i in range(model.n)],
-            [conditional_row_weights(model.sizes, i) for i in range(model.n)])
-
-
 def coupled_step(model, X, Y, rng):
-    """One ``_coupled_step`` of the (runs, n) stacks X, Y; returns the picked sites.
+    """One ``_coupled_step`` of the (n, runs) stacks X, Y; returns the picked sites.
 
     Draws the picks and then the (runs, 4) uniforms from ``rng``, in the order
     ``greedy_disagreement_mc`` uses.
     """
-    picks = rng.integers(0, model.n, size=len(X))
-    _coupled_step(*site_rules(model), X, Y, picks, rng.random((len(X), 4)))
+    runs = X.shape[1]
+    picks = rng.integers(0, model.n, size=runs)
+    _coupled_step(_site_rules(model), X, Y, picks, rng.random((runs, 4)))
     return picks
 
 
 def stacks(x, y, runs):
-    """(runs, n) copies of the index configurations x and y."""
-    return np.tile(np.asarray(x), (runs, 1)), np.tile(np.asarray(y), (runs, 1))
+    """(n, runs) copies of the index configurations x and y."""
+    return (np.tile(np.asarray(v)[:, None], (1, runs)) for v in (x, y))
 
 
 class TestMaximalCoupling:
@@ -202,7 +206,7 @@ class TestMaximalCoupling:
         n = 60000
         rows = np.repeat(np.arange(3), n)
         u = np.random.default_rng(12).random((4, rows.size))
-        a, b = _maximal_coupling_rows(P[rows], Q[rows], *u)
+        a, b = _maximal_coupling_rows(P[rows].T, Q[rows].T, *u)
         for r in range(3):
             J = maximal_coupling_joint(P[r], Q[r])
             counts = np.zeros((3, 3))
@@ -282,17 +286,17 @@ class TestSteps:
         refreshed = np.zeros(X.shape, dtype=bool)
         for _ in range(50):
             picks = coupled_step(m, X, Y, rng)
-            refreshed[np.arange(len(X)), picks] = True
+            refreshed[picks, np.arange(X.shape[1])] = True
             assert np.array_equal(X[refreshed], Y[refreshed])
 
     def test_disagreement_never_grows(self):
         m = product2()
         rng = np.random.default_rng(9)
         X, Y = stacks((0, 1), (1, 1), 100)
-        prev = (X != Y).sum(axis=1)
+        prev = (X != Y).sum(axis=0)
         for _ in range(30):
             coupled_step(m, X, Y, rng)
-            cur = (X != Y).sum(axis=1)
+            cur = (X != Y).sum(axis=0)
             assert (cur <= prev).all()
             prev = cur
 
@@ -305,7 +309,7 @@ class TestSteps:
         never = np.ones(runs, dtype=bool)
         for _ in range(k):
             never &= coupled_step(m, X, Y, rng) != 0
-        assert np.array_equal(X[:, 0] != Y[:, 0], never)
+        assert np.array_equal(X[0] != Y[0], never)
         expect = coupon_collector_survival(2, k)
         se = math.sqrt(expect * (1 - expect) / runs)
         assert abs(never.mean() - expect) <= 4 * se
@@ -315,16 +319,16 @@ class TestSteps:
         # each run: a one-row maximal coupling of its own two conditionals
         m = make()
         rng = np.random.default_rng(17)
-        X0, Y0 = m.sample(rng, 300), m.sample(rng, 300)
+        X0, Y0 = m.sample(rng, 300).T, m.sample(rng, 300).T
         picks, U = rng.integers(0, m.n, size=300), rng.random((300, 4))
         X, Y = X0.copy(), Y0.copy()
-        _coupled_step(*site_rules(m), X, Y, picks, U)
+        _coupled_step(_site_rules(m), X, Y, picks, U)
         for r, i in enumerate(picks):
-            p, q = m.conditional(i, X0[r]), m.conditional(i, Y0[r])
-            a, b = _maximal_coupling_rows(p[None], q[None], *U[r][:, None])
-            x, y = X0[r].copy(), Y0[r].copy()
+            p, q = m.conditional(i, X0[:, r]), m.conditional(i, Y0[:, r])
+            a, b = _maximal_coupling_rows(p[:, None], q[:, None], *U[r][:, None])
+            x, y = X0[:, r].copy(), Y0[:, r].copy()
             x[i], y[i] = a[0], b[0]
-            assert np.array_equal(X[r], x) and np.array_equal(Y[r], y), r
+            assert np.array_equal(X[:, r], x) and np.array_equal(Y[:, r], y), r
 
     def test_greedy_equal_states_stay_equal(self):
         m = ising2(0.5)
@@ -706,6 +710,14 @@ class TestMcTail:
         for t, e, lo, hi in zip(est.t_grid, est.empirical, est.ci_low, est.ci_high):
             assert e <= hoeffding_bound(d, sig2, t) + (hi - lo) / 2
 
+    @pytest.mark.parametrize("arg,value", [("samples", 2.5), ("samples", True),
+                                           ("seed", 1.9), ("seed", False), ("seed", None)])
+    def test_non_integer_argument_refused(self, arg, value):
+        obs = RademacherSumObservable([draw(2, 82), draw(2, 83)])
+        kwargs = {"samples": 100, "seed": 1, arg: value}
+        with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+            mc_tail_estimate(product2(), obs, [0.0], **kwargs)
+
     def test_mean_source_enumeration(self):
         model = ising2(0.3)
         mapping = {}
@@ -777,11 +789,11 @@ class TestIndependentKeyInequality:
         site = 1
         A2 = HermitianMatrix(hamming.matrices[site].mat @ hamming.matrices[site].mat)
         rng = np.random.default_rng(33)
-        X = model.sample(rng, 50)
+        X = model.sample(rng, 50).T
         Y = X.copy()
-        Y[:, site] = 1 - Y[:, site]  # force the worst initial swap at `site`
+        Y[site] = 1 - Y[site]  # force the worst initial swap at `site`
         for _ in range(6):
-            for x, y in zip(X, Y):
+            for x, y in zip(X.T, Y.T):
                 diff = np.asarray(obs(model.values(x))) - np.asarray(obs(model.values(y)))
                 sq = HermitianMatrix(diff @ diff)
                 assert psd_order_leq(sq, A2, tol=1e-10).holds
@@ -804,6 +816,116 @@ class TestHamming:
         model = product2()
         ok, _ = check_hamming(obs, model, DifferenceBoundSet(mats))
         assert not ok
+
+
+# The per-site coupled step and its row-major kernels as they stood before the
+# one-call step: the byte oracle of ``greedy_disagreement_mc``.
+
+def rowwise_sample_rows(P, u):
+    cdf = np.cumsum(P, axis=1)
+    idx = (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(idx, P.shape[1] - 1)
+
+
+def rowwise_maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
+    mins = np.minimum(P, Q)
+    omega = mins.sum(axis=1)
+    same = u_same < omega
+    idx_same = rowwise_sample_rows(mins, u_min)
+    z = 1.0 - omega
+    zsafe = np.where(z > 1e-15, z, 1.0)
+    a_diff = rowwise_sample_rows((P - mins) / zsafe[:, None], u_p)
+    b_diff = rowwise_sample_rows((Q - mins) / zsafe[:, None], u_q)
+    a = np.where(same, idx_same, a_diff)
+    b = np.where(same, idx_same, b_diff)
+    return a, b
+
+
+def per_site_coupled_step(tables, weights, X, Y, picks, U):
+    for i, (table, w) in enumerate(zip(tables, weights)):
+        mask = picks == i
+        if not mask.any():
+            continue
+        X[mask, i], Y[mask, i] = rowwise_maximal_coupling_rows(
+            table[X[mask] @ w], table[Y[mask] @ w], *U[mask].T)
+
+
+def per_site_greedy_mc(model, site, kmax, runs, seed):
+    """(means, std_errors) of ``greedy_disagreement_mc`` on (runs, n) stacks."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    n = model.n
+    tables = [conditional_table(model, i) for i in range(n)]
+    weights = [conditional_row_weights(model.sizes, i) for i in range(n)]
+    X = model.sample(rng, runs)
+    Y = X.copy()
+    Y[:, site] = rowwise_sample_rows(tables[site][X @ weights[site]], rng.random(runs))
+    means = np.empty((kmax + 1, n))
+    ses = np.empty((kmax + 1, n))
+
+    def record(k):
+        p = (X != Y).astype(float).mean(axis=0)
+        means[k] = p
+        ses[k] = np.sqrt(p * (1.0 - p) / runs)
+
+    record(0)
+    for k in range(1, kmax + 1):
+        per_site_coupled_step(tables, weights, X, Y, rng.integers(0, n, size=runs),
+                              rng.random((runs, 4)))
+        record(k)
+    return means, ses
+
+
+class TestOneCallStep:
+    @pytest.mark.parametrize("make", [mixed_table, ising4_field, single_site, product3,
+                                      ternary_ising],
+                             ids=["mixed", "ising4", "single_site", "product3", "ternary"])
+    def test_bytes_equal_per_site_step(self, make):
+        m = make()
+        for site in range(m.n):
+            for seed in (3, 8):
+                means, ses = per_site_greedy_mc(m, site, 6, 1500, seed)
+                got = greedy_disagreement_mc(m, site, 6, 1500, seed)
+                assert got.means.tobytes() == means.tobytes(), (site, seed)
+                assert got.std_errors.tobytes() == ses.tobytes(), (site, seed)
+
+    def test_nine_value_site_pinned(self):
+        # m >= 8: the overlap mass adds values in order, where NumPy's row sum
+        # is pairwise; these bytes are pinned, and at this seed equal the
+        # per-site step's
+        got = greedy_disagreement_mc(alphabet9(), 0, 6, 2000, seed=3)
+        digest = hashlib.sha256(got.means.tobytes() + got.std_errors.tobytes()).hexdigest()
+        assert digest == "adef17d62a25336892515ed7e48fbbbda3efec2645bf6737a5a9d7664c17caac"
+
+    def test_overlap_mass_in_value_order(self):
+        # nine-value pmfs whose value-order sum lies above NumPy's pairwise
+        # row sum: a u_same equal to the pairwise sum still takes the overlap
+        # draw (index > 0 here), where the per-site step took the residual
+        # draw (index 0: p = q leaves no residual mass)
+        rng = np.random.default_rng(19)
+        P = rng.dirichlet(np.ones(9), size=2000)
+        P = P[_ordered_sum(P.T) > P.sum(axis=1)]
+        assert len(P) > 100
+        u = (P.sum(axis=1), np.full(len(P), 0.999), np.zeros(len(P)), np.zeros(len(P)))
+        a, b = _maximal_coupling_rows(P.T, P.T, *u)
+        assert np.array_equal(a, b) and (a > 0).all()
+        assert not rowwise_maximal_coupling_rows(P, P, *u)[0].any()
+
+    def test_site_tables(self):
+        m = mixed_table()
+        T, offsets, W = _site_rules(m)
+        assert T.shape == (4, 8 + 12 + 6) and offsets.tolist() == [0, 8, 20]
+        for i in range(m.n):
+            table, mi = conditional_table(m, i), m.sizes[i]
+            block = T[:, offsets[i]:offsets[i] + len(table)]
+            assert np.array_equal(block[:mi], table.T) and not block[mi:].any()
+            assert np.array_equal(W[:, i], conditional_row_weights(m.sizes, i))
+
+    def test_product_site_keeps_one_row(self):
+        m = product9()
+        T, offsets, W = _site_rules(m)
+        assert T.shape == (9, 2) and offsets.tolist() == [0, 1] and not W.any()
+        for i, p in enumerate(m.site_marginals()):
+            assert np.array_equal(T[:m.sizes[i], i], p) and not T[m.sizes[i]:, i].any()
 
 
 class TestGreedyDisagreementMC:
@@ -830,6 +952,19 @@ class TestGreedyDisagreementMC:
         for kmax in (-1, -2):
             with pytest.raises(ValueError, match="kmax >= 0"):
                 greedy_disagreement_mc(ising2(), 0, kmax, 10, seed=1)
+
+    @pytest.mark.parametrize("arg,value", [("site", 1.5), ("site", True), ("kmax", 2.5),
+                                           ("kmax", False), ("runs", 10.5), ("runs", True),
+                                           ("seed", 1.9), ("seed", True), ("site", "1")])
+    def test_non_integer_argument_refused(self, arg, value):
+        kwargs = {"site": 0, "kmax": 3, "runs": 10, "seed": 1, arg: value}
+        with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+            greedy_disagreement_mc(ising2(), **kwargs)
+
+    def test_integral_numbers_accepted(self):
+        a = greedy_disagreement_mc(ising2(), 1, 3, 50, seed=9)
+        b = greedy_disagreement_mc(ising2(), np.int64(1), 3.0, np.int32(50), seed=9.0)
+        assert a.means.tobytes() == b.means.tobytes() and a.site == b.site == 1
 
     def test_initial_disagreement_only_at_site(self):
         m = ising2(0.25)
