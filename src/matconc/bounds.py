@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _coerce_all, spectral_norm
+from .hermitian import HermitianMatrix, _coerce_all, _spectral_norm
 
 
 class DifferenceBoundSet:
@@ -31,33 +31,11 @@ class DifferenceBoundSet:
         for M in self.matrices:
             total += M.mat @ M.mat
         self.sum_of_squares = HermitianMatrix(total)
-        self.sigma_sq = spectral_norm(self.sum_of_squares)
+        self.sigma_sq = _spectral_norm(self.sum_of_squares.mat)
 
     @property
     def dim(self) -> int:
         return self.matrices[0].dim
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Dimension, variance parameter, and dependence constant for tail bounds."""
-
-    d: int
-    sigma_sq: float
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if not self.sigma_sq >= 0:  # NaN fails too
-            raise ValueError("sigma_sq must be >= 0")
-        if not self.c >= 1:
-            raise ValueError("dependence constant c must be >= 1")
-
-
-def variance_parameter(bound_set: DifferenceBoundSet) -> float:
-    """sigma^2 = spectral norm of sum_k A_k^2."""
-    return bound_set.sigma_sq
 
 
 def dobrushin_constant(norm1: float, norm_inf: float) -> float:

@@ -79,7 +79,9 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path):
+def _load_config(path, keys):
+    """The config object at ``path`` ({} without one); a key outside ``keys``,
+    the keys its command reads, is refused."""
     if path is None:
         return {}
     try:
@@ -89,6 +91,10 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(config).__name__}")
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ConfigError(f"config {path}: unknown key {unknown[0]!r} "
+                          f"(this command reads: {', '.join(keys) or 'none'})")
     return config
 
 
@@ -106,12 +112,27 @@ def _numbers(name: str, value) -> list:
     return [_number(name, v) for v in value]
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse "1..8" or a comma list into an integer list."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
+def _parse_range(name: str, value) -> list[int]:
+    """Parse "1..8", a comma list or a list of integers into an integer list."""
+    if isinstance(value, list):
+        return [_integer(name, v) for v in value]
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a range, a comma list or a list of integers, "
+                          f"got {value!r}")
+    if ".." in value:
+        lo, hi = value.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    return [int(tok) for tok in value.split(",") if tok]
+
+
+def _names(name: str, value) -> list[str]:
+    """A comma list or a nonempty list of strings, as a list of strings."""
+    if isinstance(value, str):
+        return value.split(",")
+    if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{name} must be a comma list or a nonempty list of strings, "
+                          f"got {value!r}")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -181,9 +202,10 @@ def cmd_verify_traces(args, config) -> int:
     trials = _integer("trials", config.get("trials", args.trials))
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    dims = _parse_range(config.get("dims", args.dims))
-    kinds = config.get("kinds", args.kinds.split(",") if args.kinds else list(ENSEMBLE_KINDS))
-    ineqs = config.get("inequalities", args.ineqs.split(",") if args.ineqs else list(INEQUALITY_IDS))
+    dims = _parse_range("dims", config.get("dims", args.dims))
+    kinds = _names("kinds", config.get("kinds", args.kinds or ",".join(ENSEMBLE_KINDS)))
+    ineqs = _names("inequalities",
+                   config.get("inequalities", args.ineqs or ",".join(INEQUALITY_IDS)))
     tol = TOL_PROFILES[args.tol_profile]
     scale = float(_number("scale", config.get("scale", args.scale)))
     out_dir = args.out or "verify-traces-out"
@@ -210,6 +232,7 @@ def cmd_bound(args, config) -> int:
     t_grid = config.get("t_grid")
     t_grid = _numbers("t_grid", t_grid) if t_grid else _parse_grid(args.t)
     c = config.get("c", args.c)
+    c = None if c is None else _number("c", c)
 
     if args.model or "model" in config:
         model = _model_from_spec(config.get("model", args.model))
@@ -347,7 +370,7 @@ def cmd_conjecture(args, config) -> int:
         if not entry_name:
             raise ConfigError("fconj requires --entry")
         entry = catalog_entry(entry_name)
-    dims = _parse_range(config.get("dims", args.dims))
+    dims = _parse_range("dims", config.get("dims", args.dims))
     budget = _integer("budget", config.get("budget", args.budget))
     scale = float(_number("scale", config.get("scale", 1.0)))
     result = counterexample_search(ineq, dims, budget, args.seed, scale=scale, entry=entry)
@@ -417,7 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ineqs", type=str, default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
-    p.set_defaults(func=cmd_verify_traces)
+    p.set_defaults(func=cmd_verify_traces,
+                   config_keys=("trials", "dims", "kinds", "inequalities", "scale"))
 
     p = sub.add_parser("bound", parents=[shared], help="tabulate closed-form tail bounds")
     p.add_argument("--d", type=int, default=2)
@@ -429,28 +453,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=str, default="0:3:0.25")
     p.add_argument("--clamp", action="store_true",
                    help="clamp bounds to 1 for probability display")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_bound, config_keys=("d", "sigma_sq", "t_grid", "c", "model"))
 
     p = sub.add_parser("mc-tail", parents=[shared],
                        help="empirical tail versus bounds (config-driven)")
-    p.set_defaults(func=cmd_mc_tail)
+    p.set_defaults(func=cmd_mc_tail, config_keys=("model", "enum_cap", "observable", "samples",
+                                                  "seed", "mode", "t_grid", "c"))
 
     p = sub.add_parser("dobrushin", parents=[shared],
                        help="interdependence matrix, norms, and contraction report")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--kmax", type=int, default=20)
-    p.set_defaults(func=cmd_dobrushin)
+    p.set_defaults(func=cmd_dobrushin, config_keys=("model", "kmax"))
 
     p = sub.add_parser("conjecture", parents=[shared], help="counterexample search")
     p.add_argument("--ineq", type=str, default="expconj")
     p.add_argument("--entry", type=str, default=None)
     p.add_argument("--dims", type=str, default="2..6")
     p.add_argument("--budget", type=int, default=10000)
-    p.set_defaults(func=cmd_conjecture)
+    p.set_defaults(func=cmd_conjecture,
+                   config_keys=("ineq", "entry", "dims", "budget", "scale"))
 
     p = sub.add_parser("report", parents=[shared], help="summarize emitted artifacts")
     p.add_argument("--inputs", type=str, default=".")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, config_keys=())
     return parser
 
 
@@ -461,7 +487,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, args.config_keys)
         return args.func(args, config)
     except (ArithmeticError, np.linalg.LinAlgError, SpectralDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -34,7 +34,14 @@ from .dobrushin import (
     conditional_table,
     site_neighbours,
 )
-from .hermitian import HermitianMatrix, _certify, _coerce_all, _hermitian_part, _integer
+from .hermitian import (
+    HermitianMatrix,
+    _certify,
+    _coerce_all,
+    _hermitian_part,
+    _integer,
+    _spectral_norm,
+)
 
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
@@ -134,7 +141,7 @@ def derive_hamming_bounds(observable: MatrixObservable,
     structure-aware bounds; useful for table observables.
     """
     H = _observable_values(model, observable)
-    worst = [_spectral_norm_raw(H[:, None] - H[site_neighbours(model, i)[1]])
+    worst = [_spectral_norm(H[:, None] - H[site_neighbours(model, i)[1]])
              for i in range(model.n)]
     return DifferenceBoundSet([HermitianMatrix(c * np.eye(observable.dim)) for c in worst])
 
@@ -422,11 +429,6 @@ def _centered_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
     return vals - _enumerated_mean(model, vals)
 
 
-def _spectral_norm_raw(M: np.ndarray) -> float:
-    """Largest spectral norm of the Hermitian part over a stack of matrices."""
-    return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
-
-
 def _chain_sum(model: DiscreteModel, G: np.ndarray, fc: np.ndarray) -> np.ndarray:
     """g = sum_k G^k fc over every state, so that F(x, y) = g[x] - g[y].
 
@@ -473,10 +475,10 @@ def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8) -> SteinIde
     g = _chain_sum(model, G, fc)
     z, z2 = np.nonzero(G > 0)
     F = g[z] - g[z2]
-    max_anti = _spectral_norm_raw(F + (g[z2] - g[z]))
+    max_anti = _spectral_norm(F + (g[z2] - g[z]))
     acc = np.zeros_like(fc)
     np.add.at(acc, z, G[z, z2][:, None, None] * F)
-    max_res = _spectral_norm_raw(acc - fc)
+    max_res = _spectral_norm(acc - fc)
     return SteinIdentityReport(max_res, max_anti, len(z), max_res <= tol and max_anti <= tol)
 
 
@@ -523,8 +525,8 @@ def verify_stein_pair(spec: SteinPairSpec, tol: float = 1e-8) -> SteinPairReport
         return SteinPairReport(None, 0.0, True, spec.alpha, False)
     num = float(np.einsum("s,sij,sij->", mu, T.conj(), psi).real)
     alpha_hat = num / denom
-    residual = _spectral_norm_raw(T - alpha_hat * psi)
-    anchor = max(1.0, _spectral_norm_raw(psi))
+    residual = _spectral_norm(T - alpha_hat * psi)
+    anchor = max(1.0, _spectral_norm(psi))
     return SteinPairReport(alpha_hat, residual, False, spec.alpha,
                            residual <= tol * anchor)
 

@@ -1,7 +1,7 @@
 """Certified dense Hermitian matrices and their spectral calculus.
 
 Construction validates hermiticity once; everything downstream (spectral
-functions, Loewner-order tests, traces) can then rely on real spectra.
+functions, norms, traces) can then rely on real spectra.
 All operations are pure functions of immutable inputs and are safe to
 share across parallel workers.
 """
@@ -229,6 +229,11 @@ def _trace(M: np.ndarray) -> np.ndarray:
     return np.trace(M, axis1=-2, axis2=-1).real
 
 
+def _spectral_norm(M: np.ndarray) -> float:
+    """Largest |eigenvalue| of the Hermitian part over a stack of matrices."""
+    return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigen-decomposition A = U diag(eigenvalues) U*, eigenvalues ascending."""
@@ -298,11 +303,6 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
     return HermitianMatrix(_spectral(U, _apply_scalar(f, w)))
 
 
-def matrix_exp(A) -> HermitianMatrix:
-    """Matrix exponential of a Hermitian matrix via spectral calculus."""
-    return HermitianMatrix(_exp(*_decompose(_coerce(A).mat)))
-
-
 def positive_part(A) -> HermitianMatrix:
     """Spectral truncation to nonnegative eigenvalues (PSD)."""
     return HermitianMatrix(_positive_part(*_decompose(_coerce(A).mat)))
@@ -318,20 +318,6 @@ def pos_neg_parts(A) -> tuple[HermitianMatrix, HermitianMatrix]:
     """Both spectral parts from a single decomposition (so they commute exactly)."""
     w, U = _decompose(_coerce(A).mat)
     return HermitianMatrix(_positive_part(w, U)), HermitianMatrix(_positive_part(-w, U))
-
-
-def psd_order_leq(A, B, tol: float = 1e-10) -> LoewnerCheck:
-    """Test A <= B in the Loewner order: holds iff lambda_min(B - A) >= -tol."""
-    A, B = _coerce_all((A, B))
-    lam_min = float(np.linalg.eigvalsh(B.mat - A.mat)[0])
-    return LoewnerCheck(lam_min >= -tol, lam_min)
-
-
-def spectral_norm(A) -> float:
-    """Largest absolute eigenvalue."""
-    A = _coerce(A)
-    evals = np.linalg.eigvalsh(A.mat)
-    return float(np.abs(evals).max())
 
 
 @dataclass(frozen=True)
@@ -522,15 +508,6 @@ def _write_json(path, obj, indent: int | None = None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=indent, default=float)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def save_matrix(path, A) -> None:
-    _write_json(path, matrix_to_obj(A))
-
-
-def load_matrix(path) -> HermitianMatrix:
-    with open(path) as fh:
-        return matrix_from_obj(json.load(fh))
 
 
 def inputs_digest(matrices: Sequence, params: dict | None = None) -> str:

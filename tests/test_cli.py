@@ -484,12 +484,62 @@ class TestUsageErrors:
         ("verify-traces", {"scale": [1.0]}), ("dobrushin", {"model": 5}),
         ("dobrushin", {"model": {"rademacher_sites": 2}, "kmax": [3]}),
         ("conjecture", {"budget": None}), ("conjecture", {"budget": 2, "scale": "1"}),
-        ("report", [1, 2])])
+        ("report", [1, 2]), ("verify-traces", {"dims": 5}), ("verify-traces", {"dims": [2, "3"]}),
+        ("verify-traces", {"dims": [2.5]}), ("verify-traces", {"kinds": 5}),
+        ("verify-traces", {"kinds": ["psd", 5]}), ("verify-traces", {"inequalities": 5}),
+        ("verify-traces", {"inequalities": {"holder": 1}}), ("verify-traces", {"inequalities": []}),
+        ("conjecture", {"dims": [2, None]}),
+        ("conjecture", {"dims": 3}), ("bound", {"c": True}), ("bound", {"c": "2"})])
     def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flags,config", [
+        ("verify-traces", ["--dims", "2,3", "--kinds", "psd,diagonal", "--ineqs", "holder"],
+         {"dims": [2, 3], "kinds": ["psd", "diagonal"], "inequalities": ["holder"]}),
+        ("verify-traces", ["--dims", "2,3", "--kinds", "psd,diagonal", "--ineqs", "holder"],
+         {"dims": "2,3", "kinds": "psd,diagonal", "inequalities": "holder"}),
+        ("conjecture", ["--dims", "2,3"], {"dims": [2, 3]})],
+        ids=["verify-traces-lists", "verify-traces-strings", "conjecture-list"])
+    def test_config_forms_write_the_flag_bytes(self, tmp_path, command, flags, config):
+        shared = {"verify-traces": ["--trials", 12, "--seed", 3],
+                  "conjecture": ["--budget", 8, "--seed", 3]}[command]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        roots = [tmp_path / "flags", tmp_path / "config"]
+        for root in roots:
+            root.mkdir()
+        assert run([command, *shared, *flags, "--out", roots[0] / "out"]) == 0
+        assert run([command, *shared, "--config", path, "--out", roots[1] / "out"]) == 0
+        assert data_files(roots[0]) and data_files(roots[0]) == data_files(roots[1])
+
+    @pytest.mark.parametrize("command,config,typo", [
+        ("verify-traces", {"trials": 2, "dims": [2], "inequalities": ["holder"]}, {"trails": 3}),
+        ("verify-traces", {"trials": 2, "dims": [2], "inequalities": ["holder"]}, {"seed": 5}),
+        ("bound", {"d": 2, "t_grid": [0.0, 1.0]}, {"sigma": 2.0}),
+        ("mc-tail", {"model": {"rademacher_sites": 2}, "samples": 10,
+                     "observable": {"generate": {"count": 2, "dim": 2, "seed": 1}}},
+         {"sample": 5}),
+        ("dobrushin", {"model": {"rademacher_sites": 2}, "kmax": 3}, {"k_max": 3}),
+        ("conjecture", {"budget": 2, "dims": [2]}, {"seed": 5}),
+        ("report", {}, {"inputs": "."})],
+        ids=["verify-traces", "verify-traces-seed", "bound", "mc-tail", "dobrushin",
+             "conjecture", "report"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, command, config, typo):
+        # the config runs without the key and is refused with it, before any output
+        for k, cfg in enumerate((config, {**config, **typo})):
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out{k}"
+            argv = [command, "--config", path, "--out", out]
+            assert run(argv + (["--inputs", tmp_path / "none"] if command == "report" else [])) == 2 * k
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(next(iter(typo))) in err
+        assert not (tmp_path / "out1").exists()
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"

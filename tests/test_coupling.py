@@ -16,6 +16,7 @@ from matconc.coupling import (
     check_hamming,
     coupon_collector_survival,
     coupon_collector_weighted,
+    derive_hamming_bounds,
     exchangeable_pair_joint,
     gibbs_kernel,
     greedy_disagreement_mc,
@@ -781,13 +782,12 @@ class TestIndependentKeyInequality:
     def test_realized_differences_dominated(self):
         # every realized (f(X(k)) - f(X'(k)))^2 stays below the single-swap
         # bound matrix squared for the original disagreement site
-        from matconc.hermitian import psd_order_leq, HermitianMatrix
         mats = [draw(2, 140), draw(2, 141), draw(2, 142)]
         obs = RademacherSumObservable(mats)
         model = DiscreteModel.from_product([(-1.0, 1.0)] * 3, [[0.5, 0.5]] * 3)
         hamming = obs.hamming_bounds(model)
         site = 1
-        A2 = HermitianMatrix(hamming.matrices[site].mat @ hamming.matrices[site].mat)
+        A2 = hamming.matrices[site].mat @ hamming.matrices[site].mat
         rng = np.random.default_rng(33)
         X = model.sample(rng, 50).T
         Y = X.copy()
@@ -795,8 +795,7 @@ class TestIndependentKeyInequality:
         for _ in range(6):
             for x, y in zip(X.T, Y.T):
                 diff = np.asarray(obs(model.values(x))) - np.asarray(obs(model.values(y)))
-                sq = HermitianMatrix(diff @ diff)
-                assert psd_order_leq(sq, A2, tol=1e-10).holds
+                assert np.linalg.eigvalsh(A2 - diff @ diff)[0] >= -1e-10
             coupled_step(model, X, Y, rng)
 
 
@@ -816,6 +815,29 @@ class TestHamming:
         model = product2()
         ok, _ = check_hamming(obs, model, DifferenceBoundSet(mats))
         assert not ok
+
+    def test_derived_bounds_are_worst_swap_norms(self):
+        # mixed alphabets 2 x 3 x 4; the middle site's value enters as v * B, so
+        # its worst swap (-1 <-> 1) is between two values neither of which is
+        # the first, and a maximum over fewer variants falls short
+        alphabets = [(-1.0, 1.0), (0.0, -1.0, 1.0), (0.0, 1.0, 2.0, 3.0)]
+        model = DiscreteModel.from_product(
+            alphabets, [[0.3, 0.7], [0.2, 0.5, 0.3], [0.1, 0.2, 0.3, 0.4]])
+        rng = np.random.default_rng(150)
+        B = draw(2, 151).mat
+        table = {}
+        for vals in itertools.product(*alphabets):
+            M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            table[vals] = vals[1] * B + 0.1 * (M + M.conj().T) / 2
+        obs = TableObservable(table, 2)
+        bounds = derive_hamming_bounds(obs, model)
+        for k, alphabet in enumerate(alphabets):
+            worst = max(np.linalg.norm(table[z] - table[z[:k] + (v,) + z[k + 1:]], 2)
+                        for z in table for v in alphabet)
+            assert np.array_equal(bounds.matrices[k].mat, bounds.matrices[k].mat[0, 0] * np.eye(2))
+            assert bounds.matrices[k].mat[0, 0].real == pytest.approx(worst, rel=1e-12)
+        ok, slack = check_hamming(obs, model, bounds)
+        assert ok, f"worst slack {slack}"
 
 
 # The per-site coupled step and its row-major kernels as they stood before the

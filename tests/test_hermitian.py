@@ -17,28 +17,27 @@ from matconc.hermitian import (
     HermitianMatrix,
     SpectralDomainError,
     _certify,
+    _decompose,
     _draw,
+    _exp,
     _from_params,
     _hermitian_part,
+    _spectral_norm,
     _to_params,
     _trial,
     _upper_indices,
+    _write_json,
     hermitian_from_params,
     hermitian_to_params,
     inputs_digest,
-    load_matrix,
-    matrix_exp,
     matrix_from_obj,
     matrix_function,
     matrix_to_obj,
     negative_part,
     pos_neg_parts,
     positive_part,
-    psd_order_leq,
     sample_ensemble,
-    save_matrix,
     spectral_decompose,
-    spectral_norm,
 )
 from matconc.traceineq import gap_exchangeable
 
@@ -101,7 +100,7 @@ class TestSpectralDecompose:
                 rng = np.random.default_rng(1000 * d + s)
                 A = random_hermitian(d, rng)
                 dec = spectral_decompose(A)
-                bound = 1e-10 * d * max(spectral_norm(A), 1e-300)
+                bound = 1e-10 * d * max(_spectral_norm(A.mat), 1e-300)
                 assert np.abs(dec.reconstruct() - A.mat).max() <= bound
                 count += 1
         assert count == 1000
@@ -149,30 +148,35 @@ class TestMatrixFunction:
                 for g in funcs.values():
                     via_comp = matrix_function(A, lambda x: f(g(x)))
                     via_chain = matrix_function(matrix_function(A, g), f)
-                    scale = max(1.0, spectral_norm(via_comp))
+                    scale = max(1.0, _spectral_norm(via_comp.mat))
                     assert np.abs(via_comp.mat - via_chain.mat).max() <= 1e-9 * scale
+
+
+def exp_of(A):
+    """exp of one certified matrix through the stacked spectral core."""
+    return _exp(*_decompose(A.mat))
 
 
 class TestMatrixExp:
     def test_zero(self):
-        assert np.allclose(matrix_exp(HermitianMatrix.zeros(2)).mat, np.eye(2))
+        assert np.allclose(exp_of(HermitianMatrix.zeros(2)), np.eye(2))
 
     def test_diagonal(self):
-        out = matrix_exp(HermitianMatrix.diagonal([1.0, -1.0]))
-        assert np.allclose(out.mat, np.diag([math.e, 1 / math.e]))
+        out = exp_of(HermitianMatrix.diagonal([1.0, -1.0]))
+        assert np.allclose(out, np.diag([math.e, 1 / math.e]))
 
     def test_pauli_x(self):
         # spectral evaluation via eigenvalues +-1 gives cosh/sinh entries
-        out = matrix_exp(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        out = exp_of(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
         expect = [[math.cosh(1), math.sinh(1)], [math.sinh(1), math.cosh(1)]]
-        assert np.allclose(out.mat, expect)
+        assert np.allclose(out, expect)
 
     def test_overflow_is_a_domain_error_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(matrix_exp(HermitianMatrix.diagonal([708.0, 0.0])).mat).all()
+            assert np.isfinite(exp_of(HermitianMatrix.diagonal([708.0, 0.0]))).all()
             with pytest.raises(SpectralDomainError) as exc:
-                matrix_exp(HermitianMatrix.diagonal([0.0, 709.5]))
+                exp_of(HermitianMatrix.diagonal([0.0, 709.5]))
         assert exc.value.eigenvalue == 709.5
 
 
@@ -197,42 +201,20 @@ class TestParts:
         for _ in range(25):
             A = random_hermitian(5, rng)
             P, N = pos_neg_parts(A)
-            scale = max(1.0, spectral_norm(A))
+            scale = max(1.0, _spectral_norm(A.mat))
             assert np.abs(P.mat - N.mat - A.mat).max() <= 1e-9 * scale
             assert np.abs(P.mat @ N.mat).max() <= 1e-9 * scale ** 2
             assert np.linalg.eigvalsh(P.mat)[0] >= -1e-10 * scale
             assert np.linalg.eigvalsh(N.mat)[0] >= -1e-10 * scale
 
 
-class TestLoewnerOrder:
-    def test_examples(self):
-        Z, I2 = HermitianMatrix.zeros(2), HermitianMatrix.identity(2)
-        assert psd_order_leq(Z, I2, 1e-10).holds
-        check = psd_order_leq(I2, Z, 1e-10)
-        assert not check.holds and check.min_eigenvalue == pytest.approx(-1.0)
-        check = psd_order_leq(HermitianMatrix.diagonal([1, 3]), HermitianMatrix.diagonal([2, 2]), 1e-10)
-        assert not check.holds and check.min_eigenvalue == pytest.approx(-1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            psd_order_leq(HermitianMatrix.identity(2), HermitianMatrix.identity(3))
-
-    def test_reflexive_and_antisymmetric(self):
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            A = random_hermitian(4, rng)
-            B = random_hermitian(4, rng)
-            assert psd_order_leq(A, A).holds
-            fwd = psd_order_leq(A, B)
-            rev = psd_order_leq(B, A)
-            if fwd.holds and rev.holds:  # both ways only when nearly equal
-                assert np.abs(A.mat - B.mat).max() <= 1e-8
-
-
 class TestNormsAndTrace:
     def test_spectral_norm_examples(self):
-        assert spectral_norm(HermitianMatrix.diagonal([-3.0, 2.0])) == pytest.approx(3.0)
-        assert spectral_norm(HermitianMatrix([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0)
+        assert _spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
+        assert _spectral_norm(np.array([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0)
+        # the largest over a stack, of each matrix's Hermitian part
+        stack = np.array([np.diag([1.0, -0.5]), [[0.0, 4.0], [0.0, 0.0]]])
+        assert _spectral_norm(stack) == pytest.approx(2.0)
 
 
 class TestEnsembles:
@@ -426,9 +408,9 @@ def test_sample_ensemble_bytes_pinned(kind):
 
 class TestSerialization:
     def test_save_matrix_bytes_pinned(self, tmp_path):
-        # compact, sorted keys, one trailing newline
+        # a matrix object written compact: sorted keys, one trailing newline
         path = tmp_path / "m.json"
-        save_matrix(path, HermitianMatrix([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]]))
+        _write_json(path, matrix_to_obj(HermitianMatrix([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])))
         assert path.read_bytes() == (b'{"dim": 2, "entries": [[[1.0, 0.0], [2.0, -1.0]], '
                                      b'[[2.0, 1.0], [-0.5, 0.0]]]}\n')
 
@@ -436,8 +418,8 @@ class TestSerialization:
         rng = np.random.default_rng(19)
         A = random_hermitian(3, rng)
         path = tmp_path / "m.json"
-        save_matrix(path, A)
-        B = load_matrix(path)
+        _write_json(path, matrix_to_obj(A))
+        B = matrix_from_obj(json.loads(path.read_text()))
         assert np.abs(A.mat - B.mat).max() <= 1e-15
 
     def test_obj_shape(self):
