@@ -57,6 +57,8 @@ from .hermitian import (
     EnsembleSpec,
     SpectralDomainError,
     _integer,
+    _is_real,
+    _object,
     _write_json,
     matrix_from_obj,
     sample_ensemble,
@@ -79,37 +81,25 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path, keys):
-    """The config object at ``path`` ({} without one); a key outside ``keys``,
-    the keys its command reads, is refused."""
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(config).__name__}")
-    unknown = sorted(set(config) - set(keys))
-    if unknown:
-        raise ConfigError(f"config {path}: unknown key {unknown[0]!r} "
-                          f"(this command reads: {', '.join(keys) or 'none'})")
-    return config
-
-
-def _number(name: str, value):
-    """A config number (a JSON int or float, not a bool), unchanged."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(name: str, value) -> float:
+    """A config number (a JSON int or float, not a bool), as a float."""
+    if not _is_real(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return value
+    return float(value)
 
 
-def _numbers(name: str, value) -> list:
-    """A config list of numbers, unchanged."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return [_number(name, v) for v in value]
+def _optional(reader):
+    """``reader`` for a setting that may be null (absent)."""
+    return lambda name, value: None if value is None else reader(name, value)
+
+
+def _choice(*options):
+    """A reader that accepts only one of ``options``."""
+    def read(name, value):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {', '.join(options)}, got {value!r}")
+        return value
+    return read
 
 
 def _parse_range(name: str, value) -> list[int]:
@@ -135,30 +125,58 @@ def _names(name: str, value) -> list[str]:
     return value
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Parse "start:stop:step" (finite, start <= stop, step > 0) or a comma list
-    into a float grid."""
-    if ":" in text:
-        start, stop, step = (float(tok) for tok in text.split(":"))
+def _grid(name: str, value) -> list[float]:
+    """A nonempty float grid from "start:stop:step" (finite, start <= stop,
+    step > 0), a comma list or a list of numbers."""
+    if isinstance(value, list):
+        grid = [_number(name, v) for v in value]
+    elif not isinstance(value, str):
+        raise ConfigError(f"{name} must be a grid string or a list of numbers, got {value!r}")
+    elif ":" in value:
+        start, stop, step = (float(tok) for tok in value.split(":"))
         if not (all(map(math.isfinite, (start, stop, step))) and start <= stop and step > 0):
-            raise ConfigError(f"grid {text!r} needs finite start <= stop and step > 0")
-        n = int(round((stop - start) / step))
-        return [start + k * step for k in range(n + 1)]
-    return [float(tok) for tok in text.split(",") if tok]
+            raise ConfigError(f"grid {value!r} needs finite start <= stop and step > 0")
+        grid = [start + k * step for k in range(int(round((stop - start) / step)) + 1)]
+    else:
+        grid = [float(tok) for tok in value.split(",") if tok]
+    if not grid:
+        raise ConfigError(f"{name} is empty")
+    return grid
+
+
+def _tail_grid(name: str, value):
+    """An mc-tail grid: a :func:`_grid`, or {"sigma_multiples": grid}."""
+    if isinstance(value, dict):
+        _object(name, value, ("sigma_multiples",))
+        return {"sigma_multiples": _grid("sigma_multiples", value["sigma_multiples"])}
+    return _grid(name, value)
+
+
+def _settings(args) -> dict:
+    """Every setting in the command's table ``args.fields`` (name -> reader or
+    None), taken from the ``--config`` object when it holds the key and from
+    the flag or default (None without one) of the same name otherwise, through
+    its reader.  A config key outside the table is refused."""
+    config = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        _object(f"config {args.config}", config, (), args.fields)
+    settings = {}
+    for name, reader in args.fields.items():
+        value = config[name] if name in config else getattr(args, name, None)
+        settings[name] = value if reader is None else reader(name, value)
+    return settings
 
 
 def _write_manifest(out_path: str, command: str, config: dict, seed):
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
-    manifest = {
-        "command": command,
-        "config_digest": digest,
-        "seed": seed,
-        "stream_version": STREAM_VERSION,
-        "version": __version__,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode())
+    manifest = {"command": command, "config_digest": digest.hexdigest()[:16], "seed": seed,
+                "stream_version": STREAM_VERSION, "version": __version__,
+                "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     _write_json(out_path + ".manifest.json", manifest, indent=2)
 
 
@@ -180,15 +198,17 @@ def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> lis
 
 
 def _model_from_spec(spec, enum_cap=None):
-    """Model from a file reference, inline object, or shorthand."""
-    kwargs = {} if enum_cap is None else {"enum_cap": _integer("enum_cap", enum_cap)}
+    """Model from a file name, or an object holding exactly one of a ``file``
+    name, a ``rademacher_sites`` count (uniform +-1 sites) or a model."""
+    kwargs = {} if enum_cap is None else {"enum_cap": enum_cap}
     if isinstance(spec, str):
         return load_model(spec, **kwargs)
     if not isinstance(spec, dict):
         raise ConfigError(f"model must be a file name or an object, got {spec!r}")
     if "file" in spec:
-        return load_model(spec["file"], **kwargs)
+        return load_model(_object("model", spec, ("file",))["file"], **kwargs)
     if "rademacher_sites" in spec:
+        _object("model", spec, ("rademacher_sites",))
         n = _integer("rademacher_sites", spec["rademacher_sites"])
         return DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n,
                                           enum_cap=enum_cap or max(2 ** n, 10 ** 6))
@@ -198,152 +218,128 @@ def _model_from_spec(spec, enum_cap=None):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_verify_traces(args, config) -> int:
-    trials = _integer("trials", config.get("trials", args.trials))
-    if trials < 1:
+def cmd_verify_traces(args, settings) -> int:
+    if settings["trials"] < 1:
         raise ConfigError("trials must be >= 1")
-    dims = _parse_range("dims", config.get("dims", args.dims))
-    kinds = _names("kinds", config.get("kinds", args.kinds or ",".join(ENSEMBLE_KINDS)))
-    ineqs = _names("inequalities",
-                   config.get("inequalities", args.ineqs or ",".join(INEQUALITY_IDS)))
     tol = TOL_PROFILES[args.tol_profile]
-    scale = float(_number("scale", config.get("scale", args.scale)))
     out_dir = args.out or "verify-traces-out"
     os.makedirs(out_dir, exist_ok=True)
     witness_dir = os.path.join(out_dir, "witnesses")
 
     total_violations = 0
-    for ineq in ineqs:
-        summary = fuzz_grid(ineq, kinds, dims, trials, scale, args.seed, tol, witness_dir)
+    for ineq in settings["inequalities"]:
+        summary = fuzz_grid(ineq, settings["kinds"], settings["dims"], settings["trials"],
+                            settings["scale"], args.seed, tol, witness_dir)
         save_fuzz_summary(os.path.join(out_dir, f"fuzz-{ineq}.json"), summary)
         total_violations += summary.violations
         print(f"{ineq}: trials={summary.trials} min_gap={summary.min_gap:.3e} "
               f"violations={summary.violations}")
-    _write_manifest(os.path.join(out_dir, "run"), "verify-traces",
-                    {"trials": trials, "dims": dims, "kinds": kinds,
-                     "inequalities": ineqs, "tol": tol, "scale": scale},
+    _write_manifest(os.path.join(out_dir, "run"), "verify-traces", {**settings, "tol": tol},
                     args.seed)
     return EXIT_VIOLATION if total_violations else EXIT_OK
 
 
-def cmd_bound(args, config) -> int:
-    d = _integer("d", config.get("d", args.d))
-    sigma_sq = float(_number("sigma_sq", config.get("sigma_sq", args.sigma_sq)))
-    t_grid = config.get("t_grid")
-    t_grid = _numbers("t_grid", t_grid) if t_grid else _parse_grid(args.t)
-    c = config.get("c", args.c)
-    c = None if c is None else _number("c", c)
-
-    if args.model or "model" in config:
-        model = _model_from_spec(config.get("model", args.model))
-        D = dobrushin_matrix(model)
-        n1, ninf = matrix_norms(D)
-        c = dobrushin_constant(n1, ninf)   # raises on norms >= 1
+def cmd_bound(args, settings) -> int:
+    model, c = settings.pop("model"), settings["c"]
+    if model is not None:
+        D = dobrushin_matrix(_model_from_spec(model))
+        c = dobrushin_constant(*matrix_norms(D))   # raises on norms >= 1
     elif args.norm1 is not None or args.norm_inf is not None:
         if args.norm1 is None or args.norm_inf is None:
             raise ConfigError("provide both --norm1 and --norm-inf")
         c = dobrushin_constant(args.norm1, args.norm_inf)
     clamp = display_clamp if args.clamp else (lambda x: x)
 
-    rows = [[_fmt(t), *_bound_cells(d, sigma_sq, c, t, clamp)] for t in t_grid]
+    rows = [[_fmt(t), *_bound_cells(settings["d"], settings["sigma_sq"], c, t, clamp)]
+            for t in settings["t_grid"]]
     out = args.out or "bounds.csv"
     _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp"], rows)
-    _write_manifest(out, "bound",
-                    {"d": d, "sigma_sq": sigma_sq, "c": c, "t_grid": list(t_grid),
-                     "clamp": bool(args.clamp)},
-                    args.seed)
+    _write_manifest(out, "bound", {**settings, "c": c, "clamp": bool(args.clamp)}, args.seed)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def _observable_from_config(obs_cfg):
-    if not isinstance(obs_cfg, dict):
-        raise ConfigError(f"observable must be an object, got {obs_cfg!r}")
-    kind = obs_cfg.get("kind", "rademacher-sum")
+def _observable_from_config(obs):
+    _object("observable", obs, (), ("kind", "dim", "entries", "matrices", "generate"))
+    kind = obs.get("kind", "rademacher-sum")
     if kind == "table":
-        mapping = {tuple(e["values"]): matrix_from_obj(e["matrix"]).mat
-                   for e in obs_cfg["entries"]}
-        return TableObservable(mapping, _integer("dim", obs_cfg["dim"]))
+        _object("table observable", obs, ("kind", "dim", "entries"))
+        if not isinstance(obs["entries"], list):
+            raise ConfigError(f"observable entries must be a list, got {obs['entries']!r}")
+        mapping = {}
+        for k, e in enumerate(obs["entries"]):
+            _object(f"observable entry {k}", e, ("values", "matrix"))
+            if not (isinstance(e["values"], list) and all(map(_is_real, e["values"]))):
+                raise ConfigError(f"observable entry {k}: values must be a list of numbers, "
+                                  f"got {e['values']!r}")
+            mapping[tuple(e["values"])] = matrix_from_obj(e["matrix"]).mat
+        return TableObservable(mapping, _integer("observable dim", obs["dim"]))
     if kind != "rademacher-sum":
         raise ConfigError(f"unsupported observable kind {kind!r}")
-    if "matrices" in obs_cfg:
-        mats = [matrix_from_obj(o) for o in obs_cfg["matrices"]]
-    elif "generate" in obs_cfg:
-        g = obs_cfg["generate"]
-        mats = []
-        for k in range(_integer("count", g["count"])):
-            spec = EnsembleSpec(g.get("kind", "gaussian-hermitian"), _integer("dim", g["dim"]),
-                                float(_number("scale", g.get("scale", 1.0))),
-                                _integer("seed", g["seed"]) + k)
-            out = sample_ensemble(spec)
-            mats.append(out[0] if isinstance(out, tuple) else out)
-    else:
-        raise ConfigError("observable needs 'matrices' or 'generate'")
+    _object("rademacher-sum observable", obs, (), ("kind", "matrices", "generate"))
+    if ("matrices" in obs) == ("generate" in obs):
+        raise ConfigError("observable needs exactly one of 'matrices' or 'generate'")
+    if "matrices" in obs:
+        if not isinstance(obs["matrices"], list):
+            raise ConfigError(f"observable matrices must be a list, got {obs['matrices']!r}")
+        return RademacherSumObservable([matrix_from_obj(o) for o in obs["matrices"]])
+    g = _object("observable generate", obs["generate"], ("count", "dim", "seed"),
+                ("kind", "scale"))
+    mats = []
+    for k in range(_integer("count", g["count"])):
+        spec = EnsembleSpec(g.get("kind", "gaussian-hermitian"), _integer("dim", g["dim"]),
+                            _number("scale", g.get("scale", 1.0)),
+                            _integer("seed", g["seed"]) + k)
+        out = sample_ensemble(spec)
+        mats.append(out[0] if isinstance(out, tuple) else out)
     return RademacherSumObservable(mats)
 
 
-def cmd_mc_tail(args, config) -> int:
-    if not config:
+def cmd_mc_tail(args, settings) -> int:
+    if args.config is None:
         raise ConfigError("mc-tail requires --config")
-    model = _model_from_spec(config["model"], enum_cap=config.get("enum_cap"))
-    observable = _observable_from_config(config["observable"])
-    samples = _integer("samples", config.get("samples", 10000))
-    seed = _integer("seed", config.get("seed", args.seed))
-    mode = config.get("mode", "mc")
-    if mode not in ("mc", "exhaustive"):
-        raise ConfigError("mode must be 'mc' or 'exhaustive'")
+    model = _model_from_spec(settings["model"], enum_cap=settings["enum_cap"])
+    observable = _observable_from_config(settings["observable"])
     if isinstance(observable, RademacherSumObservable):
         bound_set = observable.hamming_bounds(model)
     else:
         bound_set = derive_hamming_bounds(observable, model)
-    d = observable.dim
 
-    t_cfg = config.get("t_grid", {"sigma_multiples": [0.25 * k for k in range(13)]})
-    if isinstance(t_cfg, dict) and "sigma_multiples" in t_cfg:
+    t_grid = settings["t_grid"]
+    if isinstance(t_grid, dict):
         sigma = (bound_set.sigma_sq / 4.0) ** 0.5  # of the centered summands
-        t_grid = [m * sigma for m in _numbers("sigma_multiples", t_cfg["sigma_multiples"])]
-    else:
-        t_grid = [float(t) for t in _numbers("t_grid", t_cfg)]
-
-    if mode == "exhaustive":
+        t_grid = [m * sigma for m in t_grid["sigma_multiples"]]
+    if settings["mode"] == "exhaustive":
         est = exhaustive_tail(model, observable, t_grid)
     else:
-        est = mc_tail_estimate(model, observable, t_grid, samples, seed)
-    c = config.get("c")
-    c = None if c is None else _number("c", c)
-    rows = [[_fmt(t), *_bound_cells(d, bound_set.sigma_sq, c, t), _fmt(e), _fmt(lo), _fmt(hi)]
+        est = mc_tail_estimate(model, observable, t_grid, settings["samples"], settings["seed"])
+    rows = [[_fmt(t), *_bound_cells(observable.dim, bound_set.sigma_sq, settings["c"], t),
+             _fmt(e), _fmt(lo), _fmt(hi)]
             for t, e, lo, hi in zip(est.t_grid, est.empirical, est.ci_low, est.ci_high)]
     out = args.out or "mc-tail.csv"
     _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp",
                      "empirical_tail", "ci_low", "ci_high"], rows)
-    _write_manifest(out, "mc-tail", config, seed)
+    _write_manifest(out, "mc-tail", settings, settings["seed"])
     print(f"wrote {out} ({len(rows)} rows, mean source: {est.mean_source})")
     return EXIT_OK
 
 
-def cmd_dobrushin(args, config) -> int:
-    model_spec = config.get("model", args.model)
-    if model_spec is None:
+def cmd_dobrushin(args, settings) -> int:
+    if settings["model"] is None:
         raise ConfigError("dobrushin requires --model or a config with one")
-    model = _model_from_spec(model_spec)
-    kmax = _integer("kmax", config.get("kmax", args.kmax))
+    model, kmax = _model_from_spec(settings["model"]), settings["kmax"]
     D = dobrushin_matrix(model)
     n1, ninf = matrix_norms(D)
-    report = {
-        "n": model.n,
-        "entries": [[float(x) for x in row] for row in D.entries],
-        "norm1": n1,
-        "norm_inf": ninf,
-    }
+    report = {"n": model.n, "entries": D.entries.tolist(), "norm1": n1, "norm_inf": ninf}
     if max(n1, ninf) < 1.0:
         report["c"] = dobrushin_constant(n1, ninf)
         B = b_matrix(D, model.n)
-        report["b_matrix"] = [[float(x) for x in row] for row in B.entries]
+        report["b_matrix"] = B.entries.tolist()
         cols = {}
         for j in range(model.n):
             col = b_power_column(B, kmax, j)
-            cols[str(j)] = {"vector": [float(x) for x in col.vector],
-                            "norm1": col.norm1, "norm1_bound": col.norm1_bound}
+            cols[str(j)] = {"vector": col.vector.tolist(), "norm1": col.norm1,
+                            "norm1_bound": col.norm1_bound}
         report["b_power_columns"] = {"k": kmax, "columns": cols}
         rec = norm_recursion_check(D, model.n, kmax)
         report["norm_recursion"] = {
@@ -355,37 +351,29 @@ def cmd_dobrushin(args, config) -> int:
         report["note"] = "interdependence norms >= 1; weak-dependence bound inapplicable"
     out = args.out or "dobrushin.json"
     _write_json(out, report, indent=2)
-    _write_manifest(out, "dobrushin", {"model": str(model_spec), "kmax": kmax}, args.seed)
+    _write_manifest(out, "dobrushin", {**settings, "model": str(settings["model"])}, args.seed)
     print(f"wrote {out} (norm1={n1:.6f}, norm_inf={ninf:.6f}, c={report['c']})")
     return EXIT_OK
 
 
-def cmd_conjecture(args, config) -> int:
-    ineq = config.get("ineq", args.ineq)
-    if ineq not in ("expconj", "fconj"):
-        raise ConfigError("--ineq must be expconj or fconj")
+def cmd_conjecture(args, settings) -> int:
     entry = None
-    if ineq == "fconj":
-        entry_name = config.get("entry", args.entry)
-        if not entry_name:
+    if settings["ineq"] == "fconj":
+        if not settings["entry"]:
             raise ConfigError("fconj requires --entry")
-        entry = catalog_entry(entry_name)
-    dims = _parse_range("dims", config.get("dims", args.dims))
-    budget = _integer("budget", config.get("budget", args.budget))
-    scale = float(_number("scale", config.get("scale", 1.0)))
-    result = counterexample_search(ineq, dims, budget, args.seed, scale=scale, entry=entry)
+        entry = catalog_entry(settings["entry"])
+    result = counterexample_search(settings["ineq"], settings["dims"], settings["budget"],
+                                   args.seed, scale=settings["scale"], entry=entry)
     out = args.out or "conjecture-result.json"
     save_search_result(out, result)
-    _write_manifest(out, "conjecture",
-                    {"ineq": ineq, "entry": getattr(entry, "name", None),
-                     "dims": dims, "budget": budget, "scale": scale},
+    _write_manifest(out, "conjecture", {**settings, "entry": getattr(entry, "name", None)},
                     args.seed)
     print(f"{result.inequality_id}: verdict={result.verdict} "
           f"best_gap={result.best_gap:.6e} certified_error={result.certified_error:.3e}")
     return EXIT_VIOLATION if result.verdict == "counterexample-candidate" else EXIT_OK
 
 
-def cmd_report(args, config) -> int:
+def cmd_report(args, settings) -> int:
     in_dir = args.inputs or "."
     findings = []
     bad = 0
@@ -397,17 +385,20 @@ def cmd_report(args, config) -> int:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
+        if not isinstance(obj, dict):
+            continue
         if "violations" in obj and "inequality_id" in obj:
-            line = (f"fuzz {obj['inequality_id']}: trials={obj['trials']} "
-                    f"violations={obj['violations']} min_gap={obj['min_gap']:.3e}")
+            _object(f"fuzz summary {path}", obj, ("trials", "min_gap"), obj)
+            findings.append(f"fuzz {obj['inequality_id']}: trials={obj['trials']} "
+                            f"violations={obj['violations']} min_gap={obj['min_gap']:.3e}")
             bad += int(obj["violations"] > 0)
-            findings.append(line)
         elif "verdict" in obj and "inequality_id" in obj:
-            line = (f"search {obj['inequality_id']}: verdict={obj['verdict']} "
-                    f"best_gap={obj['best_gap']:.3e}")
+            _object(f"search result {path}", obj, ("best_gap",), obj)
+            findings.append(f"search {obj['inequality_id']}: verdict={obj['verdict']} "
+                            f"best_gap={obj['best_gap']:.3e}")
             bad += int(obj["verdict"] == "counterexample-candidate")
-            findings.append(line)
         elif "norm1" in obj and "entries" in obj:
+            _object(f"dobrushin report {path}", obj, ("n",), obj)
             findings.append(f"dobrushin report: n={obj['n']} norm1={obj['norm1']:.6f} "
                             f"c={obj.get('c')}")
     for line in findings:
@@ -436,12 +427,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fuzz every proven trace inequality")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--dims", type=str, default="1..8")
-    p.add_argument("--kinds", type=str, default=None)
-    p.add_argument("--ineqs", type=str, default=None)
+    p.add_argument("--kinds", type=str, default=",".join(ENSEMBLE_KINDS))
+    p.add_argument("--ineqs", dest="inequalities", type=str, default=",".join(INEQUALITY_IDS))
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
     p.set_defaults(func=cmd_verify_traces,
-                   config_keys=("trials", "dims", "kinds", "inequalities", "scale"))
+                   fields={"trials": _integer, "dims": _parse_range, "kinds": _names,
+                           "inequalities": _names, "scale": _number})
 
     p = sub.add_parser("bound", parents=[shared], help="tabulate closed-form tail bounds")
     p.add_argument("--d", type=int, default=2)
@@ -450,33 +442,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm1", type=float, default=None)
     p.add_argument("--norm-inf", dest="norm_inf", type=float, default=None)
     p.add_argument("--model", type=str, default=None)
-    p.add_argument("--t", type=str, default="0:3:0.25")
+    p.add_argument("--t", dest="t_grid", type=str, default="0:3:0.25")
     p.add_argument("--clamp", action="store_true",
                    help="clamp bounds to 1 for probability display")
-    p.set_defaults(func=cmd_bound, config_keys=("d", "sigma_sq", "t_grid", "c", "model"))
+    p.set_defaults(func=cmd_bound,
+                   fields={"d": _integer, "sigma_sq": _number, "t_grid": _grid,
+                           "c": _optional(_number), "model": None})
 
     p = sub.add_parser("mc-tail", parents=[shared],
                        help="empirical tail versus bounds (config-driven)")
-    p.set_defaults(func=cmd_mc_tail, config_keys=("model", "enum_cap", "observable", "samples",
-                                                  "seed", "mode", "t_grid", "c"))
+    p.set_defaults(func=cmd_mc_tail, samples=10000, mode="mc",
+                   t_grid={"sigma_multiples": [0.25 * k for k in range(13)]},
+                   fields={"model": None, "enum_cap": _optional(_integer), "observable": None,
+                           "samples": _integer, "seed": _integer,
+                           "mode": _choice("mc", "exhaustive"), "t_grid": _tail_grid,
+                           "c": _optional(_number)})
 
     p = sub.add_parser("dobrushin", parents=[shared],
                        help="interdependence matrix, norms, and contraction report")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--kmax", type=int, default=20)
-    p.set_defaults(func=cmd_dobrushin, config_keys=("model", "kmax"))
+    p.set_defaults(func=cmd_dobrushin, fields={"model": None, "kmax": _integer})
 
     p = sub.add_parser("conjecture", parents=[shared], help="counterexample search")
     p.add_argument("--ineq", type=str, default="expconj")
     p.add_argument("--entry", type=str, default=None)
     p.add_argument("--dims", type=str, default="2..6")
     p.add_argument("--budget", type=int, default=10000)
-    p.set_defaults(func=cmd_conjecture,
-                   config_keys=("ineq", "entry", "dims", "budget", "scale"))
+    p.set_defaults(func=cmd_conjecture, scale=1.0,
+                   fields={"ineq": _choice("expconj", "fconj"), "entry": None,
+                           "dims": _parse_range, "budget": _integer, "scale": _number})
 
     p = sub.add_parser("report", parents=[shared], help="summarize emitted artifacts")
     p.add_argument("--inputs", type=str, default=".")
-    p.set_defaults(func=cmd_report, config_keys=())
+    p.set_defaults(func=cmd_report, fields={})
     return parser
 
 
@@ -487,12 +486,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = _load_config(args.config, args.config_keys)
-        return args.func(args, config)
+        return args.func(args, _settings(args))
     except (ArithmeticError, np.linalg.LinAlgError, SpectralDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError, KeyError, OSError, EnumerationCapError) as exc:
+    except (ConfigError, ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -66,7 +66,7 @@ CATALOG: dict[str, ConvexCatalogEntry] = {
 def catalog_entry(name: str) -> ConvexCatalogEntry:
     try:
         return CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown catalog entry {name!r}") from None
 
 

@@ -130,7 +130,11 @@ class TableObservable(MatrixObservable):
                 raise ValueError("table entries must be dim x dim")
 
     def __call__(self, values) -> np.ndarray:
-        return self._map[tuple(values)]
+        try:
+            return self._map[tuple(values)]
+        except KeyError:
+            raise ValueError("table observable has no entry for the values "
+                             f"{np.asarray(values).tolist()}") from None
 
 
 def derive_hamming_bounds(observable: MatrixObservable,

@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .hermitian import _write_json
+from .hermitian import _is_real, _object, _write_json
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -393,24 +393,37 @@ def model_to_obj(model: DiscreteModel) -> dict:
 
 
 def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel:
-    alphabets = [tuple(a) for a in obj["alphabets"]]
+    _object("model", obj, ("alphabets", "weight"), ("n",))
+    alphabets = obj["alphabets"]
+    if not (isinstance(alphabets, list)
+            and all(isinstance(a, list) and all(map(_is_real, a)) for a in alphabets)):
+        raise ValueError(f"model alphabets must be lists of numbers, got {alphabets!r}")
+    alphabets = [tuple(a) for a in alphabets]
     if obj.get("n", len(alphabets)) != len(alphabets):
         raise ValueError(f"model has n = {obj['n']} but {len(alphabets)} alphabets")
-    weight = obj["weight"]
-    kind = weight["kind"]
+    weight = _object("model weight", obj["weight"], ("kind",),
+                     ("values", "pmfs", "coupling", "field"))
+    kind, keys = weight["kind"], {"table": "values", "product": "pmfs", "ising": "coupling"}
+    if not isinstance(kind, str) or kind not in keys:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    _object(f"{kind} model weight", weight, ("kind", keys[kind]),
+            ("field",) if kind == "ising" else ())
+    if not isinstance(weight[keys[kind]], list):
+        raise ValueError(f"model weight {keys[kind]} must be a list, got {weight[keys[kind]]!r}")
     if kind == "table":
         sizes = tuple(len(a) for a in alphabets)
         table = np.asarray(weight["values"], dtype=float).reshape(sizes)
         return DiscreteModel.from_table(alphabets, table, enum_cap=enum_cap)
     if kind == "product":
+        if len(weight["pmfs"]) != len(alphabets):
+            raise ValueError(f"model has {len(alphabets)} alphabets but "
+                             f"{len(weight['pmfs'])} pmfs")
         return DiscreteModel.from_product(alphabets, weight["pmfs"], enum_cap=enum_cap)
-    if kind == "ising":
-        if len(alphabets) != len(weight["coupling"]) or len(set(alphabets)) > 1:
-            raise ValueError("an ising model needs one alphabet repeated once per coupling row")
-        values = alphabets[0] if alphabets else (-1.0, 1.0)
-        return DiscreteModel.from_ising(weight["coupling"], weight.get("field"),
-                                        values=values, enum_cap=enum_cap)
-    raise ValueError(f"unknown weight kind {kind!r}")
+    if len(alphabets) != len(weight["coupling"]) or len(set(alphabets)) > 1:
+        raise ValueError("an ising model needs one alphabet repeated once per coupling row")
+    values = alphabets[0] if alphabets else (-1.0, 1.0)
+    return DiscreteModel.from_ising(weight["coupling"], weight.get("field"),
+                                    values=values, enum_cap=enum_cap)
 
 
 def save_model(path, model: DiscreteModel) -> None:

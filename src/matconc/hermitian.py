@@ -139,6 +139,27 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _is_real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+
+
+def _object(where: str, obj, required=(), optional=()) -> dict:
+    """``obj`` if it is a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``; otherwise a ``ValueError`` naming
+    ``where`` and the key.  Every config and file object is read through it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {obj!r}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{where} needs key {missing[0]!r}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r} "
+                         f"(known: {', '.join([*required, *optional]) or 'none'})")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Spectral core on raw (..., d, d) stacks.  Inputs are certified once where
 # they enter the library; these kernels trust them and re-check nothing but
@@ -487,10 +508,14 @@ def matrix_to_obj(A) -> dict:
 
 def matrix_from_obj(obj: dict) -> HermitianMatrix:
     """Parse and validate the structured-text matrix form."""
-    d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d or any(len(row) != d for row in entries):
-        raise ValueError("entries are not a d x d array")
+    _object("matrix", obj, ("dim", "entries"))
+    d, entries = _integer("matrix dim", obj["dim"]), obj["entries"]
+    if not (isinstance(entries, list) and len(entries) == d
+            and all(isinstance(row, list) and len(row) == d for row in entries)):
+        raise ValueError(f"matrix entries are not a {d} x {d} array")
+    if not all(isinstance(cell, list) and len(cell) == 2 and all(map(_is_real, cell))
+               for row in entries for cell in row):
+        raise ValueError("matrix entries: each cell must be a [re, im] pair of numbers")
     arr = np.array(
         [[complex(cell[0], cell[1]) for cell in row] for row in entries],
         dtype=np.complex128,

@@ -14,6 +14,10 @@ from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, sav
 from matconc.hermitian import matrix_to_obj
 
 
+IDENTITY = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+ONE = {"dim": 1, "entries": [[[1.0, 0.0]]]}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -89,7 +93,8 @@ class TestBoundCommand:
                         "--out", o]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
-    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1"])
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1",
+                                      pytest.param("", id="empty")])
     def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
         # a zero step once divided by zero (exit 3); a negative one wrote an empty table
         out = tmp_path / "b.csv"
@@ -347,11 +352,14 @@ class TestMcTailCommand:
         {"samples": None}, {"samples": [5]}, {"samples": 2.5}, {"samples": True},
         {"seed": 2.5}, {"seed": "3"}, {"t_grid": 5}, {"t_grid": [0.0, None]},
         {"t_grid": {"sigma_multiples": 5}}, {"model": 5}, {"observable": 5},
-        {"c": [1.0]}, {"enum_cap": 300.5}, "top-level list"],
+        {"c": [1.0]}, {"enum_cap": 300.5}, "top-level list", {"t_grid": []},
+        {"t_grid": {"sigma_multiples": []}}, {"mode": "exact"},
+        {"t_grid": {"sigma_multiples": [1.0], "scale": 2.0}}],
         ids=["samples-null", "samples-list", "samples-fraction", "samples-bool",
              "seed-fraction", "seed-string", "t_grid-number", "t_grid-null-entry",
              "sigma_multiples-number", "model-number", "observable-number", "c-list",
-             "enum_cap-fraction", "top-level-list"])
+             "enum_cap-fraction", "top-level-list", "t_grid-empty", "sigma_multiples-empty",
+             "mode-unknown", "t_grid-unknown-key"])
     def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, change):
         path = self.make_config(tmp_path, samples=200)
         cfg = json.loads(path.read_text())
@@ -460,6 +468,16 @@ class TestReportCommand:
         obj = json.loads(out.read_text())
         assert obj["flagged"] == 0
 
+    def test_recognised_artifact_missing_a_field_exits_2(self, tmp_path, capsys):
+        # once printed only "error: 'trials'"
+        (tmp_path / "fuzz-x.json").write_text(json.dumps({"violations": 0, "inequality_id": "x"}))
+        (tmp_path / "list.json").write_text("[1, 2]")
+        out = tmp_path / "report.json"
+        assert run(["report", "--inputs", tmp_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fuzz-x.json" in err and "'trials'" in err
+        assert not out.exists()
+
     def test_empty_directory(self, tmp_path, capsys):
         assert run(["report", "--inputs", tmp_path / "nothing"]) == 0
         assert "no recognized artifacts" in capsys.readouterr().out
@@ -489,7 +507,8 @@ class TestUsageErrors:
         ("verify-traces", {"kinds": ["psd", 5]}), ("verify-traces", {"inequalities": 5}),
         ("verify-traces", {"inequalities": {"holder": 1}}), ("verify-traces", {"inequalities": []}),
         ("conjecture", {"dims": [2, None]}),
-        ("conjecture", {"dims": 3}), ("bound", {"c": True}), ("bound", {"c": "2"})])
+        ("conjecture", {"dims": 3}), ("bound", {"c": True}), ("bound", {"c": "2"}),
+        ("bound", {"t_grid": []}), ("conjecture", {"entry": ["cube"], "ineq": "fconj"})])
     def test_config_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -540,6 +559,68 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(next(iter(typo))) in err
         assert not (tmp_path / "out1").exists()
+
+    @pytest.mark.parametrize("change,where,key", [
+        ({"observable": {"generate": {"count": 2, "dim": 2, "seed": 1, "scal": 0.5}}},
+         "observable generate", "'scal'"),
+        ({"observable": {"generate": {"dim": 2, "seed": 1}}}, "observable generate", "'count'"),
+        ({"observable": {"generate": {"count": 2, "dim": 2, "seed": 1}, "dims": 2}},
+         "observable", "'dims'"),
+        ({"observable": {"generate": {"count": 2, "dim": 2, "seed": 1},
+                         "matrices": [IDENTITY] * 2}}, "observable", "'matrices'"),
+        ({"observable": {"matrices": [{**IDENTITY, "scale": 2.0}] * 2}}, "matrix", "'scale'"),
+        ({"observable": {"kind": "table", "dim": 1}}, "table observable", "'entries'"),
+        ({"observable": {"kind": "table", "dim": 1, "entries": [
+            {"values": [-1.0, -1.0], "matrix": ONE, "weight": 2.0}]}},
+         "observable entry 0", "'weight'"),
+        ({"observable": {"kind": "table", "dim": 1, "entries": [
+            {"values": [-1.0, -1.0], "matrix": ONE}]}}, "table observable", "[-1.0, 1.0]"),
+        ({"model": {"alphabets": [[-1, 1]] * 2,
+                    "weight": {"kind": "product", "site_pmfs": [[0.5, 0.5]] * 2}}},
+         "model weight", "'site_pmfs'"),
+        ({"model": "SITE_PMFS_FILE"}, "model weight", "'site_pmfs'"),
+        ({"model": {"alphabets": [[-1, 1]] * 2,
+                    "weight": {"kind": "ising", "coupling": [[0, 0.1], [0.1, 0]],
+                               "fields": [0.1, 0.0]}}}, "model weight", "'fields'"),
+        ({"model": {"alphabets": [[-1, 1]] * 2, "weight": {"kind": "table"}}},
+         "model weight", "'values'"),
+        ({"model": {"rademacher_sites": 2, "file": "THREE_SITE_FILE"}},
+         "model", "'rademacher_sites'"),
+        ({"model": {"rademacher_sites": 2, "enum_cap": 4}}, "model", "'enum_cap'"),
+        ({"observable": {"matrices": [{"dim": 1, "entries": [[[1]]]}] * 2}},
+         "matrix", "entries"),
+        ({"observable": {"matrices": [{"dim": 1, "entries": [[5]]}] * 2}}, "matrix", "entries"),
+        ({"observable": {"matrices": 3}}, "observable", "matrices"),
+        ({"observable": {"kind": "table", "dim": 1, "entries": 4}}, "observable", "entries"),
+        ({"model": {"alphabets": 5, "weight": {"kind": "product", "pmfs": [[0.5, 0.5]]}}},
+         "model", "alphabets"),
+        ({"model": {"alphabets": [[-1, 1]] * 2, "weight": {"kind": "product", "pmfs": 7}}},
+         "model weight", "pmfs")],
+        ids=["generate-typo", "generate-missing-count", "observable-typo", "observable-ambiguous",
+             "matrix-typo", "table-missing-entries", "table-entry-typo", "table-incomplete",
+             "site_pmfs-inline", "site_pmfs-file", "ising-typo", "table-missing-values",
+             "spec-ambiguous", "enum_cap-in-model", "cell-short", "cell-number",
+             "matrices-number", "entries-number", "alphabets-number", "pmfs-number"])
+    def test_nested_config_object_refused(self, tmp_path, capsys, change, where, key):
+        # every object in a config holds its required keys, no other key, and
+        # values of the right shape; otherwise exit 2 naming the object and key
+        three = tmp_path / "three.json"
+        save_model(three, DiscreteModel.from_product([(-1.0, 1.0)] * 3, [[0.5, 0.5]] * 3))
+        pmfs = tmp_path / "site_pmfs.json"
+        pmfs.write_text(json.dumps({"alphabets": [[-1, 1]] * 2,
+                                    "weight": {"kind": "product", "site_pmfs": [[0.5, 0.5]] * 2}}))
+        text = json.dumps({"model": {"rademacher_sites": 2},
+                           "observable": {"generate": {"count": 2, "dim": 2, "seed": 1}},
+                           "samples": 10, "t_grid": [0.0, 1.0], **change})
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace("THREE_SITE_FILE", str(three))
+                        .replace('"SITE_PMFS_FILE"', json.dumps(str(pmfs))))
+        out = tmp_path / "out.csv"
+        assert run(["mc-tail", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert where in err and key in err, err
+        assert not out.exists()
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -800,6 +800,15 @@ class TestIndependentKeyInequality:
 
 
 class TestHamming:
+    def test_incomplete_table_names_the_missing_values(self):
+        # a configuration without an entry once raised a bare KeyError
+        # holding numpy scalars
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 2, [[0.5, 0.5]] * 2)
+        obs = TableObservable({(a, b): np.eye(2) for a in (-1.0, 1.0) for b in (-1.0,)}, 2)
+        assert np.array_equal(obs((1.0, -1.0)), np.eye(2))
+        with pytest.raises(ValueError, match=r"no entry for the values \[-1\.0, 1\.0\]$"):
+            derive_hamming_bounds(obs, model)
+
     def test_rademacher_hamming_set_valid(self):
         mats = [draw(2, 95), draw(2, 96)]
         obs = RademacherSumObservable(mats)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -403,3 +404,30 @@ class TestModelSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_obj({"n": 1, "alphabets": [[0, 1]], "weight": {"kind": "mystery"}})
+
+    def test_model_file_with_unknown_key_refused(self, tmp_path):
+        # save_model output loads; the same file with one more key, at the top
+        # or in the weight, is refused by name
+        m = DiscreteModel.from_product([(0, 1), (-1.0, 2.5)], [[0.25, 0.75], [0.5, 0.5]])
+        path = tmp_path / "model.json"
+        save_model(path, m)
+        assert load_model(path).alphabets == m.alphabets
+        obj = model_to_obj(m)
+        for bad, key in (({**obj, "enum_cap": 4}, "'enum_cap'"),
+                         ({**obj, "weight": {**obj["weight"], "site_pmfs": []}}, "'site_pmfs'")):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=key):
+                load_model(path)
+
+    @pytest.mark.parametrize("obj,match", [
+        ({"alphabets": [[0, 1]]}, "model needs key 'weight'"),
+        ({"alphabets": 5, "weight": {"kind": "product", "pmfs": [[1.0]]}}, "alphabets"),
+        ({"alphabets": [[0, 1]], "weight": {"kind": "product", "pmfs": 7}}, "pmfs"),
+        ({"alphabets": [[0, 1]], "weight": {"kind": "product", "pmfs": [[0.5, 0.5]] * 2}},
+         "2 pmfs"),
+        ({"alphabets": [[0, 1]], "weight": {"kind": "table", "values": [1, 1], "field": [0]}},
+         "'field'"),
+        ({"alphabets": [[0, 1]], "weight": [1, 1]}, "model weight must be an object")])
+    def test_malformed_model_objects_refused(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            model_from_obj(obj)

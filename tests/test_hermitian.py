@@ -22,6 +22,7 @@ from matconc.hermitian import (
     _exp,
     _from_params,
     _hermitian_part,
+    _object,
     _spectral_norm,
     _to_params,
     _trial,
@@ -445,6 +446,28 @@ class TestSerialization:
         obj = {"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
         with pytest.raises(HermiticityError):
             matrix_from_obj(obj)
+
+    @pytest.mark.parametrize("obj,match", [
+        ([1], "matrix must be an object"),
+        ({"dim": 1}, "matrix needs key 'entries'"),
+        ({"dim": 1, "entries": [[[1.0, 0.0]]], "scale": 2}, "unknown key 'scale'"),
+        ({"dim": 1.5, "entries": [[[1.0, 0.0]]]}, "matrix dim must be an integer"),
+        ({"dim": 1, "entries": [[[1.0]]]}, r"\[re, im\] pair"),
+        ({"dim": 1, "entries": [[5]]}, r"\[re, im\] pair"),
+        ({"dim": 1, "entries": [[["1", 0.0]]]}, r"\[re, im\] pair"),
+        ({"dim": 2, "entries": [[[1.0, 0.0]]]}, "not a 2 x 2 array")])
+    def test_reader_refuses_malformed_objects(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            matrix_from_obj(obj)
+
+    def test_object_key_rule(self):
+        obj = {"a": 1, "b": 2}
+        assert _object("thing", obj, ("a",), ("b", "c")) is obj
+        for bad, match in ((5, "thing must be an object, got 5"),
+                           ({"b": 2}, "thing needs key 'a'"),
+                           ({"a": 1, "d": 4}, r"thing: unknown key 'd' \(known: a, b, c\)")):
+            with pytest.raises(ValueError, match=match):
+                _object("thing", bad, ("a",), ("b", "c"))
 
     def test_params_roundtrip(self):
         rng = np.random.default_rng(29)
