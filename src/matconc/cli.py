@@ -254,7 +254,7 @@ def cmd_bound(args, settings) -> int:
             for t in settings["t_grid"]]
     out = args.out or "bounds.csv"
     _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp"], rows)
-    _write_manifest(out, "bound", {**settings, "c": c, "clamp": bool(args.clamp)}, args.seed)
+    _write_manifest(out, "bound", {**settings, "c": c, "clamp": bool(args.clamp)}, None)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -351,7 +351,7 @@ def cmd_dobrushin(args, settings) -> int:
         report["note"] = "interdependence norms >= 1; weak-dependence bound inapplicable"
     out = args.out or "dobrushin.json"
     _write_json(out, report, indent=2)
-    _write_manifest(out, "dobrushin", {**settings, "model": str(settings["model"])}, args.seed)
+    _write_manifest(out, "dobrushin", {**settings, "model": str(settings["model"])}, None)
     print(f"wrote {out} (norm1={n1:.6f}, norm_inf={ninf:.6f}, c={report['c']})")
     return EXIT_OK
 
@@ -373,6 +373,23 @@ def cmd_conjecture(args, settings) -> int:
     return EXIT_VIOLATION if result.verdict == "counterexample-candidate" else EXIT_OK
 
 
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _artifact(where: str, obj: dict, **fields) -> dict:
+    """The fields (name -> reader) that ``report`` prints from a recognised
+    artifact, each through its reader; a missing or malformed field is an
+    error naming ``where`` (the kind and file) and the field."""
+    _object(where, obj, tuple(fields), obj)
+    try:
+        return {name: read(name, obj[name]) for name, read in fields.items()}
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def cmd_report(args, settings) -> int:
     in_dir = args.inputs or "."
     findings = []
@@ -388,18 +405,20 @@ def cmd_report(args, settings) -> int:
         if not isinstance(obj, dict):
             continue
         if "violations" in obj and "inequality_id" in obj:
-            _object(f"fuzz summary {path}", obj, ("trials", "min_gap"), obj)
-            findings.append(f"fuzz {obj['inequality_id']}: trials={obj['trials']} "
-                            f"violations={obj['violations']} min_gap={obj['min_gap']:.3e}")
-            bad += int(obj["violations"] > 0)
+            f = _artifact(f"fuzz summary {path}", obj, inequality_id=_string,
+                          trials=_integer, violations=_integer, min_gap=_number)
+            findings.append(f"fuzz {f['inequality_id']}: trials={f['trials']} "
+                            f"violations={f['violations']} min_gap={f['min_gap']:.3e}")
+            bad += int(f["violations"] > 0)
         elif "verdict" in obj and "inequality_id" in obj:
-            _object(f"search result {path}", obj, ("best_gap",), obj)
-            findings.append(f"search {obj['inequality_id']}: verdict={obj['verdict']} "
-                            f"best_gap={obj['best_gap']:.3e}")
-            bad += int(obj["verdict"] == "counterexample-candidate")
+            f = _artifact(f"search result {path}", obj, inequality_id=_string,
+                          verdict=_string, best_gap=_number)
+            findings.append(f"search {f['inequality_id']}: verdict={f['verdict']} "
+                            f"best_gap={f['best_gap']:.3e}")
+            bad += int(f["verdict"] == "counterexample-candidate")
         elif "norm1" in obj and "entries" in obj:
-            _object(f"dobrushin report {path}", obj, ("n",), obj)
-            findings.append(f"dobrushin report: n={obj['n']} norm1={obj['norm1']:.6f} "
+            f = _artifact(f"dobrushin report {path}", obj, n=_integer, norm1=_number)
+            findings.append(f"dobrushin report: n={f['n']} norm1={f['norm1']:.6f} "
                             f"c={obj.get('c')}")
     for line in findings:
         print(line)
@@ -416,14 +435,15 @@ def cmd_report(args, settings) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--config", type=str, default=None)
+    drawing = argparse.ArgumentParser(add_help=False)  # the commands that draw random numbers
+    drawing.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="matconc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-traces", parents=[shared],
+    p = sub.add_parser("verify-traces", parents=[shared, drawing],
                        help="fuzz every proven trace inequality")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--dims", type=str, default="1..8")
@@ -449,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    fields={"d": _integer, "sigma_sq": _number, "t_grid": _grid,
                            "c": _optional(_number), "model": None})
 
-    p = sub.add_parser("mc-tail", parents=[shared],
+    p = sub.add_parser("mc-tail", parents=[shared, drawing],
                        help="empirical tail versus bounds (config-driven)")
     p.set_defaults(func=cmd_mc_tail, samples=10000, mode="mc",
                    t_grid={"sigma_multiples": [0.25 * k for k in range(13)]},
@@ -464,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=20)
     p.set_defaults(func=cmd_dobrushin, fields={"model": None, "kmax": _integer})
 
-    p = sub.add_parser("conjecture", parents=[shared], help="counterexample search")
+    p = sub.add_parser("conjecture", parents=[shared, drawing], help="counterexample search")
     p.add_argument("--ineq", type=str, default="expconj")
     p.add_argument("--entry", type=str, default=None)
     p.add_argument("--dims", type=str, default="2..6")

@@ -125,23 +125,23 @@ def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) ->
     return _Gaps(label, lhs, rhs, gap, dict(zip("ABC", X.swapaxes(0, 1))), [params] * len(X))
 
 
-def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry, seed) -> TraceGapReport:
+def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry) -> TraceGapReport:
     """Report of the split-part kernel on a stack of one certified (A, B, C)."""
     X = np.stack([M.mat for M in _coerce_all(mats)])
-    return _split_gaps(inequality_id, entry, X[None]).report(0, seed)
+    return _split_gaps(inequality_id, entry, X[None]).report(0)
 
 
-def gap_conjecture_exp(A, B, C, seed=None) -> TraceGapReport:
+def gap_conjecture_exp(A, B, C) -> TraceGapReport:
     """Split-part exponential trace bound; gap >= 0 means the instance holds.
 
     The ``CATALOG["exp"]`` case of :func:`gap_conjecture_f`, labelled ``expconj``.
     """
-    return _gap_of_one("expconj", (A, B, C), CATALOG["exp"], seed)
+    return _gap_of_one("expconj", (A, B, C), CATALOG["exp"])
 
 
-def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry, seed=None) -> TraceGapReport:
+def gap_conjecture_f(A, B, C, entry: ConvexCatalogEntry) -> TraceGapReport:
     """Split-part bound for a monotone convex f with spectra inside its domain."""
-    return _gap_of_one("fconj", (A, B, C), entry, seed)
+    return _gap_of_one("fconj", (A, B, C), entry)
 
 
 def scalar_gap_f(a, b, c, entry: ConvexCatalogEntry) -> float:
@@ -182,13 +182,15 @@ class SelfBoundingReport:
 
 
 def check_self_bounding(H: MatrixObservable, model: DiscreteModel, a: float, b: float,
-                        mode: str = "strong", tol: float = 1e-9) -> SelfBoundingReport:
+                        mode: str = "strong") -> SelfBoundingReport:
     """Exhaustively certify the (a, b) self-bounding conditions on a model.
 
     Strong mode checks every single-coordinate decrement against the identity
     and the summed positive parts against a H(z) + b I over all replacement
-    vectors; weak mode checks the summed squared positive parts instead.
+    vectors; weak mode checks the summed squared positive parts instead.  A
+    condition holds when its slack is >= -1e-9 (absolute).
     """
+    tol = 1e-9
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     S, n = model.size, model.n

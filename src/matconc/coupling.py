@@ -49,10 +49,11 @@ MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering me
 LIVE_MIN_STATES = 128  # smaller models always take the dense pair-evolution step
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = WILSON_Z95) for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = WILSON_Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -151,10 +152,11 @@ def derive_hamming_bounds(observable: MatrixObservable,
 
 
 def check_hamming(observable: MatrixObservable, model: DiscreteModel,
-                  bound_set: DifferenceBoundSet, tol: float = 1e-10):
+                  bound_set: DifferenceBoundSet):
     """Exhaustively validate (H(z) - H(z_i -> v))^2 <= A_i^2 over all swaps.
 
-    Returns the worst Loewner slack (min eigenvalue of A_i^2 - diff^2).
+    Returns (holds, worst Loewner slack), the slack being the min eigenvalue
+    of A_i^2 - diff^2; the bounds hold when it is >= -1e-10 (absolute).
     """
     if len(bound_set.matrices) != model.n:
         raise ValueError("need one difference bound per site")
@@ -167,7 +169,7 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
         diff = H[:, None] - H[variants]
         slack = _hermitian_part(_hermitian_part(Ai @ Ai) - diff @ diff)
         worst = min(worst, float(np.linalg.eigvalsh(slack)[..., 0].min()))
-    return worst >= -tol, worst
+    return worst >= -1e-10, worst
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +386,13 @@ class PropertyPReport:
     steps: int
 
 
-def verify_property_P(model: DiscreteModel, steps: int,
-                      tol: float = 1e-12) -> PropertyPReport:
+def verify_property_P(model: DiscreteModel, steps: int) -> PropertyPReport:
     """Exhaustively compare coupled marginals with single-chain Gibbs marginals.
 
     For every start pair (x, y) and every k <= steps, the X-marginal of the
     coupled pair distribution must equal the k-step Gibbs law from x (and
-    symmetrically for X'), which certifies that each marginal depends only on
-    its own starting point.
+    symmetrically for X') within 1e-12 (absolute), which certifies that each
+    marginal depends only on its own starting point.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -411,7 +412,7 @@ def verify_property_P(model: DiscreteModel, steps: int,
                 dev_x = float(np.abs(nu.sum(axis=1) - powers[k][x]).max())
                 dev_y = float(np.abs(nu.sum(axis=0) - powers[k][y]).max())
                 max_dev = max(max_dev, dev_x, dev_y)
-    return PropertyPReport(max_dev <= tol, max_dev, steps)
+    return PropertyPReport(max_dev <= 1e-12, max_dev, steps)
 
 
 def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
@@ -467,12 +468,13 @@ class SteinIdentityReport:
     holds: bool
 
 
-def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8) -> SteinIdentityReport:
+def stein_identity_check(model: DiscreteModel, f) -> SteinIdentityReport:
     """Verify F(x,y) = -F(y,x) and E(F(X,X')|X) = f(X) - E f(X) exhaustively.
 
     Runs over every pair (x, y) reachable by the single-site resampling pair
     construction on an enumerable model; every F comes from one chain sum,
-    so ``max_residual`` certifies its Poisson solve.
+    so ``max_residual`` certifies its Poisson solve.  Both hold when their
+    spectral-norm defect is <= 1e-8 (absolute).
     """
     fc = _centered_values(model, f)
     G = gibbs_kernel(model)
@@ -483,56 +485,43 @@ def stein_identity_check(model: DiscreteModel, f, tol: float = 1e-8) -> SteinIde
     acc = np.zeros_like(fc)
     np.add.at(acc, z, G[z, z2][:, None, None] * F)
     max_res = _spectral_norm(acc - fc)
-    return SteinIdentityReport(max_res, max_anti, len(z), max_res <= tol and max_anti <= tol)
+    holds = all(x <= 1e-8 for x in (max_res, max_anti))
+    return SteinIdentityReport(max_res, max_anti, len(z), holds)
 
 
 # ---------------------------------------------------------------------------
 # Stein pairs
 
 @dataclass(frozen=True)
-class SteinPairSpec:
-    """Model + observable under the single-site Gibbs resampling pair."""
-
-    model: DiscreteModel
-    observable: MatrixObservable
-    alpha: float | None = None  # claimed scale factor
-
-    def __post_init__(self):
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError("claimed scale factor must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class SteinPairReport:
     alpha_hat: float | None
     residual: float
     degenerate: bool
-    claimed_alpha: float | None
     is_stein: bool
 
 
-def verify_stein_pair(spec: SteinPairSpec, tol: float = 1e-8) -> SteinPairReport:
-    """Fit the scale factor of E(X - X' | Z) = alpha X exactly over all states.
+def verify_stein_pair(model: DiscreteModel, observable: MatrixObservable) -> SteinPairReport:
+    """Fit the scale factor of E(X - X' | Z) = alpha X exactly over all states
+    of the single-site Gibbs resampling pair.
 
     The observable is centered before fitting; the report carries the worst
     spectral-norm residual max_z |E(X - X'|z) - alpha_hat X(z)| and flags
-    degenerate (constant) observables.
+    degenerate (constant) observables.  The pair is a Stein pair when that
+    residual is <= 1e-8 max(1, max_z |X(z)|) for the centered X (relative).
     """
-    model = spec.model
-    psi = _centered_values(model, spec.observable)
+    psi = _centered_values(model, observable)
     G = gibbs_kernel(model)
     T = psi - np.einsum("st,tij->sij", G, psi)
     mu = model.flat_pmf()
     denom = float(np.einsum("s,sij->", mu, np.abs(psi) ** 2).real)
     scale = max(1.0, float(np.abs(psi).max()) ** 2)
     if denom <= 1e-15 * scale:
-        return SteinPairReport(None, 0.0, True, spec.alpha, False)
+        return SteinPairReport(None, 0.0, True, False)
     num = float(np.einsum("s,sij,sij->", mu, T.conj(), psi).real)
     alpha_hat = num / denom
     residual = _spectral_norm(T - alpha_hat * psi)
     anchor = max(1.0, _spectral_norm(psi))
-    return SteinPairReport(alpha_hat, residual, False, spec.alpha,
-                           residual <= tol * anchor)
+    return SteinPairReport(alpha_hat, residual, False, residual <= 1e-8 * anchor)
 
 
 def telescoping_decomposition(f, x_vals, y_vals) -> list[np.ndarray]:

@@ -120,14 +120,15 @@ class DiscreteModel:
         tab.setflags(write=False)
         return tab
 
-    def is_product(self, tol: float = 1e-12) -> bool:
+    def is_product(self) -> bool:
+        """Whether the pmf is the product of its site marginals, within 1e-12 (absolute)."""
         if self._site_pmfs is not None:
             return True
         marg = self.site_marginals()
         outer = marg[0]
         for p in marg[1:]:
             outer = np.multiply.outer(outer, p)
-        return bool(np.abs(self.table - outer).max() <= tol)
+        return bool(np.abs(self.table - outer).max() <= 1e-12)
 
     def site_marginals(self) -> list[np.ndarray]:
         if self._site_pmfs is not None:
@@ -392,6 +393,12 @@ def model_to_obj(model: DiscreteModel) -> dict:
     return obj
 
 
+def _is_number_list(value) -> bool:
+    """A list whose items are real numbers or, at any depth, lists of them."""
+    return isinstance(value, list) and all(
+        _is_number_list(v) if isinstance(v, list) else _is_real(v) for v in value)
+
+
 def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel:
     _object("model", obj, ("alphabets", "weight"), ("n",))
     alphabets = obj["alphabets"]
@@ -408,8 +415,11 @@ def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel
         raise ValueError(f"unknown weight kind {kind!r}")
     _object(f"{kind} model weight", weight, ("kind", keys[kind]),
             ("field",) if kind == "ising" else ())
-    if not isinstance(weight[keys[kind]], list):
-        raise ValueError(f"model weight {keys[kind]} must be a list, got {weight[keys[kind]]!r}")
+    for key, value in weight.items():  # a null ising field means zeros
+        if key != "kind" and not (key == "field" and value is None) \
+                and not _is_number_list(value):
+            raise ValueError(f"model weight {key} must be a list of numbers (or of such "
+                             f"lists), got {value!r}")
     if kind == "table":
         sizes = tuple(len(a) for a in alphabets)
         table = np.asarray(weight["values"], dtype=float).reshape(sizes)

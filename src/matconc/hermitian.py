@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class SpectralDomainError(ValueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class LoewnerCheck(NamedTuple):
-    """Outcome of a semidefinite-order test; min_eigenvalue certifies failures."""
-
-    holds: bool
-    min_eigenvalue: float
 
 
 class HermitianMatrix:

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hermitian import (
-    EnsembleSpec,
-    LoewnerCheck,
     _certify,
     _coerce_all,
     _decompose,
@@ -53,7 +51,6 @@ class TraceGapReport:
     rhs: float
     gap: float
     inputs_digest: str
-    seed: int | None = None
     params: dict = field(default_factory=dict)
 
 
@@ -107,12 +104,12 @@ class _Gaps:
     def normalized(self, i: int) -> float:
         return self.gap[i] / self.anchors[i]
 
-    def report(self, i: int, seed=None) -> TraceGapReport:
+    def report(self, i: int) -> TraceGapReport:
         params = dict(self.params[i])
         digest = inputs_digest([M[i] for M in self.inputs.values()], params)
         params["anchor"] = self.anchors[i]
         return TraceGapReport(self.inequality_id, self.lhs[i], self.rhs[i], self.gap[i],
-                              digest, seed, params)
+                              digest, params)
 
 
 def _exp_scaled(theta: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -234,21 +231,21 @@ def _check_psd(AB: np.ndarray, kind: str) -> None:
 
 
 @_refusing_overflow
-def gap_exchangeable(A, B, C, seed=None) -> TraceGapReport:
+def gap_exchangeable(A, B, C) -> TraceGapReport:
     """Exponential-difference trace bound for a Hermitian triple (gap = rhs - lhs)."""
-    return _exchangeable(*_certified(A, B, C)).report(0, seed)
+    return _exchangeable(*_certified(A, B, C)).report(0)
 
 
 @_refusing_overflow
-def gap_exchangeable_scaled(A, B, C, theta: float, seed=None) -> TraceGapReport:
+def gap_exchangeable_scaled(A, B, C, theta: float) -> TraceGapReport:
     """Scaled variant; the inequality reverses for theta < 0, gap stays oriented >= 0."""
     if theta == 0:
         raise ValueError("theta must be nonzero")
-    return _exchangeable_scaled(*_certified(A, B, C), np.array([float(theta)])).report(0, seed)
+    return _exchangeable_scaled(*_certified(A, B, C), np.array([float(theta)])).report(0)
 
 
 @_refusing_overflow
-def gap_pair_exp(X, Xp, theta: float, seed=None) -> TraceGapReport:
+def gap_pair_exp(X, Xp, theta: float) -> TraceGapReport:
     """Exchangeable-pair exponential bound with C = X - X' folded in (theta > 0).
 
     The report records a cross-check against the scaled triple form evaluated
@@ -256,62 +253,52 @@ def gap_pair_exp(X, Xp, theta: float, seed=None) -> TraceGapReport:
     """
     if not theta > 0:
         raise ValueError("theta must be > 0")
-    return _pair_exp(*_certified(X, Xp), np.array([float(theta)])).report(0, seed)
+    return _pair_exp(*_certified(X, Xp), np.array([float(theta)])).report(0)
 
 
 @_refusing_overflow
-def gap_power(A, B, C, k: int, seed=None) -> TraceGapReport:
+def gap_power(A, B, C, k: int) -> TraceGapReport:
     """Power-difference trace bound for PSD A, B and integer k >= 1."""
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")
     A, B, C = _certified(A, B, C)
     _check_psd(np.concatenate([A, B]), "positive semidefinite")
-    return _power(A, B, C, np.array([int(k)])).report(0, seed)
+    return _power(A, B, C, np.array([int(k)])).report(0)
 
 
 @_refusing_overflow
-def gap_symmetric_term(A, B, C, k: int, n: int, seed=None) -> TraceGapReport:
+def gap_symmetric_term(A, B, C, k: int, n: int) -> TraceGapReport:
     """Symmetric pair of power terms, positive definite A, B, 0 <= k <= n."""
     if int(n) != n or int(k) != k or not 0 <= k <= n:
         raise ValueError("need integers 0 <= k <= n")
     A, B, C = _certified(A, B, C)
     _check_psd(np.concatenate([A, B]), "positive definite")
-    return _symmetric_term(A, B, C, np.array([int(k)]), np.array([int(n)])).report(0, seed)
+    return _symmetric_term(A, B, C, np.array([int(k)]), np.array([int(n)])).report(0)
 
 
 @_refusing_overflow
-def gap_holder(A, B, C, D, p: float, seed=None) -> TraceGapReport:
+def gap_holder(A, B, C, D, p: float) -> TraceGapReport:
     """Hoelder-type interpolation bound, PSD A, B and exponent p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return _holder(*_certified(A, B, C, D), [float(p)]).report(0, seed)
+    return _holder(*_certified(A, B, C, D), [float(p)]).report(0)
 
 
-def _square_pair(P, Q) -> tuple[np.ndarray, np.ndarray]:
+@_refusing_overflow
+def gap_psd_cross(P, Q) -> TraceGapReport:
+    """Loewner test of PQ + Q*P* <= PP* + Q*Q for complex P, Q of one square shape:
+    gap = lambda_min of the slack PP* + Q*Q - PQ - Q*P*."""
     P = np.asarray(P, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     if P.shape != Q.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"expected two square matrices of one shape, got {P.shape}, {Q.shape}")
-    return P, Q
-
-
-def check_psd_cross(P, Q, tol: float = 1e-10) -> LoewnerCheck:
-    """Decide PQ + Q*P* <= PP* + Q*Q for arbitrary complex P, Q of equal size."""
-    lam_min = float(np.linalg.eigvalsh(_cross_square(*_square_pair(P, Q)))[0])
-    return LoewnerCheck(lam_min >= -tol, lam_min)
+    return _psd_cross(P[None], Q[None]).report(0)
 
 
 @_refusing_overflow
-def gap_psd_cross(P, Q, seed=None) -> TraceGapReport:
-    """Report form of the cross-square order test: gap = lambda_min of the slack."""
-    P, Q = _square_pair(P, Q)
-    return _psd_cross(P[None], Q[None]).report(0, seed)
-
-
-@_refusing_overflow
-def gap_trace_quad(P, Q, R, S, seed=None) -> TraceGapReport:
+def gap_trace_quad(P, Q, R, S) -> TraceGapReport:
     """Re Tr(PQRS) <= Tr((P^2+R^2)(Q^2+S^2))/4 for a Hermitian quadruple."""
-    return _trace_quad(*_certified(P, Q, R, S)).report(0, seed)
+    return _trace_quad(*_certified(P, Q, R, S)).report(0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +469,7 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
         if norm_gap < -tol:
             violations += 1
             if witness_dir is not None:
-                rep = gaps.report(i, seed=t)
+                rep = gaps.report(i)
                 rep.params.update({"kind": kind, "dim": dim})
                 mats = {name: matrix_to_obj(M[i]) for name, M in gaps.inputs.items()}
                 _write_witness(witness_dir, rep, t, matrices=mats)
@@ -493,16 +480,6 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
     meta = {"kinds": list(kinds), "dims": list(dims), "scale": scale, "seed": int(seed)}
     return FuzzSummary(inequality_id, trials, float(min_norm), float(min_raw),
                        argmin_digest, violations, float(tol), meta)
-
-
-def fuzz_inequality(inequality_id: str, ensemble: EnsembleSpec, trials: int,
-                    tol: float = 1e-8, witness_dir: str | None = None) -> FuzzSummary:
-    """Fuzz one inequality over a fixed ensemble: a one-cell :func:`fuzz_grid`."""
-    summary = fuzz_grid(inequality_id, (ensemble.kind,), (ensemble.dim,), trials,
-                        ensemble.scale, ensemble.seed, tol, witness_dir)
-    meta = {"kind": ensemble.kind, "dim": ensemble.dim,
-            "scale": ensemble.scale, "seed": int(ensemble.seed)}
-    return replace(summary, ensemble=meta)
 
 
 def save_fuzz_summary(path, summary: FuzzSummary) -> None:

@@ -31,7 +31,6 @@ from matconc.conjectures import (
 )
 from matconc.coupling import (
     RademacherSumObservable,
-    SteinPairSpec,
     TableObservable,
     mc_tail_estimate,
     greedy_disagreement_mc,
@@ -242,7 +241,7 @@ def test_criterion_6_exact_chain_identities():
     rng = np.random.default_rng(2718)
     for name, model, obs in _identity_models():
         assert model.size <= 10_000
-        rep = stein_identity_check(model, obs, tol=1e-8)
+        rep = stein_identity_check(model, obs)
         assert rep.holds, f"{name}: residual {rep.max_residual:.2e}, " \
                           f"antisymmetry {rep.max_antisymmetry_defect:.2e}"
         assert rep.max_antisymmetry_defect <= 1e-8
@@ -261,7 +260,7 @@ def test_criterion_6_exact_chain_identities():
         mats = [sample_ensemble(EnsembleSpec("gaussian-hermitian", 2, 1.0, 40 + k))
                 for k in range(n)]
         model = DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n)
-        rep = verify_stein_pair(SteinPairSpec(model, RademacherSumObservable(mats), 1.0 / n))
+        rep = verify_stein_pair(model, RademacherSumObservable(mats))
         assert rep.alpha_hat == pytest.approx(1.0 / n, abs=1e-12)
         assert rep.residual < 1e-10
     _ok(6, "chain-sum identities to 1e-8, marginal property exact for K <= 3, "

@@ -478,6 +478,40 @@ class TestReportCommand:
         assert err.startswith("error:") and "fuzz-x.json" in err and "'trials'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,obj,field", [
+        ("fuzz-x.json", {"violations": "0", "inequality_id": "x", "trials": 1, "min_gap": 0},
+         "violations"),
+        ("fuzz-y.json", {"violations": 0, "inequality_id": "x", "trials": 1, "min_gap": "0"},
+         "min_gap"),
+        ("fuzz-z.json", {"violations": 0, "inequality_id": 7, "trials": 1, "min_gap": 0},
+         "inequality_id"),
+        ("search.json", {"verdict": "supported", "inequality_id": "x", "best_gap": None},
+         "best_gap"),
+        ("dobrushin.json", {"norm1": "0.5", "entries": [], "n": 2}, "norm1")],
+        ids=["violations-string", "min_gap-string", "id-number", "best_gap-null",
+             "norm1-string"])
+    def test_recognised_artifact_field_of_wrong_type_exits_2(self, tmp_path, capsys,
+                                                             name, obj, field):
+        # the first case once raised TypeError: '>' not supported between 'str' and 'int'
+        (tmp_path / name).write_text(json.dumps(obj))
+        out = tmp_path / "report.json"
+        assert run(["report", "--inputs", tmp_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert name in err and field in err, err
+        assert not out.exists()
+
+    def test_summarizes_dobrushin_report(self, tmp_path, capsys, ising_model_file):
+        dob = tmp_path / "dobrushin.json"
+        assert run(["dobrushin", "--model", ising_model_file, "--out", dob]) == 0
+        rep = json.loads(dob.read_text())
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert run(["report", "--inputs", tmp_path, "--out", out]) == 0
+        line = f"dobrushin report: n=2 norm1={rep['norm1']:.6f} c={rep['c']}"
+        assert capsys.readouterr().out.splitlines() == [line]
+        assert json.loads(out.read_text()) == {"findings": [line], "flagged": 0}
+
     def test_empty_directory(self, tmp_path, capsys):
         assert run(["report", "--inputs", tmp_path / "nothing"]) == 0
         assert "no recognized artifacts" in capsys.readouterr().out
@@ -491,6 +525,15 @@ class TestUsageErrors:
                 "conjecture": ["--budget", 2, "--dims", 2, "--out", tmp_path / "c.json"],
                 "report": ["--inputs", tmp_path]}[command]
         assert run([command, *argv, "--tol-profile", "strict"]) == 2
+        assert run([command, *argv]) == 0
+
+    @pytest.mark.parametrize("command", ["bound", "dobrushin", "report"])
+    def test_seed_only_on_commands_that_draw(self, command, tmp_path, ising_model_file):
+        # only verify-traces, mc-tail and conjecture draw random numbers
+        argv = {"bound": ["--out", tmp_path / "b.csv"],
+                "dobrushin": ["--model", ising_model_file, "--out", tmp_path / "d.json"],
+                "report": ["--inputs", tmp_path]}[command]
+        assert run([command, *argv, "--seed", 1]) == 2
         assert run([command, *argv]) == 0
 
     def test_unknown_command(self):
@@ -595,12 +638,25 @@ class TestUsageErrors:
         ({"model": {"alphabets": 5, "weight": {"kind": "product", "pmfs": [[0.5, 0.5]]}}},
          "model", "alphabets"),
         ({"model": {"alphabets": [[-1, 1]] * 2, "weight": {"kind": "product", "pmfs": 7}}},
-         "model weight", "pmfs")],
+         "model weight", "pmfs"),
+        ({"model": {"alphabets": [[-1, 1]] * 2,
+                    "weight": {"kind": "table", "values": [{"a": 1}, 1, 1, 1]}}},
+         "model weight", "values"),
+        ({"model": {"alphabets": [[-1, 1]] * 2,
+                    "weight": {"kind": "product", "pmfs": [[0.5, {"a": 1}], [0.5, 0.5]]}}},
+         "model weight", "pmfs"),
+        ({"model": {"alphabets": [[-1, 1]] * 2,
+                    "weight": {"kind": "ising", "coupling": [[0, {"a": 1}], [0.1, 0]]}}},
+         "model weight", "coupling"),
+        ({"model": {"alphabets": [[-1, 1]] * 2,
+                    "weight": {"kind": "ising", "coupling": [[0, 0.1], [0.1, 0]],
+                               "field": [{"a": 1}, 0.0]}}}, "model weight", "field")],
         ids=["generate-typo", "generate-missing-count", "observable-typo", "observable-ambiguous",
              "matrix-typo", "table-missing-entries", "table-entry-typo", "table-incomplete",
              "site_pmfs-inline", "site_pmfs-file", "ising-typo", "table-missing-values",
              "spec-ambiguous", "enum_cap-in-model", "cell-short", "cell-number",
-             "matrices-number", "entries-number", "alphabets-number", "pmfs-number"])
+             "matrices-number", "entries-number", "alphabets-number", "pmfs-number",
+             "values-dict", "pmfs-row-dict", "coupling-dict", "field-dict"])
     def test_nested_config_object_refused(self, tmp_path, capsys, change, where, key):
         # every object in a config holds its required keys, no other key, and
         # values of the right shape; otherwise exit 2 naming the object and key

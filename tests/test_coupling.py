@@ -8,9 +8,9 @@ import pytest
 
 from matconc.bounds import DifferenceBoundSet, hoeffding_bound
 from matconc.coupling import (
+    MatrixObservable,
     PairEvolver,
     RademacherSumObservable,
-    SteinPairSpec,
     TableObservable,
     antisymmetric_F,
     check_hamming,
@@ -621,7 +621,7 @@ class TestSteinPair:
         n = 3
         mats = [draw(2, 40 + k) for k in range(n)]
         model = DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n)
-        rep = verify_stein_pair(SteinPairSpec(model, RademacherSumObservable(mats), 1 / n))
+        rep = verify_stein_pair(model, RademacherSumObservable(mats))
         assert rep.alpha_hat == pytest.approx(1 / n, abs=1e-12)
         assert rep.residual < 1e-10
         assert rep.is_stein
@@ -629,7 +629,7 @@ class TestSteinPair:
     def test_constant_observable_degenerate(self):
         model = product2()
         mapping = {vals: np.eye(2) for vals in itertools.product((-1.0, 1.0), repeat=2)}
-        rep = verify_stein_pair(SteinPairSpec(model, TableObservable(mapping, 2)))
+        rep = verify_stein_pair(model, TableObservable(mapping, 2))
         assert rep.degenerate
         assert rep.alpha_hat is None
 
@@ -641,13 +641,9 @@ class TestSteinPair:
         base = RademacherSumObservable(mats)
         shifted = {vals: base(vals) + 3.0 * np.eye(2)
                    for vals in itertools.product((-1.0, 1.0), repeat=n)}
-        r1 = verify_stein_pair(SteinPairSpec(model, base))
-        r2 = verify_stein_pair(SteinPairSpec(model, TableObservable(shifted, 2)))
+        r1 = verify_stein_pair(model, base)
+        r2 = verify_stein_pair(model, TableObservable(shifted, 2))
         assert r1.alpha_hat == pytest.approx(r2.alpha_hat, abs=1e-12)
-
-    def test_claimed_alpha_validated(self):
-        with pytest.raises(ValueError):
-            SteinPairSpec(product2(), RademacherSumObservable([[[1.0]], [[1.0]]]), 1.5)
 
 
 class TestTelescoping:
@@ -728,6 +724,36 @@ class TestMcTail:
             mapping[vals] = (M + M.T) / 2
         est = mc_tail_estimate(model, TableObservable(mapping, 2), [0.0], 300, seed=7)
         assert est.mean_source == "enumeration"
+
+
+    def test_mean_source_pilot(self):
+        # 17 biased sites, S = 131072 > MEAN_ENUM_CAP, and an observable without
+        # an exact mean: the mean comes from max(1000, samples // 10) draws of the
+        # first stream spawned from the seed, the estimate from the second
+        n, samples = 17, 3000
+
+        class SignedCount(MatrixObservable):  # H(z) = (sum_k z_k) diag(1, -1)
+            dim = 2
+
+            def __init__(self):
+                self.calls = []
+
+            def batch(self, values_matrix):
+                self.calls.append(values_matrix)
+                return values_matrix.sum(axis=1)[:, None, None] * np.diag([1.0, -1.0])
+
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.2, 0.8]] * n)
+        obs = SignedCount()
+        # index 1 is the value +1
+        pilot, main = (2.0 * model.sample(np.random.default_rng(ss), k) - 1.0 for ss, k in
+                       zip(np.random.SeedSequence(11).spawn(2), (1000, samples)))
+        lam = np.abs(main.sum(axis=1) - pilot.sum(axis=1).mean())
+        ts = np.unique(lam)  # every t sits on a value, so any other mean moves a tail
+        est = mc_tail_estimate(model, obs, ts, samples, seed=11)
+        assert est.mean_source == "pilot"
+        assert len(obs.calls) == 2
+        assert np.array_equal(obs.calls[0], pilot) and np.array_equal(obs.calls[1], main)
+        assert est.empirical == tuple(float((lam >= t).mean()) for t in ts)
 
 
 class TestExhaustiveTail:

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -130,6 +131,23 @@ class TestMatrixFunction:
         with pytest.raises(SpectralDomainError) as exc:
             matrix_function(HermitianMatrix.diagonal([-1.0, 4.0]), np.sqrt)
         assert exc.value.eigenvalue == pytest.approx(-1.0)
+
+    def test_scalar_only_function_applied_per_eigenvalue(self):
+        # math.exp and cmath.exp refuse an array, so each eigenvalue goes through
+        # them on its own; a complex value with no imaginary part is accepted
+        A = HermitianMatrix([[0.5, 0.25j], [-0.25j, -1.0]])
+        ref = matrix_function(A, np.exp).mat
+        for f in (math.exp, cmath.exp):
+            assert np.abs(matrix_function(A, f).mat - ref).max() <= 1e-15
+        with pytest.raises(SpectralDomainError, match="math domain error") as exc:
+            matrix_function(HermitianMatrix.diagonal([2.0, -1.0]), math.log)
+        assert exc.value.eigenvalue == -1.0
+
+    def test_complex_values_are_domain_errors(self):
+        for f in (cmath.sqrt, lambda x: np.emath.sqrt(x)):  # per eigenvalue, then vectorized
+            with pytest.raises(SpectralDomainError, match="complex value") as exc:
+                matrix_function(HermitianMatrix.diagonal([4.0, -1.0]), f)
+            assert exc.value.eigenvalue == -1.0
 
     def test_values_above_quarter_max_are_domain_errors(self):
         # U diag(w^4) U* would overflow; values above max/4 are refused outright

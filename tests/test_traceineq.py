@@ -23,9 +23,7 @@ from matconc.traceineq import (
     INEQUALITY_IDS,
     _draw_trial,
     _trials_in_order,
-    check_psd_cross,
     fuzz_grid,
-    fuzz_inequality,
     gap_exchangeable,
     gap_exchangeable_scaled,
     gap_holder,
@@ -354,14 +352,14 @@ class TestHolder:
 
 class TestPsdCross:
     def test_equal_identity(self):
-        res = check_psd_cross(np.eye(2), np.eye(2))
-        assert res.holds and res.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+        rep = gap_psd_cross(np.eye(2), np.eye(2))
+        assert rep.gap >= -1e-10 and rep.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_adjoint_equality_case(self):
         rng = np.random.default_rng(101)
         P = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        res = check_psd_cross(P, P.conj().T)
-        assert res.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+        rep = gap_psd_cross(P, P.conj().T)
+        assert rep.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_fuzz(self):
         rng = np.random.default_rng(103)
@@ -373,7 +371,7 @@ class TestPsdCross:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            check_psd_cross(np.eye(2), np.eye(3))
+            gap_psd_cross(np.eye(2), np.eye(3))
 
 
 class TestTraceQuad:
@@ -399,9 +397,8 @@ class TestTraceQuad:
 
 class TestFuzzer:
     def test_deterministic_summaries(self, tmp_path):
-        spec = EnsembleSpec("gaussian-hermitian", 3, 1.0, 2024)
-        s1 = fuzz_inequality("exchangeable", spec, 50)
-        s2 = fuzz_inequality("exchangeable", spec, 50)
+        s1 = fuzz_grid("exchangeable", ("gaussian-hermitian",), (3,), 50, 1.0, 2024)
+        s2 = fuzz_grid("exchangeable", ("gaussian-hermitian",), (3,), 50, 1.0, 2024)
         assert s1 == s2
         # serialized byte-identical
         from matconc.traceineq import save_fuzz_summary
@@ -411,13 +408,12 @@ class TestFuzzer:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_trial_bookkeeping(self):
-        spec = EnsembleSpec("psd", 2, 1.0, 5)
-        s = fuzz_inequality("psd_cross", spec, 1)
+        s = fuzz_grid("psd_cross", ("psd",), (2,), 1, 1.0, 5)
         assert s.trials == 1
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
-            fuzz_inequality("nope", EnsembleSpec("psd", 2, 1.0, 5), 10)
+            fuzz_grid("nope", ("psd",), (2,), 10, 1.0, 5)
 
     @pytest.mark.parametrize("ineq", ["trace_quad", "power", "symmetric_term"])
     def test_overflowing_gaps_refused(self, ineq):
@@ -442,8 +438,7 @@ class TestFuzzer:
                 call()
 
     def test_no_violations_on_gaussian(self):
-        spec = EnsembleSpec("gaussian-hermitian", 4, 1.0, 314)
-        s = fuzz_inequality("exchangeable", spec, 500, tol=1e-8)
+        s = fuzz_grid("exchangeable", ("gaussian-hermitian",), (4,), 500, 1.0, 314, tol=1e-8)
         assert s.violations == 0
 
     def test_grid_covers_kinds_and_dims(self):
@@ -466,9 +461,8 @@ class TestFuzzer:
         # an impossible tolerance forces every trial to "violate", which must
         # leave replayable witness files carrying the input matrices
         from matconc.hermitian import matrix_from_obj
-        spec = EnsembleSpec("gaussian-hermitian", 3, 1.0, 404)
-        s = fuzz_inequality("exchangeable", spec, 5, tol=-10.0,
-                            witness_dir=str(tmp_path))
+        s = fuzz_grid("exchangeable", ("gaussian-hermitian",), (3,), 5, 1.0, 404, tol=-10.0,
+                      witness_dir=str(tmp_path))
         assert s.violations == 5
         files = sorted(tmp_path.iterdir())
         assert len(files) == 5
