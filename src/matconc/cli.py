@@ -41,6 +41,7 @@ from .coupling import (
     mc_tail_estimate,
 )
 from .dobrushin import (
+    DEFAULT_ENUM_CAP,
     DiscreteModel,
     EnumerationCapError,
     b_matrix,
@@ -197,9 +198,13 @@ def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> lis
             _fmt(clamp(tropp_bound(d, sigma_sq, t)))]
 
 
-def _model_from_spec(spec, enum_cap=None):
+def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
     """Model from a file name, or an object holding exactly one of a ``file``
-    name, a ``rademacher_sites`` count (uniform +-1 sites) or a model."""
+    name, a ``rademacher_sites`` count (uniform +-1 sites) or a model.
+
+    ``enum_cap=None`` is for runs that only sample: a ``rademacher_sites``
+    model then has no cap, and any other model has DEFAULT_ENUM_CAP.
+    """
     kwargs = {} if enum_cap is None else {"enum_cap": enum_cap}
     if isinstance(spec, str):
         return load_model(spec, **kwargs)
@@ -210,8 +215,12 @@ def _model_from_spec(spec, enum_cap=None):
     if "rademacher_sites" in spec:
         _object("model", spec, ("rademacher_sites",))
         n = _integer("rademacher_sites", spec["rademacher_sites"])
+        if enum_cap is None:
+            enum_cap = max(2 ** n, DEFAULT_ENUM_CAP)
+        elif n >= max(enum_cap, 1).bit_length():  # 2**n > enum_cap: refuse before any allocation
+            raise EnumerationCapError(f"product space has 2**{n} states, above cap {enum_cap}")
         return DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n,
-                                          enum_cap=enum_cap or max(2 ** n, 10 ** 6))
+                                          enum_cap=enum_cap)
     return model_from_obj(spec, **kwargs)
 
 
@@ -298,8 +307,13 @@ def _observable_from_config(obs):
 def cmd_mc_tail(args, settings) -> int:
     if args.config is None:
         raise ConfigError("mc-tail requires --config")
-    model = _model_from_spec(settings["model"], enum_cap=settings["enum_cap"])
     observable = _observable_from_config(settings["observable"])
+    cap = settings["enum_cap"]
+    # exhaustive tails and derived difference bounds enumerate every state
+    if cap is None and (settings["mode"] == "exhaustive"
+                        or not isinstance(observable, RademacherSumObservable)):
+        cap = DEFAULT_ENUM_CAP
+    model = _model_from_spec(settings["model"], enum_cap=cap)
     if isinstance(observable, RademacherSumObservable):
         bound_set = observable.hamming_bounds(model)
     else:

@@ -106,7 +106,22 @@ class RademacherSumObservable(MatrixObservable):
         return np.einsum("n,nij->ij", vals, self._stack)
 
     def batch(self, values_matrix: np.ndarray) -> np.ndarray:
-        return np.einsum("bn,nij->bij", np.asarray(values_matrix, dtype=float), self._stack)
+        """H of every (b, n) value row, shape (b, d, d): einsum's products,
+        added in site order to +0.0, value-major on the real view of the stack.
+
+        A +0.0 start makes every zero sum +0.0, whatever the signs of the
+        zero products, so the bytes are those of
+        ``np.einsum("bn,nij->bij", values, stack)``.
+        """
+        values = np.asarray(values_matrix, dtype=float)
+        n, d = len(self._stack), self.dim
+        if values.ndim != 2 or values.shape[1] != n:
+            raise ValueError(f"values must have shape (b, {n}), got {values.shape}")
+        flat = self._stack.view(float).reshape(n, -1)  # (re, im) of each entry
+        out = np.zeros((2 * d * d, len(values)))
+        for f, v in zip(flat, values.T):
+            out += f[:, None] * v
+        return np.ascontiguousarray(out.T).view(complex).reshape(-1, d, d)
 
     def exact_mean(self, model: DiscreteModel) -> np.ndarray:
         means = [float(np.dot(p, model.alphabets[i]))
@@ -558,9 +573,13 @@ class TailEstimate:
 
 
 def _values_matrix(model: DiscreteModel, configs: np.ndarray) -> np.ndarray:
-    cols = [np.asarray(model.alphabets[i], dtype=float)[configs[:, i]]
-            for i in range(model.n)]
-    return np.stack(cols, axis=1)
+    """Site values of (R, n) index configurations, one lookup into the
+    zero-padded (n, max m) alphabet table; the (R, n) transposed view of a
+    site-major array, whose site rows ``batch`` reads."""
+    table = np.zeros((model.n, max(model.sizes)))
+    for i, a in enumerate(model.alphabets):
+        table[i, :len(a)] = np.asarray(a, dtype=float)
+    return table[np.arange(model.n)[:, None], configs.T].T
 
 
 def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
@@ -698,16 +717,10 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     Y = X.copy()
     Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
 
-    means = np.empty((kmax + 1, n))
-    ses = np.empty((kmax + 1, n))
-
-    def record(k):
-        p = np.count_nonzero(X != Y, axis=1) / runs
-        means[k] = p
-        ses[k] = np.sqrt(p * (1.0 - p) / runs)
-
-    record(0)
+    counts = np.empty((kmax + 1, n), dtype=np.int64)
+    counts[0] = np.count_nonzero(X != Y, axis=1)
     for k in range(1, kmax + 1):
         _coupled_step(rules, X, Y, rng.integers(0, n, size=runs), rng.random((runs, 4)))
-        record(k)
-    return DisagreementMC(site, kmax, runs, means, ses)
+        counts[k] = np.count_nonzero(X != Y, axis=1)
+    means = counts / runs
+    return DisagreementMC(site, kmax, runs, means, np.sqrt(means * (1.0 - means) / runs))

@@ -161,12 +161,27 @@ class DiscreteModel:
         return vec / vec.sum()
 
     def sample(self, rng, size: int) -> np.ndarray:
-        """Draw ``size`` index configurations, shape (size, n)."""
+        """Draw ``size`` index configurations, shape (size, n).
+
+        A product model draws all sites from one ``rng.random((n, size))``
+        call, the doubles that n per-site ``rng.choice(m_i, size, p=p_i)``
+        calls would take in turn, and maps them as ``choice`` does: the index
+        is the number of entries of the cdf ``c / c[-1]`` (c = p.cumsum())
+        that are <= u.  ``choice``'s checks on p cannot fire, since the site
+        pmfs are strictly positive and normalized at construction.  The result
+        is the transposed view of a site-major (n, size) array.
+        """
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         if self._site_pmfs is not None:
-            cols = [rng.choice(self.sizes[i], size=size, p=self._site_pmfs[i])
-                    for i in range(self.n)]
-            return np.stack(cols, axis=1)
+            cdf = np.full((self.n, max(self.sizes)), np.inf)  # padded values never count
+            for i, p in enumerate(self._site_pmfs):
+                c = p.cumsum()
+                cdf[i, :len(c)] = c / c[-1]
+            u = rng.random((self.n, size))
+            idx = np.zeros((self.n, size), dtype=np.int64)
+            for col in cdf.T[:-1]:  # the last column is 1.0 or +inf: u < 1 counts neither
+                idx += col[:, None] <= u
+            return idx.T
         flat = rng.choice(self.size, size=size, p=self.flat_pmf())
         return np.stack(np.unravel_index(flat, self.sizes), axis=1)
 

@@ -327,6 +327,52 @@ class TestMcTailCommand:
         assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def sites_config(self, tmp_path, n, mode, **extra):
+        cfg = {"model": {"rademacher_sites": n}, "mode": mode, "samples": 2000,
+               "observable": {"generate": {"count": 2 if n > 1000 else n, "dim": 2, "seed": 1}},
+               **extra}
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_sampled_tail_past_the_default_cap(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert run(["mc-tail", "--config", self.sites_config(tmp_path, 45, "mc"),
+                    "--out", out]) == 0
+        assert len(read_csv(out)) == 1 + 13
+
+    @pytest.mark.parametrize("n", [20, 45, 10 ** 12])
+    def test_exhaustive_above_the_default_cap_exits_2(self, tmp_path, capsys, n):
+        # refused before any per-site list or state array is built
+        cfg = self.sites_config(tmp_path, n, "exhaustive")
+        assert run(["mc-tail", "--config", cfg, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: product space has 2**{n} states, above cap 1000000\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_exhaustive_under_a_configured_cap_runs(self, tmp_path):
+        cfg = self.sites_config(tmp_path, 3, "exhaustive", enum_cap=8)
+        assert run(["mc-tail", "--config", cfg, "--out", tmp_path / "x.csv"]) == 0
+        cfg = self.sites_config(tmp_path, 4, "exhaustive", enum_cap=8)
+        assert run(["mc-tail", "--config", cfg, "--out", tmp_path / "y.csv"]) == 2
+
+    def test_table_observable_past_the_default_cap_exits_2(self, tmp_path, capsys):
+        # its difference bounds are derived over every state
+        cfg = {"model": {"rademacher_sites": 45}, "samples": 10,
+               "observable": {"kind": "table", "dim": 1,
+                              "entries": [{"values": [1.0] * 45, "matrix": ONE}]}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert "2**45 states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound", "dobrushin"])
+    def test_enumerating_commands_cap_rademacher_sites(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"rademacher_sites": 45}}))
+        assert run([command, "--config", path, "--out", tmp_path / "x"]) == 2
+        assert "2**45 states, above cap 1000000" in capsys.readouterr().err
+
     def test_non_hermitian_input_matrix_exits_2(self, tmp_path, capsys):
         bad = {"dim": 2, "entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
         cfg = {"model": {"rademacher_sites": 1},

@@ -18,6 +18,7 @@ from matconc.coupling import (
     coupon_collector_weighted,
     derive_hamming_bounds,
     exchangeable_pair_joint,
+    exhaustive_tail,
     gibbs_kernel,
     greedy_disagreement_mc,
     maximal_coupling_joint,
@@ -30,8 +31,11 @@ from matconc.coupling import (
     _centered_values,
     _coupled_step,
     _maximal_coupling_rows,
+    _observable_values,
     _ordered_sum,
+    _sample_rows,
     _site_rules,
+    _values_matrix,
 )
 from matconc.dobrushin import (
     DiscreteModel,
@@ -1028,6 +1032,160 @@ class TestGreedyDisagreementMC:
         mc = greedy_disagreement_mc(m, 1, 3, 5000, seed=10)
         assert mc.means[0][0] == 0.0
         assert mc.means[0][1] > 0.0
+
+
+# The Monte Carlo tail path and the greedy records as they stood before the
+# one-draw sampler and the value-major batch: per-site ``Generator.choice``
+# draws, per-site value columns, one ``einsum`` and a per-step ``record``.
+# The byte oracles of ``sample``, ``_values_matrix``, ``batch`` and
+# ``greedy_disagreement_mc``.
+
+def choice_sample(model, rng, size):
+    if model._site_pmfs is None:
+        return model.sample(rng, size)  # the table branch is unchanged
+    cols = [rng.choice(model.sizes[i], size=size, p=model._site_pmfs[i])
+            for i in range(model.n)]
+    return np.stack(cols, axis=1)
+
+
+def column_values(model, configs):
+    cols = [np.asarray(model.alphabets[i], dtype=float)[configs[:, i]]
+            for i in range(model.n)]
+    return np.stack(cols, axis=1)
+
+
+def einsum_batch(obs, values):
+    return np.einsum("bn,nij->bij", np.asarray(values, dtype=float), obs._stack)
+
+
+def recorded_greedy_mc(model, site, kmax, runs, seed):
+    """(means, std_errors) with one ``record`` of the rates after every step."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n = model.n
+    rules = T, offsets, W = _site_rules(model)
+    X = np.ascontiguousarray(choice_sample(model, rng, runs).T)
+    Y = X.copy()
+    Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
+    means = np.empty((kmax + 1, n))
+    ses = np.empty((kmax + 1, n))
+
+    def record(k):
+        p = np.count_nonzero(X != Y, axis=1) / runs
+        means[k] = p
+        ses[k] = np.sqrt(p * (1.0 - p) / runs)
+
+    record(0)
+    for k in range(1, kmax + 1):
+        _coupled_step(rules, X, Y, rng.integers(0, n, size=runs), rng.random((runs, 4)))
+        record(k)
+    return means, ses
+
+
+def random_tail_case(rng, n):
+    """A product model on n sites with 1- to 4-value alphabets, some holding
+    0.0, and n Hermitian coefficients (real-only or complex, d = 1..6)."""
+    sizes = rng.integers(1, 5, size=n)
+    alphabets = []
+    for m in sizes:
+        a = np.round(rng.normal(size=m), 3)
+        if rng.random() < 0.3:
+            a[rng.integers(m)] = 0.0
+        alphabets.append(tuple(float(v) for v in a))
+    model = DiscreteModel.from_product(alphabets, [rng.random(m) + 0.01 for m in sizes],
+                                       enum_cap=4 ** n)
+    d, real = int(rng.integers(1, 7)), rng.random() < 0.4
+    mats = []
+    for _ in range(n):
+        M = rng.normal(size=(d, d)) + (0.0 if real else 1j * rng.normal(size=(d, d)))
+        if rng.random() < 0.2:
+            M[0, 0] = 0.0
+        mats.append((M + M.conj().T) / 2.0)
+    return model, RademacherSumObservable(mats)
+
+
+class TestTailPathBytes:
+    def test_sampled_values_and_batch_equal_the_oracles(self):
+        rng = np.random.default_rng(29)
+        for case in range(60):
+            model, obs = random_tail_case(rng, int(rng.integers(1, 25)))
+            size, seed = int(rng.integers(1, 4001)), int(rng.integers(2 ** 31))
+            configs = model.sample(np.random.default_rng(seed), size)
+            expect = column_values(model, choice_sample(model, np.random.default_rng(seed),
+                                                        size))
+            values = _values_matrix(model, configs)
+            assert values.shape == expect.shape and values.tobytes("C") == expect.tobytes()
+            H = obs.batch(values)
+            assert H.shape == (size, obs.dim, obs.dim) and H.dtype == np.complex128
+            assert H.tobytes() == einsum_batch(obs, expect).tobytes(), case
+            # a C-ordered (b, n) input, as a caller may pass, gives the same bytes
+            assert obs.batch(expect).tobytes() == H.tobytes(), case
+
+    def test_enumerated_values_equal_the_oracle(self):
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            model, obs = random_tail_case(rng, int(rng.integers(1, 7)))
+            configs = np.indices(model.sizes).reshape(model.n, -1).T
+            expect = einsum_batch(obs, column_values(model, configs))
+            assert _observable_values(model, obs).tobytes() == expect.tobytes(), case
+
+    def test_zero_sums_are_positive_zero(self):
+        # products of opposite zero signs, and sums that cancel, end at +0.0
+        obs = RademacherSumObservable([np.diag([0.0, 1.0]), np.diag([0.0, 1.0]),
+                                       np.diag([-0.0, -1.0])])
+        values = np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        H = obs.batch(values)
+        assert H.tobytes() == einsum_batch(obs, values).tobytes()
+        parts = H.view(float)
+        assert (parts == 0).sum() == 23 and not np.signbit(parts[parts == 0]).any()
+
+    @pytest.mark.parametrize("make", [mixed_table, ising4_field, single_site, product3,
+                                      product9, ternary_ising],
+                             ids=["mixed", "ising4", "single_site", "product3", "product9",
+                                  "ternary"])
+    def test_greedy_counts_equal_per_step_records(self, make):
+        m = make()
+        for site in range(m.n):
+            for kmax, runs, seed in ((0, 1, 2), (5, 7, 3), (8, 1500, 8)):
+                means, ses = recorded_greedy_mc(m, site, kmax, runs, seed)
+                got = greedy_disagreement_mc(m, site, kmax, runs, seed)
+                assert got.means.tobytes() == means.tobytes(), (site, seed)
+                assert got.std_errors.tobytes() == ses.tobytes(), (site, seed)
+
+    def test_greedy_on_random_products(self):
+        rng = np.random.default_rng(37)
+        for case in range(12):
+            model, _ = random_tail_case(rng, int(rng.integers(2, 9)))
+            site, runs = int(rng.integers(model.n)), int(rng.integers(1, 3000))
+            means, ses = recorded_greedy_mc(model, site, 10, runs, case)
+            got = greedy_disagreement_mc(model, site, 10, runs, case)
+            assert got.means.tobytes() + got.std_errors.tobytes() == \
+                means.tobytes() + ses.tobytes(), case
+
+
+class TestSiteCountRefusal:
+    def obs(self, count):
+        return RademacherSumObservable([draw(2, 300 + k) for k in range(count)])
+
+    @pytest.mark.parametrize("columns", [0, 1, 2, 4, 5])
+    def test_batch_refuses_other_column_counts(self, columns):
+        with pytest.raises(ValueError, match=r"values must have shape \(b, 3\)"):
+            self.obs(3).batch(np.ones((4, columns)))
+
+    def test_batch_refuses_one_row_without_a_batch_axis(self):
+        with pytest.raises(ValueError, match="values must have shape"):
+            self.obs(3).batch([1.0, -1.0, 1.0])
+
+    def test_exhaustive_tail_refuses_a_site_mismatch(self):
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 3, [[0.5, 0.5]] * 3)
+        for count in (2, 4):
+            with pytest.raises(ValueError):
+                exhaustive_tail(model, self.obs(count), [0.0, 1.0])
+
+    def test_mc_tail_refuses_a_site_mismatch(self):
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 3, [[0.5, 0.5]] * 3)
+        for count in (2, 4):
+            with pytest.raises(ValueError):
+                mc_tail_estimate(model, self.obs(count), [0.0, 1.0], 100, seed=1)
 
 
 class TestSmallHelpers:

@@ -185,6 +185,94 @@ class TestModel:
                 rows = conditional_table(m, i)[configs @ w]
                 assert np.array_equal(rows, [m.conditional(i, c) for c in configs])
 
+
+# The product sampler as it stood before the one-draw sampler: one
+# ``Generator.choice`` per site, stacked.  The byte oracle of ``sample``.
+
+def choice_sample(model, rng, size):
+    cols = [rng.choice(model.sizes[i], size=size, p=model._site_pmfs[i])
+            for i in range(model.n)]
+    return np.stack(cols, axis=1)
+
+
+def random_product(rng, n):
+    """n sites with 1- to 4-value alphabets and strictly positive random pmfs."""
+    sizes = rng.integers(1, 5, size=n)
+    return DiscreteModel.from_product([tuple(range(m)) for m in sizes],
+                                      [rng.random(m) + 0.01 for m in sizes],
+                                      enum_cap=4 ** n)
+
+
+_MT_MASK = 0xFFFFFFFF
+
+
+def _untemper(y):
+    """Inverse of MT19937's output tempering on 32-bit words."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & _MT_MASK
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & _MT_MASK
+
+
+def generator_drawing(uniforms):
+    """A Generator whose first ``random`` doubles are ``uniforms`` (at most
+    312 multiples of 2^-53 in [0, 1)); random doubles follow them."""
+    key = np.random.default_rng(0).integers(0, 2 ** 32, size=624, dtype=np.uint32)
+    for j, u in enumerate(uniforms):
+        k = int(u * 2 ** 53)
+        assert k == u * 2 ** 53
+        key[2 * j] = _untemper((k >> 26) << 5)  # a double is (a >> 5) 2^-27 + (b >> 6) 2^-53
+        key[2 * j + 1] = _untemper((k & (2 ** 26 - 1)) << 6)
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bits)
+
+
+class TestProductSampler:
+    def test_bytes_and_stream_equal_per_site_choice(self):
+        rng = np.random.default_rng(23)
+        for case in range(60):
+            m = random_product(rng, int(rng.integers(1, 25)))
+            size = int(rng.integers(1, 4001)) if case else 1
+            seed = int(rng.integers(2 ** 31))
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            expect, got = choice_sample(m, old, size), m.sample(new, size)
+            assert got.shape == expect.shape and got.dtype == expect.dtype, case
+            assert got.tobytes() == expect.tobytes(), case
+            # the same doubles are taken: later draws are unchanged
+            assert new.bit_generator.state == old.bit_generator.state, case
+
+    def test_uniform_on_a_cdf_value_takes_the_next_index(self):
+        # dyadic pmfs put the cdf on doubles that ``random`` can return; a
+        # uniform equal to one counts it, as choice's searchsorted(side="right")
+        m = DiscreteModel.from_product([(0, 1, 2), (0, 1), (0, 1, 2, 3), (0,)],
+                                       [[0.25, 0.25, 0.5], [0.5, 0.5],
+                                        [0.125, 0.125, 0.25, 0.5], [1.0]])
+        ties = [0.0, 0.125, 0.25, 0.5, 0.75, 1 - 2 ** -53]
+        uniforms = list(itertools.islice(itertools.cycle(ties), 4 * 30))
+        got = m.sample(generator_drawing(uniforms), 30)
+        expect = choice_sample(m, generator_drawing(uniforms), 30)
+        assert got.tobytes() == expect.tobytes()
+        assert got[:, 0].tolist() == [[0, 0, 1, 2, 2, 2][k % 6] for k in range(30)]
+
+    def test_site_major_view(self):
+        m = random_product(np.random.default_rng(3), 5)
+        draws = m.sample(np.random.default_rng(4), 100)
+        assert draws.shape == (100, 5) and draws.T.flags.c_contiguous
+
+    def test_table_branch_unchanged(self):
+        m = mixed_table()
+        draws = m.sample(np.random.default_rng(5), 300)
+        flat = np.random.default_rng(5).choice(m.size, size=300, p=m.flat_pmf())
+        assert np.array_equal(draws, np.stack(np.unravel_index(flat, m.sizes), axis=1))
+
+
 class TestTvDistance:
     def test_equal(self):
         assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
