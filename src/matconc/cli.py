@@ -27,7 +27,6 @@ from . import __version__
 from .bounds import (
     display_clamp,
     dobrushin_constant,
-    hoeffding_bound,
     tail_bound_dependent,
     tail_bound_independent,
     tropp_bound,
@@ -54,6 +53,7 @@ from .dobrushin import (
 )
 from .hermitian import (
     ENSEMBLE_KINDS,
+    FORMAT_VERSION,
     STREAM_VERSION,
     EnsembleSpec,
     SpectralDomainError,
@@ -176,9 +176,10 @@ def _settings(args) -> dict:
 def _write_manifest(out_path: str, command: str, config: dict, seed):
     digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=str).encode())
     manifest = {"command": command, "config_digest": digest.hexdigest()[:16], "seed": seed,
-                "stream_version": STREAM_VERSION, "version": __version__,
+                "stream_version": STREAM_VERSION, "format_version": FORMAT_VERSION,
+                "version": __version__,
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    _write_json(out_path + ".manifest.json", manifest, indent=2)
+    _write_json(out_path + ".manifest.json", manifest)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
@@ -189,12 +190,10 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
 
 
 def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> list[str]:
-    """bound_independent, bound_dependent (blank without c), hoeffding and tropp
-    at t for the difference-bound sigma^2 = |sum A_k^2|; hoeffding takes the
-    centered-summand variance, a quarter of it."""
+    """bound_independent, bound_dependent (blank without c) and tropp at t for
+    the difference-bound sigma^2 = |sum A_k^2|."""
     dep = "" if c is None else _fmt(clamp(tail_bound_dependent(d, sigma_sq, float(c), t)))
     return [_fmt(clamp(tail_bound_independent(d, sigma_sq, t))), dep,
-            _fmt(clamp(hoeffding_bound(d, sigma_sq / 4.0, t))),
             _fmt(clamp(tropp_bound(d, sigma_sq, t)))]
 
 
@@ -262,7 +261,7 @@ def cmd_bound(args, settings) -> int:
     rows = [[_fmt(t), *_bound_cells(settings["d"], settings["sigma_sq"], c, t, clamp)]
             for t in settings["t_grid"]]
     out = args.out or "bounds.csv"
-    _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp"], rows)
+    _write_csv(out, ["t", "bound_independent", "bound_dependent", "tropp"], rows)
     _write_manifest(out, "bound", {**settings, "c": c, "clamp": bool(args.clamp)}, None)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
@@ -331,7 +330,7 @@ def cmd_mc_tail(args, settings) -> int:
              _fmt(e), _fmt(lo), _fmt(hi)]
             for t, e, lo, hi in zip(est.t_grid, est.empirical, est.ci_low, est.ci_high)]
     out = args.out or "mc-tail.csv"
-    _write_csv(out, ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp",
+    _write_csv(out, ["t", "bound_independent", "bound_dependent", "tropp",
                      "empirical_tail", "ci_low", "ci_high"], rows)
     _write_manifest(out, "mc-tail", settings, settings["seed"])
     print(f"wrote {out} ({len(rows)} rows, mean source: {est.mean_source})")
@@ -364,7 +363,7 @@ def cmd_dobrushin(args, settings) -> int:
         report["c"] = None
         report["note"] = "interdependence norms >= 1; weak-dependence bound inapplicable"
     out = args.out or "dobrushin.json"
-    _write_json(out, report, indent=2)
+    _write_json(out, report)
     _write_manifest(out, "dobrushin", {**settings, "model": str(settings["model"])}, None)
     print(f"wrote {out} (norm1={n1:.6f}, norm_inf={ninf:.6f}, c={report['c']})")
     return EXIT_OK
@@ -439,7 +438,7 @@ def cmd_report(args, settings) -> int:
     if not findings:
         print("no recognized artifacts found")
     if args.out:
-        _write_json(args.out, {"findings": findings, "flagged": bad}, indent=2)
+        _write_json(args.out, {"findings": findings, "flagged": bad})
     return EXIT_VIOLATION if bad else EXIT_OK
 
 

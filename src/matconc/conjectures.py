@@ -70,23 +70,22 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
         raise ValueError(f"unknown catalog entry {name!r}") from None
 
 
-def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[np.ndarray, np.ndarray]:
+def _split_gap(X: np.ndarray, wAB: np.ndarray, UAB: np.ndarray,
+               entry: ConvexCatalogEntry) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) arrays of the split-part bound for ``entry`` on a certified
-    (N, 3, d, d) stack of (A, B, C) instances.
+    (N, 3, d, d) stack of (A, B, C) instances, given the eigenpairs
+    ``(wAB, UAB)`` of its (A, B) part, shapes (N, 2, d) and (N, 2, d, d).
 
-    One stacked decomposition of every (A, B, C, D = A - B) gives f(A), f(B),
-    f'(A), f'(B) and the spectral parts of C and D; the weights are
-    (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).  The difference of
-    two certified matrices is its own Hermitian part, bit for bit, so D needs
-    no certification.  Spectra of A, B outside the entry's domain, f or f'
-    values that could overflow, and a lhs or rhs that is not finite raise
-    :class:`SpectralDomainError` for the first such instance; the eigenvalue
-    it names is the one of largest modulus.  Each instance's values are the
-    bits of a stack of one.
+    Those eigenpairs give f(A), f(B), f'(A) and f'(B), and one stacked
+    decomposition of (C, D = A - B) gives the spectral parts of C and D; the
+    weights are (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).  The
+    difference of two certified matrices is its own Hermitian part, bit for
+    bit, so D needs no certification.  Spectra of A, B outside the entry's
+    domain, f or f' values that could overflow, and a lhs or rhs that is not
+    finite raise :class:`SpectralDomainError` for the first such instance;
+    the eigenvalue it names is the one of largest modulus.  Each instance's
+    values are the bits of a stack of one.
     """
-    M = np.concatenate([X, X[:, :1] - X[:, 1:2]], axis=1)
-    w, U = _decompose(M)
-    wAB = w[:, :2]
     lo, hi = entry.domain
     tol = 1e-12 * np.maximum(1.0, np.abs(wAB).max(axis=-1))
     below = wAB[..., 0] < lo - tol
@@ -97,27 +96,29 @@ def _split_gap(X: np.ndarray, entry: ConvexCatalogEntry) -> tuple[np.ndarray, np
         raise SpectralDomainError(bad, f"eigenvalue of {'AB'[k]} outside domain of {entry.name}")
     f = _apply_scalar(entry.f, wAB)
     fp = _apply_scalar(entry.f_prime, wAB)
-    wCD = w[:, 2:]
+    wCD, UCD = _decompose(np.concatenate([X[:, 2:], X[:, :1] - X[:, 1:2]], axis=1))
     # f(A), f(B), f'(A), f'(B), C+, D+, C-, D- from one stacked product
     vals = np.concatenate([f, fp, np.clip(wCD, 0.0, None), np.clip(-wCD, 0.0, None)], axis=1)
-    S = _hermitian_part(_spectral(U[:, [0, 1, 0, 1, 2, 3, 2, 3]], vals))
+    S = _hermitian_part(_spectral(np.concatenate([UAB, UAB, UCD, UCD], axis=1), vals))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         sq = S[:, 4:] @ S[:, 4:]
         w_pos = (sq[:, 0] + sq[:, 1]) / 2.0
         w_neg = (sq[:, 2] + sq[:, 3]) / 2.0
-        lhs = _trace(M[:, 2] @ (S[:, 0] - S[:, 1]))
-        rhs = _trace(w_pos @ S[:, 2]) + _trace(w_neg @ S[:, 3])
+        lhs = _trace(X[:, 2], S[:, 0] - S[:, 1])
+        rhs = _trace(w_pos, S[:, 2]) + _trace(w_neg, S[:, 3])
     bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
     if bad.any():
-        wi = w[int(np.argmax(bad))]
+        wi = np.concatenate([wAB, wCD], axis=1)[int(np.argmax(bad))]
         raise SpectralDomainError(wi.flat[int(np.abs(wi).argmax())], "split-part bound not finite")
     return lhs, rhs
 
 
-def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
-    """The split-part kernel on a certified (N, 3, d, d) stack, labelled ``expconj``
-    (digesting A, B, C alone) or ``fconj:<entry>`` (digesting the entry too)."""
-    lhs, rhs = _split_gap(X, entry)
+def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
+                wAB: np.ndarray, UAB: np.ndarray) -> _Gaps:
+    """The split-part kernel on a certified (N, 3, d, d) stack and the eigenpairs
+    of its (A, B) part, labelled ``expconj`` (digesting A, B, C alone) or
+    ``fconj:<entry>`` (digesting the entry too)."""
+    lhs, rhs = _split_gap(X, wAB, UAB, entry)
     with np.errstate(over="ignore"):  # rhs - lhs may round to inf, as a float would
         gap = rhs - lhs
     label, params = (("expconj", {}) if inequality_id == "expconj"
@@ -127,8 +128,8 @@ def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) ->
 
 def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry) -> TraceGapReport:
     """Report of the split-part kernel on a stack of one certified (A, B, C)."""
-    X = np.stack([M.mat for M in _coerce_all(mats)])
-    return _split_gaps(inequality_id, entry, X[None]).report(0)
+    X = np.stack([M.mat for M in _coerce_all(mats)])[None]
+    return _split_gaps(inequality_id, entry, X, *_decompose(X[:, :2])).report(0)
 
 
 def gap_conjecture_exp(A, B, C) -> TraceGapReport:
@@ -249,21 +250,23 @@ def _commuting_triple(dim: int, scale: float, seed: int):
 
 
 def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
-    """Certified (3, d, d) stack (A, B, C) of one random search instance: one
+    """Uncertified (3, d, d) stack (A, B, C) of one random search instance: one
     batched draw; a ``commuting-pair`` triple shares one basis."""
-    return _certify(_draw(kind, dim, scale, rng, 3))
+    return _draw(kind, dim, scale, rng, 3)
 
 
-def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X) -> _Gaps:
-    """Gaps of certified search instances, a list of (3, d, d) draws or a stack of them.
+def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
+    """Gaps of a certified (N, 3, d, d) stack of search instances.
 
-    An entry whose domain has a finite lower end takes A and B as their
-    positive parts, from one stacked decomposition, before the kernel.
+    A and B are decomposed once.  An entry whose domain has a finite lower
+    end takes them as their positive parts, and the kernel gets the
+    eigenpairs (clip(w, 0), U) that define those parts.
     """
-    X = np.asarray(X)
+    w, U = _decompose(X[:, :2])
     if entry.domain[0] > -math.inf:
-        X = np.concatenate([_positive_part(*_decompose(X[:, :2])), X[:, 2:]], axis=1)
-    return _split_gaps(inequality_id, entry, X)
+        w = np.clip(w, 0.0, None)
+        X = np.concatenate([_positive_part(w, U), X[:, 2:]], axis=1)
+    return _split_gaps(inequality_id, entry, X, w, U)
 
 
 class _Scan(NamedTuple):
@@ -306,8 +309,8 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     requested dimensions.  Phase two perturbs the Hermitian degrees of freedom
     of the worst instance coordinate by coordinate with halving step sizes,
     until stationarity or the descent budget runs out.  Drawn inputs are
-    certified once; descent candidates are assembled exactly Hermitian from
-    their parameters.  Fully reproducible from the seed.
+    certified once, as one stack per dim; descent candidates are assembled
+    exactly Hermitian from their parameters.  Fully reproducible from the seed.
 
     Both phases evaluate stacks and give the bytes of an instance-by-instance
     search.  Random trials come from :func:`_trials_in_order` (the earliest
@@ -334,7 +337,8 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     best = None  # (normalized gap, its _Gaps, index in them)
     for _, _, _, gaps, i in _trials_in_order(
             seed, budget, kinds, dims,
-            lambda kind, dim, rng: _random_instance(kind, dim, scale, rng), evaluate):
+            lambda kind, dim, rng: _random_instance(kind, dim, scale, rng),
+            lambda draws: evaluate(_certify(np.stack(draws)))):
         if best is None or gaps.normalized(i) < best[0]:
             best = gaps.normalized(i), gaps, i
     best_random = best[0]
@@ -396,4 +400,4 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
 
 
 def save_search_result(path, result: SearchResult) -> None:
-    _write_json(path, vars(result), indent=2)
+    _write_json(path, vars(result))

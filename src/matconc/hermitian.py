@@ -20,7 +20,8 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-12     # asymmetry tolerance, relative to max |entry|
 RECONSTRUCTION_RTOL = 1e-10  # U diag(w) U* accuracy, relative to d * max |w|
-STREAM_VERSION = 2           # the RNG stream of seeded draws, recorded in every manifest
+STREAM_VERSION = 3           # the RNG stream of seeded draws, recorded in every manifest
+FORMAT_VERSION = 2           # the bytes of CSV and JSON data files, recorded in every manifest
 
 ENSEMBLE_KINDS = (
     "gaussian-hermitian",
@@ -238,9 +239,10 @@ def _psd_powers(w: np.ndarray, U: np.ndarray, ps) -> np.ndarray:
     return _spectral(U, np.stack([row ** float(p) for row, p in zip(base, ps)]))
 
 
-def _trace(M: np.ndarray) -> np.ndarray:
-    """Real parts of the traces of a stack (traces of Hermitian products are real)."""
-    return np.trace(M, axis1=-2, axis2=-1).real
+def _trace(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Real parts of Tr(X Y) over a stack, without forming X @ Y (traces of
+    Hermitian products are real)."""
+    return np.einsum("...ij,...ji->...", X, Y).real
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -426,14 +428,6 @@ def _trial_grid(kinds, dims, scale: float) -> tuple[tuple, tuple]:
     return kinds, dims
 
 
-def _trial(seed: int, t: int, kinds: tuple, dims: tuple):
-    """(generator, kind, dim) of trial t: the seed spawned at key t, and the
-    grid cell that cycles kinds fastest, then dims.  Every draw of trial t
-    comes straight from this generator."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(t),)))
-    return rng, kinds[t % len(kinds)], dims[(t // len(kinds)) % len(dims)]
-
-
 def sample_ensemble(spec: EnsembleSpec):
     """Draw from the ensemble; ``commuting-pair`` returns a pair sharing a basis."""
     pair = spec.kind == "commuting-pair"
@@ -516,14 +510,10 @@ def matrix_from_obj(obj: dict) -> HermitianMatrix:
     return HermitianMatrix(arr)
 
 
-def _write_json(path, obj, indent: int | None = None) -> None:
-    """Write a data file: sorted keys, floats for numpy scalars, a trailing newline.
-
-    Matrix and model files are compact (``indent=None``); reports, witnesses
-    and manifests use ``indent=2``.  The text is encoded first and written
-    in one call.
-    """
-    text = json.dumps(obj, sort_keys=True, indent=indent, default=float)
+def _write_json(path, obj) -> None:
+    """Write a JSON data file: compact, sorted keys, floats for numpy scalars,
+    a trailing newline.  The text is encoded first and written in one call."""
+    text = json.dumps(obj, sort_keys=True, default=float)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

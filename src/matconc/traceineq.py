@@ -24,7 +24,6 @@ from .hermitian import (
     _positive_part,
     _psd_powers,
     _trace,
-    _trial,
     _trial_grid,
     _write_json,
     inputs_digest,
@@ -138,16 +137,16 @@ def _exchangeable(A, B, C) -> _Gaps:
     E = _exp(*_decompose(np.concatenate([A, B])))
     eA, eB = E[:n], E[n:]
     D = A - B
-    lhs = _trace(C @ (eA - eB))
-    rhs = _trace(((C @ C + D @ D) / 2.0) @ ((eA + eB) / 2.0))
+    lhs = _trace(C, eA - eB)
+    rhs = _trace((C @ C + D @ D) / 2.0, (eA + eB) / 2.0)
     return _Gaps("exchangeable", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C}, [{}] * n)
 
 
 def _exchangeable_scaled(A, B, C, theta: np.ndarray) -> _Gaps:
     eA, eB = _exp_scaled(theta, A, B)
     D = A - B
-    lhs = _trace(C @ (eA - eB))
-    rhs = theta * _trace(((C @ C + D @ D) / 2.0) @ ((eA + eB) / 2.0))
+    lhs = _trace(C, eA - eB)
+    rhs = theta * _trace((C @ C + D @ D) / 2.0, (eA + eB) / 2.0)
     gap = np.where(theta > 0, rhs - lhs, lhs - rhs)
     params = [{"theta": th, "orientation": "leq" if th > 0 else "geq"}
               for th in theta.tolist()]
@@ -157,14 +156,10 @@ def _exchangeable_scaled(A, B, C, theta: np.ndarray) -> _Gaps:
 def _pair_exp(X, Xp, theta: np.ndarray) -> _Gaps:
     eX, eXp = _exp_scaled(theta, X, Xp)
     D = X - Xp
-    DD = D @ D
-    lhs = _trace(D @ (eX - eXp))
-    rhs = (theta / 2.0) * _trace(DD @ (eX + eXp))
-    # the scaled triple form with C = X - X'; recorded (and digested) with each report
-    cross_rhs = theta * _trace(((DD + DD) / 2.0) @ ((eX + eXp) / 2.0))
-    params = [{"theta": th, "crosscheck_gap": c}
-              for th, c in zip(theta.tolist(), (cross_rhs - lhs).tolist())]
-    return _Gaps("pair_exp", lhs, rhs, rhs - lhs, {"X": X, "Xp": Xp}, params)
+    lhs = _trace(D, eX - eXp)
+    rhs = (theta / 2.0) * _trace(D @ D, eX + eXp)
+    return _Gaps("pair_exp", lhs, rhs, rhs - lhs, {"X": X, "Xp": Xp},
+                 [{"theta": th} for th in theta.tolist()])
 
 
 def _power(A, B, C, k: np.ndarray) -> _Gaps:
@@ -172,8 +167,8 @@ def _power(A, B, C, k: np.ndarray) -> _Gaps:
     AB, kk = np.concatenate([A, B]), np.concatenate([k, k])
     P, Pm1 = _matrix_powers(AB, kk), _matrix_powers(AB, kk - 1)
     D = A - B
-    lhs = _trace(C @ (P[:n] - P[n:]))
-    rhs = k * _trace(((C @ C + D @ D) / 4.0) @ (Pm1[:n] + Pm1[n:]))
+    lhs = _trace(C, P[:n] - P[n:])
+    rhs = k * _trace((C @ C + D @ D) / 4.0, Pm1[:n] + Pm1[n:])
     return _Gaps("power", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C},
                  [{"k": e} for e in k.tolist()])
 
@@ -185,8 +180,8 @@ def _symmetric_term(A, B, C, k: np.ndarray, n_pow: np.ndarray) -> _Gaps:
     Pnk = _matrix_powers(AB, np.concatenate([n_pow - k, n_pow - k]))
     Pn = _matrix_powers(AB, np.concatenate([n_pow, n_pow]))
     D = A - B
-    lhs = _trace(C @ (Pk[:n] @ D @ Pnk[n:] + Pnk[:n] @ D @ Pk[n:]))
-    rhs = _trace(((C @ C + D @ D) / 2.0) @ (Pn[:n] + Pn[n:]))
+    lhs = _trace(C, Pk[:n] @ D @ Pnk[n:] + Pnk[:n] @ D @ Pk[n:])
+    rhs = _trace((C @ C + D @ D) / 2.0, Pn[:n] + Pn[n:])
     params = [{"k": a, "n": b} for a, b in zip(k.tolist(), n_pow.tolist())]
     return _Gaps("symmetric_term", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C}, params)
 
@@ -196,8 +191,8 @@ def _holder(A, B, C, D, p: list) -> _Gaps:
     w, U = _decompose(np.concatenate([A, B]))
     Pp = _psd_powers(w, U, p + p)
     P1p = _psd_powers(w, U, [1.0 - x for x in p + p])
-    lhs = _trace(C @ Pp[:n] @ D @ P1p[n:] + C @ P1p[:n] @ D @ Pp[n:])
-    rhs = _trace(((C @ C + D @ D) / 2.0) @ (A + B))
+    lhs = _trace(C @ Pp[:n] @ D, P1p[n:]) + _trace(C @ P1p[:n] @ D, Pp[n:])
+    rhs = _trace((C @ C + D @ D) / 2.0, A + B)
     return _Gaps("holder", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C, "D": D},
                  [{"p": x} for x in p])
 
@@ -216,8 +211,8 @@ def _psd_cross(P, Q) -> _Gaps:
 
 
 def _trace_quad(P, Q, R, S) -> _Gaps:
-    lhs = _trace(P @ Q @ R @ S)
-    rhs = _trace((P @ P + R @ R) @ (Q @ Q + S @ S)) / 4.0
+    lhs = _trace(P @ Q @ R, S)
+    rhs = _trace(P @ P + R @ R, Q @ Q + S @ S) / 4.0
     return _Gaps("trace_quad", lhs, rhs, rhs - lhs, {"P": P, "Q": Q, "R": R, "S": S},
                  [{}] * len(P))
 
@@ -246,11 +241,7 @@ def gap_exchangeable_scaled(A, B, C, theta: float) -> TraceGapReport:
 
 @_refusing_overflow
 def gap_pair_exp(X, Xp, theta: float) -> TraceGapReport:
-    """Exchangeable-pair exponential bound with C = X - X' folded in (theta > 0).
-
-    The report records a cross-check against the scaled triple form evaluated
-    with C = X - X'; the two are the same expression rearranged.
-    """
+    """Exchangeable-pair exponential bound with C = X - X' folded in (theta > 0)."""
     if not theta > 0:
         raise ValueError("theta must be > 0")
     return _pair_exp(*_certified(X, Xp), np.array([float(theta)])).report(0)
@@ -327,17 +318,19 @@ def _gaps_in_order(evaluate, stack):
 def _trials_in_order(seed, trials: int, kinds: tuple, dims: tuple, draw, evaluate):
     """Yield ``(t, kind, dim, gaps, i)`` for trials 0..trials-1 in trial order.
 
-    Trial t takes ``draw(kind, dim, rng)`` with its own generator and grid
-    cell (:func:`_trial`).  Each block of FUZZ_CHUNK consecutive trials is
-    drawn, stacked per dim as a list of draws and consumed lazily through
-    :func:`_gaps_in_order`, so every yielded gap and every error is the one
-    a trial-by-trial run gives; a refused draw raises after every earlier
-    trial has been yielded.
+    One generator, seeded with ``seed``, serves the whole run: trial t takes
+    ``draw(kind, dim, rng)`` from it after trial t-1, on the grid cell that
+    cycles kinds fastest, then dims.  Each block of FUZZ_CHUNK consecutive
+    trials is drawn, stacked per dim as a list of draws and consumed lazily
+    through :func:`_gaps_in_order`, so every yielded gap and every error is
+    the one a trial-by-trial run gives, whatever FUZZ_CHUNK is; a refused
+    draw raises after every earlier trial has been yielded.
     """
+    rng = np.random.default_rng(int(seed))
     for start in range(0, trials, FUZZ_CHUNK):
         drawn, refused = [], None
         for t in range(start, min(trials, start + FUZZ_CHUNK)):
-            rng, kind, dim = _trial(seed, t, kinds, dims)
+            kind, dim = kinds[t % len(kinds)], dims[(t // len(kinds)) % len(dims)]
             try:
                 drawn.append((t, kind, dim, draw(kind, dim, rng)))
             except (ValueError, ArithmeticError) as exc:
@@ -366,9 +359,8 @@ def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
                 rng: np.random.Generator):
     """Uncertified (n, d, d) input stack and scalar parameters of one fuzz trial.
 
-    The trial generator makes one batched draw of the trial's matrices
-    (:func:`_draw`), then draws its scalars, so a trial's inputs depend only
-    on the master seed and the trial index.  For ``commuting-pair`` A and B
+    The run's generator makes one batched draw of the trial's matrices
+    (:func:`_draw`), then draws its scalars.  For ``commuting-pair`` A and B
     share one basis and every further matrix has its own; the four matrices
     of ``psd_cross`` and ``trace_quad`` each have their own.
     """
@@ -438,7 +430,7 @@ def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int,
     }
     if matrices:
         obj["matrices"] = matrices
-    _write_json(path, obj, indent=2)
+    _write_json(path, obj)
     return path
 
 
@@ -483,4 +475,4 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
 
 
 def save_fuzz_summary(path, summary: FuzzSummary) -> None:
-    _write_json(path, vars(summary), indent=2)
+    _write_json(path, vars(summary))

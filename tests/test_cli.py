@@ -57,19 +57,18 @@ class TestBoundCommand:
         assert run(["bound", "--d", 2, "--sigma-sq", 1, "--t", "0,2",
                     "--clamp", "--out", out]) == 0
         rows = read_csv(out)
-        assert rows[0] == ["t", "bound_independent", "bound_dependent", "hoeffding", "tropp"]
+        assert rows[0] == ["t", "bound_independent", "bound_dependent", "tropp"]
         t0, t2 = rows[1], rows[2]
         assert float(t0[1]) == 1.0           # all bounds = d, clamped to 1
         assert float(t2[1]) == pytest.approx(0.0366313, abs=1e-7)
         assert t2[2] == ""                   # no dependence constant supplied
-        assert float(t2[3]) == pytest.approx(0.0366313, abs=1e-7)
-        assert float(t2[4]) == 1.0           # tropp clamped for display
+        assert float(t2[3]) == 1.0           # tropp clamped for display
 
     def test_unclamped_by_default(self, tmp_path):
         out = tmp_path / "b.csv"
         assert run(["bound", "--d", 2, "--sigma-sq", 1, "--t", "2", "--out", out]) == 0
         rows = read_csv(out)
-        assert float(rows[1][4]) == pytest.approx(2 * math.exp(-0.5), rel=1e-12)
+        assert float(rows[1][3]) == pytest.approx(2 * math.exp(-0.5), rel=1e-12)
 
     def test_dependent_column_from_norms(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -117,7 +116,8 @@ class TestBoundCommand:
         manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert manifest["command"] == "bound"
         assert "config_digest" in manifest
-        assert manifest["stream_version"] == 2
+        assert manifest["stream_version"] == 3
+        assert manifest["format_version"] == 2
         assert "threads" not in manifest
 
 
@@ -260,12 +260,12 @@ class TestMcTailCommand:
         out = tmp_path / "mc.csv"
         assert run(["mc-tail", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out)
-        assert rows[0] == ["t", "bound_independent", "bound_dependent", "hoeffding",
-                           "tropp", "empirical_tail", "ci_low", "ci_high"]
+        assert rows[0] == ["t", "bound_independent", "bound_dependent", "tropp",
+                           "empirical_tail", "ci_low", "ci_high"]
         for row in rows[1:]:
-            emp, lo, hi = float(row[5]), float(row[6]), float(row[7])
-            hoeff = float(row[3])
-            assert emp <= hoeff + (hi - lo) / 2
+            emp, lo, hi = float(row[4]), float(row[5]), float(row[6])
+            independent = float(row[1])
+            assert emp <= independent + (hi - lo) / 2
 
     def test_requires_config(self, tmp_path):
         assert run(["mc-tail", "--out", tmp_path / "x.csv"]) == 2
@@ -292,7 +292,7 @@ class TestMcTailCommand:
         assert run(["mc-tail", "--config", path, "--out", out]) == 0
         rows = read_csv(out)
         for row in rows[1:]:
-            assert row[5] == row[6] == row[7]  # exact: interval collapses
+            assert row[4] == row[5] == row[6]  # exact: interval collapses
 
     @pytest.mark.parametrize("beta", [0.0, 0.2], ids=["independent", "ising"])
     def test_exact_tail_under_every_bound_column(self, tmp_path, beta):
@@ -314,8 +314,8 @@ class TestMcTailCommand:
         assert run(["mc-tail", "--config", path, "--out", out]) == 0
         rows = read_csv(out)
         for row in rows[1:]:
-            for name, bound in zip(rows[0][1:5], row[1:5]):
-                assert float(row[5]) <= float(bound), f"{name} at t = {row[0]}"
+            for name, bound in zip(rows[0][1:4], row[1:4]):
+                assert float(row[4]) <= float(bound), f"{name} at t = {row[0]}"
 
     def test_model_above_enum_cap_exits_2(self, tmp_path, capsys):
         cfg = {"model": {"rademacher_sites": 3}, "enum_cap": 4,

@@ -318,18 +318,36 @@ class TestSearch:
         monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", no_construction)
         counterexample_search("fconj", [2, 3], 24, seed=3, entry=CATALOG["square"],
                               descent_budget=30)
-        assert len(certified) == 24
-        assert all(shape[0] == 3 for shape in certified)
+        # the random phase certifies one stack per dim; descent candidates
+        # are assembled Hermitian and certify nothing
+        assert certified == [(12, 3, 2, 2), (12, 3, 3, 3)]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_decomposes_four_matrices_per_instance(self, name, monkeypatch):
+        # A and B once (their positive parts reuse those eigenpairs), then C and D
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(M):
+            decomposed.append(M.shape[:-2])
+            return eigh(M)
+
+        rng = np.random.default_rng(8)
+        G = rng.normal(size=(5, 3, 3, 3)) + 1j * rng.normal(size=(5, 3, 3, 3))
+        X = hermitian._certify(G + np.swapaxes(G.conj(), -1, -2))
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        conjectures._search_gaps("fconj", CATALOG[name], X)
+        assert sum(math.prod(shape) for shape in decomposed) == 4 * len(X)
 
 
-# sha256 of the saved search results, recorded from RNG stream 2 (one batched
-# draw per random instance)
+# sha256 of the saved search results, recorded from RNG stream 3 (one
+# generator per run) and output format 2 (compact JSON)
 PINNED_SEARCHES = {
-    "expconj": "4e1eb0b2d1d05f278538039106718037c9e117f961b14b277d885ddd1b90e2b6",
-    "cube": "32790c56a803fed2edb7e243fefa860f5c650a022b086e105a06bfaeb2f855cb",
-    "exp": "20560cde824ad135ad85b75b4c69d7885b85ad1c21c6c0b16c0c12e26bbfb174",
-    "quartic": "930456f840425af9af3ce743d7800e641499c192f470612c59c71cb7be3e87a9",
-    "square": "50bbffcfebebc7884b0977cbcffc9dac761d12901f6f2684df74ede149b0b480",
+    "expconj": "d5a56aed5bf766981eb12b5f3a3dcf9da985189987f2afde7e2a3dee0824b4e3",
+    "cube": "d3e52c10cae611b4b592ed6174e8742569c180f7fcbdf48a0cfd4a6a2fedfe87",
+    "exp": "f17565a841a9ed0591261eac144a028567497f69daf10d4f23479f89cc5a302d",
+    "quartic": "1d2c9f986273fa402652f2420917435c2d2adcc15f4a0d46b88436f2cb002f7b",
+    "square": "28db9039ed695ed2e38501d1c53d8f4652d4875e697e93622790a6c21b3a607c",
 }
 
 
@@ -346,23 +364,81 @@ def test_search_bytes_pinned(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == PINNED_SEARCHES[name], data.decode()
 
 
+def _traced_search(monkeypatch, ineq, entry, dims, budget, seed, descent_budget, scale):
+    """A search with its descent recorded: per descent stack its size, the
+    candidates taken from it and whether the whole stack was refused; the
+    scan position and parameter count of every accepted move; and every
+    scan position a sweep was closed at, in order."""
+    trace = {"stacks": [], "moves": [], "ends": []}
+    gaps_in_order, advance, end_sweep = (conjectures._gaps_in_order, conjectures._advance,
+                                         conjectures._end_sweep)
+
+    def recorded_stacks(evaluate, X):
+        rec = {"size": len(X), "taken": 0, "refused": False}
+        trace["stacks"].append(rec)
+
+        def evaluate_whole(stack):
+            try:
+                return evaluate(stack)
+            except (ValueError, ArithmeticError):
+                rec["refused"] |= len(stack) == len(X)
+                raise
+        for item in gaps_in_order(evaluate_whole, X):
+            rec["taken"] += 1
+            yield item
+
+    def recorded_advance(pos, n_params, moved):
+        if moved:
+            trace["moves"].append((pos, n_params))
+        return advance(pos, n_params, moved)
+
+    def recorded_end(pos):
+        trace["ends"].append(pos)
+        return end_sweep(pos)
+
+    monkeypatch.setattr(conjectures, "_gaps_in_order", recorded_stacks)
+    monkeypatch.setattr(conjectures, "_advance", recorded_advance)
+    monkeypatch.setattr(conjectures, "_end_sweep", recorded_end)
+    return _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale), trace
+
+
+def _long_descent(r, trace):
+    n_params = trace["moves"][0][1]
+    return (r.trajectory["final_step"] < 0.25  # a sweep without a move halved the step
+            and any(s["taken"] < s["size"] for s in trace["stacks"])  # a move inside a block
+            and any(pos.idx == n_params - 1 for pos, _ in trace["moves"])  # on a sweep's last
+            and trace["ends"][-1].idx < n_params)  # the budget closed a sweep midway
+
+
+def _budget_mid_block(r, trace):
+    # a stack of fewer candidates than any block size (the first also holds the start)
+    sizes = [s["size"] - (k == 0) for k, s in enumerate(trace["stacks"])]
+    return any(size not in (8, 16, 32, 64) for size in sizes)
+
+
+def _refused_after_move(r, trace):
+    # a refused stack the search got past: its accepted move came before the refusal
+    return any(s["refused"] for s in trace["stacks"])
+
+
 # sha256 of saved searches whose descent the PINNED_SEARCHES runs do not reach,
-# recorded from RNG stream 2: (ineq, entry, dims, budget, seed, descent_budget,
-# scale)
+# recorded from RNG stream 3 and output format 2: (ineq, entry, dims, budget,
+# seed, descent_budget, scale), the check that the descent takes the branch the
+# name states (None: any seed does), and the digest
 PINNED_DESCENTS = {
     # sweeps complete and halve the step; moves land inside a block, on a
     # sweep's last candidate, and the budget ends the last sweep
-    "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0),
-                     "c8922753c9f1ee8ac3f60e1dca7abdb3a80fe1f3685648db42e2efe40e26113b"),
+    "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0), _long_descent,
+                     "2e5c24602a8a4e38751230d709abf908879c3d7381bb3f9e235123a675feaa6a"),
     # the per-dim random stacks interleave in trial order
-    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0),
-                         "ede62ee4be0d981f74d65c76a45b4522efb55a43d165e21fdee4caa1e02859eb"),
+    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0), None,
+                         "95eb7c66cc3b21e67fc98ed3f5c1263b8e99ba997f331a2a7f7926df9be809d7"),
     # the budget runs out inside a descent block
-    "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0),
-                         "dd83060d13d014d2f946725acc5b71e934e35d18dc3ce2a2db1808faafbed400"),
+    "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0), _budget_mid_block,
+                         "72401f5498759ec9d222a6090ae6aa5b75f8a719611a4ec940230ab1ddf70fc0"),
     # descent stacks that hold a refused candidate after the accepted one
-    "refused-after-move": (("fconj", "quartic", [2], 5, 225, 60, 1.3e61),
-                           "9be61e3f9c1e4e0a7a4961fb8f8def3de4ad53769dabda300c1d63f54334ecd7"),
+    "refused-after-move": (("fconj", "quartic", [2], 5, 101, 60, 1.3e61), _refused_after_move,
+                           "610cf93d0dea24d3e10ec60e78c4d25c26d95807112f5487ba6da2d208b62e34"),
 }
 
 
@@ -375,29 +451,47 @@ def _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale):
 @pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
                     reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
 @pytest.mark.parametrize("name", sorted(PINNED_DESCENTS))
-def test_descent_bytes_pinned(name, tmp_path):
-    args, digest = PINNED_DESCENTS[name]
-    r = _pinned_search(*args)
+def test_descent_bytes_pinned(name, tmp_path, monkeypatch):
+    args, reached, digest = PINNED_DESCENTS[name]
+    r, trace = _traced_search(monkeypatch, *args)
     assert r.trajectory["descent_evals"] == args[5]
+    assert reached is None or reached(r, trace)
     path = tmp_path / "result.json"
     save_search_result(path, r)
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest, data.decode()
 
 
-# the refusal an instance-by-instance search raises: the first refused random
-# instance is not instance 0, or the refusal comes from the descent or a draw
+def _first_refused_trial(seeded_trials, ineq, entry, dims, budget, seed, descent_budget, scale):
+    """The first random trial that a trial-by-trial search refuses, in its draw
+    or in its evaluation as a stack of one, or None."""
+    entry = CATALOG[entry or "exp"]
+    draws = seeded_trials(seed, hermitian.ENSEMBLE_KINDS, dims, budget,
+                          lambda kind, dim, rng: conjectures._random_instance(kind, dim, scale, rng))
+    for t in range(budget):
+        try:
+            X = hermitian._certify(next(draws)[3][None])
+            conjectures._search_gaps(ineq, entry, X)
+        except (ValueError, ArithmeticError):
+            return t
+    return None
+
+
+# the refusal an instance-by-instance search raises: args as in PINNED_DESCENTS,
+# the first refused random trial (None: the random phase passes and the descent
+# refuses), and the error; the first refused random instance is not instance 0,
+# or the refusal comes from the descent or a draw
 PINNED_REFUSALS = {
-    "expconj-trial-6": (("expconj", None, [2, 3], 24, 0, 0, 200.0), SpectralDomainError,
-                        "scalar function undefined at eigenvalue 856.9190456741392 "
+    "expconj-trial-6": (("expconj", None, [2, 3], 24, 9, 0, 200.0), 6, SpectralDomainError,
+                        "scalar function undefined at eigenvalue 740.0256233160883 "
                         "(value not finite or above max/4)"),
-    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 0, 0, 2e61), SpectralDomainError,
-                        "scalar function undefined at eigenvalue 4.433891295572492e+61 "
+    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 0, 0, 2e61), 2, SpectralDomainError,
+                        "scalar function undefined at eigenvalue 5.608736699331284e+61 "
                         "(split-part bound not finite)"),
-    "quartic-descent": (("fconj", "quartic", [2], 5, 34, 60, 1.3e61), SpectralDomainError,
-                        "scalar function undefined at eigenvalue 3.913119562308277e+61 "
+    "quartic-descent": (("fconj", "quartic", [2], 5, 74, 60, 1.3e61), None, SpectralDomainError,
+                        "scalar function undefined at eigenvalue 4.198107018051353e+61 "
                         "(split-part bound not finite)"),
-    "integer-draw-trial-5": (("fconj", "quartic", [2, 3], 24, 0, 0, 1e61), ValueError,
+    "integer-draw-trial-5": (("fconj", "quartic", [2, 3], 24, 0, 0, 1e61), 5, ValueError,
                              "low is out of bounds for int64"),
 }
 
@@ -405,29 +499,30 @@ PINNED_REFUSALS = {
 @pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
                     reason="the pinned messages carry the last bits of one numpy/LAPACK build")
 @pytest.mark.parametrize("name", sorted(PINNED_REFUSALS))
-def test_refusal_pinned(name):
-    args, cls, message = PINNED_REFUSALS[name]
+def test_refusal_pinned(name, seeded_trials):
+    args, trial, cls, message = PINNED_REFUSALS[name]
+    assert _first_refused_trial(seeded_trials, *args) == trial
     with pytest.raises(Exception) as exc:
         _pinned_search(*args)
     assert type(exc.value) is cls
     assert str(exc.value) == message
 
 
-def test_random_refusal_is_the_first_in_trial_order():
-    # trial 6 (dim 3) is the first refused; the dim-2 stack holds trials 0-5 and 12-17
+def test_random_refusal_is_the_first_in_trial_order(seeded_trials):
+    # trial 6 (dim 3) is the first refused; the dim-2 stack holds trials 0-5
+    # and 12-17, and trial 14 of it is refused too
     kinds, dims = hermitian._trial_grid(hermitian.ENSEMBLE_KINDS, [2, 3], 200.0)
-    expected = None
-    for t in range(24):
-        rng, kind, dim = hermitian._trial(0, t, kinds, dims)
+    refused = []
+    for t, _, _, X in seeded_trials(9, kinds, dims, 24, lambda kind, dim, rng:
+                                    conjectures._random_instance(kind, dim, 200.0, rng)):
         try:
-            gap_conjecture_exp(*conjectures._random_instance(kind, dim, 200.0, rng))
+            gap_conjecture_exp(*X)
         except SpectralDomainError as err:
-            expected = (t, str(err))
-            break
-    assert expected is not None and expected[0] > 0
+            refused.append((t, str(err)))
+    assert [t for t, _ in refused][:2] == [6, 14]
     with pytest.raises(SpectralDomainError) as exc:
-        counterexample_search("expconj", [2, 3], 24, seed=0, scale=200.0, descent_budget=0)
-    assert str(exc.value) == expected[1]
+        counterexample_search("expconj", [2, 3], 24, seed=9, scale=200.0, descent_budget=0)
+    assert str(exc.value) == refused[0][1]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -437,9 +532,11 @@ def test_stacked_kernel_matches_stacks_of_one(name):
     for dim in (1, 2, 5, 9):
         G = rng.normal(size=(7, 3, dim, dim)) + 1j * rng.normal(size=(7, 3, dim, dim))
         X = hermitian._certify(G + np.swapaxes(G.conj(), -1, -2))
+        w, U = hermitian._decompose(X[:, :2])
         if CATALOG[name].domain[0] == 0.0:
-            X[:, :2] = hermitian._positive_part(*hermitian._decompose(X[:, :2]))
-        lhs, rhs = conjectures._split_gap(X, CATALOG[name])
+            w = np.clip(w, 0.0, None)
+            X[:, :2] = hermitian._positive_part(w, U)
+        lhs, rhs = conjectures._split_gap(X, w, U, CATALOG[name])
         for i in range(len(X)):
-            one = conjectures._split_gap(X[i:i + 1], CATALOG[name])
+            one = conjectures._split_gap(X[i:i + 1], w[i:i + 1], U[i:i + 1], CATALOG[name])
             assert (lhs[i], rhs[i]) == (one[0][0], one[1][0])

@@ -26,7 +26,6 @@ from matconc.hermitian import (
     _object,
     _spectral_norm,
     _to_params,
-    _trial,
     _upper_indices,
     _write_json,
     hermitian_from_params,
@@ -364,7 +363,7 @@ class TestBatchedDraw:
                 assert np.array_equal(X, np.swapaxes(X.conj(), -1, -2))
 
     @pytest.mark.parametrize("chunk", [1, 5, 256])
-    def test_trial_draws_replay_under_any_grouping(self, chunk, monkeypatch):
+    def test_trial_draws_replay_under_any_grouping(self, chunk, monkeypatch, seeded_trials):
         import matconc.conjectures as conjectures
         import matconc.traceineq as traceineq
 
@@ -383,19 +382,20 @@ class TestBatchedDraw:
             monkeypatch.setattr(traceineq, "_draw_trial", draw_trial)
             assert summary == traceineq.fuzz_grid(ineq, kinds, dims, 40, 1.0, 11)
             assert len(seen) == 40
-            for t, (mats, scalars) in enumerate(seen):
-                rng, kind, dim = _trial(11, t, kinds, dims)
-                fresh = draw_trial(ineq, kind, dim, 1.0, rng)
-                assert mats.tobytes() == fresh[0].tobytes() and scalars == fresh[1]
+            fresh = seeded_trials(11, kinds, dims, 40, lambda kind, dim, rng:
+                                  draw_trial(ineq, kind, dim, 1.0, rng))
+            for (mats, scalars), (_, _, _, (ref, ref_scalars)) in zip(seen, fresh):
+                assert mats.tobytes() == ref.tobytes() and scalars == ref_scalars
         seen = []
         instance = conjectures._random_instance
         monkeypatch.setattr(conjectures, "_random_instance",
                             lambda *args: seen.append(instance(*args)) or seen[-1])
         conjectures.counterexample_search("expconj", dims, 40, 11, descent_budget=0)
         assert len(seen) == 40
-        for t, X in enumerate(seen):
-            rng, kind, dim = _trial(11, t, kinds, dims)
-            assert X.tobytes() == instance(kind, dim, 1.0, rng).tobytes()
+        fresh = seeded_trials(11, kinds, dims, 40,
+                              lambda kind, dim, rng: instance(kind, dim, 1.0, rng))
+        for X, (_, _, _, ref) in zip(seen, fresh):
+            assert X.tobytes() == ref.tobytes()
 
 
 # sha256 of every sample_ensemble draw of a kind at scale 1.5, dims 1..8 and
@@ -545,25 +545,38 @@ class TestSharedBoundaryHelpers:
         with pytest.raises(HermiticityError):
             fn(mats[:2] + [[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
-    def test_trial_generator_and_cell(self):
-        kinds, dims = ENSEMBLE_KINDS, (2, 3, 5)
-        for t in range(40):
-            rng, kind, dim = _trial(77, t, kinds, dims)
-            ref = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(t,)))
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert (kind, dim) == (kinds[t % 6], dims[(t // 6) % 3])
+    def test_trial_generator_and_cell(self, seeded_trials):
+        # trial t draws from the run's one generator, in the state the plain
+        # trial-by-trial stream leaves it, on its grid cell
+        from matconc.traceineq import _trials_in_order
 
-    def test_fuzzer_and_search_derive_trial_t_alike(self, monkeypatch):
+        kinds, dims = ENSEMBLE_KINDS, (2, 3, 5)
+
+        def draw(kind, dim, rng):
+            return str(rng.bit_generator.state), _draw(kind, dim, 1.0, rng, 2)
+
+        run = [(t, kind, dim, gaps[i]) for t, kind, dim, gaps, i in _trials_in_order(
+            77, 40, kinds, dims, draw, lambda xs: xs)]
+        ref = list(seeded_trials(77, kinds, dims, 40, draw))
+        assert [r[:3] for r in run] == [r[:3] for r in ref]
+        assert all((r[1], r[2]) == (kinds[r[0] % 6], dims[(r[0] // 6) % 3]) for r in run)
+        for (_, _, _, (state, X)), (_, _, _, (ref_state, ref_X)) in zip(run, ref):
+            assert state == ref_state and X.tobytes() == ref_X.tobytes()
+
+    def test_fuzzer_and_search_derive_trial_t_alike(self, monkeypatch, seeded_trials):
         import matconc.conjectures as conjectures
         import matconc.traceineq as traceineq
 
         for name in ("_trials_in_order", "_trial_grid", "_draw"):
             assert getattr(traceineq, name) is getattr(conjectures, name)
         seen = {"fuzz": [], "search": []}
+        draws = {}
         driver = traceineq._trials_in_order
 
         def recording(key):
             def trials_in_order(seed, trials, kinds, dims, draw, evaluate):
+                draws[key] = draw
+
                 def recorded_draw(kind, dim, rng):
                     state = str(rng.bit_generator.state)
                     seen[key].append((len(seen[key]), kind, dim, state))
@@ -577,5 +590,10 @@ class TestSharedBoundaryHelpers:
         monkeypatch.setattr(conjectures, "_trials_in_order", recording("search"))
         traceineq.fuzz_grid("exchangeable", ENSEMBLE_KINDS, (2, 3), 20, 1.0, 5)
         conjectures.counterexample_search("expconj", (2, 3), 20, 5, descent_budget=0)
-        assert len(seen["fuzz"]) == 20
-        assert sorted(seen["fuzz"]) == sorted(seen["search"])
+        for key in ("fuzz", "search"):
+            def stated(kind, dim, rng, draw=draws[key]):
+                state = str(rng.bit_generator.state)
+                draw(kind, dim, rng)
+                return state
+            ref = seeded_trials(5, ENSEMBLE_KINDS, (2, 3), 20, stated)
+            assert seen[key] == list(ref)
