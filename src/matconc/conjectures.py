@@ -249,12 +249,6 @@ def _commuting_triple(dim: int, scale: float, seed: int):
                  _draw("commuting-pair", dim, scale, np.random.default_rng(int(seed)), 3))
 
 
-def _random_instance(kind: str, dim: int, scale: float, rng) -> np.ndarray:
-    """Uncertified (3, d, d) stack (A, B, C) of one random search instance: one
-    batched draw; a ``commuting-pair`` triple shares one basis."""
-    return _draw(kind, dim, scale, rng, 3)
-
-
 def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
     """Gaps of a certified (N, 3, d, d) stack of search instances.
 
@@ -337,7 +331,7 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     best = None  # (normalized gap, its _Gaps, index in them)
     for _, _, _, gaps, i in _trials_in_order(
             seed, budget, kinds, dims,
-            lambda kind, dim, rng: _random_instance(kind, dim, scale, rng),
+            lambda kind, dim, rng: _draw(kind, dim, scale, rng, 3),
             lambda draws: evaluate(_certify(np.stack(draws)))):
         if best is None or gaps.normalized(i) < best[0]:
             best = gaps.normalized(i), gaps, i

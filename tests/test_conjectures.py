@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import platform
 import warnings
@@ -26,6 +27,7 @@ from matconc.hermitian import (
     EnsembleSpec,
     HermitianMatrix,
     SpectralDomainError,
+    matrix_from_obj,
     positive_part,
     sample_ensemble,
     spectral_decompose,
@@ -284,7 +286,6 @@ class TestSearch:
         r = counterexample_search("expconj", [2], 10, seed=19, descent_budget=5)
         path = tmp_path / "res.json"
         save_search_result(path, r)
-        import json
         obj = json.loads(path.read_text())
         assert obj["verdict"] == r.verdict
         assert obj["witness"]["A"]["dim"] == 2
@@ -338,6 +339,35 @@ class TestSearch:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         conjectures._search_gaps("fconj", CATALOG[name], X)
         assert sum(math.prod(shape) for shape in decomposed) == 4 * len(X)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_witness_replays_to_its_gap(self, name, tmp_path):
+        # an exp entry replays bit for bit; a finite-domain witness holds A+
+        # and B+ rebuilt from the eigenpairs the search evaluated, and a fresh
+        # decomposition of them differs in the last bits, so it replays to
+        # within the search's certified error
+        entry = CATALOG[name]
+        exact = entry.domain[0] == -math.inf
+        rng = np.random.default_rng(6)
+        for dim in (2, 5):
+            G = rng.normal(size=(7, 3, dim, dim)) + 1j * rng.normal(size=(7, 3, dim, dim))
+            gaps = conjectures._search_gaps(
+                "fconj", entry, hermitian._certify(G + np.swapaxes(G.conj(), -1, -2)))
+            for i in range(7):
+                rep = gaps.report(i)
+                again = gap_conjecture_f(*(HermitianMatrix(gaps.inputs[k][i]) for k in "ABC"),
+                                         entry)
+                assert again.inputs_digest == rep.inputs_digest
+                if exact:
+                    assert (again.lhs, again.rhs, again.gap) == (rep.lhs, rep.rhs, rep.gap)
+                else:
+                    assert abs(again.gap - rep.gap) <= 1e-10 * dim * rep.params["anchor"]
+        r = counterexample_search("fconj", [2, 3], 24, seed=3, entry=entry, descent_budget=30)
+        save_search_result(tmp_path / "result.json", r)
+        w = json.loads((tmp_path / "result.json").read_text())["witness"]
+        again = gap_conjecture_f(*(matrix_from_obj(w[k]) for k in "ABC"), entry)
+        assert again.inputs_digest == w["inputs_digest"]
+        assert abs(again.gap - w["gap"]) <= (0.0 if exact else r.certified_error)
 
 
 # sha256 of the saved search results, recorded from RNG stream 3 (one
@@ -467,7 +497,7 @@ def _first_refused_trial(seeded_trials, ineq, entry, dims, budget, seed, descent
     or in its evaluation as a stack of one, or None."""
     entry = CATALOG[entry or "exp"]
     draws = seeded_trials(seed, hermitian.ENSEMBLE_KINDS, dims, budget,
-                          lambda kind, dim, rng: conjectures._random_instance(kind, dim, scale, rng))
+                          lambda kind, dim, rng: conjectures._draw(kind, dim, scale, rng, 3))
     for t in range(budget):
         try:
             X = hermitian._certify(next(draws)[3][None])
@@ -514,7 +544,7 @@ def test_random_refusal_is_the_first_in_trial_order(seeded_trials):
     kinds, dims = hermitian._trial_grid(hermitian.ENSEMBLE_KINDS, [2, 3], 200.0)
     refused = []
     for t, _, _, X in seeded_trials(9, kinds, dims, 24, lambda kind, dim, rng:
-                                    conjectures._random_instance(kind, dim, 200.0, rng)):
+                                    conjectures._draw(kind, dim, 200.0, rng, 3)):
         try:
             gap_conjecture_exp(*X)
         except SpectralDomainError as err:
@@ -527,16 +557,14 @@ def test_random_refusal_is_the_first_in_trial_order(seeded_trials):
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_stacked_kernel_matches_stacks_of_one(name):
-    # one kernel: an instance's lhs and rhs in a stack are the bits it gets alone
+    # one kernel: an instance's lhs and rhs in a stack, with the (A, B)
+    # decomposition and positive parts of the stack, are the bits it gets alone
     rng = np.random.default_rng(5)
     for dim in (1, 2, 5, 9):
         G = rng.normal(size=(7, 3, dim, dim)) + 1j * rng.normal(size=(7, 3, dim, dim))
         X = hermitian._certify(G + np.swapaxes(G.conj(), -1, -2))
-        w, U = hermitian._decompose(X[:, :2])
-        if CATALOG[name].domain[0] == 0.0:
-            w = np.clip(w, 0.0, None)
-            X[:, :2] = hermitian._positive_part(w, U)
-        lhs, rhs = conjectures._split_gap(X, w, U, CATALOG[name])
+        gaps = conjectures._search_gaps("fconj", CATALOG[name], X)
         for i in range(len(X)):
-            one = conjectures._split_gap(X[i:i + 1], w[i:i + 1], U[i:i + 1], CATALOG[name])
-            assert (lhs[i], rhs[i]) == (one[0][0], one[1][0])
+            one = conjectures._search_gaps("fconj", CATALOG[name], X[i:i + 1])
+            assert (gaps.lhs[i], gaps.rhs[i]) == (one.lhs[0], one.rhs[0])
+            assert all(np.array_equal(gaps.inputs[k][i], one.inputs[k][0]) for k in "ABC")

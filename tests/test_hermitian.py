@@ -387,13 +387,13 @@ class TestBatchedDraw:
             for (mats, scalars), (_, _, _, (ref, ref_scalars)) in zip(seen, fresh):
                 assert mats.tobytes() == ref.tobytes() and scalars == ref_scalars
         seen = []
-        instance = conjectures._random_instance
-        monkeypatch.setattr(conjectures, "_random_instance",
-                            lambda *args: seen.append(instance(*args)) or seen[-1])
+        draw = conjectures._draw
+        monkeypatch.setattr(conjectures, "_draw",
+                            lambda *args: seen.append(draw(*args)) or seen[-1])
         conjectures.counterexample_search("expconj", dims, 40, 11, descent_budget=0)
         assert len(seen) == 40
         fresh = seeded_trials(11, kinds, dims, 40,
-                              lambda kind, dim, rng: instance(kind, dim, 1.0, rng))
+                              lambda kind, dim, rng: draw(kind, dim, 1.0, rng, 3))
         for X, (_, _, _, ref) in zip(seen, fresh):
             assert X.tobytes() == ref.tobytes()
 
