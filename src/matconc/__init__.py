@@ -37,15 +37,12 @@ from .traceineq import (
 from .bounds import (
     DifferenceBoundSet,
     LaplaceBound,
-    TrMgfEstimate,
     display_clamp,
     dobrushin_constant,
     hoeffding_bound,
-    hoeffding_bound_dependent,
     laplace_infimum,
     tail_bound_dependent,
     tail_bound_independent,
-    trace_mgf_estimate,
     tropp_bound,
 )
 from .dobrushin import (
@@ -68,12 +65,9 @@ from .coupling import (
     MatrixObservable,
     RademacherSumObservable,
     TableObservable,
-    antisymmetric_F,
     check_hamming,
     coupon_collector_survival,
-    coupon_collector_weighted,
     derive_hamming_bounds,
-    exchangeable_pair_joint,
     exhaustive_tail,
     gibbs_kernel,
     greedy_disagreement_mc,
@@ -90,7 +84,6 @@ from .conjectures import (
     ConvexCatalogEntry,
     SearchResult,
     catalog_entry,
-    check_self_bounding,
     counterexample_search,
     gap_conjecture_exp,
     gap_conjecture_f,

@@ -79,13 +79,6 @@ def hoeffding_bound(d: int, sigma_sq: float, t: float) -> float:
     return _exp_bound(d, 4.0 * sigma_sq, t)
 
 
-def hoeffding_bound_dependent(d: int, sigma_sq: float, c: float, t: float) -> float:
-    """d * exp(-t^2 / (4 c sigma^2))."""
-    if not c >= 1:
-        raise ValueError("dependence constant c must be >= 1")
-    return _exp_bound(d, 4.0 * c * sigma_sq, t)
-
-
 def tropp_bound(d: int, sigma_sq: float, t: float) -> float:
     """Comparison bound d * exp(-t^2 / (8 sigma^2)) with the weaker exponent."""
     return _exp_bound(d, 8.0 * sigma_sq, t)
@@ -157,53 +150,3 @@ def laplace_infimum(log_mgf: Callable[[float], float] | float, t: float,
                 f"grid infimum {bound!r} fell below the closed form {closed_bound!r}"
             )
     return LaplaceBound(bound, float(grid[idx]), closed_bound, closed_theta)
-
-
-@dataclass(frozen=True)
-class TrMgfEstimate:
-    """Monte Carlo estimate of the normalized trace mgf over a theta grid."""
-
-    theta_grid: tuple
-    values: tuple
-    std_errors: tuple
-    sample_count: int
-    overflow: tuple
-
-    def __post_init__(self):
-        for th, v in zip(self.theta_grid, self.values):
-            if th == 0.0 and v != 1.0:
-                raise ValueError("m(0) must equal 1 exactly")
-
-
-def trace_mgf_estimate(samples: Sequence, theta_grid) -> TrMgfEstimate:
-    """Estimate m(theta) = (1/d) E Tr exp(theta X) from matrix realizations.
-
-    Plain Monte Carlo mean per grid point (pairwise-summed, so aggregation is
-    order independent) with the sample standard error.  m(0) is pinned to 1
-    exactly.  Overflow at extreme theta * |X| flags the grid point instead of
-    failing the whole estimate.
-    """
-    grid = np.asarray(theta_grid, dtype=float)
-    if np.isnan(grid).any():
-        raise ValueError("theta grid must not contain NaN")
-    evals = np.linalg.eigvalsh(np.stack([M.mat for M in _coerce_all(samples)]))  # (N, d)
-    N = evals.shape[0]
-    values, errs, flags = [], [], []
-    for th in grid:
-        if th == 0.0:
-            values.append(1.0)
-            errs.append(0.0)
-            flags.append(False)
-            continue
-        with np.errstate(over="ignore"):
-            per_sample = np.exp(th * evals).mean(axis=1)
-        bad = not np.isfinite(per_sample).all()
-        flags.append(bad)
-        if bad:
-            values.append(float("inf"))
-            errs.append(float("inf"))
-            continue
-        values.append(float(per_sample.mean()))
-        errs.append(0.0 if N == 1 else float(per_sample.std(ddof=1) / math.sqrt(N)))
-    return TrMgfEstimate(tuple(float(t) for t in grid), tuple(values), tuple(errs), N,
-                         tuple(flags))

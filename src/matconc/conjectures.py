@@ -3,7 +3,6 @@
 Evaluates the conjectured bounds that split the quadratic weights by spectral
 sign (positive parts weighting e^A / f'(A), negative parts weighting
 e^B / f'(B)), generalizes them over a catalog of monotone convex functions,
-checks the matrix self-bounding conditions exhaustively on discrete models,
 and searches for counterexamples by seeded random sampling followed by
 coordinate-descent gap minimization.
 
@@ -21,8 +20,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import MatrixObservable, _observable_values
-from .dobrushin import DiscreteModel, EnumerationCapError, site_neighbours
 from .hermitian import (
     ENSEMBLE_KINDS,
     HermitianMatrix,
@@ -164,64 +161,6 @@ def scalar_gap_exp(a, b, c) -> float:
     triples in the shared basis.
     """
     return scalar_gap_f(a, b, c, CATALOG["exp"])
-
-
-# ---------------------------------------------------------------------------
-# Matrix self-bounding definition checker
-
-@dataclass(frozen=True)
-class SelfBoundingReport:
-    """Worst-case Loewner slacks of the self-bounding conditions."""
-
-    mode: str
-    a: float
-    b: float
-    certified: bool
-    increment_slack: float | None  # min eig of I - (H(z) - H(z_i -> v)); strong only
-    sum_slack: float               # min eig of aH(z) + bI - sum_i (...)
-    configs_checked: int
-
-
-def check_self_bounding(H: MatrixObservable, model: DiscreteModel, a: float, b: float,
-                        mode: str = "strong") -> SelfBoundingReport:
-    """Exhaustively certify the (a, b) self-bounding conditions on a model.
-
-    Strong mode checks every single-coordinate decrement against the identity
-    and the summed positive parts against a H(z) + b I over all replacement
-    vectors; weak mode checks the summed squared positive parts instead.  A
-    condition holds when its slack is >= -1e-9 (absolute).
-    """
-    tol = 1e-9
-    if mode not in ("strong", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
-    S, n = model.size, model.n
-    if S * S > model.enum_cap:
-        raise EnumerationCapError("too many configuration pairs for exhaustive check")
-    d = H.dim
-    H_all = _observable_values(model, H)
-
-    # positive parts of all single-coordinate decrements, indexed [z, i, v]
-    parts = np.empty((S, n, max(model.sizes), d, d), dtype=np.complex128)
-    inc_slack = math.inf
-    for i in range(n):
-        _, variants = site_neighbours(model, i)
-        evals, vecs = _decompose(_hermitian_part(H_all[:, None] - H_all[variants]))
-        inc_slack = min(inc_slack, 1.0 - float(evals[..., -1].max()))
-        pos = _positive_part(evals, vecs)
-        parts[:, i, : model.sizes[i]] = pos @ pos if mode == "weak" else pos
-    if mode == "strong" and inc_slack < -tol:
-        return SelfBoundingReport(mode, a, b, False, inc_slack, math.inf, S)
-
-    # every replacement vector z' (all S of them) against every z
-    digits = np.unravel_index(np.arange(S), model.sizes)
-    sum_slack = math.inf
-    for s in range(S):
-        total = sum(parts[s, i, digits[i]] for i in range(n))
-        slack = _hermitian_part(a * H_all[s] + b * np.eye(d) - total)
-        sum_slack = min(sum_slack, float(np.linalg.eigvalsh(slack)[..., 0].min()))
-    certified = sum_slack >= -tol and (mode == "weak" or inc_slack >= -tol)
-    return SelfBoundingReport(mode, a, b, certified,
-                              inc_slack if mode == "strong" else None, sum_slack, S)
 
 
 # ---------------------------------------------------------------------------

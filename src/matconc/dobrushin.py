@@ -120,16 +120,6 @@ class DiscreteModel:
         tab.setflags(write=False)
         return tab
 
-    def is_product(self) -> bool:
-        """Whether the pmf is the product of its site marginals, within 1e-12 (absolute)."""
-        if self._site_pmfs is not None:
-            return True
-        marg = self.site_marginals()
-        outer = marg[0]
-        for p in marg[1:]:
-            outer = np.multiply.outer(outer, p)
-        return bool(np.abs(self.table - outer).max() <= 1e-12)
-
     def site_marginals(self) -> list[np.ndarray]:
         if self._site_pmfs is not None:
             return [p.copy() for p in self._site_pmfs]

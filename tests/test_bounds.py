@@ -8,11 +8,9 @@ from matconc.bounds import (
     display_clamp,
     dobrushin_constant,
     hoeffding_bound,
-    hoeffding_bound_dependent,
     laplace_infimum,
     tail_bound_dependent,
     tail_bound_independent,
-    trace_mgf_estimate,
     tropp_bound,
 )
 from matconc.hermitian import HermitianMatrix
@@ -120,8 +118,6 @@ class TestTailBounds:
 
     def test_hoeffding_is_variance_substitution(self):
         assert hoeffding_bound(2, 1.0, 1.7) == tail_bound_independent(2, 4.0, 1.7)
-        assert hoeffding_bound_dependent(2, 1.0, 2.0, 1.7) == pytest.approx(
-            tail_bound_independent(2, 8.0, 1.7))
 
     def test_tropp_dominates(self):
         for t in np.linspace(0, 3, 13):
@@ -152,7 +148,6 @@ class TestTailBounds:
                      lambda: tail_bound_independent(2, nan, 1.0),
                      lambda: tail_bound_dependent(2, 1.0, nan, 1.0),
                      lambda: tail_bound_dependent(2, nan, 1.0, 1.0),
-                     lambda: hoeffding_bound_dependent(2, 1.0, nan, 1.0),
                      lambda: tropp_bound(2, nan, 1.0)):
             with pytest.raises(ValueError):
                 call()
@@ -219,51 +214,3 @@ class TestLaplaceInfimum:
     def test_non_finite_t_or_grid_refused(self, t, grid):
         with pytest.raises(ValueError, match="finite"):
             laplace_infimum(1.0, t, grid, d=2)
-
-
-class TestTraceMgf:
-    def test_zero_matrix(self):
-        est = trace_mgf_estimate([HermitianMatrix.zeros(2)] * 5, [-1.0, 0.0, 2.0])
-        assert est.values == (1.0, 1.0, 1.0)
-
-    def test_deterministic_diag(self):
-        # X = diag(1, -1) has m(theta) = cosh(theta)
-        X = HermitianMatrix.diagonal([1.0, -1.0])
-        grid = [0.0, 0.5, 1.0, 2.0]
-        est = trace_mgf_estimate([X] * 4, grid)
-        for th, v, se in zip(grid, est.values, est.std_errors):
-            assert v == pytest.approx(math.cosh(th), rel=1e-12)
-            assert se == 0.0
-
-    def test_m0_exact(self):
-        rng = np.random.default_rng(8)
-        mats = []
-        for _ in range(3):
-            M = rng.normal(size=(3, 3))
-            mats.append(HermitianMatrix((M + M.T) / 2))
-        est = trace_mgf_estimate(mats, [0.0])
-        assert est.values[0] == 1.0
-
-    def test_overflow_flagged(self):
-        X = HermitianMatrix.diagonal([500.0, -500.0])
-        est = trace_mgf_estimate([X], [0.1, 5.0])
-        assert est.overflow == (False, True)
-        assert math.isinf(est.values[1])
-
-    def test_values_positive(self):
-        rng = np.random.default_rng(12)
-        mats = []
-        for _ in range(10):
-            M = rng.normal(size=(2, 2))
-            mats.append(HermitianMatrix((M + M.T) / 2))
-        est = trace_mgf_estimate(mats, [-1.0, 0.3, 1.0])
-        assert all(v > 0 for v in est.values)
-
-    def test_empty_samples(self):
-        with pytest.raises(ValueError):
-            trace_mgf_estimate([], [1.0])
-
-    def test_nan_theta_refused(self):
-        # a NaN theta is not an overflow
-        with pytest.raises(ValueError, match="NaN"):
-            trace_mgf_estimate([HermitianMatrix.diagonal([1.0, -1.0])], [0.5, math.nan])

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import platform
@@ -11,7 +10,6 @@ import pytest
 from matconc.conjectures import (
     CATALOG,
     catalog_entry,
-    check_self_bounding,
     counterexample_search,
     gap_conjecture_exp,
     gap_conjecture_f,
@@ -20,8 +18,6 @@ from matconc.conjectures import (
     scalar_gap_f,
     _commuting_triple,
 )
-from matconc.coupling import TableObservable, RademacherSumObservable
-from matconc.dobrushin import DiscreteModel
 from matconc import conjectures, hermitian
 from matconc.hermitian import (
     EnsembleSpec,
@@ -207,51 +203,6 @@ class TestScalarOracle:
                 rep = gap_conjecture_f(scalar(a), scalar(b), scalar(c), entry)
                 assert rep.gap == pytest.approx(gap, rel=1e-10, abs=1e-11)
                 assert gap >= -1e-10 * max(1.0, abs(rep.lhs), abs(rep.rhs))
-
-
-class TestSelfBounding:
-    def test_zero_observable(self):
-        model = DiscreteModel.from_product([(0.0, 1.0)] * 2, [[0.5, 0.5]] * 2)
-        mapping = {v: np.zeros((2, 2)) for v in itertools.product((0.0, 1.0), repeat=2)}
-        rep = check_self_bounding(TableObservable(mapping, 2), model, 0.0, 0.0, "weak")
-        assert rep.certified
-
-    def test_mean_indicator_strong(self):
-        # H(Z) = (1/n) sum Z_i I with Z_i in {0,1} is (1,0) self-bounding
-        n = 3
-        model = DiscreteModel.from_product([(0.0, 1.0)] * n, [[0.5, 0.5]] * n)
-        obs = RademacherSumObservable([np.eye(2) / n] * n)
-        rep = check_self_bounding(obs, model, 1.0, 0.0, "strong")
-        assert rep.certified
-        assert rep.increment_slack >= 1.0 - 1.0 / n - 1e-12  # increments are (1/n) I
-
-    def test_monotone_in_a_b(self):
-        n = 2
-        model = DiscreteModel.from_product([(0.0, 1.0)] * n, [[0.5, 0.5]] * n)
-        obs = RademacherSumObservable([np.eye(2) / n] * n)
-        base = check_self_bounding(obs, model, 1.0, 0.0, "strong")
-        looser = check_self_bounding(obs, model, 1.5, 0.5, "strong")
-        assert base.certified and looser.certified
-        assert looser.sum_slack >= base.sum_slack - 1e-12
-
-    def test_detects_failure(self):
-        # a steep observable is not (0, 0) self-bounding
-        model = DiscreteModel.from_product([(0.0, 1.0)], [[0.5, 0.5]])
-        mapping = {(0.0,): np.zeros((1, 1)), (1.0,): 5.0 * np.eye(1)}
-        rep = check_self_bounding(TableObservable(mapping, 1), model, 0.0, 0.0, "weak")
-        assert not rep.certified
-
-    def test_weak_mode_squares(self):
-        model = DiscreteModel.from_product([(0.0, 1.0)] * 2, [[0.5, 0.5]] * 2)
-        obs = RademacherSumObservable([np.eye(2) / 2] * 2)
-        rep = check_self_bounding(obs, model, 1.0, 1.0, "weak")
-        assert rep.certified
-
-    def test_bad_mode(self):
-        model = DiscreteModel.from_product([(0.0, 1.0)], [[0.5, 0.5]])
-        obs = RademacherSumObservable([np.eye(1)])
-        with pytest.raises(ValueError):
-            check_self_bounding(obs, model, 1.0, 0.0, "medium")
 
 
 class TestSearch:

@@ -12,12 +12,9 @@ from matconc.coupling import (
     PairEvolver,
     RademacherSumObservable,
     TableObservable,
-    antisymmetric_F,
     check_hamming,
     coupon_collector_survival,
-    coupon_collector_weighted,
     derive_hamming_bounds,
-    exchangeable_pair_joint,
     exhaustive_tail,
     gibbs_kernel,
     greedy_disagreement_mc,
@@ -29,6 +26,7 @@ from matconc.coupling import (
     verify_stein_pair,
     wilson_interval,
     _centered_values,
+    _chain_sum,
     _coupled_step,
     _maximal_coupling_rows,
     _observable_values,
@@ -243,14 +241,18 @@ class TestGibbsKernel:
 
 
 class TestExchangeablePair:
+    # detailed balance: the joint law pi[x] G[x, y] of (X, X') is symmetric,
+    # which the Poisson solve of the chain sums relies on
     def test_joint_symmetric_ising(self):
-        J = exchangeable_pair_joint(ising2(0.25))
+        m = ising2(0.25)
+        J = m.flat_pmf()[:, None] * gibbs_kernel(m)
         assert np.abs(J - J.T).max() <= 1e-12
 
     def test_joint_symmetric_three_site(self):
         J3 = np.zeros((3, 3))
         J3[0, 1] = J3[1, 0] = J3[1, 2] = J3[2, 1] = 0.3
-        J = exchangeable_pair_joint(DiscreteModel.from_ising(J3))
+        m = DiscreteModel.from_ising(J3)
+        J = m.flat_pmf()[:, None] * gibbs_kernel(m)
         assert np.abs(J - J.T).max() <= 1e-12
 
     def test_single_site_model(self):
@@ -544,18 +546,6 @@ class TestAntisymmetricF:
     def setup_method(self):
         self.f = RademacherSumObservable([[[1.0]], [[1.0]]])  # f(z) = (z1+z2) I_1
 
-    def test_equal_starts_zero(self):
-        F = antisymmetric_F(product2(), self.f, (0, 1), (0, 1))
-        assert np.abs(F.mat).max() == 0.0
-
-    def test_antisymmetry_exact(self):
-        m = product2()
-        for x in itertools.product(range(2), repeat=2):
-            for y in itertools.product(range(2), repeat=2):
-                Fxy = antisymmetric_F(m, self.f, x, y)
-                Fyx = antisymmetric_F(m, self.f, y, x)
-                assert np.abs(Fxy.mat + Fyx.mat).max() <= 1e-10
-
     def test_conditional_mean_identity_independent(self):
         rep = stein_identity_check(product2(), self.f)
         assert rep.holds
@@ -576,12 +566,12 @@ class TestAntisymmetricF:
         model = make()
         f = RademacherSumObservable([draw(2, 60 + k) for k in range(model.n)])
         fc = _centered_values(model, f)
+        g = _chain_sum(model, gibbs_kernel(model), fc)
         ev = PairEvolver(model)
-        configs = list(itertools.product(*map(range, model.sizes)))
         rng = np.random.default_rng(7)
         for _ in range(8):
-            x, y = (configs[i] for i in rng.integers(0, len(configs), 2))
-            nu = ev.delta(model.flat_from_config(x), model.flat_from_config(y))
+            x, y = rng.integers(0, model.size, 2)
+            nu = ev.delta(x, y)
             F = np.zeros((2, 2), dtype=complex)
             for _ in range(1000):
                 if 1.0 - np.trace(nu) <= 1e-13:
@@ -590,7 +580,7 @@ class TestAntisymmetricF:
                 nu = ev.step(nu)
             else:
                 pytest.fail("the chains did not meet within 1000 steps")
-            assert np.abs(antisymmetric_F(model, f, x, y).mat - F).max() <= 1e-8
+            assert np.abs(g[x] - g[y] - F).max() <= 1e-8
 
     def test_stein_identity_seven_site_ising(self):
         # S = 128 states, S^2 = 16384 pairs of states
@@ -1192,11 +1182,6 @@ class TestSmallHelpers:
     def test_coupon_examples(self):
         assert coupon_collector_survival(2, 1) == pytest.approx(0.5)
         assert coupon_collector_survival(5, 0) == 1.0
-        # partial sums of the weighted form approach 1 geometrically
-        total = sum(coupon_collector_weighted(4, k) for k in range(200))
-        assert total == pytest.approx(1.0, abs=1e-12)
-        partial = sum(coupon_collector_weighted(4, k) for k in range(10))
-        assert partial == pytest.approx(1.0 - coupon_collector_survival(4, 10), rel=1e-12)
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)

@@ -123,13 +123,6 @@ class TestModel:
         assert np.allclose(m.conditional(1, (0, 0)), [0.2, 0.3, 0.5])
         assert np.allclose(m.conditional(1, (1, 2)), [0.2, 0.3, 0.5])
 
-    def test_is_product(self):
-        assert DiscreteModel.from_product([(0, 1)] * 2, [[0.5, 0.5]] * 2).is_product()
-        assert not ising2().is_product()
-        # a table that factorizes is recognized
-        t = np.outer([0.3, 0.7], [0.4, 0.6])
-        assert DiscreteModel.from_table([(0, 1), (0, 1)], t).is_product()
-
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             DiscreteModel.from_table([(0, 1)], [1.0, 0.0])
@@ -456,7 +449,7 @@ class TestModelSerialization:
     def test_product_roundtrip(self):
         m = DiscreteModel.from_product([(0, 1), (0, 1, 2)], [[0.3, 0.7], [0.2, 0.3, 0.5]])
         m2 = model_from_obj(model_to_obj(m))
-        assert m2.is_product()
+        assert model_to_obj(m2) == model_to_obj(m)
         assert np.allclose(m2.conditional(1, (0, 0)), [0.2, 0.3, 0.5])
 
     def test_ising_obj(self):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matconc.bounds import DifferenceBoundSet, trace_mgf_estimate
+from matconc.bounds import DifferenceBoundSet
 from matconc.conjectures import gap_conjecture_exp
 from matconc.coupling import RademacherSumObservable
 from matconc.hermitian import (
@@ -527,7 +527,6 @@ class TestSharedBoundaryHelpers:
         "traceineq": lambda ms: gap_exchangeable(*ms),
         "conjectures": lambda ms: gap_conjecture_exp(*ms),
         "DifferenceBoundSet": lambda ms: DifferenceBoundSet(ms).sum_of_squares.mat.tobytes(),
-        "trace_mgf_estimate": lambda ms: trace_mgf_estimate(ms, [-0.5, 0.0, 1.0]),
         "RademacherSumObservable":
             lambda ms: RademacherSumObservable(ms).batch([[1.0, -1.0, 1.0]]).tobytes(),
     }
