@@ -46,7 +46,7 @@ from .hermitian import (
 WILSON_Z95 = 1.959963984540054
 PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
 MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering mean
-LIVE_MIN_STATES = 128  # smaller models always take the dense pair-evolution step
+LIVE_MIN_STATES = 16  # smaller models always take the dense pair-evolution step (faster there)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -156,7 +156,7 @@ def derive_hamming_bounds(observable: MatrixObservable,
     structure-aware bounds; useful for table observables.
     """
     H = _observable_values(model, observable)
-    worst = [_spectral_norm(H[:, None] - H[site_neighbours(model, i)[1]])
+    worst = [_spectral_norm(H[:, None] - H[site_neighbours(model, i)])
              for i in range(model.n)]
     return DifferenceBoundSet([HermitianMatrix(c * np.eye(observable.dim)) for c in worst])
 
@@ -175,8 +175,7 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
     worst = math.inf
     for i in range(model.n):
         Ai = bound_set.matrices[i].mat
-        _, variants = site_neighbours(model, i)
-        diff = H[:, None] - H[variants]
+        diff = H[:, None] - H[site_neighbours(model, i)]
         slack = _hermitian_part(_hermitian_part(Ai @ Ai) - diff @ diff)
         worst = min(worst, float(np.linalg.eigvalsh(slack)[..., 0].min()))
     return worst >= -1e-10, worst
@@ -269,14 +268,21 @@ def maximal_coupling_joint(p, q) -> np.ndarray:
 # The exchangeable pair
 
 def gibbs_kernel(model: DiscreteModel) -> np.ndarray:
-    """Dense single-site Gibbs transition matrix on flat configuration indices."""
+    """Dense single-site Gibbs transition matrix on flat configuration indices.
+
+    Site i moves state (h, x_i, l) to (h, v, l), in the C-order split of
+    :func:`_site_split`, with probability P(x_i = v | row h * low + l) / n.
+    Those entries of G are the writeable diagonal view
+    ``einsum("halhbl->halb", G.reshape(high, m, low, high, m, low))``; each
+    site adds its :func:`conditional_table` / n into that view, sites in order.
+    """
     if model.size * model.size > 1_000_000:
         raise EnumerationCapError(f"{model.size}^2 entries too large for a dense Gibbs kernel")
     G = np.zeros((model.size, model.size))
-    states = np.arange(model.size)[:, None]
     for i in range(model.n):
-        cond, variants = site_neighbours(model, i)
-        G[states, variants] += cond / model.n
+        high, m, low = _site_split(model, i)
+        block = np.einsum("halhbl->halb", G.reshape(high, m, low, high, m, low))
+        block += (conditional_table(model, i) / model.n).reshape(high, 1, low, m)
     return G
 
 
@@ -298,13 +304,17 @@ class PairEvolver:
 
     ``step`` takes one of two paths with the same bits.  The dense path reads
     a C-contiguous ``nu`` through the strided view (high, m, low, high, m,
-    low) of site i, without a copy.  The live path is taken when S >=
-    LIVE_MIN_STATES and 4 |live rows| |live columns| < S^2, a live row or
-    column being one with a nonzero entry, as in the first steps from a
-    point mass.  It gathers at each site the fibres of the conditional rows
-    that hold a live state, couples only those row pairs with
-    :func:`_joint_blocks`, which works row pair by row pair, and adds the
-    products into the same entries in the same site order.
+    low) of site i, without a copy.  The entry path is taken when S >=
+    LIVE_MIN_STATES and ``nu`` has fewer than n S nonzero entries, as in the
+    first steps from a point mass; it never builds the joints.  It reads
+    only the nonzero entries and has no loop over sites: one key per (site,
+    base row state, base column state), a base state having value 0 at the
+    site, names the pairs of conditional rows that carry mass;
+    :func:`_joint_blocks`, which works row pair by row pair, couples those
+    pairs only, on tables zero-padded to the largest alphabet; and one
+    ``np.bincount``, which adds in input order, accumulates the products
+    site by site into the same entries.  At full support the entry path
+    would sort n S^2 keys, so dense pair laws keep the dense path.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -313,6 +323,22 @@ class PairEvolver:
         self.model = model
         # site i's (m, K) table rt[a, r] = P(x_i = a | row r), coupled over row pairs
         self._tables = [conditional_table(model, i).T for i in range(model.n)]
+        # the entry path's lookups, indexed by site * S + state: the state's value
+        # at the site, its base state (value 0 there) and its conditional,
+        # zero-padded to the largest alphabet M and value-first, shape (M, n S)
+        S, M = model.size, max(model.sizes)
+        cond = np.zeros((M, model.n, S))
+        low = np.zeros(model.n, dtype=np.int64)
+        for i, rt in enumerate(self._tables):  # rt[a, h * low + l] for every state (h, x_i, l)
+            high, m, low[i] = _site_split(model, i)
+            cond[:m, i].reshape(m, high, m, low[i])[...] = rt.reshape(m, high, 1, low[i])
+        self._cond = cond.reshape(M, -1)
+        value = np.indices(model.sizes).reshape(model.n, S)
+        self._value = value.ravel()
+        self._base = (np.arange(S) - value * low[:, None]).ravel()
+        self._steps = np.multiply.outer(low, np.arange(M))  # (n, M): value a's offset a * low
+        real = np.arange(M) < np.array(model.sizes)[:, None]  # (n, M): the real values
+        self._real = None if real.all() else real
 
     @functools.cached_property
     def _joints(self) -> list[np.ndarray]:
@@ -324,19 +350,19 @@ class PairEvolver:
         At site i the mass of each pair of conditional rows is the sum of the
         m^2 value slices of ``nu``, added in a-major (a, b) order; sites are
         accumulated in order and the total is divided by n once.  Entries that
-        no live pair reaches stay +0.0 on both paths.
+        no row pair with mass reaches stay +0.0 on both paths.
         """
-        S = self.model.size
+        S, n = self.model.size, self.model.n
         nu = np.asarray(nu)
         if nu.shape != (S, S):
             raise ValueError(f"nu must have shape ({S}, {S}), got {nu.shape}")
+        if S >= LIVE_MIN_STATES:
+            nonzero = nu != 0
+            if np.count_nonzero(nonzero) < n * S:
+                return self._entry_step(nu, np.flatnonzero(nonzero))
         out = np.zeros((S, S))
-        live = (nu.any(axis=1), nu.any(axis=0)) if S >= LIVE_MIN_STATES else None
-        if live and 4 * np.count_nonzero(live[0]) * np.count_nonzero(live[1]) < S * S:
-            self._live_step(nu, *live, out)
-        else:
-            self._dense_step(nu, out)
-        out /= self.model.n
+        self._dense_step(nu, out)
+        out /= n
         return out
 
     def _dense_step(self, nu, out) -> None:
@@ -350,27 +376,44 @@ class PairEvolver:
             for a, b in pairs:
                 w[:, a, :, :, b, :] += mass * Jv[a, b]
 
-    def _live_step(self, nu, live_x, live_y, out) -> None:
-        """The dense step's sums and products on the touched row pairs only.
+    def _entry_step(self, nu, entries) -> np.ndarray:
+        """The dense step from the flat indices ``entries`` of the nonzero entries of ``nu``.
 
-        At site i a conditional row is touched when one of its m states is a
-        live row (column) of ``nu``; all other row pairs carry zero mass.
+        A row pair's mass sums its (M, M) slots in a-major order, the slots of
+        absent entries and of padded values adding exact zeros, so it has the
+        dense step's bits; row pairs without a nonzero entry add only zeros
+        there.  Only the rows that a product reaches are divided by n.
         """
-        S = self.model.size
-        flat = out.reshape(-1)
-        for i, rt in enumerate(self._tables):
-            high, m, low = _site_split(self.model, i)
-            # fibre[a, r]: the state of conditional row r = h * low + l with x_i = a
-            fibre = np.arange(S).reshape(high, m, low).swapaxes(0, 1).reshape(m, -1)
-            tx, ty = (live.reshape(high, m, low).any(axis=1).ravel()
-                      for live in (live_x, live_y))
-            fx, fy = fibre[:, tx].ravel(), fibre[:, ty].ravel()
-            v = nu.take(fx, axis=0).take(fy, axis=1).reshape(m, len(fx) // m, m, len(fy) // m)
-            mass = _ordered_sum(v[a, :, b, :] for a in range(m) for b in range(m))
-            J = _joint_blocks(rt[:, tx, None], rt[:, None, ty])
-            J *= mass
-            idx = (fx[:, None] * S + fy).ravel()  # (a, r_x, b, r_y) order, as J below
-            flat[idx] = flat.take(idx) + J.transpose(0, 2, 1, 3).ravel()
+        S, n = self.model.size, self.model.n
+        M = len(self._cond)
+        x, y = np.divmod(entries, S)
+        at = np.arange(0, n * S, S)[:, None]  # site * S, the lookups' site offsets
+        rx, ry = at + x, at + y  # (n, entries)
+        key = (at + self._base.take(rx)) * S + self._base.take(ry)
+        keys, group = np.unique(key.ravel(), return_inverse=True)
+        slot = self._value.take(rx) * M + self._value.take(ry)  # a * M + b
+        slots = np.zeros((M * M, len(keys)))  # put repeats the values once per site
+        slots.put(slot * len(keys) + group.reshape(n, -1), nu.take(entries))
+        mass = _ordered_sum(slots)
+        sx, by = np.divmod(keys, S)  # sx = site * S + base row state
+        site = sx // S
+        J = _joint_blocks(self._cond.take(sx, axis=1), self._cond.take(site * S + by, axis=1))
+        J *= mass
+        steps = self._steps.take(site, axis=0)  # (groups, M)
+        tx, ty = (sx % S)[:, None] + steps, by[:, None] + steps
+        # group-major order is site-major: np.unique sorted the keys by site first
+        idx, J = (tx * S)[:, :, None] + ty[:, None, :], J.transpose(2, 0, 1)
+        if self._real is not None:
+            real = self._real.take(site, axis=0)
+            tx = tx[real]
+            real = real[:, :, None] & real[:, None, :]
+            idx, J = idx[real], J[real]
+        out = np.bincount(idx.ravel(), J.ravel(), minlength=S * S).reshape(S, S)
+        reached = np.zeros(S, dtype=bool)
+        reached[tx] = True
+        reached = reached.nonzero()[0]
+        out[reached] /= n
+        return out
 
     def delta(self, x_flat: int, y_flat: int) -> np.ndarray:
         S = self.model.size

@@ -133,12 +133,6 @@ class DiscreteModel:
         """Map an index configuration to the site values it encodes."""
         return tuple(self.alphabets[i][int(c)] for i, c in enumerate(config))
 
-    def config_from_flat(self, flat: int) -> tuple:
-        return tuple(int(v) for v in np.unravel_index(int(flat), self.sizes))
-
-    def flat_from_config(self, config) -> int:
-        return int(np.ravel_multi_index(tuple(int(c) for c in config), self.sizes))
-
     def flat_pmf(self) -> np.ndarray:
         return self.table.reshape(-1)
 
@@ -200,11 +194,10 @@ def conditional_table(model: DiscreteModel, i: int) -> np.ndarray:
     The row of an index configuration is the C-order flattening of its other
     coordinates, ``config @ conditional_row_weights(model.sizes, i)``.
     """
-    m = model.sizes[i]
-    K = model.size // m
+    high, m, low = _site_split(model, i)
     if model._site_pmfs is not None:
-        return np.broadcast_to(model._site_pmfs[i], (K, m))
-    rows = np.moveaxis(model.table, i, -1).reshape(K, m)
+        return np.broadcast_to(model._site_pmfs[i], (high * low, m))
+    rows = model.table.reshape(high, m, low).transpose(0, 2, 1).reshape(high * low, m)
     return rows / rows.sum(axis=1, keepdims=True)
 
 
@@ -218,19 +211,16 @@ def _site_split(model: DiscreteModel, i: int) -> tuple[int, int, int]:
     return high, m, model.size // (high * m)
 
 
-def site_neighbours(model: DiscreteModel, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Site-i conditionals and single-site variants of every flat state.
+def site_neighbours(model: DiscreteModel, i: int) -> np.ndarray:
+    """Single-site variants of every flat state, shape (S, m_i).
 
-    Returns ``(cond, variants)``, both of shape (S, m_i): ``cond[s]`` is the
-    :func:`conditional_table` row of state s, and ``variants[s, v]`` is the
-    flat index of s with site i set to v.  Memory is O(S m_i).
+    ``variants[s, v]`` is the flat index of s with site i set to v.  Memory
+    is O(S m_i).
     """
     high, m, low = _site_split(model, i)  # low is the C-order stride of site i
-    shape = (high, m, low, m)
-    cond = np.broadcast_to(conditional_table(model, i).reshape(high, 1, low, m), shape)
     base = np.arange(0, model.size, m * low)[:, None] + np.arange(low)  # x_i = 0
-    variants = np.broadcast_to(base[:, None, :, None] + low * np.arange(m), shape)
-    return cond.reshape(model.size, m), variants.reshape(model.size, m)
+    variants = np.broadcast_to(base[:, None, :, None] + low * np.arange(m), (high, m, low, m))
+    return variants.reshape(model.size, m)
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +262,32 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     """Entrywise-tight interdependence matrix from single-swap sensitivities.
 
     d_ij is the max total-variation change of the conditional at site i over
-    configuration pairs differing only at site j.  With the site-i
-    conditionals as an array over the other sites' values, those pairs are
-    two slices at values a < b of site j's axis.  The defining multi-site
-    inequality follows from these entries by the triangle inequality along a
-    path of single-site changes, so it is not re-checked at run time; the
-    tests keep an all-pairs oracle for it.
+    configuration pairs differing only at site j.  Site i's
+    :func:`conditional_table` T has one row per configuration of the other
+    sites in C order, so ``T.reshape(high, m_j, low, m_i)`` puts site j's
+    value on axis 1, and those pairs are the slice views ``[:, a]`` and
+    ``[:, b]`` for a < b: d_ij is the max of 0.5 |p - q| summed over
+    site i's values.  The defining multi-site inequality follows from these
+    entries by the triangle inequality along a path of single-site changes,
+    so it is not re-checked at run time; the tests keep an all-pairs oracle
+    for it.
     """
     n = model.n
     D = np.zeros((n, n))
     for i in range(n):
+        T = conditional_table(model, i)
         others = model.sizes[:i] + model.sizes[i + 1:]
-        T = conditional_table(model, i).reshape(others + (model.sizes[i],))
         for j in range(n):
             if j == i:
                 continue
             ax = j if j < i else j - 1
-            tv = (0.5 * np.abs(np.take(T, a, axis=ax) - np.take(T, b, axis=ax)).sum(axis=-1)
-                  for a, b in combinations(range(model.sizes[j]), 2))
-            D[i, j] = max((float(t.max()) for t in tv), default=0.0)
+            T4 = T.reshape(prod(others[:ax]), model.sizes[j], -1, model.sizes[i])
+            worst = []
+            for a, b in combinations(range(model.sizes[j]), 2):
+                diff = T4[:, a] - T4[:, b]
+                np.abs(diff, out=diff)
+                worst.append(float((0.5 * diff.sum(axis=-1)).max()))
+            D[i, j] = max(worst, default=0.0)
     return InterdependenceMatrix(np.clip(D, 0.0, 1.0))
 
 

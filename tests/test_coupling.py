@@ -8,6 +8,7 @@ import pytest
 
 from matconc.bounds import DifferenceBoundSet, hoeffding_bound
 from matconc.coupling import (
+    LIVE_MIN_STATES,
     MatrixObservable,
     PairEvolver,
     RademacherSumObservable,
@@ -229,13 +230,13 @@ class TestGibbsKernel:
                                      rng.uniform(0.1, 2.0, (3, 2, 4)))
         brute = np.zeros((m.size, m.size))
         for s in range(m.size):
-            cfg = list(m.config_from_flat(s))
+            cfg = [int(c) for c in np.unravel_index(s, m.sizes)]
             for i in range(m.n):
                 vec = m.conditional(i, cfg)
                 keep = cfg[i]
                 for v in range(m.sizes[i]):
                     cfg[i] = v
-                    brute[s, m.flat_from_config(cfg)] += vec[v] / m.n
+                    brute[s, np.ravel_multi_index(cfg, m.sizes)] += vec[v] / m.n
                 cfg[i] = keep
         assert np.array_equal(gibbs_kernel(m), brute)
 
@@ -398,8 +399,15 @@ def wide_table():
                                     rng.uniform(0.1, 2.0, (3, 2, 4, 2, 3)))
 
 
+def one_value_site():
+    # S = 18 with a site that can take one value only
+    rng = np.random.default_rng(14)
+    return DiscreteModel.from_table([(0, 1, 2), (0,), (0, 1), (0, 1, 2)],
+                                    rng.uniform(0.1, 2.0, (3, 1, 2, 3)))
+
+
 def dense_step_oracle(ev, nu):
-    # the strided-view step that every nu took before the live path
+    # the strided-view step that every nu took before the entry path
     model = ev.model
     out = np.zeros((model.size, model.size))
     for i, J in enumerate(ev._joints):
@@ -426,7 +434,7 @@ class TestPairEvolver:
         expect = np.zeros_like(nu)
         for x in range(model.size):
             for y in range(model.size):
-                cx, cy = model.config_from_flat(x), model.config_from_flat(y)
+                cx, cy = np.unravel_index(x, model.sizes), np.unravel_index(y, model.sizes)
                 for i in range(model.n):
                     p, q = model.conditional(i, cx), model.conditional(i, cy)
                     J = maximal_coupling_joint(p, q)
@@ -434,7 +442,8 @@ class TestPairEvolver:
                         for b in range(model.sizes[i]):
                             xa, yb = list(cx), list(cy)
                             xa[i], yb[i] = a, b
-                            expect[model.flat_from_config(xa), model.flat_from_config(yb)] += \
+                            expect[np.ravel_multi_index(xa, model.sizes),
+                                   np.ravel_multi_index(yb, model.sizes)] += \
                                 nu[x, y] * J[a, b] / model.n
         got = PairEvolver(model).step(nu)
         assert np.abs(got - expect).max() <= 4 * model.n * np.finfo(float).eps
@@ -513,33 +522,54 @@ class TestPairEvolver:
             with pytest.raises(ValueError, match="shape"):
                 ev.step(np.full(shape, 1.0 / 16))
 
-    @pytest.mark.parametrize("make", [lambda: ising_chain(8), lambda: ising_chain(9), wide_table],
-                             ids=["ising8", "ising9", "wide_table"])
+    @pytest.mark.parametrize("make", [lambda: ising_chain(4), lambda: ising_chain(6),
+                                      lambda: ising_chain(8), lambda: ising_chain(9),
+                                      mixed_table, product3, one_value_site, wide_table],
+                             ids=["ising4", "ising6", "ising8", "ising9", "mixed", "product3",
+                                  "one_value", "wide_table"])
     def test_live_path_matches_dense_oracle_bytes(self, make, monkeypatch):
-        # point-mass starts and a scattered sparse nu take the live path; a
-        # dense random nu takes the dense one; every output has the oracle's bytes
+        # the first two steps from point masses and a scattered sparse nu take
+        # the entry path without building the joints; a dense random nu takes
+        # the dense path; every output has the oracle's bytes
         model = make()
         S = model.size
+        assert S >= LIVE_MIN_STATES
         ev = PairEvolver(model)
         rng = np.random.default_rng(S)
-        live_calls = []
-        live_step = PairEvolver._live_step
-        monkeypatch.setattr(PairEvolver, "_live_step",
-                            lambda self, *args: live_calls.append(1) or live_step(self, *args))
-        sparse = []
-        for x, y in rng.integers(0, S, (2, 2)):
+        paths = []
+        for name in ("_entry_step", "_dense_step"):
+            method = getattr(PairEvolver, name)
+            monkeypatch.setattr(PairEvolver, name, lambda self, *args, name=name, method=method:
+                                paths.append(name) or method(self, *args))
+        sparse, steps = [], []
+        for x, y in [(0, S - 1)] + rng.integers(0, S, (2, 2)).tolist():
             nu = ev.delta(int(x), int(y))
-            for _ in range(3):
+            for _ in range(2):
                 sparse.append(nu)
                 nu = ev.step(nu)
+                steps.append(nu)
         nu = np.zeros((S, S))
         rows, cols = rng.choice(S, S // 16, replace=False), rng.choice(S, S // 8, replace=False)
         nu[np.ix_(rows, cols)] = rng.random((len(rows), len(cols)))
         sparse.append(nu / nu.sum())
-        live_calls.clear()
-        for nu in sparse + [random_pair_pmf(model, 9)]:
-            assert ev.step(nu).tobytes() == dense_step_oracle(ev, nu).tobytes()
-        assert len(live_calls) == len(sparse)
+        steps.append(ev.step(sparse[-1]))
+        assert paths == ["_entry_step"] * len(sparse)
+        assert "_joints" not in vars(ev)
+        for nu, out in zip(sparse, steps):
+            assert out.tobytes() == dense_step_oracle(ev, nu).tobytes()
+        paths.clear()
+        nu = random_pair_pmf(model, 9)
+        assert ev.step(nu).tobytes() == dense_step_oracle(ev, nu).tobytes()
+        assert paths == ["_dense_step"]
+
+    def test_small_models_take_the_dense_path(self, monkeypatch):
+        # below LIVE_MIN_STATES even a point mass takes the dense step
+        model = ising_chain(3)
+        assert model.size < LIVE_MIN_STATES
+        ev = PairEvolver(model)
+        monkeypatch.setattr(PairEvolver, "_entry_step", None)
+        nu = ev.delta(0, model.size - 1)
+        assert ev.step(nu).tobytes() == dense_step_oracle(ev, nu).tobytes()
 
 
 class TestAntisymmetricF:

@@ -60,15 +60,21 @@ def random_ising(n, seed):
     return J + J.T, rng.uniform(-0.3, 0.3, n)
 
 
+def site_conditionals(model, i):
+    """Site i's conditional of every flat state, shape (S, m_i): conditional_table rows."""
+    configs = np.indices(model.sizes).reshape(model.n, -1).T
+    return conditional_table(model, i)[configs @ conditional_row_weights(model.sizes, i)]
+
+
 def single_swap_dobrushin(model):
     """D read off the neighbour table: every state against each of its site-j variants."""
     n = model.n
     D = np.zeros((n, n))
-    tables = [site_neighbours(model, i) for i in range(n)]
-    for i, (cond, _) in enumerate(tables):
-        for j, (_, variants) in enumerate(tables):
+    for i in range(n):
+        cond = site_conditionals(model, i)
+        for j in range(n):
             if j != i:
-                tv = 0.5 * np.abs(cond[:, None, :] - cond[variants]).sum(axis=-1)
+                tv = 0.5 * np.abs(cond[:, None, :] - cond[site_neighbours(model, j)]).sum(axis=-1)
                 D[i, j] = float(tv.max())
     return np.clip(D, 0.0, 1.0)
 
@@ -145,15 +151,15 @@ class TestModel:
     def test_site_neighbours(self):
         m = mixed_table()
         for i in range(m.n):
-            cond, variants = site_neighbours(m, i)
+            cond, variants = site_conditionals(m, i), site_neighbours(m, i)
             assert cond.shape == variants.shape == (m.size, m.sizes[i])
             for s in range(m.size):
-                cfg = m.config_from_flat(s)
+                cfg = np.unravel_index(s, m.sizes)
                 assert np.array_equal(cond[s], m.conditional(i, cfg))
                 for v in range(m.sizes[i]):
                     alt = list(cfg)
                     alt[i] = v
-                    assert variants[s, v] == m.flat_from_config(alt)
+                    assert variants[s, v] == np.ravel_multi_index(alt, m.sizes)
 
     def test_conditional_table_matches_brute(self):
         m = ising3(0.3)
