@@ -528,11 +528,12 @@ class TestPairEvolver:
                              ids=["ising4", "ising6", "ising8", "ising9", "mixed", "product3",
                                   "one_value", "wide_table"])
     def test_live_path_matches_dense_oracle_bytes(self, make, monkeypatch):
-        # the first two steps from point masses and a scattered sparse nu take
-        # the entry path without building the joints; a dense random nu takes
-        # the dense path; every output has the oracle's bytes
+        # three steps from point masses and a scattered sparse nu take the path
+        # that the rule picks from their nonzero count (the entry path below
+        # n S, which builds no joints), a dense random nu the dense path; every
+        # output has the oracle's bytes
         model = make()
-        S = model.size
+        S, n = model.size, model.n
         assert S >= LIVE_MIN_STATES
         ev = PairEvolver(model)
         rng = np.random.default_rng(S)
@@ -541,21 +542,28 @@ class TestPairEvolver:
             method = getattr(PairEvolver, name)
             monkeypatch.setattr(PairEvolver, name, lambda self, *args, name=name, method=method:
                                 paths.append(name) or method(self, *args))
-        sparse, steps = [], []
+        laws, steps = [], []
         for x, y in [(0, S - 1)] + rng.integers(0, S, (2, 2)).tolist():
             nu = ev.delta(int(x), int(y))
-            for _ in range(2):
-                sparse.append(nu)
+            for _ in range(3):
+                laws.append(nu)
                 nu = ev.step(nu)
                 steps.append(nu)
         nu = np.zeros((S, S))
         rows, cols = rng.choice(S, S // 16, replace=False), rng.choice(S, S // 8, replace=False)
         nu[np.ix_(rows, cols)] = rng.random((len(rows), len(cols)))
-        sparse.append(nu / nu.sum())
-        steps.append(ev.step(sparse[-1]))
-        assert paths == ["_entry_step"] * len(sparse)
-        assert "_joints" not in vars(ev)
-        for nu, out in zip(sparse, steps):
+        laws.append(nu / nu.sum())
+        steps.append(ev.step(laws[-1]))
+        expected = ["_entry_step" if np.count_nonzero(nu) < n * S else "_dense_step" for nu in laws]
+        assert paths == expected
+        assert expected[::3] == ["_entry_step"] * 4  # every point mass and the scattered nu
+        if S >= 128:  # the third step from a point mass is still sparse there
+            assert "_dense_step" not in expected
+        assert ("_joints" in vars(ev)) == ("_dense_step" in paths)
+        fresh = PairEvolver(model)
+        fresh.step(fresh.delta(0, S - 1))
+        assert "_joints" not in vars(fresh)
+        for nu, out in zip(laws, steps):
             assert out.tobytes() == dense_step_oracle(ev, nu).tobytes()
         paths.clear()
         nu = random_pair_pmf(model, 9)
