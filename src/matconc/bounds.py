@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def display_clamp(bound: float) -> float:
 
 @dataclass(frozen=True)
 class LaplaceBound:
-    """Grid infimum of d * exp(-theta t + log m(theta)), plus optional closed form."""
+    """Grid infimum of d * exp(-theta t + theta^2 v / 4), plus its closed form if v > 0."""
 
     bound: float
     theta: float
@@ -99,16 +99,16 @@ class LaplaceBound:
     closed_form_theta: float | None = None
 
 
-def laplace_infimum(log_mgf: Callable[[float], float] | float, t: float,
-                    theta_grid, d: int = 1) -> LaplaceBound:
-    """Minimize d * exp(-theta t + log m(theta)) over a one-signed theta grid.
+def laplace_infimum(variance: float, t: float, theta_grid, d: int = 1) -> LaplaceBound:
+    """Minimize d * exp(-theta t + theta^2 variance / 4) over a one-signed theta grid.
 
-    ``log_mgf`` is either a callable theta -> log m(theta) or a number v,
-    meaning the quadratic profile theta^2 v / 4.  A positive grid targets the
-    largest-eigenvalue tail; a negative grid the smallest-eigenvalue tail.
-    For the quadratic profile the analytic optimum is returned alongside and
-    the grid minimum is verified against it.
+    A positive grid targets the largest-eigenvalue tail; a negative grid the
+    smallest-eigenvalue tail.  For a positive variance the analytic optimum
+    is returned alongside and the grid minimum is verified against it.
     """
+    variance = float(variance)
+    if not variance >= 0:  # NaN fails too
+        raise ValueError("quadratic profile variance must be >= 0")
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("theta grid must be nonempty")
@@ -119,24 +119,12 @@ def laplace_infimum(log_mgf: Callable[[float], float] | float, t: float,
     if d < 1:
         raise ValueError("d must be >= 1")
 
-    variance = None
-    if isinstance(log_mgf, (int, float)):
-        variance = float(log_mgf)
-        if variance < 0:
-            raise ValueError("quadratic profile variance must be >= 0")
-        log_vals = grid * grid * variance / 4.0
-    else:
-        log_vals = np.asarray([float(log_mgf(th)) for th in grid])
-    if np.isnan(log_vals).any():
-        bad = grid[int(np.argmax(np.isnan(log_vals)))]
-        raise ValueError(f"log m(theta) is NaN at theta = {bad}")
-
-    objective = -grid * t + log_vals
+    objective = -grid * t + grid * grid * variance / 4.0
     idx = int(np.argmin(objective))
     bound = d * math.exp(float(objective[idx]))
 
     closed_bound = closed_theta = None
-    if variance is not None and variance > 0:
+    if variance > 0:
         positive = bool(grid[0] > 0)
         theta_star = 2.0 * t / variance
         if (positive and theta_star > 0) or (not positive and theta_star < 0):

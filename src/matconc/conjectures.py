@@ -67,11 +67,12 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
         raise ValueError(f"unknown catalog entry {name!r}") from None
 
 
-def _split_gap(X: np.ndarray, wAB: np.ndarray, UAB: np.ndarray,
-               entry: ConvexCatalogEntry) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) arrays of the split-part bound for ``entry`` on a certified
-    (N, 3, d, d) stack of (A, B, C) instances, given the eigenpairs
-    ``(wAB, UAB)`` of its (A, B) part, shapes (N, 2, d) and (N, 2, d, d).
+def _split_gap(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
+               wAB: np.ndarray, UAB: np.ndarray) -> _Gaps:
+    """Gaps of the split-part bound for ``entry`` on a certified (N, 3, d, d)
+    stack of (A, B, C) instances, given the eigenpairs ``(wAB, UAB)`` of its
+    (A, B) part, shapes (N, 2, d) and (N, 2, d, d), labelled ``expconj``
+    (digesting A, B, C alone) or ``fconj:<entry>`` (digesting the entry too).
 
     Those eigenpairs give f(A), f(B), f'(A) and f'(B), and one stacked
     decomposition of (C, D = A - B) gives the spectral parts of C and D; the
@@ -103,21 +104,11 @@ def _split_gap(X: np.ndarray, wAB: np.ndarray, UAB: np.ndarray,
         w_neg = (sq[:, 2] + sq[:, 3]) / 2.0
         lhs = _trace(X[:, 2], S[:, 0] - S[:, 1])
         rhs = _trace(w_pos, S[:, 2]) + _trace(w_neg, S[:, 3])
+        gap = rhs - lhs  # may round to inf, as a float would
     bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
     if bad.any():
         wi = np.concatenate([wAB, wCD], axis=1)[int(np.argmax(bad))]
         raise SpectralDomainError(wi.flat[int(np.abs(wi).argmax())], "split-part bound not finite")
-    return lhs, rhs
-
-
-def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
-                wAB: np.ndarray, UAB: np.ndarray) -> _Gaps:
-    """The split-part kernel on a certified (N, 3, d, d) stack and the eigenpairs
-    of its (A, B) part, labelled ``expconj`` (digesting A, B, C alone) or
-    ``fconj:<entry>`` (digesting the entry too)."""
-    lhs, rhs = _split_gap(X, wAB, UAB, entry)
-    with np.errstate(over="ignore"):  # rhs - lhs may round to inf, as a float would
-        gap = rhs - lhs
     label, params = (("expconj", {}) if inequality_id == "expconj"
                      else (f"fconj:{entry.name}", {"entry": entry.name}))
     return _Gaps(label, lhs, rhs, gap, dict(zip("ABC", X.swapaxes(0, 1))), [params] * len(X))
@@ -126,7 +117,7 @@ def _split_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
 def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry) -> TraceGapReport:
     """Report of the split-part kernel on a stack of one certified (A, B, C)."""
     X = np.stack([M.mat for M in _coerce_all(mats)])[None]
-    return _split_gaps(inequality_id, entry, X, *_decompose(X[:, :2])).report(0)
+    return _split_gap(inequality_id, entry, X, *_decompose(X[:, :2])).report(0)
 
 
 def gap_conjecture_exp(A, B, C) -> TraceGapReport:
@@ -199,7 +190,7 @@ def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -
     if entry.domain[0] > -math.inf:
         w = np.clip(w, 0.0, None)
         X = np.concatenate([_positive_part(w, U), X[:, 2:]], axis=1)
-    return _split_gaps(inequality_id, entry, X, w, U)
+    return _split_gap(inequality_id, entry, X, w, U)
 
 
 class _Scan(NamedTuple):

@@ -74,15 +74,19 @@ def coupon_collector_survival(n: int, k: int) -> float:
 # Matrix observables
 
 class MatrixObservable:
-    """Maps a site-value configuration to a fixed-dimension Hermitian matrix."""
+    """Maps a site-value configuration to a fixed-dimension Hermitian matrix.
+
+    A subclass implements ``batch``, which maps a (b, n) array of value rows
+    to a (b, d, d) stack; a call on one configuration is ``batch`` on one row.
+    """
 
     dim: int
 
     def __call__(self, values) -> np.ndarray:
-        raise NotImplementedError
+        return self.batch(np.asarray(values, dtype=float)[None])[0]
 
     def batch(self, values_matrix: np.ndarray) -> np.ndarray:
-        return np.stack([self(tuple(row)) for row in values_matrix])
+        raise NotImplementedError
 
     def exact_mean(self, model: DiscreteModel) -> np.ndarray | None:
         return None
@@ -95,10 +99,6 @@ class RademacherSumObservable(MatrixObservable):
         self.matrices = _coerce_all(matrices)
         self.dim = self.matrices[0].dim
         self._stack = np.stack([M.mat for M in self.matrices])
-
-    def __call__(self, values) -> np.ndarray:
-        vals = np.asarray(values, dtype=float)
-        return np.einsum("n,nij->ij", vals, self._stack)
 
     def batch(self, values_matrix: np.ndarray) -> np.ndarray:
         """H of every (b, n) value row, shape (b, d, d): einsum's products,
@@ -131,21 +131,24 @@ class RademacherSumObservable(MatrixObservable):
 
 
 class TableObservable(MatrixObservable):
-    """Observable given by an explicit value-configuration -> matrix mapping."""
+    """Explicit value-configuration -> matrix mapping, each entry certified Hermitian."""
 
     def __init__(self, mapping: dict, dim: int):
         self.dim = int(dim)
-        self._map = {tuple(k): np.asarray(v, dtype=np.complex128) for k, v in mapping.items()}
-        for v in self._map.values():
+        self._map = {}
+        for k, v in mapping.items():
+            v = np.asarray(v, dtype=np.complex128)
             if v.shape != (self.dim, self.dim):
                 raise ValueError("table entries must be dim x dim")
+            self._map[tuple(k)] = _certify(v)
 
-    def __call__(self, values) -> np.ndarray:
+    def batch(self, values_matrix: np.ndarray) -> np.ndarray:
+        """The entry of each value row, one dictionary lookup per row."""
         try:
-            return self._map[tuple(values)]
-        except KeyError:
+            return np.stack([self._map[tuple(row)] for row in values_matrix])
+        except KeyError as err:
             raise ValueError("table observable has no entry for the values "
-                             f"{np.asarray(values).tolist()}") from None
+                             f"{np.asarray(err.args[0]).tolist()}") from None
 
 
 def derive_hamming_bounds(observable: MatrixObservable,
@@ -304,16 +307,17 @@ class PairEvolver:
 
     ``step`` takes one of two paths with the same bits.  The dense path reads
     a C-contiguous ``nu`` through the strided view (high, m, low, high, m,
-    low) of site i, without a copy.  The entry path is taken when S >=
-    LIVE_MIN_STATES and ``nu`` has fewer than n S nonzero entries, as in the
-    first steps from a point mass; it never builds the joints.  It reads
-    only the nonzero entries and has no loop over sites: one key per (site,
-    base row state, base column state), a base state having value 0 at the
-    site, names the pairs of conditional rows that carry mass;
-    :func:`_joint_blocks`, which works row pair by row pair, couples those
-    pairs only, on tables zero-padded to the largest alphabet; and one
-    ``np.bincount``, which adds in input order, accumulates the products
-    site by site into the same entries.  At full support the entry path
+    low) of site i, without a copy, and adds each site's row-pair masses
+    times its joint, transposed to that view, in one broadcast add.  The
+    entry path is taken when S >= LIVE_MIN_STATES and ``nu`` has fewer than
+    n S nonzero entries, as in the first steps from a point mass; it never
+    builds the joints.  It reads only the nonzero entries and has no loop
+    over sites: one key per (site, base row state, base column state), a
+    base state having value 0 at the site, names the pairs of conditional
+    rows that carry mass; :func:`_joint_blocks`, which works row pair by
+    row pair, couples those pairs only, on tables zero-padded to the
+    largest alphabet; and one ``np.bincount``, which adds in input order,
+    accumulates the products site by site into the same entries.  At full support the entry path
     would sort n S^2 keys, so dense pair laws keep the dense path; the n S
     switch follows the measured crossover, about 4 nonzero entries per
     state at S = 16 to 64 and 8.5 at S = 512.
@@ -373,11 +377,9 @@ class PairEvolver:
             high, m, low = _site_split(self.model, i)
             shape = (high, m, low, high, m, low)
             v, w = nu.reshape(shape), out.reshape(shape)
-            Jv = J.reshape(m, m, high, low, high, low)
-            pairs = [(a, b) for a in range(m) for b in range(m)]
-            mass = _ordered_sum(v[:, a, :, :, b, :] for a, b in pairs)
-            for a, b in pairs:
-                w[:, a, :, :, b, :] += mass * Jv[a, b]
+            mass = _ordered_sum(v[:, a, :, :, b, :] for a in range(m) for b in range(m))
+            Jw = J.reshape(m, m, high, low, high, low).transpose(2, 0, 3, 4, 1, 5)  # w's axes
+            w += mass[:, None, :, :, None, :] * Jw
 
     def _entry_step(self, nu, entries) -> np.ndarray:
         """The dense step from the flat indices ``entries`` of the nonzero entries of ``nu``.
@@ -557,22 +559,19 @@ def verify_stein_pair(model: DiscreteModel, observable: MatrixObservable) -> Ste
     return SteinPairReport(alpha_hat, residual, False, residual <= 1e-8 * anchor)
 
 
-def telescoping_decomposition(f, x_vals, y_vals) -> list[np.ndarray]:
+def telescoping_decomposition(f: MatrixObservable, x_vals, y_vals) -> list[np.ndarray]:
     """Per-site terms Z_i with sum_i Z_i = f(x) - f(y) exactly.
 
-    Z_i = f(x_1..x_i, y_{i+1}..y_n) - f(x_1..x_{i-1}, y_i..y_n); sites where
-    the configurations agree contribute exact zeros.
+    Z_i = f(x_1..x_i, y_{i+1}..y_n) - f(x_1..x_{i-1}, y_i..y_n), the differences
+    of one ``f.batch`` call on the n + 1 rows x_1..x_k, y_{k+1}..y_n; sites
+    where the configurations agree give equal rows, hence exact zeros.
     """
-    x = tuple(x_vals)
-    y = tuple(y_vals)
-    if len(x) != len(y):
+    x = np.asarray(x_vals, dtype=float)
+    y = np.asarray(y_vals, dtype=float)
+    if x.shape != y.shape:
         raise ValueError("configurations must have the same length")
-    terms = []
-    for i in range(len(x)):
-        hi = np.asarray(f(x[: i + 1] + y[i + 1:]), dtype=np.complex128)
-        lo = np.asarray(f(x[:i] + y[i:]), dtype=np.complex128)
-        terms.append(hi - lo)
-    return terms
+    rows = np.where(np.tri(len(x) + 1, len(x), -1, dtype=bool), x, y)  # row k: x before site k
+    return list(np.diff(np.asarray(f.batch(rows), dtype=np.complex128), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ class DiscreteModel:
             self._table = tab
             self._site_pmfs = None
         else:
+            if len(site_pmfs) != self.n:
+                raise ValueError(f"model has {self.n} alphabets but {len(site_pmfs)} pmfs")
             pmfs = []
             for i, p in enumerate(site_pmfs):
                 arr = np.asarray(p, dtype=float)
@@ -264,8 +266,9 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     d_ij is the max total-variation change of the conditional at site i over
     configuration pairs differing only at site j.  Site i's
     :func:`conditional_table` T has one row per configuration of the other
-    sites in C order, so ``T.reshape(high, m_j, low, m_i)`` puts site j's
-    value on axis 1, and those pairs are the slice views ``[:, a]`` and
+    sites in C order, so ``T.reshape(-1, m_j, w_j, m_i)``, w_j being site
+    j's :func:`conditional_row_weights` stride, puts site j's value on
+    axis 1, and those pairs are the slice views ``[:, a]`` and
     ``[:, b]`` for a < b: d_ij is the max of 0.5 |p - q| summed over
     site i's values.  The defining multi-site inequality follows from these
     entries by the triangle inequality along a path of single-site changes,
@@ -276,12 +279,11 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     D = np.zeros((n, n))
     for i in range(n):
         T = conditional_table(model, i)
-        others = model.sizes[:i] + model.sizes[i + 1:]
+        w = conditional_row_weights(model.sizes, i)
         for j in range(n):
             if j == i:
                 continue
-            ax = j if j < i else j - 1
-            T4 = T.reshape(prod(others[:ax]), model.sizes[j], -1, model.sizes[i])
+            T4 = T.reshape(-1, model.sizes[j], w[j], model.sizes[i])
             worst = []
             for a, b in combinations(range(model.sizes[j]), 2):
                 diff = T4[:, a] - T4[:, b]
@@ -427,9 +429,6 @@ def model_from_obj(obj: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> DiscreteModel
         table = np.asarray(weight["values"], dtype=float).reshape(sizes)
         return DiscreteModel.from_table(alphabets, table, enum_cap=enum_cap)
     if kind == "product":
-        if len(weight["pmfs"]) != len(alphabets):
-            raise ValueError(f"model has {len(alphabets)} alphabets but "
-                             f"{len(weight['pmfs'])} pmfs")
         return DiscreteModel.from_product(alphabets, weight["pmfs"], enum_cap=enum_cap)
     if len(alphabets) != len(weight["coupling"]) or len(set(alphabets)) > 1:
         raise ValueError("an ising model needs one alphabet repeated once per coupling row")

@@ -184,11 +184,6 @@ class TestLaplaceInfimum:
         fine = laplace_infimum(1.0, 1.5, np.linspace(0.5, 5, 1000), d=2)
         assert fine.bound <= coarse.bound + 1e-15
 
-    def test_callable_log_mgf(self):
-        res = laplace_infimum(lambda th: th * th / 4.0, 2.0, self.GRID, d=2)
-        assert res.bound == pytest.approx(2 * math.exp(-4), rel=1e-6)
-        assert res.closed_form_bound is None
-
     def test_negative_grid_mode(self):
         # smallest-eigenvalue tail: negative theta, negative t
         grid = -np.linspace(1e-3, 8.0, 2001)
@@ -204,9 +199,15 @@ class TestLaplaceInfimum:
         with pytest.raises(ValueError):
             laplace_infimum(1.0, 1.0, [-1.0, 1.0], d=2)
 
-    def test_nan_log_mgf(self):
-        with pytest.raises(ValueError):
-            laplace_infimum(lambda th: float("nan"), 1.0, [1.0, 2.0], d=2)
+    @pytest.mark.parametrize("variance", [math.nan, -1.0, -1e-300])
+    def test_nan_or_negative_variance_refused(self, variance):
+        with pytest.raises(ValueError, match="variance must be >= 0"):
+            laplace_infimum(variance, 1.0, [1.0, 2.0], d=2)
+
+    def test_zero_variance_has_no_closed_form(self):
+        res = laplace_infimum(0.0, 1.0, [1.0, 2.0], d=2)
+        assert res.bound == 2 * math.exp(-2.0) and res.theta == 2.0
+        assert res.closed_form_bound is None and res.closed_form_theta is None
 
     @pytest.mark.parametrize("t, grid", [(math.nan, [1.0, 2.0]), (math.inf, [1.0, 2.0]),
                                          (1.0, [1.0, math.inf]), (1.0, [math.nan, 1.0]),

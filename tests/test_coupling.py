@@ -46,7 +46,7 @@ from matconc.dobrushin import (
     dobrushin_matrix,
     _site_split,
 )
-from matconc.hermitian import EnsembleSpec, HermitianMatrix, sample_ensemble
+from matconc.hermitian import EnsembleSpec, HermitianMatrix, HermiticityError, sample_ensemble
 
 
 def ising2(beta=0.25):
@@ -406,8 +406,15 @@ def one_value_site():
                                     rng.uniform(0.1, 2.0, (3, 1, 2, 3)))
 
 
+def small_mixed_table():
+    # S = 12 with a 3-value site between two 2-value ones
+    rng = np.random.default_rng(17)
+    return DiscreteModel.from_table([(0, 1), (0, 1, 2), (0, 1)], rng.uniform(0.1, 2.0, (2, 3, 2)))
+
+
 def dense_step_oracle(ev, nu):
-    # the strided-view step that every nu took before the entry path
+    # the strided-view step that every nu took before the entry path, with
+    # one add per (a, b) value slice where the dense path now makes one broadcast add
     model = ev.model
     out = np.zeros((model.size, model.size))
     for i, J in enumerate(ev._joints):
@@ -571,13 +578,17 @@ class TestPairEvolver:
         assert paths == ["_dense_step"]
 
     def test_small_models_take_the_dense_path(self, monkeypatch):
-        # below LIVE_MIN_STATES even a point mass takes the dense step
-        model = ising_chain(3)
-        assert model.size < LIVE_MIN_STATES
-        ev = PairEvolver(model)
+        # below LIVE_MIN_STATES even a point mass takes the dense step, whose
+        # one broadcast add per site gives the bits of the per-(a, b) slice loop
         monkeypatch.setattr(PairEvolver, "_entry_step", None)
-        nu = ev.delta(0, model.size - 1)
-        assert ev.step(nu).tobytes() == dense_step_oracle(ev, nu).tobytes()
+        for model in (ising_chain(2), ising_chain(3), small_mixed_table()):
+            assert model.size < LIVE_MIN_STATES
+            ev = PairEvolver(model)
+            for nu in (ev.delta(0, model.size - 1), random_pair_pmf(model, 19)):
+                for _ in range(3):
+                    out = ev.step(nu)
+                    assert out.tobytes() == dense_step_oracle(ev, nu).tobytes(), model.sizes
+                    nu = out
 
 
 class TestAntisymmetricF:
@@ -704,6 +715,71 @@ class TestTelescoping:
             for i in range(4):
                 if x[i] == y[i]:
                     assert np.abs(terms[i]).max() == 0.0
+
+
+    def test_terms_equal_per_configuration_differences(self):
+        # the consecutive differences of one batch call have the bits of the
+        # differences of values taken one configuration at a time (einsum for
+        # H(z), a lookup for a table)
+        rng = np.random.default_rng(18)
+        n, d = 5, 3
+        rad = RademacherSumObservable([draw(d, 170 + k) for k in range(n)])
+        stack = np.stack([M.mat for M in rad.matrices])
+        mapping = {}
+        for vals in itertools.product((-1.0, 1.0), repeat=n):
+            M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            mapping[vals] = M + M.conj().T
+        oracles = [(rad, lambda z: np.einsum("n,nij->ij", np.asarray(z), stack)),
+                   (TableObservable(mapping, d), mapping.__getitem__)]
+        for _ in range(40):
+            x = tuple(rng.choice([-1.0, 1.0], size=n).tolist())
+            y = tuple(rng.choice([-1.0, 1.0], size=n).tolist())
+            for obs, f in oracles:
+                old = [np.asarray(f(x[:i + 1] + y[i + 1:]), dtype=np.complex128)
+                       - np.asarray(f(x[:i] + y[i:]), dtype=np.complex128) for i in range(n)]
+                terms = telescoping_decomposition(obs, x, y)
+                assert np.stack(terms).tobytes() == np.stack(old).tobytes()
+
+
+class SignedSum(MatrixObservable):
+    """H(z) = (sum_k z_k) diag(1, -1), defining ``batch`` only."""
+
+    dim = 2
+
+    def batch(self, values_matrix):
+        return np.asarray(values_matrix, dtype=float).sum(axis=1)[:, None, None] \
+            * np.diag([1.0, -1.0]).astype(complex)
+
+
+class TestBatchOnlyObservable:
+    # the same H(z) as a Rademacher sum: sums of +-1 products are exact
+    n = 3
+    rad = RademacherSumObservable([np.diag([1.0, -1.0])] * 3)
+
+    def test_call_is_batch_on_one_row(self):
+        obs = SignedSum()
+        assert np.array_equal(obs((1.0, -1.0, 1.0)), np.diag([1.0, -1.0]))
+        assert obs((1, 1, 1)).tobytes() == obs.batch(np.ones((1, 3)))[0].tobytes()
+
+    def test_telescoping(self):
+        x, y = (1.0, -1.0, 1.0), (-1.0, -1.0, -1.0)
+        terms = telescoping_decomposition(SignedSum(), x, y)
+        assert [t.tobytes() for t in terms] == \
+            [t.tobytes() for t in telescoping_decomposition(self.rad, x, y)]
+        assert np.abs(terms[1]).max() == 0.0
+        assert np.array_equal(sum(terms), 4.0 * np.diag([1.0, -1.0]))
+
+    def test_tails(self):
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * self.n, [[0.5, 0.5]] * self.n)
+        ts = [-1.0, 0.0, 1.0, 2.0, 3.0]
+        exact = exhaustive_tail(model, SignedSum(), ts)
+        assert exact.empirical == exhaustive_tail(model, self.rad, ts).empirical
+        assert exact.empirical == (1.0, 1.0, 1.0, 0.25, 0.25)  # lambda_max = |sum_k z_k|
+        sampled = mc_tail_estimate(model, SignedSum(), ts, 500, seed=3)
+        assert sampled.mean_source == "enumeration"
+        expect = mc_tail_estimate(model, self.rad, ts, 500, seed=3)
+        assert (sampled.empirical, sampled.ci_low, sampled.ci_high) == \
+            (expect.empirical, expect.ci_low, expect.ci_high)
 
 
 class TestMcTail:
@@ -866,6 +942,18 @@ class TestHamming:
         assert np.array_equal(obs((1.0, -1.0)), np.eye(2))
         with pytest.raises(ValueError, match=r"no entry for the values \[-1\.0, 1\.0\]$"):
             derive_hamming_bounds(obs, model)
+
+    def test_non_hermitian_entry_refused(self):
+        # +-[[0, 5], [0, 0]] was once accepted: the exhaustive tail read its
+        # Hermitian part (P(lambda >= 1) = 1) and the sampled one its lower
+        # triangle (0)
+        with pytest.raises(HermiticityError):
+            TableObservable({(1.0,): [[0, 5], [0, 0]], (-1.0,): [[0, -5], [0, 0]]}, 2)
+
+    def test_entries_are_stored_as_their_hermitian_part(self):
+        M = np.array([[1.0, 2.0 + 1e-15], [2.0, 3.0]])
+        obs = TableObservable({(0,): M}, 2)
+        assert np.array_equal(obs((0,)), (M + M.T) / 2)
 
     def test_rademacher_hamming_set_valid(self):
         mats = [draw(2, 95), draw(2, 96)]

@@ -133,6 +133,12 @@ class TestModel:
         with pytest.raises(ValueError):
             DiscreteModel.from_table([(0, 1)], [1.0, 0.0])
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_product_needs_one_pmf_per_site(self, count):
+        # 2 pmfs for 3 sites were once accepted (site 2 always sampled 0), 4 raised IndexError
+        with pytest.raises(ValueError, match=f"model has 3 alphabets but {count} pmfs"):
+            DiscreteModel.from_product([(0, 1)] * 3, [[0.5, 0.5]] * count)
+
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
             DiscreteModel.from_product([(0, 1)] * 21, [[0.5, 0.5]] * 21)
