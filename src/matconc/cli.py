@@ -15,6 +15,7 @@ import csv
 import functools
 import glob
 import hashlib
+import io
 import json
 import math
 import os
@@ -60,6 +61,7 @@ from .hermitian import (
     _integer,
     _is_real,
     _object,
+    _write_bytes,
     _write_json,
     matrix_from_obj,
     sample_ensemble,
@@ -183,10 +185,11 @@ def _write_manifest(out_path: str, command: str, config: dict, seed):
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_bytes(path, buf.getvalue().encode())
 
 
 def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> list[str]:
@@ -413,8 +416,8 @@ def cmd_report(args, settings) -> int:
         try:
             with open(path) as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            continue
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
         if not isinstance(obj, dict):
             continue
         if "violations" in obj and "inequality_id" in obj:

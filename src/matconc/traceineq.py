@@ -367,7 +367,7 @@ def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
     shared = 1 if inequality_id in ("psd_cross", "trace_quad") else 2
     mats = _draw(kind, dim, scale, rng, _TRIAL_MATRICES[inequality_id], shared)
     if inequality_id == "exchangeable_scaled":
-        return mats, (float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)),)
+        return mats, ((-1.0, 1.0)[int(rng.integers(2))] * float(rng.uniform(0.1, 3.0)),)
     if inequality_id == "pair_exp":
         return mats, (float(rng.uniform(0.05, 3.0)),)
     if inequality_id == "power":
@@ -377,7 +377,7 @@ def _draw_trial(inequality_id: str, kind: str, dim: int, scale: float,
         return mats, (int(rng.integers(0, n_pow + 1)), n_pow)
     if inequality_id == "holder":
         if rng.random() < 0.5:
-            return mats, (float(rng.choice(_HOLDER_P_POOL)),)
+            return mats, (_HOLDER_P_POOL[int(rng.integers(len(_HOLDER_P_POOL)))],)
         return mats, (float(rng.uniform(0.0, 1.0)),)
     return mats, ()
 

@@ -312,20 +312,23 @@ def _data_files(root):
 
 
 def test_criterion_8_cli_determinism(tmp_path):
-    """Every command rerun with the same config and seed is byte-identical."""
+    """Every command rerun with the same config and seed is byte-identical,
+    also when it rewrites the files of a run whose files had other lengths."""
     from matconc.dobrushin import save_model
 
     model_path = tmp_path / "ising.json"
     save_model(model_path, DiscreteModel.from_ising([[0.0, 0.25], [0.25, 0.0]]))
-    mc_cfg = tmp_path / "mc.json"
-    mc_cfg.write_text(json.dumps({
+    mc = {
         "model": {"rademacher_sites": 8},
         "observable": {"kind": "rademacher-sum",
                        "generate": {"count": 8, "dim": 2, "seed": 5, "scale": 0.4}},
         "t_grid": {"sigma_multiples": [0.0, 1.0, 2.0]},
         "samples": 2000,
         "seed": 13,
-    }))
+    }
+    mc_cfg, mc_short_cfg = tmp_path / "mc.json", tmp_path / "mc-short.json"
+    mc_cfg.write_text(json.dumps(mc))
+    mc_short_cfg.write_text(json.dumps({**mc, "t_grid": {"sigma_multiples": [0.0, 1.0]}}))
     commands = {
         "bound": ["bound", "--d", "2", "--sigma-sq", "1", "--t", "0:3:0.5"],
         "verify-traces": ["verify-traces", "--trials", "40", "--dims", "1..3",
@@ -335,19 +338,28 @@ def test_criterion_8_cli_determinism(tmp_path):
         "conjecture": ["conjecture", "--ineq", "expconj", "--dims", "2..3",
                        "--budget", "50", "--seed", "21"],
     }
+    # a later flag overrides an earlier one; each changes the data files' lengths
+    other_lengths = {"bound": ["--t", "0:1:0.5"], "verify-traces": ["--trials", "7"],
+                     "mc-tail": ["--config", str(mc_short_cfg)], "dobrushin": ["--kmax", "3"],
+                     "conjecture": ["--budget", "5"]}
+    targets = {"verify-traces": "vt", "dobrushin": "out.json", "conjecture": "out.json"}
+
+    def run_into(out_root, argv):
+        out_root.mkdir(exist_ok=True)
+        assert cli_main(argv + ["--out", str(out_root / targets.get(argv[0], "out.csv"))]) == 0
+        return _data_files(out_root)
+
+    def lengths(files):
+        return {path: len(data) for path, data in files.items()}
+
     for name, argv in commands.items():
-        snaps = []
-        for run_idx in (0, 1):
-            out_root = tmp_path / f"{name}-{run_idx}"
-            out_root.mkdir()
-            if name == "verify-traces":
-                target = out_root / "vt"
-            elif name == "dobrushin" or name == "conjecture":
-                target = out_root / "out.json"
-            else:
-                target = out_root / "out.csv"
-            assert cli_main(argv + ["--out", str(target)]) == 0
-            snaps.append(_data_files(out_root))
-        assert snaps[0] == snaps[1], f"{name} rerun differed"
+        first = run_into(tmp_path / f"{name}-0", argv)
+        assert run_into(tmp_path / f"{name}-1", argv) == first, f"{name} rerun differed"
+        other = run_into(tmp_path / f"{name}-other", argv + other_lengths[name])
+        assert lengths(other) != lengths(first), name
+        for step_argv, fresh in ((argv, first), (argv + other_lengths[name], other),
+                                 (argv, first)):
+            assert run_into(tmp_path / f"{name}-in-place", step_argv) == fresh, \
+                f"{name} rerun in place differed"
     _ok(8, "bound, verify-traces, mc-tail, dobrushin, conjecture all rerun "
-           "byte-identically (manifests excluded)")
+           "byte-identically (manifests excluded), in place over files of other lengths too")

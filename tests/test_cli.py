@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from matconc.cli import main
+from matconc.cli import _write_csv, main
 from matconc.bounds import dobrushin_constant
 from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, save_model
 from matconc.hermitian import matrix_to_obj
@@ -49,6 +49,26 @@ def ising_model_file(tmp_path):
     path = tmp_path / "ising2.json"
     save_model(path, DiscreteModel.from_ising([[0.0, 0.25], [0.25, 0.0]]))
     return path
+
+
+
+def old_write_csv(path, header, rows):
+    """The CSV writer before the in-place byte writer, kept as the oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def test_csv_bytes_equal_the_old_writer(tmp_path):
+    header = ["t", "bound_independent", "bound_dependent", "tropp"]
+    tables = [[["0", "1", "", "2"], ["0.25", '"quoted"', "a,b", "line\nbreak"]] * 3,
+              [["1.5", "0.036631277777468357", "", "2"]]]  # the rewrite is shorter
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    for rows in tables:
+        _write_csv(new, header, rows)
+        old_write_csv(old, header, rows)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestBoundCommand:
@@ -545,6 +565,20 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert name in err and field in err, err
+        assert not out.exists()
+
+    def test_unreadable_json_exits_2(self, tmp_path, capsys):
+        # an interrupted rewrite: a fuzz summary followed by an older file's tail;
+        # such a file was once skipped without a word
+        assert run(["verify-traces", "--trials", 10, "--dims", "2..2", "--ineqs", "exchangeable",
+                    "--seed", 1, "--out", tmp_path / "vt"]) == 0
+        summary = tmp_path / "vt" / "fuzz-exchangeable.json"
+        summary.write_bytes(summary.read_bytes() + b'5, "trials": 10}\n')
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert run(["report", "--inputs", tmp_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fuzz-exchangeable.json" in err, err
         assert not out.exists()
 
     def test_summarizes_dobrushin_report(self, tmp_path, capsys, ising_model_file):

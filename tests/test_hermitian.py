@@ -1,8 +1,12 @@
+import builtins
 import cmath
+import errno
 import hashlib
 import json
 import math
+import os
 import platform
+import stat
 import warnings
 
 import numpy as np
@@ -27,6 +31,7 @@ from matconc.hermitian import (
     _spectral_norm,
     _to_params,
     _upper_indices,
+    _write_bytes,
     _write_json,
     hermitian_from_params,
     hermitian_to_params,
@@ -40,6 +45,7 @@ from matconc.hermitian import (
     sample_ensemble,
     spectral_decompose,
 )
+from matconc import hermitian
 from matconc.traceineq import gap_exchangeable
 
 
@@ -518,6 +524,102 @@ class TestSerialization:
         A = HermitianMatrix.identity(2)
         assert inputs_digest([A]) == inputs_digest([A])
         assert inputs_digest([A]) != inputs_digest([A], {"k": 2})
+
+
+
+def old_write_json(path, obj):
+    """The JSON writer before the in-place byte writer, kept as the oracle."""
+    text = json.dumps(obj, sort_keys=True, default=float)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+class TestWriteBytes:
+    LONG, SHORT = b'{"gap": -1.25e-07, "trials": 12345}\n', b'{"k": 0.5}\n'
+
+    def test_rewrite_shorter_then_longer_leaves_new_bytes(self, tmp_path):
+        path = tmp_path / "f.json"
+        for data in (self.LONG, self.SHORT, self.LONG, b""):
+            _write_bytes(path, data)
+            assert path.read_bytes() == data
+
+    def test_json_bytes_equal_the_old_writer(self, tmp_path):
+        objs = [{"b": [1.5, np.float64(-2.0e-300)], "a": {"z": None, "y": "\u00e9"}},
+                matrix_to_obj(HermitianMatrix([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])),
+                {"k": 1}]
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        for obj in objs:  # each rewrite shorter than the last
+            _write_json(new, obj)
+            old_write_json(old, obj)
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_symlink_writes_through_to_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(self.LONG)
+        link.symlink_to(target)
+        _write_bytes(link, self.SHORT)
+        assert link.is_symlink() and target.read_bytes() == self.SHORT
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "f.json", tmp_path / "g.json"
+        path.write_bytes(self.LONG)
+        os.link(path, other)
+        _write_bytes(path, self.SHORT)
+        assert other.read_bytes() == self.SHORT
+        assert os.stat(path).st_ino == os.stat(other).st_ino
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(self.LONG)
+        path.chmod(0o600)
+        _write_bytes(path, self.SHORT)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert path.read_bytes() == self.SHORT
+
+    def test_device_and_pipe_outputs(self, tmp_path):
+        # ftruncate fails with EINVAL on both; open(path, "w") never called it
+        _write_json(os.devnull, {"k": 1})
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _write_bytes(fifo, self.SHORT)
+            assert os.read(reader, 100) == self.SHORT
+        finally:
+            os.close(reader)
+
+    def test_interrupted_write_leaves_the_old_tail(self, tmp_path, monkeypatch):
+        # the file is never truncated to zero, so a write cut after 4 bytes
+        # leaves the new bytes over the old file; here that is not JSON, but a
+        # cut inside a prefix the two files share would leave a file that parses
+        path = tmp_path / "f.json"
+        path.write_bytes(self.LONG)
+
+        class CutShort:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:4])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(hermitian, "open", lambda fd, mode: CutShort(builtins.open(fd, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            _write_bytes(path, self.SHORT)
+        assert path.read_bytes() == self.SHORT[:4] + self.LONG[4:]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(path.read_bytes())
 
 
 class TestSharedBoundaryHelpers:

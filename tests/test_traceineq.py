@@ -13,6 +13,7 @@ from matconc.hermitian import (
     EnsembleSpec,
     HermitianMatrix,
     SpectralDomainError,
+    _draw,
     _trial_grid,
     positive_part,
     sample_ensemble,
@@ -405,6 +406,21 @@ class TestFuzzer:
         save_fuzz_summary(p1, s1)
         save_fuzz_summary(p2, s2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_scalar_draws_match_generator_choice(self):
+        # _draw_trial indexes a tuple with rng.integers where it once called
+        # rng.choice: the same scalars and the same generator state after them
+        pool = traceineq._HOLDER_P_POOL
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _, (theta,) = _draw_trial("exchangeable_scaled", "psd", 2, 1.0, rng)
+            _draw("psd", 2, 1.0, ref, 3, 2)
+            assert theta == float(ref.choice([-1.0, 1.0]) * ref.uniform(0.1, 3.0))
+            _, (p,) = _draw_trial("holder", "psd", 2, 1.0, rng)
+            _draw("psd", 2, 1.0, ref, 4, 2)
+            ref_p = ref.choice(pool) if ref.random() < 0.5 else ref.uniform(0.0, 1.0)
+            assert type(theta) is type(p) is float and p == float(ref_p)
+            assert rng.random() == ref.random()
 
     def test_trial_bookkeeping(self):
         s = fuzz_grid("psd_cross", ("psd",), (2,), 1, 1.0, 5)
