@@ -406,6 +406,15 @@ def _artifact(where: str, obj: dict, **fields) -> dict:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _has_manifest(path: str) -> bool:
+    """Whether a matconc command wrote ``path`` beside its manifest: a search
+    result or dobrushin report (``<path>.manifest.json``) or a fuzz summary
+    (``fuzz-*.json`` beside verify-traces' ``run.manifest.json``)."""
+    head, name = os.path.split(path)
+    return (os.path.isfile(path + ".manifest.json")
+            or name.startswith("fuzz-") and os.path.isfile(os.path.join(head, "run.manifest.json")))
+
+
 def cmd_report(args, settings) -> int:
     in_dir = args.inputs or "."
     findings = []
@@ -417,7 +426,9 @@ def cmd_report(args, settings) -> int:
             with open(path) as fh:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from None
+            if _has_manifest(path):  # a data file cut short, say; other files are not ours
+                raise ConfigError(f"cannot read {path}: {exc}") from None
+            continue
         if not isinstance(obj, dict):
             continue
         if "violations" in obj and "inequality_id" in obj:

@@ -13,8 +13,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
-import stat
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -364,9 +362,24 @@ class EnsembleSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, assembled in place (no 1j * im temporary)."""
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
 def _gaussian_hermitian(rng, shape: tuple, scale: float) -> np.ndarray:
-    M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return scale * (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+    M = _complex(*rng.standard_normal(size=(2, *shape)))
+    return scale * (M + M.conj().swapaxes(-1, -2)) / 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_mask(dim: int) -> np.ndarray:
+    """Read-only (dim, dim) mask of the entries strictly above the diagonal."""
+    mask = np.tri(dim, k=-1, dtype=bool).T
+    mask.setflags(write=False)
+    return mask
 
 
 def _draw(kind: str, d: int, scale: float, rng: np.random.Generator, count: int,
@@ -378,44 +391,44 @@ def _draw(kind: str, d: int, scale: float, rng: np.random.Generator, count: int,
     all antisymmetric integer parts.  For ``commuting-pair`` the first
     ``shared`` matrices (default: all) share one random eigenbasis and each
     further one has its own; the bases are drawn first, then the spectra.
+    Real and imaginary parts come from one ``rng`` call of twice the size,
+    which gives the values of two calls in a row.
     """
     shape = (count, d, d)
     if kind == "gaussian-hermitian":
         return _gaussian_hermitian(rng, shape, scale)
     if kind == "diagonal":
         out = np.zeros(shape, dtype=np.complex128)
-        out[:, np.arange(d), np.arange(d)] = scale * rng.normal(size=(count, d))
+        out.reshape(count, d * d)[:, ::d + 1] = scale * rng.standard_normal(size=(count, d))
         return out
     if kind == "psd":
-        X = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
-        return scale * (X @ np.swapaxes(X.conj(), -1, -2)) / d
+        X = _complex(*rng.standard_normal(size=(2, *shape))) / np.sqrt(2.0)
+        return scale * (X @ X.conj().swapaxes(-1, -2)) / d
     if kind == "low-rank":
         r = max(1, d // 2)
-        Z = rng.normal(size=(count, r, 2 * d + 1))
-        v = Z[..., :d] + 1j * Z[..., d:2 * d]
+        Z = rng.standard_normal(size=(count, r, 2 * d + 1))
+        v = _complex(Z[..., :d], Z[..., d:2 * d])
         # |v|^2 as np.linalg.norm takes it for one vector: the dot of the real
         # parts plus the dot of the imaginary parts
         re, im = v.real[..., None, :], v.imag[..., None, :]
-        v /= np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+        v /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
         w = scale * Z[..., 2 * d]
         H = np.zeros(shape, dtype=np.complex128)
         for j in range(r):  # summed term by term, from zero
             H += w[:, j, None, None] * (v[:, j, :, None] * v[:, j, None, :].conj())
-        return (H + np.swapaxes(H.conj(), -1, -2)) / 2.0
+        return (H + H.conj().swapaxes(-1, -2)) / 2.0
     if kind == "commuting-pair":
         shared = count if shared is None else shared
         bases = np.linalg.eigh(_gaussian_hermitian(rng, (1 + count - shared, d, d), 1.0))[1]
         U = bases[np.maximum(np.arange(count) - shared + 1, 0)]
-        w = scale * rng.normal(size=(count, d))
-        return (U * w[:, None, :]) @ np.swapaxes(U.conj(), -1, -2)
+        w = scale * rng.standard_normal(size=(count, d))
+        return (U * w[:, None, :]) @ U.conj().swapaxes(-1, -2)
     if kind == "integer-entry":
         m = max(1, int(round(scale)))
-        S = rng.integers(-m, m + 1, size=shape)
-        K = rng.integers(-m, m + 1, size=shape)
-        lower = np.tri(d, k=-1, dtype=bool)  # strictly below the diagonal
-        real = np.where(lower, np.swapaxes(S, -1, -2), S)
-        imag = np.where(lower, -np.swapaxes(K, -1, -2), np.where(lower.T, K, 0))
-        return real.astype(float) + 1j * imag.astype(float)
+        S, K = rng.integers(-m, m + 1, size=(2, *shape))
+        upper = _upper_mask(d)
+        K = np.where(upper, K, 0)
+        return _complex(np.where(upper.T, S.swapaxes(-1, -2), S), K - K.swapaxes(-1, -2))
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
@@ -514,21 +527,11 @@ def matrix_from_obj(obj: dict) -> HermitianMatrix:
 
 def _write_bytes(path, data: bytes) -> None:
     """Make ``data`` the whole content of the file at ``path``: the one writer
-    of every data file, CSV and manifest.
-
-    An existing file is overwritten in place and then cut at the end of the
-    new bytes, never truncated to zero first: on ext4 mounted with ``discard``
-    a 350-byte rewrite took about 10 us in place and about 90 us through
-    ``open(path, "w")``.  As with ``open(path, "w")``, a symlink is followed,
-    the inode is kept (a hard link sees the new bytes, the mode stays) and a
-    new file gets mode 0o666 less the umask.  Only a regular file is cut:
-    ``ftruncate`` fails on /dev/null and on a pipe.  A write interrupted part
-    way leaves the new bytes followed by the old file's tail.
-    """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+    of every data file, CSV and manifest.  The file is opened with
+    ``open(path, "wb")``, so an existing file is truncated to zero before the
+    new bytes go in; a write interrupted part way leaves a prefix of them."""
+    with open(path, "wb") as fh:
         fh.write(data)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
 
 
 def _write_json(path, obj) -> None:

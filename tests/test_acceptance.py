@@ -359,7 +359,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert lengths(other) != lengths(first), name
         for step_argv, fresh in ((argv, first), (argv + other_lengths[name], other),
                                  (argv, first)):
-            assert run_into(tmp_path / f"{name}-in-place", step_argv) == fresh, \
-                f"{name} rerun in place differed"
+            assert run_into(tmp_path / f"{name}-same-path", step_argv) == fresh, \
+                f"{name} rerun into the same path differed"
     _ok(8, "bound, verify-traces, mc-tail, dobrushin, conjecture all rerun "
-           "byte-identically (manifests excluded), in place over files of other lengths too")
+           "byte-identically (manifests excluded), also into one path over files of other lengths")

@@ -51,9 +51,8 @@ def ising_model_file(tmp_path):
     return path
 
 
-
 def old_write_csv(path, header, rows):
-    """The CSV writer before the in-place byte writer, kept as the oracle."""
+    """The CSV writer before ``_write_bytes``, kept as the oracle."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -568,8 +567,7 @@ class TestReportCommand:
         assert not out.exists()
 
     def test_unreadable_json_exits_2(self, tmp_path, capsys):
-        # an interrupted rewrite: a fuzz summary followed by an older file's tail;
-        # such a file was once skipped without a word
+        # a fuzz summary with trailing bytes
         assert run(["verify-traces", "--trials", 10, "--dims", "2..2", "--ineqs", "exchangeable",
                     "--seed", 1, "--out", tmp_path / "vt"]) == 0
         summary = tmp_path / "vt" / "fuzz-exchangeable.json"
@@ -580,6 +578,25 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fuzz-exchangeable.json" in err, err
         assert not out.exists()
+
+    def test_cut_report_beside_its_manifest_exits_2(self, tmp_path, capsys, ising_model_file):
+        dob = tmp_path / "dobrushin.json"
+        assert run(["dobrushin", "--model", ising_model_file, "--out", dob]) == 0
+        dob.write_bytes(dob.read_bytes()[:20])  # a write cut short
+        capsys.readouterr()
+        assert run(["report", "--inputs", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dobrushin.json" in err, err
+
+    def test_foreign_unreadable_json_is_skipped(self, tmp_path, capsys, ising_model_file):
+        # files no matconc command wrote beside a manifest are not its artifacts
+        assert run(["dobrushin", "--model", ising_model_file, "--out", tmp_path / "d.json"]) == 0
+        (tmp_path / "settings.json").write_text('{"tabs": 4, // editor config\n}\n')
+        (tmp_path / "fuzz-notes.json").write_text("not json\n")
+        (tmp_path / "cache.json").mkdir()
+        capsys.readouterr()
+        assert run(["report", "--inputs", tmp_path]) == 0
+        assert capsys.readouterr().out.startswith("dobrushin report: n=2")
 
     def test_summarizes_dobrushin_report(self, tmp_path, capsys, ising_model_file):
         dob = tmp_path / "dobrushin.json"

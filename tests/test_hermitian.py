@@ -526,9 +526,8 @@ class TestSerialization:
         assert inputs_digest([A]) != inputs_digest([A], {"k": 2})
 
 
-
 def old_write_json(path, obj):
-    """The JSON writer before the in-place byte writer, kept as the oracle."""
+    """The JSON writer before ``_write_bytes``, kept as the oracle."""
     text = json.dumps(obj, sort_keys=True, default=float)
     with open(path, "w") as fh:
         fh.write(text + "\n")
@@ -577,7 +576,6 @@ class TestWriteBytes:
         assert path.read_bytes() == self.SHORT
 
     def test_device_and_pipe_outputs(self, tmp_path):
-        # ftruncate fails with EINVAL on both; open(path, "w") never called it
         _write_json(os.devnull, {"k": 1})
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
@@ -588,10 +586,10 @@ class TestWriteBytes:
         finally:
             os.close(reader)
 
-    def test_interrupted_write_leaves_the_old_tail(self, tmp_path, monkeypatch):
-        # the file is never truncated to zero, so a write cut after 4 bytes
-        # leaves the new bytes over the old file; here that is not JSON, but a
-        # cut inside a prefix the two files share would leave a file that parses
+    def test_interrupted_write_leaves_no_old_byte(self, tmp_path, monkeypatch):
+        # the file is truncated to zero before the new bytes go in, so a write
+        # cut after 4 bytes leaves a prefix of them that does not parse, never
+        # the new bytes over the old file's tail
         path = tmp_path / "f.json"
         path.write_bytes(self.LONG)
 
@@ -613,13 +611,72 @@ class TestWriteBytes:
             def __getattr__(self, name):
                 return getattr(self.fh, name)
 
-        monkeypatch.setattr(hermitian, "open", lambda fd, mode: CutShort(builtins.open(fd, mode)),
-                            raising=False)
+        monkeypatch.setattr(hermitian, "open",
+                            lambda file, mode: CutShort(builtins.open(file, mode)), raising=False)
         with pytest.raises(OSError):
             _write_bytes(path, self.SHORT)
-        assert path.read_bytes() == self.SHORT[:4] + self.LONG[4:]
+        assert path.read_bytes() == self.SHORT[:4]
         with pytest.raises(json.JSONDecodeError):
             json.loads(path.read_bytes())
+
+
+def draw_oracle(kind, d, scale, rng, count, shared=None):
+    """``_draw`` as it was before real and imaginary parts came from one
+    ``rng`` call, kept as the oracle of its values and generator stream."""
+    shape = (count, d, d)
+
+    def gaussian_hermitian(shape, scale):
+        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return scale * (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+
+    if kind == "gaussian-hermitian":
+        return gaussian_hermitian(shape, scale)
+    if kind == "diagonal":
+        out = np.zeros(shape, dtype=np.complex128)
+        out[:, np.arange(d), np.arange(d)] = scale * rng.normal(size=(count, d))
+        return out
+    if kind == "psd":
+        X = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+        return scale * (X @ np.swapaxes(X.conj(), -1, -2)) / d
+    if kind == "low-rank":
+        r = max(1, d // 2)
+        Z = rng.normal(size=(count, r, 2 * d + 1))
+        v = Z[..., :d] + 1j * Z[..., d:2 * d]
+        re, im = v.real[..., None, :], v.imag[..., None, :]
+        v /= np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+        w = scale * Z[..., 2 * d]
+        H = np.zeros(shape, dtype=np.complex128)
+        for j in range(r):
+            H += w[:, j, None, None] * (v[:, j, :, None] * v[:, j, None, :].conj())
+        return (H + np.swapaxes(H.conj(), -1, -2)) / 2.0
+    if kind == "commuting-pair":
+        shared = count if shared is None else shared
+        bases = np.linalg.eigh(gaussian_hermitian((1 + count - shared, d, d), 1.0))[1]
+        U = bases[np.maximum(np.arange(count) - shared + 1, 0)]
+        w = scale * rng.normal(size=(count, d))
+        return (U * w[:, None, :]) @ np.swapaxes(U.conj(), -1, -2)
+    m = max(1, int(round(scale)))
+    S = rng.integers(-m, m + 1, size=shape)
+    K = rng.integers(-m, m + 1, size=shape)
+    lower = np.tri(d, k=-1, dtype=bool)
+    real = np.where(lower, np.swapaxes(S, -1, -2), S)
+    imag = np.where(lower, -np.swapaxes(K, -1, -2), np.where(lower.T, K, 0))
+    return real.astype(float) + 1j * imag.astype(float)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_draw_matches_its_oracle_bit_for_bit(kind):
+    # values, signed zeros included, and the generator state after the draw
+    for d in range(1, 7):
+        for count, shared in ((1, None), (3, 2), (4, 1), (4, None)):
+            for scale in (0.3, 1.0, 2.6):
+                for seed in range(3):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = _draw(kind, d, scale, rng, count, shared)
+                    want = draw_oracle(kind, d, scale, ref, count, shared)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                        (d, count, shared, scale, seed)
+                    assert rng.random() == ref.random()
 
 
 class TestSharedBoundaryHelpers:
