@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -258,6 +260,37 @@ class TestDobrushinCommand:
                 (20 if kmax is None else kmax)
             digests[label] = config_digest(tmp_path / label)
         assert digests["k3"] != digests["k20"] == digests["default"]
+
+
+# the 4-site Ising model and the (3, 2, 4) mixed table model of the CI's
+# determinism step
+CI_MODELS = {
+    "ising": {"n": 4, "alphabets": [[-1, 1], [-1, 1], [-1, 1], [-1, 1]],
+              "weight": {"kind": "ising", "field": [0.1, 0.0, -0.1, 0.05],
+                         "coupling": [[0, 0.2, 0, 0.1], [0.2, 0, 0.15, 0],
+                                      [0, 0.15, 0, 0.2], [0.1, 0, 0.2, 0]]}},
+    "mixed": {"alphabets": [[0, 1, 2], [0, 1], [0, 1, 2, 3]],
+              "weight": {"kind": "table",
+                         "values": [1.2, 0.9, 1.0, 1.3, 0.8, 1.1, 0.9, 1.2,
+                                    1.0, 1.4, 1.1, 0.8, 1.2, 0.9, 1.3, 1.0,
+                                    1.3, 1.0, 0.8, 1.2, 1.1, 0.9, 1.2, 1.0]}},
+}
+# sha256 of their `dobrushin --kmax 20` reports
+PINNED_DOBRUSHIN_REPORTS = {
+    "ising": "c6f32a14c38a30d43c7337c711bf389a07c4c1e177a80c897a0bea4261800c99",
+    "mixed": "bb3a833cccb48cb96a1ecf7285e14c49aab7ad0d836335d5d884d4f8fe6b2771",
+}
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.parametrize("name", sorted(PINNED_DOBRUSHIN_REPORTS))
+def test_dobrushin_report_bytes_pinned(name, tmp_path):
+    model, out = tmp_path / "model.json", tmp_path / "dobrushin.json"
+    model.write_text(json.dumps(CI_MODELS[name]))
+    assert run(["dobrushin", "--model", model, "--kmax", 20, "--out", out]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_DOBRUSHIN_REPORTS[name], data.decode()
 
 
 class TestMcTailCommand:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -1318,3 +1319,59 @@ class TestSmallHelpers:
         assert lo < 0.5 < hi
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+
+def pinned_model(name):
+    """The seeded model of a PINNED_EXACT entry and the start pair (x, y) of its pair laws.
+
+    ``ising<n>``: n +-1 sites, symmetric couplings with every row sum of |J|
+    at most 0.9, and fields; a ``AxBx...`` name: a table model with those
+    alphabet sizes and uniform(0.1, 2) weights.
+    """
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name.startswith("ising"):
+        n = int(name[5:])
+        J = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * (0.9 / (n - 1)), 1)
+        model = DiscreteModel.from_ising(J + J.T, rng.uniform(-0.3, 0.3, n))
+    else:
+        sizes = tuple(int(m) for m in name.split("x"))
+        model = DiscreteModel.from_table([tuple(range(m)) for m in sizes],
+                                         rng.uniform(0.1, 2.0, sizes))
+    x, y = (int(s) for s in rng.integers(0, model.size, 2))
+    return model, x, y
+
+
+# sha256 of (shape, bytes) of D, the Gibbs kernel and three pair-law steps
+PINNED_EXACT = {
+    "ising2": "164ffef0b5ab86e0befd20d74735f8cbd6507a5c44c33db0ee1ed8ed4786f123",
+    "ising3": "ca2df43c9f35c704200f6e8316dbc79eaa52f239ba9a554cb4fbd26e6e175990",
+    "ising4": "5e681699a3ea0b05d4129976050d8f0e70e957958f75f6bdcd26effa47cc332b",
+    "ising5": "cafa2a929ce5eb8d48239f2034d2ac779e97874027c9944f4a2d91d93b008a6a",
+    "ising6": "a78e713ccaf938c24ec9ff53f27e1ce3716e34c8b712ca5c226bffe875af6570",
+    "ising7": "17566a8d99889cc0f5ddb27084128b01b078f0a926029241c0e2c48a488d3c5e",
+    "ising8": "cb451297e1c08dc01618afbb071edecb6b17f9bf8a10cdbee760ed67838ec17a",
+    "ising9": "f9aca41c4ac0ac410ec4c160461b54c22cdbf625dbe84c3a85864c0213465fda",
+    "3x2x4": "fea33f77bd7cc8dff100585e3da1aae9e259d205f5366099af87d628a27b7af1",
+    "2x1x3": "be52ffb173c5d699574019c01f2851916c3700b55d6b80ac955d4bff4199d33d",
+    "3x2x3x2": "16fedf6642673b5a2189dd0d71154789b01a1fba0e9ef1b9db3cfc1e6fca1416",
+    "9x2": "80c45ec4967ccf8b9ea13baa81ac4fa023c2d7995f6bfb994ba46c11e6cfa80a",
+    "10x1x3": "9bfc48f0172fcb51a9e60e064d76dc1308981933ee886bf68b565bf5f0c1458a",
+    "2x4x1x2x3": "cce06a5ba22faf99c185d2362fea530a300e3efcd58ef780d2adc59d4b78215e",
+}
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.parametrize("name", list(PINNED_EXACT))
+def test_exact_layers_bytes_pinned(name):
+    model, x, y = pinned_model(name)
+    arrays = [dobrushin_matrix(model).entries, gibbs_kernel(model)]
+    evolver = PairEvolver(model)
+    nu = evolver.delta(x, y)
+    for _ in range(3):
+        nu = evolver.step(nu)
+        arrays.append(nu)
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == PINNED_EXACT[name]
