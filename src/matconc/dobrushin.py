@@ -11,7 +11,9 @@ sampling.
 
 from __future__ import annotations
 
+import functools
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
@@ -21,10 +23,19 @@ import numpy as np
 from .hermitian import _is_real, _object, _write_json
 
 DEFAULT_ENUM_CAP = 1_000_000
+# floats in the single-swap differences of one block of sites in dobrushin_matrix
+# (256 KB): at 18 sites, every site of a side at once (17 MB, the stack streamed
+# once per column) took about 1.25x the time of one site's table at a time
+_DIFF_FLOATS = 1 << 15
 
 
 class EnumerationCapError(RuntimeError):
     """Raised when an exact enumeration would exceed the configured cap."""
+
+
+def _check_cap(size: int, enum_cap: int) -> None:
+    if size > enum_cap:
+        raise EnumerationCapError(f"product space has {size} states, above cap {enum_cap}")
 
 
 class DiscreteModel:
@@ -35,6 +46,12 @@ class DiscreteModel:
     the table (so product models with large n still support sampling and
     conditionals).  The product-space size is always checked against
     ``enum_cap``.
+
+    Every site's :func:`conditional_table` is built once, on first use, into
+    ``_conditional_stacks``: one read-only (n_m, S / m, m) stack per alphabet
+    size m, its m-value sites in order.  A table model keeps those n S floats
+    for its lifetime; a product model's stacks broadcast each site pmf over
+    its rows and hold only the pmfs.
     """
 
     def __init__(self, alphabets, *, table=None, site_pmfs=None,
@@ -46,10 +63,7 @@ class DiscreteModel:
         self.sizes = tuple(len(a) for a in self.alphabets)
         self.enum_cap = int(enum_cap)
         self.size = prod(self.sizes)
-        if self.size > self.enum_cap:
-            raise EnumerationCapError(
-                f"product space has {self.size} states, above cap {self.enum_cap}"
-            )
+        _check_cap(self.size, self.enum_cap)
         if (table is None) == (site_pmfs is None):
             raise ValueError("provide exactly one of table / site_pmfs")
         if table is not None:
@@ -91,7 +105,14 @@ class DiscreteModel:
     @classmethod
     def from_ising(cls, coupling, field=None, values=(-1.0, 1.0),
                    enum_cap: int = DEFAULT_ENUM_CAP):
-        """Pairwise model with weight exp(sum_{i<j} J_ij v_i v_j + sum_i h_i v_i)."""
+        """Pairwise model with weight exp(sum_{i<j} J_ij v_i v_j + sum_i h_i v_i).
+
+        J must be finite, equal to its transpose and zero on the diagonal, and
+        h finite; anything else is a ``ValueError``, since the weight reads
+        only the upper triangle.  Row i of ``values.take(np.indices(...))``
+        holds site i's value in every C-order state; the energy adds
+        h_i v_i, then J_ij v_i v_j for j > i, site by site.
+        """
         J = np.asarray(coupling, dtype=float)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValueError("coupling must be a square matrix")
@@ -99,17 +120,51 @@ class DiscreteModel:
         h = np.zeros(n) if field is None else np.asarray(field, dtype=float)
         if h.shape != (n,):
             raise ValueError("field has wrong length")
+        if not (np.isfinite(J).all() and np.isfinite(h).all()):
+            raise ValueError("coupling and field must be finite")
+        if not np.array_equal(J, J.T):
+            raise ValueError("coupling must equal its transpose")
+        if np.diagonal(J).any():
+            raise ValueError("coupling must have a zero diagonal")
         alphabets = [tuple(values)] * n
-        grids = np.meshgrid(*[np.asarray(values, dtype=float)] * n, indexing="ij")
-        energy = np.zeros(tuple(len(values) for _ in range(n)))
+        sizes = (len(values),) * n
+        _check_cap(prod(sizes), enum_cap)
+        x = np.asarray(values, dtype=float).take(np.indices(sizes).reshape(n, -1))
+        energy = np.zeros(x.shape[1])
         for i in range(n):
-            energy += h[i] * grids[i]
-            for j in range(i + 1, n):
-                energy += J[i, j] * grids[i] * grids[j]
+            energy += h[i] * x[i]
+            for term in J[i, i + 1:, None] * x[i] * x[i + 1:]:
+                energy += term
         energy -= energy.max()
-        return cls(alphabets, table=np.exp(energy), enum_cap=enum_cap)
+        return cls(alphabets, table=np.exp(energy).reshape(sizes), enum_cap=enum_cap)
 
     # -- basic access ------------------------------------------------------
+
+    @functools.cached_property
+    def _conditional_stacks(self) -> dict[int, np.ndarray]:
+        """m -> the read-only (n_m, S / m, m) stack of the m-value sites' conditional tables.
+
+        A table site's rows are its (high, m, low) split with the value axis
+        moved last, each divided by its sum over that contiguous axis.
+        """
+        groups = {}
+        for i, m in enumerate(self.sizes):
+            groups.setdefault(m, []).append(i)
+        stacks = {}
+        for m, sites in groups.items():
+            if self._site_pmfs is not None:
+                pmfs = np.stack([self._site_pmfs[i] for i in sites])[:, None]
+                stacks[m] = np.broadcast_to(pmfs, (len(sites), self.size // m, m))
+                continue
+            stack = np.empty((len(sites), self.size // m, m))
+            for rows, i in zip(stack, sites):
+                high, _, low = _site_split(self, i)
+                rows.reshape(high, low, m)[...] = \
+                    self._table.reshape(high, m, low).transpose(0, 2, 1)
+                rows /= rows.sum(axis=1, keepdims=True)
+            stack.setflags(write=False)
+            stacks[m] = stack
+        return stacks
 
     @property
     def table(self) -> np.ndarray:
@@ -194,13 +249,15 @@ def conditional_table(model: DiscreteModel, i: int) -> np.ndarray:
     """All conditionals of site i at once, shape (prod(other sizes), m_i).
 
     The row of an index configuration is the C-order flattening of its other
-    coordinates, ``config @ conditional_row_weights(model.sizes, i)``.
+    coordinates, ``config @ conditional_row_weights(model.sizes, i)``.  The
+    table is a read-only view into the model's cached (n_m, S / m, m) stack
+    of its m-value sites, m = m_i (see :class:`DiscreteModel`).  The first
+    call on a model builds every site's table, n S floats for a table model,
+    kept for the model's lifetime; later calls build nothing.  A product
+    model's rows are broadcasts of the site pmf.
     """
-    high, m, low = _site_split(model, i)
-    if model._site_pmfs is not None:
-        return np.broadcast_to(model._site_pmfs[i], (high * low, m))
-    rows = model.table.reshape(high, m, low).transpose(0, 2, 1).reshape(high * low, m)
-    return rows / rows.sum(axis=1, keepdims=True)
+    m = model.sizes[i]
+    return model._conditional_stacks[m][model.sizes[:i].count(m)]
 
 
 def _site_split(model: DiscreteModel, i: int) -> tuple[int, int, int]:
@@ -247,6 +304,8 @@ class InterdependenceMatrix:
         D = np.asarray(self.entries, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise ValueError("entries must be square")
+        if not np.isfinite(D).all():
+            raise ValueError("entries must be finite")
         if np.abs(np.diagonal(D)).max(initial=0.0) != 0.0:
             raise ValueError("diagonal must be zero")
         if (D < 0).any() or (D > 1 + 1e-12).any():
@@ -264,32 +323,54 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     """Entrywise-tight interdependence matrix from single-swap sensitivities.
 
     d_ij is the max total-variation change of the conditional at site i over
-    configuration pairs differing only at site j.  Site i's
-    :func:`conditional_table` T has one row per configuration of the other
-    sites in C order, so ``T.reshape(-1, m_j, w_j, m_i)``, w_j being site
-    j's :func:`conditional_row_weights` stride, puts site j's value on
-    axis 1, and those pairs are the slice views ``[:, a]`` and
-    ``[:, b]`` for a < b: d_ij is the max of 0.5 |p - q| summed over
-    site i's values.  The defining multi-site inequality follows from these
-    entries by the triangle inequality along a path of single-site changes,
-    so it is not re-checked at run time; the tests keep an all-pairs oracle
-    for it.
+    configuration pairs differing only at site j.  It is read from the
+    model's cached (n_m, S / m, m) stacks of conditional tables (see
+    :func:`conditional_table`: built on first use, n S floats kept for the
+    model's lifetime), column by column for a block of sites of one alphabet
+    size m on one side of j at once.  In site i's rows, site j's stride w
+    (its :func:`conditional_row_weights` entry) is prod(sizes[j+1:]) when
+    i < j and that divided by m when i > j, so such a block
+    ``stack[lo:hi]``, reshaped to (hi - lo, -1, m_j, w, m), has site j's
+    value on axis 2, and the single-swap pairs are the slice views
+    ``[:, :, a]`` and ``[:, :, b]`` for a < b.  An entry is the max over rows
+    and value pairs of |p - q| summed over site i's values (the contiguous
+    last axis), times 0.5 once at the end: rounding is monotone, so this is
+    the max of the halved sums bit for bit.
+
+    A block holds every site of one size up to 10 binary sites (S = 1024) and
+    one site from 16 on, and goes through every column before the next, so a
+    large model's site table stays in cache over its row of D; the memory
+    beyond the stack is one block's differences, at most ``_DIFF_FLOATS``
+    floats or one site's S / 2.  A product model's conditionals ignore the
+    other sites: its D is zero, and no table is read.  The defining
+    multi-site inequality follows from these entries by the triangle
+    inequality along a path of single-site changes, so it is not re-checked
+    at run time; the tests keep an all-pairs oracle for it.
     """
-    n = model.n
+    n, sizes = model.n, model.sizes
     D = np.zeros((n, n))
-    for i in range(n):
-        T = conditional_table(model, i)
-        w = conditional_row_weights(model.sizes, i)
-        for j in range(n):
-            if j == i:
-                continue
-            T4 = T.reshape(-1, model.sizes[j], w[j], model.sizes[i])
-            worst = []
-            for a, b in combinations(range(model.sizes[j]), 2):
-                diff = T4[:, a] - T4[:, b]
-                np.abs(diff, out=diff)
-                worst.append(float((0.5 * diff.sum(axis=-1)).max()))
-            D[i, j] = max(worst, default=0.0)
+    if model._site_pmfs is None:
+        block = max(1, 2 * _DIFF_FLOATS // model.size)  # a site's differences: S / m_j
+        for m, stack in model._conditional_stacks.items():
+            sites = [i for i in range(n) if sizes[i] == m]
+            worst = np.zeros((n, len(sites)))  # worst[j, k] = 2 d_ij for i = sites[k]
+            for first in range(0, len(sites), block):
+                chunk = sites[first:first + block]
+                for j in range(n):
+                    after = prod(sizes[j + 1:])
+                    lo, hi = bisect_left(chunk, j), bisect_right(chunk, j)
+                    for start, stop, w in ((0, lo, after), (hi, len(chunk), after // m)):
+                        if start == stop:
+                            continue
+                        part = slice(first + start, first + stop)
+                        view = stack[part].reshape(stop - start, -1, sizes[j], w, m)
+                        for a, b in combinations(range(sizes[j]), 2):
+                            diff = view[:, :, a] - view[:, :, b]
+                            np.abs(diff, out=diff)
+                            np.maximum(worst[j, part], diff.sum(axis=-1).max(axis=(1, 2)),
+                                       out=worst[j, part])
+            D[sites] = worst.T
+    D *= 0.5
     return InterdependenceMatrix(np.clip(D, 0.0, 1.0))
 
 
@@ -371,7 +452,7 @@ def norm_recursion_check(D, n: int, kmax: int) -> NormRecursionReport:
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     d1, dinf = matrix_norms(D)
-    if max(d1, dinf) >= 1.0:
+    if not max(d1, dinf) < 1.0:  # a NaN entry makes both norms NaN
         raise ValueError("norm recursion requires max interdependence norm < 1")
     B = b_matrix(D, n)
     b1, binf = matrix_norms(B.entries)

@@ -244,6 +244,18 @@ class TestDobrushinCommand:
         assert D[0, 1] == pytest.approx(math.tanh(0.2), abs=1e-12)
         assert D[5, 4] == pytest.approx(math.tanh(0.4) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("coupling", [[[0, 0], [0.9, 0]], [[0, 0.9], [-0.9, 0]],
+                                          [[0.5, 0.9], [0.9, 0]]])
+    def test_ising_coupling_contract_usage_error(self, tmp_path, capsys, coupling):
+        # a lower triangle or diagonal the weight would drop is refused, not ignored
+        model = {"alphabets": [[-1, 1], [-1, 1]], "weight": {"kind": "ising", "coupling": coupling}}
+        cfg, path, out = tmp_path / "cfg.json", tmp_path / "model.json", tmp_path / "rep.json"
+        cfg.write_text(json.dumps({"model": model}))
+        path.write_text(json.dumps(model))
+        for argv in (["--config", cfg], ["--model", path]):
+            assert run(["dobrushin", *argv, "--out", out]) == 2
+            assert "coupling must" in capsys.readouterr().err and not out.exists()
+
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["dobrushin", "--out", tmp_path / "rep.json"]) == 2
 

@@ -1321,11 +1321,37 @@ class TestSmallHelpers:
             wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("make", [mixed_table, ising4_field, ternary_ising, alphabet9],
+                         ids=["mixed", "ising4", "ternary", "alphabet9"])
+def test_tables_built_once_per_model(make, monkeypatch):
+    # dobrushin_matrix, gibbs_kernel, PairEvolver and _site_rules read the one cached stack
+    builds = []
+    build = DiscreteModel._conditional_stacks.func
+
+    def counted(model):
+        builds.append(model)
+        return build(model)
+
+    stacks = functools.cached_property(counted)
+    stacks.__set_name__(DiscreteModel, "_conditional_stacks")
+    monkeypatch.setattr(DiscreteModel, "_conditional_stacks", stacks)
+    model = make()
+    dobrushin_matrix(model)
+    gibbs_kernel(model)
+    evolver = PairEvolver(model)
+    evolver.step(evolver.delta(0, model.size - 1))
+    _site_rules(model)
+    assert builds == [model]
+    for i, rt in enumerate(evolver._tables):
+        stack = model._conditional_stacks[model.sizes[i]]
+        assert np.shares_memory(rt, stack) and np.shares_memory(conditional_table(model, i), stack)
+
+
 def pinned_model(name):
     """The seeded model of a PINNED_EXACT entry and the start pair (x, y) of its pair laws.
 
     ``ising<n>``: n +-1 sites, symmetric couplings with every row sum of |J|
-    at most 0.9, and fields; a ``AxBx...`` name: a table model with those
+    at most 0.9, and fields; an ``AxBx...`` name: a table model with those
     alphabet sizes and uniform(0.1, 2) weights.
     """
     rng = np.random.default_rng(sum(map(ord, name)))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from matconc import dobrushin
 from matconc.dobrushin import (
     DiscreteModel,
     EnumerationCapError,
@@ -36,6 +37,13 @@ def mixed_table(seed=11):
     rng = np.random.default_rng(seed)
     return DiscreteModel.from_table([(0, 1, 2), (0, 1), (0, 1, 2, 3)],
                                     rng.uniform(0.1, 2.0, (3, 2, 4)))
+
+
+def random_table(sizes, seed):
+    """Table model with alphabets 0..m-1 of the given sizes and uniform(0.1, 2) weights."""
+    rng = np.random.default_rng(seed)
+    return DiscreteModel.from_table([tuple(range(m)) for m in sizes],
+                                    rng.uniform(0.1, 2.0, sizes))
 
 
 def ising_chain(n, J):
@@ -178,6 +186,32 @@ class TestModel:
                     cfg[j] = rest[pos]
                 assert np.allclose(rows[r], brute_conditional(m, i, cfg), atol=1e-14)
 
+
+    @pytest.mark.parametrize("coupling,field,match", [
+        ([[0.0, 0.0], [0.9, 0.0]], None, "transpose"),  # once the independent model
+        ([[0.0, 0.9], [-0.9, 0.0]], None, "transpose"),  # once the model of [[0, .9], [0, 0]]
+        ([[0.1, 0.2], [0.2, 0.0]], None, "zero diagonal"),
+        ([[0.0, math.nan], [math.nan, 0.0]], None, "finite"),
+        ([[0.0, math.inf], [math.inf, 0.0]], None, "finite"),
+        ([[0.0, 0.2], [0.2, 0.0]], [0.1, math.nan], "finite"),
+    ])
+    def test_ising_coupling_contract(self, coupling, field, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteModel.from_ising(coupling, field)
+
+    def test_ising_cap_checked_before_enumeration(self):
+        # 2^40 states: refused before any per-state array is built
+        with pytest.raises(EnumerationCapError, match="1099511627776 states"):
+            DiscreteModel.from_ising(np.zeros((40, 40)))
+
+    def test_conditional_table_is_read_only(self):
+        product = DiscreteModel.from_product([(0, 1, 2), (0, 1)], [[0.2, 0.3, 0.5], [0.9, 0.1]])
+        for m in (mixed_table(), ising3(0.3), product):
+            for i in range(m.n):
+                table = conditional_table(m, i)
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.5
 
     def test_row_weights_index_the_table(self):
         # config @ w picks site i's conditional row of every configuration
@@ -367,15 +401,44 @@ class TestDobrushinMatrix:
         mixed_table(),
         DiscreteModel.from_product([(0, 1, 2), (0, 1), (0, 1, 2, 3)],
                                    [[0.2, 0.3, 0.5], [0.9, 0.1], [0.1, 0.2, 0.3, 0.4]]),
+        # interleaved sizes: each size group has sites on both sides of every j
+        random_table((3, 2, 3, 2), seed=21),
+        random_table((2, 1, 3), seed=22),  # a one-value site
+        # 9 values: NumPy's sum over site i's values is pairwise, not in order
+        DiscreteModel.from_table([tuple(range(9)), (0, 1)],
+                                 np.random.default_rng(4).uniform(0.1, 2.0, (9, 2))),
     ], ids=lambda m: "x".join(map(str, m.sizes)))
     def test_axis_slices_equal_single_swap_formula(self, model):
         assert np.array_equal(dobrushin_matrix(model).entries, single_swap_dobrushin(model))
+
+    @pytest.mark.parametrize("floats", [1, 48])
+    def test_site_blocks_equal_single_swap_formula(self, floats, monkeypatch):
+        # from 11 binary sites on, D goes through the sites in blocks; a small
+        # budget gives blocks of 1 site, or of 3 sites split around j, here
+        monkeypatch.setattr(dobrushin, "_DIFF_FLOATS", floats)
+        for model in (*(DiscreteModel.from_ising(*random_ising(n, seed=n)) for n in (4, 5, 6)),
+                      mixed_table(), random_table((3, 2, 3, 2), seed=21)):
+            assert np.array_equal(dobrushin_matrix(model).entries, single_swap_dobrushin(model))
+
+    def test_product_model_past_the_default_cap(self):
+        # 2^30 states: D is zero without a dense table or a per-state array
+        m = DiscreteModel.from_product([(0, 1)] * 30, [[0.3, 0.7]] * 30, enum_cap=2 ** 30)
+        D = dobrushin_matrix(m).entries
+        assert D.shape == (30, 30) and not D.any()
+        assert m._table is None
 
     def test_type_validation(self):
         with pytest.raises(ValueError):
             InterdependenceMatrix(np.array([[0.5]]))
         with pytest.raises(ValueError):
             InterdependenceMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_refused(self, bad):
+        # a NaN entry passed every range check
+        for entries in (np.array([[0.0, bad], [0.2, 0.0]]), [[0.0, 0.2], [bad, 0.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                InterdependenceMatrix(entries)
 
 
 class TestNormsAndB:
@@ -438,6 +501,14 @@ class TestNormRecursion:
     def test_requires_contractive_norms(self):
         with pytest.raises(ValueError):
             norm_recursion_check(np.eye(2), 2, 5)
+
+    def test_nan_entry_refused(self):
+        # NaN norms once passed the guard and gave an all-NaN report
+        bad = np.array([[0.0, math.nan], [0.2, 0.0]])
+        with pytest.raises(ValueError, match="norm < 1"):
+            norm_recursion_check(bad, 2, 5)
+        with pytest.raises(ValueError, match="finite"):
+            norm_recursion_check(InterdependenceMatrix(bad), 2, 5)
 
 
 class TestModelSerialization:
