@@ -4,11 +4,11 @@ Implements the single-site resampling pair construction with one coupling law,
 the greedy (maximal) coupling of the two chains' conditionals (the synchronized
 refresh where they are equal, as on a product model), through one sampler
 (``_maximal_coupling_rows``) and one exact joint kernel (``_joint_blocks``);
-Monte Carlo over stacks of coupled runs; exact pair-distribution evolution for
-the exhaustive check of the marginal-law property P; antisymmetric chain sums
-and Stein-pair residuals from one Poisson solve with the Gibbs kernel over all
-states (exact by property P); and the empirical-tail estimator compared against
-the bounds.
+Monte Carlo over stacks of coupled runs; exact pair-distribution evolution;
+the marginal-law property P, checked as one identity of the joint kernel's
+row and column sums; antisymmetric chain sums and Stein-pair residuals from
+one Poisson solve with the Gibbs kernel over all states (exact by property
+P); and the empirical-tail estimator compared against the bounds.
 
 Randomness discipline: every Monte Carlo entry point takes a master seed and
 is deterministic given it; ``mc_tail_estimate`` draws its pilot and main
@@ -17,7 +17,6 @@ samples from two streams spawned from that seed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .bounds import DifferenceBoundSet
 from .dobrushin import (
     DiscreteModel,
     EnumerationCapError,
+    _DIFF_FLOATS,
     _site_split,
     conditional_row_weights,
     conditional_table,
@@ -44,15 +44,16 @@ from .hermitian import (
 )
 
 WILSON_Z95 = 1.959963984540054
-PAIR_STATE_CAP = 4096  # max S^2 for the exhaustive property-P check
 MEAN_ENUM_CAP = 65536  # max states for an enumerated (not piloted) centering mean
-LIVE_MIN_STATES = 16  # smaller models always take the dense pair-evolution step (faster there)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval (z = WILSON_Z95) for a binomial proportion."""
+    successes, trials = _integer("successes", successes), _integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials], got {successes}")
     z = WILSON_Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -270,6 +271,11 @@ def maximal_coupling_joint(p, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The exchangeable pair
 
+def _check_pair_cap(model: DiscreteModel, what: str) -> None:
+    if model.size * model.size > 1_000_000:
+        raise EnumerationCapError(f"{model.size}^2 entries too large for {what}")
+
+
 def gibbs_kernel(model: DiscreteModel) -> np.ndarray:
     """Dense single-site Gibbs transition matrix on flat configuration indices.
 
@@ -279,8 +285,7 @@ def gibbs_kernel(model: DiscreteModel) -> np.ndarray:
     ``einsum("halhbl->halb", G.reshape(high, m, low, high, m, low))``; each
     site adds its :func:`conditional_table` / n into that view, sites in order.
     """
-    if model.size * model.size > 1_000_000:
-        raise EnumerationCapError(f"{model.size}^2 entries too large for a dense Gibbs kernel")
+    _check_pair_cap(model, "a dense Gibbs kernel")
     G = np.zeros((model.size, model.size))
     for i in range(model.n):
         high, m, low = _site_split(model, i)
@@ -296,47 +301,34 @@ class PairEvolver:
     """Exact one-step operator on pair distributions nu(x, y) as (S, S) arrays.
 
     Each site carries the exact maximal-coupling joint of the two chains'
-    conditionals; on a product model it is the synchronized refresh.
+    conditionals (:func:`_joint_blocks`); on a product model it is the
+    synchronized refresh.  The evolver keeps every site's conditional table,
+    zero-padded to the largest alphabet M, and never builds the n joints of
+    all row pairs (n S^2 floats).  Models are capped at S <= 512, because a
+    step from a full-support ``nu`` sorts n S^2 keys.
 
-    The evolver keeps each site's (m, K) conditional table, K = S / m.  Site
-    i's joint is value-major, shape (m, m, K, K): block ``[a, b]`` holds
-    P(x_i <- a, y_i <- b) for every pair of conditional rows (r_x, r_y) of
-    :func:`conditional_table`, bit for bit the :func:`maximal_coupling_joint`
-    entry.  All n joints hold n S^2 floats, hence the cap S <= 512; they are
-    built the first time a dense step needs them.
-
-    ``step`` takes one of two paths with the same bits.  The dense path reads
-    a C-contiguous ``nu`` through the strided view (high, m, low, high, m,
-    low) of site i, without a copy, and adds each site's row-pair masses
-    times its joint, transposed to that view, in one broadcast add.  The
-    entry path is taken when S >= LIVE_MIN_STATES and ``nu`` has fewer than
-    n S nonzero entries, as in the first steps from a point mass; it never
-    builds the joints.  It reads only the nonzero entries and has no loop
-    over sites: one key per (site, base row state, base column state), a
-    base state having value 0 at the site, names the pairs of conditional
-    rows that carry mass; :func:`_joint_blocks`, which works row pair by
-    row pair, couples those pairs only, on tables zero-padded to the
-    largest alphabet; and one ``np.bincount``, which adds in input order,
-    accumulates the products site by site into the same entries.  At full support the entry path
-    would sort n S^2 keys, so dense pair laws keep the dense path; the n S
-    switch follows the measured crossover, about 4 nonzero entries per
-    state at S = 16 to 64 and 8.5 at S = 512.
+    ``step`` reads only the nonzero entries of ``nu`` and has no loop over
+    sites: one key per (site, base row state, base column state), a base
+    state having value 0 at the site, names the pairs of conditional rows
+    that carry mass; :func:`_joint_blocks`, which works row pair by row pair,
+    couples those pairs only, on the zero-padded tables; and one
+    ``np.bincount``, which adds in input order, accumulates the products
+    site by site into the same entries.
     """
 
     def __init__(self, model: DiscreteModel):
-        if model.size > 512:  # per-site joint tensors hold S^2 entries
+        if model.size > 512:
             raise EnumerationCapError("model too large for exact pair evolution")
         self.model = model
-        # site i's (m, K) table rt[a, r] = P(x_i = a | row r), coupled over row pairs
-        self._tables = [conditional_table(model, i).T for i in range(model.n)]
-        # the entry path's lookups, indexed by site * S + state: the state's value
-        # at the site, its base state (value 0 there) and its conditional,
-        # zero-padded to the largest alphabet M and value-first, shape (M, n S)
+        # the lookups, indexed by site * S + state: the state's value at the
+        # site, its base state (value 0 there) and its conditional, zero-padded
+        # to the largest alphabet M and value-first, shape (M, n S)
         S, M = model.size, max(model.sizes)
         cond = np.zeros((M, model.n, S))
         low = np.zeros(model.n, dtype=np.int64)
-        for i, rt in enumerate(self._tables):  # rt[a, h * low + l] for every state (h, x_i, l)
+        for i in range(model.n):  # rt[a, h * low + l] for every state (h, x_i, l)
             high, m, low[i] = _site_split(model, i)
+            rt = conditional_table(model, i).T
             cond[:m, i].reshape(m, high, m, low[i])[...] = rt.reshape(m, high, 1, low[i])
         self._cond = cond.reshape(M, -1)
         value = np.indices(model.sizes).reshape(model.n, S)
@@ -347,51 +339,22 @@ class PairEvolver:
         real = np.arange(M) < np.array(model.sizes)[:, None]
         self._steps = np.multiply.outer(low, np.arange(M)) * real
 
-    @functools.cached_property
-    def _joints(self) -> list[np.ndarray]:
-        return [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in self._tables]
-
     def step(self, nu: np.ndarray) -> np.ndarray:
         """One coupled Gibbs step, averaged over the uniformly picked site.
 
-        At site i the mass of each pair of conditional rows is the sum of the
-        m^2 value slices of ``nu``, added in a-major (a, b) order; sites are
-        accumulated in order and the total is divided by n once.  Entries that
-        no row pair with mass reaches stay +0.0 on both paths.
+        At site i the mass of each pair of conditional rows sums its (M, M)
+        value slots in a-major (a, b) order, the slots of zero entries and of
+        padded values adding exact zeros; the padded values' products are
+        exact zeros too.  Sites are accumulated in order and only the rows
+        that a product reaches are divided by n; entries that no row pair
+        with mass reaches stay +0.0, so a zero ``nu`` steps to float zeros.
         """
         S, n = self.model.size, self.model.n
         nu = np.asarray(nu)
         if nu.shape != (S, S):
             raise ValueError(f"nu must have shape ({S}, {S}), got {nu.shape}")
-        if S >= LIVE_MIN_STATES:
-            nonzero = nu != 0
-            if np.count_nonzero(nonzero) < n * S:
-                return self._entry_step(nu, np.flatnonzero(nonzero))
-        out = np.zeros((S, S))
-        self._dense_step(nu, out)
-        out /= n
-        return out
-
-    def _dense_step(self, nu, out) -> None:
-        for i, J in enumerate(self._joints):
-            high, m, low = _site_split(self.model, i)
-            shape = (high, m, low, high, m, low)
-            v, w = nu.reshape(shape), out.reshape(shape)
-            mass = _ordered_sum(v[:, a, :, :, b, :] for a in range(m) for b in range(m))
-            Jw = J.reshape(m, m, high, low, high, low).transpose(2, 0, 3, 4, 1, 5)  # w's axes
-            w += mass[:, None, :, :, None, :] * Jw
-
-    def _entry_step(self, nu, entries) -> np.ndarray:
-        """The dense step from the flat indices ``entries`` of the nonzero entries of ``nu``.
-
-        A row pair's mass sums its (M, M) slots in a-major order, the slots of
-        absent entries and of padded values adding exact zeros, so it has the
-        dense step's bits; row pairs without a nonzero entry add only zeros
-        there.  The padded values' products are exact zeros too: adding them
-        changes no bit.  Only the rows that a product reaches are divided by n.
-        """
-        S, n = self.model.size, self.model.n
         M = len(self._cond)
+        entries = np.flatnonzero(nu != 0)  # on floats, flatnonzero is ~20x slower at S = 512
         x, y = np.divmod(entries, S)
         at = np.arange(0, n * S, S)[:, None]  # site * S, the lookups' site offsets
         rx, ry = at + x, at + y  # (n, entries)
@@ -409,7 +372,9 @@ class PairEvolver:
         tx, ty = (sx % S)[:, None] + steps, by[:, None] + steps
         # group-major order is site-major: np.unique sorted the keys by site first
         idx, J = (tx * S)[:, :, None] + ty[:, None, :], J.transpose(2, 0, 1)
-        out = np.bincount(idx.ravel(), J.ravel(), minlength=S * S).reshape(S, S)
+        # bincount returns int64 for empty weights (a zero nu): make it float
+        out = np.bincount(idx.ravel(), J.ravel(), minlength=S * S).astype(float, copy=False)
+        out = out.reshape(S, S)
         reached = np.zeros(S, dtype=bool)
         reached[tx] = True
         out[reached] /= n  # the other rows are +0.0 and stay unwritten
@@ -417,6 +382,7 @@ class PairEvolver:
 
     def delta(self, x_flat: int, y_flat: int) -> np.ndarray:
         S = self.model.size
+        x_flat, y_flat = _integer("x_flat", x_flat), _integer("y_flat", y_flat)
         if not (0 <= x_flat < S and 0 <= y_flat < S):
             raise ValueError(f"flat states must lie in [0, {S}), got ({x_flat}, {y_flat})")
         nu = np.zeros((S, S))
@@ -426,40 +392,50 @@ class PairEvolver:
 
 @dataclass(frozen=True)
 class PropertyPReport:
-    """Do coupled-chain marginals depend only on their own start?"""
+    """Does each chain of the coupled pair keep its own Gibbs law?"""
 
     holds: bool
     max_deviation: float
-    steps: int
 
 
-def verify_property_P(model: DiscreteModel, steps: int) -> PropertyPReport:
-    """Exhaustively compare coupled marginals with single-chain Gibbs marginals.
+def verify_property_P(model: DiscreteModel) -> PropertyPReport:
+    """Check that each coupled chain keeps its own Gibbs law, from every start
+    pair and after every number of steps, through one per-site identity.
 
-    For every start pair (x, y) and every k <= steps, the X-marginal of the
-    coupled pair distribution must equal the k-step Gibbs law from x (and
-    symmetrically for X') within 1e-12 (absolute), which certifies that each
-    marginal depends only on its own starting point.
+    A coupled step picks site i with probability 1/n and moves the pair (x, y)
+    to (x_i <- a, y_i <- b) with probability J(a, b), the maximal-coupling
+    joint (:func:`_joint_blocks`) of the conditionals p = P(x_i = . | x) and
+    q = P(y_i = . | y).  The identity: for every site and every pair of its
+    conditional rows, J has p as its row sums and q as its column sums.
+
+    Induction on k.  By the identity, the X-marginal of one step from the
+    point mass at (x, y) is (1/n) sum_i p_i, which is the Gibbs row G(x, .);
+    the Y-marginal is G(y, .).  The step is linear in the pair law nu, so
+    from any nu the one-step marginals are (X-marginal of nu) G and
+    (Y-marginal of nu) G.  If after k steps from (x, y) the marginals are
+    G^k(x, .) and G^k(y, .), one more step makes them G^(k+1)(x, .) and
+    G^(k+1)(y, .).  So the identity gives property P for every start law and
+    every k.
+
+    The joints are built in row blocks of at most ``_DIFF_FLOATS`` entries.
+    ``max_deviation`` is the largest absolute difference between a row or
+    column sum and its conditional; the property holds when it is <= 1e-12.
+    Models with S^2 > 10^6 pairs of states are refused, as by
+    :func:`gibbs_kernel`.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if model.size * model.size > PAIR_STATE_CAP:
-        raise EnumerationCapError("pair-state space too large for exhaustive check")
-    evolver = PairEvolver(model)
-    G = gibbs_kernel(model)
-    powers = [np.eye(model.size)]
-    for _ in range(steps):
-        powers.append(powers[-1] @ G)
+    _check_pair_cap(model, "the property-P identity")
     max_dev = 0.0
-    for x in range(model.size):
-        for y in range(model.size):
-            nu = evolver.delta(x, y)
-            for k in range(1, steps + 1):
-                nu = evolver.step(nu)
-                dev_x = float(np.abs(nu.sum(axis=1) - powers[k][x]).max())
-                dev_y = float(np.abs(nu.sum(axis=0) - powers[k][y]).max())
-                max_dev = max(max_dev, dev_x, dev_y)
-    return PropertyPReport(max_dev <= 1e-12, max_dev, steps)
+    for i in range(model.n):
+        rt = conditional_table(model, i).T  # (m, K): column r is row r's conditional
+        m, K = rt.shape
+        q = rt[:, None, :]
+        block = max(1, _DIFF_FLOATS // (m * m * K))
+        for first in range(0, K, block):
+            p = rt[:, first:first + block, None]
+            J = _joint_blocks(p, q)  # (m, m, rows, K)
+            dev = max(np.abs(J.sum(axis=1) - p).max(), np.abs(J.sum(axis=0) - q).max())
+            max_dev = max(max_dev, float(dev))
+    return PropertyPReport(max_dev <= 1e-12, max_dev)
 
 
 def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:

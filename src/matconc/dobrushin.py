@@ -20,12 +20,13 @@ from math import prod
 
 import numpy as np
 
-from .hermitian import _is_real, _object, _write_json
+from .hermitian import _integer, _is_real, _object, _write_json
 
 DEFAULT_ENUM_CAP = 1_000_000
 # floats in the single-swap differences of one block of sites in dobrushin_matrix
 # (256 KB): at 18 sites, every site of a side at once (17 MB, the stack streamed
-# once per column) took about 1.25x the time of one site's table at a time
+# once per column) took about 1.25x the time of one site's table at a time; also
+# the floats in one row block of coupled joints in coupling.verify_property_P
 _DIFF_FLOATS = 1 << 15
 
 
@@ -416,6 +417,7 @@ class BPowerColumn:
 
 def b_power_column(B, k: int, j: int) -> BPowerColumn:
     """Column vector B^k e(j) by repeated multiplication; k >= 0."""
+    k, j = _integer("k", k), _integer("j", j)
     if k < 0:
         raise ValueError("k must be >= 0")
     arr = B.entries if isinstance(B, BMatrix) else np.asarray(B, dtype=float)
@@ -449,6 +451,7 @@ def norm_recursion_check(D, n: int, kmax: int) -> NormRecursionReport:
     Requires both interdependence norms < 1.  The report carries geometric
     tail bounds |B|^(kmax+1) / (1 - |B|) for each norm.
     """
+    kmax = _integer("kmax", kmax)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     d1, dinf = matrix_norms(D)

@@ -1,5 +1,22 @@
+import platform
+
 import numpy as np
 import pytest
+
+# the one numpy build and machine on which the sha256 pins were recorded
+PINNED_BUILD = ("2.4.6", "x86_64")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "pinned: compares bytes or messages recorded on numpy "
+                   f"{PINNED_BUILD[0]} / {PINNED_BUILD[1]}; skipped on any other build")
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("pinned") and (np.__version__, platform.machine()) != PINNED_BUILD:
+        pytest.skip("the pinned bytes carry the last bits of one numpy/LAPACK build "
+                    f"(numpy {PINNED_BUILD[0]} on {PINNED_BUILD[1]})")
 
 
 @pytest.fixture

@@ -243,7 +243,7 @@ def test_criterion_6_exact_chain_identities():
         assert model.size <= 10_000
         rep = stein_identity_check(model, obs)
         assert rep.holds, f"{name}: residual {rep.max_residual:.2e}"
-        prop = verify_property_P(model, 3)
+        prop = verify_property_P(model)
         assert prop.holds and prop.max_deviation <= 1e-12, f"{name}: {prop}"
         for _ in range(25):
             x = tuple(int(v) for v in model.sample(rng, 1)[0])
@@ -261,7 +261,8 @@ def test_criterion_6_exact_chain_identities():
         rep = verify_stein_pair(model, RademacherSumObservable(mats))
         assert rep.alpha_hat == pytest.approx(1.0 / n, abs=1e-12)
         assert rep.residual < 1e-10
-    _ok(6, "chain-sum identities to 1e-8, marginal property exact for K <= 3, "
+    _ok(6, "chain-sum identities to 1e-8, marginal property for every K by the "
+           "one-step joint-marginal identity to 1e-12, "
            "telescoping < 1e-12, Stein scale factor 1/n with residual < 1e-10")
 
 

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import subprocess
 import sys
 
@@ -294,8 +293,7 @@ PINNED_DOBRUSHIN_REPORTS = {
 }
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(PINNED_DOBRUSHIN_REPORTS))
 def test_dobrushin_report_bytes_pinned(name, tmp_path):
     model, out = tmp_path / "model.json", tmp_path / "dobrushin.json"

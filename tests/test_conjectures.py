@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import platform
 import warnings
 
 import numpy as np
@@ -332,8 +331,7 @@ PINNED_SEARCHES = {
 }
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
 def test_search_bytes_pinned(name, tmp_path):
     ineq, entry = ("expconj", None) if name == "expconj" else ("fconj", CATALOG[name])
@@ -429,8 +427,7 @@ def _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale):
                                  descent_budget=descent_budget)
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(PINNED_DESCENTS))
 def test_descent_bytes_pinned(name, tmp_path, monkeypatch):
     args, reached, digest = PINNED_DESCENTS[name]
@@ -477,8 +474,7 @@ PINNED_REFUSALS = {
 }
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                    reason="the pinned messages carry the last bits of one numpy/LAPACK build")
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(PINNED_REFUSALS))
 def test_refusal_pinned(name, seeded_trials):
     args, trial, cls, message = PINNED_REFUSALS[name]

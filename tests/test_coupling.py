@@ -2,14 +2,12 @@ import functools
 import hashlib
 import itertools
 import math
-import platform
 
 import numpy as np
 import pytest
 
 from matconc.bounds import DifferenceBoundSet, hoeffding_bound
 from matconc.coupling import (
-    LIVE_MIN_STATES,
     MatrixObservable,
     PairEvolver,
     RademacherSumObservable,
@@ -30,6 +28,7 @@ from matconc.coupling import (
     _centered_values,
     _chain_sum,
     _coupled_step,
+    _joint_blocks,
     _maximal_coupling_rows,
     _observable_values,
     _ordered_sum,
@@ -348,39 +347,84 @@ class TestSteps:
             assert np.array_equal(X, Y)
 
 
+def one_value_site():
+    # S = 18 with a site that can take one value only
+    rng = np.random.default_rng(14)
+    return DiscreteModel.from_table([(0, 1, 2), (0,), (0, 1), (0, 1, 2)],
+                                    rng.uniform(0.1, 2.0, (3, 1, 2, 3)))
+
+
+def small_mixed_table():
+    # S = 12 with a 3-value site between two 2-value ones
+    rng = np.random.default_rng(17)
+    return DiscreteModel.from_table([(0, 1), (0, 1, 2), (0, 1)], rng.uniform(0.1, 2.0, (2, 3, 2)))
+
+
 class TestPropertyP:
     def test_independent_2site_K3(self):
         m = product2()
-        rep = verify_property_P(m, 3)
+        rep = verify_property_P(m)
         assert rep.holds
         assert rep.max_deviation <= 1e-12
 
     def test_greedy_ising_K2(self):
-        rep = verify_property_P(ising2(0.25), 2)
+        rep = verify_property_P(ising2(0.25))
         assert rep.holds
 
     def test_greedy_threesite_K3(self):
         J = np.zeros((3, 3))
         J[0, 1] = J[1, 0] = J[1, 2] = J[2, 1] = 0.25
-        rep = verify_property_P(DiscreteModel.from_ising(J), 3)
+        rep = verify_property_P(DiscreteModel.from_ising(J))
         assert rep.holds
 
-    @pytest.mark.parametrize("steps", [0, -3])
-    def test_no_steps_refused(self, steps):
-        # once reported holds=True with max_deviation 0.0 without comparing anything
-        with pytest.raises(ValueError, match="steps"):
-            verify_property_P(product2(), steps)
-
     def test_greedy_marginal_is_gibbs_kernel(self):
-        # one-step marginal of each chain alone equals the exact Gibbs kernel
-        for m in (ising2(0.4), ising4_field()):
+        # the evolved pair law from every start pair: after k <= 3 steps each
+        # chain's marginal is its own k-step Gibbs law
+        for m in (ising2(0.4), ising4_field(), small_mixed_table()):
             ev = PairEvolver(m)
             G = gibbs_kernel(m)
+            powers = [G, G @ G, G @ G @ G]
             for x in range(m.size):
                 for y in range(m.size):
-                    nu = ev.step(ev.delta(x, y))
-                    assert np.abs(nu.sum(axis=1) - G[x]).max() <= 1e-12
-                    assert np.abs(nu.sum(axis=0) - G[y]).max() <= 1e-12
+                    nu = ev.delta(x, y)
+                    for Gk in powers:
+                        nu = ev.step(nu)
+                        assert np.abs(nu.sum(axis=1) - Gk[x]).max() <= 1e-12
+                        assert np.abs(nu.sum(axis=0) - Gk[y]).max() <= 1e-12
+
+    @pytest.mark.parametrize("make", [mixed_table, one_value_site, alphabet9, product3],
+                             ids=["mixed", "one_value", "alphabet9", "product3"])
+    @pytest.mark.parametrize("moved", [(0, 1), (1, 0)], ids=["row_kept", "column_kept"])
+    def test_broken_joint_block_fails(self, make, moved, monkeypatch):
+        # 1e-9 moved from the diagonal block [0, 0] into the off-diagonal block
+        # `moved` keeps one of its row and column sums and breaks the other
+        # (a one-value site has no off-diagonal block)
+        assert verify_property_P(make()).holds
+
+        def broken(p, q):
+            J = _joint_blocks(p, q)
+            if len(J) > 1:
+                J[moved] += 1e-9
+                J[0, 0] -= 1e-9
+            return J
+
+        monkeypatch.setattr("matconc.coupling._joint_blocks", broken)
+        rep = verify_property_P(make())
+        assert not rep.holds and rep.max_deviation >= 1e-9 / 2
+
+    def test_thousand_state_table(self):
+        # S = 1000, three 10-value sites; one more state is past the S^2 <= 10^6 cap
+        rng = np.random.default_rng(21)
+        model = DiscreteModel.from_table([tuple(range(10))] * 3,
+                                         rng.uniform(0.1, 2.0, (10, 10, 10)))
+        rep = verify_property_P(model)
+        assert rep.holds and rep.max_deviation <= 1e-12
+        big = DiscreteModel.from_table([tuple(range(7)), tuple(range(11)), tuple(range(13))],
+                                       np.ones((7, 11, 13)))  # S = 1001
+        with pytest.raises(EnumerationCapError):
+            verify_property_P(big)
+        with pytest.raises(EnumerationCapError):
+            gibbs_kernel(big)
 
 
 def random_pair_pmf(model, seed):
@@ -400,25 +444,17 @@ def wide_table():
                                     rng.uniform(0.1, 2.0, (3, 2, 4, 2, 3)))
 
 
-def one_value_site():
-    # S = 18 with a site that can take one value only
-    rng = np.random.default_rng(14)
-    return DiscreteModel.from_table([(0, 1, 2), (0,), (0, 1), (0, 1, 2)],
-                                    rng.uniform(0.1, 2.0, (3, 1, 2, 3)))
+def site_joints(model):
+    # site i's joint over every pair of conditional rows, value-major (m, m, K, K):
+    # block [a, b] holds P(x_i <- a, y_i <- b) for each row pair (r_x, r_y)
+    tables = [conditional_table(model, i).T for i in range(model.n)]
+    return [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in tables]
 
 
-def small_mixed_table():
-    # S = 12 with a 3-value site between two 2-value ones
-    rng = np.random.default_rng(17)
-    return DiscreteModel.from_table([(0, 1), (0, 1, 2), (0, 1)], rng.uniform(0.1, 2.0, (2, 3, 2)))
-
-
-def dense_step_oracle(ev, nu):
-    # the strided-view step that every nu took before the entry path, with
-    # one add per (a, b) value slice where the dense path now makes one broadcast add
-    model = ev.model
+def dense_step_oracle(model, nu):
+    # the strided-view step over every row pair, with one add per (a, b) value slice
     out = np.zeros((model.size, model.size))
-    for i, J in enumerate(ev._joints):
+    for i, J in enumerate(site_joints(model)):
         high, m, low = _site_split(model, i)
         shape = (high, m, low, high, m, low)
         v, w = nu.reshape(shape), out.reshape(shape)
@@ -460,8 +496,7 @@ class TestPairEvolver:
                              ids=["mixed", "ising4", "product3", "alphabet9"])
     def test_joint_blocks_are_maximal_coupling_bits(self, make):
         model = make()
-        ev = PairEvolver(model)
-        for i, J in enumerate(ev._joints):
+        for i, J in enumerate(site_joints(model)):
             rows = conditional_table(model, i)
             K, m = rows.shape
             assert J.shape == (m, m, K, K)
@@ -475,8 +510,7 @@ class TestPairEvolver:
     def test_product_joint_is_synchronized_refresh(self, make):
         # equal conditionals: every block is delta_ab p_a, one shared fresh value
         model = make()
-        ev = PairEvolver(model)
-        for i, J in enumerate(ev._joints):
+        for i, J in enumerate(site_joints(model)):
             p = model.site_marginals()[i]
             m, K = len(p), model.size // len(p)
             for a in range(m):
@@ -488,7 +522,7 @@ class TestPairEvolver:
         # per site: mass of each row pair added over (a, b) in a-major order,
         # then mass * J[a, b] added into the pair's slot; sites in order, / n once
         model = make()
-        ev = PairEvolver(model)
+        joints = site_joints(model)
         nu = random_pair_pmf(model, 5)
         out = np.zeros_like(nu)
         for i in range(model.n):
@@ -510,14 +544,15 @@ class TestPairEvolver:
                 rx, a = rows[x]
                 for y in range(model.size):
                     ry, b = rows[y]
-                    out[x, y] = out[x, y] + mass[rx, ry] * ev._joints[i][a, b, rx, ry]
-        assert np.array_equal(ev.step(nu), out / model.n)
+                    out[x, y] = out[x, y] + mass[rx, ry] * joints[i][a, b, rx, ry]
+        assert np.array_equal(PairEvolver(model).step(nu), out / model.n)
 
     def test_state_cap(self):
         J = np.full((10, 10), 0.05) - 0.05 * np.eye(10)
         with pytest.raises(EnumerationCapError):
             PairEvolver(DiscreteModel.from_ising(J))  # 1024 states
-        assert PairEvolver(DiscreteModel.from_ising(J[:9, :9]))._joints[0].shape == (2, 2, 256, 256)
+        ev = PairEvolver(DiscreteModel.from_ising(J[:9, :9]))
+        assert ev.step(ev.delta(0, 511)).shape == (512, 512)
 
     def test_bad_state_or_shape_refused(self):
         # delta(-1, 0) once put the mass on state S - 1; a flat or (S, S, 1)
@@ -530,66 +565,57 @@ class TestPairEvolver:
             with pytest.raises(ValueError, match="shape"):
                 ev.step(np.full(shape, 1.0 / 16))
 
-    @pytest.mark.parametrize("make", [lambda: ising_chain(4), lambda: ising_chain(6),
-                                      lambda: ising_chain(8), lambda: ising_chain(9),
-                                      mixed_table, product3, one_value_site, wide_table],
-                             ids=["ising4", "ising6", "ising8", "ising9", "mixed", "product3",
-                                  "one_value", "wide_table"])
-    def test_live_path_matches_dense_oracle_bytes(self, make, monkeypatch):
-        # three steps from point masses and a scattered sparse nu take the path
-        # that the rule picks from their nonzero count (the entry path below
-        # n S, which builds no joints), a dense random nu the dense path; every
-        # output has the oracle's bytes
+    def test_non_integer_state_refused(self):
+        # delta(True, 0) was once accepted as state 1
+        ev = PairEvolver(ising2())
+        for x, y, name in [(True, 0, "x_flat"), (0, np.bool_(True), "y_flat"),
+                           (1.5, 0, "x_flat"), (0, "1", "y_flat")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ev.delta(x, y)
+        assert np.array_equal(ev.delta(1.0, np.int64(2)), ev.delta(1, 2))
+
+    @pytest.mark.parametrize("make", [lambda: ising_chain(2), lambda: ising_chain(4),
+                                      lambda: ising_chain(9), small_mixed_table, mixed_table],
+                             ids=["ising2", "ising4", "ising9", "small_mixed", "mixed"])
+    def test_zero_pair_law_steps_to_float_zeros(self, make):
+        # at S >= 16 a zero nu once raised UFuncTypeError: bincount without
+        # weights counts in int64, and the rows reached were divided in place
         model = make()
-        S, n = model.size, model.n
-        assert S >= LIVE_MIN_STATES
+        out = PairEvolver(model).step(np.zeros((model.size, model.size)))
+        assert out.dtype == np.float64 and out.shape == (model.size, model.size)
+        assert not out.any() and not np.signbit(out).any()
+
+    @pytest.mark.parametrize("make", [lambda: ising_chain(2), lambda: ising_chain(3),
+                                      small_mixed_table, lambda: ising_chain(4),
+                                      lambda: ising_chain(6), lambda: ising_chain(8),
+                                      lambda: ising_chain(9), mixed_table, product3,
+                                      one_value_site, wide_table],
+                             ids=["ising2", "ising3", "small_mixed", "ising4", "ising6", "ising8",
+                                  "ising9", "mixed", "product3", "one_value", "wide_table"])
+    def test_live_path_matches_dense_oracle_bytes(self, make):
+        # S = 4 to 512: three steps from point masses, a scattered sparse nu
+        # and two steps from a full-support nu all have the bytes of the
+        # strided dense step over the joints of every row pair
+        model = make()
+        S = model.size
         ev = PairEvolver(model)
         rng = np.random.default_rng(S)
-        paths = []
-        for name in ("_entry_step", "_dense_step"):
-            method = getattr(PairEvolver, name)
-            monkeypatch.setattr(PairEvolver, name, lambda self, *args, name=name, method=method:
-                                paths.append(name) or method(self, *args))
-        laws, steps = [], []
+        laws = []
         for x, y in [(0, S - 1)] + rng.integers(0, S, (2, 2)).tolist():
             nu = ev.delta(int(x), int(y))
             for _ in range(3):
                 laws.append(nu)
                 nu = ev.step(nu)
-                steps.append(nu)
         nu = np.zeros((S, S))
-        rows, cols = rng.choice(S, S // 16, replace=False), rng.choice(S, S // 8, replace=False)
+        rows = rng.choice(S, max(1, S // 16), replace=False)
+        cols = rng.choice(S, max(1, S // 8), replace=False)
         nu[np.ix_(rows, cols)] = rng.random((len(rows), len(cols)))
         laws.append(nu / nu.sum())
-        steps.append(ev.step(laws[-1]))
-        expected = ["_entry_step" if np.count_nonzero(nu) < n * S else "_dense_step" for nu in laws]
-        assert paths == expected
-        assert expected[::3] == ["_entry_step"] * 4  # every point mass and the scattered nu
-        if S >= 128:  # the third step from a point mass is still sparse there
-            assert "_dense_step" not in expected
-        assert ("_joints" in vars(ev)) == ("_dense_step" in paths)
-        fresh = PairEvolver(model)
-        fresh.step(fresh.delta(0, S - 1))
-        assert "_joints" not in vars(fresh)
-        for nu, out in zip(laws, steps):
-            assert out.tobytes() == dense_step_oracle(ev, nu).tobytes()
-        paths.clear()
         nu = random_pair_pmf(model, 9)
-        assert ev.step(nu).tobytes() == dense_step_oracle(ev, nu).tobytes()
-        assert paths == ["_dense_step"]
-
-    def test_small_models_take_the_dense_path(self, monkeypatch):
-        # below LIVE_MIN_STATES even a point mass takes the dense step, whose
-        # one broadcast add per site gives the bits of the per-(a, b) slice loop
-        monkeypatch.setattr(PairEvolver, "_entry_step", None)
-        for model in (ising_chain(2), ising_chain(3), small_mixed_table()):
-            assert model.size < LIVE_MIN_STATES
-            ev = PairEvolver(model)
-            for nu in (ev.delta(0, model.size - 1), random_pair_pmf(model, 19)):
-                for _ in range(3):
-                    out = ev.step(nu)
-                    assert out.tobytes() == dense_step_oracle(ev, nu).tobytes(), model.sizes
-                    nu = out
+        laws += [nu, ev.step(nu)]
+        assert np.count_nonzero(laws[-2]) == S * S
+        for nu in laws:
+            assert ev.step(nu).tobytes() == dense_step_oracle(model, nu).tobytes()
 
 
 class TestAntisymmetricF:
@@ -1320,11 +1346,21 @@ class TestSmallHelpers:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    def test_wilson_interval_refuses_bad_counts(self):
+        # (5, 3) and (-1, 3) once raised "math domain error" from the square root
+        for successes, trials, name in [(5, 3, "successes"), (-1, 3, "successes"),
+                                        (1.5, 3, "successes"), (True, 3, "successes"),
+                                        (1, 2.5, "trials"), (1, True, "trials")]:
+            with pytest.raises(ValueError, match=name):
+                wilson_interval(successes, trials)
+        assert wilson_interval(3.0, 10.0) == wilson_interval(3, 10)
+
 
 @pytest.mark.parametrize("make", [mixed_table, ising4_field, ternary_ising, alphabet9],
                          ids=["mixed", "ising4", "ternary", "alphabet9"])
 def test_tables_built_once_per_model(make, monkeypatch):
-    # dobrushin_matrix, gibbs_kernel, PairEvolver and _site_rules read the one cached stack
+    # dobrushin_matrix, gibbs_kernel, PairEvolver, verify_property_P and _site_rules
+    # read the one cached stack
     builds = []
     build = DiscreteModel._conditional_stacks.func
 
@@ -1340,11 +1376,11 @@ def test_tables_built_once_per_model(make, monkeypatch):
     gibbs_kernel(model)
     evolver = PairEvolver(model)
     evolver.step(evolver.delta(0, model.size - 1))
+    verify_property_P(model)
     _site_rules(model)
     assert builds == [model]
-    for i, rt in enumerate(evolver._tables):
-        stack = model._conditional_stacks[model.sizes[i]]
-        assert np.shares_memory(rt, stack) and np.shares_memory(conditional_table(model, i), stack)
+    for i in range(model.n):
+        assert np.shares_memory(conditional_table(model, i), model._conditional_stacks[model.sizes[i]])
 
 
 def pinned_model(name):
@@ -1386,8 +1422,7 @@ PINNED_EXACT = {
 }
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.pinned
 @pytest.mark.parametrize("name", list(PINNED_EXACT))
 def test_exact_layers_bytes_pinned(name):
     model, x, y = pinned_model(name)

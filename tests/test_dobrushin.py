@@ -480,6 +480,15 @@ class TestNormsAndB:
         with pytest.raises(ValueError):
             b_power_column(B, -1, 0)
 
+    def test_non_integer_k_or_j_refused(self):
+        # k = 1.5 once raised a TypeError from range, and j = 1.5 an IndexError
+        B = b_matrix(np.zeros((2, 2)), 2)
+        for k, j, name in [(1.5, 0, "k"), (True, 0, "k"), ("2", 0, "k"), (2, 0.5, "j"),
+                           (2, False, "j")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                b_power_column(B, k, j)
+        assert np.array_equal(b_power_column(B, 2.0, 1).vector, b_power_column(B, 2, 1).vector)
+
 
 class TestNormRecursion:
     def test_independent_limit(self):
@@ -497,6 +506,13 @@ class TestNormRecursion:
         rep = norm_recursion_check(D, 2, 25)
         assert rep.partial_sum <= rep.limit + 1e-12
         assert rep.limit - rep.partial_sum <= rep.tail_bound_1 + rep.tail_bound_inf + 1e-12
+
+    def test_non_integer_kmax_refused(self):
+        # kmax = 2.5 once gave partial sums to k = 3 and tail bounds from b^3.5
+        for kmax in (2.5, True, "3", math.nan):
+            with pytest.raises(ValueError, match="kmax must be an integer"):
+                norm_recursion_check(np.zeros((2, 2)), 2, kmax)
+        assert norm_recursion_check(np.zeros((2, 2)), 2, 3.0).kmax == 3
 
     def test_requires_contractive_norms(self):
         with pytest.raises(ValueError):

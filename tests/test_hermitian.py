@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import stat
 import warnings
 
@@ -418,8 +417,7 @@ PINNED_SAMPLES = {
 }
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                    reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+@pytest.mark.pinned
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
 def test_sample_ensemble_bytes_pinned(kind):
     h = hashlib.sha256()

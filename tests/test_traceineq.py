@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import platform
 import warnings
 
 import numpy as np
@@ -524,8 +523,7 @@ PUBLIC_GAPS = {
 
 
 class TestStackedFuzz:
-    @pytest.mark.skipif((np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
-                        reason="the pinned bytes carry the last bits of one numpy/LAPACK build")
+    @pytest.mark.pinned
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
     def test_summary_bytes_pinned(self, ineq, tmp_path):
         assert 300 > FUZZ_CHUNK  # the run spans two stacked blocks
