@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 inequality violation or counterexample candidate,
 2 usage/config error (including a non-Hermitian input matrix) or a model
-above its enumeration cap, 3 numerical failure (an eigensolver failure, or a
-spectral function undefined or overflowing at an eigenvalue).  Every command
-writes a run manifest next to its outputs; data files themselves carry no
-timestamps, so reruns with the same config and seed are byte-identical.
+above its enumeration cap, 3 numerical failure (an eigensolver failure, a
+spectral function undefined or overflowing at an eigenvalue, or a seeded draw
+that overflowed).  Every command writes a run manifest next to its outputs;
+data files themselves carry no timestamps, so reruns with the same config
+and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ from .hermitian import (
 )
 from .traceineq import INEQUALITY_IDS, fuzz_grid, save_fuzz_summary
 
-TOL_PROFILES = {"default": 1e-8, "strict": 1e-10, "loose": 1e-6}
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -89,6 +88,12 @@ def _number(name: str, value) -> float:
     if not _is_real(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _optional(reader):
@@ -213,7 +218,8 @@ def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
     if not isinstance(spec, dict):
         raise ConfigError(f"model must be a file name or an object, got {spec!r}")
     if "file" in spec:
-        return load_model(_object("model", spec, ("file",))["file"], **kwargs)
+        _object("model", spec, ("file",))
+        return load_model(_string("model file", spec["file"]), **kwargs)
     if "rademacher_sites" in spec:
         _object("model", spec, ("rademacher_sites",))
         n = _integer("rademacher_sites", spec["rademacher_sites"])
@@ -232,21 +238,18 @@ def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
 def cmd_verify_traces(args, settings) -> int:
     if settings["trials"] < 1:
         raise ConfigError("trials must be >= 1")
-    tol = TOL_PROFILES[args.tol_profile]
     out_dir = args.out or "verify-traces-out"
     os.makedirs(out_dir, exist_ok=True)
-    witness_dir = os.path.join(out_dir, "witnesses")
 
     total_violations = 0
     for ineq in settings["inequalities"]:
         summary = fuzz_grid(ineq, settings["kinds"], settings["dims"], settings["trials"],
-                            settings["scale"], args.seed, tol, witness_dir)
+                            settings["scale"], args.seed, os.path.join(out_dir, "witnesses"))
         save_fuzz_summary(os.path.join(out_dir, f"fuzz-{ineq}.json"), summary)
         total_violations += summary.violations
         print(f"{ineq}: trials={summary.trials} min_gap={summary.min_gap:.3e} "
               f"violations={summary.violations}")
-    _write_manifest(os.path.join(out_dir, "run"), "verify-traces", {**settings, "tol": tol},
-                    args.seed)
+    _write_manifest(os.path.join(out_dir, "run"), "verify-traces", settings, args.seed)
     return EXIT_VIOLATION if total_violations else EXIT_OK
 
 
@@ -298,9 +301,8 @@ def _observable_from_config(obs):
                 ("kind", "scale"))
     mats = []
     for k in range(_integer("count", g["count"])):
-        spec = EnsembleSpec(g.get("kind", "gaussian-hermitian"), _integer("dim", g["dim"]),
-                            _number("scale", g.get("scale", 1.0)),
-                            _integer("seed", g["seed"]) + k)
+        spec = EnsembleSpec(g.get("kind", "gaussian-hermitian"), g["dim"],
+                            _number("scale", g.get("scale", 1.0)), _integer("seed", g["seed"]) + k)
         out = sample_ensemble(spec)
         mats.append(out[0] if isinstance(out, tuple) else out)
     return RademacherSumObservable(mats)
@@ -389,12 +391,6 @@ def cmd_conjecture(args, settings) -> int:
     return EXIT_VIOLATION if result.verdict == "counterexample-candidate" else EXIT_OK
 
 
-def _string(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
 def _artifact(where: str, obj: dict, **fields) -> dict:
     """The fields (name -> reader) that ``report`` prints from a recognised
     artifact, each through its reader; a missing or malformed field is an
@@ -477,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", type=str, default=",".join(ENSEMBLE_KINDS))
     p.add_argument("--ineqs", dest="inequalities", type=str, default=",".join(INEQUALITY_IDS))
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--tol-profile", choices=sorted(TOL_PROFILES), default="default")
     p.set_defaults(func=cmd_verify_traces,
                    fields={"trials": _integer, "dims": _parse_range, "kinds": _names,
                            "inequalities": _names, "scale": _number})

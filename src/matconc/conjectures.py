@@ -31,6 +31,7 @@ from .hermitian import (
     _draw,
     _from_params,
     _hermitian_part,
+    _integer,
     _positive_part,
     _spectral,
     _to_params,
@@ -248,20 +249,21 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     """
     if inequality_id not in ("expconj", "fconj"):
         raise ValueError(f"unknown conjecture id {inequality_id!r}")
+    budget, seed = _integer("budget", budget), _integer("seed", seed)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if inequality_id == "fconj" and entry is None:
         raise ValueError("fconj search needs a catalog entry")
     kinds, dims = _trial_grid(ENSEMBLE_KINDS, dims, scale)
-    descent_budget = budget if descent_budget is None else int(descent_budget)
+    descent_budget = _integer("descent_budget",
+                              budget if descent_budget is None else descent_budget)
     if inequality_id == "expconj":
         entry = CATALOG["exp"]
     evaluate = functools.partial(_search_gaps, inequality_id, entry)
 
     best = None  # (normalized gap, its _Gaps, index in them)
     for _, _, _, gaps, i in _trials_in_order(
-            seed, budget, kinds, dims,
-            lambda kind, dim, rng: _draw(kind, dim, scale, rng, 3),
+            seed, budget, kinds, dims, scale, lambda k, d, s, rng: _draw(k, d, s, rng, 3),
             lambda draws: evaluate(_certify(np.stack(draws)))):
         if best is None or gaps.normalized(i) < best[0]:
             best = gaps.normalized(i), gaps, i
@@ -320,7 +322,7 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
         "final_step": pos.step,
     }
     return SearchResult(rep.inequality_id, verdict, rep.gap, norm_gap, err, witness,
-                        trajectory, dims, budget, int(seed))
+                        trajectory, dims, budget, seed)
 
 
 def save_search_result(path, result: SearchResult) -> None:

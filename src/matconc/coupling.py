@@ -587,12 +587,11 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ss = np.random.SeedSequence(seed)
-    pilot_ss, main_ss = ss.spawn(2)
+    pilot_ss, main_ss = np.random.SeedSequence(seed).spawn(2)
     mean = observable.exact_mean(model)
     source = "observable-exact"
     if mean is None:
-        if model.size <= min(model.enum_cap, MEAN_ENUM_CAP):
+        if model.size <= MEAN_ENUM_CAP:
             mean = _enumerated_mean(model, _observable_values(model, observable))
             source = "enumeration"
         else:
@@ -606,15 +605,10 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     Hs = observable.batch(_values_matrix(model, cfgs))
     lam = np.linalg.eigvalsh(Hs - np.asarray(mean))[..., -1]
     t_arr = np.asarray(t_grid, dtype=float)
-    emp, lo, hi = [], [], []
-    for t in t_arr:
-        k = int((lam >= t).sum())
-        emp.append(k / samples)
-        w = wilson_interval(k, samples)
-        lo.append(w[0])
-        hi.append(w[1])
-    return TailEstimate(tuple(float(t) for t in t_arr), tuple(emp), tuple(lo),
-                        tuple(hi), samples, source)
+    counts = [int((lam >= t).sum()) for t in t_arr]
+    cis = [wilson_interval(k, samples) for k in counts]
+    return TailEstimate(tuple(float(t) for t in t_arr), tuple(k / samples for k in counts),
+                        tuple(lo for lo, _ in cis), tuple(hi for _, hi in cis), samples, source)
 
 
 def exhaustive_tail(model: DiscreteModel, observable: MatrixObservable,

@@ -315,10 +315,6 @@ class InterdependenceMatrix:
         D.setflags(write=False)
         object.__setattr__(self, "entries", D)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
     """Entrywise-tight interdependence matrix from single-swap sensitivities.

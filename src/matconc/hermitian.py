@@ -354,11 +354,13 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.scale > 0:
-            raise ValueError("scale must be > 0")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -434,7 +436,7 @@ def _draw(kind: str, d: int, scale: float, rng: np.random.Generator, count: int,
 
 def _trial_grid(kinds, dims, scale: float) -> tuple[tuple, tuple]:
     """The (kind, dim) grid of a seeded trial run; every cell must be a valid ensemble."""
-    kinds, dims = tuple(kinds), tuple(int(d) for d in dims)
+    kinds, dims = tuple(kinds), tuple(_integer("dim", d) for d in dims)
     if not kinds or not dims:
         raise ValueError("kinds and dims must be nonempty")
     for kind in kinds:
@@ -443,12 +445,24 @@ def _trial_grid(kinds, dims, scale: float) -> tuple[tuple, tuple]:
     return kinds, dims
 
 
+def _refuse_overflow(kind: str, scale: float, draw) -> None:
+    """Raise ``ArithmeticError`` naming ``kind`` and ``scale`` if ``draw`` (a stack, or
+    stacks and scalars), having failed certification, holds a value that is not finite."""
+    if not all(np.isfinite(part).all() for part in draw):
+        raise ArithmeticError(f"{kind} draw at scale {scale!r} is not finite")
+
+
 def sample_ensemble(spec: EnsembleSpec):
     """Draw from the ensemble; ``commuting-pair`` returns a pair sharing a basis."""
-    pair = spec.kind == "commuting-pair"
-    mats = tuple(HermitianMatrix(M) for M in _draw(
-        spec.kind, spec.dim, spec.scale, np.random.default_rng(int(spec.seed)), 2 if pair else 1))
-    return mats if pair else mats[0]
+    count = 2 if spec.kind == "commuting-pair" else 1
+    with np.errstate(over="ignore", invalid="ignore"):  # refused when certified
+        X = _draw(spec.kind, spec.dim, spec.scale, np.random.default_rng(spec.seed), count)
+    try:
+        mats = tuple(HermitianMatrix(M) for M in X)
+    except HermiticityError:
+        _refuse_overflow(spec.kind, spec.scale, X)
+        raise
+    return mats if count == 2 else mats[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -518,11 +532,7 @@ def matrix_from_obj(obj: dict) -> HermitianMatrix:
     if not all(isinstance(cell, list) and len(cell) == 2 and all(map(_is_real, cell))
                for row in entries for cell in row):
         raise ValueError("matrix entries: each cell must be a [re, im] pair of numbers")
-    arr = np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in entries],
-        dtype=np.complex128,
-    )
-    return HermitianMatrix(arr)
+    return HermitianMatrix([[complex(*cell) for cell in row] for row in entries])
 
 
 def _write_bytes(path, data: bytes) -> None:

@@ -15,14 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian import (
+    HermiticityError,
     _certify,
     _coerce_all,
     _decompose,
     _draw,
     _exp,
     _hermitian_part,
+    _integer,
     _positive_part,
     _psd_powers,
+    _refuse_overflow,
     _trace,
     _trial_grid,
     _write_json,
@@ -296,6 +299,7 @@ def gap_trace_quad(P, Q, R, S) -> TraceGapReport:
 # Seeded trials, shared with the counterexample search
 
 FUZZ_CHUNK = 256  # consecutive random trials drawn, then evaluated as one stack per dim
+FUZZ_TOL = 1e-8   # a fuzz trial violates when its normalized gap is below -FUZZ_TOL
 
 
 def _gaps_in_order(evaluate, stack):
@@ -315,33 +319,40 @@ def _gaps_in_order(evaluate, stack):
         yield gaps, i
 
 
-def _trials_in_order(seed, trials: int, kinds: tuple, dims: tuple, draw, evaluate):
+def _trials_in_order(seed, trials: int, kinds: tuple, dims: tuple, scale, draw, evaluate):
     """Yield ``(t, kind, dim, gaps, i)`` for trials 0..trials-1 in trial order.
 
     One generator, seeded with ``seed``, serves the whole run: trial t takes
-    ``draw(kind, dim, rng)`` from it after trial t-1, on the grid cell that
-    cycles kinds fastest, then dims.  Each block of FUZZ_CHUNK consecutive
-    trials is drawn, stacked per dim as a list of draws and consumed lazily
-    through :func:`_gaps_in_order`, so every yielded gap and every error is
-    the one a trial-by-trial run gives, whatever FUZZ_CHUNK is; a refused
-    draw raises after every earlier trial has been yielded.
+    ``draw(kind, dim, scale, rng)`` from it after trial t-1, on the grid cell
+    that cycles kinds fastest, then dims.  Each block of FUZZ_CHUNK
+    consecutive trials is drawn, stacked per dim as a list of draws and
+    consumed lazily through :func:`_gaps_in_order`, so every yielded gap and
+    every error is the one a trial-by-trial run gives, whatever FUZZ_CHUNK
+    is; a refused draw raises after every earlier trial has been yielded, and
+    an overflowed one when its certification fails (:func:`_refuse_overflow`).
     """
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     for start in range(0, trials, FUZZ_CHUNK):
         drawn, refused = [], None
-        for t in range(start, min(trials, start + FUZZ_CHUNK)):
-            kind, dim = kinds[t % len(kinds)], dims[(t // len(kinds)) % len(dims)]
-            try:
-                drawn.append((t, kind, dim, draw(kind, dim, rng)))
-            except (ValueError, ArithmeticError) as exc:
-                refused = exc
-                break
+        with np.errstate(over="ignore", invalid="ignore"):  # refused when certified
+            for t in range(start, min(trials, start + FUZZ_CHUNK)):
+                kind, dim = kinds[t % len(kinds)], dims[(t // len(kinds)) % len(dims)]
+                try:
+                    drawn.append((t, kind, dim, draw(kind, dim, scale, rng)))
+                except (ValueError, ArithmeticError) as exc:
+                    refused = exc
+                    break
         stacks = {}
         for _, _, dim, x in drawn:
             stacks.setdefault(dim, []).append(x)
         gaps = {dim: _gaps_in_order(evaluate, xs) for dim, xs in stacks.items()}
-        for t, kind, dim, _ in drawn:
-            yield (t, kind, dim, *next(gaps[dim]))
+        for t, kind, dim, x in drawn:
+            try:
+                item = next(gaps[dim])
+            except HermiticityError:
+                _refuse_overflow(kind, scale, x)
+                raise
+            yield (t, kind, dim, *item)
         if refused is not None:
             raise refused
 
@@ -415,35 +426,26 @@ def _evaluate_trials(inequality_id: str, scale: float, drawn: list) -> _Gaps:
     return _holder(AB[:n], AB[n:], mats[2], mats[3], list(scalars[0]))
 
 
-def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int,
-                   matrices: dict | None = None) -> str:
+def _write_witness(witness_dir: str, rep: TraceGapReport, trial: int, matrices: dict) -> str:
+    """A witness file: the report's fields, the trial number and the input matrices."""
     os.makedirs(witness_dir, exist_ok=True)
     path = os.path.join(witness_dir, f"witness-{rep.inequality_id}-{trial:06d}.json")
-    obj = {
-        "inequality_id": rep.inequality_id,
-        "params": {k: v for k, v in rep.params.items()},
-        "gap": rep.gap,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "inputs_digest": rep.inputs_digest,
-        "trial": trial,
-    }
-    if matrices:
-        obj["matrices"] = matrices
-    _write_json(path, obj)
+    _write_json(path, {**vars(rep), "trial": trial, "matrices": matrices})
     return path
 
 
 def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
-              seed: int, tol: float = 1e-8, witness_dir: str | None = None) -> FuzzSummary:
+              seed: int, witness_dir: str | None = None) -> FuzzSummary:
     """Fuzz with trials spread round-robin over a (kind, dim) grid.
 
     Trials come from :func:`_trials_in_order`, so results do not depend on
-    how trials are grouped.  A trial violates when gap < -tol * anchor;
-    violating inputs are persisted to ``witness_dir``.
+    how trials are grouped.  A trial violates when gap < -FUZZ_TOL * anchor
+    (FUZZ_TOL = 1e-8, recorded as the summary's ``tolerance``); violating
+    inputs are persisted to ``witness_dir``.
     """
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality id {inequality_id!r}")
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kinds, dims = _trial_grid(kinds, dims, scale)
@@ -451,14 +453,13 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
     argmin = None  # (gaps, i) of the running minimum; only the final one is hashed
     violations = 0
     for t, kind, dim, gaps, i in _trials_in_order(
-            seed, trials, kinds, dims,
-            lambda kind, dim, rng: _draw_trial(inequality_id, kind, dim, scale, rng),
+            seed, trials, kinds, dims, scale, functools.partial(_draw_trial, inequality_id),
             functools.partial(_evaluate_trials, inequality_id, scale)):
         norm_gap = gaps.normalized(i)
         if norm_gap < min_norm:
             min_norm = norm_gap
             argmin = gaps, i
-        if norm_gap < -tol:
+        if norm_gap < -FUZZ_TOL:
             violations += 1
             if witness_dir is not None:
                 rep = gaps.report(i)
@@ -469,9 +470,9 @@ def fuzz_grid(inequality_id: str, kinds, dims, trials: int, scale: float,
     if argmin is not None:
         gaps, i = argmin
         min_raw, argmin_digest = gaps.gap[i], gaps.report(i).inputs_digest
-    meta = {"kinds": list(kinds), "dims": list(dims), "scale": scale, "seed": int(seed)}
+    meta = {"kinds": list(kinds), "dims": list(dims), "scale": scale, "seed": seed}
     return FuzzSummary(inequality_id, trials, float(min_norm), float(min_raw),
-                       argmin_digest, violations, float(tol), meta)
+                       argmin_digest, violations, FUZZ_TOL, meta)
 
 
 def save_fuzz_summary(path, summary: FuzzSummary) -> None:

@@ -64,7 +64,8 @@ def test_criterion_1_trace_inequality_soundness():
     worst = {}
     for ineq in INEQUALITY_IDS:
         summary = fuzz_grid(ineq, ENSEMBLE_KINDS, dims, trials=10_000,
-                            scale=1.0, seed=20_240_601, tol=1e-8)
+                            scale=1.0, seed=20_240_601)
+        assert summary.tolerance == 1e-8
         total_violations += summary.violations
         worst[ineq] = summary.min_gap
         assert summary.violations == 0, (

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import math
 import os
@@ -177,12 +176,22 @@ class TestVerifyTraces:
         assert err.startswith("numerical failure:") and "not finite" in err
         assert not (out / "fuzz-trace_quad.json").exists()
 
-    def test_tol_profile_read(self, tmp_path):
+    @pytest.mark.parametrize("kind,dim", [("psd", 3), ("gaussian-hermitian", 3),
+                                          ("low-rank", 2), ("commuting-pair", 3)])
+    def test_overflowing_draw_exits_3(self, tmp_path, capsys, kind, dim):
+        # a finite scale whose draw overflows was reported as a non-Hermitian input (exit
+        # 2), after numpy's RuntimeWarnings; integer-entry refuses the draw itself
         out = tmp_path / "vt"
-        assert run(["verify-traces", "--trials", 5, "--dims", 2, "--ineqs", "holder",
-                    "--tol-profile", "strict", "--out", out]) == 0
-        with open(out / "fuzz-holder.json") as fh:
-            assert json.load(fh)["tolerance"] == 1e-10
+        assert run(["verify-traces", "--kinds", kind, "--dims", dim, "--ineqs", "psd_cross",
+                    "--scale", 1e308, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {kind} draw at scale 1e+308 is not finite\n"
+        assert not (out / "fuzz-psd_cross.json").exists()
+
+    def test_infinite_scale_exits_2(self, tmp_path, capsys):
+        assert run(["verify-traces", "--kinds", "psd", "--dims", 3, "--scale", "inf",
+                    "--out", tmp_path / "vt"]) == 2
+        assert "scale must be finite and > 0, got inf" in capsys.readouterr().err
 
     def test_separate_processes_write_identical_data(self, tmp_path):
         # every inequality at dims 1..8 plus a conjecture search, each run in
@@ -258,6 +267,23 @@ class TestDobrushinCommand:
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["dobrushin", "--out", tmp_path / "rep.json"]) == 2
 
+    def test_norms_at_least_one(self, tmp_path, capsys):
+        # the complete 4-site Ising model with J = 2: norm1 = norm_inf = 3 tanh(2) > 1
+        model, out = tmp_path / "strong.json", tmp_path / "rep" / "dobrushin.json"
+        save_model(model, DiscreteModel.from_ising(2.0 * (np.ones((4, 4)) - np.eye(4))))
+        out.parent.mkdir()
+        assert run(["dobrushin", "--model", model, "--out", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["norm1"] == rep["norm_inf"] == pytest.approx(3 * math.tanh(2.0), abs=1e-12)
+        assert rep["c"] is None
+        assert rep["note"] == "interdependence norms >= 1; weak-dependence bound inapplicable"
+        assert not {"b_matrix", "b_power_columns", "norm_recursion"} & set(rep)
+        capsys.readouterr()
+        assert run(["report", "--inputs", out.parent]) == 0
+        assert capsys.readouterr().out == "dobrushin report: n=4 norm1=2.892083 c=None\n"
+        assert run(["bound", "--model", model, "--out", tmp_path / "b.csv"]) == 2
+        assert "hypothesis violated" in capsys.readouterr().err
+
     def test_manifest_digests_the_kmax_run(self, tmp_path, ising_model_file):
         digests = {}
         for label, kmax in (("k3", 3), ("k20", 20), ("default", None)):
@@ -286,21 +312,16 @@ CI_MODELS = {
                                     1.0, 1.4, 1.1, 0.8, 1.2, 0.9, 1.3, 1.0,
                                     1.3, 1.0, 0.8, 1.2, 1.1, 0.9, 1.2, 1.0]}},
 }
-# sha256 of their `dobrushin --kmax 20` reports
-PINNED_DOBRUSHIN_REPORTS = {
-    "ising": "c6f32a14c38a30d43c7337c711bf389a07c4c1e177a80c897a0bea4261800c99",
-    "mixed": "bb3a833cccb48cb96a1ecf7285e14c49aab7ad0d836335d5d884d4f8fe6b2771",
-}
 
 
 @pytest.mark.pinned
-@pytest.mark.parametrize("name", sorted(PINNED_DOBRUSHIN_REPORTS))
-def test_dobrushin_report_bytes_pinned(name, tmp_path):
+@pytest.mark.parametrize("name", sorted(CI_MODELS))
+def test_dobrushin_report_bytes_pinned(name, tmp_path, assert_pinned):
+    # the bytes of their `dobrushin --kmax 20` reports
     model, out = tmp_path / "model.json", tmp_path / "dobrushin.json"
     model.write_text(json.dumps(CI_MODELS[name]))
     assert run(["dobrushin", "--model", model, "--kmax", 20, "--out", out]) == 0
-    data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_DOBRUSHIN_REPORTS[name], data.decode()
+    assert_pinned(f"dobrushin-report/{name}", out.read_bytes())
 
 
 class TestMcTailCommand:
@@ -316,6 +337,16 @@ class TestMcTailCommand:
         path = tmp_path / "mc.json"
         path.write_text(json.dumps(cfg))
         return path
+
+    def test_overflowing_generated_observable_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"model": {"rademacher_sites": 2}, "observable": {
+            "generate": {"kind": "psd", "count": 2, "dim": 3, "seed": 1, "scale": 1e308}}}))
+        out = tmp_path / "mc.csv"
+        assert run(["mc-tail", "--config", cfg, "--out", out]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: psd draw at scale 1e+308 is not finite\n"
+        assert not out.exists()
 
     def test_csv_schema_and_domination(self, tmp_path):
         cfg = self.make_config(tmp_path)
@@ -554,6 +585,15 @@ class TestConjectureCommand:
         assert "split-part bound not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_draw_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg.json"
+        cfg.write_text(json.dumps({"scale": 1e308}))
+        out = tmp_path / "r.json"
+        assert run(["conjecture", "--budget", 5, "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: gaussian-hermitian draw at scale 1e+308 is not finite\n"
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for o in (o1, o2):
@@ -658,15 +698,6 @@ class TestReportCommand:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("command", ["bound", "dobrushin", "conjecture", "report"])
-    def test_tol_profile_only_on_verify_traces(self, command, tmp_path, ising_model_file):
-        argv = {"bound": ["--out", tmp_path / "b.csv"],
-                "dobrushin": ["--model", ising_model_file, "--out", tmp_path / "d.json"],
-                "conjecture": ["--budget", 2, "--dims", 2, "--out", tmp_path / "c.json"],
-                "report": ["--inputs", tmp_path]}[command]
-        assert run([command, *argv, "--tol-profile", "strict"]) == 2
-        assert run([command, *argv]) == 0
-
     @pytest.mark.parametrize("command", ["bound", "dobrushin", "report"])
     def test_seed_only_on_commands_that_draw(self, command, tmp_path, ising_model_file):
         # only verify-traces, mc-tail and conjecture draw random numbers
@@ -678,6 +709,40 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("value", [[1], 2.5, None, {}], ids=["list", "float", "null", "object"])
+    def test_non_string_model_file_exits_2(self, tmp_path, capsys, value):
+        # each reached open() and raised an uncaught TypeError
+        cfg, out = tmp_path / "cfg.json", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"model": {"file": value}}))
+        assert run(["bound", "--config", cfg, "--out", out]) == 2
+        assert f"error: model file must be a string, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_model_file_is_not_a_descriptor(self, tmp_path, capsys, ising_model_file):
+        # {"file": <int>} read the model from that open descriptor, then closed it
+        fd, w = os.pipe()
+        os.write(w, ising_model_file.read_bytes())
+        os.close(w)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "d.json"
+        cfg.write_text(json.dumps({"model": {"file": fd}}))
+        try:
+            assert run(["dobrushin", "--config", cfg, "--out", out]) == 2
+            assert f"model file must be a string, got {fd}" in capsys.readouterr().err
+            assert not out.exists()
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+
+    def test_boolean_model_file_keeps_stdout(self, tmp_path):
+        # {"file": true} opened descriptor 1 and closed it; in a child process
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"file": True}}))
+        proc = subprocess.run([sys.executable, "-m", "matconc.cli", "dobrushin", "--config",
+                               str(cfg), "--out", str(tmp_path / "d.json")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: model file must be a string, got True\n"
 
     @pytest.mark.parametrize("command,config", [
         ("bound", {"t_grid": 5}), ("bound", {"model": 5}), ("bound", {"d": 2.5}),

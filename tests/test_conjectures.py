@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import warnings
@@ -222,6 +221,16 @@ class TestSearch:
         assert (r.trajectory["best_final_gap_normalized"]
                 <= r.trajectory["best_random_gap_normalized"] + 1e-15)
 
+    @pytest.mark.parametrize("change", [{"seed": 5.8}, {"descent_budget": 3.9},
+                                        {"budget": 2.5}, {"budget": True}])
+    def test_non_integer_counts_refused(self, change):
+        # seed 5.8 and descent budget 3.9 ran as 5 and 3
+        args = {"budget": 4, "seed": 5, "descent_budget": 3, **change}
+        with pytest.raises(ValueError, match="must be an integer"):
+            counterexample_search("expconj", [2], **args)
+        ints = counterexample_search("expconj", [2], 4, seed=5, descent_budget=3)
+        assert counterexample_search("expconj", [2], 4.0, seed=5.0, descent_budget=3.0) == ints
+
     def test_fconj_requires_entry(self):
         with pytest.raises(ValueError):
             counterexample_search("fconj", [2], 5, seed=1)
@@ -320,27 +329,17 @@ class TestSearch:
         assert abs(again.gap - w["gap"]) <= (0.0 if exact else r.certified_error)
 
 
-# sha256 of the saved search results, recorded from RNG stream 3 (one
-# generator per run) and output format 2 (compact JSON)
-PINNED_SEARCHES = {
-    "expconj": "d5a56aed5bf766981eb12b5f3a3dcf9da985189987f2afde7e2a3dee0824b4e3",
-    "cube": "d3e52c10cae611b4b592ed6174e8742569c180f7fcbdf48a0cfd4a6a2fedfe87",
-    "exp": "f17565a841a9ed0591261eac144a028567497f69daf10d4f23479f89cc5a302d",
-    "quartic": "1d2c9f986273fa402652f2420917435c2d2adcc15f4a0d46b88436f2cb002f7b",
-    "square": "28db9039ed695ed2e38501d1c53d8f4652d4875e697e93622790a6c21b3a607c",
-}
-
-
 @pytest.mark.pinned
-@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
-def test_search_bytes_pinned(name, tmp_path):
+@pytest.mark.parametrize("name", sorted(["expconj", *CATALOG]))
+def test_search_bytes_pinned(name, tmp_path, assert_pinned):
+    # the bytes of the saved search results, recorded from RNG stream 3 (one
+    # generator per run) and output format 2 (compact JSON)
     ineq, entry = ("expconj", None) if name == "expconj" else ("fconj", CATALOG[name])
     r = counterexample_search(ineq, range(2, 7), 60, seed=2024, entry=entry, descent_budget=120)
     assert r.trajectory["descent_evals"] == 120
     path = tmp_path / "result.json"
     save_search_result(path, r)
-    data = path.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_SEARCHES[name], data.decode()
+    assert_pinned(f"search/{name}", path.read_bytes())
 
 
 def _traced_search(monkeypatch, ineq, entry, dims, budget, seed, descent_budget, scale):
@@ -400,24 +399,20 @@ def _refused_after_move(r, trace):
     return any(s["refused"] for s in trace["stacks"])
 
 
-# sha256 of saved searches whose descent the PINNED_SEARCHES runs do not reach,
-# recorded from RNG stream 3 and output format 2: (ineq, entry, dims, budget,
-# seed, descent_budget, scale), the check that the descent takes the branch the
-# name states (None: any seed does), and the digest
+# saved searches whose descent test_search_bytes_pinned does not reach, their
+# bytes pinned from RNG stream 3 and output format 2: (ineq, entry, dims,
+# budget, seed, descent_budget, scale) and the check that the descent takes
+# the branch the name states (None: any seed does)
 PINNED_DESCENTS = {
     # sweeps complete and halve the step; moves land inside a block, on a
     # sweep's last candidate, and the budget ends the last sweep
-    "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0), _long_descent,
-                     "2e5c24602a8a4e38751230d709abf908879c3d7381bb3f9e235123a675feaa6a"),
+    "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0), _long_descent),
     # the per-dim random stacks interleave in trial order
-    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0), None,
-                         "95eb7c66cc3b21e67fc98ed3f5c1263b8e99ba997f331a2a7f7926df9be809d7"),
+    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0), None),
     # the budget runs out inside a descent block
-    "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0), _budget_mid_block,
-                         "72401f5498759ec9d222a6090ae6aa5b75f8a719611a4ec940230ab1ddf70fc0"),
+    "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0), _budget_mid_block),
     # descent stacks that hold a refused candidate after the accepted one
-    "refused-after-move": (("fconj", "quartic", [2], 5, 101, 60, 1.3e61), _refused_after_move,
-                           "610cf93d0dea24d3e10ec60e78c4d25c26d95807112f5487ba6da2d208b62e34"),
+    "refused-after-move": (("fconj", "quartic", [2], 5, 101, 60, 1.3e61), _refused_after_move),
 }
 
 
@@ -429,15 +424,14 @@ def _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale):
 
 @pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(PINNED_DESCENTS))
-def test_descent_bytes_pinned(name, tmp_path, monkeypatch):
-    args, reached, digest = PINNED_DESCENTS[name]
+def test_descent_bytes_pinned(name, tmp_path, monkeypatch, assert_pinned):
+    args, reached = PINNED_DESCENTS[name]
     r, trace = _traced_search(monkeypatch, *args)
     assert r.trajectory["descent_evals"] == args[5]
     assert reached is None or reached(r, trace)
     path = tmp_path / "result.json"
     save_search_result(path, r)
-    data = path.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+    assert_pinned(f"descent/{name}", path.read_bytes())
 
 
 def _first_refused_trial(seeded_trials, ineq, entry, dims, budget, seed, descent_budget, scale):

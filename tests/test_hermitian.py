@@ -1,7 +1,6 @@
 import builtins
 import cmath
 import errno
-import hashlib
 import json
 import math
 import os
@@ -29,6 +28,7 @@ from matconc.hermitian import (
     _object,
     _spectral_norm,
     _to_params,
+    _trial_grid,
     _upper_indices,
     _write_bytes,
     _write_json,
@@ -308,6 +308,33 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             EnsembleSpec("psd", 2, scale=-1.0)
 
+    @pytest.mark.parametrize("dim,seed", [(2.5, 7), (True, 7), (2, 7.9), (2, "7")])
+    def test_non_integer_dim_or_seed_refused(self, dim, seed):
+        # seed 7.9 drew seed 7; dim 2.5 was accepted and failed in the draw
+        with pytest.raises(ValueError, match="must be an integer"):
+            EnsembleSpec("psd", dim, 1.0, seed)
+
+    def test_integral_floats_read_as_integers(self):
+        spec = EnsembleSpec("psd", 3.0, 1.5, 7.0)
+        assert type(spec.dim) is type(spec.seed) is int
+        assert sample_ensemble(spec) == sample_ensemble(EnsembleSpec("psd", 3, 1.5, 7))
+
+    def test_infinite_scale_refused(self):
+        with pytest.raises(ValueError, match="scale must be finite and > 0, got inf"):
+            EnsembleSpec("psd", 2, scale=math.inf)
+
+    def test_overflowing_draw_refused(self):
+        # a finite scale whose draw is not finite: a numerical refusal, not a
+        # non-Hermitian input, and no RuntimeWarning
+        with pytest.raises(ArithmeticError, match=r"^psd draw at scale 1e\+308 is not finite$"):
+            sample_ensemble(EnsembleSpec("psd", 3, 1e308, 0))
+
+    def test_trial_grid_refuses_non_integer_dims(self):
+        # dim 2.7 ran as dim 2
+        with pytest.raises(ValueError, match="dim must be an integer, got 2.7"):
+            _trial_grid(("psd",), (2.7,), 1.0)
+        assert _trial_grid(("psd",), (2.0, 3), 1.0) == (("psd",), (2, 3))
+
 
 class TestBatchedDraw:
     """Each kind keeps its law in a batched draw of any count."""
@@ -403,30 +430,21 @@ class TestBatchedDraw:
             assert X.tobytes() == ref.tobytes()
 
 
-# sha256 of every sample_ensemble draw of a kind at scale 1.5, dims 1..8 and
-# seeds SAMPLE_SEEDS (both matrices of a commuting pair), in that order; mc-tail
-# generates its observables through sample_ensemble
 SAMPLE_SEEDS = (0, 1, 31, 2**63 + 5)
-PINNED_SAMPLES = {
-    "gaussian-hermitian": "ebe05760cfda994006c0528b27752a97a454c3e61c11ac2825f1827f8451a01f",
-    "diagonal": "8bc994b0733c8c4f7febf22d17afb4c9e9ff2c15961867038d64bb507e098bba",
-    "psd": "135b3931f547984bc95dcbda516614b64e7e33cca2b63013c1a7211149728918",
-    "low-rank": "30c63ec1feb6f84985efe6fc6d5608e45f85cbf646716b9026f105c15a1c0a3d",
-    "commuting-pair": "2593ce33f1fd0f8c3015d03afa7fffc45a5b14474af51d63e6bd2f316383979f",
-    "integer-entry": "7ac6d4bbee28187305e551a006e03d8831b26a48a38a28b0f1bae54d74fb4c7a",
-}
 
 
 @pytest.mark.pinned
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
-def test_sample_ensemble_bytes_pinned(kind):
-    h = hashlib.sha256()
+def test_sample_ensemble_bytes_pinned(kind, assert_pinned):
+    # the bytes of every sample_ensemble draw of a kind at scale 1.5, dims 1..8
+    # and seeds SAMPLE_SEEDS (both matrices of a commuting pair), in that order;
+    # mc-tail generates its observables through sample_ensemble
+    data = []
     for d in range(1, 9):
         for s in SAMPLE_SEEDS:
             out = sample_ensemble(EnsembleSpec(kind, d, 1.5, s))
-            for M in (out if isinstance(out, tuple) else (out,)):
-                h.update(M.mat.tobytes())
-    assert h.hexdigest() == PINNED_SAMPLES[kind]
+            data += [M.mat.tobytes() for M in (out if isinstance(out, tuple) else (out,))]
+    assert_pinned(f"sample/{kind}", b"".join(data))
 
 
 class TestSerialization:
@@ -708,12 +726,13 @@ class TestSharedBoundaryHelpers:
 
         kinds, dims = ENSEMBLE_KINDS, (2, 3, 5)
 
-        def draw(kind, dim, rng):
-            return str(rng.bit_generator.state), _draw(kind, dim, 1.0, rng, 2)
+        def draw(kind, dim, scale, rng):
+            return str(rng.bit_generator.state), _draw(kind, dim, scale, rng, 2)
 
         run = [(t, kind, dim, gaps[i]) for t, kind, dim, gaps, i in _trials_in_order(
-            77, 40, kinds, dims, draw, lambda xs: xs)]
-        ref = list(seeded_trials(77, kinds, dims, 40, draw))
+            77, 40, kinds, dims, 1.0, draw, lambda xs: xs)]
+        ref = list(seeded_trials(77, kinds, dims, 40,
+                                 lambda kind, dim, rng: draw(kind, dim, 1.0, rng)))
         assert [r[:3] for r in run] == [r[:3] for r in ref]
         assert all((r[1], r[2]) == (kinds[r[0] % 6], dims[(r[0] // 6) % 3]) for r in run)
         for (_, _, _, (state, X)), (_, _, _, (ref_state, ref_X)) in zip(run, ref):
@@ -730,14 +749,14 @@ class TestSharedBoundaryHelpers:
         driver = traceineq._trials_in_order
 
         def recording(key):
-            def trials_in_order(seed, trials, kinds, dims, draw, evaluate):
-                draws[key] = draw
+            def trials_in_order(seed, trials, kinds, dims, scale, draw, evaluate):
+                draws[key] = draw, scale
 
-                def recorded_draw(kind, dim, rng):
+                def recorded_draw(kind, dim, scale, rng):
                     state = str(rng.bit_generator.state)
                     seen[key].append((len(seen[key]), kind, dim, state))
-                    return draw(kind, dim, rng)
-                for trial in driver(seed, trials, kinds, dims, recorded_draw, evaluate):
+                    return draw(kind, dim, scale, rng)
+                for trial in driver(seed, trials, kinds, dims, scale, recorded_draw, evaluate):
                     assert trial[:3] == seen[key][trial[0]][:3]
                     yield trial
             return trials_in_order
@@ -747,9 +766,10 @@ class TestSharedBoundaryHelpers:
         traceineq.fuzz_grid("exchangeable", ENSEMBLE_KINDS, (2, 3), 20, 1.0, 5)
         conjectures.counterexample_search("expconj", (2, 3), 20, 5, descent_budget=0)
         for key in ("fuzz", "search"):
-            def stated(kind, dim, rng, draw=draws[key]):
+            def stated(kind, dim, rng, drawn=draws[key]):
                 state = str(rng.bit_generator.state)
-                draw(kind, dim, rng)
+                draw, scale = drawn
+                draw(kind, dim, scale, rng)
                 return state
             ref = seeded_trials(5, ENSEMBLE_KINDS, (2, 3), 20, stated)
             assert seen[key] == list(ref)

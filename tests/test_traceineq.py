@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import warnings
@@ -429,6 +428,16 @@ class TestFuzzer:
         with pytest.raises(ValueError):
             fuzz_grid("nope", ("psd",), (2,), 10, 1.0, 5)
 
+    @pytest.mark.parametrize("change", [{"trials": True}, {"trials": 2.5}, {"seed": 3.9},
+                                        {"dims": (2.7,)}])
+    def test_non_integer_counts_refused(self, change):
+        # trials=True wrote "trials": true; seed 3.9 and dim 2.7 ran as 3 and 2
+        args = {"kinds": ("psd",), "dims": (2,), "trials": 3, "scale": 1.0, "seed": 3, **change}
+        with pytest.raises(ValueError, match="must be an integer"):
+            fuzz_grid("holder", **args)
+        ints = fuzz_grid("holder", ("psd",), (2,), 3, 1.0, 3)
+        assert fuzz_grid("holder", ("psd",), (2.0,), 3.0, 1.0, 3.0) == ints
+
     @pytest.mark.parametrize("ineq", ["trace_quad", "power", "symmetric_term"])
     def test_overflowing_gaps_refused(self, ineq):
         # every product overflows, so no gap is a number: not a clean pass
@@ -452,7 +461,7 @@ class TestFuzzer:
                 call()
 
     def test_no_violations_on_gaussian(self):
-        s = fuzz_grid("exchangeable", ("gaussian-hermitian",), (4,), 500, 1.0, 314, tol=1e-8)
+        s = fuzz_grid("exchangeable", ("gaussian-hermitian",), (4,), 500, 1.0, 314)
         assert s.violations == 0
 
     def test_grid_covers_kinds_and_dims(self):
@@ -471,11 +480,12 @@ class TestFuzzer:
         assert obj["gap"] == pytest.approx(rep.gap)
         assert obj["matrices"]["A"]["dim"] == 1
 
-    def test_violations_persist_full_inputs(self, tmp_path):
+    def test_violations_persist_full_inputs(self, tmp_path, monkeypatch):
         # an impossible tolerance forces every trial to "violate", which must
         # leave replayable witness files carrying the input matrices
         from matconc.hermitian import matrix_from_obj
-        s = fuzz_grid("exchangeable", ("gaussian-hermitian",), (3,), 5, 1.0, 404, tol=-10.0,
+        monkeypatch.setattr(traceineq, "FUZZ_TOL", -10.0)
+        s = fuzz_grid("exchangeable", ("gaussian-hermitian",), (3,), 5, 1.0, 404,
                       witness_dir=str(tmp_path))
         assert s.violations == 5
         files = sorted(tmp_path.iterdir())
@@ -494,21 +504,6 @@ class TestFuzzer:
         assert len(INEQUALITY_IDS) == 8
 
 
-# sha256 of save_fuzz_summary's bytes for fuzz_grid(id, ENSEMBLE_KINDS, 1..8,
-# 300 trials, scale 1, seed 4242), recorded from RNG stream 3 (one generator
-# per run) and output format 2 (compact JSON; numpy 2.4.6 with its bundled
-# OpenBLAS, x86-64)
-PINNED_SUMMARIES = {
-    "exchangeable": "89355da7152d6b124e21ca249d88246d1fac01722435774750002241859b8b9e",
-    "exchangeable_scaled": "c2adff033380f5badad4c37188ceea599c55dee7db14d9a1614f8e1a8b8c7db9",
-    "pair_exp": "7fa5fdd4e25063664cf40813ea7522860a6687cb81c4ab3f2eec9d72249d109d",
-    "power": "160128707022dbed2541c8fa334f53c2c16b28a05d80631b782934dcfb8402b7",
-    "symmetric_term": "ade1d6007202bfa6e5e4cc813e7c695f993cf55be12070368c63e38731f87cf3",
-    "holder": "b461c1bb517b81ebbf477984899402425687e518e09e31f0fee4e12c9357fc2f",
-    "psd_cross": "2b8adaa90caf6df6bdec67b84079b9af3f5411e0d7948072e32a9026a2f039b6",
-    "trace_quad": "dc743ba73aeb2f5f598e39f73474fbc29905681e412eb67d2a59617a57affc01",
-}
-
 # the public evaluator of each inequality, called with one trial's inputs and scalars
 PUBLIC_GAPS = {
     "exchangeable": lambda m, p: gap_exchangeable(*m),
@@ -525,13 +520,14 @@ PUBLIC_GAPS = {
 class TestStackedFuzz:
     @pytest.mark.pinned
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
-    def test_summary_bytes_pinned(self, ineq, tmp_path):
+    def test_summary_bytes_pinned(self, ineq, tmp_path, assert_pinned):
+        # the bytes of the saved summary, recorded from RNG stream 3 (one
+        # generator per run) and output format 2 (compact JSON)
         assert 300 > FUZZ_CHUNK  # the run spans two stacked blocks
         summary = fuzz_grid(ineq, ENSEMBLE_KINDS, range(1, 9), 300, 1.0, 4242)
         path = tmp_path / "summary.json"
         save_fuzz_summary(path, summary)
-        data = path.read_bytes()
-        assert hashlib.sha256(data).hexdigest() == PINNED_SUMMARIES[ineq], data.decode()
+        assert_pinned(f"fuzz-summary/{ineq}", path.read_bytes())
 
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
     def test_stacked_trials_match_public_gaps(self, ineq, monkeypatch):
