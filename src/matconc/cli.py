@@ -1,12 +1,12 @@
 """Command-line front end: deterministic orchestration and CSV/JSON reports.
 
 Exit codes: 0 success, 1 inequality violation or counterexample candidate,
-2 usage/config error (including a non-Hermitian input matrix) or a model
-above its enumeration cap, 3 numerical failure (an eigensolver failure, a
-spectral function undefined or overflowing at an eigenvalue, or a seeded draw
-that overflowed).  Every command writes a run manifest next to its outputs;
-data files themselves carry no timestamps, so reruns with the same config
-and seed are byte-identical.
+2 a refused input (a ValueError or OSError: a usage or config error, a
+non-Hermitian input matrix, a model above its enumeration cap), 3 a numerical
+failure (an ArithmeticError or LinAlgError: an eigensolver failure, a spectral
+function undefined or overflowing at an eigenvalue, an overflowed draw).  Every
+command writes a run manifest next to its outputs; data files themselves carry
+no timestamps, so reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .hermitian import (
     FORMAT_VERSION,
     STREAM_VERSION,
     EnsembleSpec,
-    SpectralDomainError,
     _integer,
     _is_real,
     _object,
@@ -75,10 +74,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -86,13 +81,13 @@ def _fmt(x) -> str:
 def _number(name: str, value) -> float:
     """A config number (a JSON int or float, not a bool), as a float."""
     if not _is_real(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
 def _string(name: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -105,7 +100,7 @@ def _choice(*options):
     """A reader that accepts only one of ``options``."""
     def read(name, value):
         if value not in options:
-            raise ConfigError(f"{name} must be one of {', '.join(options)}, got {value!r}")
+            raise ValueError(f"{name} must be one of {', '.join(options)}, got {value!r}")
         return value
     return read
 
@@ -115,8 +110,8 @@ def _parse_range(name: str, value) -> list[int]:
     if isinstance(value, list):
         return [_integer(name, v) for v in value]
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a range, a comma list or a list of integers, "
-                          f"got {value!r}")
+        raise ValueError(f"{name} must be a range, a comma list or a list of integers, "
+                         f"got {value!r}")
     if ".." in value:
         lo, hi = value.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -128,8 +123,8 @@ def _names(name: str, value) -> list[str]:
     if isinstance(value, str):
         return value.split(",")
     if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"{name} must be a comma list or a nonempty list of strings, "
-                          f"got {value!r}")
+        raise ValueError(f"{name} must be a comma list or a nonempty list of strings, "
+                         f"got {value!r}")
     return value
 
 
@@ -139,16 +134,16 @@ def _grid(name: str, value) -> list[float]:
     if isinstance(value, list):
         grid = [_number(name, v) for v in value]
     elif not isinstance(value, str):
-        raise ConfigError(f"{name} must be a grid string or a list of numbers, got {value!r}")
+        raise ValueError(f"{name} must be a grid string or a list of numbers, got {value!r}")
     elif ":" in value:
         start, stop, step = (float(tok) for tok in value.split(":"))
         if not (all(map(math.isfinite, (start, stop, step))) and start <= stop and step > 0):
-            raise ConfigError(f"grid {value!r} needs finite start <= stop and step > 0")
+            raise ValueError(f"grid {value!r} needs finite start <= stop and step > 0")
         grid = [start + k * step for k in range(int(round((stop - start) / step)) + 1)]
     else:
         grid = [float(tok) for tok in value.split(",") if tok]
     if not grid:
-        raise ConfigError(f"{name} is empty")
+        raise ValueError(f"{name} is empty")
     return grid
 
 
@@ -171,7 +166,7 @@ def _settings(args) -> dict:
             with open(args.config) as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         _object(f"config {args.config}", config, (), args.fields)
     settings = {}
     for name, reader in args.fields.items():
@@ -216,7 +211,7 @@ def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
     if isinstance(spec, str):
         return load_model(spec, **kwargs)
     if not isinstance(spec, dict):
-        raise ConfigError(f"model must be a file name or an object, got {spec!r}")
+        raise ValueError(f"model must be a file name or an object, got {spec!r}")
     if "file" in spec:
         _object("model", spec, ("file",))
         return load_model(_string("model file", spec["file"]), **kwargs)
@@ -237,7 +232,7 @@ def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
 
 def cmd_verify_traces(args, settings) -> int:
     if settings["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     out_dir = args.out or "verify-traces-out"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -260,7 +255,7 @@ def cmd_bound(args, settings) -> int:
         c = dobrushin_constant(*matrix_norms(D))   # raises on norms >= 1
     elif args.norm1 is not None or args.norm_inf is not None:
         if args.norm1 is None or args.norm_inf is None:
-            raise ConfigError("provide both --norm1 and --norm-inf")
+            raise ValueError("provide both --norm1 and --norm-inf")
         c = dobrushin_constant(args.norm1, args.norm_inf)
     clamp = display_clamp if args.clamp else (lambda x: x)
 
@@ -279,23 +274,23 @@ def _observable_from_config(obs):
     if kind == "table":
         _object("table observable", obs, ("kind", "dim", "entries"))
         if not isinstance(obs["entries"], list):
-            raise ConfigError(f"observable entries must be a list, got {obs['entries']!r}")
+            raise ValueError(f"observable entries must be a list, got {obs['entries']!r}")
         mapping = {}
         for k, e in enumerate(obs["entries"]):
             _object(f"observable entry {k}", e, ("values", "matrix"))
             if not (isinstance(e["values"], list) and all(map(_is_real, e["values"]))):
-                raise ConfigError(f"observable entry {k}: values must be a list of numbers, "
-                                  f"got {e['values']!r}")
+                raise ValueError(f"observable entry {k}: values must be a list of numbers, "
+                                 f"got {e['values']!r}")
             mapping[tuple(e["values"])] = matrix_from_obj(e["matrix"]).mat
         return TableObservable(mapping, _integer("observable dim", obs["dim"]))
     if kind != "rademacher-sum":
-        raise ConfigError(f"unsupported observable kind {kind!r}")
+        raise ValueError(f"unsupported observable kind {kind!r}")
     _object("rademacher-sum observable", obs, (), ("kind", "matrices", "generate"))
     if ("matrices" in obs) == ("generate" in obs):
-        raise ConfigError("observable needs exactly one of 'matrices' or 'generate'")
+        raise ValueError("observable needs exactly one of 'matrices' or 'generate'")
     if "matrices" in obs:
         if not isinstance(obs["matrices"], list):
-            raise ConfigError(f"observable matrices must be a list, got {obs['matrices']!r}")
+            raise ValueError(f"observable matrices must be a list, got {obs['matrices']!r}")
         return RademacherSumObservable([matrix_from_obj(o) for o in obs["matrices"]])
     g = _object("observable generate", obs["generate"], ("count", "dim", "seed"),
                 ("kind", "scale"))
@@ -310,7 +305,7 @@ def _observable_from_config(obs):
 
 def cmd_mc_tail(args, settings) -> int:
     if args.config is None:
-        raise ConfigError("mc-tail requires --config")
+        raise ValueError("mc-tail requires --config")
     observable = _observable_from_config(settings["observable"])
     cap = settings["enum_cap"]
     # exhaustive tails and derived difference bounds enumerate every state
@@ -344,7 +339,7 @@ def cmd_mc_tail(args, settings) -> int:
 
 def cmd_dobrushin(args, settings) -> int:
     if settings["model"] is None:
-        raise ConfigError("dobrushin requires --model or a config with one")
+        raise ValueError("dobrushin requires --model or a config with one")
     model, kmax = _model_from_spec(settings["model"]), settings["kmax"]
     D = dobrushin_matrix(model)
     n1, ninf = matrix_norms(D)
@@ -378,7 +373,7 @@ def cmd_conjecture(args, settings) -> int:
     entry = None
     if settings["ineq"] == "fconj":
         if not settings["entry"]:
-            raise ConfigError("fconj requires --entry")
+            raise ValueError("fconj requires --entry")
         entry = catalog_entry(settings["entry"])
     result = counterexample_search(settings["ineq"], settings["dims"], settings["budget"],
                                    args.seed, scale=settings["scale"], entry=entry)
@@ -399,7 +394,7 @@ def _artifact(where: str, obj: dict, **fields) -> dict:
     try:
         return {name: read(name, obj[name]) for name, read in fields.items()}
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _has_manifest(path: str) -> bool:
@@ -423,7 +418,7 @@ def cmd_report(args, settings) -> int:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             if _has_manifest(path):  # a data file cut short, say; other files are not ours
-                raise ConfigError(f"cannot read {path}: {exc}") from None
+                raise ValueError(f"cannot read {path}: {exc}") from None
             continue
         if not isinstance(obj, dict):
             continue
@@ -528,11 +523,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args, _settings(args))
-    except (ArithmeticError, np.linalg.LinAlgError, SpectralDomainError) as exc:
+        settings = _settings(args)
+        if os.path.dirname(args.out or ""):  # refuse an unwritable --out before any work
+            os.makedirs(os.path.dirname(args.out), exist_ok=True)
+        return args.func(args, settings)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError, OSError, EnumerationCapError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -30,7 +30,7 @@ DEFAULT_ENUM_CAP = 1_000_000
 _DIFF_FLOATS = 1 << 15
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ValueError):
     """Raised when an exact enumeration would exceed the configured cap."""
 
 

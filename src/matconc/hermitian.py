@@ -45,7 +45,7 @@ class HermiticityError(ValueError):
         )
 
 
-class SpectralDomainError(ValueError):
+class SpectralDomainError(ArithmeticError):
     """Raised when a scalar function is undefined at an eigenvalue."""
 
     def __init__(self, eigenvalue: float, detail: str = ""):
@@ -181,7 +181,8 @@ def _certify(arr: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf: rejected below as NaN
         asym = np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(axis=(-2, -1))
     tol = HERMITICITY_RTOL * scale
-    bad = ~(asym <= tol)  # also catches NaN, so non-finite entries are rejected
+    # NaN catches non-finite entries, except an inf whose mirror is finite (inf <= inf)
+    bad = ~(asym <= tol) | np.isinf(scale)
     if bad.any():
         i = int(np.argmax(bad))
         raise HermiticityError(np.ravel(asym)[i], np.ravel(tol)[i])

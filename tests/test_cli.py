@@ -1,13 +1,17 @@
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import matconc
 from matconc.cli import _write_csv, main
 from matconc.bounds import dobrushin_constant
 from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, save_model
@@ -121,9 +125,9 @@ class TestBoundCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--t", "0,nan,1"], ["--sigma-sq", "nan"],
-                                      ["--c", "nan"]])
+                                      ["--c", "nan"], ["--norm1", "0.5"]])
     def test_nan_input_is_usage_error(self, tmp_path, capsys, args):
-        # each once wrote NaN rows and exited 0
+        # each NaN once wrote NaN rows and exited 0; --norm1 needs --norm-inf
         out = tmp_path / "b.csv"
         assert run(["bound", *args, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -487,6 +491,30 @@ class TestMcTailCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_cell_with_finite_mirror_exits_2(self, tmp_path, capsys):
+        # the cell [Infinity, 0] mirrored by [0, 0] certified, holding inf+nanj
+        inf = {"dim": 2, "entries": [[[1.0, 0.0], [math.inf, 0.0]],
+                                     [[0.0, 0.0], [1.0, 0.0]]]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"rademacher_sites": 1},
+                                    "observable": {"matrices": [inf]}}))
+        assert "Infinity" in path.read_text()
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix is not Hermitian")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_coefficient_count_other_than_site_count_exits_2(self, tmp_path, capsys, count):
+        # 2 matrices on 3 sites printed numpy's "operands could not be broadcast"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"rademacher_sites": 3}, "samples": 100,
+                                    "observable": {"generate": {"count": count, "dim": 2,
+                                                                "seed": 1}}}))
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: observable has {count} coefficient matrices for a 3-site model\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("change", [
         {"samples": None}, {"samples": [5]}, {"samples": 2.5}, {"samples": True},
         {"seed": 2.5}, {"seed": "3"}, {"t_grid": 5}, {"t_grid": [0.0, None]},
@@ -710,6 +738,23 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 
+    def test_out_parent_created(self, tmp_path, ising_model_file):
+        out = tmp_path / "new" / "nested" / "d.json"
+        assert run(["dobrushin", "--model", ising_model_file, "--out", out]) == 0
+        assert json.loads(out.read_text())["n"] == 2
+
+    def test_out_parent_that_is_a_file_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              ising_model_file, monkeypatch):
+        # the report was computed, then the write failed
+        def never(model):
+            raise AssertionError("dobrushin_matrix ran")
+
+        monkeypatch.setattr("matconc.cli.dobrushin_matrix", never)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "d.json"
+        assert run(["dobrushin", "--model", ising_model_file, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
     @pytest.mark.parametrize("value", [[1], 2.5, None, {}], ids=["list", "float", "null", "object"])
     def test_non_string_model_file_exits_2(self, tmp_path, capsys, value):
         # each reached open() and raised an uncaught TypeError
@@ -888,3 +933,45 @@ class TestUsageErrors:
         bad.write_text("{not json")
         assert run(["bound", "--config", bad, "--t", "1",
                     "--out", tmp_path / "b.csv"]) == 2
+
+
+def package_errors():
+    """Every exception class that a module of matconc defines."""
+    found = set()
+    for info in pkgutil.iter_modules(matconc.__path__):
+        module = importlib.import_module(f"matconc.{info.name}")
+        found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException) and cls.__module__ == module.__name__}
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def error_instance(cls):
+    """An instance of ``cls``, 1.0 for each argument its own __init__ requires."""
+    if not inspect.isfunction(cls.__init__):  # the builtin's, which takes a message
+        return cls("raised inside a command")
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return cls(*[1.0 for p in params if p.default is p.empty])
+
+
+def test_package_errors_found():
+    assert {"HermiticityError", "SpectralDomainError", "EnumerationCapError"} <= \
+        {cls.__name__ for cls in package_errors()}
+
+
+@pytest.mark.parametrize("cls", package_errors(), ids=lambda cls: cls.__name__)
+def test_error_base_decides_the_exit_code(cls, tmp_path, capsys, monkeypatch):
+    # a ValueError is a refused input (2), an ArithmeticError a numerical failure (3)
+    assert issubclass(cls, ValueError) != issubclass(cls, ArithmeticError)
+    exc = error_instance(cls)
+
+    def raising(*args):
+        raise exc
+
+    monkeypatch.setattr("matconc.cli.tropp_bound", raising)
+    out = tmp_path / "b.csv"
+    code = run(["bound", "--t", "1", "--out", out])
+    if issubclass(cls, ArithmeticError):
+        assert (code, capsys.readouterr().err) == (3, f"numerical failure: {exc}\n")
+    else:
+        assert (code, capsys.readouterr().err) == (2, f"error: {exc}\n")
+    assert not out.exists()

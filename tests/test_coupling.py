@@ -636,23 +636,24 @@ class TestAntisymmetricF:
     @pytest.mark.parametrize("make", [ising2, ising3_field, mixed_table, product3],
                              ids=["ising2", "ising3_field", "mixed", "product3"])
     def test_matches_pair_law_chain_sum(self, make):
-        # oracle: evolve the coupled pair law and sum the marginal differences
-        # until the chains have met with all but 1e-13 of the mass
+        # oracle: evolve the coupled pair law with the strided dense step and sum
+        # the marginal differences until the chains have met with all but 1e-13
+        # of the mass
         model = make()
         f = RademacherSumObservable([draw(2, 60 + k) for k in range(model.n)])
         fc = _centered_values(model, f)
         g = _chain_sum(model, gibbs_kernel(model), fc)
-        ev = PairEvolver(model)
         rng = np.random.default_rng(7)
         for _ in range(8):
             x, y = rng.integers(0, model.size, 2)
-            nu = ev.delta(x, y)
+            nu = np.zeros((model.size, model.size))
+            nu[x, y] = 1.0
             F = np.zeros((2, 2), dtype=complex)
             for _ in range(1000):
                 if 1.0 - np.trace(nu) <= 1e-13:
                     break
                 F += np.einsum("s,sij->ij", nu.sum(axis=1) - nu.sum(axis=0), fc)
-                nu = ev.step(nu)
+                nu = dense_step_oracle(model, nu)
             else:
                 pytest.fail("the chains did not meet within 1000 steps")
             assert np.abs(g[x] - g[y] - F).max() <= 1e-8
@@ -1329,6 +1330,15 @@ class TestSiteCountRefusal:
             with pytest.raises(ValueError):
                 mc_tail_estimate(model, self.obs(count), [0.0, 1.0], 100, seed=1)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("method", ["exact_mean", "hamming_bounds"])
+    def test_model_of_another_site_count_refused(self, count, method):
+        # hamming_bounds zipped 2 matrices with 3 sites into sigma^2 = 8, silently
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 3, [[0.5, 0.5]] * 3)
+        with pytest.raises(ValueError, match=f"observable has {count} coefficient matrices "
+                                             "for a 3-site model"):
+            getattr(self.obs(count), method)(model)
+
 
 class TestSmallHelpers:
     def test_coupon_examples(self):
@@ -1419,3 +1429,13 @@ def test_exact_layers_bytes_pinned(name, assert_pinned):
         arrays.append(nu)
     assert_pinned(f"exact/{name}", b"".join(repr(a.shape).encode() +
                                             np.ascontiguousarray(a).tobytes() for a in arrays))
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("name", PINNED_EXACT)
+def test_exact_DG_bytes_pinned(name, assert_pinned):
+    # D and the Gibbs kernel alone, so their pins outlive the pair-step layer
+    model, _, _ = pinned_model(name)
+    arrays = [dobrushin_matrix(model).entries, gibbs_kernel(model)]
+    assert_pinned(f"exact-DG/{name}", b"".join(repr(a.shape).encode() +
+                                               np.ascontiguousarray(a).tobytes() for a in arrays))

@@ -76,6 +76,14 @@ class TestConstruction:
             with pytest.raises(HermiticityError):
                 HermitianMatrix(entries)
 
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["upper", "lower"])
+    def test_rejects_infinite_entry_with_finite_mirror(self, inf, transpose):
+        # max |A - A*| = inf was within the tolerance 1e-12 * max|entry| = inf
+        A = np.array([[1.0, inf], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(HermiticityError):
+            HermitianMatrix(A.T if transpose else A)
+
     def test_immutable(self):
         H = HermitianMatrix.identity(2)
         with pytest.raises(ValueError):
