@@ -1,6 +1,7 @@
 import csv
 import importlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import matconc
 from matconc.cli import _write_csv, main
 from matconc.bounds import dobrushin_constant
 from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, save_model
-from matconc.hermitian import matrix_to_obj
+from matconc.hermitian import EnsembleSpec, matrix_to_obj, sample_ensemble
 
 
 IDENTITY = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
@@ -566,6 +567,71 @@ class TestMcTailCommand:
         out = tmp_path / "tbl.csv"
         assert run(["mc-tail", "--config", path, "--out", out]) == 0
         assert len(read_csv(out)) == 3
+
+
+def ci_table_entries():
+    """The CI's table observable on the 4-site Ising model: one Hermitian
+    2 x 2 entry per state."""
+    return [{"values": list(z), "matrix": {"dim": 2, "entries": [
+        [[z[0] + 0.5 * z[1], 0.0], [0.25 * z[2], 0.1 * z[3]]],
+        [[0.25 * z[2], -0.1 * z[3]], [z[1] - 0.5 * z[3], 0.0]]]}}
+        for z in itertools.product((-1, 1), repeat=4)]
+
+
+def generated(count, dim, seed, **extra):
+    return {"generate": {"count": count, "dim": dim, "seed": seed, **extra}}
+
+
+# mc-tail configs whose CSV bytes are pinned: a d = 2 sampled Rademacher sum
+# shaped like the chain-mc benchmark's tails, a d = 2 integer-entry sum tailed
+# exhaustively on an integer grid that its lambda_max values hit exactly, and
+# the CI determinism step's configs (d = 3 sums, the table observable); the
+# string "ising" stands for the CI's 4-site Ising model file
+MC_TAIL_PINS = {
+    "rademacher-d2-sampled": {"model": {"rademacher_sites": 20}, "mode": "mc",
+                              "samples": 5000, "seed": 3,
+                              "observable": generated(20, 2, 1, scale=0.3)},
+    "integer-entry-d2-exhaustive": {"model": {"rademacher_sites": 10}, "mode": "exhaustive",
+                                    "t_grid": list(range(13)),
+                                    "observable": generated(10, 2, 2, kind="integer-entry")},
+    "ci-d3-exhaustive": {"model": {"rademacher_sites": 10}, "mode": "exhaustive", "c": 1.0,
+                         "observable": {"kind": "rademacher-sum",
+                                        **generated(10, 3, 3, scale=0.5)}},
+    "ci-d3-sampled": {"model": {"rademacher_sites": 10}, "mode": "mc", "samples": 20000,
+                      "seed": 5, "observable": {"kind": "rademacher-sum",
+                                                **generated(10, 3, 3, scale=0.5)}},
+    "ci-table-exhaustive": {"model": "ising", "mode": "exhaustive",
+                            "observable": {"kind": "table", "dim": 2,
+                                           "entries": ci_table_entries()}},
+    "ci-table-sampled": {"model": "ising", "mode": "mc", "samples": 20000, "seed": 5,
+                         "observable": {"kind": "table", "dim": 2,
+                                        "entries": ci_table_entries()}},
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("name", sorted(MC_TAIL_PINS))
+def test_mc_tail_bytes_pinned(name, tmp_path, assert_pinned):
+    cfg = dict(MC_TAIL_PINS[name])
+    if cfg["model"] == "ising":
+        cfg["model"] = str(tmp_path / "ising.json")
+        (tmp_path / "ising.json").write_text(json.dumps(CI_MODELS["ising"]))
+    path, out = tmp_path / "cfg.json", tmp_path / "mc-tail.csv"
+    path.write_text(json.dumps(cfg))
+    assert run(["mc-tail", "--config", path, "--out", out]) == 0
+    assert_pinned(f"mc-tail/{name}", out.read_bytes())
+
+
+def test_integer_entry_pin_hits_its_grid():
+    # the integer-entry pin's grid holds lambda_max of many states exactly, so
+    # its counts decide at lambda_max = t itself
+    cfg = MC_TAIL_PINS["integer-entry-d2-exhaustive"]
+    g = cfg["observable"]["generate"]
+    mats = np.stack([sample_ensemble(EnsembleSpec(g["kind"], g["dim"], 1.0, g["seed"] + k)).mat
+                     for k in range(g["count"])])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=g["count"])))
+    lam = np.linalg.eigvalsh(np.einsum("sn,nij->sij", signs, mats))[:, -1]
+    assert np.isin(lam, cfg["t_grid"]).sum() >= 100
 
 
 class TestConjectureCommand:
