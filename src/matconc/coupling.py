@@ -40,6 +40,7 @@ from .hermitian import (
     _coerce_all,
     _hermitian_part,
     _integer,
+    _lambda_max_against,
     _spectral_norm,
 )
 
@@ -595,23 +596,24 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     pilot_ss, main_ss = np.random.SeedSequence(seed).spawn(2)
-    mean = observable.exact_mean(model)
-    source = "observable-exact"
-    if mean is None:
-        if model.size <= MEAN_ENUM_CAP:
-            mean = _enumerated_mean(model, _observable_values(model, observable))
-            source = "enumeration"
-        else:
-            rng_pilot = np.random.default_rng(pilot_ss)
-            n_pilot = max(1000, samples // 10)
-            cfgs = model.sample(rng_pilot, n_pilot)
-            mean = observable.batch(_values_matrix(model, cfgs)).mean(axis=0)
-            source = "pilot"
-    rng = np.random.default_rng(main_ss)
-    cfgs = model.sample(rng, samples)
-    Hs = observable.batch(_values_matrix(model, cfgs))
-    lam = np.linalg.eigvalsh(Hs - np.asarray(mean))[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _lambda_max_against
+        mean = observable.exact_mean(model)
+        source = "observable-exact"
+        if mean is None:
+            if model.size <= MEAN_ENUM_CAP:
+                mean = _enumerated_mean(model, _observable_values(model, observable))
+                source = "enumeration"
+            else:
+                rng_pilot = np.random.default_rng(pilot_ss)
+                n_pilot = max(1000, samples // 10)
+                cfgs = model.sample(rng_pilot, n_pilot)
+                mean = observable.batch(_values_matrix(model, cfgs)).mean(axis=0)
+                source = "pilot"
+        rng = np.random.default_rng(main_ss)
+        cfgs = model.sample(rng, samples)
+        centered = observable.batch(_values_matrix(model, cfgs)) - np.asarray(mean)
     t_arr = np.asarray(t_grid, dtype=float)
+    lam = _lambda_max_against(centered, t_arr)
     counts = [int((lam >= t).sum()) for t in t_arr]
     cis = [wilson_interval(k, samples) for k in counts]
     return TailEstimate(tuple(float(t) for t in t_arr), tuple(k / samples for k in counts),
@@ -624,9 +626,11 @@ def exhaustive_tail(model: DiscreteModel, observable: MatrixObservable,
 
     The confidence interval collapses to the exact value at every grid point.
     """
-    lam = np.linalg.eigvalsh(_hermitian_part(_centered_values(model, observable)))[..., -1]
-    mu = model.flat_pmf()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _lambda_max_against
+        centered = _hermitian_part(_centered_values(model, observable))
     t_arr = np.asarray(t_grid, dtype=float)
+    lam = _lambda_max_against(centered, t_arr)
+    mu = model.flat_pmf()
     probs = [float(mu[lam >= t].sum()) for t in t_arr]
     return TailEstimate(tuple(float(t) for t in t_arr), tuple(probs),
                         tuple(probs), tuple(probs), model.size, "exhaustive")

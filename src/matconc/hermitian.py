@@ -167,7 +167,11 @@ _EXP_MAX = math.log(_SPECTRAL_MAX)
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+    """(M + M*)/2, halved before the sum so that no finite entry overflows;
+    outside the subnormal range halving is exact, so these are the bits of
+    halving the sum."""
+    H = M / 2.0
+    return H + np.swapaxes(H.conj(), -1, -2)
 
 
 def _certify(arr: np.ndarray) -> np.ndarray:
@@ -175,16 +179,21 @@ def _certify(arr: np.ndarray) -> np.ndarray:
 
     Raises :class:`HermiticityError` for the first matrix of the stack whose
     max |A - A*| exceeds ``HERMITICITY_RTOL * max|entry|`` or has a
-    non-finite entry.
+    non-finite entry, and ``ValueError`` for one whose entries are finite but
+    one of whose moduli overflows (no tolerance can be formed for it).
     """
     scale = np.abs(arr).max(axis=(-2, -1))
-    with np.errstate(invalid="ignore"):  # inf - inf: rejected below as NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: rejected below as NaN
         asym = np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(axis=(-2, -1))
     tol = HERMITICITY_RTOL * scale
     # NaN catches non-finite entries, except an inf whose mirror is finite (inf <= inf)
     bad = ~(asym <= tol) | np.isinf(scale)
     if bad.any():
         i = int(np.argmax(bad))
+        A = arr.reshape(-1, *arr.shape[-2:])[i]
+        if np.isinf(np.ravel(scale)[i]) and np.isfinite(A).all():
+            z = A.flat[int(np.argmax(np.isinf(np.abs(A))))]
+            raise ValueError(f"matrix entry {z} has a modulus above the float range")
         raise HermiticityError(np.ravel(asym)[i], np.ravel(tol)[i])
     return _hermitian_part(arr)
 
@@ -249,6 +258,60 @@ def _trace(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _spectral_norm(M: np.ndarray) -> float:
     """Largest |eigenvalue| of the Hermitian part over a stack of matrices."""
     return float(np.abs(np.linalg.eigvalsh(_hermitian_part(M))).max())
+
+
+def _lambda_max_against(stack: np.ndarray, t_grid) -> np.ndarray:
+    """lambda_max of each matrix of a Hermitian (..., d, d) stack, exact on
+    the side of every grid point: ``lam >= t`` holds just where it holds for
+    ``np.linalg.eigvalsh(stack)[..., -1]``, for each t in ``t_grid``.
+
+    Reads what LAPACK reads: the lower triangle and the real part of the
+    diagonal.  For d = 2 the closed form (a + d)/2 + hypot((a - d)/2, |b|),
+    with a, d the real diagonal and b = A[1, 0], decides every matrix whose
+    value lies more than a margin from each grid point; only the others are
+    confirmed by ``eigvalsh``, whose value they then take.
+
+    The margin is 2^-30 (|a| + |d| + |b|) + 2^-1000.  The closed form makes
+    a handful of roundings, each of at most an ulp of a value no larger than
+    |a| + |d| + |b|, so it is within a few eps (|a| + |d| + |b|) of the exact
+    lambda_max; LAPACK's computed eigenvalues are within p(n) eps ||A||_2 of
+    the exact ones, p(n) a modest function of n (LAPACK Users' Guide,
+    section 4.7), and ||A||_2 <= |a| + |d| + |b|.  The two values therefore
+    differ by far less than the relative term, and a value decided by the
+    closed form lies on the same side of each t as LAPACK's.  The absolute
+    term sends every matrix near the subnormal range, where halving rounds,
+    to ``eigvalsh``.  A row is near t when ``not (|lam - t| > margin)``, and
+    a lambda_max that overflows is near every t.  For d != 2 every matrix
+    goes to ``eigvalsh``.  Extra memory is O(number of matrices), whatever
+    the grid length.
+
+    Raises ``ArithmeticError`` if the stack has a non-finite entry, or if a
+    lambda_max is not finite (``eigvalsh`` returns NaN for one that overflows).
+    """
+    if not np.isfinite(stack).all():
+        i = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1)).ravel()))
+        raise ArithmeticError(f"lambda_max undefined: matrix {i} of the stack "
+                              "has a non-finite entry")
+    if stack.shape[-1] != 2:
+        lam = np.linalg.eigvalsh(stack)[..., -1]
+    else:
+        a, d = stack[..., 0, 0].real, stack[..., 1, 1].real
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is near
+            b = np.abs(stack[..., 1, 0])
+            margin = 2.0 ** -30 * (np.abs(a) + np.abs(d) + b) + 2.0 ** -1000
+            a, d = a / 2.0, d / 2.0  # halved first, so that a + d cannot overflow
+            # hypot(a - d, |b|) as the modulus of a complex array: numpy's complex
+            # abs is a scaled hypot, as accurate and several times faster
+            lam = (a + d) + np.abs(_complex(a - d, b))
+            near = ~np.isfinite(lam)
+            for t in np.ravel(t_grid):
+                near |= ~(np.abs(lam - t) > margin)
+        if near.any():
+            lam[near] = np.linalg.eigvalsh(stack[near])[:, -1]
+    if not np.isfinite(lam).all():
+        i = int(np.argmin(np.isfinite(lam).ravel()))
+        raise ArithmeticError(f"lambda_max of matrix {i} of the stack overflows")
+    return lam
 
 
 @dataclass(frozen=True)

@@ -809,6 +809,24 @@ class TestBatchOnlyObservable:
             (expect.empirical, expect.ci_low, expect.ci_high)
 
 
+class TestNonFiniteTailValues:
+    # sums of 8 such A_k overflow: the sampled tail read 0.419 at t = -1e300
+    # and the exact one 0.0 at every t, with only a RuntimeWarning
+    n = 8
+    obs = RademacherSumObservable([[[6e307, 3e307], [3e307, -6e307]]] * 8)
+
+    def model(self):
+        return DiscreteModel.from_product([(-1.0, 1.0)] * self.n, [[0.5, 0.5]] * self.n)
+
+    def test_sampled_tail_refused(self):
+        with pytest.raises(ArithmeticError, match="has a non-finite entry"):
+            mc_tail_estimate(self.model(), self.obs, [-1e300, 0.0, 1.0], 5000, seed=1)
+
+    def test_exhaustive_tail_refused(self):
+        with pytest.raises(ArithmeticError, match="has a non-finite entry"):
+            exhaustive_tail(self.model(), self.obs, [-1e300, 0.0, 1.0])
+
+
 class TestMcTail:
     def test_constant_observable(self):
         model = product2()

@@ -25,6 +25,7 @@ from matconc.hermitian import (
     _exp,
     _from_params,
     _hermitian_part,
+    _lambda_max_against,
     _object,
     _spectral_norm,
     _to_params,
@@ -83,6 +84,38 @@ class TestConstruction:
         A = np.array([[1.0, inf], [0.0, 1.0]], dtype=complex)
         with pytest.raises(HermiticityError):
             HermitianMatrix(A.T if transpose else A)
+
+    def test_entry_above_half_max_certified(self):
+        # (A + A*)/2 overflowed in the sum and stored inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = HermitianMatrix([[1.5e308, -1e308 + 1.2e308j], [-1e308 - 1.2e308j, 1.0]])
+        assert H.mat[0, 0] == 1.5e308 and H.mat[1, 0] == -1e308 - 1.2e308j
+
+    def test_hermitian_part_keeps_the_bits_of_halving_the_sum(self):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((50, 3, 3, 2)).view(complex)[..., 0]
+        M[:, 0, 1] = -0.0  # signed zeros meet +0.0 and -0.0 mirrors
+        M[:10, 1, 0] = 0.0
+        summed = (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+        assert _hermitian_part(M).tobytes() == summed.tobytes()
+
+    def test_overflowing_modulus_refused_with_its_own_message(self):
+        # a finite Hermitian matrix whose entry modulus overflows was "not
+        # Hermitian: max |A - A*| = 0.000000e+00 exceeds tolerance inf"
+        z = 1.5e308 + 1.5e308j
+        with pytest.raises(ValueError) as exc:
+            HermitianMatrix([[1.0, z], [z.conjugate(), 1.0]])
+        assert str(exc.value) == \
+            "matrix entry (1.5e+308+1.5e+308j) has a modulus above the float range"
+        assert not isinstance(exc.value, HermiticityError)
+
+    def test_overflowing_asymmetry_refused_without_a_warning(self):
+        # A - A* overflows to inf, which no tolerance admits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HermiticityError, match=r"max \|A - A\*\| = inf "):
+                HermitianMatrix([[0.0, 1.5e308], [-1.5e308, 0.0]])
 
     def test_immutable(self):
         H = HermitianMatrix.identity(2)
@@ -246,6 +279,109 @@ class TestNormsAndTrace:
         # the largest over a stack, of each matrix's Hermitian part
         stack = np.array([np.diag([1.0, -0.5]), [[0.0, 4.0], [0.0, 0.0]]])
         assert _spectral_norm(stack) == pytest.approx(2.0)
+
+
+def lambda_max_stacks(rng, count=400):
+    """Named d = 2 stacks for the lambda_max kernel: Gaussian,
+    integer-entry and near-degenerate Hermitian stacks at scales 1e-300 to
+    1e150, and stacks whose upper triangle is not the conjugate of their lower
+    one or whose diagonal is imaginary (LAPACK reads neither)."""
+    cases = []
+    for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150):
+        cases.append((f"gaussian-{scale:g}", _draw("gaussian-hermitian", 2, scale, rng, count)))
+        a = scale * rng.standard_normal(count)
+        degenerate = np.zeros((count, 2, 2), dtype=complex)
+        degenerate[:, 0, 0] = degenerate[:, 1, 1] = a  # b = 0, a = d
+        cases.append((f"scalar-{scale:g}", degenerate))
+        split = degenerate.copy()
+        split[:, 1, 1] = a * (1 + 1e-15 * rng.standard_normal(count))  # b = 0, a ~ d
+        cases.append((f"diagonal-{scale:g}", split))
+        tiny = degenerate.copy()
+        tiny[:, 1, 0] = 1e-9 * a * rng.standard_normal(count)  # a = d, b ~ 0
+        tiny[:, 0, 1] = tiny[:, 1, 0].conj()
+        cases.append((f"tiny-b-{scale:g}", tiny))
+    for m in (1, 3, 50):
+        cases.append((f"integer-entry-{m}", _draw("integer-entry", 2, m, rng, count)))
+    skew = _draw("gaussian-hermitian", 2, 1.0, rng, count)
+    skew[:, 0, 1] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    cases.append(("upper-not-conjugate", skew))
+    imaginary = _draw("gaussian-hermitian", 2, 1.0, rng, count)
+    imaginary[:, [0, 1], [0, 1]] += 1j * rng.standard_normal((count, 2))
+    cases.append(("imaginary-diagonal", imaginary))
+    return dict(cases)
+
+
+LAMBDA_MAX_STACKS = lambda_max_stacks(np.random.default_rng(29))
+
+
+class TestLambdaMaxAgainst:
+    @pytest.mark.parametrize("name", LAMBDA_MAX_STACKS)
+    def test_sides_match_eigvalsh(self, name):
+        stack = LAMBDA_MAX_STACKS[name]
+        # every grid point that could split the two values: LAPACK's own
+        # values and their neighbours either side
+        eig = np.linalg.eigvalsh(stack)[:, -1]
+        grid = np.concatenate([eig, np.nextafter(eig, -np.inf), np.nextafter(eig, np.inf)])
+        lam = _lambda_max_against(stack, grid)
+        assert np.array_equal(lam[:, None] >= grid, eig[:, None] >= grid)
+        # the closed form itself: decided against no grid point, no row is confirmed
+        closed = _lambda_max_against(stack, [])
+        size = np.abs(stack[:, 0, 0].real) + np.abs(stack[:, 1, 1].real) + np.abs(stack[:, 1, 0])
+        assert (np.abs(closed - eig) <= 2.0 ** -40 * size).all()
+
+    def test_confirms_only_near_rows(self, monkeypatch):
+        stack = _draw("gaussian-hermitian", 2, 1.0, np.random.default_rng(3), 500)
+        eig = np.linalg.eigvalsh(stack)[:, -1]
+        confirmed = []
+
+        def spy(M):
+            confirmed.append(len(M))
+            return eigvalsh(M)
+
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        far = [eig.min() - 1.0, eig.max() + 1.0]
+        assert np.array_equal(_lambda_max_against(stack, far), _lambda_max_against(stack, []))
+        assert confirmed == []
+        lam = _lambda_max_against(stack, eig[:3])
+        assert confirmed == [3] and np.array_equal(lam[:3], eig[:3])
+
+    def test_other_dims_are_eigvalsh(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 3, 4):
+            stack = _draw("gaussian-hermitian", d, 1.0, rng, 50)
+            assert np.array_equal(_lambda_max_against(stack, [0.0]),
+                                  np.linalg.eigvalsh(stack)[:, -1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_refused(self, d, bad):
+        stack = np.zeros((4, d, d), dtype=complex)
+        stack[2, d - 1, 0] = bad
+        with pytest.raises(ArithmeticError, match="matrix 2 of the stack has a non-finite entry"):
+            _lambda_max_against(stack, [0.0])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_value_refused(self, d):
+        # finite entries whose lambda_max overflows: eigvalsh returns NaN for it
+        big = np.finfo(float).max
+        stack = np.zeros((3, d, d), dtype=complex)
+        stack[1] = big * np.eye(d)
+        stack[1, 1, 0], stack[1, 0, 1] = big * (0.75 + 0.75j), big * (0.75 - 0.75j)
+        assert np.isnan(np.linalg.eigvalsh(stack[1])[-1])
+        with pytest.raises(ArithmeticError, match="lambda_max of matrix 1 of the stack overflows"):
+            _lambda_max_against(stack, [0.0])
+
+    def test_near_max_value_confirmed(self):
+        # lambda_max up to the largest float, where |a| + |d| + |b| overflows:
+        # the margin is infinite, and eigvalsh decides every row
+        big = np.finfo(float).max
+        stack = np.zeros((2, 2, 2), dtype=complex)
+        stack[:, 0, 0] = stack[:, 1, 1] = big / 2
+        stack[:, 1, 0] = stack[:, 0, 1] = [big / 2, big / 4]
+        eig = np.linalg.eigvalsh(stack)[:, -1]
+        assert np.isfinite(eig).all()
+        assert np.array_equal(_lambda_max_against(stack, [0.0]), eig)
 
 
 class TestEnsembles:
