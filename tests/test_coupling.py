@@ -59,6 +59,15 @@ def ising4_field():
     return DiscreteModel.from_ising(J, [0.2, -0.1, 0.05, -0.3])
 
 
+def ising6_field():
+    # a ring of six sites with one chord, a field on every site
+    J = np.zeros((6, 6))
+    for i, j, c in [(0, 1, 0.3), (1, 2, -0.25), (2, 3, 0.2), (3, 4, 0.25), (4, 5, -0.2),
+                    (0, 5, 0.15), (1, 4, 0.1)]:
+        J[i, j] = J[j, i] = c
+    return DiscreteModel.from_ising(J, [0.2, -0.1, 0.05, -0.3, 0.15, 0.1])
+
+
 def ising3_field():
     J = np.zeros((3, 3))
     J[0, 1] = J[1, 0] = 0.3
@@ -1117,6 +1126,22 @@ class TestOneCallStep:
         # per-site step's
         got = greedy_disagreement_mc(alphabet9(), 0, 6, 2000, seed=3)
         assert_pinned("greedy-mc/nine-value-site", got.means.tobytes() + got.std_errors.tobytes())
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("kmax", [20, 60])
+    def test_ising6_field_pinned(self, kmax, assert_pinned):
+        # at kmax 60 every run has coalesced: the last row is all zeros
+        got = greedy_disagreement_mc(ising6_field(), 0, kmax, 2000, seed=5)
+        assert (not got.means[-1].any()) == (kmax == 60)
+        assert_pinned(f"greedy-mc/ising6-field-k{kmax}",
+                      got.means.tobytes() + got.std_errors.tobytes())
+
+    @pytest.mark.pinned
+    def test_one_value_site_pinned(self, assert_pinned):
+        # site 1 takes one value: the resample changes no run, so none disagrees
+        got = greedy_disagreement_mc(one_value_site(), 1, 6, 500, seed=3)
+        assert not got.means.any()
+        assert_pinned("greedy-mc/one-value-site", got.means.tobytes() + got.std_errors.tobytes())
 
     def test_overlap_mass_in_value_order(self):
         # nine-value pmfs whose value-order sum lies above NumPy's pairwise
