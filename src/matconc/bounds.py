@@ -21,17 +21,26 @@ class DifferenceBoundSet:
     """Sequence {A_k} of equal-dimension Hermitian difference bounds.
 
     Carries the derived sum of squares and the variance parameter
-    sigma^2 = || sum_k A_k^2 || (spectral norm).
+    sigma^2 = || sum_k A_k^2 || (spectral norm).  A sum of squares or a
+    sigma^2 that overflows is a numerical failure, refused with an
+    ``ArithmeticError``.
     """
 
     def __init__(self, matrices: Sequence):
         self.matrices = _coerce_all(matrices)
         d = self.dim
         total = np.zeros((d, d), dtype=np.complex128)
-        for M in self.matrices:
-            total += M.mat @ M.mat
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for M in self.matrices:
+                total += M.mat @ M.mat
+        if not np.isfinite(total).all():
+            raise ArithmeticError("the sum of squared difference bounds sum_k A_k^2 "
+                                  "overflows: an entry is not finite")
         self.sum_of_squares = HermitianMatrix(total)
         self.sigma_sq = _spectral_norm(self.sum_of_squares.mat)
+        if not math.isfinite(self.sigma_sq):
+            raise ArithmeticError("the variance parameter sigma^2 = ||sum_k A_k^2|| "
+                                  "overflows: it is not finite")
 
     @property
     def dim(self) -> int:

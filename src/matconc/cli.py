@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 inequality violation or counterexample candidate,
 2 a refused input (a ValueError or OSError: a usage or config error, a
 non-Hermitian input matrix, a model above its enumeration cap), 3 a numerical
 failure (an ArithmeticError or LinAlgError: an eigensolver failure, a spectral
-function undefined or overflowing at an eigenvalue, an overflowed draw).  Every
-command writes a run manifest next to its outputs; data files themselves carry
-no timestamps, so reruns with the same config and seed are byte-identical.
+function undefined or overflowing at an eigenvalue, an overflowed draw or
+variance sigma^2).  Every command writes a run manifest next to its outputs;
+data files themselves carry no timestamps, so reruns with the same config and
+seed are byte-identical.
 """
 
 from __future__ import annotations

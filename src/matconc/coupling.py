@@ -700,6 +700,18 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     X', and then runs ``kmax`` greedy-coupled steps, recording the per-site
     disagreement indicators after every step.  ``site``, ``kmax``, ``runs``
     and ``seed`` must be integers (not bools).
+
+    Coalescence is absorbing: a run whose two chains agree at every site
+    gathers the same conditional column for both, so the coupling draws one
+    shared value (``_maximal_coupling_rows`` returns a == b) and the chains
+    agree again after the step.  Such a run adds nothing to any later count.
+    So only the active runs, those with a disagreement left, are kept, as
+    (n, A) sub-stacks: the runs that differ at ``site`` after the resample,
+    less every run that coalesces after a step.  Each step still draws the
+    picks and uniforms of all ``runs`` runs, in the same order, and hands the
+    active runs' share to :func:`_coupled_step`, so every count is the one a
+    step of every run gives.  The loop stops once no run is active; the
+    generator is local, so the draws it does not make are never observed.
     """
     site, kmax, runs, seed = (_integer(name, v) for name, v in
                               (("site", site), ("kmax", kmax), ("runs", runs), ("seed", seed)))
@@ -715,10 +727,18 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     Y = X.copy()
     Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
 
-    counts = np.empty((kmax + 1, n), dtype=np.int64)
+    counts = np.zeros((kmax + 1, n), dtype=np.int64)
     counts[0] = np.count_nonzero(X != Y, axis=1)
+    active = np.flatnonzero(X[site] != Y[site])  # the runs that disagree
+    X, Y = X[:, active], Y[:, active]
     for k in range(1, kmax + 1):
-        _coupled_step(rules, X, Y, rng.integers(0, n, size=runs), rng.random((runs, 4)))
-        counts[k] = np.count_nonzero(X != Y, axis=1)
+        if not len(active):
+            break
+        picks, U = rng.integers(0, n, size=runs), rng.random((runs, 4))
+        _coupled_step(rules, X, Y, picks.take(active), U.take(active, axis=0))
+        differ = X != Y
+        counts[k] = np.count_nonzero(differ, axis=1)
+        keep = differ.any(axis=0)
+        active, X, Y = active[keep], X[:, keep], Y[:, keep]
     means = counts / runs
     return DisagreementMC(site, kmax, runs, means, np.sqrt(means * (1.0 - means) / runs))

@@ -492,6 +492,26 @@ class TestMcTailCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["mc", "exhaustive"])
+    @pytest.mark.parametrize("entries, count, message", [
+        # finite coefficients, and finite bounds 2 A_k, whose squares overflow
+        ([[6e307, 3e307], [3e307, -6e307]], 8,
+         "the sum of squared difference bounds sum_k A_k^2 overflows: an entry is not finite"),
+        # a finite sum of squares, 2e308 times the projection onto (1, 1)
+        ([[3.5e153, 3.5e153], [3.5e153, 3.5e153]], 1,
+         "the variance parameter sigma^2 = ||sum_k A_k^2|| overflows: it is not finite"),
+    ], ids=["sum", "norm"])
+    def test_overflowing_variance_exits_3(self, tmp_path, capsys, mode, entries, count,
+                                          message):
+        matrix = {"dim": 2, "entries": [[[v, 0.0] for v in row] for row in entries]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"rademacher_sites": count}, "mode": mode,
+                                    "observable": {"matrices": [matrix] * count}}))
+        out = tmp_path / "x.csv"
+        assert run(["mc-tail", "--config", path, "--out", out]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not out.exists()
+
     def test_infinite_cell_with_finite_mirror_exits_2(self, tmp_path, capsys):
         # the cell [Infinity, 0] mirrored by [0, 0] certified, holding inf+nanj
         inf = {"dim": 2, "entries": [[[1.0, 0.0], [math.inf, 0.0]],

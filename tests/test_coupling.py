@@ -46,6 +46,7 @@ from matconc.dobrushin import (
     _site_split,
 )
 from matconc.hermitian import EnsembleSpec, HermitianMatrix, HermiticityError, sample_ensemble
+from oracles import per_site_greedy_mc, rowwise_maximal_coupling_rows
 
 
 def ising2(beta=0.25):
@@ -345,6 +346,20 @@ class TestSteps:
             x, y = X0[:, r].copy(), Y0[:, r].copy()
             x[i], y[i] = a[0], b[0]
             assert np.array_equal(X[:, r], x) and np.array_equal(Y[:, r], y), r
+
+    @pytest.mark.parametrize("make", [mixed_table, ising4_field, product3, ternary_ising,
+                                      alphabet9],
+                             ids=["mixed", "ising4", "product3", "ternary", "alphabet9"])
+    def test_coalescence_is_absorbing(self, make):
+        # equal states gather one conditional column for both chains, so the
+        # coupling draws one shared value: what lets the Monte Carlo drop a run
+        m = make()
+        rng = np.random.default_rng(23)
+        X = m.sample(rng, 500).T
+        Y = X.copy()
+        for _ in range(20):
+            coupled_step(m, X, Y, rng)
+            assert np.array_equal(X, Y)
 
     def test_greedy_equal_states_stay_equal(self):
         m = ising2(0.5)
@@ -1049,75 +1064,21 @@ class TestHamming:
         assert ok, f"worst slack {slack}"
 
 
-# The per-site coupled step and its row-major kernels as they stood before the
-# one-call step: the byte oracle of ``greedy_disagreement_mc``.
-
-def rowwise_sample_rows(P, u):
-    cdf = np.cumsum(P, axis=1)
-    idx = (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(idx, P.shape[1] - 1)
-
-
-def rowwise_maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
-    mins = np.minimum(P, Q)
-    omega = mins.sum(axis=1)
-    same = u_same < omega
-    idx_same = rowwise_sample_rows(mins, u_min)
-    z = 1.0 - omega
-    zsafe = np.where(z > 1e-15, z, 1.0)
-    a_diff = rowwise_sample_rows((P - mins) / zsafe[:, None], u_p)
-    b_diff = rowwise_sample_rows((Q - mins) / zsafe[:, None], u_q)
-    a = np.where(same, idx_same, a_diff)
-    b = np.where(same, idx_same, b_diff)
-    return a, b
-
-
-def per_site_coupled_step(tables, weights, X, Y, picks, U):
-    for i, (table, w) in enumerate(zip(tables, weights)):
-        mask = picks == i
-        if not mask.any():
-            continue
-        X[mask, i], Y[mask, i] = rowwise_maximal_coupling_rows(
-            table[X[mask] @ w], table[Y[mask] @ w], *U[mask].T)
-
-
-def per_site_greedy_mc(model, site, kmax, runs, seed):
-    """(means, std_errors) of ``greedy_disagreement_mc`` on (runs, n) stacks."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    n = model.n
-    tables = [conditional_table(model, i) for i in range(n)]
-    weights = [conditional_row_weights(model.sizes, i) for i in range(n)]
-    X = model.sample(rng, runs)
-    Y = X.copy()
-    Y[:, site] = rowwise_sample_rows(tables[site][X @ weights[site]], rng.random(runs))
-    means = np.empty((kmax + 1, n))
-    ses = np.empty((kmax + 1, n))
-
-    def record(k):
-        p = (X != Y).astype(float).mean(axis=0)
-        means[k] = p
-        ses[k] = np.sqrt(p * (1.0 - p) / runs)
-
-    record(0)
-    for k in range(1, kmax + 1):
-        per_site_coupled_step(tables, weights, X, Y, rng.integers(0, n, size=runs),
-                              rng.random((runs, 4)))
-        record(k)
-    return means, ses
-
-
 class TestOneCallStep:
     @pytest.mark.parametrize("make", [mixed_table, ising4_field, single_site, product3,
                                       ternary_ising],
                              ids=["mixed", "ising4", "single_site", "product3", "ternary"])
     def test_bytes_equal_per_site_step(self, make):
+        # the oracle steps every run; at kmax 80 every run has coalesced, so
+        # the Monte Carlo has dropped them all and stopped early
         m = make()
         for site in range(m.n):
-            for seed in (3, 8):
-                means, ses = per_site_greedy_mc(m, site, 6, 1500, seed)
-                got = greedy_disagreement_mc(m, site, 6, 1500, seed)
-                assert got.means.tobytes() == means.tobytes(), (site, seed)
-                assert got.std_errors.tobytes() == ses.tobytes(), (site, seed)
+            for seed, kmax in itertools.product((3, 8), (6, 80)):
+                means, ses = per_site_greedy_mc(m, site, kmax, 1500, seed)
+                got = greedy_disagreement_mc(m, site, kmax, 1500, seed)
+                assert got.means.tobytes() == means.tobytes(), (site, seed, kmax)
+                assert got.std_errors.tobytes() == ses.tobytes(), (site, seed, kmax)
+                assert (kmax == 6) or not means[-1].any(), (site, seed)
 
     @pytest.mark.pinned
     def test_nine_value_site_pinned(self, assert_pinned):
