@@ -66,7 +66,6 @@ from .coupling import (
     RademacherSumObservable,
     TableObservable,
     check_hamming,
-    coupon_collector_survival,
     derive_hamming_bounds,
     exhaustive_tail,
     gibbs_kernel,

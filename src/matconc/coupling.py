@@ -35,6 +35,7 @@ from .dobrushin import (
     site_neighbours,
 )
 from .hermitian import (
+    STREAM_VERSION,
     HermitianMatrix,
     _certify,
     _coerce_all,
@@ -63,13 +64,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
-
-
-def coupon_collector_survival(n: int, k: int) -> float:
-    """(1 - 1/n)^k: chance a given site is never refreshed in k uniform updates."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    return (1.0 - 1.0 / n) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +146,20 @@ class TableObservable(MatrixObservable):
             self._map[tuple(k)] = _certify(v)
 
     def batch(self, values_matrix: np.ndarray) -> np.ndarray:
-        """The entry of each value row, one dictionary lookup per row."""
-        try:
-            return np.stack([self._map[tuple(row)] for row in values_matrix])
-        except KeyError as err:
-            raise ValueError("table observable has no entry for the values "
-                             f"{np.asarray(err.args[0]).tolist()}") from None
+        """The entry of each value row: one dictionary lookup per distinct
+        row, then one ``take``.  Rows are told apart by their bytes (a sort
+        of one void scalar per row); rows equal as numbers but not as bytes,
+        +0.0 and -0.0, are looked up apart and find the same entry.  A row
+        with no entry is refused, the first such row in row order named."""
+        rows = np.ascontiguousarray(values_matrix, dtype=float)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        entries = [self._map.get(tuple(row)) for row in rows[first].tolist()]
+        missing = [u for u, entry in enumerate(entries) if entry is None]
+        if missing:
+            row = rows[first[missing].min()].tolist()
+            raise ValueError(f"table observable has no entry for the values {row}")
+        return np.stack(entries).take(inverse.reshape(-1), axis=0)
 
 
 def derive_hamming_bounds(observable: MatrixObservable,
@@ -574,13 +576,14 @@ class TailEstimate:
 
 
 def _values_matrix(model: DiscreteModel, configs: np.ndarray) -> np.ndarray:
-    """Site values of (R, n) index configurations, one lookup into the
-    zero-padded (n, max m) alphabet table; the (R, n) transposed view of a
-    site-major array, whose site rows ``batch`` reads."""
-    table = np.zeros((model.n, max(model.sizes)))
+    """Site values of (R, n) index configurations, one flat ``take`` from the
+    zero-padded (n, max m) alphabet table at i * max m + index; the (R, n)
+    transposed view of a site-major array, whose site rows ``batch`` reads."""
+    m = max(model.sizes)
+    table = np.zeros((model.n, m))
     for i, a in enumerate(model.alphabets):
         table[i, :len(a)] = np.asarray(a, dtype=float)
-    return table[np.arange(model.n)[:, None], configs.T].T
+    return table.ravel().take(configs.T + m * np.arange(model.n)[:, None]).T
 
 
 def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
@@ -648,6 +651,7 @@ class DisagreementMC:
     runs: int
     means: np.ndarray       # (kmax + 1, n)
     std_errors: np.ndarray  # (kmax + 1, n)
+    stream_version: int     # hermitian.STREAM_VERSION of the draws: greedy runs write no manifest
 
 
 def _site_rules(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -706,12 +710,13 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     shared value (``_maximal_coupling_rows`` returns a == b) and the chains
     agree again after the step.  Such a run adds nothing to any later count.
     So only the active runs, those with a disagreement left, are kept, as
-    (n, A) sub-stacks: the runs that differ at ``site`` after the resample,
-    less every run that coalesces after a step.  Each step still draws the
-    picks and uniforms of all ``runs`` runs, in the same order, and hands the
-    active runs' share to :func:`_coupled_step`, so every count is the one a
-    step of every run gives.  The loop stops once no run is active; the
-    generator is local, so the draws it does not make are never observed.
+    (n, A) sub-stacks in run order: the runs that differ at ``site`` after
+    the resample, less every run that coalesces after a step.
+
+    RNG stream 4: each step draws ``rng.integers(0, n, A)`` picks and then
+    ``rng.random((A, 4))`` uniforms for the A active runs only, row r of each
+    going to the r-th active run, and steps them with :func:`_coupled_step`.
+    The loop stops once no run is active.
     """
     site, kmax, runs, seed = (_integer(name, v) for name, v in
                               (("site", site), ("kmax", kmax), ("runs", runs), ("seed", seed)))
@@ -729,16 +734,17 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
 
     counts = np.zeros((kmax + 1, n), dtype=np.int64)
     counts[0] = np.count_nonzero(X != Y, axis=1)
-    active = np.flatnonzero(X[site] != Y[site])  # the runs that disagree
-    X, Y = X[:, active], Y[:, active]
+    keep = X[site] != Y[site]  # the runs that disagree
+    X, Y = X[:, keep], Y[:, keep]
     for k in range(1, kmax + 1):
-        if not len(active):
+        active = X.shape[1]
+        if not active:
             break
-        picks, U = rng.integers(0, n, size=runs), rng.random((runs, 4))
-        _coupled_step(rules, X, Y, picks.take(active), U.take(active, axis=0))
+        _coupled_step(rules, X, Y, rng.integers(0, n, size=active), rng.random((active, 4)))
         differ = X != Y
         counts[k] = np.count_nonzero(differ, axis=1)
         keep = differ.any(axis=0)
-        active, X, Y = active[keep], X[:, keep], Y[:, keep]
+        X, Y = X[:, keep], Y[:, keep]
     means = counts / runs
-    return DisagreementMC(site, kmax, runs, means, np.sqrt(means * (1.0 - means) / runs))
+    return DisagreementMC(site, kmax, runs, means, np.sqrt(means * (1.0 - means) / runs),
+                          STREAM_VERSION)

@@ -209,9 +209,11 @@ class DiscreteModel:
         call, the doubles that n per-site ``rng.choice(m_i, size, p=p_i)``
         calls would take in turn, and maps them as ``choice`` does: the index
         is the number of entries of the cdf ``c / c[-1]`` (c = p.cumsum())
-        that are <= u.  ``choice``'s checks on p cannot fire, since the site
-        pmfs are strictly positive and normalized at construction.  The result
-        is the transposed view of a site-major (n, size) array.
+        that are <= u, counted into the int64 array that the first comparison
+        gives, one (n, size) comparison at a time.  ``choice``'s checks on p
+        cannot fire, since the site pmfs are strictly positive and normalized
+        at construction.  The result is the transposed view of a site-major
+        (n, size) array.
         """
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         if self._site_pmfs is not None:
@@ -220,8 +222,11 @@ class DiscreteModel:
                 c = p.cumsum()
                 cdf[i, :len(c)] = c / c[-1]
             u = rng.random((self.n, size))
-            idx = np.zeros((self.n, size), dtype=np.int64)
-            for col in cdf.T[:-1]:  # the last column is 1.0 or +inf: u < 1 counts neither
+            cols = cdf.T[:-1]  # the last column is 1.0 or +inf: u < 1 counts neither
+            if not len(cols):  # every site takes one value
+                return np.zeros((self.n, size), dtype=np.int64).T
+            idx = (cols[0][:, None] <= u).astype(np.int64)
+            for col in cols[1:]:
                 idx += col[:, None] <= u
             return idx.T
         flat = rng.choice(self.size, size=size, p=self.flat_pmf())

@@ -20,7 +20,7 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-12     # asymmetry tolerance, relative to max |entry|
 RECONSTRUCTION_RTOL = 1e-10  # U diag(w) U* accuracy, relative to d * max |w|
-STREAM_VERSION = 3           # the RNG stream of seeded draws, recorded in every manifest
+STREAM_VERSION = 4           # the RNG stream of seeded draws, recorded in every manifest
 FORMAT_VERSION = 2           # the bytes of CSV and JSON data files, recorded in every manifest
 
 ENSEMBLE_KINDS = (

@@ -1,17 +1,19 @@
-"""Old implementations kept as test oracles.
+"""Plain implementations kept as test oracles.
 
-Each function is the code a faster or simpler kernel replaced, kept as it
-stood so that tests can compare the kernel's output with it byte for byte.
-Its docstring names the code it guards.
+Each function is the code a faster or simpler kernel replaced, or the
+plainest statement of an RNG stream the kernel must follow, so that tests
+can compare the kernel's output with it byte for byte.  Its docstring names
+the code it guards.
 """
 
 import numpy as np
 
-from matconc.dobrushin import conditional_row_weights, conditional_table
+from matconc.coupling import _coupled_step, _joint_blocks, _ordered_sum, _sample_rows, _site_rules
+from matconc.dobrushin import _site_split, conditional_row_weights, conditional_table
 
 
 # The per-site coupled step and its row-major kernels as they stood before the
-# one-call step: the byte oracle of ``greedy_disagreement_mc``.
+# one-call step, and on them stream 4 of ``greedy_disagreement_mc``.
 
 def rowwise_sample_rows(P, u):
     """One index per row of the row-major (R, m) pmfs P, from a cumsum along
@@ -53,11 +55,14 @@ def per_site_coupled_step(tables, weights, X, Y, picks, U):
 
 
 def per_site_greedy_mc(model, site, kmax, runs, seed):
-    """(means, std_errors) of ``greedy_disagreement_mc`` on (runs, n) stacks.
+    """(means, std_errors) of ``greedy_disagreement_mc`` on (runs, n) stacks,
+    the definition of RNG stream 4.
 
-    Steps every run at every step, coalesced or not, and records the rates
-    after each step.  Guards ``coupling.greedy_disagreement_mc``, which steps
-    only the runs that still disagree and stops when none is left."""
+    Keeps every run; at each step the runs that still disagree somewhere,
+    in run order, draw their picks and then their uniforms, and only they
+    are stepped, one coupling call per picked site.  The rates of all runs
+    are recorded after each step.  Guards ``coupling.greedy_disagreement_mc``,
+    which keeps only the active runs' columns and stops when none is left."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     n = model.n
     tables = [conditional_table(model, i) for i in range(n)]
@@ -75,7 +80,105 @@ def per_site_greedy_mc(model, site, kmax, runs, seed):
 
     record(0)
     for k in range(1, kmax + 1):
-        per_site_coupled_step(tables, weights, X, Y, rng.integers(0, n, size=runs),
-                              rng.random((runs, 4)))
+        moving = np.flatnonzero((X != Y).any(axis=1))
+        Xa, Ya = X[moving], Y[moving]
+        per_site_coupled_step(tables, weights, Xa, Ya, rng.integers(0, n, size=len(moving)),
+                              rng.random((len(moving), 4)))
+        X[moving], Y[moving] = Xa, Ya
         record(k)
     return means, ses
+
+
+# The Monte Carlo tail path as it stood before the one-draw sampler and the
+# value-major batch: per-site ``Generator.choice`` draws, per-site value
+# columns and one ``einsum``; and on those draws, greedy runs with a
+# per-step ``record``.
+
+def choice_sample(model, rng, size):
+    """(size, n) index configurations from one ``rng.choice`` per site of a
+    product model, site after site; a table model draws through
+    ``model.sample``.  Guards ``DiscreteModel.sample``, whose product branch
+    makes one uniform draw for all sites and counts cdf entries <= u."""
+    if model._site_pmfs is None:
+        return model.sample(rng, size)  # the table branch is unchanged
+    cols = [rng.choice(model.sizes[i], size=size, p=model._site_pmfs[i])
+            for i in range(model.n)]
+    return np.stack(cols, axis=1)
+
+
+def column_values(model, configs):
+    """The (R, n) site values of index configurations, one alphabet lookup
+    per site.  Guards ``coupling._values_matrix``, one flat ``take`` from a
+    zero-padded alphabet table."""
+    cols = [np.asarray(model.alphabets[i], dtype=float)[configs[:, i]]
+            for i in range(model.n)]
+    return np.stack(cols, axis=1)
+
+
+def einsum_batch(obs, values):
+    """H of every value row by one ``einsum``.  Guards
+    ``RademacherSumObservable.batch``, which adds value-major in site order."""
+    return np.einsum("bn,nij->bij", np.asarray(values, dtype=float), obs._stack)
+
+
+def recorded_greedy_mc(model, site, kmax, runs, seed):
+    """(means, std_errors) of RNG stream 4 on full (n, runs) stacks, with one
+    ``record`` of the rates after every step, from ``choice_sample`` draws.
+
+    At each step the runs that disagree somewhere are found anew, their
+    columns stepped by ``_coupled_step`` on draws for them alone and written
+    back.  Guards ``coupling.greedy_disagreement_mc``: its integer counts,
+    its active sub-stacks and its stop once every run has coalesced."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n = model.n
+    rules = T, offsets, W = _site_rules(model)
+    X = np.ascontiguousarray(choice_sample(model, rng, runs).T)
+    Y = X.copy()
+    Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
+    means = np.empty((kmax + 1, n))
+    ses = np.empty((kmax + 1, n))
+
+    def record(k):
+        p = np.count_nonzero(X != Y, axis=1) / runs
+        means[k] = p
+        ses[k] = np.sqrt(p * (1.0 - p) / runs)
+
+    record(0)
+    for k in range(1, kmax + 1):
+        moving = np.flatnonzero((X != Y).any(axis=0))
+        Xa, Ya = X[:, moving], Y[:, moving]
+        _coupled_step(rules, Xa, Ya, rng.integers(0, n, size=len(moving)),
+                      rng.random((len(moving), 4)))
+        X[:, moving], Y[:, moving] = Xa, Ya
+        record(k)
+    return means, ses
+
+
+# The exact pair step as it stood before ``PairEvolver`` read only the
+# nonzero entries of the pair law.
+
+def site_joints(model):
+    """Site i's maximal-coupling joint over every pair of its conditional
+    rows, value-major (m, m, K, K): block [a, b] holds P(x_i <- a, y_i <- b)
+    for each row pair (r_x, r_y)."""
+    tables = [conditional_table(model, i).T for i in range(model.n)]
+    return [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in tables]
+
+
+def dense_step_oracle(model, nu):
+    """One coupled step of the (S, S) pair law nu on strided views over every
+    row pair, one add per (a, b) value slice, sites in order.  Guards
+    ``coupling.PairEvolver.step``, which keys the nonzero entries of nu and
+    accumulates with one ``np.bincount``."""
+    out = np.zeros((model.size, model.size))
+    for i, J in enumerate(site_joints(model)):
+        high, m, low = _site_split(model, i)
+        shape = (high, m, low, high, m, low)
+        v, w = nu.reshape(shape), out.reshape(shape)
+        Jv = J.reshape(m, m, high, low, high, low)
+        pairs = [(a, b) for a in range(m) for b in range(m)]
+        mass = _ordered_sum(v[:, a, :, :, b, :] for a, b in pairs)
+        for a, b in pairs:
+            w[:, a, :, :, b, :] += mass * Jv[a, b]
+    out /= model.n
+    return out

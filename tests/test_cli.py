@@ -140,7 +140,7 @@ class TestBoundCommand:
         manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert manifest["command"] == "bound"
         assert "config_digest" in manifest
-        assert manifest["stream_version"] == 3
+        assert manifest["stream_version"] == 4
         assert manifest["format_version"] == 2
         assert "threads" not in manifest
 

@@ -12,7 +12,6 @@ from matconc.coupling import (
     RademacherSumObservable,
     TableObservable,
     check_hamming,
-    coupon_collector_survival,
     derive_hamming_bounds,
     exhaustive_tail,
     gibbs_kernel,
@@ -31,7 +30,6 @@ from matconc.coupling import (
     _maximal_coupling_rows,
     _observable_values,
     _ordered_sum,
-    _sample_rows,
     _site_rules,
     _values_matrix,
 )
@@ -43,10 +41,18 @@ from matconc.dobrushin import (
     conditional_row_weights,
     conditional_table,
     dobrushin_matrix,
-    _site_split,
 )
 from matconc.hermitian import EnsembleSpec, HermitianMatrix, HermiticityError, sample_ensemble
-from oracles import per_site_greedy_mc, rowwise_maximal_coupling_rows
+from oracles import (
+    choice_sample,
+    column_values,
+    dense_step_oracle,
+    einsum_batch,
+    per_site_greedy_mc,
+    recorded_greedy_mc,
+    rowwise_maximal_coupling_rows,
+    site_joints,
+)
 
 
 def ising2(beta=0.25):
@@ -327,7 +333,7 @@ class TestSteps:
         for _ in range(k):
             never &= coupled_step(m, X, Y, rng) != 0
         assert np.array_equal(X[0] != Y[0], never)
-        expect = coupon_collector_survival(2, k)
+        expect = (1 - 1 / 2) ** k
         se = math.sqrt(expect * (1 - expect) / runs)
         assert abs(never.mean() - expect) <= 4 * se
 
@@ -465,29 +471,6 @@ def wide_table():
     rng = np.random.default_rng(12)
     return DiscreteModel.from_table([(0, 1, 2), (0, 1), (0, 1, 2, 3), (0, 1), (0, 1, 2)],
                                     rng.uniform(0.1, 2.0, (3, 2, 4, 2, 3)))
-
-
-def site_joints(model):
-    # site i's joint over every pair of conditional rows, value-major (m, m, K, K):
-    # block [a, b] holds P(x_i <- a, y_i <- b) for each row pair (r_x, r_y)
-    tables = [conditional_table(model, i).T for i in range(model.n)]
-    return [_joint_blocks(rt[:, :, None], rt[:, None, :]) for rt in tables]
-
-
-def dense_step_oracle(model, nu):
-    # the strided-view step over every row pair, with one add per (a, b) value slice
-    out = np.zeros((model.size, model.size))
-    for i, J in enumerate(site_joints(model)):
-        high, m, low = _site_split(model, i)
-        shape = (high, m, low, high, m, low)
-        v, w = nu.reshape(shape), out.reshape(shape)
-        Jv = J.reshape(m, m, high, low, high, low)
-        pairs = [(a, b) for a in range(m) for b in range(m)]
-        mass = _ordered_sum(v[:, a, :, :, b, :] for a, b in pairs)
-        for a, b in pairs:
-            w[:, a, :, :, b, :] += mass * Jv[a, b]
-    out /= model.n
-    return out
 
 
 class TestPairEvolver:
@@ -1012,6 +995,31 @@ class TestHamming:
         with pytest.raises(ValueError, match=r"no entry for the values \[-1\.0, 1\.0\]$"):
             derive_hamming_bounds(obs, model)
 
+    def test_missing_row_named_in_row_order(self):
+        # the distinct rows are looked up in sorted order; the error still
+        # names the first row without an entry in the order of the rows
+        obs = TableObservable({(-1.0, -1.0): np.eye(2), (1.0, -1.0): 2 * np.eye(2)}, 2)
+        rows = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"no entry for the values \[1\.0, 1\.0\]$"):
+            obs.batch(rows)
+        with pytest.raises(ValueError, match=r"no entry for the values \[-1\.0, 1\.0\]$"):
+            obs.batch(rows[[0, 3, 1]])
+
+    def test_batch_equals_per_row_lookups(self):
+        rng = np.random.default_rng(43)
+        alphabet = (-1.5, -0.0, 0.5, 2.0)
+        mapping = {}
+        for z in itertools.product(alphabet, repeat=3):
+            M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            mapping[z] = (M + M.conj().T) / 2
+        obs = TableObservable(mapping, 3)
+        rows = rng.choice(alphabet, size=(2000, 3))
+        rows[::7, 1] = 0.0  # +0.0 finds the -0.0 key, as a dictionary lookup does
+        got = obs.batch(rows)
+        expect = np.stack([obs._map[tuple(row)] for row in rows])
+        assert got.dtype == np.complex128 and got.tobytes() == expect.tobytes()
+        assert obs(rows[5]).tobytes() == expect[5].tobytes()
+
     def test_non_hermitian_entry_refused(self):
         # +-[[0, 5], [0, 0]] was once accepted: the exhaustive tail read its
         # Hermitian part (P(lambda >= 1) = 1) and the sampled one its lower
@@ -1069,8 +1077,9 @@ class TestOneCallStep:
                                       ternary_ising],
                              ids=["mixed", "ising4", "single_site", "product3", "ternary"])
     def test_bytes_equal_per_site_step(self, make):
-        # the oracle steps every run; at kmax 80 every run has coalesced, so
-        # the Monte Carlo has dropped them all and stopped early
+        # the oracle keeps every run and steps those still moving; at kmax 80
+        # every run has coalesced, so the Monte Carlo has dropped them all and
+        # stopped early
         m = make()
         for site in range(m.n):
             for seed, kmax in itertools.product((3, 8), (6, 80)):
@@ -1089,11 +1098,13 @@ class TestOneCallStep:
         assert_pinned("greedy-mc/nine-value-site", got.means.tobytes() + got.std_errors.tobytes())
 
     @pytest.mark.pinned
-    @pytest.mark.parametrize("kmax", [20, 60])
+    @pytest.mark.parametrize("kmax", [20, 100])
     def test_ising6_field_pinned(self, kmax, assert_pinned):
-        # at kmax 60 every run has coalesced: the last row is all zeros
+        # at kmax 100 every run has coalesced: the last row is all zeros (on
+        # stream 4 the last disagreement at this seed is at step 88)
         got = greedy_disagreement_mc(ising6_field(), 0, kmax, 2000, seed=5)
-        assert (not got.means[-1].any()) == (kmax == 60)
+        assert (not got.means[-1].any()) == (kmax == 100)
+        assert got.stream_version == 4
         assert_pinned(f"greedy-mc/ising6-field-k{kmax}",
                       got.means.tobytes() + got.std_errors.tobytes())
 
@@ -1181,53 +1192,6 @@ class TestGreedyDisagreementMC:
         assert mc.means[0][1] > 0.0
 
 
-# The Monte Carlo tail path and the greedy records as they stood before the
-# one-draw sampler and the value-major batch: per-site ``Generator.choice``
-# draws, per-site value columns, one ``einsum`` and a per-step ``record``.
-# The byte oracles of ``sample``, ``_values_matrix``, ``batch`` and
-# ``greedy_disagreement_mc``.
-
-def choice_sample(model, rng, size):
-    if model._site_pmfs is None:
-        return model.sample(rng, size)  # the table branch is unchanged
-    cols = [rng.choice(model.sizes[i], size=size, p=model._site_pmfs[i])
-            for i in range(model.n)]
-    return np.stack(cols, axis=1)
-
-
-def column_values(model, configs):
-    cols = [np.asarray(model.alphabets[i], dtype=float)[configs[:, i]]
-            for i in range(model.n)]
-    return np.stack(cols, axis=1)
-
-
-def einsum_batch(obs, values):
-    return np.einsum("bn,nij->bij", np.asarray(values, dtype=float), obs._stack)
-
-
-def recorded_greedy_mc(model, site, kmax, runs, seed):
-    """(means, std_errors) with one ``record`` of the rates after every step."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = model.n
-    rules = T, offsets, W = _site_rules(model)
-    X = np.ascontiguousarray(choice_sample(model, rng, runs).T)
-    Y = X.copy()
-    Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
-    means = np.empty((kmax + 1, n))
-    ses = np.empty((kmax + 1, n))
-
-    def record(k):
-        p = np.count_nonzero(X != Y, axis=1) / runs
-        means[k] = p
-        ses[k] = np.sqrt(p * (1.0 - p) / runs)
-
-    record(0)
-    for k in range(1, kmax + 1):
-        _coupled_step(rules, X, Y, rng.integers(0, n, size=runs), rng.random((runs, 4)))
-        record(k)
-    return means, ses
-
-
 def random_tail_case(rng, n):
     """A product model on n sites with 1- to 4-value alphabets, some holding
     0.0, and n Hermitian coefficients (real-only or complex, d = 1..6)."""
@@ -1284,6 +1248,25 @@ class TestTailPathBytes:
         assert H.tobytes() == einsum_batch(obs, values).tobytes()
         parts = H.view(float)
         assert (parts == 0).sum() == 23 and not np.signbit(parts[parts == 0]).any()
+
+    def test_one_nine_and_two_value_sites_equal_the_oracles(self):
+        # one-value sites (a cdf of 1.0 alone; a model of them only makes no
+        # comparison) and a nine-value site beside binary sites: the padded
+        # cdf and alphabet table
+        rng = np.random.default_rng(41)
+        wide = DiscreteModel.from_product(
+            [(2.5,), tuple(float(v) for v in range(-4, 5)), (-1.0, 1.0), (0.0, 3.0)],
+            [[1.0], rng.dirichlet(np.ones(9)), [0.3, 0.7], [0.5, 0.5]])
+        ones = DiscreteModel.from_product([(1.0,), (-2.0,)], [[1.0], [1.0]])
+        for model, size in itertools.product((wide, ones), (1, 7, 3000)):
+            old, new = np.random.default_rng(size), np.random.default_rng(size)
+            expect, configs = choice_sample(model, old, size), model.sample(new, size)
+            assert configs.dtype == expect.dtype and configs.tobytes() == expect.tobytes()
+            assert configs.T.flags.c_contiguous
+            assert new.bit_generator.state == old.bit_generator.state
+            values = _values_matrix(model, configs)
+            assert values.tobytes("C") == column_values(model, expect).tobytes(), size
+        assert set(wide.sample(rng, 3000)[:, 1]) == set(range(9))
 
     @pytest.mark.parametrize("make", [mixed_table, ising4_field, single_site, product3,
                                       product9, ternary_ising],
@@ -1345,10 +1328,6 @@ class TestSiteCountRefusal:
 
 
 class TestSmallHelpers:
-    def test_coupon_examples(self):
-        assert coupon_collector_survival(2, 1) == pytest.approx(0.5)
-        assert coupon_collector_survival(5, 0) == 1.0
-
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi > 0.0

@@ -24,6 +24,7 @@ from matconc.dobrushin import (
     site_neighbours,
     tv_distance,
 )
+from oracles import choice_sample
 
 TANH_QUARTER = math.tanh(0.25)
 
@@ -223,15 +224,6 @@ class TestModel:
                 assert w.shape == (m.n,) and w[i] == 0
                 rows = conditional_table(m, i)[configs @ w]
                 assert np.array_equal(rows, [m.conditional(i, c) for c in configs])
-
-
-# The product sampler as it stood before the one-draw sampler: one
-# ``Generator.choice`` per site, stacked.  The byte oracle of ``sample``.
-
-def choice_sample(model, rng, size):
-    cols = [rng.choice(model.sizes[i], size=size, p=model._site_pmfs[i])
-            for i in range(model.n)]
-    return np.stack(cols, axis=1)
 
 
 def random_product(rng, n):
