@@ -69,21 +69,23 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
 
 
 def _split_gap(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
-               wAB: np.ndarray, UAB: np.ndarray) -> _Gaps:
+               wAB: np.ndarray, UAB: np.ndarray, wCD: np.ndarray, UCD: np.ndarray) -> _Gaps:
     """Gaps of the split-part bound for ``entry`` on a certified (N, 3, d, d)
     stack of (A, B, C) instances, given the eigenpairs ``(wAB, UAB)`` of its
-    (A, B) part, shapes (N, 2, d) and (N, 2, d, d), labelled ``expconj``
-    (digesting A, B, C alone) or ``fconj:<entry>`` (digesting the entry too).
+    (A, B) part and ``(wCD, UCD)`` of (C, D = A - B), shapes (N, 2, d) and
+    (N, 2, d, d), labelled ``expconj`` (digesting A, B, C alone) or
+    ``fconj:<entry>`` (digesting the entry too).
 
-    Those eigenpairs give f(A), f(B), f'(A) and f'(B), and one stacked
-    decomposition of (C, D = A - B) gives the spectral parts of C and D; the
-    weights are (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).  The
-    difference of two certified matrices is its own Hermitian part, bit for
-    bit, so D needs no certification.  Spectra of A, B outside the entry's
-    domain, f or f' values that could overflow, and a lhs or rhs that is not
-    finite raise :class:`SpectralDomainError` for the first such instance;
-    the eigenvalue it names is the one of largest modulus.  Each instance's
-    values are the bits of a stack of one.
+    The kernel decomposes nothing.  The (A, B) eigenpairs give f(A), f(B),
+    f'(A) and f'(B), and the (C, D) eigenpairs the spectral parts of C and D;
+    the weights are (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).
+    Spectra of A, B outside the entry's domain, f or f' values that could
+    overflow, and a lhs or rhs that is not finite raise
+    :class:`SpectralDomainError` for the first such instance, in that order;
+    the eigenvalue it names is the one of largest modulus.  A (C, D)
+    eigenpair that is not finite makes the rhs not finite, so callers
+    decompose (C, D) with overflow warnings off.  Each instance's values are
+    the bits of a stack of one.
     """
     lo, hi = entry.domain
     tol = 1e-12 * np.maximum(1.0, np.abs(wAB).max(axis=-1))
@@ -94,8 +96,7 @@ def _split_gap(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
         bad = wAB[i, k, 0] if below[i, k] else wAB[i, k, -1]
         raise SpectralDomainError(bad, f"eigenvalue of {'AB'[k]} outside domain of {entry.name}")
     f = _apply_scalar(entry.f, wAB)
-    fp = _apply_scalar(entry.f_prime, wAB)
-    wCD, UCD = _decompose(np.concatenate([X[:, 2:], X[:, :1] - X[:, 1:2]], axis=1))
+    fp = f if entry.f_prime is entry.f else _apply_scalar(entry.f_prime, wAB)
     # f(A), f(B), f'(A), f'(B), C+, D+, C-, D- from one stacked product
     vals = np.concatenate([f, fp, np.clip(wCD, 0.0, None), np.clip(-wCD, 0.0, None)], axis=1)
     S = _hermitian_part(_spectral(np.concatenate([UAB, UAB, UCD, UCD], axis=1), vals))
@@ -115,10 +116,21 @@ def _split_gap(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
     return _Gaps(label, lhs, rhs, gap, dict(zip("ABC", X.swapaxes(0, 1))), [params] * len(X))
 
 
+def _split_gap_one_call(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
+    """The split-part kernel on a certified (A, B, C) stack taken as it is,
+    from one decomposition of (A, B, C, D = A - B).  ``eigh`` decomposes a
+    stack one matrix at a time, so these are the eigenpairs of (A, B) and of
+    (C, D) bit for bit.  The difference of two certified matrices is its own
+    Hermitian part, bit for bit, so D needs no certification."""
+    with np.errstate(over="ignore", invalid="ignore"):  # see _split_gap
+        w, U = _decompose(np.concatenate([X, X[:, :1] - X[:, 1:2]], axis=1))
+    return _split_gap(inequality_id, entry, X, w[:, :2], U[:, :2], w[:, 2:], U[:, 2:])
+
+
 def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry) -> TraceGapReport:
     """Report of the split-part kernel on a stack of one certified (A, B, C)."""
     X = np.stack([M.mat for M in _coerce_all(mats)])[None]
-    return _split_gap(inequality_id, entry, X, *_decompose(X[:, :2])).report(0)
+    return _split_gap_one_call(inequality_id, entry, X).report(0)
 
 
 def gap_conjecture_exp(A, B, C) -> TraceGapReport:
@@ -183,15 +195,20 @@ def _commuting_triple(dim: int, scale: float, seed: int):
 def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
     """Gaps of a certified (N, 3, d, d) stack of search instances.
 
-    A and B are decomposed once.  An entry whose domain has a finite lower
-    end takes them as their positive parts, and the kernel gets the
-    eigenpairs (clip(w, 0), U) that define those parts.
+    An entry whose domain is the whole line takes the instances as they
+    are, from one decomposition of (A, B, C, D).  An entry whose domain has
+    a finite lower end takes A and B as their positive parts: (A, B) is
+    decomposed first, the kernel gets the eigenpairs (clip(w, 0), U) that
+    define those parts, and a second call decomposes (C, A+ - B+).
     """
+    if entry.domain[0] == -math.inf:
+        return _split_gap_one_call(inequality_id, entry, X)
     w, U = _decompose(X[:, :2])
-    if entry.domain[0] > -math.inf:
-        w = np.clip(w, 0.0, None)
-        X = np.concatenate([_positive_part(w, U), X[:, 2:]], axis=1)
-    return _split_gap(inequality_id, entry, X, w, U)
+    w = np.clip(w, 0.0, None)
+    X = np.concatenate([_positive_part(w, U), X[:, 2:]], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _split_gap
+        wCD, UCD = _decompose(np.concatenate([X[:, 2:], X[:, :1] - X[:, 1:2]], axis=1))
+    return _split_gap(inequality_id, entry, X, w, U, wCD, UCD)
 
 
 class _Scan(NamedTuple):

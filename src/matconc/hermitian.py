@@ -343,14 +343,16 @@ def _apply_scalar(f: Callable, evals: np.ndarray) -> np.ndarray:
     """Apply a real scalar function to eigenvalues, policing its domain.
 
     A value that is not finite, or above max/4 (where U diag(f) U* could
-    overflow), is a :class:`SpectralDomainError`.
+    overflow), is a :class:`SpectralDomainError`.  A vectorised f with real
+    values of the eigenvalues' shape is checked as float64, the real part of
+    its complex128 cast; other results go through complex128.
     """
     vals = None
     with np.errstate(all="ignore"):
         try:
             cand = np.asarray(f(evals))
             if cand.shape == evals.shape:
-                vals = cand.astype(np.complex128)
+                vals = cand.astype(np.float64 if cand.dtype.kind in "biuf" else np.complex128)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             vals = None
         if vals is None:
@@ -361,10 +363,14 @@ def _apply_scalar(f: Callable, evals: np.ndarray) -> np.ndarray:
                 except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                     raise SpectralDomainError(lam, str(exc)) from exc
             vals = np.asarray(out, dtype=np.complex128).reshape(evals.shape)
-    bounded = (np.abs(vals.real) <= _SPECTRAL_MAX) & (np.abs(vals.imag) <= _SPECTRAL_MAX)
+    real = vals.dtype == np.float64
+    bounded = (np.abs(vals) <= _SPECTRAL_MAX if real else
+               (np.abs(vals.real) <= _SPECTRAL_MAX) & (np.abs(vals.imag) <= _SPECTRAL_MAX))
     if not bounded.all():  # also catches inf and NaN
         bad = int(np.argmin(bounded))
         raise SpectralDomainError(np.ravel(evals)[bad], "value not finite or above max/4")
+    if real:
+        return vals
     imag_tol = 1e-12 * np.maximum(1.0, np.abs(vals))
     complex_out = np.abs(vals.imag) > imag_tol
     if complex_out.any():
@@ -582,7 +588,7 @@ def matrix_to_obj(A) -> dict:
     mat = np.asarray(A, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    entries = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    entries = np.stack([mat.real, mat.imag], axis=-1).tolist()
     return {"dim": int(mat.shape[0]), "entries": entries}
 
 

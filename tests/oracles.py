@@ -6,10 +6,14 @@ can compare the kernel's output with it byte for byte.  Its docstring names
 the code it guards.
 """
 
+import csv
+import json
+
 import numpy as np
 
 from matconc.coupling import _coupled_step, _joint_blocks, _ordered_sum, _sample_rows, _site_rules
 from matconc.dobrushin import _site_split, conditional_row_weights, conditional_table
+from matconc.hermitian import _SPECTRAL_MAX, SpectralDomainError
 
 
 # The per-site coupled step and its row-major kernels as they stood before the
@@ -182,3 +186,124 @@ def dense_step_oracle(model, nu):
             w[:, a, :, :, b, :] += mass * Jv[a, b]
     out /= model.n
     return out
+
+
+# The spectral-function and serializer kernels of ``hermitian`` as they stood
+# before real values skipped the complex round trip and entries came from one
+# ``tolist``.
+
+def complex_apply_scalar(f, evals):
+    """f of the eigenvalues ``evals``, every result cast to complex128 and
+    checked there: each part at most max/4, the imaginary part within
+    1e-12 max(1, |value|).  A callable that raises or changes the shape is
+    applied one float eigenvalue at a time.  Guards
+    ``hermitian._apply_scalar``, which checks a real result of the
+    eigenvalues' shape as float64."""
+    vals = None
+    with np.errstate(all="ignore"):
+        try:
+            cand = np.asarray(f(evals))
+            if cand.shape == evals.shape:
+                vals = cand.astype(np.complex128)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            vals = None
+        if vals is None:
+            out = []
+            for lam in evals.ravel():
+                try:
+                    out.append(complex(f(float(lam))))
+                except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise SpectralDomainError(lam, str(exc)) from exc
+            vals = np.asarray(out, dtype=np.complex128).reshape(evals.shape)
+    bounded = (np.abs(vals.real) <= _SPECTRAL_MAX) & (np.abs(vals.imag) <= _SPECTRAL_MAX)
+    if not bounded.all():  # also catches inf and NaN
+        bad = int(np.argmin(bounded))
+        raise SpectralDomainError(np.ravel(evals)[bad], "value not finite or above max/4")
+    imag_tol = 1e-12 * np.maximum(1.0, np.abs(vals))
+    complex_out = np.abs(vals.imag) > imag_tol
+    if complex_out.any():
+        bad = int(np.argmax(complex_out))
+        raise SpectralDomainError(np.ravel(evals)[bad], "complex value")
+    return vals.real
+
+
+def listcomp_matrix_to_obj(A):
+    """The structured-text form of a square complex array, one
+    ``[float(re), float(im)]`` pair per entry from a list comprehension.
+    Guards ``hermitian.matrix_to_obj``, which takes the pairs from one
+    ``tolist`` of the stacked real and imaginary parts."""
+    mat = np.asarray(A, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return {"dim": int(mat.shape[0]), "entries": entries}
+
+
+# The JSON and CSV writers before every data file went through
+# ``hermitian._write_bytes``.
+
+def old_write_json(path, obj):
+    """Compact JSON with sorted keys and a trailing newline, written to a
+    file opened in text mode.  Guards ``hermitian._write_json``, which
+    writes the same bytes with ``hermitian._write_bytes``."""
+    text = json.dumps(obj, sort_keys=True, default=float)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def old_write_csv(path, header, rows):
+    """A header and rows written by ``csv.writer`` with "\\n" line ends to a
+    file opened in text mode.  Guards ``cli._write_csv``, which builds the
+    same bytes in memory and writes them with ``hermitian._write_bytes``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# The seeded draws before real and imaginary parts came from one ``rng`` call.
+
+def draw_oracle(kind, d, scale, rng, count, shared=None):
+    """A (count, d, d) stack of draws of one kind, real and imaginary parts
+    from separate ``rng.normal`` calls.  Guards ``hermitian._draw``, whose
+    values and generator stream it must give, with each pair of parts from
+    one ``rng`` call of twice the size."""
+    shape = (count, d, d)
+
+    def gaussian_hermitian(shape, scale):
+        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return scale * (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+
+    if kind == "gaussian-hermitian":
+        return gaussian_hermitian(shape, scale)
+    if kind == "diagonal":
+        out = np.zeros(shape, dtype=np.complex128)
+        out[:, np.arange(d), np.arange(d)] = scale * rng.normal(size=(count, d))
+        return out
+    if kind == "psd":
+        X = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+        return scale * (X @ np.swapaxes(X.conj(), -1, -2)) / d
+    if kind == "low-rank":
+        r = max(1, d // 2)
+        Z = rng.normal(size=(count, r, 2 * d + 1))
+        v = Z[..., :d] + 1j * Z[..., d:2 * d]
+        re, im = v.real[..., None, :], v.imag[..., None, :]
+        v /= np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+        w = scale * Z[..., 2 * d]
+        H = np.zeros(shape, dtype=np.complex128)
+        for j in range(r):
+            H += w[:, j, None, None] * (v[:, j, :, None] * v[:, j, None, :].conj())
+        return (H + np.swapaxes(H.conj(), -1, -2)) / 2.0
+    if kind == "commuting-pair":
+        shared = count if shared is None else shared
+        bases = np.linalg.eigh(gaussian_hermitian((1 + count - shared, d, d), 1.0))[1]
+        U = bases[np.maximum(np.arange(count) - shared + 1, 0)]
+        w = scale * rng.normal(size=(count, d))
+        return (U * w[:, None, :]) @ np.swapaxes(U.conj(), -1, -2)
+    m = max(1, int(round(scale)))
+    S = rng.integers(-m, m + 1, size=shape)
+    K = rng.integers(-m, m + 1, size=shape)
+    lower = np.tri(d, k=-1, dtype=bool)
+    real = np.where(lower, np.swapaxes(S, -1, -2), S)
+    imag = np.where(lower, -np.swapaxes(K, -1, -2), np.where(lower.T, K, 0))
+    return real.astype(float) + 1j * imag.astype(float)

@@ -17,6 +17,7 @@ from matconc.cli import _write_csv, main
 from matconc.bounds import dobrushin_constant
 from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, save_model
 from matconc.hermitian import EnsembleSpec, matrix_to_obj, sample_ensemble
+from oracles import old_write_csv
 
 
 IDENTITY = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
@@ -54,14 +55,6 @@ def ising_model_file(tmp_path):
     path = tmp_path / "ising2.json"
     save_model(path, DiscreteModel.from_ising([[0.0, 0.25], [0.25, 0.0]]))
     return path
-
-
-def old_write_csv(path, header, rows):
-    """The CSV writer before ``_write_bytes``, kept as the oracle."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def test_csv_bytes_equal_the_old_writer(tmp_path):

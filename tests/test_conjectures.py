@@ -111,6 +111,16 @@ class TestConjectureExp:
             rep = gap_conjecture_exp(draw(3, 3 * s), draw(3, 3 * s + 1), draw(3, 3 * s + 2))
             assert rep.gap >= -1e-9 * rep.params["anchor"]
 
+    def test_overflowing_difference_is_refused_at_a_or_b(self):
+        # A - B overflows to inf; exp's check on the spectra of A and B refuses
+        # the instance, with no RuntimeWarning from decomposing D
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A, B in (([[1e308]], [[-1e308]]), ([[-1e308]], [[1e308]])):
+                with pytest.raises(SpectralDomainError, match="above max/4") as exc:
+                    gap_conjecture_exp(A, B, [[0.0]])
+                assert exc.value.eigenvalue == 1e308
+
 
 class TestConjectureF:
     def test_square_scalar_example(self):
@@ -284,7 +294,9 @@ class TestSearch:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_decomposes_four_matrices_per_instance(self, name, monkeypatch):
-        # A and B once (their positive parts reuse those eigenpairs), then C and D
+        # one eigh call on (A, B, C, A - B) for an entry on the whole line and
+        # for every public gap; for a finite domain (A, B) once (their
+        # positive parts reuse those eigenpairs), then (C, A+ - B+)
         decomposed = []
         eigh = np.linalg.eigh
 
@@ -292,12 +304,51 @@ class TestSearch:
             decomposed.append(M.shape[:-2])
             return eigh(M)
 
+        entry = CATALOG[name]
         rng = np.random.default_rng(8)
         G = rng.normal(size=(5, 3, 3, 3)) + 1j * rng.normal(size=(5, 3, 3, 3))
         X = hermitian._certify(G + np.swapaxes(G.conj(), -1, -2))
+        mats = [positive_part(M) for M in (draw(3, 1), draw(3, 2))] + [draw(3, 3)]
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        conjectures._search_gaps("fconj", CATALOG[name], X)
-        assert sum(math.prod(shape) for shape in decomposed) == 4 * len(X)
+        conjectures._search_gaps("fconj", entry, X)
+        assert decomposed == ([(5, 4)] if entry.domain[0] == -math.inf else [(5, 2), (5, 2)])
+        for gap in (lambda: gap_conjecture_f(*mats, entry), lambda: gap_conjecture_exp(*mats)):
+            decomposed.clear()
+            gap()
+            assert decomposed == [(1, 4)]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_refusal_at_a_comes_before_warnings_from_c(self, name):
+        # decomposing C overflows its reconstruction bound (2 * 1.78e308); f(A)
+        # above max/4 refuses the instance, with no RuntimeWarning from C
+        x = 8.9e307
+        X = hermitian._certify(np.array([[np.diag([1e200, 0.0]), np.zeros((2, 2)),
+                                          [[x, x], [x, x]]]], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralDomainError, match="above max/4") as exc:
+                conjectures._search_gaps("fconj", CATALOG[name], X)
+        assert exc.value.eigenvalue == 1e200
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_decomposition_does_not_depend_on_the_stack(self, dim):
+        # the one-call design rests on this: (A, B, C, D) in one stack gives
+        # the eigenpairs of (A, B) and of (C, D) decomposed apart, bit for bit
+        rng = np.random.default_rng(30 + dim)
+        G = rng.normal(size=(9, 3, dim, dim)) + 1j * rng.normal(size=(9, 3, dim, dim))
+        H = G + np.swapaxes(G.conj(), -1, -2)
+        zeros = rng.random(H.shape) < 0.3
+        H[zeros | np.swapaxes(zeros, -1, -2)] = complex(-0.0, -0.0)
+        H[1, 1] = H[1, 0]  # A = B: D is zero
+        H[2, 2] = np.where(np.eye(dim, dtype=bool), rng.normal(size=dim), complex(-0.0, -0.0))
+        X = hermitian._certify(H)
+        assert (np.signbit(X.real) & (X.real == 0)).any()
+        Y = np.concatenate([X, X[:, :1] - X[:, 1:2]], axis=1)
+        w, U = hermitian._decompose(Y)
+        for part in (slice(0, 2), slice(2, 4)):
+            w2, U2 = hermitian._decompose(np.ascontiguousarray(Y[:, part]))
+            assert w[:, part].tobytes() == w2.tobytes()
+            assert np.ascontiguousarray(U[:, part]).tobytes() == U2.tobytes()
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_witness_replays_to_its_gap(self, name, tmp_path):

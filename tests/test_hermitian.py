@@ -19,6 +19,7 @@ from matconc.hermitian import (
     HermiticityError,
     HermitianMatrix,
     SpectralDomainError,
+    _apply_scalar,
     _certify,
     _decompose,
     _draw,
@@ -47,6 +48,7 @@ from matconc.hermitian import (
 )
 from matconc import hermitian
 from matconc.traceineq import gap_exchangeable
+from oracles import complex_apply_scalar, draw_oracle, listcomp_matrix_to_obj, old_write_json
 
 
 def random_hermitian(d, rng, scale=1.0):
@@ -214,6 +216,70 @@ class TestMatrixFunction:
                     via_chain = matrix_function(matrix_function(A, g), f)
                     scale = max(1.0, _spectral_norm(via_comp.mat))
                     assert np.abs(via_comp.mat - via_chain.mat).max() <= 1e-9 * scale
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its exception's type and message, or the
+    dtype, shape and bytes of its array."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return out.dtype.str, out.shape, np.ascontiguousarray(out).tobytes()
+
+
+class TestApplyScalarOracle:
+    # eigenvalue stacks with signed zeros, a subnormal, exp overflow and values
+    # whose powers or products pass max/4
+    EVALS = (np.array([-2.5, -0.0, 0.0, 1e-310, 3.0]),
+             np.random.default_rng(4).normal(size=(2, 3, 4)) * 3.0,
+             np.array([[700.0, 710.0]]),
+             np.array([1e100, -1e100]),
+             np.array([0.5, 60.0]),
+             np.array([[-1.0], [4.0]]))
+    REAL = (np.exp, np.sqrt, np.log, lambda x: x ** 2, lambda x: 2.0 * x,
+            lambda x: x ** 3, lambda x: 3.0 * x ** 2, lambda x: x ** 4,
+            lambda x: 4.0 * x ** 3, lambda x: x * 1e306,
+            lambda x: np.full_like(x, np.nan), lambda x: -np.abs(x) / 0.0,
+            lambda x: x.astype(np.float32) * 3, lambda x: np.round(x).astype(np.int64),
+            lambda x: x > 0, lambda x: (x > 0).astype(np.uint16),
+            lambda x: np.asarray(x, dtype=np.longdouble) ** 2, lambda x: list(np.ravel(x)))
+    COMPLEX = (lambda x: x + 0j, lambda x: x * (1.0 + 1e-14j), lambda x: x + 1j,
+               np.emath.sqrt, np.emath.log, lambda x: np.full(x.shape, complex(np.inf, 0.0)),
+               lambda x: np.full(x.shape, complex(0.0, np.nan)),
+               lambda x: x * complex(0.0, 1e306), lambda x: x.astype(object))
+    SCALAR_ONLY = (math.exp, math.log, math.sqrt, cmath.sqrt, cmath.exp,
+                   lambda x: float(x) ** 2)
+    RESHAPING = (lambda x: x.sum(), lambda x: np.concatenate([x.ravel(), x.ravel()]),
+                 lambda x: x[..., None], lambda x: x.ravel(), lambda x: x.astype(str))
+
+    @pytest.mark.parametrize("group", ["REAL", "COMPLEX", "SCALAR_ONLY", "RESHAPING"])
+    def test_values_and_messages_equal_the_oracle(self, group):
+        for f in getattr(self, group):
+            for evals in self.EVALS:
+                assert outcome(_apply_scalar, f, evals) == outcome(complex_apply_scalar, f, evals)
+
+
+class TestMatrixToObjOracle:
+    SPECIAL = (-0.0, 0.0, 5e-324, -2.2e-308, 1e-310, math.inf, -math.inf, math.nan, 1.5)
+
+    def test_json_bytes_equal_the_oracle(self):
+        rng = np.random.default_rng(12)
+        mats = [np.array([[complex(a, b) for b in self.SPECIAL] for a in self.SPECIAL]),
+                np.array([[-0.0, 5e-324], [math.nan, -math.inf]]),
+                np.array([[1, -2], [3, 4]]), np.array([[True]]),
+                random_hermitian(4, rng), random_hermitian(1, rng).mat]
+        for _ in range(5):
+            vals = rng.choice(self.SPECIAL, size=(2, 3, 3))
+            mats.append(hermitian._complex(vals[0], vals[1]))
+        for M in mats:
+            new, old = matrix_to_obj(M), listcomp_matrix_to_obj(M)
+            assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+            assert all(type(x) is float for row in new["entries"] for cell in row for x in cell)
+
+    def test_refusal_equals_the_oracle(self):
+        for M in (np.zeros((2, 3)), np.zeros(3), np.zeros((1, 2, 2))):
+            assert outcome(matrix_to_obj, M) == outcome(listcomp_matrix_to_obj, M)
 
 
 def exp_of(A):
@@ -686,13 +752,6 @@ class TestSerialization:
         assert inputs_digest([A]) != inputs_digest([A], {"k": 2})
 
 
-def old_write_json(path, obj):
-    """The JSON writer before ``_write_bytes``, kept as the oracle."""
-    text = json.dumps(obj, sort_keys=True, default=float)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 class TestWriteBytes:
     LONG, SHORT = b'{"gap": -1.25e-07, "trials": 12345}\n', b'{"k": 0.5}\n'
 
@@ -778,50 +837,6 @@ class TestWriteBytes:
         assert path.read_bytes() == self.SHORT[:4]
         with pytest.raises(json.JSONDecodeError):
             json.loads(path.read_bytes())
-
-
-def draw_oracle(kind, d, scale, rng, count, shared=None):
-    """``_draw`` as it was before real and imaginary parts came from one
-    ``rng`` call, kept as the oracle of its values and generator stream."""
-    shape = (count, d, d)
-
-    def gaussian_hermitian(shape, scale):
-        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        return scale * (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
-
-    if kind == "gaussian-hermitian":
-        return gaussian_hermitian(shape, scale)
-    if kind == "diagonal":
-        out = np.zeros(shape, dtype=np.complex128)
-        out[:, np.arange(d), np.arange(d)] = scale * rng.normal(size=(count, d))
-        return out
-    if kind == "psd":
-        X = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
-        return scale * (X @ np.swapaxes(X.conj(), -1, -2)) / d
-    if kind == "low-rank":
-        r = max(1, d // 2)
-        Z = rng.normal(size=(count, r, 2 * d + 1))
-        v = Z[..., :d] + 1j * Z[..., d:2 * d]
-        re, im = v.real[..., None, :], v.imag[..., None, :]
-        v /= np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
-        w = scale * Z[..., 2 * d]
-        H = np.zeros(shape, dtype=np.complex128)
-        for j in range(r):
-            H += w[:, j, None, None] * (v[:, j, :, None] * v[:, j, None, :].conj())
-        return (H + np.swapaxes(H.conj(), -1, -2)) / 2.0
-    if kind == "commuting-pair":
-        shared = count if shared is None else shared
-        bases = np.linalg.eigh(gaussian_hermitian((1 + count - shared, d, d), 1.0))[1]
-        U = bases[np.maximum(np.arange(count) - shared + 1, 0)]
-        w = scale * rng.normal(size=(count, d))
-        return (U * w[:, None, :]) @ np.swapaxes(U.conj(), -1, -2)
-    m = max(1, int(round(scale)))
-    S = rng.integers(-m, m + 1, size=shape)
-    K = rng.integers(-m, m + 1, size=shape)
-    lower = np.tri(d, k=-1, dtype=bool)
-    real = np.where(lower, np.swapaxes(S, -1, -2), S)
-    imag = np.where(lower, -np.swapaxes(K, -1, -2), np.where(lower.T, K, 0))
-    return real.astype(float) + 1j * imag.astype(float)
 
 
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
