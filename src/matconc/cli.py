@@ -201,12 +201,14 @@ def _bound_cells(d: int, sigma_sq: float, c, t: float, clamp=lambda x: x) -> lis
             _fmt(clamp(tropp_bound(d, sigma_sq, t)))]
 
 
-def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
+def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP, check_sites=None):
     """Model from a file name, or an object holding exactly one of a ``file``
     name, a ``rademacher_sites`` count (uniform +-1 sites) or a model.
 
     ``enum_cap=None`` is for runs that only sample: a ``rademacher_sites``
     model then has no cap, and any other model has DEFAULT_ENUM_CAP.
+    ``check_sites`` is called with a ``rademacher_sites`` count after the cap
+    check: both refuse before any allocation.
     """
     kwargs = {} if enum_cap is None else {"enum_cap": enum_cap}
     if isinstance(spec, str):
@@ -219,10 +221,12 @@ def _model_from_spec(spec, enum_cap=DEFAULT_ENUM_CAP):
     if "rademacher_sites" in spec:
         _object("model", spec, ("rademacher_sites",))
         n = _integer("rademacher_sites", spec["rademacher_sites"])
+        if enum_cap is not None and n >= max(enum_cap, 1).bit_length():  # 2**n > enum_cap
+            raise EnumerationCapError(f"product space has 2**{n} states, above cap {enum_cap}")
+        if check_sites is not None:
+            check_sites(n)
         if enum_cap is None:
             enum_cap = max(2 ** n, DEFAULT_ENUM_CAP)
-        elif n >= max(enum_cap, 1).bit_length():  # 2**n > enum_cap: refuse before any allocation
-            raise EnumerationCapError(f"product space has 2**{n} states, above cap {enum_cap}")
         return DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n,
                                           enum_cap=enum_cap)
     return model_from_obj(spec, **kwargs)
@@ -313,7 +317,8 @@ def cmd_mc_tail(args, settings) -> int:
     if cap is None and (settings["mode"] == "exhaustive"
                         or not isinstance(observable, RademacherSumObservable)):
         cap = DEFAULT_ENUM_CAP
-    model = _model_from_spec(settings["model"], enum_cap=cap)
+    sites = observable._check_sites if isinstance(observable, RademacherSumObservable) else None
+    model = _model_from_spec(settings["model"], enum_cap=cap, check_sites=sites)
     if isinstance(observable, RademacherSumObservable):
         bound_set = observable.hamming_bounds(model)
     else:

@@ -26,7 +26,6 @@ from .hermitian import (
     SpectralDomainError,
     _apply_scalar,
     _certify,
-    _coerce_all,
     _decompose,
     _draw,
     _from_params,
@@ -40,7 +39,7 @@ from .hermitian import (
     _write_json,
     matrix_to_obj,
 )
-from .traceineq import TraceGapReport, _Gaps, _gaps_in_order, _trials_in_order
+from .traceineq import TraceGapReport, _certified, _Gaps, _gaps_in_order, _trials_in_order
 
 
 @dataclass(frozen=True)
@@ -69,24 +68,33 @@ def catalog_entry(name: str) -> ConvexCatalogEntry:
 
 
 def _split_gap(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
-               wAB: np.ndarray, UAB: np.ndarray, wCD: np.ndarray, UCD: np.ndarray) -> _Gaps:
+               AB: tuple[np.ndarray, np.ndarray] | None = None) -> _Gaps:
     """Gaps of the split-part bound for ``entry`` on a certified (N, 3, d, d)
-    stack of (A, B, C) instances, given the eigenpairs ``(wAB, UAB)`` of its
-    (A, B) part and ``(wCD, UCD)`` of (C, D = A - B), shapes (N, 2, d) and
-    (N, 2, d, d), labelled ``expconj`` (digesting A, B, C alone) or
-    ``fconj:<entry>`` (digesting the entry too).
+    stack of (A, B, C) instances, labelled ``expconj`` (digesting A, B, C
+    alone) or ``fconj:<entry>`` (digesting the entry too).
 
-    The kernel decomposes nothing.  The (A, B) eigenpairs give f(A), f(B),
-    f'(A) and f'(B), and the (C, D) eigenpairs the spectral parts of C and D;
-    the weights are (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).
-    Spectra of A, B outside the entry's domain, f or f' values that could
-    overflow, and a lhs or rhs that is not finite raise
+    One ``_decompose`` call on (A, B, C, D = A - B) gives the eigenpairs
+    (``eigh`` decomposes a stack one matrix at a time: those of separate
+    calls, bit for bit); given the (A, B) eigenpairs ``AB = (w, U)``, only
+    (C, D) is decomposed.  D is its own Hermitian part bit for bit.  The
+    (A, B) eigenpairs give f(A), f(B), f'(A) and f'(B), and the (C, D)
+    eigenpairs the spectral parts of C and D; the weights are
+    (C+^2 + D+^2)/2 on f'(A) and (C-^2 + D-^2)/2 on f'(B).  Spectra of A, B
+    outside the entry's domain, f or f' values that could overflow, and a
+    lhs or rhs that is not finite (as a (C, D) eigenpair that is not finite,
+    decomposed without warnings, makes the rhs) raise
     :class:`SpectralDomainError` for the first such instance, in that order;
-    the eigenvalue it names is the one of largest modulus.  A (C, D)
-    eigenpair that is not finite makes the rhs not finite, so callers
-    decompose (C, D) with overflow warnings off.  Each instance's values are
-    the bits of a stack of one.
+    the eigenvalue it names is the one of largest modulus.  Each instance's
+    values are the bits of a stack of one.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        D = X[:, :1] - X[:, 1:2]
+        if AB is None:
+            w, U = _decompose(np.concatenate([X, D], axis=1))
+            AB, CD = (w[:, :2], U[:, :2]), (w[:, 2:], U[:, 2:])
+        else:
+            CD = _decompose(np.concatenate([X[:, 2:], D], axis=1))
+    (wAB, UAB), (wCD, UCD) = AB, CD
     lo, hi = entry.domain
     tol = 1e-12 * np.maximum(1.0, np.abs(wAB).max(axis=-1))
     below = wAB[..., 0] < lo - tol
@@ -116,21 +124,9 @@ def _split_gap(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray,
     return _Gaps(label, lhs, rhs, gap, dict(zip("ABC", X.swapaxes(0, 1))), [params] * len(X))
 
 
-def _split_gap_one_call(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:
-    """The split-part kernel on a certified (A, B, C) stack taken as it is,
-    from one decomposition of (A, B, C, D = A - B).  ``eigh`` decomposes a
-    stack one matrix at a time, so these are the eigenpairs of (A, B) and of
-    (C, D) bit for bit.  The difference of two certified matrices is its own
-    Hermitian part, bit for bit, so D needs no certification."""
-    with np.errstate(over="ignore", invalid="ignore"):  # see _split_gap
-        w, U = _decompose(np.concatenate([X, X[:, :1] - X[:, 1:2]], axis=1))
-    return _split_gap(inequality_id, entry, X, w[:, :2], U[:, :2], w[:, 2:], U[:, 2:])
-
-
 def _gap_of_one(inequality_id: str, mats, entry: ConvexCatalogEntry) -> TraceGapReport:
     """Report of the split-part kernel on a stack of one certified (A, B, C)."""
-    X = np.stack([M.mat for M in _coerce_all(mats)])[None]
-    return _split_gap_one_call(inequality_id, entry, X).report(0)
+    return _split_gap(inequality_id, entry, np.stack(_certified(*mats), axis=1)).report(0)
 
 
 def gap_conjecture_exp(A, B, C) -> TraceGapReport:
@@ -196,19 +192,16 @@ def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -
     """Gaps of a certified (N, 3, d, d) stack of search instances.
 
     An entry whose domain is the whole line takes the instances as they
-    are, from one decomposition of (A, B, C, D).  An entry whose domain has
-    a finite lower end takes A and B as their positive parts: (A, B) is
-    decomposed first, the kernel gets the eigenpairs (clip(w, 0), U) that
-    define those parts, and a second call decomposes (C, A+ - B+).
+    are.  An entry whose domain has a finite lower end takes A and B as
+    their positive parts: (A, B) is decomposed here, and the kernel gets the
+    eigenpairs (clip(w, 0), U) that define those parts.
     """
     if entry.domain[0] == -math.inf:
-        return _split_gap_one_call(inequality_id, entry, X)
+        return _split_gap(inequality_id, entry, X)
     w, U = _decompose(X[:, :2])
     w = np.clip(w, 0.0, None)
     X = np.concatenate([_positive_part(w, U), X[:, 2:]], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _split_gap
-        wCD, UCD = _decompose(np.concatenate([X[:, 2:], X[:, :1] - X[:, 1:2]], axis=1))
-    return _split_gap(inequality_id, entry, X, w, U, wCD, UCD)
+    return _split_gap(inequality_id, entry, X, (w, U))
 
 
 class _Scan(NamedTuple):

@@ -114,20 +114,20 @@ class RademacherSumObservable(MatrixObservable):
             out += f[:, None] * v
         return np.ascontiguousarray(out.T).view(complex).reshape(-1, d, d)
 
-    def _check_sites(self, model: DiscreteModel) -> None:
-        if model.n != len(self.matrices):
+    def _check_sites(self, n: int) -> None:
+        if n != len(self.matrices):
             raise ValueError(f"observable has {len(self.matrices)} coefficient matrices "
-                             f"for a {model.n}-site model")
+                             f"for a {n}-site model")
 
     def exact_mean(self, model: DiscreteModel) -> np.ndarray:
-        self._check_sites(model)
+        self._check_sites(model.n)
         means = [float(np.dot(p, model.alphabets[i]))
                  for i, p in enumerate(model.site_marginals())]
         return np.einsum("n,nij->ij", np.asarray(means), self._stack)
 
     def hamming_bounds(self, model: DiscreteModel) -> DifferenceBoundSet:
         """Single-swap bounds w_k A_k with w_k the value range of site k."""
-        self._check_sites(model)
+        self._check_sites(model.n)
         widths = [max(a) - min(a) for a in model.alphabets]
         return DifferenceBoundSet([HermitianMatrix(w * M.mat)
                                    for w, M in zip(widths, self.matrices)])

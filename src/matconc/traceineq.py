@@ -9,6 +9,7 @@ ensembles and persists any violating input as a replayable witness file.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -135,34 +136,35 @@ def _matrix_powers(M: np.ndarray, exps) -> np.ndarray:
     return out
 
 
+def _exp_difference(C, D, eA, eB, theta):
+    """(lhs, rhs, gap) of Tr(C(e^tA - e^tB)) <= t Tr(((C^2 + D^2)/2)((e^tA + e^tB)/2))
+    over a stack, from e^tA, e^tB and t = theta; the inequality reverses for
+    theta < 0, and the gap is oriented so that gap >= 0 where it holds."""
+    lhs = _trace(C, eA - eB)
+    rhs = theta * _trace((C @ C + D @ D) / 2.0, (eA + eB) / 2.0)
+    return lhs, rhs, np.where(theta > 0, rhs - lhs, lhs - rhs)
+
+
 def _exchangeable(A, B, C) -> _Gaps:
     n = len(A)
+    # not _exp_scaled: symmetrizing 1 * A changes the bits of subnormal entries
     E = _exp(*_decompose(np.concatenate([A, B])))
-    eA, eB = E[:n], E[n:]
-    D = A - B
-    lhs = _trace(C, eA - eB)
-    rhs = _trace((C @ C + D @ D) / 2.0, (eA + eB) / 2.0)
-    return _Gaps("exchangeable", lhs, rhs, rhs - lhs, {"A": A, "B": B, "C": C}, [{}] * n)
+    return _Gaps("exchangeable", *_exp_difference(C, A - B, E[:n], E[n:], 1.0),
+                 {"A": A, "B": B, "C": C}, [{}] * n)
 
 
 def _exchangeable_scaled(A, B, C, theta: np.ndarray) -> _Gaps:
-    eA, eB = _exp_scaled(theta, A, B)
-    D = A - B
-    lhs = _trace(C, eA - eB)
-    rhs = theta * _trace((C @ C + D @ D) / 2.0, (eA + eB) / 2.0)
-    gap = np.where(theta > 0, rhs - lhs, lhs - rhs)
+    gaps = _exp_difference(C, A - B, *_exp_scaled(theta, A, B), theta)
     params = [{"theta": th, "orientation": "leq" if th > 0 else "geq"}
               for th in theta.tolist()]
-    return _Gaps("exchangeable_scaled", lhs, rhs, gap, {"A": A, "B": B, "C": C}, params)
+    return _Gaps("exchangeable_scaled", *gaps, {"A": A, "B": B, "C": C}, params)
 
 
 def _pair_exp(X, Xp, theta: np.ndarray) -> _Gaps:
-    eX, eXp = _exp_scaled(theta, X, Xp)
+    """The scaled bound with C = D = X - X'."""
     D = X - Xp
-    lhs = _trace(D, eX - eXp)
-    rhs = (theta / 2.0) * _trace(D @ D, eX + eXp)
-    return _Gaps("pair_exp", lhs, rhs, rhs - lhs, {"X": X, "Xp": Xp},
-                 [{"theta": th} for th in theta.tolist()])
+    return _Gaps("pair_exp", *_exp_difference(D, D, *_exp_scaled(theta, X, Xp), theta),
+                 {"X": X, "Xp": Xp}, [{"theta": th} for th in theta.tolist()])
 
 
 def _power(A, B, C, k: np.ndarray) -> _Gaps:
@@ -220,12 +222,14 @@ def _trace_quad(P, Q, R, S) -> _Gaps:
                  [{}] * len(P))
 
 
-def _check_psd(AB: np.ndarray, kind: str) -> None:
-    """Public inputs A, B (a stack of two) must be PSD within rounding."""
-    evals = np.linalg.eigvalsh(AB)
-    for name, w in zip("AB", evals):
+def _certified_psd(*mats) -> list[np.ndarray]:
+    """:func:`_certified` inputs whose first two, A and B, are PSD within
+    rounding: no eigenvalue below -1e-10 max(1, max |eigenvalue|)."""
+    mats = _certified(*mats)
+    for name, w in zip("AB", np.linalg.eigvalsh(np.concatenate(mats[:2]))):
         if w[0] < -1e-10 * max(1.0, float(np.abs(w).max())):
-            raise ValueError(f"{name} is not {kind}: min eigenvalue {w[0]:.6e}")
+            raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {w[0]:.6e}")
+    return mats
 
 
 @_refusing_overflow
@@ -237,37 +241,35 @@ def gap_exchangeable(A, B, C) -> TraceGapReport:
 @_refusing_overflow
 def gap_exchangeable_scaled(A, B, C, theta: float) -> TraceGapReport:
     """Scaled variant; the inequality reverses for theta < 0, gap stays oriented >= 0."""
-    if theta == 0:
-        raise ValueError("theta must be nonzero")
+    if not (theta != 0 and math.isfinite(theta)):
+        raise ValueError(f"theta must be finite and nonzero, got {theta!r}")
     return _exchangeable_scaled(*_certified(A, B, C), np.array([float(theta)])).report(0)
 
 
 @_refusing_overflow
 def gap_pair_exp(X, Xp, theta: float) -> TraceGapReport:
     """Exchangeable-pair exponential bound with C = X - X' folded in (theta > 0)."""
-    if not theta > 0:
-        raise ValueError("theta must be > 0")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta!r}")
     return _pair_exp(*_certified(X, Xp), np.array([float(theta)])).report(0)
 
 
 @_refusing_overflow
 def gap_power(A, B, C, k: int) -> TraceGapReport:
     """Power-difference trace bound for PSD A, B and integer k >= 1."""
-    if int(k) != k or k < 1:
-        raise ValueError("k must be a positive integer")
-    A, B, C = _certified(A, B, C)
-    _check_psd(np.concatenate([A, B]), "positive semidefinite")
-    return _power(A, B, C, np.array([int(k)])).report(0)
+    k = _integer("k", k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _power(*_certified_psd(A, B, C), np.array([k])).report(0)
 
 
 @_refusing_overflow
 def gap_symmetric_term(A, B, C, k: int, n: int) -> TraceGapReport:
-    """Symmetric pair of power terms, positive definite A, B, 0 <= k <= n."""
-    if int(n) != n or int(k) != k or not 0 <= k <= n:
-        raise ValueError("need integers 0 <= k <= n")
-    A, B, C = _certified(A, B, C)
-    _check_psd(np.concatenate([A, B]), "positive definite")
-    return _symmetric_term(A, B, C, np.array([int(k)]), np.array([int(n)])).report(0)
+    """Symmetric pair of power terms, PSD A, B and integers 0 <= k <= n."""
+    k, n = _integer("k", k), _integer("n", n)
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k = {k}, n = {n}")
+    return _symmetric_term(*_certified_psd(A, B, C), np.array([k]), np.array([n])).report(0)
 
 
 @_refusing_overflow
@@ -275,7 +277,7 @@ def gap_holder(A, B, C, D, p: float) -> TraceGapReport:
     """Hoelder-type interpolation bound, PSD A, B and exponent p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return _holder(*_certified(A, B, C, D), [float(p)]).report(0)
+    return _holder(*_certified_psd(A, B, C, D), [float(p)]).report(0)
 
 
 @_refusing_overflow

@@ -441,6 +441,21 @@ class TestMcTailCommand:
             f"error: product space has 2**{n} states, above cap 1000000\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 12])
+    def test_sampled_site_count_other_than_coefficient_count_exits_2(self, tmp_path, capsys,
+                                                                      monkeypatch, n):
+        # refused before the model is built: 10**12 sites, sampled, ran out of
+        # memory building 2**n and the per-site lists (exit 1)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(DiscreteModel, "from_product", refuse)
+        cfg = self.sites_config(tmp_path, n, "mc")
+        assert run(["mc-tail", "--config", cfg, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: observable has 2 coefficient matrices for a {n}-site model\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_exhaustive_under_a_configured_cap_runs(self, tmp_path):
         cfg = self.sites_config(tmp_path, 3, "exhaustive", enum_cap=8)
         assert run(["mc-tail", "--config", cfg, "--out", tmp_path / "x.csv"]) == 0
@@ -690,6 +705,28 @@ class TestConjectureCommand:
         assert run(["conjecture", "--ineq", "fconj", "--entry", "square", "--dims", "2..2",
                     "--budget", 5, "--config", cfg, "--out", out]) == 3
         assert "split-part bound not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reconstruction_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an eigensolver whose eigenvectors do not reconstruct the input
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0], eigh(M)[1] + 1e-3))
+        out = tmp_path / "r.json"
+        assert run(["conjecture", "--dims", "2..2", "--budget", 5, "--out", out]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: spectral reconstruction error ")
+        assert not out.exists()
+
+    def test_huge_eigenvalue_is_refused_without_a_warning(self, tmp_path, capsys):
+        # the reconstruction bound overflowed past max/d: a RuntimeWarning, an
+        # error under -W error::RuntimeWarning, and no exit code
+        cfg = tmp_path / "huge.cfg.json"
+        cfg.write_text(json.dumps({"scale": 8e307}))
+        out = tmp_path / "r.json"
+        assert run(["conjecture", "--ineq", "fconj", "--entry", "square", "--budget", 12,
+                    "--dims", "2,3", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_overflowing_draw_exits_3(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import warnings
 
@@ -159,6 +160,33 @@ class TestSpectralDecompose:
         dec = spectral_decompose(random_hermitian(5, rng))
         U = dec.eigenvectors
         assert np.abs(U.conj().T @ U - np.eye(5)).max() <= 1e-10
+
+    @staticmethod
+    def perturbed_eigh(monkeypatch, eps):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0], eigh(M)[1] + eps))
+
+    def test_reconstruction_failure_is_refused(self, monkeypatch):
+        A = random_hermitian(4, np.random.default_rng(5)).mat
+        self.perturbed_eigh(monkeypatch, 1e-6)
+        with pytest.raises(ArithmeticError,
+                           match=r"^spectral reconstruction error \S+ exceeds \S+$") as exc:
+            _decompose(A[None])
+        err, bound = (float(x) for x in str(exc.value).split()[3::2])
+        assert err > bound == float(f"{4e-10 * np.abs(np.linalg.eigvalsh(A)).max():.3e}")
+        with pytest.raises(ArithmeticError, match="spectral reconstruction error"):
+            spectral_decompose(A)
+
+    def test_bound_is_finite_past_max_over_d(self, monkeypatch):
+        # RTOL * (d * max|w|) overflowed once max|w| passed max/d: a RuntimeWarning
+        # (an error under the suite's filter) and an unchecked reconstruction
+        big = np.finfo(float).max / 3.0
+        M = np.diag([big, 1.0, -2.0, 0.5]).astype(complex)[None]
+        w, _ = _decompose(M)
+        assert w[0, -1] == big
+        self.perturbed_eigh(monkeypatch, 1e-6)
+        with pytest.raises(ArithmeticError, match=re.escape(f"exceeds {4e-10 * big:.3e}") + "$"):
+            _decompose(M)
 
 
 class TestMatrixFunction:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -346,6 +347,60 @@ class TestHolder:
         I2 = HermitianMatrix.identity(2)
         with pytest.raises(ValueError):
             gap_holder(HermitianMatrix.diagonal([1.0, -1.0]), I2, I2, I2, 0.5)
+
+
+class TestPublicArgumentRules:
+    I2 = HermitianMatrix.identity(2)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_that_is_not_finite_is_refused(self, theta):
+        # these raised SpectralDomainError ("matrix exponential overflows"), an
+        # ArithmeticError, for what is a bad argument
+        I2 = self.I2
+        with pytest.raises(ValueError, match=f"^theta must be finite and nonzero, got {theta!r}$"):
+            gap_exchangeable_scaled(I2, I2, I2, theta)
+        with pytest.raises(ValueError, match=f"^theta must be finite and > 0, got {theta!r}$"):
+            gap_pair_exp(I2, I2, theta)
+
+    @pytest.mark.parametrize("name", ["power", "symmetric_term", "holder"])
+    @pytest.mark.parametrize("which", "AB")
+    def test_one_psd_rule(self, name, which):
+        # holder's check was a second one, in the fractional-power kernel
+        I2, bad = self.I2, HermitianMatrix.diagonal([1.0, -1.0])
+        A, B = (bad, I2) if which == "A" else (I2, bad)
+        call = {"power": lambda: gap_power(A, B, I2, 2),
+                "symmetric_term": lambda: gap_symmetric_term(A, B, I2, 1, 2),
+                "holder": lambda: gap_holder(A, B, I2, I2, 0.5)}[name]
+        with pytest.raises(ValueError, match=f"^{which} is not positive semidefinite: "
+                                             r"min eigenvalue -1\.000000e\+00$"):
+            call()
+
+    def test_symmetric_term_takes_singular_psd_inputs(self):
+        # the check is for PSD A, B, not positive definite ones
+        rep = gap_symmetric_term(HermitianMatrix.diagonal([1.0, 0.0]),
+                                 HermitianMatrix.diagonal([2.0, 0.0]), self.I2, 1, 2)
+        assert rep.params["k"] == 1 and rep.params["n"] == 2
+
+    @pytest.mark.parametrize("k", [True, 1.5, math.inf, math.nan, "2"])
+    def test_power_reads_k_as_an_integer(self, k):
+        # k = True ran with k = 1 and k = inf raised OverflowError
+        I2 = self.I2
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            gap_power(I2, I2, I2, k)
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            gap_power(I2, I2, I2, 0)
+        assert gap_power(I2, I2, I2, 2.0) == gap_power(I2, I2, I2, 2)
+
+    @pytest.mark.parametrize("k, n, name", [(True, 2, "k"), (1, True, "n"), (1, 2.5, "n"),
+                                            (math.inf, 2, "k"), (0, math.nan, "n")])
+    def test_symmetric_term_reads_k_and_n_as_integers(self, k, n, name):
+        I2 = self.I2
+        value = re.escape(repr(k if name == "k" else n))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            gap_symmetric_term(I2, I2, I2, k, n)
+        for k, n in ((3, 2), (-1, 2)):
+            with pytest.raises(ValueError, match=f"^need 0 <= k <= n, got k = {k}, n = {n}$"):
+                gap_symmetric_term(I2, I2, I2, k, n)
 
 
 class TestPsdCross:
