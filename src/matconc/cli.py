@@ -73,6 +73,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+MAX_POINTS = 1_000_000  # points in one "start:stop:step" grid or "lo..hi" range
 
 
 def _fmt(x) -> str:
@@ -114,8 +115,10 @@ def _parse_range(name: str, value) -> list[int]:
         raise ValueError(f"{name} must be a range, a comma list or a list of integers, "
                          f"got {value!r}")
     if ".." in value:
-        lo, hi = value.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(tok) for tok in value.split("..", 1))
+        if hi - lo + 1 > MAX_POINTS:
+            raise ValueError(f"{name} {value!r} has more than {MAX_POINTS} points")
+        return list(range(lo, hi + 1))
     return [int(tok) for tok in value.split(",") if tok]
 
 
@@ -140,7 +143,11 @@ def _grid(name: str, value) -> list[float]:
         start, stop, step = (float(tok) for tok in value.split(":"))
         if not (all(map(math.isfinite, (start, stop, step))) and start <= stop and step > 0):
             raise ValueError(f"grid {value!r} needs finite start <= stop and step > 0")
-        grid = [start + k * step for k in range(int(round((stop - start) / step)) + 1)]
+        steps = (stop - start) / step  # +inf once the span or the quotient overflows
+        points = round(steps) + 1 if math.isfinite(steps) else math.inf
+        if points > MAX_POINTS:
+            raise ValueError(f"{name} {value!r} has more than {MAX_POINTS} points")
+        grid = [start + k * step for k in range(points)]
     else:
         grid = [float(tok) for tok in value.split(",") if tok]
     if not grid:
@@ -255,6 +262,11 @@ def cmd_verify_traces(args, settings) -> int:
 
 def cmd_bound(args, settings) -> int:
     model, c = settings.pop("model"), settings["c"]
+    sources = [name for name, given in (
+        ("c", c is not None), ("model", model is not None),
+        ("--norm1/--norm-inf", args.norm1 is not None or args.norm_inf is not None)) if given]
+    if len(sources) > 1:
+        raise ValueError(f"c comes from one source, got {' and '.join(sources)}")
     if model is not None:
         D = dobrushin_matrix(_model_from_spec(model))
         c = dobrushin_constant(*matrix_norms(D))   # raises on norms >= 1

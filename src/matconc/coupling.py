@@ -30,7 +30,6 @@ from .dobrushin import (
     EnumerationCapError,
     _DIFF_FLOATS,
     _site_split,
-    conditional_row_weights,
     conditional_table,
     site_neighbours,
 )
@@ -654,43 +653,17 @@ class DisagreementMC:
     stream_version: int     # hermitian.STREAM_VERSION of the draws: greedy runs write no manifest
 
 
-def _site_rules(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every site's conditionals in one value-first table, for :func:`_coupled_step`.
-
-    Returns ``(T, offsets, W)``.  Column ``offsets[i] + r`` of T is row r of
-    site i's :func:`conditional_table`, zero-padded to the largest alphabet;
-    the blocks of columns come in site order.  ``W[:, i]`` is site i's
-    :func:`conditional_row_weights`, so an (n, R) configuration stack X has
-    site-i columns ``offsets[i] + W[:, i] @ X``.  A product site keeps its one
-    distinct row, with zero weights.
-    """
-    tables = [conditional_table(model, i) for i in range(model.n)]
-    W = np.stack([conditional_row_weights(model.sizes, i) for i in range(model.n)], axis=1)
-    if model._site_pmfs is not None:  # every row of a site is its one pmf
-        tables = [t[:1] for t in tables]
-        W[:] = 0
-    rows = [len(t) for t in tables]
-    offsets = np.cumsum([0] + rows[:-1])
-    T = np.zeros((max(model.sizes), sum(rows)))
-    for t, o in zip(tables, offsets):
-        T[:t.shape[1], o:o + len(t)] = t.T
-    return T, offsets, W
-
-
-def _coupled_step(rules, X, Y, picks, U) -> None:
+def _coupled_step(model: DiscreteModel, X, Y, picks, U) -> None:
     """One greedy-coupled Gibbs step of (n, runs) config stacks X, Y, in place.
 
     Run r resamples site ``picks[r]`` in both chains from the maximal coupling
-    of the two conditional rows, on the four uniforms ``U[r]``; ``rules`` is
-    :func:`_site_rules` of the model.  One gather of each chain's rows, one
-    coupling call and one scatter serve every run.  Where the two rows are
-    equal (always, on a product model) both chains receive one shared value:
-    the synchronized refresh.
+    of the two conditional rows, on the four uniforms ``U[r]``.  One
+    ``model._conditional_rows`` gather of both chains' rows, one coupling
+    call and one scatter serve every run.  Where the two rows are equal
+    (always, on a product model) both chains receive one shared value: the
+    synchronized refresh.
     """
-    T, offsets, W = rules
-    w, base = W.take(picks, axis=1), offsets.take(picks)
-    a, b = _maximal_coupling_rows(T.take(base + (w * X).sum(axis=0), axis=1),
-                                  T.take(base + (w * Y).sum(axis=0), axis=1), *U.T)
+    a, b = _maximal_coupling_rows(*model._conditional_rows(picks, X, Y), *U.T)
     r = np.arange(X.shape[1])
     X[picks, r] = a
     Y[picks, r] = b
@@ -726,11 +699,9 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
         raise ValueError("need runs >= 1 and kmax >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = model.n
-    rules = T, offsets, W = _site_rules(model)
-
     X = np.ascontiguousarray(model.sample(rng, runs).T)  # (n, runs): one row per site
     Y = X.copy()
-    Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
+    Y[site] = _sample_rows(model._conditional_rows(np.full(runs, site), X)[0], rng.random(runs))
 
     counts = np.zeros((kmax + 1, n), dtype=np.int64)
     counts[0] = np.count_nonzero(X != Y, axis=1)
@@ -740,7 +711,7 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
         active = X.shape[1]
         if not active:
             break
-        _coupled_step(rules, X, Y, rng.integers(0, n, size=active), rng.random((active, 4)))
+        _coupled_step(model, X, Y, rng.integers(0, n, size=active), rng.random((active, 4)))
         differ = X != Y
         counts[k] = np.count_nonzero(differ, axis=1)
         keep = differ.any(axis=0)

@@ -34,9 +34,27 @@ class EnumerationCapError(ValueError):
     """Raised when an exact enumeration would exceed the configured cap."""
 
 
-def _check_cap(size: int, enum_cap: int) -> None:
+def _check_cap(size: int, enum_cap) -> int:
+    """``enum_cap`` read as an integer, once ``size`` states are within it."""
+    enum_cap = _integer("enum_cap", enum_cap)
     if size > enum_cap:
         raise EnumerationCapError(f"product space has {size} states, above cap {enum_cap}")
+    return enum_cap
+
+
+def _weights(what: str, weights, shape: tuple) -> np.ndarray:
+    """``weights`` of ``shape`` as a read-only pmf, ``w / w.sum()``: every
+    weight strictly positive and their sum finite, or a ``ValueError``."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != shape:
+        raise ValueError(f"{what} shape {w.shape} != sizes {shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w.sum()
+    if not ((w > 0).all() and np.isfinite(total)):
+        raise ValueError(f"{what} weights must be strictly positive with a finite sum")
+    w = w / total
+    w.setflags(write=False)
+    return w
 
 
 class DiscreteModel:
@@ -52,7 +70,8 @@ class DiscreteModel:
     ``_conditional_stacks``: one read-only (n_m, S / m, m) stack per alphabet
     size m, its m-value sites in order.  A table model keeps those n S floats
     for its lifetime; a product model's stacks broadcast each site pmf over
-    its rows and hold only the pmfs.
+    its rows and hold only the pmfs.  The coupled chains gather their rows from
+    ``_row_table``, also built once, a product model's from its pmfs alone.
     """
 
     def __init__(self, alphabets, *, table=None, site_pmfs=None,
@@ -62,36 +81,15 @@ class DiscreteModel:
             raise ValueError("each site needs a nonempty alphabet")
         self.n = len(self.alphabets)
         self.sizes = tuple(len(a) for a in self.alphabets)
-        self.enum_cap = int(enum_cap)
         self.size = prod(self.sizes)
-        _check_cap(self.size, self.enum_cap)
+        self.enum_cap = _check_cap(self.size, enum_cap)
         if (table is None) == (site_pmfs is None):
             raise ValueError("provide exactly one of table / site_pmfs")
-        if table is not None:
-            tab = np.asarray(table, dtype=float)
-            if tab.shape != self.sizes:
-                raise ValueError(f"table shape {tab.shape} != sizes {self.sizes}")
-            if not (tab > 0).all():
-                raise ValueError("weights must be strictly positive")
-            tab = tab / tab.sum()
-            tab.setflags(write=False)
-            self._table = tab
-            self._site_pmfs = None
-        else:
-            if len(site_pmfs) != self.n:
-                raise ValueError(f"model has {self.n} alphabets but {len(site_pmfs)} pmfs")
-            pmfs = []
-            for i, p in enumerate(site_pmfs):
-                arr = np.asarray(p, dtype=float)
-                if arr.shape != (self.sizes[i],):
-                    raise ValueError(f"site {i} pmf has wrong length")
-                if not (arr > 0).all():
-                    raise ValueError("site pmfs must be strictly positive")
-                arr = arr / arr.sum()
-                arr.setflags(write=False)
-                pmfs.append(arr)
-            self._table = None
-            self._site_pmfs = tuple(pmfs)
+        if site_pmfs is not None and len(site_pmfs) != self.n:
+            raise ValueError(f"model has {self.n} alphabets but {len(site_pmfs)} pmfs")
+        self._table = None if table is None else _weights("table", table, self.sizes)
+        self._site_pmfs = None if site_pmfs is None else tuple(
+            _weights(f"site {i} pmf", site_pmfs[i], (m,)) for i, m in enumerate(self.sizes))
 
     # -- constructors ------------------------------------------------------
 
@@ -166,6 +164,36 @@ class DiscreteModel:
             stack.setflags(write=False)
             stacks[m] = stack
         return stacks
+
+    @functools.cached_property
+    def _row_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(T, offsets, W)``: every site's conditional rows in one value-first table.
+
+        Column ``offsets[i] + r`` of T is row r of site i's :func:`conditional_table`,
+        zero-padded to the largest alphabet, sites in order; ``W[:, i]`` is site i's
+        :func:`conditional_row_weights`.  A product site keeps one row, its pmf, with
+        zero weights.
+        """
+        if self._site_pmfs is not None:
+            tables = [p[None] for p in self._site_pmfs]
+            W = np.zeros((self.n, self.n), dtype=np.int64)
+        else:
+            tables = [conditional_table(self, i) for i in range(self.n)]
+            W = np.stack([conditional_row_weights(self.sizes, i) for i in range(self.n)], axis=1)
+        rows = [len(t) for t in tables]
+        offsets = np.cumsum([0] + rows[:-1])
+        T = np.zeros((max(self.sizes), sum(rows)))
+        for t, o in zip(tables, offsets):
+            T[:t.shape[1], o:o + len(t)] = t.T
+        return T, offsets, W
+
+    def _conditional_rows(self, sites, *stacks) -> list[np.ndarray]:
+        """For each (n, R) stack X of index configurations, the value-first (max m, R)
+        conditional pmfs of site ``sites[r]`` given ``X[:, r]``, zero-padded: one
+        gather from ``_row_table`` at ``offsets[i] + W[:, i] @ X[:, r]``."""
+        T, offsets, W = self._row_table
+        w, base = W.take(sites, axis=1), offsets.take(sites)
+        return [T.take(base + (w * X).sum(axis=0), axis=1) for X in stacks]
 
     @property
     def table(self) -> np.ndarray:

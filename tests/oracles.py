@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from matconc.coupling import _coupled_step, _joint_blocks, _ordered_sum, _sample_rows, _site_rules
+from matconc.coupling import _coupled_step, _joint_blocks, _ordered_sum, _sample_rows
 from matconc.dobrushin import _site_split, conditional_row_weights, conditional_table
 from matconc.hermitian import _SPECTRAL_MAX, SpectralDomainError
 
@@ -135,7 +135,7 @@ def recorded_greedy_mc(model, site, kmax, runs, seed):
     its active sub-stacks and its stop once every run has coalesced."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = model.n
-    rules = T, offsets, W = _site_rules(model)
+    T, offsets, W = model._row_table
     X = np.ascontiguousarray(choice_sample(model, rng, runs).T)
     Y = X.copy()
     Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
@@ -151,7 +151,7 @@ def recorded_greedy_mc(model, site, kmax, runs, seed):
     for k in range(1, kmax + 1):
         moving = np.flatnonzero((X != Y).any(axis=0))
         Xa, Ya = X[:, moving], Y[:, moving]
-        _coupled_step(rules, Xa, Ya, rng.integers(0, n, size=len(moving)),
+        _coupled_step(model, Xa, Ya, rng.integers(0, n, size=len(moving)),
                       rng.random((len(moving), 4)))
         X[:, moving], Y[:, moving] = Xa, Ya
         record(k)

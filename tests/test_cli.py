@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import matconc
-from matconc.cli import _write_csv, main
+from matconc.cli import MAX_POINTS, _grid, _parse_range, _write_csv, main
 from matconc.bounds import dobrushin_constant
 from matconc.dobrushin import DiscreteModel, dobrushin_matrix, matrix_norms, save_model
 from matconc.hermitian import EnsembleSpec, matrix_to_obj, sample_ensemble
@@ -118,6 +118,38 @@ class TestBoundCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:1:1e-12", "-1e308:1e308:1e-300"])
+    def test_grid_above_the_point_cap_is_usage_error(self, tmp_path, capsys, grid):
+        # the first once built 10^12 floats (a MemoryError, exit 1), the second
+        # failed on int(inf) (exit 3)
+        out = tmp_path / "b.csv"
+        assert run(["bound", f"--t={grid}", "--out", out]) == 2
+        assert "more than 1000000 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_point_cap_is_inclusive(self):
+        assert len(_grid("t_grid", "0:999999:1")) == MAX_POINTS
+        assert len(_parse_range("dims", f"1..{MAX_POINTS}")) == MAX_POINTS
+        for read, value in ((_grid, "0:1000000:1"), (_parse_range, f"0..{MAX_POINTS}")):
+            with pytest.raises(ValueError, match="more than"):
+                read("x", value)
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--c", 5, "--model", "MODEL"], "c and model"),
+        (["--c", 2, "--norm1", 0.1, "--norm-inf", 0.1], "c and --norm1/--norm-inf"),
+        (["--model", "MODEL", "--norm-inf", 0.1], "model and --norm1/--norm-inf"),
+        (["--config", "CONFIG", "--norm1", 0.1, "--norm-inf", 0.1], "c and --norm1/--norm-inf"),
+    ], ids=["c-model", "c-norms", "model-norms", "config-c-norms"])
+    def test_two_sources_of_c_are_usage_error(self, tmp_path, capsys, ising_model_file,
+                                              argv, named):
+        # --c beside --model or the norms was once ignored without a word
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"c": 5}))
+        argv = [{"MODEL": ising_model_file, "CONFIG": config}.get(a, a) for a in argv]
+        out = tmp_path / "b.csv"
+        assert run(["bound", "--t", "0.25", *argv, "--out", out]) == 2
+        assert named in capsys.readouterr().err and not out.exists()
+
     @pytest.mark.parametrize("args", [["--t", "0,nan,1"], ["--sigma-sq", "nan"],
                                       ["--c", "nan"], ["--norm1", "0.5"]])
     def test_nan_input_is_usage_error(self, tmp_path, capsys, args):
@@ -185,6 +217,13 @@ class TestVerifyTraces:
         err = capsys.readouterr().err
         assert err == f"numerical failure: {kind} draw at scale 1e+308 is not finite\n"
         assert not (out / "fuzz-psd_cross.json").exists()
+
+    def test_range_above_the_point_cap_exits_2(self, tmp_path, capsys):
+        # once built a list of 10^12 ints (a MemoryError, exit 1)
+        out = tmp_path / "v"
+        assert run(["verify-traces", "--dims", "1..1000000000000", "--out", out]) == 2
+        assert "more than 1000000 points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_scale_exits_2(self, tmp_path, capsys):
         assert run(["verify-traces", "--kinds", "psd", "--dims", 3, "--scale", "inf",
@@ -261,6 +300,19 @@ class TestDobrushinCommand:
         for argv in (["--config", cfg], ["--model", path]):
             assert run(["dobrushin", *argv, "--out", out]) == 2
             assert "coupling must" in capsys.readouterr().err and not out.exists()
+
+    def test_infinite_weight_exits_2_without_a_warning(self, tmp_path, capsys):
+        # once RuntimeWarnings and then the wrong reason ("entries must be finite");
+        # mc-tail said numpy's "Probabilities contain NaN"
+        model = tmp_path / "inf.json"
+        model.write_text('{"alphabets": [[0, 1]], '
+                         '"weight": {"kind": "table", "values": [Infinity, 1]}}')
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({"model": {"file": str(model)}, "observable": {
+            "generate": {"count": 1, "dim": 2, "seed": 1}}}))
+        for argv in (["dobrushin", "--model", model], ["mc-tail", "--config", config]):
+            assert run([*argv, "--out", tmp_path / "out"]) == 2
+            assert "strictly positive with a finite sum" in capsys.readouterr().err
 
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["dobrushin", "--out", tmp_path / "rep.json"]) == 2

@@ -30,7 +30,6 @@ from matconc.coupling import (
     _maximal_coupling_rows,
     _observable_values,
     _ordered_sum,
-    _site_rules,
     _values_matrix,
 )
 from matconc.dobrushin import (
@@ -139,7 +138,7 @@ def coupled_step(model, X, Y, rng):
     """
     runs = X.shape[1]
     picks = rng.integers(0, model.n, size=runs)
-    _coupled_step(_site_rules(model), X, Y, picks, rng.random((runs, 4)))
+    _coupled_step(model, X, Y, picks, rng.random((runs, 4)))
     return picks
 
 
@@ -345,7 +344,7 @@ class TestSteps:
         X0, Y0 = m.sample(rng, 300).T, m.sample(rng, 300).T
         picks, U = rng.integers(0, m.n, size=300), rng.random((300, 4))
         X, Y = X0.copy(), Y0.copy()
-        _coupled_step(_site_rules(m), X, Y, picks, U)
+        _coupled_step(m, X, Y, picks, U)
         for r, i in enumerate(picks):
             p, q = m.conditional(i, X0[:, r]), m.conditional(i, Y0[:, r])
             a, b = _maximal_coupling_rows(p[:, None], q[:, None], *U[r][:, None])
@@ -1131,7 +1130,7 @@ class TestOneCallStep:
 
     def test_site_tables(self):
         m = mixed_table()
-        T, offsets, W = _site_rules(m)
+        T, offsets, W = m._row_table
         assert T.shape == (4, 8 + 12 + 6) and offsets.tolist() == [0, 8, 20]
         for i in range(m.n):
             table, mi = conditional_table(m, i), m.sizes[i]
@@ -1141,10 +1140,28 @@ class TestOneCallStep:
 
     def test_product_site_keeps_one_row(self):
         m = product9()
-        T, offsets, W = _site_rules(m)
+        T, offsets, W = m._row_table
         assert T.shape == (9, 2) and offsets.tolist() == [0, 1] and not W.any()
         for i, p in enumerate(m.site_marginals()):
             assert np.array_equal(T[:m.sizes[i], i], p) and not T[m.sizes[i]:, i].any()
+
+    @pytest.mark.parametrize("make", [mixed_table, ising4_field, alphabet9, product3],
+                             ids=["mixed", "ising4", "alphabet9", "product3"])
+    def test_conditional_rows_gather_the_site_tables(self, make):
+        # column r of each stack: row x_r @ w_i of site i's table, zero-padded
+        m = make()
+        rng = np.random.default_rng(23)
+        X, Y = m.sample(rng, 200).T, m.sample(rng, 200).T
+        sites = rng.integers(0, m.n, size=200)
+        P, Q = m._conditional_rows(sites, X, Y)
+        M = max(m.sizes)
+        assert P.shape == Q.shape == (M, 200)
+        for r, i in enumerate(sites):
+            table, w = conditional_table(m, i), conditional_row_weights(m.sizes, i)
+            for rows, stack in ((P, X), (Q, Y)):
+                expect = np.zeros(M)
+                expect[:m.sizes[i]] = table[stack[:, r] @ w]
+                assert np.array_equal(rows[:, r], expect), (r, i)
 
 
 class TestGreedyDisagreementMC:
@@ -1161,6 +1178,14 @@ class TestGreedyDisagreementMC:
         a = greedy_disagreement_mc(m, 0, 5, 2000, seed=9)
         b = greedy_disagreement_mc(m, 0, 5, 2000, seed=9)
         assert np.array_equal(a.means, b.means)
+
+    def test_large_product_model(self):
+        # 2^70 states: the rows come from the site pmfs, not from dense stacks,
+        # and only the resampled site can ever disagree, less often over time
+        m = DiscreteModel.from_product([(-1.0, 1.0)] * 70, [[0.5, 0.5]] * 70, enum_cap=2 ** 71)
+        mc = greedy_disagreement_mc(m, 3, 40, 2000, seed=5)
+        assert not np.delete(mc.means, 3, axis=1).any()
+        assert mc.means[0, 3] > 0 and (np.diff(mc.means[:, 3]) <= 0).all()
 
     def test_runs_below_one_refused(self):
         for runs in (0, -1):
@@ -1351,26 +1376,29 @@ class TestSmallHelpers:
 @pytest.mark.parametrize("make", [mixed_table, ising4_field, ternary_ising, alphabet9],
                          ids=["mixed", "ising4", "ternary", "alphabet9"])
 def test_tables_built_once_per_model(make, monkeypatch):
-    # dobrushin_matrix, gibbs_kernel, PairEvolver, verify_property_P and _site_rules
-    # read the one cached stack
-    builds = []
-    build = DiscreteModel._conditional_stacks.func
+    # dobrushin_matrix, gibbs_kernel, PairEvolver, verify_property_P and the
+    # greedy runs' row table read the one cached stack; two greedy runs read
+    # the one cached row table
+    builds = {"_conditional_stacks": [], "_row_table": []}
+    for name, log in builds.items():
+        build = getattr(DiscreteModel, name).func
 
-    def counted(model):
-        builds.append(model)
-        return build(model)
+        def counted(model, build=build, log=log):
+            log.append(model)
+            return build(model)
 
-    stacks = functools.cached_property(counted)
-    stacks.__set_name__(DiscreteModel, "_conditional_stacks")
-    monkeypatch.setattr(DiscreteModel, "_conditional_stacks", stacks)
+        cached = functools.cached_property(counted)
+        cached.__set_name__(DiscreteModel, name)
+        monkeypatch.setattr(DiscreteModel, name, cached)
     model = make()
     dobrushin_matrix(model)
     gibbs_kernel(model)
     evolver = PairEvolver(model)
     evolver.step(evolver.delta(0, model.size - 1))
     verify_property_P(model)
-    _site_rules(model)
-    assert builds == [model]
+    for seed in (1, 2):
+        greedy_disagreement_mc(model, 0, 5, 50, seed)
+    assert builds == {"_conditional_stacks": [model], "_row_table": [model]}
     for i in range(model.n):
         assert np.shares_memory(conditional_table(model, i), model._conditional_stacks[model.sizes[i]])
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ class TestModel:
         # 2 pmfs for 3 sites were once accepted (site 2 always sampled 0), 4 raised IndexError
         with pytest.raises(ValueError, match=f"model has 3 alphabets but {count} pmfs"):
             DiscreteModel.from_product([(0, 1)] * 3, [[0.5, 0.5]] * count)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DiscreteModel.from_table([(0, 1)], [math.inf, 1.0]),
+        lambda: DiscreteModel.from_table([(0, 1)], [math.nan, 1.0]),
+        lambda: DiscreteModel.from_table([(0, 1)], [1.5e308, 1.5e308]),
+        lambda: DiscreteModel.from_product([(0, 1)] * 2, [[0.5, 0.5], [math.inf, 1.0]]),
+    ], ids=["inf", "nan", "overflowing-sum", "product-inf"])
+    def test_weights_need_a_finite_sum(self, make):
+        # inf once gave the pmf [nan, 0] and an overflowing sum [0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly positive with a finite sum"):
+                make()
+
+    @pytest.mark.parametrize("cap", [2.7, True, np.bool_(True), "8"])
+    def test_enum_cap_must_be_an_integer(self, cap):
+        # 2.7 was once stored as 2, True read as a cap of 1
+        for make in (lambda: DiscreteModel.from_product([(0, 1)], [[0.5, 0.5]], enum_cap=cap),
+                     lambda: DiscreteModel.from_ising(np.zeros((2, 2)), enum_cap=cap)):
+            with pytest.raises(ValueError, match="enum_cap must be an integer"):
+                make()
+
+    def test_integral_float_enum_cap_accepted(self):
+        m = DiscreteModel.from_product([(0, 1)] * 3, [[0.5, 0.5]] * 3, enum_cap=8.0)
+        assert m.enum_cap == 8 and type(m.enum_cap) is int
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
