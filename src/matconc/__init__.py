@@ -66,7 +66,6 @@ from .coupling import (
     RademacherSumObservable,
     TableObservable,
     check_hamming,
-    derive_hamming_bounds,
     exhaustive_tail,
     gibbs_kernel,
     greedy_disagreement_mc,

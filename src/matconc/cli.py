@@ -38,7 +38,6 @@ from .conjectures import catalog_entry, counterexample_search, save_search_resul
 from .coupling import (
     RademacherSumObservable,
     TableObservable,
-    derive_hamming_bounds,
     exhaustive_tail,
     mc_tail_estimate,
 )
@@ -331,10 +330,7 @@ def cmd_mc_tail(args, settings) -> int:
         cap = DEFAULT_ENUM_CAP
     sites = observable._check_sites if isinstance(observable, RademacherSumObservable) else None
     model = _model_from_spec(settings["model"], enum_cap=cap, check_sites=sites)
-    if isinstance(observable, RademacherSumObservable):
-        bound_set = observable.hamming_bounds(model)
-    else:
-        bound_set = derive_hamming_bounds(observable, model)
+    bound_set = observable.hamming_bounds(model)
 
     t_grid = settings["t_grid"]
     if isinstance(t_grid, dict):
@@ -388,11 +384,7 @@ def cmd_dobrushin(args, settings) -> int:
 
 
 def cmd_conjecture(args, settings) -> int:
-    entry = None
-    if settings["ineq"] == "fconj":
-        if not settings["entry"]:
-            raise ValueError("fconj requires --entry")
-        entry = catalog_entry(settings["entry"])
+    entry = None if settings["entry"] is None else catalog_entry(settings["entry"])
     result = counterexample_search(settings["ineq"], settings["dims"], settings["budget"],
                                    args.seed, scale=settings["scale"], entry=entry)
     out = args.out or "conjecture-result.json"

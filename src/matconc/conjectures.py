@@ -246,6 +246,7 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     until stationarity or the descent budget runs out.  Drawn inputs are
     certified once, as one stack per dim; descent candidates are assembled
     exactly Hermitian from their parameters.  Fully reproducible from the seed.
+    fconj needs a catalog ``entry``; expconj, the exp entry's bound, takes none.
 
     Both phases evaluate stacks and give the bytes of an instance-by-instance
     search.  Random trials come from :func:`_trials_in_order` (the earliest
@@ -262,8 +263,9 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     budget, seed = _integer("budget", budget), _integer("seed", seed)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if inequality_id == "fconj" and entry is None:
-        raise ValueError("fconj search needs a catalog entry")
+    if (inequality_id == "fconj") != (entry is not None):
+        raise ValueError("fconj search needs a catalog entry" if entry is None
+                         else "expconj search takes no catalog entry (it is the exp entry)")
     kinds, dims = _trial_grid(ENSEMBLE_KINDS, dims, scale)
     descent_budget = _integer("descent_budget",
                               budget if descent_budget is None else descent_budget)

@@ -86,6 +86,12 @@ class MatrixObservable:
     def exact_mean(self, model: DiscreteModel) -> np.ndarray | None:
         return None
 
+    def hamming_bounds(self, model: DiscreteModel) -> DifferenceBoundSet:
+        """Single-swap bounds c_k I, c_k the worst swap norm at site k over every
+        state: valid (diff^2 <= c_k^2 I), though looser than structural ones."""
+        worst = [_spectral_norm(diff) for diff in _swap_differences(model, self)]
+        return DifferenceBoundSet([HermitianMatrix(c * np.eye(self.dim)) for c in worst])
+
 
 class RademacherSumObservable(MatrixObservable):
     """H(z) = sum_k z_k A_k for a fixed list of Hermitian coefficients."""
@@ -161,19 +167,6 @@ class TableObservable(MatrixObservable):
         return np.stack(entries).take(inverse.reshape(-1), axis=0)
 
 
-def derive_hamming_bounds(observable: MatrixObservable,
-                          model: DiscreteModel) -> DifferenceBoundSet:
-    """Exhaustive scalar single-swap bounds c_k I with c_k the worst swap norm.
-
-    Valid (diff^2 <= |diff|^2 I <= c_k^2 I) though generally looser than
-    structure-aware bounds; useful for table observables.
-    """
-    H = _observable_values(model, observable)
-    worst = [_spectral_norm(H[:, None] - H[site_neighbours(model, i)])
-             for i in range(model.n)]
-    return DifferenceBoundSet([HermitianMatrix(c * np.eye(observable.dim)) for c in worst])
-
-
 def check_hamming(observable: MatrixObservable, model: DiscreteModel,
                   bound_set: DifferenceBoundSet):
     """Exhaustively validate (H(z) - H(z_i -> v))^2 <= A_i^2 over all swaps.
@@ -183,13 +176,9 @@ def check_hamming(observable: MatrixObservable, model: DiscreteModel,
     """
     if len(bound_set.matrices) != model.n:
         raise ValueError("need one difference bound per site")
-    H = _observable_values(model, observable)
-    _certify(H)  # the observable's values are outside input: certify them once
     worst = math.inf
-    for i in range(model.n):
-        Ai = bound_set.matrices[i].mat
-        diff = H[:, None] - H[site_neighbours(model, i)]
-        slack = _hermitian_part(_hermitian_part(Ai @ Ai) - diff @ diff)
+    for A, diff in zip(bound_set.matrices, _swap_differences(model, observable)):
+        slack = _hermitian_part(_hermitian_part(A.mat @ A.mat) - diff @ diff)
         worst = min(worst, float(np.linalg.eigvalsh(slack)[..., 0].min()))
     return worst >= -1e-10, worst
 
@@ -454,6 +443,13 @@ def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
     """
     configs = np.indices(model.sizes).reshape(model.n, -1).T
     return np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128)
+
+
+def _swap_differences(model: DiscreteModel, f: MatrixObservable):
+    """H(z) - H(z_i -> v) of every state z, shape (S, m_i, d, d), for each site i
+    in order, from one certified ``f.batch`` pass over every state."""
+    H = _certify(_observable_values(model, f))  # the observable's values are outside input
+    return (H[:, None] - H[site_neighbours(model, i)] for i in range(model.n))
 
 
 def _enumerated_mean(model: DiscreteModel, vals: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ def _check_cap(size: int, enum_cap) -> int:
 
 def _weights(what: str, weights, shape: tuple) -> np.ndarray:
     """``weights`` of ``shape`` as a read-only pmf, ``w / w.sum()``: every
-    weight strictly positive and their sum finite, or a ``ValueError``."""
+    weight strictly positive, their sum finite and no share of it underflowing
+    to 0, or a ``ValueError``."""
     w = np.asarray(weights, dtype=float)
     if w.shape != shape:
         raise ValueError(f"{what} shape {w.shape} != sizes {shape}")
@@ -52,9 +53,12 @@ def _weights(what: str, weights, shape: tuple) -> np.ndarray:
         total = w.sum()
     if not ((w > 0).all() and np.isfinite(total)):
         raise ValueError(f"{what} weights must be strictly positive with a finite sum")
-    w = w / total
-    w.setflags(write=False)
-    return w
+    pmf = w / total
+    if not (pmf > 0).all():
+        raise ValueError(f"{what} weights span too wide a range: the share of the least, "
+                         f"{float(w.min())!r} of {float(total)!r}, underflows to 0")
+    pmf.setflags(write=False)
+    return pmf
 
 
 class DiscreteModel:
@@ -62,9 +66,10 @@ class DiscreteModel:
 
     Two backends: a dense weight table over the product space (for generic or
     Ising-style weights) and a factorized product form that never materializes
-    the table (so product models with large n still support sampling and
-    conditionals).  The product-space size is always checked against
-    ``enum_cap``.
+    the table (so product models with large n still support sampling,
+    ``conditional`` and the coupled-chain gather, though not the dense table,
+    nor :func:`conditional_table` once a stack of it passes numpy's largest
+    array).  The product-space size is always checked against ``enum_cap``.
 
     Every site's :func:`conditional_table` is built once, on first use, into
     ``_conditional_stacks``: one read-only (n_m, S / m, m) stack per alphabet
@@ -135,7 +140,11 @@ class DiscreteModel:
             for term in J[i, i + 1:, None] * x[i] * x[i + 1:]:
                 energy += term
         energy -= energy.max()
-        return cls(alphabets, table=np.exp(energy).reshape(sizes), enum_cap=enum_cap)
+        table = np.exp(energy).reshape(sizes)
+        if not table.min() / table.sum() > 0:  # the share that _weights would refuse
+            raise ValueError(f"coupling and field span an energy range of {-energy.min():.6g}: "
+                             "the least likely state's share of the weight underflows to 0")
+        return cls(alphabets, table=table, enum_cap=enum_cap)
 
     # -- basic access ------------------------------------------------------
 
@@ -151,6 +160,10 @@ class DiscreteModel:
             groups.setdefault(m, []).append(i)
         stacks = {}
         for m, sites in groups.items():
+            if len(sites) * self.size * 8 > np.iinfo(np.intp).max:  # numpy's largest array
+                raise EnumerationCapError(f"the conditional tables of the {len(sites)} "
+                                          f"{m}-value sites have {self.size // m} rows each, "
+                                          "beyond numpy's largest array")
             if self._site_pmfs is not None:
                 pmfs = np.stack([self._site_pmfs[i] for i in sites])[:, None]
                 stacks[m] = np.broadcast_to(pmfs, (len(sites), self.size // m, m))

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,23 @@ class TestDobrushinCommand:
         for argv in (["dobrushin", "--model", model], ["mc-tail", "--config", config]):
             assert run([*argv, "--out", tmp_path / "out"]) == 2
             assert "strictly positive with a finite sum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight, match", [
+        ({"kind": "table", "values": [1e-300, 1e300]}, "table weights span too wide a range"),
+        ({"kind": "ising", "coupling": [[0, 400], [400, 0]]},
+         "coupling and field span an energy range of 800"),
+    ], ids=["table", "ising"])
+    def test_underflowing_share_exits_2_without_a_warning(self, tmp_path, capsys, weight, match):
+        # the table once ran with the pmf [0, 1], the ising model was refused as
+        # though a weight were not strictly positive
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"alphabets": [[-1, 1]] * (1 if weight["kind"] == "table"
+                                                               else 2), "weight": weight}))
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["dobrushin", "--model", model, "--out", out]) == 2
+        assert match in capsys.readouterr().err and not out.exists()
 
     def test_missing_model_usage_error(self, tmp_path):
         assert run(["dobrushin", "--out", tmp_path / "rep.json"]) == 2
@@ -726,6 +744,14 @@ class TestConjectureCommand:
     def test_fconj_needs_entry(self, tmp_path):
         assert run(["conjecture", "--ineq", "fconj", "--budget", 5,
                     "--out", tmp_path / "r.json"]) == 2
+
+    def test_expconj_with_entry_exits_2(self, tmp_path, capsys):
+        # the entry was once ignored and the exp search ran
+        out = tmp_path / "r.json"
+        assert run(["conjecture", "--ineq", "expconj", "--entry", "cube", "--budget", 3,
+                    "--dims", 2, "--out", out]) == 2
+        assert "expconj search takes no catalog entry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fconj_with_entry(self, tmp_path):
         out = tmp_path / "res.json"

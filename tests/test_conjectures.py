@@ -245,6 +245,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             counterexample_search("fconj", [2], 5, seed=1)
 
+    def test_expconj_takes_no_entry(self):
+        # an entry was once ignored: the search ran the exp bound all the same
+        with pytest.raises(ValueError, match="expconj search takes no catalog entry"):
+            counterexample_search("expconj", [2], 3, seed=1, entry=CATALOG["cube"])
+
     def test_fconj_supported(self):
         r = counterexample_search("fconj", [2, 3], 40, seed=17,
                                   entry=catalog_entry("square"), descent_budget=40)

@@ -12,7 +12,6 @@ from matconc.coupling import (
     RademacherSumObservable,
     TableObservable,
     check_hamming,
-    derive_hamming_bounds,
     exhaustive_tail,
     gibbs_kernel,
     greedy_disagreement_mc,
@@ -992,7 +991,7 @@ class TestHamming:
         obs = TableObservable({(a, b): np.eye(2) for a in (-1.0, 1.0) for b in (-1.0,)}, 2)
         assert np.array_equal(obs((1.0, -1.0)), np.eye(2))
         with pytest.raises(ValueError, match=r"no entry for the values \[-1\.0, 1\.0\]$"):
-            derive_hamming_bounds(obs, model)
+            obs.hamming_bounds(model)
 
     def test_missing_row_named_in_row_order(self):
         # the distinct rows are looked up in sorted order; the error still
@@ -1031,6 +1030,22 @@ class TestHamming:
         obs = TableObservable({(0,): M}, 2)
         assert np.array_equal(obs((0,)), (M + M.T) / 2)
 
+    def test_non_hermitian_observable_refused(self):
+        # [[0, z_0], [0, 0]] once got exhaustive bounds with sigma^2 = 1.0
+        class UpperTriangular(MatrixObservable):
+            dim = 2
+
+            def batch(self, values_matrix):
+                out = np.zeros((len(values_matrix), 2, 2), dtype=complex)
+                out[:, 0, 1] = values_matrix[:, 0]
+                return out
+
+        obs, model = UpperTriangular(), product2()
+        with pytest.raises(HermiticityError):
+            obs.hamming_bounds(model)
+        with pytest.raises(HermiticityError):
+            check_hamming(obs, model, DifferenceBoundSet([np.eye(2)] * 2))
+
     def test_rademacher_hamming_set_valid(self):
         mats = [draw(2, 95), draw(2, 96)]
         obs = RademacherSumObservable(mats)
@@ -1061,7 +1076,7 @@ class TestHamming:
             M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             table[vals] = vals[1] * B + 0.1 * (M + M.conj().T) / 2
         obs = TableObservable(table, 2)
-        bounds = derive_hamming_bounds(obs, model)
+        bounds = obs.hamming_bounds(model)
         for k, alphabet in enumerate(alphabets):
             worst = max(np.linalg.norm(table[z] - table[z[:k] + (v,) + z[k + 1:]], 2)
                         for z in table for v in alphabet)

@@ -231,6 +231,39 @@ class TestModel:
         with pytest.raises(EnumerationCapError, match="1099511627776 states"):
             DiscreteModel.from_ising(np.zeros((40, 40)))
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: DiscreteModel.from_table([(0, 1)], [1e-300, 1e300]),
+         r"table weights span too wide a range: the share of the least, 1e-300 of 1e\+300, "),
+        (lambda: DiscreteModel.from_product([(0, 1)], [[1e-300, 1e300]]),
+         "site 0 pmf weights span too wide a range"),
+        (lambda: DiscreteModel.from_ising([[0, 400], [400, 0]]),
+         "coupling and field span an energy range of 800: "),
+        (lambda: DiscreteModel.from_ising([[0, 0], [0, 0]], [400, -400]),
+         "coupling and field span an energy range of 1600: "),
+    ], ids=["table", "product", "ising-coupling", "ising-field"])
+    def test_underflowing_share_refused(self, make, match):
+        # the table once held the pmf [0, 1]; the ising models were refused as
+        # though a weight were not strictly positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                make()
+
+    def test_strongest_accepted_ising_keeps_a_positive_pmf(self):
+        m = DiscreteModel.from_ising([[0, 300], [300, 0]])
+        assert (m.table > 0).all() and m.table[0, 1] == math.exp(-600) / 2
+
+    def test_conditional_table_past_numpy_array_limit_refused(self):
+        # numpy once raised "Maximum allowed dimension exceeded"; conditional
+        # and the pmfs still serve the model
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 70, [[0.5, 0.5]] * 70,
+                                           enum_cap=2**71)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EnumerationCapError, match=f"have {2**69} rows each"):
+                conditional_table(model, 3)
+        assert np.array_equal(model.conditional(3, [0] * 70), [0.5, 0.5])
+
     def test_conditional_table_is_read_only(self):
         product = DiscreteModel.from_product([(0, 1, 2), (0, 1)], [[0.2, 0.3, 0.5], [0.9, 0.1]])
         for m in (mixed_table(), ising3(0.3), product):
