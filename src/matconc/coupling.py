@@ -207,22 +207,23 @@ def _sample_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
-    """Maximal coupling of each column pair of the value-first (m, R) pmfs P, Q
-    from four uniforms per column (law: :func:`maximal_coupling_joint`).
+def _maximal_coupling_rows(R, U):
+    """Maximal coupling of each column of the value-first (m, 2, A) pair rows R,
+    the pmfs ``R[:, 0]`` and ``R[:, 1]`` of the two chains, from the four
+    uniforms ``U[:, r] = (u_same, u_min, u_0, u_1)`` of each column; returns the
+    (2, A) values of the two chains (law: :func:`maximal_coupling_joint`).
 
     The overlap mass sums the values in order 0, ..., m - 1, as in
-    :func:`_joint_blocks`; trailing zero values add only +0.0.
+    :func:`_joint_blocks`; trailing zero values add only +0.0.  One
+    ``(R - mins) / zsafe`` and one :func:`_sample_rows` call give both chains'
+    residual draws, on ``U[2:]``.
     """
-    mins = np.minimum(P, Q)
+    mins = np.minimum(R[:, 0], R[:, 1])
     omega = _ordered_sum(mins)
-    same = u_same < omega
-    idx_same = _sample_rows(mins, u_min)
     z = 1.0 - omega
     zsafe = np.where(z > 1e-15, z, 1.0)
-    a_diff = _sample_rows((P - mins) / zsafe, u_p)
-    b_diff = _sample_rows((Q - mins) / zsafe, u_q)
-    return np.where(same, idx_same, a_diff), np.where(same, idx_same, b_diff)
+    diff = _sample_rows((R - mins[:, None]) / zsafe, U[2:])
+    return np.where(U[0] < omega, _sample_rows(mins, U[1]), diff)
 
 
 def _joint_blocks(p, q) -> np.ndarray:
@@ -649,20 +650,19 @@ class DisagreementMC:
     stream_version: int     # hermitian.STREAM_VERSION of the draws: greedy runs write no manifest
 
 
-def _coupled_step(model: DiscreteModel, X, Y, picks, U) -> None:
-    """One greedy-coupled Gibbs step of (n, runs) config stacks X, Y, in place.
+def _coupled_step(model: DiscreteModel, Z, picks, U) -> None:
+    """One greedy-coupled Gibbs step of the (2, n, runs) pair stack Z, in place.
 
-    Run r resamples site ``picks[r]`` in both chains from the maximal coupling
-    of the two conditional rows, on the four uniforms ``U[r]``.  One
-    ``model._conditional_rows`` gather of both chains' rows, one coupling
-    call and one scatter serve every run.  Where the two rows are equal
-    (always, on a product model) both chains receive one shared value: the
+    ``Z[0]`` and ``Z[1]`` are the two chains.  Run r resamples site ``picks[r]``
+    in both from the maximal coupling of the two conditional rows, on the four
+    uniforms ``U[r]``.  One ``model._conditional_rows`` gather of both chains'
+    rows, one :func:`_maximal_coupling_rows` call and one scatter to
+    ``Z[:, picks, r]`` serve every run.  Where the two rows are equal (always,
+    on a product model) both chains receive one shared value: the
     synchronized refresh.
     """
-    a, b = _maximal_coupling_rows(*model._conditional_rows(picks, X, Y), *U.T)
-    r = np.arange(X.shape[1])
-    X[picks, r] = a
-    Y[picks, r] = b
+    rows = model._conditional_rows(picks, Z)
+    Z[:, picks, np.arange(Z.shape[2])] = _maximal_coupling_rows(rows, U.T)
 
 
 def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
@@ -674,18 +674,22 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     disagreement indicators after every step.  ``site``, ``kmax``, ``runs``
     and ``seed`` must be integers (not bools).
 
+    Both chains of every run live in one (2, n, A) int64 pair stack, chain
+    0 the draw X and chain 1 its resample X', so that each step gathers,
+    couples and scatters both chains at once (:func:`_coupled_step`).
     Coalescence is absorbing: a run whose two chains agree at every site
     gathers the same conditional column for both, so the coupling draws one
-    shared value (``_maximal_coupling_rows`` returns a == b) and the chains
-    agree again after the step.  Such a run adds nothing to any later count.
-    So only the active runs, those with a disagreement left, are kept, as
-    (n, A) sub-stacks in run order: the runs that differ at ``site`` after
-    the resample, less every run that coalesces after a step.
+    shared value (``_maximal_coupling_rows`` returns equal values) and the
+    chains agree again after the step.  Such a run adds nothing to any later
+    count.  So only the active runs, those with a disagreement left, are
+    kept, compressed with one ``take`` along the run axis in run order: the
+    runs that differ at ``site`` after the resample, less every run that
+    coalesces after a step.  ``counts[k]`` is the number of runs that differ
+    at each site after step k.
 
     RNG stream 4: each step draws ``rng.integers(0, n, A)`` picks and then
     ``rng.random((A, 4))`` uniforms for the A active runs only, row r of each
-    going to the r-th active run, and steps them with :func:`_coupled_step`.
-    The loop stops once no run is active.
+    going to the r-th active run.  The loop stops once no run is active.
     """
     site, kmax, runs, seed = (_integer(name, v) for name, v in
                               (("site", site), ("kmax", kmax), ("runs", runs), ("seed", seed)))
@@ -695,23 +699,22 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
         raise ValueError("need runs >= 1 and kmax >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = model.n
-    X = np.ascontiguousarray(model.sample(rng, runs).T)  # (n, runs): one row per site
-    Y = X.copy()
-    Y[site] = _sample_rows(model._conditional_rows(np.full(runs, site), X)[0], rng.random(runs))
+    X = model.sample(rng, runs).T  # (n, runs): one row per site
+    Z = np.stack((X, X))
+    Z[1, site] = _sample_rows(model._conditional_rows(np.full(runs, site), X), rng.random(runs))
 
     counts = np.zeros((kmax + 1, n), dtype=np.int64)
-    counts[0] = np.count_nonzero(X != Y, axis=1)
-    keep = X[site] != Y[site]  # the runs that disagree
-    X, Y = X[:, keep], Y[:, keep]
+    differ = Z[0] != Z[1]
+    counts[0] = differ.sum(axis=1)
+    Z = Z.take(np.flatnonzero(differ[site]), axis=2)  # the runs that disagree
     for k in range(1, kmax + 1):
-        active = X.shape[1]
+        active = Z.shape[2]
         if not active:
             break
-        _coupled_step(model, X, Y, rng.integers(0, n, size=active), rng.random((active, 4)))
-        differ = X != Y
-        counts[k] = np.count_nonzero(differ, axis=1)
-        keep = differ.any(axis=0)
-        X, Y = X[:, keep], Y[:, keep]
+        _coupled_step(model, Z, rng.integers(0, n, size=active), rng.random((active, 4)))
+        differ = Z[0] != Z[1]
+        counts[k] = differ.sum(axis=1)
+        Z = Z.take(np.flatnonzero(differ.any(axis=0)), axis=2)
     means = counts / runs
     return DisagreementMC(site, kmax, runs, means, np.sqrt(means * (1.0 - means) / runs),
                           STREAM_VERSION)

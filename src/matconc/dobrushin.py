@@ -76,7 +76,8 @@ class DiscreteModel:
     size m, its m-value sites in order.  A table model keeps those n S floats
     for its lifetime; a product model's stacks broadcast each site pmf over
     its rows and hold only the pmfs.  The coupled chains gather their rows from
-    ``_row_table``, also built once, a product model's from its pmfs alone.
+    ``_row_table``, also built once, a product model's from its pmfs alone,
+    and a table model samples through ``_flat_cdf``, also built once.
     """
 
     def __init__(self, alphabets, *, table=None, site_pmfs=None,
@@ -200,13 +201,14 @@ class DiscreteModel:
             T[:t.shape[1], o:o + len(t)] = t.T
         return T, offsets, W
 
-    def _conditional_rows(self, sites, *stacks) -> list[np.ndarray]:
-        """For each (n, R) stack X of index configurations, the value-first (max m, R)
-        conditional pmfs of site ``sites[r]`` given ``X[:, r]``, zero-padded: one
-        gather from ``_row_table`` at ``offsets[i] + W[:, i] @ X[:, r]``."""
+    def _conditional_rows(self, sites, Z) -> np.ndarray:
+        """The value-first (max m, ..., R) conditional pmfs of site ``sites[r]``
+        given column r of the (..., n, R) index configurations Z, zero-padded:
+        one gather from ``_row_table`` at ``offsets[i] + W[:, i] @ Z[..., :, r]``,
+        the row weights summed over the site axis.  A (2, n, R) pair stack gives
+        both chains' rows, (max m, 2, R), in one ``take``."""
         T, offsets, W = self._row_table
-        w, base = W.take(sites, axis=1), offsets.take(sites)
-        return [T.take(base + (w * X).sum(axis=0), axis=1) for X in stacks]
+        return T.take(offsets.take(sites) + (W.take(sites, axis=1) * Z).sum(axis=-2), axis=1)
 
     @property
     def table(self) -> np.ndarray:
@@ -243,18 +245,32 @@ class DiscreteModel:
         vec = self._table[slicer]
         return vec / vec.sum()
 
+    @functools.cached_property
+    def _flat_cdf(self) -> np.ndarray:
+        """The read-only cdf ``c / c[-1]`` (c = ``flat_pmf().cumsum()``) that
+        ``Generator.choice`` builds from ``p=flat_pmf()`` on every call."""
+        c = self.flat_pmf().cumsum()
+        cdf = c / c[-1]
+        cdf.setflags(write=False)
+        return cdf
+
     def sample(self, rng, size: int) -> np.ndarray:
         """Draw ``size`` index configurations, shape (size, n).
 
+        Both branches map uniforms as ``Generator.choice`` does, from a cdf
+        ``c / c[-1]`` (c = p.cumsum()): the index is the number of cdf entries
+        that are <= u.  ``choice``'s checks on p cannot fire, since every pmf
+        is strictly positive and normalized at construction.  The result is
+        the transposed view of a site-major (n, size) array.
+
         A product model draws all sites from one ``rng.random((n, size))``
         call, the doubles that n per-site ``rng.choice(m_i, size, p=p_i)``
-        calls would take in turn, and maps them as ``choice`` does: the index
-        is the number of entries of the cdf ``c / c[-1]`` (c = p.cumsum())
-        that are <= u, counted into the int64 array that the first comparison
-        gives, one (n, size) comparison at a time.  ``choice``'s checks on p
-        cannot fire, since the site pmfs are strictly positive and normalized
-        at construction.  The result is the transposed view of a site-major
-        (n, size) array.
+        calls would take in turn, counted into the int64 array that the first
+        comparison gives, one (n, size) comparison at a time.  A table model
+        maps one ``rng.random(size)`` call through the cached flat cdf
+        ``_flat_cdf`` with ``searchsorted(side="right")``, the doubles and
+        flat indices of ``rng.choice(self.size, size, p=flat_pmf())``, and
+        unravels them.
         """
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         if self._site_pmfs is not None:
@@ -270,8 +286,8 @@ class DiscreteModel:
             for col in cols[1:]:
                 idx += col[:, None] <= u
             return idx.T
-        flat = rng.choice(self.size, size=size, p=self.flat_pmf())
-        return np.stack(np.unravel_index(flat, self.sizes), axis=1)
+        flat = self._flat_cdf.searchsorted(rng.random(size), side="right")
+        return np.array(np.unravel_index(flat, self.sizes)).T
 
 
 # ---------------------------------------------------------------------------

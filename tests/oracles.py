@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from matconc.coupling import _coupled_step, _joint_blocks, _ordered_sum, _sample_rows
+from matconc.coupling import _joint_blocks, _ordered_sum
 from matconc.dobrushin import _site_split, conditional_row_weights, conditional_table
 from matconc.hermitian import _SPECTRAL_MAX, SpectralDomainError
 
@@ -48,8 +48,8 @@ def rowwise_maximal_coupling_rows(P, Q, u_same, u_min, u_p, u_q):
 def per_site_coupled_step(tables, weights, X, Y, picks, U):
     """One coupled step of the (runs, n) stacks X, Y, in place, one coupling
     call per picked site and every run stepped.  Guards
-    ``coupling._coupled_step``, one gather, coupling call and scatter for all
-    runs."""
+    ``coupling._coupled_step``, one gather, coupling call and scatter for
+    both chains of all runs."""
     for i, (table, w) in enumerate(zip(tables, weights)):
         mask = picks == i
         if not mask.any():
@@ -59,19 +59,20 @@ def per_site_coupled_step(tables, weights, X, Y, picks, U):
 
 
 def per_site_greedy_mc(model, site, kmax, runs, seed):
-    """(means, std_errors) of ``greedy_disagreement_mc`` on (runs, n) stacks,
-    the definition of RNG stream 4.
+    """(means, std_errors) of ``greedy_disagreement_mc`` on (runs, n) stacks
+    from ``choice_sample`` draws, the definition of RNG stream 4.
 
     Keeps every run; at each step the runs that still disagree somewhere,
-    in run order, draw their picks and then their uniforms, and only they
-    are stepped, one coupling call per picked site.  The rates of all runs
-    are recorded after each step.  Guards ``coupling.greedy_disagreement_mc``,
-    which keeps only the active runs' columns and stops when none is left."""
+    found anew in run order, draw their picks and then their uniforms, and
+    only they are stepped, one coupling call per picked site.  The rates of
+    all runs are recorded after each step.  Guards
+    ``coupling.greedy_disagreement_mc``: its pair stack, its integer counts,
+    its active sub-stacks and its stop once every run has coalesced."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     n = model.n
     tables = [conditional_table(model, i) for i in range(n)]
     weights = [conditional_row_weights(model.sizes, i) for i in range(n)]
-    X = model.sample(rng, runs)
+    X = choice_sample(model, rng, runs)
     Y = X.copy()
     Y[:, site] = rowwise_sample_rows(tables[site][X @ weights[site]], rng.random(runs))
     means = np.empty((kmax + 1, n))
@@ -94,17 +95,19 @@ def per_site_greedy_mc(model, site, kmax, runs, seed):
 
 
 # The Monte Carlo tail path as it stood before the one-draw sampler and the
-# value-major batch: per-site ``Generator.choice`` draws, per-site value
-# columns and one ``einsum``; and on those draws, greedy runs with a
-# per-step ``record``.
+# value-major batch: ``Generator.choice`` draws, per-site value columns and
+# one ``einsum``.
 
 def choice_sample(model, rng, size):
     """(size, n) index configurations from one ``rng.choice`` per site of a
-    product model, site after site; a table model draws through
-    ``model.sample``.  Guards ``DiscreteModel.sample``, whose product branch
-    makes one uniform draw for all sites and counts cdf entries <= u."""
+    product model, site after site, or from one ``rng.choice`` over the flat
+    pmf of a table model, unravelled.  Guards ``DiscreteModel.sample``, whose
+    product branch makes one uniform draw for all sites and counts cdf
+    entries <= u, and whose table branch maps its uniforms through a cached
+    flat cdf."""
     if model._site_pmfs is None:
-        return model.sample(rng, size)  # the table branch is unchanged
+        flat = rng.choice(model.size, size, p=model.flat_pmf())
+        return np.stack(np.unravel_index(flat, model.sizes), axis=1)
     cols = [rng.choice(model.sizes[i], size=size, p=model._site_pmfs[i])
             for i in range(model.n)]
     return np.stack(cols, axis=1)
@@ -123,39 +126,6 @@ def einsum_batch(obs, values):
     """H of every value row by one ``einsum``.  Guards
     ``RademacherSumObservable.batch``, which adds value-major in site order."""
     return np.einsum("bn,nij->bij", np.asarray(values, dtype=float), obs._stack)
-
-
-def recorded_greedy_mc(model, site, kmax, runs, seed):
-    """(means, std_errors) of RNG stream 4 on full (n, runs) stacks, with one
-    ``record`` of the rates after every step, from ``choice_sample`` draws.
-
-    At each step the runs that disagree somewhere are found anew, their
-    columns stepped by ``_coupled_step`` on draws for them alone and written
-    back.  Guards ``coupling.greedy_disagreement_mc``: its integer counts,
-    its active sub-stacks and its stop once every run has coalesced."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = model.n
-    T, offsets, W = model._row_table
-    X = np.ascontiguousarray(choice_sample(model, rng, runs).T)
-    Y = X.copy()
-    Y[site] = _sample_rows(T.take(offsets[site] + W[:, site] @ X, axis=1), rng.random(runs))
-    means = np.empty((kmax + 1, n))
-    ses = np.empty((kmax + 1, n))
-
-    def record(k):
-        p = np.count_nonzero(X != Y, axis=1) / runs
-        means[k] = p
-        ses[k] = np.sqrt(p * (1.0 - p) / runs)
-
-    record(0)
-    for k in range(1, kmax + 1):
-        moving = np.flatnonzero((X != Y).any(axis=0))
-        Xa, Ya = X[:, moving], Y[:, moving]
-        _coupled_step(model, Xa, Ya, rng.integers(0, n, size=len(moving)),
-                      rng.random((len(moving), 4)))
-        X[:, moving], Y[:, moving] = Xa, Ya
-        record(k)
-    return means, ses
 
 
 # The exact pair step as it stood before ``PairEvolver`` read only the

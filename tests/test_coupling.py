@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from matconc import coupling
 from matconc.bounds import DifferenceBoundSet, hoeffding_bound
 from matconc.coupling import (
     MatrixObservable,
@@ -47,7 +48,6 @@ from oracles import (
     dense_step_oracle,
     einsum_batch,
     per_site_greedy_mc,
-    recorded_greedy_mc,
     rowwise_maximal_coupling_rows,
     site_joints,
 )
@@ -125,25 +125,25 @@ def draw(dim, seed, scale=1.0):
 def couple_rows(p, q, draws, seed):
     """``draws`` maximally coupled (a, b) index pairs of the pmfs p, q, one
     value-first column each."""
-    P, Q = (np.tile(np.asarray(v, dtype=float)[:, None], (1, draws)) for v in (p, q))
-    return _maximal_coupling_rows(P, Q, *np.random.default_rng(seed).random((4, draws)))
+    R = np.tile(np.stack([p, q], axis=1).astype(float)[:, :, None], (1, 1, draws))
+    return _maximal_coupling_rows(R, np.random.default_rng(seed).random((4, draws)))
 
 
-def coupled_step(model, X, Y, rng):
-    """One ``_coupled_step`` of the (n, runs) stacks X, Y; returns the picked sites.
+def coupled_step(model, Z, rng):
+    """One ``_coupled_step`` of the (2, n, runs) pair stack Z; returns the picked sites.
 
     Draws the picks and then the (runs, 4) uniforms from ``rng``, in the order
     ``greedy_disagreement_mc`` uses.
     """
-    runs = X.shape[1]
+    runs = Z.shape[2]
     picks = rng.integers(0, model.n, size=runs)
-    _coupled_step(model, X, Y, picks, rng.random((runs, 4)))
+    _coupled_step(model, Z, picks, rng.random((runs, 4)))
     return picks
 
 
 def stacks(x, y, runs):
-    """(n, runs) copies of the index configurations x and y."""
-    return (np.tile(np.asarray(v)[:, None], (1, runs)) for v in (x, y))
+    """The (2, n, runs) pair stack of copies of the index configurations x and y."""
+    return np.tile(np.stack([x, y])[:, :, None], (1, 1, runs))
 
 
 class TestMaximalCoupling:
@@ -223,7 +223,7 @@ class TestMaximalCoupling:
         n = 60000
         rows = np.repeat(np.arange(3), n)
         u = np.random.default_rng(12).random((4, rows.size))
-        a, b = _maximal_coupling_rows(P[rows].T, Q[rows].T, *u)
+        a, b = _maximal_coupling_rows(np.stack([P[rows].T, Q[rows].T], axis=1), u)
         for r in range(3):
             J = maximal_coupling_joint(P[r], Q[r])
             counts = np.zeros((3, 3))
@@ -303,20 +303,22 @@ class TestSteps:
         # on a product model both rows of every coupled pair are one pmf
         m = product2()
         rng = np.random.default_rng(8)
-        X, Y = stacks((0, 0), (1, 1), 100)
+        Z = stacks((0, 0), (1, 1), 100)
+        X, Y = Z
         refreshed = np.zeros(X.shape, dtype=bool)
         for _ in range(50):
-            picks = coupled_step(m, X, Y, rng)
+            picks = coupled_step(m, Z, rng)
             refreshed[picks, np.arange(X.shape[1])] = True
             assert np.array_equal(X[refreshed], Y[refreshed])
 
     def test_disagreement_never_grows(self):
         m = product2()
         rng = np.random.default_rng(9)
-        X, Y = stacks((0, 1), (1, 1), 100)
+        Z = stacks((0, 1), (1, 1), 100)
+        X, Y = Z
         prev = (X != Y).sum(axis=0)
         for _ in range(30):
-            coupled_step(m, X, Y, rng)
+            coupled_step(m, Z, rng)
             cur = (X != Y).sum(axis=0)
             assert (cur <= prev).all()
             prev = cur
@@ -326,10 +328,11 @@ class TestSteps:
         m = product2()
         k, runs = 4, 20000
         rng = np.random.default_rng(1000)
-        X, Y = stacks((0, 0), (1, 0), runs)  # differ at site 0
+        Z = stacks((0, 0), (1, 0), runs)  # differ at site 0
+        X, Y = Z
         never = np.ones(runs, dtype=bool)
         for _ in range(k):
-            never &= coupled_step(m, X, Y, rng) != 0
+            never &= coupled_step(m, Z, rng) != 0
         assert np.array_equal(X[0] != Y[0], never)
         expect = (1 - 1 / 2) ** k
         se = math.sqrt(expect * (1 - expect) / runs)
@@ -342,11 +345,12 @@ class TestSteps:
         rng = np.random.default_rng(17)
         X0, Y0 = m.sample(rng, 300).T, m.sample(rng, 300).T
         picks, U = rng.integers(0, m.n, size=300), rng.random((300, 4))
-        X, Y = X0.copy(), Y0.copy()
-        _coupled_step(m, X, Y, picks, U)
+        Z = np.stack([X0, Y0])
+        X, Y = Z
+        _coupled_step(m, Z, picks, U)
         for r, i in enumerate(picks):
             p, q = m.conditional(i, X0[:, r]), m.conditional(i, Y0[:, r])
-            a, b = _maximal_coupling_rows(p[:, None], q[:, None], *U[r][:, None])
+            a, b = _maximal_coupling_rows(np.stack([p, q], axis=1)[:, :, None], U[r][:, None])
             x, y = X0[:, r].copy(), Y0[:, r].copy()
             x[i], y[i] = a[0], b[0]
             assert np.array_equal(X[:, r], x) and np.array_equal(Y[:, r], y), r
@@ -359,18 +363,19 @@ class TestSteps:
         # coupling draws one shared value: what lets the Monte Carlo drop a run
         m = make()
         rng = np.random.default_rng(23)
-        X = m.sample(rng, 500).T
-        Y = X.copy()
+        Z = np.repeat(m.sample(rng, 500).T[None], 2, axis=0)
+        X, Y = Z
         for _ in range(20):
-            coupled_step(m, X, Y, rng)
+            coupled_step(m, Z, rng)
             assert np.array_equal(X, Y)
 
     def test_greedy_equal_states_stay_equal(self):
         m = ising2(0.5)
         rng = np.random.default_rng(10)
-        X, Y = stacks((0, 1), (0, 1), 100)
+        Z = stacks((0, 1), (0, 1), 100)
+        X, Y = Z
         for _ in range(40):
-            coupled_step(m, X, Y, rng)
+            coupled_step(m, Z, rng)
             assert np.array_equal(X, Y)
 
 
@@ -973,14 +978,14 @@ class TestIndependentKeyInequality:
         site = 1
         A2 = hamming.matrices[site].mat @ hamming.matrices[site].mat
         rng = np.random.default_rng(33)
-        X = model.sample(rng, 50).T
-        Y = X.copy()
+        Z = np.repeat(model.sample(rng, 50).T[None], 2, axis=0)
+        X, Y = Z
         Y[site] = 1 - Y[site]  # force the worst initial swap at `site`
         for _ in range(6):
             for x, y in zip(X.T, Y.T):
                 diff = np.asarray(obs(model.values(x))) - np.asarray(obs(model.values(y)))
                 assert np.linalg.eigvalsh(A2 - diff @ diff)[0] >= -1e-10
-            coupled_step(model, X, Y, rng)
+            coupled_step(model, Z, rng)
 
 
 class TestHamming:
@@ -1139,9 +1144,31 @@ class TestOneCallStep:
         P = P[_ordered_sum(P.T) > P.sum(axis=1)]
         assert len(P) > 100
         u = (P.sum(axis=1), np.full(len(P), 0.999), np.zeros(len(P)), np.zeros(len(P)))
-        a, b = _maximal_coupling_rows(P.T, P.T, *u)
+        a, b = _maximal_coupling_rows(np.stack([P.T, P.T], axis=1), np.stack(u))
         assert np.array_equal(a, b) and (a > 0).all()
         assert not rowwise_maximal_coupling_rows(P, P, *u)[0].any()
+
+    @pytest.mark.parametrize("make", [mixed_table, alphabet9, product3],
+                             ids=["mixed", "alphabet9", "product3"])
+    def test_one_gather_and_coupling_call_per_step(self, make, monkeypatch):
+        # both chains go through one gather, one coupling call and two
+        # samplers: the overlap draw and one draw for both residuals
+        calls = {"_conditional_rows": 0, "_maximal_coupling_rows": 0, "_sample_rows": 0}
+
+        def counting(name, f):
+            def wrapped(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapped
+
+        for owner, name in ((DiscreteModel, "_conditional_rows"),
+                            (coupling, "_maximal_coupling_rows"), (coupling, "_sample_rows")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        m = make()
+        rng = np.random.default_rng(43)
+        Z = np.stack([m.sample(rng, 400).T, m.sample(rng, 400).T])
+        coupled_step(m, Z, rng)
+        assert calls == {"_conditional_rows": 1, "_maximal_coupling_rows": 1, "_sample_rows": 2}
 
     def test_site_tables(self):
         m = mixed_table()
@@ -1168,7 +1195,7 @@ class TestOneCallStep:
         rng = np.random.default_rng(23)
         X, Y = m.sample(rng, 200).T, m.sample(rng, 200).T
         sites = rng.integers(0, m.n, size=200)
-        P, Q = m._conditional_rows(sites, X, Y)
+        P, Q = np.moveaxis(m._conditional_rows(sites, np.stack([X, Y])), 1, 0)
         M = max(m.sizes)
         assert P.shape == Q.shape == (M, 200)
         for r, i in enumerate(sites):
@@ -1316,7 +1343,7 @@ class TestTailPathBytes:
         m = make()
         for site in range(m.n):
             for kmax, runs, seed in ((0, 1, 2), (5, 7, 3), (8, 1500, 8)):
-                means, ses = recorded_greedy_mc(m, site, kmax, runs, seed)
+                means, ses = per_site_greedy_mc(m, site, kmax, runs, seed)
                 got = greedy_disagreement_mc(m, site, kmax, runs, seed)
                 assert got.means.tobytes() == means.tobytes(), (site, seed)
                 assert got.std_errors.tobytes() == ses.tobytes(), (site, seed)
@@ -1326,7 +1353,7 @@ class TestTailPathBytes:
         for case in range(12):
             model, _ = random_tail_case(rng, int(rng.integers(2, 9)))
             site, runs = int(rng.integers(model.n)), int(rng.integers(1, 3000))
-            means, ses = recorded_greedy_mc(model, site, 10, runs, case)
+            means, ses = per_site_greedy_mc(model, site, 10, runs, case)
             got = greedy_disagreement_mc(model, site, 10, runs, case)
             assert got.means.tobytes() + got.std_errors.tobytes() == \
                 means.tobytes() + ses.tobytes(), case

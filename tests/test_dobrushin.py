@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -361,6 +362,61 @@ class TestProductSampler:
         draws = m.sample(np.random.default_rng(5), 300)
         flat = np.random.default_rng(5).choice(m.size, size=300, p=m.flat_pmf())
         assert np.array_equal(draws, np.stack(np.unravel_index(flat, m.sizes), axis=1))
+
+
+def table_sampler_models():
+    """A one-state model, a 9-value site beside a binary one, mixed alphabets
+    and a 10-site Ising model: the table branch of ``DiscreteModel.sample``."""
+    rng = np.random.default_rng(29)
+    return {"one-state": DiscreteModel.from_table([(0,), (3,)], [[2.0]]),
+            "nine-values": DiscreteModel.from_table([tuple(range(9)), (0, 1)],
+                                                    rng.uniform(0.1, 2.0, (9, 2))),
+            "mixed": mixed_table(),
+            "ising10": DiscreteModel.from_ising(*random_ising(10, 31))}
+
+
+class TestTableSampler:
+    @pytest.mark.parametrize("name", ["one-state", "nine-values", "mixed", "ising10"])
+    @pytest.mark.parametrize("size", [0, 1, 7, 3000])
+    def test_bytes_and_stream_equal_choice(self, name, size):
+        m = table_sampler_models()[name]
+        old, new = np.random.default_rng(size + 5), np.random.default_rng(size + 5)
+        expect, got = choice_sample(m, old, size), m.sample(new, size)
+        assert got.shape == expect.shape == (size, m.n)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+        # the same doubles are taken: later draws are unchanged
+        assert new.bit_generator.state == old.bit_generator.state
+        assert got.T.flags.c_contiguous  # a view of a site-major array: .T copies nothing
+
+    def test_uniform_on_a_cdf_value_takes_the_next_index(self):
+        # a dyadic pmf puts the flat cdf on doubles that ``random`` can return;
+        # a uniform equal to one counts it, as choice's searchsorted(side="right")
+        m = DiscreteModel.from_table([(0, 1), (0, 1)], [[0.125, 0.125], [0.25, 0.5]])
+        ties = [0.0, 0.125, 0.25, 0.5, 0.75, 1 - 2 ** -53]
+        got = m.sample(generator_drawing(ties), len(ties))
+        expect = choice_sample(m, generator_drawing(ties), len(ties))
+        assert got.tobytes() == expect.tobytes()
+        assert np.ravel_multi_index(got.T, m.sizes).tolist() == [0, 1, 2, 3, 3, 3]
+
+    def test_cdf_read_only_and_built_once(self, monkeypatch):
+        builds = []
+        build = DiscreteModel._flat_cdf.func
+
+        def counted(model):
+            builds.append(model)
+            return build(model)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(DiscreteModel, "_flat_cdf")
+        monkeypatch.setattr(DiscreteModel, "_flat_cdf", cached)
+        m = mixed_table()
+        for seed in (1, 2, 3):
+            m.sample(np.random.default_rng(seed), 100)
+        assert builds == [m]
+        cdf = m._flat_cdf
+        assert not cdf.flags.writeable and cdf[-1] == 1.0
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
 
 
 class TestTvDistance:
