@@ -131,6 +131,16 @@ def _names(name: str, value) -> list[str]:
     return value
 
 
+def _inequality_ids(name: str, value) -> list[str]:
+    """:func:`_names`, each one an id of ``INEQUALITY_IDS``: an unknown id is
+    refused before any inequality is fuzzed."""
+    ids = _names(name, value)
+    for i in ids:
+        if i not in INEQUALITY_IDS:
+            raise ValueError(f"unknown inequality id {i!r}")
+    return ids
+
+
 def _grid(name: str, value) -> list[float]:
     """A nonempty float grid from "start:stop:step" (finite, start <= stop,
     step > 0), a comma list or a list of numbers."""
@@ -480,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=cmd_verify_traces,
                    fields={"trials": _integer, "dims": _parse_range, "kinds": _names,
-                           "inequalities": _names, "scale": _number})
+                           "inequalities": _inequality_ids, "scale": _number})
 
     p = sub.add_parser("bound", parents=[shared], help="tabulate closed-form tail bounds")
     p.add_argument("--d", type=int, default=2)

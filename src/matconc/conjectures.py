@@ -22,7 +22,6 @@ import numpy as np
 
 from .hermitian import (
     ENSEMBLE_KINDS,
-    HermitianMatrix,
     SpectralDomainError,
     _apply_scalar,
     _certify,
@@ -180,12 +179,6 @@ class SearchResult:
     dims: tuple
     budget: int
     seed: int
-
-
-def _commuting_triple(dim: int, scale: float, seed: int):
-    """Three certified matrices sharing one eigenbasis (the ``commuting-pair`` draw)."""
-    return tuple(HermitianMatrix(M) for M in
-                 _draw("commuting-pair", dim, scale, np.random.default_rng(int(seed)), 3))
 
 
 def _search_gaps(inequality_id: str, entry: ConvexCatalogEntry, X: np.ndarray) -> _Gaps:

@@ -437,30 +437,29 @@ def verify_property_P(model: DiscreteModel) -> PropertyPReport:
     return PropertyPReport(max_dev <= 1e-12, max_dev)
 
 
-def _observable_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
-    """One ``f.batch`` call on the value rows of every configuration, shape (S, d, d).
-
-    The index configurations come from ``np.indices`` in flat (C) order.
-    """
+def _enumerated(model: DiscreteModel, f: MatrixObservable) -> tuple[np.ndarray, np.ndarray]:
+    """The values of every configuration, shape (S, d, d), from one ``f.batch``
+    call on the value rows in flat (C) order (``np.indices``), and their mean
+    under the model.  Non-finite values are refused (``ArithmeticError``);
+    finite ones, outside input, are certified Hermitian before the mean."""
     configs = np.indices(model.sizes).reshape(model.n, -1).T
-    return np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128)
+    H = np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128)
+    if not np.isfinite(H).all():
+        raise ArithmeticError("an enumerated observable value has a non-finite entry")
+    H = _certify(H)
+    return H, np.einsum("s,sij->ij", model.flat_pmf(), H)
 
 
 def _swap_differences(model: DiscreteModel, f: MatrixObservable):
     """H(z) - H(z_i -> v) of every state z, shape (S, m_i, d, d), for each site i
-    in order, from one certified ``f.batch`` pass over every state."""
-    H = _certify(_observable_values(model, f))  # the observable's values are outside input
+    in order, from the certified enumeration."""
+    H, _ = _enumerated(model, f)
     return (H[:, None] - H[site_neighbours(model, i)] for i in range(model.n))
 
 
-def _enumerated_mean(model: DiscreteModel, vals: np.ndarray) -> np.ndarray:
-    """Exact mean of the values of every configuration under the model."""
-    return np.einsum("s,sij->ij", model.flat_pmf(), vals)
-
-
-def _centered_values(model: DiscreteModel, f: MatrixObservable) -> np.ndarray:
-    vals = _observable_values(model, f)
-    return vals - _enumerated_mean(model, vals)
+def _step_difference(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E[v(X) - v(X') | X = x] = (v - G v)(x) for every state x, over a (S, d, d) stack."""
+    return v - np.einsum("st,tij->sij", G, v)
 
 
 def _chain_sum(model: DiscreteModel, G: np.ndarray, fc: np.ndarray) -> np.ndarray:
@@ -491,19 +490,17 @@ class SteinIdentityReport:
 def stein_identity_check(model: DiscreteModel, f) -> SteinIdentityReport:
     """Verify E(F(X,X')|X) = f(X) - E f(X) exhaustively.
 
-    Runs over every pair (x, y) reachable by the single-site resampling pair
-    construction on an enumerable model; every F(x, y) = g[x] - g[y] comes
-    from one chain sum, so ``max_residual`` certifies its Poisson solve.  The
-    identity holds when its spectral-norm defect is <= 1e-8 (absolute).
+    Every F(x, y) = g[x] - g[y] comes from one chain sum g, so that
+    E(F(X,X')|X) is the Gibbs-step difference (I - G) g; ``max_residual`` is
+    max_x |((I - G) g - f_c)(x)|, which certifies the Poisson solve, and
+    ``pairs_checked`` counts the pairs (x, y) with G(x, y) > 0.  The identity
+    holds when that spectral-norm defect is <= 1e-8 (absolute).
     """
-    fc = _centered_values(model, f)
+    H, mean = _enumerated(model, f)
+    fc = H - mean
     G = gibbs_kernel(model)
-    g = _chain_sum(model, G, fc)
-    z, z2 = np.nonzero(G > 0)
-    acc = np.zeros_like(fc)
-    np.add.at(acc, z, G[z, z2][:, None, None] * (g[z] - g[z2]))
-    max_res = _spectral_norm(acc - fc)
-    return SteinIdentityReport(max_res, len(z), max_res <= 1e-8)
+    max_res = _spectral_norm(_step_difference(G, _chain_sum(model, G, fc)) - fc)
+    return SteinIdentityReport(max_res, int(np.count_nonzero(G)), max_res <= 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +523,9 @@ def verify_stein_pair(model: DiscreteModel, observable: MatrixObservable) -> Ste
     degenerate (constant) observables.  The pair is a Stein pair when that
     residual is <= 1e-8 max(1, max_z |X(z)|) for the centered X (relative).
     """
-    psi = _centered_values(model, observable)
-    G = gibbs_kernel(model)
-    T = psi - np.einsum("st,tij->sij", G, psi)
+    H, mean = _enumerated(model, observable)
+    psi = H - mean
+    T = _step_difference(gibbs_kernel(model), psi)
     mu = model.flat_pmf()
     denom = float(np.einsum("s,sij->", mu, np.abs(psi) ** 2).real)
     scale = max(1.0, float(np.abs(psi).max()) ** 2)
@@ -600,7 +597,7 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
         source = "observable-exact"
         if mean is None:
             if model.size <= MEAN_ENUM_CAP:
-                mean = _enumerated_mean(model, _observable_values(model, observable))
+                mean = _enumerated(model, observable)[1]
                 source = "enumeration"
             else:
                 rng_pilot = np.random.default_rng(pilot_ss)
@@ -626,7 +623,8 @@ def exhaustive_tail(model: DiscreteModel, observable: MatrixObservable,
     The confidence interval collapses to the exact value at every grid point.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _lambda_max_against
-        centered = _hermitian_part(_centered_values(model, observable))
+        H, mean = _enumerated(model, observable)
+        centered = H - mean
     t_arr = np.asarray(t_grid, dtype=float)
     lam = _lambda_max_against(centered, t_arr)
     mu = model.flat_pmf()

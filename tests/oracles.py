@@ -3,7 +3,7 @@
 Each function is the code a faster or simpler kernel replaced, or the
 plainest statement of an RNG stream the kernel must follow, so that tests
 can compare the kernel's output with it byte for byte.  Its docstring names
-the code it guards.
+the code it guards.  ``commuting_triple`` is the one shared test input draw.
 """
 
 import csv
@@ -13,7 +13,7 @@ import numpy as np
 
 from matconc.coupling import _joint_blocks, _ordered_sum
 from matconc.dobrushin import _site_split, conditional_row_weights, conditional_table
-from matconc.hermitian import _SPECTRAL_MAX, SpectralDomainError
+from matconc.hermitian import _SPECTRAL_MAX, HermitianMatrix, SpectralDomainError, _draw
 
 
 # The per-site coupled step and its row-major kernels as they stood before the
@@ -229,6 +229,14 @@ def old_write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def commuting_triple(dim, scale, seed):
+    """Three certified matrices sharing one eigenbasis (the ``commuting-pair``
+    draw): test inputs on which a matrix gap equals its scalar gap over the
+    joint eigenvalues."""
+    return tuple(HermitianMatrix(M) for M in
+                 _draw("commuting-pair", dim, scale, np.random.default_rng(int(seed)), 3))
 
 
 # The seeded draws before real and imaginary parts came from one ``rng`` call.

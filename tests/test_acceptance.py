@@ -27,7 +27,6 @@ from matconc.conjectures import (
     counterexample_search,
     gap_conjecture_exp,
     scalar_gap_exp,
-    _commuting_triple,
 )
 from matconc.coupling import (
     RademacherSumObservable,
@@ -50,6 +49,7 @@ from matconc.dobrushin import (
 from matconc.bounds import dobrushin_constant
 from matconc.hermitian import ENSEMBLE_KINDS, EnsembleSpec, sample_ensemble
 from matconc.traceineq import INEQUALITY_IDS, fuzz_grid
+from oracles import commuting_triple
 
 
 def _ok(n, msg):
@@ -287,7 +287,7 @@ def test_criterion_7_conjecture_evidence():
     worst = 0.0
     for s in range(1000):
         dim = 2 + s % 5
-        A, B, C = _commuting_triple(dim, 1.0, 10_000 + s)
+        A, B, C = commuting_triple(dim, 1.0, 10_000 + s)
         rep = gap_conjecture_exp(A, B, C)
         evals, U = np.linalg.eigh(A.mat)
         b = np.real(np.diagonal(U.conj().T @ B.mat @ U))

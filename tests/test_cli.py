@@ -255,6 +255,24 @@ class TestVerifyTraces:
         summaries = [p for p in os.listdir(out) if p.startswith("fuzz-")]
         assert len(summaries) == 2
 
+    @pytest.mark.parametrize("ineqs,unknown", [("exchangeable,bogus", "'bogus'"),
+                                               ("exchangeable,", "''"),
+                                               (["exchangeable", "bogus"], "'bogus'")])
+    def test_unknown_inequality_refused_before_any_work(self, tmp_path, capsys, ineqs, unknown):
+        # the known ids were fuzzed and written before the unknown one was refused
+        out = tmp_path / "vt"
+        argv = ["verify-traces", "--trials", 5, "--dims", 2, "--out", out]
+        if isinstance(ineqs, list):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"inequalities": ineqs}))
+            argv += ["--config", cfg]
+        else:
+            argv += ["--ineqs", ineqs]
+        assert run(argv) == 2
+        assert f"unknown inequality id {unknown}" in capsys.readouterr().err
+        assert not (out / "fuzz-exchangeable.json").exists()
+        assert not (out / "run.manifest.json").exists()
+
 
 class TestDobrushinCommand:
     def test_independent_model(self, tmp_path):

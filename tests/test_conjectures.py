@@ -14,7 +14,6 @@ from matconc.conjectures import (
     save_search_result,
     scalar_gap_exp,
     scalar_gap_f,
-    _commuting_triple,
 )
 from matconc import conjectures, hermitian
 from matconc.hermitian import (
@@ -26,6 +25,7 @@ from matconc.hermitian import (
     sample_ensemble,
     spectral_decompose,
 )
+from oracles import commuting_triple
 
 
 def scalar(x):
@@ -177,14 +177,14 @@ class TestScalarOracle:
     def test_commuting_triple_extends_the_commuting_pair_draw(self):
         for s in range(20):
             dim = 1 + s % 8
-            triple = _commuting_triple(dim, 1.5, s)
+            triple = commuting_triple(dim, 1.5, s)
             pair = sample_ensemble(EnsembleSpec("commuting-pair", dim, 1.5, s))
             for M, N in zip(triple, pair):
                 assert M.mat.tobytes() == N.mat.tobytes()
 
     def test_matches_matrix_on_commuting_triples(self):
         for s in range(200):
-            A, B, C = _commuting_triple(4, 1.0, s)
+            A, B, C = commuting_triple(4, 1.0, s)
             dec = spectral_decompose(A)
             U = dec.eigenvectors
             b = np.real(np.diagonal(U.conj().T @ B.mat @ U))

@@ -23,12 +23,11 @@ from matconc.coupling import (
     verify_property_P,
     verify_stein_pair,
     wilson_interval,
-    _centered_values,
     _chain_sum,
     _coupled_step,
+    _enumerated,
     _joint_blocks,
     _maximal_coupling_rows,
-    _observable_values,
     _ordered_sum,
     _values_matrix,
 )
@@ -651,7 +650,8 @@ class TestAntisymmetricF:
         # of the mass
         model = make()
         f = RademacherSumObservable([draw(2, 60 + k) for k in range(model.n)])
-        fc = _centered_values(model, f)
+        H, mean = _enumerated(model, f)
+        fc = H - mean
         g = _chain_sum(model, gibbs_kernel(model), fc)
         rng = np.random.default_rng(7)
         for _ in range(8):
@@ -941,20 +941,19 @@ class TestExhaustiveTail:
 
     def test_batched_values_equal_per_state_calls(self):
         # one batch call over every state gives the per-state loop's bits
-        from matconc.coupling import _observable_values
         for n in range(1, 13):
             for d in (1, 2, 3, 5, 8):
                 model = DiscreteModel.from_product([(-1.0, 1.0)] * n, [[0.5, 0.5]] * n)
                 obs = RademacherSumObservable([draw(d, 1000 * n + 10 * d + k) for k in range(n)])
                 loop = np.stack([obs(vals) for vals in itertools.product(*model.alphabets)])
-                assert _observable_values(model, obs).tobytes() == loop.tobytes(), (n, d)
+                assert _enumerated(model, obs)[0].tobytes() == loop.tobytes(), (n, d)
         # a table observable keyed by the integer values of a mixed-alphabet model
         model = mixed_table()
         rng = np.random.default_rng(16)
         mapping = {vals: rng.normal(size=(2, 2)) for vals in itertools.product(*model.alphabets)}
         obs = TableObservable({k: v + v.T for k, v in mapping.items()}, 2)
         loop = np.stack([obs(vals) for vals in itertools.product(*model.alphabets)])
-        assert _observable_values(model, obs).tobytes() == loop.tobytes()
+        assert _enumerated(model, obs)[0].tobytes() == loop.tobytes()
 
     def test_mc_converges_to_exhaustive(self):
         from matconc.coupling import exhaustive_tail
@@ -986,6 +985,33 @@ class TestIndependentKeyInequality:
                 diff = np.asarray(obs(model.values(x))) - np.asarray(obs(model.values(y)))
                 assert np.linalg.eigvalsh(A2 - diff @ diff)[0] >= -1e-10
             coupled_step(model, Z, rng)
+
+
+class UpperTriangular(MatrixObservable):
+    """[[0, z_0], [0, 0]]: strictly upper triangular, so not Hermitian."""
+
+    dim = 2
+
+    def batch(self, values_matrix):
+        out = np.zeros((len(values_matrix), 2, 2), dtype=complex)
+        out[:, 0, 1] = values_matrix[:, 0]
+        return out
+
+
+class Counted(MatrixObservable):
+    """A wrapped observable that counts its ``batch`` calls and has no exact
+    mean and no bounds of its own, so that every consumer enumerates it;
+    a given ``value`` replaces entry (0, 0) of the last row's matrix."""
+
+    def __init__(self, inner, value=None):
+        self.inner, self.dim, self.value, self.calls = inner, inner.dim, value, 0
+
+    def batch(self, values_matrix):
+        self.calls += 1
+        out = self.inner.batch(values_matrix)
+        if self.value is not None:
+            out[-1, 0, 0] = self.value
+        return out
 
 
 class TestHamming:
@@ -1037,14 +1063,6 @@ class TestHamming:
 
     def test_non_hermitian_observable_refused(self):
         # [[0, z_0], [0, 0]] once got exhaustive bounds with sigma^2 = 1.0
-        class UpperTriangular(MatrixObservable):
-            dim = 2
-
-            def batch(self, values_matrix):
-                out = np.zeros((len(values_matrix), 2, 2), dtype=complex)
-                out[:, 0, 1] = values_matrix[:, 0]
-                return out
-
         obs, model = UpperTriangular(), product2()
         with pytest.raises(HermiticityError):
             obs.hamming_bounds(model)
@@ -1089,6 +1107,74 @@ class TestHamming:
             assert bounds.matrices[k].mat[0, 0].real == pytest.approx(worst, rel=1e-12)
         ok, slack = check_hamming(obs, model, bounds)
         assert ok, f"worst slack {slack}"
+
+
+EXACT_CONSUMERS = {
+    "hamming_bounds": lambda obs, model: obs.hamming_bounds(model),
+    "check_hamming": lambda obs, model: check_hamming(
+        obs, model, DifferenceBoundSet([np.eye(obs.dim)] * model.n)),
+    "exhaustive_tail": lambda obs, model: exhaustive_tail(model, obs, [0.5]),
+    "stein_identity_check": lambda obs, model: stein_identity_check(model, obs),
+    "verify_stein_pair": lambda obs, model: verify_stein_pair(model, obs),
+}
+
+
+class TestOneEnumeration:
+    # every exact consumer reads one certified enumeration of the observable
+
+    @pytest.mark.parametrize("consume", [*EXACT_CONSUMERS.values(), lambda obs, model:
+                                         mc_tail_estimate(model, obs, [0.5], 100, seed=1)],
+                             ids=[*EXACT_CONSUMERS, "mc_tail_estimate"])
+    def test_non_hermitian_observable_refused(self, consume):
+        # the exhaustive tail once read the Hermitian part (0.5 at t = 0.5), the
+        # enumerated mean of the sampled tail the lower triangle (0.0), and
+        # both Stein checks held
+        model = product2()
+        assert model.size <= coupling.MEAN_ENUM_CAP
+        with pytest.raises(HermiticityError):
+            consume(UpperTriangular(), model)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("consume", EXACT_CONSUMERS.values(), ids=EXACT_CONSUMERS)
+    def test_non_finite_value_refused_before_certification(self, consume, value):
+        obs = Counted(RademacherSumObservable([draw(2, 50), draw(2, 51)]), value)
+        with pytest.raises(ArithmeticError, match="has a non-finite entry"):
+            consume(obs, ising2())
+
+    @pytest.mark.parametrize("make", [ising2, mixed_table, product3],
+                             ids=["ising2", "mixed", "product3"])
+    def test_one_batch_and_one_kernel_call(self, make, monkeypatch):
+        model = make()
+        kernels = []
+        gibbs = coupling.gibbs_kernel
+        monkeypatch.setattr(coupling, "gibbs_kernel",
+                            lambda model: kernels.append(1) or gibbs(model))
+        for name, consume in EXACT_CONSUMERS.items():
+            obs = Counted(RademacherSumObservable([draw(2, 70 + k) for k in range(model.n)]))
+            kernels.clear()
+            consume(obs, model)
+            assert obs.calls == 1, name
+            assert len(kernels) == ("stein" in name), name
+        # the sampled tail: one enumeration for the mean, one batch of draws
+        obs = Counted(RademacherSumObservable([draw(2, 70 + k) for k in range(model.n)]))
+        assert mc_tail_estimate(model, obs, [0.5], 50, seed=1).mean_source == "enumeration"
+        assert obs.calls == 2
+
+    def test_stein_residual_is_the_step_difference_of_the_chain_sum(self, monkeypatch):
+        # a chain sum off by delta leaves the residual |(I - G) delta|
+        model = ising3_field()
+        obs = RademacherSumObservable([draw(2, 40 + k) for k in range(model.n)])
+        G = gibbs_kernel(model)
+        delta = np.zeros((model.size, 2, 2), dtype=complex)
+        delta[3] = [[1e-3, 2e-3j], [-2e-3j, -1e-3]]
+        solve = coupling._chain_sum
+        monkeypatch.setattr(coupling, "_chain_sum",
+                            lambda model, G, fc: solve(model, G, fc) + delta)
+        rep = stein_identity_check(model, obs)
+        defect = np.einsum("st,tij->sij", np.eye(model.size) - G, delta)
+        assert rep.max_residual == pytest.approx(np.linalg.norm(defect, 2, axis=(1, 2)).max(),
+                                                 rel=1e-9)
+        assert rep.pairs_checked == np.count_nonzero(G) and not rep.holds
 
 
 class TestOneCallStep:
@@ -1304,7 +1390,7 @@ class TestTailPathBytes:
             model, obs = random_tail_case(rng, int(rng.integers(1, 7)))
             configs = np.indices(model.sizes).reshape(model.n, -1).T
             expect = einsum_batch(obs, column_values(model, configs))
-            assert _observable_values(model, obs).tobytes() == expect.tobytes(), case
+            assert _enumerated(model, obs)[0].tobytes() == expect.tobytes(), case
 
     def test_zero_sums_are_positive_zero(self):
         # products of opposite zero signs, and sums that cancel, end at +0.0
