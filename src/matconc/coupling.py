@@ -437,16 +437,23 @@ def verify_property_P(model: DiscreteModel) -> PropertyPReport:
     return PropertyPReport(max_dev <= 1e-12, max_dev)
 
 
+def _certified(H) -> np.ndarray:
+    """The Hermitian part of the (R, d, d) observable values H, certified by
+    ``_certify``, in their own dtype (that of exactly Hermitian values is
+    their own bits); a non-finite entry is refused first (``ArithmeticError``)."""
+    H = np.asarray(H)
+    if not np.isfinite(H).all():
+        raise ArithmeticError("an observable value has a non-finite entry")
+    return _certify(H)
+
+
 def _enumerated(model: DiscreteModel, f: MatrixObservable) -> tuple[np.ndarray, np.ndarray]:
     """The values of every configuration, shape (S, d, d), from one ``f.batch``
     call on the value rows in flat (C) order (``np.indices``), and their mean
     under the model.  Non-finite values are refused (``ArithmeticError``);
     finite ones, outside input, are certified Hermitian before the mean."""
     configs = np.indices(model.sizes).reshape(model.n, -1).T
-    H = np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128)
-    if not np.isfinite(H).all():
-        raise ArithmeticError("an enumerated observable value has a non-finite entry")
-    H = _certify(H)
+    H = _certified(np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128))
     return H, np.einsum("s,sij->ij", model.flat_pmf(), H)
 
 
@@ -568,15 +575,26 @@ class TailEstimate:
     mean_source: str
 
 
-def _values_matrix(model: DiscreteModel, configs: np.ndarray) -> np.ndarray:
-    """Site values of (R, n) index configurations, one flat ``take`` from the
-    zero-padded (n, max m) alphabet table at i * max m + index; the (R, n)
-    transposed view of a site-major array, whose site rows ``batch`` reads."""
-    m = max(model.sizes)
-    table = np.zeros((model.n, m))
+def _values_matrix(model: DiscreteModel, configs: np.ndarray, out=None) -> np.ndarray:
+    """Site values of (R, n) index configurations: site i's row is
+    ``alphabet_i.take(configs[:, i])``, written into row i of the site-major
+    (n, R) float array ``out`` (a new one if None), whose (R, n) transposed
+    view is returned; ``batch`` reads its site rows.  ``out`` may be the
+    float64 view of the buffer of ``configs`` itself, whose rows it replaces:
+    ``take`` in mode "clip" (the indices are in range) reads each index
+    before it writes its value, and buffers nothing."""
+    if out is None:
+        out = np.empty((model.n, len(configs)))
     for i, a in enumerate(model.alphabets):
-        table[i, :len(a)] = np.asarray(a, dtype=float)
-    return table.ravel().take(configs.T + m * np.arange(model.n)[:, None]).T
+        np.asarray(a, dtype=float).take(configs[:, i], out=out[i], mode="clip")
+    return out.T
+
+
+def _sampled_values(model: DiscreteModel, rng, size: int) -> np.ndarray:
+    """The site values of ``size`` draws of ``model.sample``, in the (n, size)
+    buffer that the draw returns: its indices are replaced by their values."""
+    configs = model.sample(rng, size)
+    return _values_matrix(model, configs, configs.T.view(float))
 
 
 def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
@@ -587,6 +605,13 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     exact enumeration on small models, or an independent pilot sample (never
     the estimation sample itself).  Deterministic given the seed; ``samples``
     and ``seed`` must be integers (not bools).
+
+    Each draw, pilot and main, lives in the one (n, size) buffer that
+    ``model.sample`` returns, its indices overwritten by their site values
+    (``_sampled_values``), which ``batch`` reads.  A pilot mean is taken from
+    certified values, and the values centred against it are certified too,
+    as enumerated ones are; against an exact or enumerated mean the main
+    batch is read as it is.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
@@ -600,14 +625,14 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
                 mean = _enumerated(model, observable)[1]
                 source = "enumeration"
             else:
-                rng_pilot = np.random.default_rng(pilot_ss)
                 n_pilot = max(1000, samples // 10)
-                cfgs = model.sample(rng_pilot, n_pilot)
-                mean = observable.batch(_values_matrix(model, cfgs)).mean(axis=0)
+                pilot = _sampled_values(model, np.random.default_rng(pilot_ss), n_pilot)
+                mean = _certified(observable.batch(pilot)).mean(axis=0)
                 source = "pilot"
-        rng = np.random.default_rng(main_ss)
-        cfgs = model.sample(rng, samples)
-        centered = observable.batch(_values_matrix(model, cfgs)) - np.asarray(mean)
+        H = observable.batch(_sampled_values(model, np.random.default_rng(main_ss), samples))
+        if source == "pilot":
+            H = _certified(H)
+        centered = H - np.asarray(mean)
     t_arr = np.asarray(t_grid, dtype=float)
     lam = _lambda_max_against(centered, t_arr)
     counts = [int((lam >= t).sum()) for t in t_arr]

@@ -261,30 +261,28 @@ class DiscreteModel:
         ``c / c[-1]`` (c = p.cumsum()): the index is the number of cdf entries
         that are <= u.  ``choice``'s checks on p cannot fire, since every pmf
         is strictly positive and normalized at construction.  The result is
-        the transposed view of a site-major (n, size) array.
+        the transposed view of a C-ordered, site-major (n, size) int64 array,
+        which the caller owns.
 
         A product model draws all sites from one ``rng.random((n, size))``
         call, the doubles that n per-site ``rng.choice(m_i, size, p=p_i)``
-        calls would take in turn, counted into the int64 array that the first
-        comparison gives, one (n, size) comparison at a time.  A table model
-        maps one ``rng.random(size)`` call through the cached flat cdf
-        ``_flat_cdf`` with ``searchsorted(side="right")``, the doubles and
-        flat indices of ``rng.choice(self.size, size, p=flat_pmf())``, and
-        unravels them.
+        calls would take in turn, and writes each site's index row over its
+        own uniform row, through the int64 view of that one buffer: the
+        result is that view.  A table model maps one ``rng.random(size)``
+        call through the cached flat cdf ``_flat_cdf`` with
+        ``searchsorted(side="right")``, the doubles and flat indices of
+        ``rng.choice(self.size, size, p=flat_pmf())``, and unravels them
+        into a new array.
         """
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         if self._site_pmfs is not None:
-            cdf = np.full((self.n, max(self.sizes)), np.inf)  # padded values never count
-            for i, p in enumerate(self._site_pmfs):
-                c = p.cumsum()
-                cdf[i, :len(c)] = c / c[-1]
             u = rng.random((self.n, size))
-            cols = cdf.T[:-1]  # the last column is 1.0 or +inf: u < 1 counts neither
-            if not len(cols):  # every site takes one value
-                return np.zeros((self.n, size), dtype=np.int64).T
-            idx = (cols[0][:, None] <= u).astype(np.int64)
-            for col in cols[1:]:
-                idx += col[:, None] <= u
+            idx = u.view(np.int64)
+            for p, row, out in zip(self._site_pmfs, u, idx):
+                c = p.cumsum()
+                cdf = c[:-1] / c[-1]  # the last entry, 1.0, no u < 1 reaches
+                # a binary site's count is its one comparison, cast as it is written
+                out[...] = cdf[0] <= row if len(cdf) == 1 else sum(col <= row for col in cdf)
             return idx.T
         flat = self._flat_cdf.searchsorted(rng.random(size), side="right")
         return np.array(np.unravel_index(flat, self.sizes)).T

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1134,6 +1135,23 @@ class TestOneEnumeration:
         with pytest.raises(HermiticityError):
             consume(UpperTriangular(), model)
 
+    def test_non_hermitian_observable_refused_above_the_cap(self, monkeypatch):
+        # the piloted mean and the values centred against it are certified
+        # too: these were once tailed on their lower triangle (0.0 at t = 0.5)
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 17, [[0.5, 0.5]] * 17)
+        assert model.size > coupling.MEAN_ENUM_CAP
+        with pytest.raises(HermiticityError):
+            mc_tail_estimate(model, UpperTriangular(), [0.5], 100, seed=1)
+        certified = []
+        certify = coupling._certify
+        monkeypatch.setattr(coupling, "_certify", lambda H: certified.append(H) or certify(H))
+        obs = RademacherSumObservable([draw(2, 60 + k) for k in range(17)])
+        assert mc_tail_estimate(model, Counted(obs), [0.5], 100, seed=1).mean_source == "pilot"
+        assert [len(H) for H in certified] == [1000, 100]
+        certified.clear()  # an exact mean certifies nothing
+        assert mc_tail_estimate(model, obs, [0.5], 100, seed=1).mean_source == "observable-exact"
+        assert certified == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("consume", EXACT_CONSUMERS.values(), ids=EXACT_CONSUMERS)
     def test_non_finite_value_refused_before_certification(self, consume, value):
@@ -1367,6 +1385,15 @@ def random_tail_case(rng, n):
     return model, RademacherSumObservable(mats)
 
 
+def one_nine_and_two_value_products(rng):
+    """A product of a one-value, a nine-value (its pmf drawn from ``rng``) and
+    two binary sites, and a product of two one-value sites."""
+    wide = DiscreteModel.from_product(
+        [(2.5,), tuple(float(v) for v in range(-4, 5)), (-1.0, 1.0), (0.0, 3.0)],
+        [[1.0], rng.dirichlet(np.ones(9)), [0.3, 0.7], [0.5, 0.5]])
+    return wide, DiscreteModel.from_product([(1.0,), (-2.0,)], [[1.0], [1.0]])
+
+
 class TestTailPathBytes:
     def test_sampled_values_and_batch_equal_the_oracles(self):
         rng = np.random.default_rng(29)
@@ -1404,13 +1431,9 @@ class TestTailPathBytes:
 
     def test_one_nine_and_two_value_sites_equal_the_oracles(self):
         # one-value sites (a cdf of 1.0 alone; a model of them only makes no
-        # comparison) and a nine-value site beside binary sites: the padded
-        # cdf and alphabet table
+        # comparison) and a nine-value site beside binary sites
         rng = np.random.default_rng(41)
-        wide = DiscreteModel.from_product(
-            [(2.5,), tuple(float(v) for v in range(-4, 5)), (-1.0, 1.0), (0.0, 3.0)],
-            [[1.0], rng.dirichlet(np.ones(9)), [0.3, 0.7], [0.5, 0.5]])
-        ones = DiscreteModel.from_product([(1.0,), (-2.0,)], [[1.0], [1.0]])
+        wide, ones = one_nine_and_two_value_products(rng)
         for model, size in itertools.product((wide, ones), (1, 7, 3000)):
             old, new = np.random.default_rng(size), np.random.default_rng(size)
             expect, configs = choice_sample(model, old, size), model.sample(new, size)
@@ -1420,6 +1443,16 @@ class TestTailPathBytes:
             values = _values_matrix(model, configs)
             assert values.tobytes("C") == column_values(model, expect).tobytes(), size
         assert set(wide.sample(rng, 3000)[:, 1]) == set(range(9))
+
+    def test_values_over_their_indices_equal_a_fresh_lookup(self):
+        # the sampled tail writes each draw's values over its own index buffer
+        models = (*one_nine_and_two_value_products(np.random.default_rng(41)), mixed_table())
+        for model, size in itertools.product(models, (0, 1, 7, 3000)):
+            configs = model.sample(np.random.default_rng(size), size)
+            fresh = _values_matrix(model, configs)
+            values = _values_matrix(model, configs, configs.T.view(float))
+            assert values.tobytes() == fresh.tobytes(), (model.sizes, size)
+            assert size == 0 or np.shares_memory(values, configs)
 
     @pytest.mark.parametrize("make", [mixed_table, ising4_field, single_site, product3,
                                       product9, ternary_ising],
@@ -1443,6 +1476,45 @@ class TestTailPathBytes:
             got = greedy_disagreement_mc(model, site, 10, runs, case)
             assert got.means.tobytes() + got.std_errors.tobytes() == \
                 means.tobytes() + ses.tobytes(), case
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, in bytes above those traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestOneDrawBuffer:
+    # a sampled tail keeps its draw in one (n, samples) buffer, from the
+    # uniforms to the values: with four such arrays alive at once, the pages
+    # freed after every call were mapped afresh by the next
+    n, samples = 20, 5000
+    buffer = n * samples * 8
+
+    def model(self):
+        return DiscreteModel.from_product([(-1.0, 1.0)] * self.n, [[0.5, 0.5]] * self.n,
+                                          enum_cap=2 ** (self.n + 1))
+
+    def test_product_sample_peak(self):
+        model, rng = self.model(), np.random.default_rng(1)
+        assert traced_peak(lambda: model.sample(rng, self.samples)) <= 1.25 * self.buffer
+
+    def test_tail_peak(self):
+        model = self.model()
+        obs = RademacherSumObservable([draw(2, 200 + k, 0.3) for k in range(self.n)])
+        ts = [0.25 * j for j in range(13)]
+        mc_tail_estimate(model, obs, ts, 10, seed=1)  # first-call allocations
+        peak = traced_peak(lambda: mc_tail_estimate(model, obs, ts, self.samples, seed=2))
+        assert peak <= 2 * self.buffer
 
 
 class TestSiteCountRefusal:
@@ -1578,3 +1650,39 @@ def test_exact_DG_bytes_pinned(name, assert_pinned):
     arrays = [dobrushin_matrix(model).entries, gibbs_kernel(model)]
     assert_pinned(f"exact-DG/{name}", b"".join(repr(a.shape).encode() +
                                                np.ascontiguousarray(a).tobytes() for a in arrays))
+
+
+def mixed_product_tail():
+    """A product model with a one-value, a three-value and two binary sites, a
+    d = 2 Rademacher sum over them, and a grid between each pair of adjacent
+    lambda_max values of its 12 states, so that the tail counts every state."""
+    model = DiscreteModel.from_product(
+        [(0.5,), (-1.0, 0.0, 2.0), (-1.0, 1.0), (0.0, 1.0)],
+        [[1.0], [0.2, 0.5, 0.3], [0.4, 0.6], [0.7, 0.3]])
+    obs = RademacherSumObservable([draw(2, 160 + k) for k in range(model.n)])
+    lam = np.unique(np.linalg.eigvalsh(_enumerated(model, obs)[0] - obs.exact_mean(model))[:, -1])
+    return model, obs, np.concatenate([[lam[0] - 1.0], (lam[:-1] + lam[1:]) / 2])
+
+
+# sampled tails whose estimates have their bytes pinned: the multi-value product
+# sampler under an exact mean, and the piloted mean of an observable without one
+# on 17 biased +-1 sites (S = 131072 > MEAN_ENUM_CAP)
+PINNED_TAILS = {
+    "mixed-product": lambda: (*mixed_product_tail(), 20000, 7),
+    "pilot-17": lambda: (
+        DiscreteModel.from_product([(-1.0, 1.0)] * 17,
+                                   [[0.2 + 0.6 * k / 16, 0.8 - 0.6 * k / 16] for k in range(17)]),
+        Counted(RademacherSumObservable([draw(2, 180 + k) for k in range(17)])),
+        np.linspace(-4.0, 10.0, 141), 20000, 8),
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("name", sorted(PINNED_TAILS))
+def test_sampled_tail_bytes_pinned(name, assert_pinned):
+    model, obs, ts, samples, seed = PINNED_TAILS[name]()
+    est = mc_tail_estimate(model, obs, ts, samples, seed)
+    assert est.mean_source == ("pilot" if name == "pilot-17" else "observable-exact")
+    assert len(set(est.empirical)) == len(ts)  # every grid point moves the count
+    assert_pinned(f"sampled-tail/{name}", est.mean_source.encode() + np.array(
+        [est.t_grid, est.empirical, est.ci_low, est.ci_high]).tobytes())
