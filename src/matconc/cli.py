@@ -153,7 +153,8 @@ def _grid(name: str, value) -> list[float]:
         if not (all(map(math.isfinite, (start, stop, step))) and start <= stop and step > 0):
             raise ValueError(f"grid {value!r} needs finite start <= stop and step > 0")
         steps = (stop - start) / step  # +inf once the span or the quotient overflows
-        points = round(steps) + 1 if math.isfinite(steps) else math.inf
+        # no point past stop, beyond the rounding of the quotient
+        points = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
         if points > MAX_POINTS:
             raise ValueError(f"{name} {value!r} has more than {MAX_POINTS} points")
         grid = [start + k * step for k in range(points)]

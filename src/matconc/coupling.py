@@ -416,7 +416,8 @@ def verify_property_P(model: DiscreteModel) -> PropertyPReport:
     G^(k+1)(y, .).  So the identity gives property P for every start law and
     every k.
 
-    The joints are built in row blocks of at most ``_DIFF_FLOATS`` entries.
+    The joints are built in row blocks of at most ``_DIFF_FLOATS`` (value,
+    row pair) entries, so a block's (m, m, rows, K) joint holds m times that.
     ``max_deviation`` is the largest absolute difference between a row or
     column sum and its conditional; the property holds when it is <= 1e-12.
     Models with S^2 > 10^6 pairs of states are refused, as by
@@ -428,7 +429,7 @@ def verify_property_P(model: DiscreteModel) -> PropertyPReport:
         rt = conditional_table(model, i).T  # (m, K): column r is row r's conditional
         m, K = rt.shape
         q = rt[:, None, :]
-        block = max(1, _DIFF_FLOATS // (m * m * K))
+        block = max(1, _DIFF_FLOATS // (m * K))
         for first in range(0, K, block):
             p = rt[:, first:first + block, None]
             J = _joint_blocks(p, q)  # (m, m, rows, K)
@@ -449,10 +450,11 @@ def _certified(H) -> np.ndarray:
 
 def _enumerated(model: DiscreteModel, f: MatrixObservable) -> tuple[np.ndarray, np.ndarray]:
     """The values of every configuration, shape (S, d, d), from one ``f.batch``
-    call on the value rows in flat (C) order (``np.indices``), and their mean
+    call on the value rows in flat (C) order, written over the int64
+    ``np.indices`` buffer that ``_values_matrix`` consumes, and their mean
     under the model.  Non-finite values are refused (``ArithmeticError``);
     finite ones, outside input, are certified Hermitian before the mean."""
-    configs = np.indices(model.sizes).reshape(model.n, -1).T
+    configs = np.indices(model.sizes, dtype=np.int64).reshape(model.n, -1).T
     H = _certified(np.asarray(f.batch(_values_matrix(model, configs)), dtype=np.complex128))
     return H, np.einsum("s,sij->ij", model.flat_pmf(), H)
 
@@ -575,26 +577,17 @@ class TailEstimate:
     mean_source: str
 
 
-def _values_matrix(model: DiscreteModel, configs: np.ndarray, out=None) -> np.ndarray:
-    """Site values of (R, n) index configurations: site i's row is
-    ``alphabet_i.take(configs[:, i])``, written into row i of the site-major
-    (n, R) float array ``out`` (a new one if None), whose (R, n) transposed
-    view is returned; ``batch`` reads its site rows.  ``out`` may be the
-    float64 view of the buffer of ``configs`` itself, whose rows it replaces:
-    ``take`` in mode "clip" (the indices are in range) reads each index
-    before it writes its value, and buffers nothing."""
-    if out is None:
-        out = np.empty((model.n, len(configs)))
+def _values_matrix(model: DiscreteModel, configs: np.ndarray) -> np.ndarray:
+    """Site values of (R, n) index configurations, written over them: ``configs``
+    is the transposed view of a C-ordered, site-major (n, R) int64 buffer,
+    which is consumed.  Site i's values, ``alphabet_i.take(configs[:, i])``,
+    replace row i through the buffer's float64 view, whose (R, n) transposed
+    view is returned; ``batch`` reads its site rows.  ``take`` in mode "clip"
+    (the indices are in range) reads each index before it writes its value."""
+    out = configs.T.view(float)
     for i, a in enumerate(model.alphabets):
         np.asarray(a, dtype=float).take(configs[:, i], out=out[i], mode="clip")
     return out.T
-
-
-def _sampled_values(model: DiscreteModel, rng, size: int) -> np.ndarray:
-    """The site values of ``size`` draws of ``model.sample``, in the (n, size)
-    buffer that the draw returns: its indices are replaced by their values."""
-    configs = model.sample(rng, size)
-    return _values_matrix(model, configs, configs.T.view(float))
 
 
 def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
@@ -607,11 +600,11 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     and ``seed`` must be integers (not bools).
 
     Each draw, pilot and main, lives in the one (n, size) buffer that
-    ``model.sample`` returns, its indices overwritten by their site values
-    (``_sampled_values``), which ``batch`` reads.  A pilot mean is taken from
-    certified values, and the values centred against it are certified too,
-    as enumerated ones are; against an exact or enumerated mean the main
-    batch is read as it is.
+    ``model.sample`` returns; ``_values_matrix`` consumes it, writing the
+    site values that ``batch`` reads over their indices.  A pilot mean is
+    taken from certified values, and the values centred against it are
+    certified too, as enumerated ones are; against an exact or enumerated
+    mean the main batch is read as it is.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
@@ -626,10 +619,11 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
                 source = "enumeration"
             else:
                 n_pilot = max(1000, samples // 10)
-                pilot = _sampled_values(model, np.random.default_rng(pilot_ss), n_pilot)
-                mean = _certified(observable.batch(pilot)).mean(axis=0)
+                pilot = model.sample(np.random.default_rng(pilot_ss), n_pilot)
+                mean = _certified(observable.batch(_values_matrix(model, pilot))).mean(axis=0)
                 source = "pilot"
-        H = observable.batch(_sampled_values(model, np.random.default_rng(main_ss), samples))
+        H = observable.batch(_values_matrix(
+            model, model.sample(np.random.default_rng(main_ss), samples)))
         if source == "pilot":
             H = _certified(H)
         centered = H - np.asarray(mean)

@@ -115,8 +115,8 @@ def choice_sample(model, rng, size):
 
 def column_values(model, configs):
     """The (R, n) site values of index configurations, one alphabet lookup
-    per site.  Guards ``coupling._values_matrix``, one flat ``take`` from a
-    zero-padded alphabet table."""
+    per site.  Guards ``coupling._values_matrix``, which writes each site's
+    ``take`` over its index row."""
     cols = [np.asarray(model.alphabets[i], dtype=float)[configs[:, i]]
             for i in range(model.n)]
     return np.stack(cols, axis=1)

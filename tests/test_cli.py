@@ -128,6 +128,14 @@ class TestBoundCommand:
         assert "more than 1000000 points" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_stops_at_stop(self, tmp_path):
+        # 0:1:0.6 counted round(1 / 0.6) + 1 = 3 points and wrote a row at t = 1.2
+        out = tmp_path / "b.csv"
+        assert run(["bound", "--t", "0:1:0.6", "--out", out]) == 0
+        assert [float(row[0]) for row in read_csv(out)[1:]] == [0.0, 0.6]
+        assert len(_grid("t", "0:0.3:0.1")) == len(_grid("t", "0:0.9:0.3")) == 4
+        assert _grid("t", "0:3:0.25") == [0.25 * k for k in range(13)]
+
     def test_point_cap_is_inclusive(self):
         assert len(_grid("t_grid", "0:999999:1")) == MAX_POINTS
         assert len(_parse_range("dims", f"1..{MAX_POINTS}")) == MAX_POINTS
@@ -1139,6 +1147,38 @@ class TestUsageErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert where in err and key in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,files,message", [
+        (["mc-tail", "--config", "cfg.json"],
+         {"cfg.json": {"model": {"rademacher_sites": 2}, "observable": {"kind": "quadratic"}}},
+         "unsupported observable kind 'quadratic'"),
+        (["mc-tail", "--config", "cfg.json"],
+         {"cfg.json": {"model": {"rademacher_sites": 2}, "observable": {
+             "kind": "table", "dim": 1, "entries": [{"values": ["a"], "matrix": ONE}]}}},
+         "observable entry 0: values must be a list of numbers, got ['a']"),
+        (["mc-tail", "--config", "cfg.json"],
+         {"cfg.json": {"model": {"rademacher_sites": 2}, "samples": 0,
+                       "observable": {"generate": {"count": 2, "dim": 2, "seed": 1}}}},
+         "samples must be >= 1"),
+        (["conjecture", "--budget", 0], {}, "budget must be >= 1"),
+        (["dobrushin", "--model", "model.json"],
+         {"model.json": {"alphabets": [[0, 1], []],
+                         "weight": {"kind": "product", "pmfs": [[0.5, 0.5], []]}}},
+         "each site needs a nonempty alphabet"),
+        (["dobrushin", "--model", "model.json"],
+         {"model.json": {"alphabets": [[-1, 1], [-1, 1]],
+                         "weight": {"kind": "ising", "field": [0.1],
+                                    "coupling": [[0, 0.1], [0.1, 0]]}}},
+         "field has wrong length")],
+        ids=["observable-kind", "table-entry-values", "zero-samples", "zero-budget",
+             "empty-alphabet", "ising-field-length"])
+    def test_refused_input_exits_2(self, tmp_path, capsys, argv, files, message):
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        argv = [tmp_path / a if a in files else a for a in argv]
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"

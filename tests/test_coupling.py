@@ -458,6 +458,21 @@ class TestPropertyP:
         with pytest.raises(EnumerationCapError):
             gibbs_kernel(big)
 
+    def test_thousand_state_table_in_few_blocks(self, monkeypatch):
+        # the row-block budget counts (value, row pair) entries, not joint
+        # entries: blocks of 32 rows, 4 per site, where 3-row blocks made 102 calls
+        rng = np.random.default_rng(21)
+        model = DiscreteModel.from_table([tuple(range(10))] * 3,
+                                         rng.uniform(0.1, 2.0, (10, 10, 10)))
+        calls = []
+
+        def counted(p, q):
+            calls.append(p.shape)
+            return _joint_blocks(p, q)
+
+        monkeypatch.setattr("matconc.coupling._joint_blocks", counted)
+        assert verify_property_P(model).holds and len(calls) <= 12
+
 
 def random_pair_pmf(model, seed):
     nu = np.random.default_rng(seed).random((model.size, model.size))
@@ -1445,12 +1460,12 @@ class TestTailPathBytes:
         assert set(wide.sample(rng, 3000)[:, 1]) == set(range(9))
 
     def test_values_over_their_indices_equal_a_fresh_lookup(self):
-        # the sampled tail writes each draw's values over its own index buffer
+        # every batch of states has its values written over its own index buffer
         models = (*one_nine_and_two_value_products(np.random.default_rng(41)), mixed_table())
         for model, size in itertools.product(models, (0, 1, 7, 3000)):
             configs = model.sample(np.random.default_rng(size), size)
-            fresh = _values_matrix(model, configs)
-            values = _values_matrix(model, configs, configs.T.view(float))
+            fresh = column_values(model, configs)
+            values = _values_matrix(model, configs)
             assert values.tobytes() == fresh.tobytes(), (model.sizes, size)
             assert size == 0 or np.shares_memory(values, configs)
 
@@ -1515,6 +1530,34 @@ class TestOneDrawBuffer:
         mc_tail_estimate(model, obs, ts, 10, seed=1)  # first-call allocations
         peak = traced_peak(lambda: mc_tail_estimate(model, obs, ts, self.samples, seed=2))
         assert peak <= 2 * self.buffer
+
+    def test_batch_reads_each_draw_buffer(self, monkeypatch):
+        # 17 sites (S > MEAN_ENUM_CAP) and no exact mean: a pilot draw, then the
+        # main one; batch reads the values written over each draw's own buffer
+        model = DiscreteModel.from_product([(-1.0, 1.0)] * 17, [[0.2, 0.8]] * 17)
+        draws, read = [], []
+        sample = model.sample
+
+        def recording_sample(rng, size):
+            draws.append(sample(rng, size))
+            return draws[-1]
+
+        class Recording(MatrixObservable):
+            dim = 1
+
+            def batch(self, values_matrix):
+                read.append(values_matrix)
+                return values_matrix.sum(axis=1)[:, None, None]
+
+        monkeypatch.setattr(model, "sample", recording_sample)
+        est = mc_tail_estimate(model, Recording(), [0.0, 1.0], 2000, seed=3)
+        assert est.mean_source == "pilot" and len(draws) == len(read) == 2
+        assert all(np.shares_memory(v, z) for v, z in zip(read, draws))
+
+    def test_enumerated_values_over_the_indices_buffer(self):
+        model = mixed_table()
+        configs = np.indices(model.sizes, dtype=np.int64).reshape(model.n, -1).T
+        assert np.shares_memory(_values_matrix(model, configs), configs)
 
 
 class TestSiteCountRefusal:
