@@ -100,24 +100,46 @@ class RademacherSumObservable(MatrixObservable):
         self.matrices = _coerce_all(matrices)
         self.dim = self.matrices[0].dim
         self._stack = np.stack([M.mat for M in self.matrices])
+        # each coefficient's d^2 independent reals, (n, d^2): the real upper
+        # triangle with the diagonal, then the imaginary strict upper triangle,
+        # both row by row
+        lower = np.tri(self.dim, dtype=bool)  # on and below the diagonal
+        self._parts = np.concatenate([self._stack.real[:, lower.T], self._stack.imag[:, ~lower]],
+                                     axis=1)
 
     def batch(self, values_matrix: np.ndarray) -> np.ndarray:
-        """H of every (b, n) value row, shape (b, d, d): einsum's products,
-        added in site order to +0.0, value-major on the real view of the stack.
+        """H of every (b, n) value row, shape (b, d, d): einsum's products of
+        the d^2 independent reals, added in site order to +0.0, value-major,
+        then mirrored.
 
         A +0.0 start makes every zero sum +0.0, whatever the signs of the
-        zero products, so the bytes are those of
-        ``np.einsum("bn,nij->bij", values, stack)``.
+        zero products.  The coefficients are exactly Hermitian, so each lower
+        entry's products are the upper one's, the imaginary ones negated, and
+        their sums are too: a lower imaginary part is ``0.0 - x``, which keeps
+        a zero sum +0.0, and a diagonal one is +0.0.  So the bytes are those
+        of ``np.einsum("bn,nij->bij", values, stack)``.
         """
         values = np.asarray(values_matrix, dtype=float)
         n, d = len(self._stack), self.dim
         if values.ndim != 2 or values.shape[1] != n:
             raise ValueError(f"values must have shape (b, {n}), got {values.shape}")
-        flat = self._stack.view(float).reshape(n, -1)  # (re, im) of each entry
-        out = np.zeros((2 * d * d, len(values)))
-        for f, v in zip(flat, values.T):
-            out += f[:, None] * v
-        return np.ascontiguousarray(out.T).view(complex).reshape(-1, d, d)
+        sums = np.zeros((d * d, len(values)))
+        for f, v in zip(self._parts, values.T):
+            sums += f[:, None] * v
+        out = np.empty((len(values), d, d), dtype=np.complex128)
+        re, im = out.real, out.imag
+        rows = iter(sums)
+        for i in range(d):
+            re[:, i, i] = next(rows)
+            im[:, i, i] = 0.0
+            for j in range(i + 1, d):
+                re[:, i, j] = re[:, j, i] = next(rows)
+        for i in range(d):
+            for j in range(i + 1, d):
+                x = next(rows)
+                im[:, i, j] = x
+                np.subtract(0.0, x, out=im[:, j, i])
+        return out
 
     def _check_sites(self, n: int) -> None:
         if n != len(self.matrices):
@@ -196,13 +218,16 @@ def _ordered_sum(terms) -> np.ndarray:
 
 
 def _sample_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One index per column of the value-first (m, R) unnormalized pmfs P: the
+    """One index per column of the value-first (m, ...) unnormalized pmfs P: the
     first value whose cdf reaches u * total.  Trailing zero values, as in a
     padded alphabet, have cdf = total and are never counted."""
     cdf = list(itertools.accumulate(P))  # the cumsum over values, one row at a time
     threshold = u * cdf[-1]
-    idx = np.zeros(threshold.shape, dtype=np.int64)
-    for c in cdf[:-1]:  # cdf[-1] < threshold only if every value counts: skipping it clamps
+    if len(cdf) == 1:  # one value: every index is 0
+        return np.zeros(threshold.shape, dtype=np.int64)
+    # cdf[-1] < threshold only if every value counts: skipping it clamps
+    idx = (cdf[0] < threshold).astype(np.int64)
+    for c in cdf[1:-1]:
         idx += c < threshold
     return idx
 
@@ -214,16 +239,20 @@ def _maximal_coupling_rows(R, U):
     (2, A) values of the two chains (law: :func:`maximal_coupling_joint`).
 
     The overlap mass sums the values in order 0, ..., m - 1, as in
-    :func:`_joint_blocks`; trailing zero values add only +0.0.  One
-    ``(R - mins) / zsafe`` and one :func:`_sample_rows` call give both chains'
-    residual draws, on ``U[2:]``.
+    :func:`_joint_blocks`; trailing zero values add only +0.0.  The overlap
+    pmf and both chains' residuals ``(R - mins) / zsafe`` are one value-first
+    (m, 3, A) stack, so that one :func:`_sample_rows` call on ``U[1:]`` gives
+    the overlap draw and both residual draws.
     """
-    mins = np.minimum(R[:, 0], R[:, 1])
+    P = np.empty((R.shape[0], 3) + R.shape[2:])
+    mins = np.minimum(R[:, 0], R[:, 1], out=P[:, 0])
     omega = _ordered_sum(mins)
     z = 1.0 - omega
     zsafe = np.where(z > 1e-15, z, 1.0)
-    diff = _sample_rows((R - mins[:, None]) / zsafe, U[2:])
-    return np.where(U[0] < omega, _sample_rows(mins, U[1]), diff)
+    residuals = np.subtract(R, mins[:, None], out=P[:, 1:])
+    residuals /= zsafe
+    idx = _sample_rows(P, U[1:])
+    return np.where(U[0] < omega, idx[0], idx[1:])
 
 
 def _joint_blocks(p, q) -> np.ndarray:
@@ -604,7 +633,8 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
     site values that ``batch`` reads over their indices.  A pilot mean is
     taken from certified values, and the values centred against it are
     certified too, as enumerated ones are; against an exact or enumerated
-    mean the main batch is read as it is.
+    mean the main batch is read as it is.  Every grid point's count comes
+    from one sort of the lambda_max values.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
@@ -629,7 +659,7 @@ def mc_tail_estimate(model: DiscreteModel, observable: MatrixObservable, t_grid,
         centered = H - np.asarray(mean)
     t_arr = np.asarray(t_grid, dtype=float)
     lam = _lambda_max_against(centered, t_arr)
-    counts = [int((lam >= t).sum()) for t in t_arr]
+    counts = (len(lam) - np.searchsorted(np.sort(lam), t_arr, side="left")).tolist()
     cis = [wilson_interval(k, samples) for k in counts]
     return TailEstimate(tuple(float(t) for t in t_arr), tuple(k / samples for k in counts),
                         tuple(lo for lo, _ in cis), tuple(hi for _, hi in cis), samples, source)
@@ -721,9 +751,9 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
     Z[1, site] = _sample_rows(model._conditional_rows(np.full(runs, site), X), rng.random(runs))
 
     counts = np.zeros((kmax + 1, n), dtype=np.int64)
-    differ = Z[0] != Z[1]
-    counts[0] = differ.sum(axis=1)
-    Z = Z.take(np.flatnonzero(differ[site]), axis=2)  # the runs that disagree
+    differ = Z[0, site] != Z[1, site]  # the chains agree off site
+    counts[0, site] = differ.sum()
+    Z = Z.take(differ.nonzero()[0], axis=2)  # the runs that disagree
     for k in range(1, kmax + 1):
         active = Z.shape[2]
         if not active:
@@ -731,7 +761,7 @@ def greedy_disagreement_mc(model: DiscreteModel, site: int, kmax: int,
         _coupled_step(model, Z, rng.integers(0, n, size=active), rng.random((active, 4)))
         differ = Z[0] != Z[1]
         counts[k] = differ.sum(axis=1)
-        Z = Z.take(np.flatnonzero(differ.any(axis=0)), axis=2)
+        Z = Z.take(differ.any(axis=0).nonzero()[0], axis=2)
     means = counts / runs
     return DisagreementMC(site, kmax, runs, means, np.sqrt(means * (1.0 - means) / runs),
                           STREAM_VERSION)

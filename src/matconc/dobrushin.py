@@ -174,7 +174,7 @@ class DiscreteModel:
                 high, _, low = _site_split(self, i)
                 rows.reshape(high, low, m)[...] = \
                     self._table.reshape(high, m, low).transpose(0, 2, 1)
-                rows /= rows.sum(axis=1, keepdims=True)
+                rows /= _value_sum(rows)[:, None]
             stack.setflags(write=False)
             stacks[m] = stack
         return stacks
@@ -290,6 +290,20 @@ class DiscreteModel:
 
 # ---------------------------------------------------------------------------
 # Conditional tables (shared with the coupling machinery)
+
+def _value_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis, a site's values, with the bits of
+    ``x.sum(axis=-1)``: below 8 values NumPy adds each row in order, which the
+    value slices added in order do in one pass each, where NumPy's reduction
+    loop runs once per row; from 8 values NumPy sums pairwise, and that is kept."""
+    m = x.shape[-1]
+    if m >= 8:
+        return x.sum(axis=-1)
+    total = x[..., 0].copy() if m == 1 else x[..., 0] + x[..., 1]
+    for k in range(2, m):
+        total += x[..., k]
+    return total
+
 
 def conditional_row_weights(sizes, i: int) -> np.ndarray:
     """Site i's row weights: C-order strides of the other sites, 0 at site i.
@@ -424,7 +438,7 @@ def dobrushin_matrix(model: DiscreteModel) -> InterdependenceMatrix:
                         for a, b in combinations(range(sizes[j]), 2):
                             diff = view[:, :, a] - view[:, :, b]
                             np.abs(diff, out=diff)
-                            np.maximum(worst[j, part], diff.sum(axis=-1).max(axis=(1, 2)),
+                            np.maximum(worst[j, part], _value_sum(diff).max(axis=(1, 2)),
                                        out=worst[j, part])
             D[sites] = worst.T
     D *= 0.5

@@ -866,6 +866,15 @@ class TestMcTail:
         est = mc_tail_estimate(model, obs, [-100.0], 200, seed=4)
         assert est.empirical[0] == 1.0
 
+    def test_grid_points_on_values_and_non_finite(self):
+        # lambda_max is -3, -1, 1 or 3 exactly: a grid point on a value counts
+        # it, a NaN point counts nothing, -inf everything and +inf nothing
+        obs = RademacherSumObservable([[[1.0]], [[2.0]]])
+        ts = [np.nan, -np.inf, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, np.inf]
+        e = mc_tail_estimate(product2(), obs, ts, 4000, seed=9).empirical
+        assert (e[0], e[1], e[2], e[-2], e[-1]) == (0.0, 1.0, 1.0, 0.0, 0.0)
+        assert e[3] == e[4] > e[5] == e[6] > e[7] == e[8] > 0.0
+
     def test_deterministic(self):
         model = product2()
         obs = RademacherSumObservable([draw(2, 82), draw(2, 83)])
@@ -1247,6 +1256,15 @@ class TestOneCallStep:
                       got.means.tobytes() + got.std_errors.tobytes())
 
     @pytest.mark.pinned
+    def test_mixed_table_pinned(self, assert_pinned):
+        # alphabets (3, 2, 4): the 3- and 2-value sites' rows are padded with
+        # zero values to 4; every site resampled in turn
+        runs = [greedy_disagreement_mc(mixed_table(), site, 30, 2000, seed=6) for site in range(3)]
+        assert all(r.means[0].any() for r in runs)
+        assert_pinned("greedy-mc/mixed", b"".join(r.means.tobytes() + r.std_errors.tobytes()
+                                                  for r in runs))
+
+    @pytest.mark.pinned
     def test_one_value_site_pinned(self, assert_pinned):
         # site 1 takes one value: the resample changes no run, so none disagrees
         got = greedy_disagreement_mc(one_value_site(), 1, 6, 500, seed=3)
@@ -1267,11 +1285,27 @@ class TestOneCallStep:
         assert np.array_equal(a, b) and (a > 0).all()
         assert not rowwise_maximal_coupling_rows(P, P, *u)[0].any()
 
+    @pytest.mark.parametrize("m, pad", [(1, 0), (1, 2), (2, 0), (3, 1), (4, 0), (7, 0)])
+    def test_coupling_rows_equal_the_rowwise_oracle(self, m, pad):
+        # below 8 values the oracle's row sum adds in order, so both draw the
+        # same indices: equal rows (the synchronized refresh), distinct rows,
+        # and trailing zero values, as in a padded alphabet
+        rng = np.random.default_rng(70 + 10 * m + pad)
+        P, Q = (np.hstack([rng.dirichlet(np.ones(m), 3000), np.zeros((3000, pad))])
+                for _ in range(2))
+        Q[:1000] = P[:1000]
+        U = rng.random((4, 3000))
+        a, b = _maximal_coupling_rows(np.stack([P.T, Q.T], axis=1), U)
+        ea, eb = rowwise_maximal_coupling_rows(P, Q, *U)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, ea) and np.array_equal(b, eb)
+        assert np.array_equal(a[:1000], b[:1000]) and (a < m).all() and (b < m).all()
+
     @pytest.mark.parametrize("make", [mixed_table, alphabet9, product3],
                              ids=["mixed", "alphabet9", "product3"])
     def test_one_gather_and_coupling_call_per_step(self, make, monkeypatch):
-        # both chains go through one gather, one coupling call and two
-        # samplers: the overlap draw and one draw for both residuals
+        # both chains go through one gather, one coupling call and one
+        # sampler call: the overlap draw and both residual draws
         calls = {"_conditional_rows": 0, "_maximal_coupling_rows": 0, "_sample_rows": 0}
 
         def counting(name, f):
@@ -1287,7 +1321,7 @@ class TestOneCallStep:
         rng = np.random.default_rng(43)
         Z = np.stack([m.sample(rng, 400).T, m.sample(rng, 400).T])
         coupled_step(m, Z, rng)
-        assert calls == {"_conditional_rows": 1, "_maximal_coupling_rows": 1, "_sample_rows": 2}
+        assert calls == {"_conditional_rows": 1, "_maximal_coupling_rows": 1, "_sample_rows": 1}
 
     def test_site_tables(self):
         m = mixed_table()
@@ -1443,6 +1477,30 @@ class TestTailPathBytes:
         assert H.tobytes() == einsum_batch(obs, values).tobytes()
         parts = H.view(float)
         assert (parts == 0).sum() == 23 and not np.signbit(parts[parts == 0]).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batch_bytes_by_dimension(self, d):
+        # +-1, general and exactly cancelling value rows: coefficients 0 and 1
+        # are equal and coefficient 2 is their negation, so rows (x, -x, 0, ...)
+        # and (x, 0, x, 0, ...) sum to exact zeros, which end +0.0 in every
+        # entry, the lower triangle's real and imaginary parts included
+        A = draw(d, 500 + d).mat
+        mats = [A, A, -A] + [draw(d, 510 + 10 * d + k).mat for k in range(4)]
+        obs = RademacherSumObservable(mats)
+        rng = np.random.default_rng(d)
+        signs = rng.choice([-1.0, 1.0], size=(300, 7))
+        general = np.round(rng.normal(size=(300, 7)) * 3.0, 2)
+        cancel = np.zeros((300, 7))
+        x = general[:, 0]
+        cancel[:150, 0], cancel[:150, 1] = x[:150], -x[:150]
+        cancel[150:, 0], cancel[150:, 2] = x[150:], x[150:]
+        for values in (signs, general, cancel, np.zeros((0, 7))):
+            H = obs.batch(values)
+            assert H.shape == (len(values), d, d) and H.dtype == np.complex128
+            assert H.tobytes() == einsum_batch(obs, values).tobytes()
+            parts = H.view(float)
+            assert not np.signbit(parts[parts == 0]).any()
+        assert not obs.batch(cancel).any()
 
     def test_one_nine_and_two_value_sites_equal_the_oracles(self):
         # one-value sites (a cdf of 1.0 alone; a model of them only makes no
@@ -1707,11 +1765,24 @@ def mixed_product_tail():
     return model, obs, np.concatenate([[lam[0] - 1.0], (lam[:-1] + lam[1:]) / 2])
 
 
+def wide_product_tail(d):
+    """A product model on five sites with 2 to 4 values each, not +-1 (zero,
+    fractional and same-sign values), and a d x d Rademacher sum over them."""
+    model = DiscreteModel.from_product(
+        [(-1.5, 0.0, 2.25), (0.5, 3.0), (-2.0, -0.75, 0.0, 1.0), (1.0, 4.0), (-0.5, 0.5, 2.0)],
+        [[0.3, 0.2, 0.5], [0.6, 0.4], [0.1, 0.2, 0.3, 0.4], [0.5, 0.5], [0.25, 0.5, 0.25]])
+    obs = RademacherSumObservable([draw(d, 200 + 10 * d + k, 0.5) for k in range(model.n)])
+    return model, obs
+
+
 # sampled tails whose estimates have their bytes pinned: the multi-value product
-# sampler under an exact mean, and the piloted mean of an observable without one
-# on 17 biased +-1 sites (S = 131072 > MEAN_ENUM_CAP)
+# sampler under an exact mean, d = 3 and d = 4 sums over a non-+-1 product, and
+# the piloted mean of an observable without one on 17 biased +-1 sites
+# (S = 131072 > MEAN_ENUM_CAP)
 PINNED_TAILS = {
     "mixed-product": lambda: (*mixed_product_tail(), 20000, 7),
+    "wide-d3": lambda: (*wide_product_tail(3), np.linspace(2.0, 5.0, 16), 20000, 13),
+    "wide-d4": lambda: (*wide_product_tail(4), np.linspace(1.6, 4.8, 17), 20000, 14),
     "pilot-17": lambda: (
         DiscreteModel.from_product([(-1.0, 1.0)] * 17,
                                    [[0.2 + 0.6 * k / 16, 0.8 - 0.6 * k / 16] for k in range(17)]),

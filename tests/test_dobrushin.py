@@ -435,6 +435,17 @@ class TestTvDistance:
 
 
 class TestDobrushinMatrix:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_value_sum_has_the_bits_of_numpys_row_sum(self, m):
+        # in-order slice adds below 8 values, NumPy's pairwise sum from 8: on
+        # contiguous rows, on strided views, and on values spanning many scales
+        rng = np.random.default_rng(m)
+        for shape in ((1, m), (7, m), (4608, m), (9, 64, 4, m), (3, 5, 2, m)):
+            x = rng.random(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            for view in (x, x[..., ::-1], x[::2]):
+                assert dobrushin._value_sum(view).tobytes() == \
+                    np.ascontiguousarray(view.sum(axis=-1)).tobytes(), (shape, m)
+
     def test_independent_is_zero(self):
         m = DiscreteModel.from_product([(0, 1)] * 3, [[0.4, 0.6]] * 3)
         D = dobrushin_matrix(m)
