@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _coerce_all, _spectral_norm
+from .hermitian import HermitianMatrix, _coerce_all, _integer, _spectral_norm
 
 
 class DifferenceBoundSet:
@@ -61,6 +61,7 @@ def dobrushin_constant(norm1: float, norm_inf: float) -> float:
 def _exp_bound(d: int, denom: float, t: float) -> float:
     if not t >= 0:  # NaN fails too
         raise ValueError("t must be >= 0")
+    d = _integer("d", d)
     if d < 1:
         raise ValueError("d must be >= 1")
     if not denom >= 0:
@@ -125,6 +126,7 @@ def laplace_infimum(variance: float, t: float, theta_grid, d: int = 1) -> Laplac
         raise ValueError("t and every theta grid point must be finite")
     if not (np.all(grid > 0) or np.all(grid < 0)):
         raise ValueError("theta grid must be strictly one-signed")
+    d = _integer("d", d)
     if d < 1:
         raise ValueError("d must be >= 1")
 

@@ -42,6 +42,8 @@ from .hermitian import (
     _integer,
     _lambda_max_against,
     _spectral_norm,
+    _to_params,
+    _upper_indices,
 )
 
 WILSON_Z95 = 1.959963984540054
@@ -100,17 +102,14 @@ class RademacherSumObservable(MatrixObservable):
         self.matrices = _coerce_all(matrices)
         self.dim = self.matrices[0].dim
         self._stack = np.stack([M.mat for M in self.matrices])
-        # each coefficient's d^2 independent reals, (n, d^2): the real upper
-        # triangle with the diagonal, then the imaginary strict upper triangle,
-        # both row by row
-        lower = np.tri(self.dim, dtype=bool)  # on and below the diagonal
-        self._parts = np.concatenate([self._stack.real[:, lower.T], self._stack.imag[:, ~lower]],
-                                     axis=1)
+        # each coefficient's d^2 independent reals, (n, d^2), in _to_params's
+        # layout: the diagonal, then the real and the imaginary upper triangle
+        self._parts = _to_params(self._stack)
 
     def batch(self, values_matrix: np.ndarray) -> np.ndarray:
         """H of every (b, n) value row, shape (b, d, d): einsum's products of
         the d^2 independent reals, added in site order to +0.0, value-major,
-        then mirrored.
+        then written to both triangles.
 
         A +0.0 start makes every zero sum +0.0, whatever the signs of the
         zero products.  The coefficients are exactly Hermitian, so each lower
@@ -126,19 +125,15 @@ class RademacherSumObservable(MatrixObservable):
         sums = np.zeros((d * d, len(values)))
         for f, v in zip(self._parts, values.T):
             sums += f[:, None] * v
+        (i, j), k = _upper_indices(d), np.arange(d)
+        upper_re, upper_im = sums[d:d + len(i)], sums[d + len(i):]
         out = np.empty((len(values), d, d), dtype=np.complex128)
-        re, im = out.real, out.imag
-        rows = iter(sums)
-        for i in range(d):
-            re[:, i, i] = next(rows)
-            im[:, i, i] = 0.0
-            for j in range(i + 1, d):
-                re[:, i, j] = re[:, j, i] = next(rows)
-        for i in range(d):
-            for j in range(i + 1, d):
-                x = next(rows)
-                im[:, i, j] = x
-                np.subtract(0.0, x, out=im[:, j, i])
+        H = out.transpose(1, 2, 0)  # (d, d, b) view
+        re, im = H.real, H.imag
+        re[k, k], im[k, k] = sums[:d], 0.0
+        re[i, j] = re[j, i] = upper_re
+        im[i, j] = upper_im
+        im[j, i] = np.subtract(0.0, upper_im, out=upper_im)  # over the sums' own rows
         return out
 
     def _check_sites(self, n: int) -> None:
@@ -164,7 +159,9 @@ class TableObservable(MatrixObservable):
     """Explicit value-configuration -> matrix mapping, each entry certified Hermitian."""
 
     def __init__(self, mapping: dict, dim: int):
-        self.dim = int(dim)
+        self.dim = _integer("dim", dim)
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         self._map = {}
         for k, v in mapping.items():
             v = np.asarray(v, dtype=np.complex128)

@@ -152,6 +152,18 @@ class TestTailBounds:
             with pytest.raises(ValueError):
                 call()
 
+    @pytest.mark.parametrize("f", [tail_bound_independent, hoeffding_bound, tropp_bound,
+                                   lambda d, v, t: tail_bound_dependent(d, v, 1.5, t)],
+                             ids=["independent", "hoeffding", "tropp", "dependent"])
+    def test_dimension_must_be_an_integer(self, f):
+        # d = 1.5 once gave a bound of 0.5518 and d = True counted as 1
+        for d in (1.5, True, np.float64(2.5)):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                f(d, 1.0, 1.0)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            f(0, 1.0, 1.0)
+        assert f(np.int64(2), 1.0, 1.0) == f(2.0, 1.0, 1.0) == f(2, 1.0, 1.0)
+
     def test_display_clamp(self):
         assert display_clamp(2 * math.exp(-0.5)) == 1.0
         assert display_clamp(0.25) == 0.25
@@ -215,3 +227,12 @@ class TestLaplaceInfimum:
     def test_non_finite_t_or_grid_refused(self, t, grid):
         with pytest.raises(ValueError, match="finite"):
             laplace_infimum(1.0, t, grid, d=2)
+
+    def test_dimension_must_be_an_integer(self):
+        for d in (2.5, True):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                laplace_infimum(1.0, 1.0, self.GRID, d=d)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            laplace_infimum(1.0, 1.0, self.GRID, d=0)
+        assert (laplace_infimum(1.0, 1.0, self.GRID, d=2.0)
+                == laplace_infimum(1.0, 1.0, self.GRID, d=2))

@@ -1081,6 +1081,13 @@ class TestHamming:
         with pytest.raises(HermiticityError):
             TableObservable({(1.0,): [[0, 5], [0, 0]], (-1.0,): [[0, -5], [0, 0]]}, 2)
 
+    @pytest.mark.parametrize("dim", [2.7, True, 0])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        # 2.7 was read as 2, True as 1, and dim 0 failed only at the next call
+        with pytest.raises(ValueError, match="dim must be"):
+            TableObservable({(0.0,): np.eye(int(dim))}, dim)
+        assert TableObservable({(0.0,): np.eye(2)}, 2.0).dim == 2
+
     def test_entries_are_stored_as_their_hermitian_part(self):
         M = np.array([[1.0, 2.0 + 1e-15], [2.0, 3.0]])
         obs = TableObservable({(0,): M}, 2)
@@ -1478,12 +1485,13 @@ class TestTailPathBytes:
         parts = H.view(float)
         assert (parts == 0).sum() == 23 and not np.signbit(parts[parts == 0]).any()
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", range(1, 9))
     def test_batch_bytes_by_dimension(self, d):
         # +-1, general and exactly cancelling value rows: coefficients 0 and 1
         # are equal and coefficient 2 is their negation, so rows (x, -x, 0, ...)
         # and (x, 0, x, 0, ...) sum to exact zeros, which end +0.0 in every
-        # entry, the lower triangle's real and imaginary parts included
+        # entry, the lower triangle's real and imaginary parts included; and
+        # batches of one and two rows, as a single call makes
         A = draw(d, 500 + d).mat
         mats = [A, A, -A] + [draw(d, 510 + 10 * d + k).mat for k in range(4)]
         obs = RademacherSumObservable(mats)
@@ -1494,7 +1502,8 @@ class TestTailPathBytes:
         x = general[:, 0]
         cancel[:150, 0], cancel[:150, 1] = x[:150], -x[:150]
         cancel[150:, 0], cancel[150:, 2] = x[150:], x[150:]
-        for values in (signs, general, cancel, np.zeros((0, 7))):
+        for values in (signs, general, cancel, np.zeros((0, 7)), general[:1], signs[:2],
+                       cancel[149:151]):
             H = obs.batch(values)
             assert H.shape == (len(values), d, d) and H.dtype == np.complex128
             assert H.tobytes() == einsum_batch(obs, values).tobytes()
