@@ -142,8 +142,8 @@ def _inequality_ids(name: str, value) -> list[str]:
 
 
 def _grid(name: str, value) -> list[float]:
-    """A nonempty float grid from "start:stop:step" (finite, start <= stop,
-    step > 0), a comma list or a list of numbers."""
+    """A nonempty grid of finite floats >= 0 from "start:stop:step" (finite,
+    start <= stop, step > 0), a comma list or a list of numbers."""
     if isinstance(value, list):
         grid = [_number(name, v) for v in value]
     elif not isinstance(value, str):
@@ -162,6 +162,8 @@ def _grid(name: str, value) -> list[float]:
         grid = [float(tok) for tok in value.split(",") if tok]
     if not grid:
         raise ValueError(f"{name} is empty")
+    if not all(math.isfinite(t) and t >= 0 for t in grid):
+        raise ValueError(f"grid {value!r} needs finite points >= 0")
     return grid
 
 

@@ -229,15 +229,16 @@ def _advance(pos: _Scan, n_params: int, moved: bool) -> _Scan:
 
 
 def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
-                          scale: float = 1.0, entry: ConvexCatalogEntry | None = None,
-                          descent_budget: int | None = None) -> SearchResult:
+                          scale: float = 1.0,
+                          entry: ConvexCatalogEntry | None = None) -> SearchResult:
     """Two-phase gap minimization: seeded random sampling, then coordinate descent.
 
     Phase one spends ``budget`` evaluations cycling over all ensemble kinds and
     requested dimensions.  Phase two perturbs the Hermitian degrees of freedom
-    of the worst instance coordinate by coordinate with halving step sizes,
-    until stationarity or the descent budget runs out.  Drawn inputs are
-    certified once, as one stack per dim; descent candidates are assembled
+    of the worst instance coordinate by coordinate with halving step sizes and
+    spends at most ``budget`` evaluations, the first on its starting point; it
+    spends fewer only once the step falls below 1e-6 * ``scale``.  Drawn inputs
+    are certified once, as one stack per dim; descent candidates are assembled
     exactly Hermitian from their parameters.  Fully reproducible from the seed.
     fconj needs a catalog ``entry``; expconj, the exp entry's bound, takes none.
 
@@ -260,8 +261,6 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
         raise ValueError("fconj search needs a catalog entry" if entry is None
                          else "expconj search takes no catalog entry (it is the exp entry)")
     kinds, dims = _trial_grid(ENSEMBLE_KINDS, dims, scale)
-    descent_budget = _integer("descent_budget",
-                              budget if descent_budget is None else descent_budget)
     if inequality_id == "expconj":
         entry = CATALOG["exp"]
     evaluate = functools.partial(_search_gaps, inequality_id, entry)
@@ -280,12 +279,12 @@ def counterexample_search(inequality_id: str, dims, budget: int, seed: int,
     floor = 1e-6 * scale
     pos = _Scan(0, 0, 0.25 * scale, False, 0)
     size = _DESCENT_BLOCKS[0]
-    with_base = descent_budget > 0  # the first stack evaluates the starting point too
-    evals_used = int(with_base)
-    while with_base or (evals_used < descent_budget and pos.step >= floor):
+    with_base = True  # the first stack evaluates the starting point too
+    evals_used = 1
+    while with_base or (evals_used < budget and pos.step >= floor):
         ahead = []  # the next scan positions if no candidate improves
         after = pos
-        while len(ahead) < min(size, descent_budget - evals_used) and after.step >= floor:
+        while len(ahead) < min(size, budget - evals_used) and after.step >= floor:
             ahead.append(after)
             after = _advance(after, current.size, False)
         V = np.repeat(current[None], with_base + len(ahead), axis=0)

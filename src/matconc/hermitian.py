@@ -442,14 +442,6 @@ def _gaussian_hermitian(rng, shape: tuple, scale: float) -> np.ndarray:
     return scale * (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_mask(dim: int) -> np.ndarray:
-    """Read-only (dim, dim) mask of the entries strictly above the diagonal."""
-    mask = np.tri(dim, k=-1, dtype=bool).T
-    mask.setflags(write=False)
-    return mask
-
-
 def _draw(kind: str, d: int, scale: float, rng: np.random.Generator, count: int,
           shared: int | None = None) -> np.ndarray:
     """(count, d, d) complex stack of uncertified draws of one kind, from one
@@ -494,9 +486,9 @@ def _draw(kind: str, d: int, scale: float, rng: np.random.Generator, count: int,
     if kind == "integer-entry":
         m = max(1, int(round(scale)))
         S, K = rng.integers(-m, m + 1, size=(2, *shape))
-        upper = _upper_mask(d)
-        K = np.where(upper, K, 0)
-        return _complex(np.where(upper.T, S.swapaxes(-1, -2), S), K - K.swapaxes(-1, -2))
+        lower = np.tri(d, k=-1, dtype=bool)  # strictly below the diagonal
+        K = np.where(lower.T, K, 0)
+        return _complex(np.where(lower, S.swapaxes(-1, -2), S), K - K.swapaxes(-1, -2))
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 

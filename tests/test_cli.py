@@ -110,12 +110,13 @@ class TestBoundCommand:
                         "--out", o]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
-    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1",
-                                      pytest.param("", id="empty")])
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "1:0:0.5", "0:inf:1", "0,inf",
+                                      "0,-1", "-1:1:0.5", pytest.param("", id="empty")])
     def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
-        # a zero step once divided by zero (exit 3); a negative one wrote an empty table
+        # a zero step once divided by zero (exit 3); a negative one wrote an
+        # empty table; 0,inf wrote an inf,0,,0 row and exited 0
         out = tmp_path / "b.csv"
-        assert run(["bound", "--t", grid, "--out", out]) == 2
+        assert run(["bound", f"--t={grid}", "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
@@ -480,6 +481,24 @@ class TestMcTailCommand:
         rows = read_csv(out)
         for row in rows[1:]:
             assert row[4] == row[5] == row[6]  # exact: interval collapses
+
+    @pytest.mark.parametrize("t_grid", [[0.0, -1.0], [0.0, math.nan], "0,-1",
+                                        {"sigma_multiples": [0.0, -2.0]}],
+                             ids=["negative", "nan", "comma-list", "negative-sigma-multiple"])
+    def test_bad_grid_point_exits_2_before_the_tail(self, tmp_path, capsys, monkeypatch,
+                                                     t_grid):
+        # each computed the whole exhaustive tail, then exited 2 on "t must be >= 0"
+        def never(*args):
+            raise AssertionError("the tail was computed")
+
+        monkeypatch.setattr("matconc.cli.exhaustive_tail", never)
+        monkeypatch.setattr("matconc.cli.mc_tail_estimate", never)
+        path = self.make_config(tmp_path, samples=200)
+        cfg = {**json.loads(path.read_text()), "mode": "exhaustive", "t_grid": t_grid}
+        path.write_text(json.dumps(cfg))
+        assert run(["mc-tail", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert "needs finite points >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("beta", [0.0, 0.2], ids=["independent", "ising"])
     def test_exact_tail_under_every_bound_column(self, tmp_path, beta):

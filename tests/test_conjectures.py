@@ -214,10 +214,21 @@ class TestScalarOracle:
 
 
 class TestSearch:
-    def test_budget_one_is_single_evaluation(self):
-        r = counterexample_search("expconj", [2], 1, seed=5, descent_budget=0)
+    def test_budget_one_is_single_evaluation(self, monkeypatch):
+        # one random evaluation, then one descent evaluation: the starting
+        # point re-evaluated, a stack of one with no candidate beside it
+        stacks = []
+        gaps_in_order = conjectures._gaps_in_order
+
+        def recorded(evaluate, X):
+            stacks.append(len(X))
+            return gaps_in_order(evaluate, X)
+
+        monkeypatch.setattr(conjectures, "_gaps_in_order", recorded)
+        r = counterexample_search("expconj", [2], 1, seed=5)
         assert r.trajectory["random_evals"] == 1
-        assert r.trajectory["descent_evals"] == 0
+        assert r.trajectory["descent_evals"] == 1
+        assert stacks == [1]
         assert r.verdict == "supported"
 
     def test_deterministic_rerun(self):
@@ -231,15 +242,14 @@ class TestSearch:
         assert (r.trajectory["best_final_gap_normalized"]
                 <= r.trajectory["best_random_gap_normalized"] + 1e-15)
 
-    @pytest.mark.parametrize("change", [{"seed": 5.8}, {"descent_budget": 3.9},
-                                        {"budget": 2.5}, {"budget": True}])
+    @pytest.mark.parametrize("change", [{"seed": 5.8}, {"budget": 2.5}, {"budget": True}])
     def test_non_integer_counts_refused(self, change):
-        # seed 5.8 and descent budget 3.9 ran as 5 and 3
-        args = {"budget": 4, "seed": 5, "descent_budget": 3, **change}
+        # seed 5.8 ran as 5
+        args = {"budget": 4, "seed": 5, **change}
         with pytest.raises(ValueError, match="must be an integer"):
             counterexample_search("expconj", [2], **args)
-        ints = counterexample_search("expconj", [2], 4, seed=5, descent_budget=3)
-        assert counterexample_search("expconj", [2], 4.0, seed=5.0, descent_budget=3.0) == ints
+        ints = counterexample_search("expconj", [2], 4, seed=5)
+        assert counterexample_search("expconj", [2], 4.0, seed=5.0) == ints
 
     def test_fconj_requires_entry(self):
         with pytest.raises(ValueError):
@@ -252,12 +262,12 @@ class TestSearch:
 
     def test_fconj_supported(self):
         r = counterexample_search("fconj", [2, 3], 40, seed=17,
-                                  entry=catalog_entry("square"), descent_budget=40)
+                                  entry=catalog_entry("square"))
         assert r.verdict == "supported"
         assert r.inequality_id == "fconj:square"
 
     def test_result_serialization(self, tmp_path):
-        r = counterexample_search("expconj", [2], 10, seed=19, descent_budget=5)
+        r = counterexample_search("expconj", [2], 10, seed=19)
         path = tmp_path / "res.json"
         save_search_result(path, r)
         obj = json.loads(path.read_text())
@@ -266,7 +276,7 @@ class TestSearch:
         assert obj["budget"] == 10
 
     def test_certified_error_scales(self):
-        r = counterexample_search("expconj", [2], 5, seed=23, descent_budget=0)
+        r = counterexample_search("expconj", [2], 5, seed=23)
         assert r.certified_error > 0
         assert r.best_gap >= -r.certified_error
 
@@ -291,8 +301,7 @@ class TestSearch:
 
         monkeypatch.setattr(conjectures, "_certify", counting_certify)
         monkeypatch.setattr(hermitian.HermitianMatrix, "__init__", no_construction)
-        counterexample_search("fconj", [2, 3], 24, seed=3, entry=CATALOG["square"],
-                              descent_budget=30)
+        counterexample_search("fconj", [2, 3], 24, seed=3, entry=CATALOG["square"])
         # the random phase certifies one stack per dim; descent candidates
         # are assembled Hermitian and certify nothing
         assert certified == [(12, 3, 2, 2), (12, 3, 3, 3)]
@@ -377,7 +386,7 @@ class TestSearch:
                     assert (again.lhs, again.rhs, again.gap) == (rep.lhs, rep.rhs, rep.gap)
                 else:
                     assert abs(again.gap - rep.gap) <= 1e-10 * dim * rep.params["anchor"]
-        r = counterexample_search("fconj", [2, 3], 24, seed=3, entry=entry, descent_budget=30)
+        r = counterexample_search("fconj", [2, 3], 24, seed=3, entry=entry)
         save_search_result(tmp_path / "result.json", r)
         w = json.loads((tmp_path / "result.json").read_text())["witness"]
         again = gap_conjecture_f(*(matrix_from_obj(w[k]) for k in "ABC"), entry)
@@ -388,17 +397,18 @@ class TestSearch:
 @pytest.mark.pinned
 @pytest.mark.parametrize("name", sorted(["expconj", *CATALOG]))
 def test_search_bytes_pinned(name, tmp_path, assert_pinned):
-    # the bytes of the saved search results, recorded from RNG stream 3 (one
+    # the bytes of the saved search results, recorded under RNG stream 4 (one
     # generator per run) and output format 2 (compact JSON)
     ineq, entry = ("expconj", None) if name == "expconj" else ("fconj", CATALOG[name])
-    r = counterexample_search(ineq, range(2, 7), 60, seed=2024, entry=entry, descent_budget=120)
-    assert r.trajectory["descent_evals"] == 120
+    budget = 120
+    r = counterexample_search(ineq, range(2, 7), budget, seed=2024, entry=entry)
+    assert r.trajectory["random_evals"] == r.trajectory["descent_evals"] == budget
     path = tmp_path / "result.json"
     save_search_result(path, r)
     assert_pinned(f"search/{name}", path.read_bytes())
 
 
-def _traced_search(monkeypatch, ineq, entry, dims, budget, seed, descent_budget, scale):
+def _traced_search(monkeypatch, ineq, entry, dims, budget, seed, scale):
     """A search with its descent recorded: per descent stack its size, the
     candidates taken from it and whether the whole stack was refused; the
     scan position and parameter count of every accepted move; and every
@@ -433,7 +443,7 @@ def _traced_search(monkeypatch, ineq, entry, dims, budget, seed, descent_budget,
     monkeypatch.setattr(conjectures, "_gaps_in_order", recorded_stacks)
     monkeypatch.setattr(conjectures, "_advance", recorded_advance)
     monkeypatch.setattr(conjectures, "_end_sweep", recorded_end)
-    return _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale), trace
+    return _pinned_search(ineq, entry, dims, budget, seed, scale), trace
 
 
 def _long_descent(r, trace):
@@ -456,26 +466,25 @@ def _refused_after_move(r, trace):
 
 
 # saved searches whose descent test_search_bytes_pinned does not reach, their
-# bytes pinned from RNG stream 3 and output format 2: (ineq, entry, dims,
-# budget, seed, descent_budget, scale) and the check that the descent takes
-# the branch the name states (None: any seed does)
+# bytes pinned under RNG stream 4 and output format 2: (ineq, entry, dims,
+# budget, seed, scale) and the check that the descent takes the branch the
+# name states (None: any seed does)
 PINNED_DESCENTS = {
     # sweeps complete and halve the step; moves land inside a block, on a
     # sweep's last candidate, and the budget ends the last sweep
-    "long-descent": (("expconj", None, [2], 12, 5, 400, 1.0), _long_descent),
+    "long-descent": (("expconj", None, [2], 400, 3, 1.0), _long_descent),
     # the per-dim random stacks interleave in trial order
-    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 60, 1.0), None),
+    "interleaved-dims": (("fconj", "cube", [2, 5, 3], 40, 77, 1.0), None),
     # the budget runs out inside a descent block
-    "budget-mid-block": (("expconj", None, [4], 10, 9, 37, 1.0), _budget_mid_block),
+    "budget-mid-block": (("expconj", None, [4], 10, 0, 1.0), _budget_mid_block),
     # descent stacks that hold a refused candidate after the accepted one
-    "refused-after-move": (("fconj", "quartic", [2], 5, 101, 60, 1.3e61), _refused_after_move),
+    "refused-after-move": (("fconj", "quartic", [2], 5, 74, 1.3e61), _refused_after_move),
 }
 
 
-def _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale):
+def _pinned_search(ineq, entry, dims, budget, seed, scale):
     return counterexample_search(ineq, dims, budget, seed=seed, scale=scale,
-                                 entry=CATALOG[entry] if entry else None,
-                                 descent_budget=descent_budget)
+                                 entry=CATALOG[entry] if entry else None)
 
 
 @pytest.mark.pinned
@@ -483,14 +492,14 @@ def _pinned_search(ineq, entry, dims, budget, seed, descent_budget, scale):
 def test_descent_bytes_pinned(name, tmp_path, monkeypatch, assert_pinned):
     args, reached = PINNED_DESCENTS[name]
     r, trace = _traced_search(monkeypatch, *args)
-    assert r.trajectory["descent_evals"] == args[5]
+    assert r.trajectory["descent_evals"] == args[3]
     assert reached is None or reached(r, trace)
     path = tmp_path / "result.json"
     save_search_result(path, r)
     assert_pinned(f"descent/{name}", path.read_bytes())
 
 
-def _first_refused_trial(seeded_trials, ineq, entry, dims, budget, seed, descent_budget, scale):
+def _first_refused_trial(seeded_trials, ineq, entry, dims, budget, seed, scale):
     """The first random trial that a trial-by-trial search refuses, in its draw
     or in its evaluation as a stack of one, or None."""
     entry = CATALOG[entry or "exp"]
@@ -510,16 +519,16 @@ def _first_refused_trial(seeded_trials, ineq, entry, dims, budget, seed, descent
 # refuses), and the error; the first refused random instance is not instance 0,
 # or the refusal comes from the descent or a draw
 PINNED_REFUSALS = {
-    "expconj-trial-6": (("expconj", None, [2, 3], 24, 9, 0, 200.0), 6, SpectralDomainError,
+    "expconj-trial-6": (("expconj", None, [2, 3], 24, 9, 200.0), 6, SpectralDomainError,
                         "scalar function undefined at eigenvalue 740.0256233160883 "
                         "(value not finite or above max/4)"),
-    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 0, 0, 2e61), 2, SpectralDomainError,
+    "quartic-trial-2": (("fconj", "quartic", [2, 3], 24, 0, 2e61), 2, SpectralDomainError,
                         "scalar function undefined at eigenvalue 5.608736699331284e+61 "
                         "(split-part bound not finite)"),
-    "quartic-descent": (("fconj", "quartic", [2], 5, 74, 60, 1.3e61), None, SpectralDomainError,
-                        "scalar function undefined at eigenvalue 4.198107018051353e+61 "
+    "quartic-descent": (("fconj", "quartic", [2], 5, 144, 1.3e61), None, SpectralDomainError,
+                        "scalar function undefined at eigenvalue 3.8449179994695544e+61 "
                         "(split-part bound not finite)"),
-    "integer-draw-trial-5": (("fconj", "quartic", [2, 3], 24, 0, 0, 1e61), 5, ValueError,
+    "integer-draw-trial-5": (("fconj", "quartic", [2, 3], 24, 0, 1e61), 5, ValueError,
                              "low is out of bounds for int64"),
 }
 
@@ -548,7 +557,7 @@ def test_random_refusal_is_the_first_in_trial_order(seeded_trials):
             refused.append((t, str(err)))
     assert [t for t, _ in refused][:2] == [6, 14]
     with pytest.raises(SpectralDomainError) as exc:
-        counterexample_search("expconj", [2, 3], 24, seed=9, scale=200.0, descent_budget=0)
+        counterexample_search("expconj", [2, 3], 24, seed=9, scale=200.0)
     assert str(exc.value) == refused[0][1]
 
 

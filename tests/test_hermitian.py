@@ -660,7 +660,7 @@ class TestBatchedDraw:
         draw = conjectures._draw
         monkeypatch.setattr(conjectures, "_draw",
                             lambda *args: seen.append(draw(*args)) or seen[-1])
-        conjectures.counterexample_search("expconj", dims, 40, 11, descent_budget=0)
+        conjectures.counterexample_search("expconj", dims, 40, 11)
         assert len(seen) == 40
         fresh = seeded_trials(11, kinds, dims, 40,
                               lambda kind, dim, rng: draw(kind, dim, 1.0, rng, 3))
@@ -951,7 +951,7 @@ class TestSharedBoundaryHelpers:
         monkeypatch.setattr(traceineq, "_trials_in_order", recording("fuzz"))
         monkeypatch.setattr(conjectures, "_trials_in_order", recording("search"))
         traceineq.fuzz_grid("exchangeable", ENSEMBLE_KINDS, (2, 3), 20, 1.0, 5)
-        conjectures.counterexample_search("expconj", (2, 3), 20, 5, descent_budget=0)
+        conjectures.counterexample_search("expconj", (2, 3), 20, 5)
         for key in ("fuzz", "search"):
             def stated(kind, dim, rng, drawn=draws[key]):
                 state = str(rng.bit_generator.state)
