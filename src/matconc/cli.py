@@ -1,13 +1,14 @@
 """Command-line front end: deterministic orchestration and CSV/JSON reports.
 
 Exit codes: 0 success, 1 inequality violation or counterexample candidate,
-2 a refused input (a ValueError or OSError: a usage or config error, a
-non-Hermitian input matrix, a model above its enumeration cap), 3 a numerical
-failure (an ArithmeticError or LinAlgError: an eigensolver failure, a spectral
-function undefined or overflowing at an eigenvalue, an overflowed draw or
-variance sigma^2).  Every command writes a run manifest next to its outputs;
-data files themselves carry no timestamps, so reruns with the same config and
-seed are byte-identical.
+2 a refused input (a ValueError, OSError or MemoryError: a usage or config
+error, a non-Hermitian input matrix, a model above its enumeration cap, a
+dobrushin kmax outside [0, MAX_POINTS], a request too large for memory), 3 a
+numerical failure (an ArithmeticError or LinAlgError: an eigensolver failure,
+a spectral function undefined or overflowing at an eigenvalue, an overflowed
+or underflowed draw, an overflowed variance sigma^2).  Every command writes a
+run manifest next to its outputs; data files themselves carry no timestamps,
+so reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-MAX_POINTS = 1_000_000  # points in one "start:stop:step" grid or "lo..hi" range
+MAX_POINTS = 1_000_000  # points in one "start:stop:step" grid or "lo..hi" range, and largest kmax
 
 
 def _fmt(x) -> str:
@@ -119,6 +120,14 @@ def _parse_range(name: str, value) -> list[int]:
             raise ValueError(f"{name} {value!r} has more than {MAX_POINTS} points")
         return list(range(lo, hi + 1))
     return [int(tok) for tok in value.split(",") if tok]
+
+
+def _kmax(name: str, value) -> int:
+    """An integer in [0, MAX_POINTS], refused before any model is built."""
+    k = _integer(name, value)
+    if not 0 <= k <= MAX_POINTS:
+        raise ValueError(f"{name} must lie in [0, {MAX_POINTS}], got {k}")
+    return k
 
 
 def _names(name: str, value) -> list[str]:
@@ -522,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="interdependence matrix, norms, and contraction report")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--kmax", type=int, default=20)
-    p.set_defaults(func=cmd_dobrushin, fields={"model": None, "kmax": _integer})
+    p.set_defaults(func=cmd_dobrushin, fields={"model": None, "kmax": _kmax})
 
     p = sub.add_parser("conjecture", parents=[shared, drawing], help="counterexample search")
     p.add_argument("--ineq", type=str, default="expconj")
@@ -555,6 +564,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy refuses an allocation before touching memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -505,9 +505,14 @@ def _trial_grid(kinds, dims, scale: float) -> tuple[tuple, tuple]:
 
 def _refuse_overflow(kind: str, scale: float, draw) -> None:
     """Raise ``ArithmeticError`` naming ``kind`` and ``scale`` if ``draw`` (a stack, or
-    stacks and scalars), having failed certification, holds a value that is not finite."""
+    stacks and scalars), having failed certification, holds a value that is not finite,
+    or a nonzero one below the smallest normal float, whose rounding steps exceed the
+    Hermiticity tolerance once max |entry| is subnormal too."""
     if not all(np.isfinite(part).all() for part in draw):
         raise ArithmeticError(f"{kind} draw at scale {scale!r} is not finite")
+    with np.errstate(over="ignore"):  # a modulus that overflows is not subnormal
+        if any(((0 < a) & (a < np.finfo(float).tiny)).any() for a in map(np.abs, draw)):
+            raise ArithmeticError(f"{kind} draw at scale {scale!r} underflows")
 
 
 def sample_ensemble(spec: EnsembleSpec):

@@ -147,9 +147,7 @@ def _exp_difference(C, D, eA, eB, theta):
 
 def _exchangeable(A, B, C) -> _Gaps:
     n = len(A)
-    # not _exp_scaled: symmetrizing 1 * A changes the bits of subnormal entries
-    E = _exp(*_decompose(np.concatenate([A, B])))
-    return _Gaps("exchangeable", *_exp_difference(C, A - B, E[:n], E[n:], 1.0),
+    return _Gaps("exchangeable", *_exp_difference(C, A - B, *_exp_scaled(np.ones(n), A, B), 1.0),
                  {"A": A, "B": B, "C": C}, [{}] * n)
 
 

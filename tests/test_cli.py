@@ -228,6 +228,23 @@ class TestVerifyTraces:
         assert err == f"numerical failure: {kind} draw at scale 1e+308 is not finite\n"
         assert not (out / "fuzz-psd_cross.json").exists()
 
+    def test_subnormal_draw_exits_3(self, tmp_path, capsys):
+        # a draw Hermitian up to rounding, whose rounding steps exceed a tolerance that
+        # has underflowed with max |entry|, was refused as not Hermitian (exit 2)
+        out = tmp_path / "vt"
+        assert run(["verify-traces", "--ineqs", "holder", "--kinds", "commuting-pair",
+                    "--scale", 1e-310, "--trials", 50, "--dims", 2, "--out", out]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: commuting-pair draw at scale 1e-310 underflows\n"
+        assert not (out / "fuzz-holder.json").exists()
+
+    def test_draw_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        # numpy refuses the 524 TiB draw before touching memory: once a traceback, exit 1
+        assert run(["verify-traces", "--dims", 3000000, "--trials", 1, "--ineqs", "trace_quad",
+                    "--out", tmp_path / "vt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
     def test_range_above_the_point_cap_exits_2(self, tmp_path, capsys):
         # once built a list of 10^12 ints (a MemoryError, exit 1)
         out = tmp_path / "v"
@@ -379,6 +396,40 @@ class TestDobrushinCommand:
         assert run(["bound", "--model", model, "--out", tmp_path / "b.csv"]) == 2
         assert "hypothesis violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("kmax", [-5, MAX_POINTS + 1, 10 ** 12])
+    @pytest.mark.parametrize("J", [0.25, 2.0], ids=["below", "above"])
+    def test_kmax_out_of_range_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       source, kmax, J):
+        # on either side of the Dobrushin threshold: below it 10^12 ran 10^12
+        # products per site, then failed to allocate np.arange(10^12 + 1); above it
+        # kmax was never read (exit 0)
+        def never(model):
+            raise AssertionError("dobrushin_matrix ran")
+
+        monkeypatch.setattr("matconc.cli.dobrushin_matrix", never)
+        model, out = tmp_path / "model.json", tmp_path / "rep.json"
+        save_model(model, DiscreteModel.from_ising(J * (np.ones((4, 4)) - np.eye(4))))
+        argv = ["dobrushin", "--model", model, "--out", out]
+        if source == "flag":
+            argv += ["--kmax", kmax]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kmax": kmax}))
+            argv += ["--config", cfg]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: kmax must lie in [0, {MAX_POINTS}], got {kmax}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kmax", [0, MAX_POINTS])
+    def test_kmax_range_is_inclusive(self, tmp_path, kmax):
+        # a one-site model: the 10^6 products are of a 1 x 1 matrix
+        out, cfg = tmp_path / "rep.json", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"rademacher_sites": 1}, "kmax": kmax}))
+        assert run(["dobrushin", "--config", cfg, "--out", out]) == 0
+        assert json.loads(out.read_text())["b_power_columns"]["k"] == kmax
+
     def test_manifest_digests_the_kmax_run(self, tmp_path, ising_model_file):
         digests = {}
         for label, kmax in (("k3", 3), ("k20", 20), ("default", None)):
@@ -441,6 +492,18 @@ class TestMcTailCommand:
         assert run(["mc-tail", "--config", cfg, "--out", out]) == 3
         assert capsys.readouterr().err == \
             "numerical failure: psd draw at scale 1e+308 is not finite\n"
+        assert not out.exists()
+
+    def test_samples_too_many_for_memory_exit_2(self, tmp_path, capsys):
+        # numpy refuses the 2.13 PiB of uniforms before touching memory: once a
+        # traceback, exit 1
+        cfg = tmp_path / "many.json"
+        cfg.write_text(json.dumps({"model": {"rademacher_sites": 3}, "samples": 10 ** 14,
+                                   "observable": {"generate": {"count": 3, "dim": 2, "seed": 1}}}))
+        out = tmp_path / "mc.csv"
+        assert run(["mc-tail", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_csv_schema_and_domination(self, tmp_path):

@@ -499,6 +499,13 @@ class TestFuzzer:
         with pytest.raises(ArithmeticError, match="not finite"):
             fuzz_grid(ineq, ("diagonal",), (2,), 20, 1e80, 1)
 
+    def test_subnormal_draw_refused_as_an_underflow(self):
+        # the draw is Hermitian up to rounding, but at subnormal magnitudes one
+        # rounding step exceeds HERMITICITY_RTOL * max |entry|: once a HermiticityError
+        with pytest.raises(ArithmeticError,
+                           match=r"^commuting-pair draw at scale 1e-310 underflows$"):
+            fuzz_grid("holder", ("commuting-pair",), (2,), 50, 1e-310, 0)
+
     @pytest.mark.parametrize("ineq", ["trace_quad", "power", "symmetric_term", "psd_cross"])
     def test_public_overflowing_gaps_refused_without_warnings(self, ineq):
         # the public calls evaluate as the fuzzer does: the refusal, no RuntimeWarning
@@ -572,6 +579,21 @@ PUBLIC_GAPS = {
 }
 
 
+@pytest.fixture
+def recorded_trials(monkeypatch):
+    """The list of every ``(t, kind, dim, gaps, i)`` the fuzzer's trial driver
+    yields from here on, in order."""
+    trials = []
+
+    def recording(*args):
+        for trial in _trials_in_order(*args):
+            trials.append(trial)
+            yield trial
+
+    monkeypatch.setattr(traceineq, "_trials_in_order", recording)
+    return trials
+
+
 class TestStackedFuzz:
     @pytest.mark.pinned
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
@@ -584,22 +606,26 @@ class TestStackedFuzz:
         save_fuzz_summary(path, summary)
         assert_pinned(f"fuzz-summary/{ineq}", path.read_bytes())
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
-    def test_stacked_trials_match_public_gaps(self, ineq, monkeypatch):
+    def test_trial_bytes_pinned(self, ineq, recorded_trials, assert_pinned):
+        # the float64 (lhs, rhs, gap) of every trial of the summary's run: the
+        # last bits of each kernel, which a summary whose minimum is a 0.0 gap
+        # does not carry
+        fuzz_grid(ineq, ENSEMBLE_KINDS, range(1, 9), 300, 1.0, 4242)
+        assert len(recorded_trials) == 300
+        data = np.array([(gaps.lhs[i], gaps.rhs[i], gaps.gap[i])
+                         for *_, gaps, i in recorded_trials], dtype=np.float64)
+        assert_pinned(f"fuzz-trials/{ineq}", data.tobytes())
+
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_stacked_trials_match_public_gaps(self, ineq, recorded_trials):
         # every kind at every dim 1..8, three trials per cell in one stack
-        trials = []
-
-        def recording(*args):
-            for trial in _trials_in_order(*args):
-                trials.append(trial)
-                yield trial
-
-        monkeypatch.setattr(traceineq, "_trials_in_order", recording)
         for dim in range(1, 9):
             for kind in ENSEMBLE_KINDS:
                 fuzz_grid(ineq, (kind,), (dim,), 3, 1.0, 31)
-        assert len(trials) == 3 * 8 * len(ENSEMBLE_KINDS)
-        for _, kind, dim, gaps, i in trials:
+        assert len(recorded_trials) == 3 * 8 * len(ENSEMBLE_KINDS)
+        for _, kind, dim, gaps, i in recorded_trials:
             assert len(gaps.gap) == 3
             stacked = gaps.report(i)
             inputs = [M[i] for M in gaps.inputs.values()]
